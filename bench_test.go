@@ -417,8 +417,8 @@ func BenchmarkTrainStepTraced(b *testing.B) {
 func BenchmarkTrainStepSP(b *testing.B) {
 	cfg := model.Config{Name: "bench", Layers: 2, Hidden: 64, Heads: 4, Vocab: 128}
 	m := nn.NewGPT(cfg, 16, tensor.NewRNG(1))
-	eng, err := dp.NewSP(m, dp.Config{
-		Ranks: 2, Adam: optim.DefaultConfig(), Impl: optim.GraceAdam,
+	eng, err := dp.New(m, dp.Config{
+		SeqRanks: 2, Adam: optim.DefaultConfig(), Impl: optim.GraceAdam,
 		ClipNorm: 10, BucketElems: 20000,
 	})
 	if err != nil {
@@ -451,7 +451,7 @@ func BenchmarkTrainStepSP(b *testing.B) {
 func BenchmarkTrainStepMesh(b *testing.B) {
 	cfg := model.Config{Name: "bench", Layers: 2, Hidden: 64, Heads: 4, Vocab: 128}
 	m := nn.NewGPT(cfg, 16, tensor.NewRNG(1))
-	eng, err := dp.NewMesh(m, dp.Config{
+	eng, err := dp.New(m, dp.Config{
 		Ranks: 2, SeqRanks: 2, Adam: optim.DefaultConfig(), Impl: optim.GraceAdam,
 		ClipNorm: 10, BucketElems: 20000,
 	})
@@ -487,7 +487,7 @@ func BenchmarkTrainStepMesh(b *testing.B) {
 func BenchmarkTrainStepPipe(b *testing.B) {
 	cfg := model.Config{Name: "bench", Layers: 2, Hidden: 64, Heads: 4, Vocab: 128}
 	m := nn.NewGPT(cfg, 16, tensor.NewRNG(1))
-	eng, err := dp.NewPipe(m, dp.Config{
+	eng, err := dp.New(m, dp.Config{
 		Ranks: 1, SeqRanks: 1, PipeRanks: 2,
 		Adam: optim.DefaultConfig(), Impl: optim.GraceAdam,
 		ClipNorm: 10, BucketElems: 20000,

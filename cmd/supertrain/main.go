@@ -52,10 +52,19 @@ type engine interface {
 	Close() error
 }
 
-// commStatser is implemented by the engines with sequence-parallel links
-// (SP and mesh).
+// commStatser is implemented by the multi-rank engine for every shape.
 type commStatser interface {
 	CommStats() superoffload.SPCommStats
+}
+
+// linkTraffic returns the engine's link counters; ok is false when the
+// engine has no links or none carried anything (a pure data-parallel
+// run), so link-less shapes report nothing.
+func linkTraffic(eng engine) (cs superoffload.SPCommStats, ok bool) {
+	if cse, has := eng.(commStatser); has {
+		cs = cse.CommStats()
+	}
+	return cs, cs != superoffload.SPCommStats{}
 }
 
 func main() {
@@ -383,8 +392,7 @@ func run() (err error) {
 	st := eng.Stats()
 	fmt.Printf("done: %d steps, %d commits, %d clip-rollbacks, %d skip-rollbacks, %d forward redos\n",
 		st.Steps, st.Commits, st.ClipRolls, st.SkipRolls, st.Redos)
-	if cse, ok := eng.(commStatser); ok {
-		cs := cse.CommStats()
+	if cs, ok := linkTraffic(eng); ok {
 		n := float64(*steps)
 		fmt.Printf("ulysses links: %.1f all-to-all payloads/step (%.1f MB/step), %.1f ring hops/step (%.1f MB/step)\n",
 			float64(cs.A2APayloads)/n, float64(cs.A2AFloats)*4/1e6/n,
@@ -446,8 +454,7 @@ func buildReport(eng engine, reg *superoffload.MetricsRegistry, params int, mode
 		FinalLoss:   finalLoss,
 		Stats:       eng.Stats(),
 	}
-	if cse, ok := eng.(commStatser); ok {
-		cs := cse.CommStats()
+	if cs, ok := linkTraffic(eng); ok {
 		rep.Comm = &cs
 	}
 	if tel, ok := eng.StoreTelemetry(); ok {

@@ -80,7 +80,10 @@ func TestJSONReportGolden(t *testing.T) {
 
 // TestJSONReportOmitsAbsentTelemetry checks the optional keys stay
 // absent for an engine without those surfaces (no comm/store/placement
-// noise in single-rank DRAM runs).
+// noise in single-rank DRAM runs), and that a data-parallel shape —
+// whose engine type HAS a CommStats surface, reading all-zero because
+// the shape has no sequence or pipeline links — reports no comm block
+// and no superoffload_comm_* metrics either.
 func TestJSONReportOmitsAbsentTelemetry(t *testing.T) {
 	rep := buildReport(bareEngine{}, nil, 1, "stv", "1 rank", 1, 0)
 	b, err := json.Marshal(rep)
@@ -92,7 +95,28 @@ func TestJSONReportOmitsAbsentTelemetry(t *testing.T) {
 			t.Errorf("report for a bare engine contains %q: %s", key, b)
 		}
 	}
+
+	reg := superoffload.NewMetricsRegistry()
+	superoffload.RegisterMetrics(reg, dpShapeEngine{})
+	rep = buildReport(dpShapeEngine{}, reg, 1, "stv", "2 DP rank(s)", 1, 0)
+	if b, err = json.Marshal(rep); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"comm"`, "superoffload_comm_"} {
+		if bytes.Contains(b, []byte(key)) {
+			t.Errorf("report for a link-less shape contains %s: %s", key, b)
+		}
+	}
+	if _, ok := rep.MetricsV1["superoffload_stv_steps_total"]; !ok {
+		t.Errorf("link-less shape lost its other metrics: %v", rep.MetricsV1)
+	}
 }
+
+// dpShapeEngine is bareEngine plus the multi-rank engine's CommStats
+// surface on a shape without links: every counter zero.
+type dpShapeEngine struct{ bareEngine }
+
+func (dpShapeEngine) CommStats() superoffload.SPCommStats { return superoffload.SPCommStats{} }
 
 // bareEngine exposes no optional telemetry surface.
 type bareEngine struct{}

@@ -2,7 +2,6 @@ package dp
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"superoffload/internal/act"
@@ -21,23 +20,11 @@ func actTestGPT(seed uint64) *nn.GPT {
 	return nn.NewGPT(cfg, 16, tensor.NewRNG(seed))
 }
 
-// actEngine abstracts the three multi-rank engines for the shared
-// activation-exactness assertions.
-type actEngine interface {
-	Step(b data.Batch) (float64, error)
-	Flush() (bool, error)
-	Save(w io.Writer) error
-	Stats() stv.Stats
-	ActTelemetry() (act.Telemetry, bool)
-	MasterWeights() []float32
-	Close() error
-}
-
 // actTestConfig is the shared engine config: clipping plus fault
 // injection, so the exactness surface includes clip rollbacks, the
 // NaN-skip, and the redo-forwards that abandon half-spilled passes.
 func actTestConfig(ranks int) Config {
-	cfg := baseConfig(ranks)
+	cfg := shapeConfig(ranks, 1, 1)
 	cfg.ClipNorm = 0.9
 	cfg.InjectBad = func(step int) bool { return step == 3 }
 	return cfg
@@ -45,7 +32,7 @@ func actTestConfig(ranks int) Config {
 
 // runActEngine trains an engine for steps iterations and returns losses,
 // stats, checkpoint bytes, and master weights.
-func runActEngine(t *testing.T, e actEngine, steps int) ([]float64, stv.Stats, []byte, []float32) {
+func runActEngine(t *testing.T, e *Engine, steps int) ([]float64, stv.Stats, []byte, []float32) {
 	t.Helper()
 	corpus := data.NewCorpus(64, 77)
 	losses := make([]float64, 0, steps)
@@ -84,20 +71,17 @@ func TestEngineActBitExact(t *testing.T) {
 	params := int64(actTestGPT(42).NumParams())
 
 	builders := []struct {
-		name  string
-		build func(cfg Config) (actEngine, error)
-	}{
-		{"dp-r2", func(cfg Config) (actEngine, error) { return New(actTestGPT(42), cfg) }},
-		{"sp-s2", func(cfg Config) (actEngine, error) { return NewSP(actTestGPT(42), cfg) }},
-		{"mesh-2x2", func(cfg Config) (actEngine, error) {
-			cfg.Ranks, cfg.SeqRanks = 2, 2
-			return NewMesh(actTestGPT(42), cfg)
-		}},
-	}
+		name string
+		r, s int
+	}{{"dp-r2", 2, 1}, {"sp-s2", 1, 2}, {"mesh-2x2", 2, 2}}
 
 	for _, b := range builders {
 		t.Run(b.name, func(t *testing.T) {
-			ref, err := b.build(actTestConfig(2))
+			build := func(cfg Config) (*Engine, error) {
+				cfg.Ranks, cfg.SeqRanks = b.r, b.s
+				return New(actTestGPT(42), cfg)
+			}
+			ref, err := build(actTestConfig(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +103,7 @@ func TestEngineActBitExact(t *testing.T) {
 						Hidden: 32, Params: params,
 					})
 				}
-				e, err := b.build(cfg)
+				e, err := build(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,7 +133,7 @@ func TestEngineActBitExact(t *testing.T) {
 // engine: both ranks spill, traffic balances, and the prefetcher's
 // pipelined time strictly beats the serialized reference.
 func TestEngineActTelemetry(t *testing.T) {
-	cfg := baseConfig(2)
+	cfg := shapeConfig(2, 1, 1)
 	params := int64(actTestGPT(42).NumParams())
 	cfg.NewActStore = func(rank int) (*act.Store, error) {
 		return act.NewStore(act.Config{Tier: act.DRAM, ResidentLayers: 2, Hidden: 32, Params: params})

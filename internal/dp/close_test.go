@@ -12,8 +12,9 @@ type closeable interface {
 	Close() error
 }
 
-// buildEngines constructs all five engine flavors over NVMe-backed
-// stores (the backend with real resources to double-release) and steps
+// buildEngines constructs four engine shapes and the single-rank
+// trainer over NVMe-backed stores (the backend with real resources to
+// double-release) and steps
 // each one WITHOUT flushing, so a speculative step's validation is
 // still in flight when Close arrives. Run under -race, this covers the
 // close-while-validation-pending path: closeWorld must drain the
@@ -24,7 +25,7 @@ func buildEngines(t *testing.T) map[string]closeable {
 	corpus := data.NewCorpus(64, 11)
 
 	mk := func(name string, build func(cfg Config) (closeable, func(b data.Batch) error)) {
-		cfg := meshConfig(1, 1)
+		cfg := shapeConfig(1, 1, 1)
 		cfg.NewStore = nvmeFactory(t)
 		eng, step := build(cfg)
 		if err := step(corpus.NextBatch(2, 8)); err != nil {
@@ -41,8 +42,8 @@ func buildEngines(t *testing.T) map[string]closeable {
 		return e, func(b data.Batch) error { _, err := e.Step(b); return err }
 	})
 	mk("sp", func(cfg Config) (closeable, func(b data.Batch) error) {
-		cfg.Ranks = 2
-		e, err := NewSP(tinyGPT(3), cfg)
+		cfg.SeqRanks = 2
+		e, err := New(tinyGPT(3), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func buildEngines(t *testing.T) map[string]closeable {
 	})
 	mk("mesh", func(cfg Config) (closeable, func(b data.Batch) error) {
 		cfg.Ranks, cfg.SeqRanks = 2, 2
-		e, err := NewMesh(tinyGPT(3), cfg)
+		e, err := New(tinyGPT(3), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func buildEngines(t *testing.T) map[string]closeable {
 	})
 	mk("pipe", func(cfg Config) (closeable, func(b data.Batch) error) {
 		cfg.Ranks, cfg.SeqRanks, cfg.PipeRanks = 2, 1, 2
-		e, err := NewPipe(deepGPT(3), cfg)
+		e, err := New(deepGPT(3), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,9 +101,9 @@ func TestCloseIdempotent(t *testing.T) {
 // step/flush/save surfaces must return errors, never deadlock against
 // the stopped rank goroutines.
 func TestCloseRejectsFurtherUse(t *testing.T) {
-	cfg := meshConfig(1, 1)
+	cfg := shapeConfig(1, 1, 1)
 	cfg.Ranks, cfg.SeqRanks, cfg.PipeRanks = 2, 1, 2
-	eng, err := NewPipe(deepGPT(3), cfg)
+	eng, err := New(deepGPT(3), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,25 +3,30 @@ package dp
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"superoffload/internal/data"
 	"superoffload/internal/fp16"
 	"superoffload/internal/obs"
+	"superoffload/internal/tensor"
 )
 
-// world is the simulated interconnect core shared by every multi-rank
-// engine (data-parallel, sequence-parallel, and the R×S mesh): each rank
-// link is a Go channel, so communication composes with goroutine
+// world is the engine's simulated interconnect over all N = R·S·P ranks:
+// each link is a Go channel, so communication composes with goroutine
 // scheduling the way NVLink transfers compose with compute streams —
 // sends overlap whatever the peer is doing until the data is actually
-// needed. The core carries the coordinator protocol (cmd / resolution /
-// go / results), the post-step fp16 weight all-gather links, and the
-// background-validation plane; engine-specific link families (the DP
-// reduce-scatter, the sequence-parallel all-to-all and gradient ring,
-// the mesh's cross-group reduce) wrap it.
+// needed. It carries the coordinator protocol (cmd / resolution / go /
+// results), the post-step fp16 weight all-gather links, the
+// background-validation plane, and the per-axis link families: one set
+// of sequence-parallel links per (group, stage) cell, the cross-cell
+// gradient reduce-scatter, and the stage-boundary FIFOs. Cells are
+// indexed g·P + p; global rank ids are (g·S + s)·P + p. A size-1 axis
+// holds no links: S=1 cells carry no all-to-all or ring channels, and
+// P=1 has no boundaries.
 type world struct {
-	N int // total ranks
-	B int // buckets
+	N       int // total ranks
+	B       int // buckets
+	R, S, P int // data-parallel groups, sequence ranks per cell, stages per column
 
 	// Coordinator → rank control links.
 	cmd        []chan command
@@ -41,15 +46,33 @@ type world struct {
 	partial chan partialMsg
 	val     chan valMsg
 
+	// cells[g·P+p] is cell (g, p)'s in-cell sequence-parallel links; the
+	// ring there reduces over the stage's contiguous parameter span.
+	cells []*spLinks
+	// reduce[b][g·P+p] carries cell (g, p)'s contribution for bucket b —
+	// the intersection of the cell's stage span with bucket b's range —
+	// to the bucket's global owner.
+	reduce reduceLinks
+	// acts[p][g·S+s] carries stage p → p+1 boundary activations for
+	// column (g, s); grads[p][g·S+s] the p+1 → p boundary gradients.
+	acts  [][]*pipeLink
+	grads [][]*pipeLink
+	tel   *linkTelemetry
+
 	// Tracing (nil when disabled): one track per rank interpreter plus
 	// the coordinator's control-plane track. attachTracer fills them.
 	tracks []*obs.Track
 	ctrack *obs.Track
 }
 
-// attachTracer allocates this world's trace tracks: "rank r" per rank
-// and one coordinator track. A nil tracer leaves every track nil — the
-// zero-overhead disabled mode.
+// dense reports the S=P=1 shape, where every rank runs the whole model
+// over whole rows and takes the dense replica pass.
+func (w *world) dense() bool { return w.S == 1 && w.P == 1 }
+
+// attachTracer allocates this world's trace tracks: "rank r" per rank,
+// one coordinator track, and — when the shape has links to count — the
+// "comm" track. A nil tracer leaves every track nil — the zero-overhead
+// disabled mode.
 func (w *world) attachTracer(tr *obs.Tracer) {
 	if tr == nil {
 		return
@@ -58,6 +81,9 @@ func (w *world) attachTracer(tr *obs.Tracer) {
 	w.tracks = make([]*obs.Track, w.N)
 	for i := range w.tracks {
 		w.tracks[i] = tr.Track(fmt.Sprintf("rank %d", i))
+	}
+	if !w.dense() {
+		w.tel.track = tr.Track("comm")
 	}
 }
 
@@ -69,7 +95,7 @@ func (w *world) track(id int) *obs.Track {
 	return w.tracks[id]
 }
 
-// command drives a rank's top-level loop (identical across engines).
+// command drives a rank's top-level loop.
 type command struct {
 	kind   int          // cmdStep, cmdResolve, cmdStop
 	micros []data.Batch // cmdStep: this rank's micro-batches, in order
@@ -78,8 +104,8 @@ type command struct {
 }
 
 // stepResult is a rank's report for one cmdStep (the zero value acks a
-// cmdResolve). The data-parallel engine fills losses — one scalar per
-// micro-batch; the sequence-parallel and mesh engines fill rows — per
+// cmdResolve). The dense shape fills losses — one scalar per
+// micro-batch; every other shape's final-stage ranks fill rows — per
 // micro-batch per-row token losses in local row order, folded at the
 // coordinator in global row order.
 type stepResult struct {
@@ -100,9 +126,11 @@ type valMsg struct {
 	norm float64
 }
 
-// newWorld wires the shared core links for n ranks over b buckets.
-func newWorld(n, b int) *world {
-	w := &world{N: n, B: b}
+// newWorld wires the interconnect for r groups, s sequence ranks per
+// cell, p pipeline stages, and b buckets.
+func newWorld(r, s, p, b int) *world {
+	n := r * s * p
+	w := &world{N: n, B: b, R: r, S: s, P: p, tel: &linkTelemetry{}}
 	w.cmd = make([]chan command, n)
 	w.resolution = make([]chan resolution, n)
 	w.goCh = make([]chan goMsg, n)
@@ -122,16 +150,28 @@ func newWorld(n, b int) *world {
 	}
 	w.partial = make(chan partialMsg, b)
 	w.val = make(chan valMsg, 1)
+	w.cells = make([]*spLinks, r*p)
+	for i := range w.cells {
+		w.cells[i] = newSPLinks(s, w.tel)
+	}
+	w.reduce = newReduceLinks(b, r*p)
+	w.acts = make([][]*pipeLink, p-1)
+	w.grads = make([][]*pipeLink, p-1)
+	for bi := 0; bi < p-1; bi++ {
+		w.acts[bi] = make([]*pipeLink, r*s)
+		w.grads[bi] = make([]*pipeLink, r*s)
+		for col := 0; col < r*s; col++ {
+			w.acts[bi][col] = newPipeLink()
+			w.grads[bi][col] = newPipeLink()
+		}
+	}
 	return w
 }
 
 // bucketOwner maps a bucket to its owning rank (round-robin over the
-// global bucket order, the ZeRO-style partition) — the single ownership
-// policy every engine component consults.
+// global bucket order, the ZeRO-style partition, ignoring topology) — the
+// single ownership policy every engine component consults.
 func bucketOwner(bucket, ranks int) int { return bucket % ranks }
-
-// owner applies the ownership policy to this world's rank count.
-func (w *world) owner(bucket int) int { return bucketOwner(bucket, w.N) }
 
 // aggregate is the validation reducer: each step it collects exactly one
 // partial per bucket (arrival order is scheduling-dependent; combination
@@ -159,9 +199,8 @@ func (w *world) aggregate() {
 }
 
 // reduceLinks carries raw gradient contributions to bucket owners:
-// entry [b][src] delivers source src's contribution for bucket b to the
-// bucket's owner. The data-parallel engine indexes sources by rank; the
-// mesh engine indexes them by data-parallel group.
+// entry [b][src] delivers source cell src's contribution for bucket b to
+// the bucket's owner.
 type reduceLinks [][]chan []float32
 
 // newReduceLinks wires the reduce-scatter links for b buckets fed by
@@ -196,9 +235,13 @@ func splitRows(b data.Batch, n int) []data.Batch {
 }
 
 // splitSeq shards a batch into n sequence shards: shard s takes
-// positions [s·T/n, (s+1)·T/n) of every batch row. The caller has
-// validated divisibility (nn.GPT.ValidateSP).
+// positions [s·T/n, (s+1)·T/n) of every batch row (n == 1 is the batch
+// itself, uncopied). The caller has validated divisibility
+// (nn.GPT.ValidateSP).
 func splitSeq(b data.Batch, n int) []data.Batch {
+	if n == 1 {
+		return []data.Batch{b}
+	}
 	tl := b.Seq / n
 	out := make([]data.Batch, n)
 	for s := 0; s < n; s++ {
@@ -212,4 +255,48 @@ func splitSeq(b data.Batch, n int) []data.Batch {
 		out[s] = data.Batch{Tokens: toks, Targets: tgts, BatchSize: b.BatchSize, Seq: tl}
 	}
 	return out
+}
+
+// pipeLink is one stage-boundary link of the pipeline axis: an
+// unbounded FIFO of boundary tensors between vertically adjacent ranks
+// of one (group, sequence) column. Sends never block — under 1F1B an
+// upstream stage may run several micro-batches ahead of its consumer,
+// and a bounded link there could deadlock against the cap-1 collective
+// channels the rest of the world uses — while receives block until a
+// tensor arrives. Tensors pass by reference: each SPCache owns its
+// buffers for its own lifetime, so the receiver reads them in place and
+// the happens-before edge comes from the mutex.
+type pipeLink struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	q    []*tensor.Tensor
+}
+
+// newPipeLink wires one boundary FIFO.
+func newPipeLink() *pipeLink {
+	l := &pipeLink{}
+	l.cond = sync.NewCond(&l.mu)
+	return l
+}
+
+// send enqueues a boundary tensor; never blocks.
+func (l *pipeLink) send(t *tensor.Tensor) {
+	l.mu.Lock()
+	l.q = append(l.q, t)
+	l.mu.Unlock()
+	l.cond.Signal()
+}
+
+// recv dequeues the oldest boundary tensor, blocking until one exists.
+// Micro-batch order is preserved because each boundary's sender emits in
+// schedule order.
+func (l *pipeLink) recv() *tensor.Tensor {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.q) == 0 {
+		l.cond.Wait()
+	}
+	t := l.q[0]
+	l.q = l.q[1:]
+	return t
 }

@@ -13,16 +13,14 @@ import (
 	"superoffload/internal/stv"
 )
 
-// coordinator is the verdict/schedule state machine shared by the
-// data-parallel and sequence-parallel engines: the loss-scale and
-// learning-rate plumbing, the pending-validation bookkeeping, and the
-// conversion of a global verdict into the resolution every rank applies.
-// Keeping it in one place is what keeps the two engines' stats, scaler
-// updates, and rollback decisions identical by construction — the
-// cross-engine trajectory and checkpoint parity the tests assert.
+// coordinator is the engine's verdict/schedule state machine: the
+// loss-scale and learning-rate plumbing, the pending-validation
+// bookkeeping, and the conversion of a global verdict into the
+// resolution every rank applies — the counterpart of the single-rank
+// trainer's resolvePending, which is what keeps stats, scaler updates,
+// and rollback decisions identical to it.
 type coordinator struct {
 	cfg         Config
-	sched       scheduleBuilder // per-rank step schedule (engine topology)
 	stepIndex   int
 	pending     bool
 	pendingAdam optim.Config
@@ -72,8 +70,8 @@ func (c *coordinator) stepAdam() optim.Config {
 }
 
 // save serializes the training state in the stv checkpoint format over
-// the global bucket order — byte-identical across engines and rank
-// counts on the same trajectory.
+// the global bucket order — byte-identical across shapes (and to the
+// single-rank trainer) on the same trajectory.
 func (c *coordinator) save(w io.Writer, buckets []*stv.Bucket) error {
 	if c.closed {
 		return fmt.Errorf("dp: engine closed")
@@ -84,11 +82,10 @@ func (c *coordinator) save(w io.Writer, buckets []*stv.Bucket) error {
 	return stv.WriteCheckpoint(w, c.stepIndex, c.cfg.Scaler, buckets)
 }
 
-// load restores state written by save (from any engine), scattering each
-// bucket to its owner and republishing the fp16-rounded weights to every
-// non-owner replica (replicaGroups[rank] is that replica's global bucket
-// layout; ownership is round-robin in both engines).
-func (c *coordinator) load(r io.Reader, buckets []*stv.Bucket, replicaGroups [][]nn.Params) error {
+// load restores state written by save (from any shape, or the
+// single-rank trainer), scattering each bucket to its owner and
+// republishing the fp16-rounded weights to every non-owner replica.
+func (c *coordinator) load(r io.Reader, buckets []*stv.Bucket, ranks []*rank) error {
 	if c.closed {
 		return fmt.Errorf("dp: engine closed")
 	}
@@ -103,111 +100,15 @@ func (c *coordinator) load(r io.Reader, buckets []*stv.Bucket, replicaGroups [][
 	// ReadCheckpoint republished into owner replicas; propagate to the
 	// others (the ranks are quiescent between commands). One store
 	// acquire per bucket, shared across all receiving ranks.
-	ranks := len(replicaGroups)
 	for bi, bk := range buckets {
 		half := bk.Half()
-		for s := 0; s < ranks; s++ {
-			if s == bucketOwner(bi, ranks) {
-				continue
+		for id, rk := range ranks {
+			if id != bucketOwner(bi, len(ranks)) {
+				stv.PublishHalf(rk.groups[bi], half)
 			}
-			stv.PublishHalf(replicaGroups[s][bi], half)
 		}
 	}
 	return nil
-}
-
-// engineRank is the surface the shared engine plumbing needs from every
-// rank type (dp's rank, sp's spRank, the mesh's meshRank).
-type engineRank interface {
-	bucketStore() stv.BucketStore
-	bucketLayout() []nn.Params
-	placementExec() *stv.PlacementExecutor
-	actStore() *act.Store
-}
-
-// storeList collects every rank's bucket store, in rank order.
-func storeList[R engineRank](ranks []R) []stv.BucketStore {
-	out := make([]stv.BucketStore, len(ranks))
-	for i, rk := range ranks {
-		out[i] = rk.bucketStore()
-	}
-	return out
-}
-
-// replicaGroups collects every rank's global bucket layout, in rank order.
-func replicaGroups[R engineRank](ranks []R) [][]nn.Params {
-	out := make([][]nn.Params, len(ranks))
-	for i, rk := range ranks {
-		out[i] = rk.bucketLayout()
-	}
-	return out
-}
-
-// gatherMasters returns the fp32 master parameters gathered from their
-// owners, concatenated in bucket order — the ground truth for exactness
-// comparisons against the single-rank engine.
-func gatherMasters(buckets []*stv.Bucket) []float32 {
-	n := 0
-	for _, bk := range buckets {
-		n += bk.Size()
-	}
-	out := make([]float32, 0, n)
-	for _, bk := range buckets {
-		out = bk.AppendMaster(out)
-	}
-	return out
-}
-
-// sumNVMeTelemetry sums the modeled NVMe telemetry over the given stores;
-// ok is false when none carries a flash tier (NVMeStore, or PlacedStore
-// with NVMe-tier buckets).
-func sumNVMeTelemetry(stores []stv.BucketStore) (stv.StoreTelemetry, bool) {
-	var sum stv.StoreTelemetry
-	any := false
-	for _, st := range stores {
-		if src, ok := st.(stv.TelemetrySource); ok {
-			if tel, has := src.NVMeTelemetry(); has {
-				sum = sum.Add(tel)
-				any = true
-			}
-		}
-	}
-	return sum, any
-}
-
-// actStoreList collects every rank's activation store, in rank order
-// (entries are nil without an activation tier).
-func actStoreList[R engineRank](ranks []R) []*act.Store {
-	out := make([]*act.Store, len(ranks))
-	for i, rk := range ranks {
-		out[i] = rk.actStore()
-	}
-	return out
-}
-
-// sumActTelemetry sums the activation stores' traffic and modeled-time
-// accounting over every rank; ok is false without an activation tier.
-func sumActTelemetry[R engineRank](ranks []R) (act.Telemetry, bool) {
-	var sum act.Telemetry
-	any := false
-	for _, rk := range ranks {
-		if s := rk.actStore(); s != nil {
-			sum = sum.Add(s.Telemetry())
-			any = true
-		}
-	}
-	return sum, any
-}
-
-// attachActStore wires a rank's activation store into its replica path
-// (the model-level tap — DP ranks own their replicas) and its placement
-// executor's step model. Nil-safe on both sides.
-func attachActStore(model *nn.GPT, exec *stv.PlacementExecutor, st *act.Store) {
-	if st == nil {
-		return
-	}
-	model.SetActivationTap(st)
-	exec.SetAct(stv.ActShapeFor(model, st))
 }
 
 // newRankExecutor builds rank executors for a placement plan: the
@@ -227,30 +128,6 @@ func newRankExecutor(cfg Config, model *nn.GPT, owned []ownedBucket, nGlobal int
 		nGlobal, model.Cfg.Hidden, int64(model.NumParams()))
 }
 
-// sumPlacementTelemetry sums the executors' modeled accounting over every
-// rank; ok is false when the engine has no placement plan.
-func sumPlacementTelemetry[R engineRank](ranks []R) (stv.PlacementTelemetry, bool) {
-	var sum stv.PlacementTelemetry
-	any := false
-	for _, rk := range ranks {
-		if e := rk.placementExec(); e != nil {
-			sum = sum.Add(e.Telemetry())
-			any = true
-		}
-	}
-	return sum, any
-}
-
-// localTokens sums a rank's batch rows × positions over its step's
-// micro-batches — the backward volume its placement executor charges.
-func localTokens(micros []data.Batch) int {
-	n := 0
-	for _, b := range micros {
-		n += b.BatchSize * b.Seq
-	}
-	return n
-}
-
 // closeStores closes every store, folding the first failure into err.
 func closeStores(stores []stv.BucketStore, err error) error {
 	for _, st := range stores {
@@ -261,15 +138,15 @@ func closeStores(stores []stv.BucketStore, err error) error {
 	return err
 }
 
-// runStep drives one iteration over the shared world. The step structure
-// itself lives in the schedules: each rank receives the op sequence the
-// engine's scheduleBuilder emits for this step's micro count, and the
+// runStep drives one iteration over the world. The step structure
+// itself lives in the schedules: each rank receives the op sequence
+// stageSchedule emits for its stage and this step's micro count, and the
 // rank-side interpreter (runSchedule) executes it. The coordinator only
 // keeps the control plane — dispatch the schedules, resolve the previous
 // step's validation while the early forwards run (the §4.4 overlap),
 // release the ranks into backward via goMsg, and collect their step
-// reports in rank order. The caller folds the reported losses in its
-// engine's canonical order.
+// reports in rank order. The caller folds the reported losses in
+// canonical order.
 func (c *coordinator) runStep(w *world, micross [][]data.Batch) ([]stepResult, error) {
 	if c.closed {
 		return nil, fmt.Errorf("dp: engine closed")
@@ -281,7 +158,7 @@ func (c *coordinator) runStep(w *world, micross [][]data.Batch) ([]stepResult, e
 		sp = w.ctrack.Begin("step")
 	}
 	for r := 0; r < w.N; r++ {
-		w.cmd[r] <- command{kind: cmdStep, micros: micross[r], ops: c.sched(r, len(micross[r]))}
+		w.cmd[r] <- command{kind: cmdStep, micros: micross[r], ops: stageSchedule(r%w.P, w.P, len(micross[r]))}
 	}
 	// Ranks are now forwarding; the pending verdict resolves in parallel
 	// with that compute, exactly like the single-rank background
@@ -314,7 +191,7 @@ func (c *coordinator) runStep(w *world, micross [][]data.Batch) ([]stepResult, e
 	return out, nil
 }
 
-// flush resolves any in-flight validation over the shared world (call at
+// flush resolves any in-flight validation over the world (call at
 // end of training so the final step is validated). Returns whether the
 // final step was rolled back or re-executed.
 func (c *coordinator) flush(w *world) (bool, error) {
@@ -336,8 +213,8 @@ func (c *coordinator) flush(w *world) (bool, error) {
 
 // closeWorld resolves any pending validation, stops the rank goroutines
 // and the validation aggregator, and closes every rank's bucket store
-// and activation store. The engine is unusable afterwards.
-func (c *coordinator) closeWorld(w *world, stores []stv.BucketStore, acts []*act.Store) error {
+// and activation store. Idempotent; the engine is unusable afterwards.
+func (c *coordinator) closeWorld(w *world, ranks []*rank) error {
 	if c.closed {
 		return nil
 	}
@@ -347,13 +224,14 @@ func (c *coordinator) closeWorld(w *world, stores []stv.BucketStore, acts []*act
 	}
 	close(w.partial)
 	c.closed = true
-	err = closeStores(stores, err)
-	for _, a := range acts {
-		if a == nil {
-			continue
+	for _, rk := range ranks {
+		if cerr := rk.store.Close(); err == nil {
+			err = cerr
 		}
-		if aerr := a.Close(); err == nil {
-			err = aerr
+		if rk.ast != nil {
+			if aerr := rk.ast.Close(); err == nil {
+				err = aerr
+			}
 		}
 	}
 	return err

@@ -1,28 +1,33 @@
-// Package dp is the multi-superchip data-parallel training engine: it runs
-// R simulated superchip ranks over the real GPT numerics of internal/nn,
-// with a ZeRO-style partition of the fp32 master weights and Adam moments
-// across ranks (following the partitioned-optimizer-state design of
+// Package dp is the multi-superchip training engine: one engine over an
+// (R, S, P) shape — R data-parallel replica groups × S Ulysses sequence
+// ranks per cell × P pipeline stages per column — running R·S·P simulated
+// superchip ranks over the real GPT numerics of internal/nn, with a
+// ZeRO-style partition of the fp32 master weights and Adam moments across
+// all ranks (following the partitioned-optimizer-state design of
 // ZeRO-Offload that SuperOffload extends to Superchips — the paper's 2×
-// and 4× GH200 configurations).
+// and 4× GH200 configurations). Data parallelism, sequence parallelism,
+// the R×S mesh and the 1F1B pipeline are shapes of this engine, not
+// separate runtimes; a size-1 axis allocates no links and emits no ops.
 //
 // The partition follows the existing internal/stv bucket boundaries, so
-// buckets remain the unit of offload, reduction, and rollback. Each rank
-// runs forward/backward on its own micro-batch on a full model replica,
-// then the engine performs a bucketized gradient reduce-scatter (each
-// bucket's owner receives and sums every rank's contribution) and a
-// post-step fp16 weight all-gather. Rank links are modeled as goroutine
-// channels; STV's speculative per-bucket step and background validation
-// overlap with communication exactly as §4.4 prescribes, and rollback
-// stays exact across ranks: a clip or NaN verdict rolls back the globally
-// reduced step on every rank.
+// buckets remain the unit of offload, reduction, and rollback. Each step,
+// every cell (the S ranks of one group and stage) produces its stage's
+// gradient for the group's row slice, the cells reduce-scatter bucket
+// slices to the global bucket owners, owners step speculatively, and a
+// post-step fp16 weight all-gather republishes every replica. Rank links
+// are modeled as goroutine channels; STV's speculative per-bucket step and
+// background validation overlap with communication exactly as §4.4
+// prescribes, and rollback stays exact across ranks: a clip or NaN
+// verdict rolls back the globally reduced step on every rank.
 //
-// Determinism contract: for the same global batch, an R-rank engine
-// reproduces — bit for bit — the loss trajectory of a single-rank
-// stv.Trainer that processes the same R-way micro-batch decomposition via
-// gradient accumulation. All cross-rank reductions happen in a fixed
-// order: gradient contributions sum in (micro-batch, rank) order, global
+// Determinism contract: for the same global batch, every (R,S,P) shape
+// reproduces — bit for bit — the loss trajectory, rollback decisions,
+// stats and checkpoints of a single-rank stv.Trainer that processes the
+// same R-way row decomposition via gradient accumulation. S and P are
+// invisible to the numerics. All cross-rank reductions happen in a fixed
+// order: gradient contributions sum in (micro-batch, group) order, global
 // gradient-norm partials sum in bucket order, and losses sum in
-// (micro-batch, rank) order.
+// (micro-batch, group) order.
 package dp
 
 import (
@@ -34,23 +39,21 @@ import (
 	"superoffload/internal/stv"
 )
 
-// Config parameterizes a multi-rank engine (New, NewSP, NewMesh). The
-// optimizer fields mirror stv.Config so every engine stays
-// trajectory-compatible with the single-rank trainer.
+// Config parameterizes the engine. The optimizer fields mirror stv.Config
+// so every shape stays trajectory-compatible with the single-rank
+// trainer. Ranks, SeqRanks and PipeRanks are the (R,S,P) shape; 0 means 1
+// on every axis.
 type Config struct {
-	// Ranks is the simulated superchip count R (the paper evaluates 1, 2,
-	// 4, and 16). New reads it as the data-parallel degree, NewSP as the
-	// sequence-parallel degree, and NewMesh as the number of
-	// data-parallel replica groups.
+	// Ranks is the data-parallel degree R: the number of replica groups
+	// a global batch's rows split across (the paper evaluates 1, 2, 4,
+	// and 16 superchips).
 	Ranks int
-	// SeqRanks is the per-group sequence-parallel degree S, read only by
-	// NewMesh and NewPipe (the other constructors take their single
-	// degree from Ranks). 0 means 1.
+	// SeqRanks is the per-cell sequence-parallel degree S. The model's
+	// head count and every batch's sequence length must divide by S.
 	SeqRanks int
 	// PipeRanks is the pipeline-parallel degree P — the number of stage
 	// ranks each (group, sequence) column splits the transformer depth
-	// over — read only by NewPipe. 0 means 1. The model must have at
-	// least P transformer blocks.
+	// over. The model must have at least P transformer blocks.
 	PipeRanks int
 	// Adam is the optimizer hyperparameter set.
 	Adam optim.Config
@@ -95,12 +98,15 @@ type Config struct {
 	// as Chrome trace-event JSON. Nil disables tracing at zero cost —
 	// the interpreter's hot path takes one predictable branch per op.
 	Tracer *obs.Tracer
-	// NewActStore, when non-nil, builds each rank's activation offloading
-	// tier (internal/act): per-layer forward activations spill out of the
-	// rank's replica behind the store's resident window and prefetch back
-	// ahead of backward. Spilling is numerically invisible, so every
-	// engine stays bit-identical to its non-spilling counterpart. The
-	// engine owns the stores: Close closes them.
+	// NewActStore, when non-nil, builds the activation offloading tier
+	// (internal/act) of every final-stage rank: per-layer forward
+	// activations spill out of the rank's replica behind the store's
+	// resident window and prefetch back ahead of backward. Only final
+	// stages get one because act.Store is strictly single-pass and only
+	// the last stage's 1F1B schedule completes each forward pass before
+	// the next begins (at P=1 that is every rank). Spilling is
+	// numerically invisible. The engine owns the stores: Close closes
+	// them.
 	NewActStore func(rank int) (*act.Store, error)
 }
 
@@ -140,9 +146,18 @@ const (
 	cmdStop
 )
 
-// withDefaults fills the optimizer implementation and bucket budget the
-// way every engine constructor does.
+// withDefaults fills the size-1 axes, the optimizer implementation and
+// the bucket budget.
 func (c Config) withDefaults() Config {
+	if c.Ranks == 0 {
+		c.Ranks = 1
+	}
+	if c.SeqRanks == 0 {
+		c.SeqRanks = 1
+	}
+	if c.PipeRanks == 0 {
+		c.PipeRanks = 1
+	}
 	if c.Impl == nil {
 		c.Impl = optim.GraceAdam
 	}

@@ -10,165 +10,224 @@ import (
 	"superoffload/internal/stv"
 )
 
-// dpWorld is the data-parallel engine's interconnect: the shared world
-// core plus the per-bucket gradient reduce-scatter links (reduce[b][src]
-// carries rank src's raw contribution for bucket b to the bucket's
-// owner).
-type dpWorld struct {
-	*world
-	reduce reduceLinks
-}
-
-// Engine coordinates R rank goroutines through the STV schedule. Its API
-// mirrors stv.Trainer (Step, StepAccum, Flush, Save, Load, Stats) so the
-// facade can surface either engine behind the same surface. Methods are
-// not safe for concurrent use — like the single-rank trainer, one
-// goroutine drives training.
+// Engine coordinates the R·S·P rank goroutines of one (R,S,P) shape
+// through the STV schedule. Its API mirrors stv.Trainer (Step, StepAccum,
+// Flush, Save, Load, Stats) so the facade can surface either behind the
+// same surface. Methods are not safe for concurrent use — like the
+// single-rank trainer, one goroutine drives training — except the
+// telemetry getters, which may be polled while a step runs.
 type Engine struct {
 	coordinator
-	w     *dpWorld
+	w     *world
 	ranks []*rank
 	// buckets is the global bucket order; entry b points at the owning
 	// rank's optimizer state (used for checkpointing and diagnostics).
 	buckets []*stv.Bucket
 }
 
-// New builds a data-parallel engine over the model. The model becomes rank
-// 0's replica; ranks 1..R-1 train on bit-identical clones. The fp32
-// masters and Adam moments are partitioned across ranks along bucket
+// New builds an engine of shape (cfg.Ranks, cfg.SeqRanks, cfg.PipeRanks)
+// over the model. The model becomes rank (0,0,0)'s replica; the other
+// ranks train on bit-identical clones, each computing only its own
+// stage's block range over its own rows and sequence shard. The fp32
+// masters and Adam moments are partitioned across all ranks along bucket
 // boundaries (round-robin), never replicated.
 func New(model *nn.GPT, cfg Config) (*Engine, error) {
 	if model == nil {
 		return nil, fmt.Errorf("dp: nil model")
 	}
-	if cfg.Ranks < 1 {
-		return nil, fmt.Errorf("dp: Ranks must be >= 1, got %d", cfg.Ranks)
-	}
 	cfg = cfg.withDefaults()
+	r, s, p := cfg.Ranks, cfg.SeqRanks, cfg.PipeRanks
+	if r < 1 || s < 1 || p < 1 {
+		return nil, fmt.Errorf("dp: shape (Ranks=%d, SeqRanks=%d, PipeRanks=%d) has an axis < 1", r, s, p)
+	}
+	if model.Cfg.Heads%s != 0 {
+		return nil, fmt.Errorf("dp: %d attention heads not divisible by %d sequence ranks", model.Cfg.Heads, s)
+	}
+	if err := model.ValidateStages(p); err != nil {
+		return nil, fmt.Errorf("dp: %w", err)
+	}
 	nBuckets := len(stv.PartitionGroups(model.Params(), cfg.BucketElems))
 	if cfg.Placement != nil {
 		if err := cfg.Placement.Validate(nBuckets); err != nil {
 			return nil, fmt.Errorf("dp: %w", err)
 		}
 	}
-	w := &dpWorld{world: newWorld(cfg.Ranks, nBuckets), reduce: newReduceLinks(nBuckets, cfg.Ranks)}
+	w := newWorld(r, s, p, nBuckets)
 	w.attachTracer(cfg.Tracer)
-	e := &Engine{coordinator: coordinator{cfg: cfg, sched: legacyBuilder}, w: w, buckets: make([]*stv.Bucket, nBuckets)}
-	stores, err := buildStores(cfg.Ranks, cfg.NewStore)
+	e := &Engine{coordinator: coordinator{cfg: cfg}, w: w, buckets: make([]*stv.Bucket, nBuckets)}
+	stores, err := buildStores(w.N, cfg.NewStore)
 	if err != nil {
 		return nil, err
 	}
-	acts, err := buildActStores(cfg.Ranks, cfg.NewActStore)
+	// Activation stores attach only on final-stage ranks (see
+	// Config.NewActStore); the factory is gated so no store is built
+	// just to sit idle.
+	actFactory := cfg.NewActStore
+	if actFactory != nil && p > 1 {
+		actFactory = func(rank int) (*act.Store, error) {
+			if rank%p != p-1 {
+				return nil, nil
+			}
+			return cfg.NewActStore(rank)
+		}
+	}
+	acts, err := buildActStores(w.N, actFactory)
 	if err != nil {
 		return nil, closeStores(stores, err)
 	}
-	for id := 0; id < cfg.Ranks; id++ {
-		replica := model
-		if id > 0 {
-			replica = model.Clone()
+	for g := 0; g < r; g++ {
+		for sl := 0; sl < s; sl++ {
+			for st := 0; st < p; st++ {
+				id := (g*s+sl)*p + st
+				replica := model
+				if id > 0 {
+					replica = model.Clone()
+				}
+				rk := newRank(g, sl, st, w, replica, cfg.Impl, cfg.BucketElems, stores[id])
+				rk.exec = newRankExecutor(cfg, replica, rk.owned, nBuckets)
+				rk.attachAct(acts[id])
+				for _, ob := range rk.owned {
+					e.buckets[ob.idx] = ob.b
+				}
+				e.ranks = append(e.ranks, rk)
+				go rk.run()
+			}
 		}
-		rk := newRank(id, w, replica, cfg.Impl, cfg.BucketElems, stores[id])
-		rk.exec = newRankExecutor(cfg, replica, rk.owned, nBuckets)
-		rk.ast = acts[id]
-		attachActStore(replica, rk.exec, rk.ast)
-		for _, ob := range rk.owned {
-			e.buckets[ob.idx] = ob.b
-		}
-		e.ranks = append(e.ranks, rk)
-		go rk.run()
 	}
 	go w.aggregate()
 	return e, nil
 }
 
+// CommStats reports the engine's cumulative link traffic: every cell's
+// all-to-all and ring links plus the stage-boundary tensor sends.
+func (e *Engine) CommStats() SPCommStats { return e.w.tel.snapshot() }
+
 // StoreTelemetry sums the modeled NVMe telemetry over every rank's store.
-// ok is false when no rank uses an NVMe-backed store.
+// ok is false when no rank carries a flash tier (NVMeStore, or
+// PlacedStore with NVMe-tier buckets).
 func (e *Engine) StoreTelemetry() (stv.StoreTelemetry, bool) {
-	return sumNVMeTelemetry(storeList(e.ranks))
+	var sum stv.StoreTelemetry
+	any := false
+	for _, rk := range e.ranks {
+		if src, ok := rk.store.(stv.TelemetrySource); ok {
+			if tel, has := src.NVMeTelemetry(); has {
+				sum = sum.Add(tel)
+				any = true
+			}
+		}
+	}
+	return sum, any
 }
 
 // PlacementTelemetry sums the virtual-clock superchip executors' modeled
 // accounting over every rank; ok is false without a placement plan.
 func (e *Engine) PlacementTelemetry() (stv.PlacementTelemetry, bool) {
-	return sumPlacementTelemetry(e.ranks)
+	var sum stv.PlacementTelemetry
+	any := false
+	for _, rk := range e.ranks {
+		if rk.exec != nil {
+			sum = sum.Add(rk.exec.Telemetry())
+			any = true
+		}
+	}
+	return sum, any
 }
 
 // ActTelemetry sums the activation stores' traffic and modeled-time
-// accounting over every rank; ok is false without an activation tier.
+// accounting over the final-stage ranks; ok is false without an
+// activation tier.
 func (e *Engine) ActTelemetry() (act.Telemetry, bool) {
-	return sumActTelemetry(e.ranks)
+	var sum act.Telemetry
+	any := false
+	for _, rk := range e.ranks {
+		if rk.ast != nil {
+			sum = sum.Add(rk.ast.Telemetry())
+			any = true
+		}
+	}
+	return sum, any
 }
 
-// Ranks reports the data-parallel degree R.
-func (e *Engine) Ranks() int { return e.w.N }
+// Ranks reports the data-parallel degree R (the number of replica
+// groups).
+func (e *Engine) Ranks() int { return e.w.R }
+
+// SeqRanks reports the per-cell sequence-parallel degree S.
+func (e *Engine) SeqRanks() int { return e.w.S }
+
+// PipeRanks reports the pipeline-parallel degree P (stages per column).
+func (e *Engine) PipeRanks() int { return e.w.P }
 
 // NumBuckets reports how many offload buckets the parameter space uses.
 func (e *Engine) NumBuckets() int { return len(e.buckets) }
 
-// split slices a global batch into R per-rank micro-batches along the
-// batch dimension. Rank r takes rows [r·B/R, (r+1)·B/R).
+// split shards a global batch over the engine: rows split R ways across
+// groups, each group slice's sequence splits S ways across the cell's
+// ranks, and every stage rank of a column receives the same (rows,
+// sequence) shard — stage 0 reads its tokens, the final stage its
+// targets, and every stage its shape. The batch is validated here, in
+// the caller's goroutine, so a malformed one surfaces as an error
+// instead of a rank-goroutine panic.
 func (e *Engine) split(b data.Batch) ([]data.Batch, error) {
-	if b.BatchSize%e.w.N != 0 {
-		return nil, fmt.Errorf("dp: global batch %d not divisible by %d ranks", b.BatchSize, e.w.N)
+	w := e.w
+	if n := b.BatchSize * b.Seq; b.BatchSize < 1 || b.Seq < 1 || len(b.Tokens) != n || len(b.Targets) != n {
+		return nil, fmt.Errorf("dp: batch of %d×%d carries %d tokens and %d targets",
+			b.BatchSize, b.Seq, len(b.Tokens), len(b.Targets))
 	}
-	return splitRows(b, e.w.N), nil
+	if b.BatchSize%w.R != 0 {
+		return nil, fmt.Errorf("dp: global batch %d not divisible by %d data-parallel groups", b.BatchSize, w.R)
+	}
+	if err := e.ranks[0].model.ValidateSP(w.S, b.Seq); err != nil {
+		return nil, fmt.Errorf("dp: %w", err)
+	}
+	out := make([]data.Batch, 0, w.N)
+	for _, slice := range splitRows(b, w.R) {
+		for _, shard := range splitSeq(slice, w.S) {
+			for p := 0; p < w.P; p++ {
+				out = append(out, shard)
+			}
+		}
+	}
+	return out, nil
 }
 
-// Step runs one training iteration over the global batch: each rank takes
-// its row slice, gradients reduce across ranks, the owners step
-// speculatively, and validation runs in the background. Returns the mean
-// loss over micro-batches — bit-identical to the single-rank engine's loss
-// for the same decomposition.
+// Step runs one training iteration over the global batch: each rank
+// takes its shard, gradients reduce across cells, the owners step
+// speculatively, and validation runs in the background. With P > 1 a
+// single micro-batch degenerates to sequential stages; use StepAccum
+// with M >= 2 micro-batches to overlap them 1F1B. Returns the mean loss
+// — bit-identical to the single-rank trainer's loss for the same R-way
+// row decomposition.
 func (e *Engine) Step(b data.Batch) (float64, error) {
-	slices, err := e.split(b)
-	if err != nil {
-		return 0, err
-	}
-	micross := make([][]data.Batch, e.w.N)
-	for r, s := range slices {
-		micross[r] = []data.Batch{s}
-	}
-	return e.step(micross)
+	return e.StepAccum([]data.Batch{b})
 }
 
 // StepAccum runs one optimizer step over several accumulated global
-// micro-batches (the §5.2 OOM-mitigation path): every global micro-batch
-// splits across ranks, contributions reduce per micro-batch in
-// (micro-batch, rank) order, and one optimizer step applies at the end.
+// micro-batches (the §5.2 OOM-mitigation path, and the pipeline's
+// natural shape: the M micro-batches fill the 1F1B schedule, so each
+// stage idles only the (P-1)/(M+P-1) warmup/cooldown bubble). Every
+// global micro-batch shards across the ranks, contributions reduce per
+// micro-batch in (micro-batch, group) order, and one optimizer step
+// applies at the end.
 func (e *Engine) StepAccum(batches []data.Batch) (float64, error) {
 	if len(batches) == 0 {
 		return 0, nil
 	}
 	micross := make([][]data.Batch, e.w.N)
 	for _, b := range batches {
-		slices, err := e.split(b)
+		shards, err := e.split(b)
 		if err != nil {
 			return 0, err
 		}
-		for r, s := range slices {
-			micross[r] = append(micross[r], s)
+		for id, sh := range shards {
+			micross[id] = append(micross[id], sh)
 		}
 	}
-	return e.step(micross)
-}
-
-// step drives one iteration through the shared coordinator and folds the
-// reported losses in (micro-batch, rank) order — the same order the
-// single-rank trainer accumulates them.
-func (e *Engine) step(micross [][]data.Batch) (float64, error) {
-	perRank, err := e.runStep(e.w.world, micross)
+	perRank, err := e.runStep(e.w, micross)
 	if err != nil {
 		return 0, err
 	}
-	m := len(micross[0])
-	var loss float64
-	for mi := 0; mi < m; mi++ {
-		for r := 0; r < e.w.N; r++ {
-			loss += perRank[r].losses[mi]
-		}
-	}
-	loss /= float64(m * e.w.N)
-
+	loss := e.foldLoss(perRank, micross[0])
 	if e.cfg.Synchronous {
 		// Synchronize-then-execute: resolve before returning, putting
 		// validation back on the critical path (the ZeRO-Offload
@@ -180,30 +239,71 @@ func (e *Engine) step(micross [][]data.Batch) (float64, error) {
 	return loss, nil
 }
 
+// foldLoss folds the ranks' reported losses in canonical order. Per
+// (micro, group), the group's slice loss is the dense rank's scalar, or
+// — on sharded shapes, where only final-stage ranks (g, s, P-1) produce
+// loss rows — the rows folded in (batch row, shard, position) order,
+// ascending global row order within the slice. The R·m slice losses then
+// sum in (micro, group) order and divide once, matching the single-rank
+// trainer accumulating the same R-way decomposition. shards is any one
+// rank's micro-batches (every rank's have the same shape).
+func (e *Engine) foldLoss(perRank []stepResult, shards []data.Batch) float64 {
+	w := e.w
+	var loss float64
+	for mi, sh := range shards {
+		rowsB, tl := sh.BatchSize, sh.Seq
+		for g := 0; g < w.R; g++ {
+			if w.dense() {
+				loss += perRank[g].losses[mi]
+				continue
+			}
+			var micro float64
+			for b := 0; b < rowsB; b++ {
+				for s := 0; s < w.S; s++ {
+					last := (g*w.S+s)*w.P + w.P - 1
+					for t := 0; t < tl; t++ {
+						micro += perRank[last].rows[mi][b*tl+t]
+					}
+				}
+			}
+			loss += micro / float64(rowsB*tl*w.S)
+		}
+	}
+	return loss / float64(len(shards)*w.R)
+}
+
 // Flush resolves any in-flight validation (call at end of training so the
 // final step is validated). Returns whether the final step was rolled back
 // or re-executed.
-func (e *Engine) Flush() (bool, error) { return e.flush(e.w.world) }
+func (e *Engine) Flush() (bool, error) { return e.flush(e.w) }
 
 // Save serializes the training state in the stv checkpoint format, over
-// the global bucket order — byte-identical to a single-rank engine on the
-// same trajectory, so checkpoints move freely between rank counts. It
-// fails if a validation is in flight.
+// the global bucket order — byte-identical to a single-rank trainer on
+// the same trajectory, so checkpoints move freely across (R,S,P) shapes.
+// It fails if a validation is in flight.
 func (e *Engine) Save(w io.Writer) error { return e.save(w, e.buckets) }
 
-// Load restores state saved by Save (from any engine) into this one,
-// scattering each bucket to its owner and republishing the fp16-rounded
-// weights to every replica.
-func (e *Engine) Load(r io.Reader) error { return e.load(r, e.buckets, replicaGroups(e.ranks)) }
+// Load restores state saved by Save (from any shape, or the single-rank
+// trainer) into this engine, scattering each bucket to its owner and
+// republishing the fp16-rounded weights to every replica.
+func (e *Engine) Load(r io.Reader) error { return e.load(r, e.buckets, e.ranks) }
 
 // MasterWeights returns the fp32 master parameters gathered from their
 // owners, concatenated in bucket order — the ground truth for exactness
 // comparisons against the single-rank engine.
-func (e *Engine) MasterWeights() []float32 { return gatherMasters(e.buckets) }
+func (e *Engine) MasterWeights() []float32 {
+	n := 0
+	for _, bk := range e.buckets {
+		n += bk.Size()
+	}
+	out := make([]float32, 0, n)
+	for _, bk := range e.buckets {
+		out = bk.AppendMaster(out)
+	}
+	return out
+}
 
 // Close resolves any pending validation, stops the rank goroutines and
 // the validation aggregator, and closes every rank's bucket and
-// activation stores. The engine is unusable afterwards.
-func (e *Engine) Close() error {
-	return e.closeWorld(e.w.world, storeList(e.ranks), actStoreList(e.ranks))
-}
+// activation stores. Idempotent; the engine is unusable afterwards.
+func (e *Engine) Close() error { return e.closeWorld(e.w, e.ranks) }

@@ -23,7 +23,7 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 		return &optim.LossScaler{Scale: 1024, GrowthInterval: 7, MinScale: 1, MaxScale: 1 << 24}
 	}
 	for _, ranks := range []int{1, 2, 4} {
-		cfg := baseConfig(ranks)
+		cfg := shapeConfig(ranks, 1, 1)
 		cfg.Scaler = smallGrowth()
 
 		// Uninterrupted reference run.
@@ -46,7 +46,7 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 
 		// Interrupted run: warm up, attempt Save with the validation of
 		// the last step still in flight, then Flush and Save for real.
-		cfg2 := baseConfig(ranks)
+		cfg2 := shapeConfig(ranks, 1, 1)
 		cfg2.Scaler = smallGrowth()
 		eng, err := New(tinyGPT(42), cfg2)
 		if err != nil {
@@ -74,7 +74,7 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 
 		// Restore into a fresh engine with different init — the
 		// checkpoint must fully determine the continuation.
-		cfg3 := baseConfig(ranks)
+		cfg3 := shapeConfig(ranks, 1, 1)
 		cfg3.Scaler = smallGrowth()
 		restored, err := New(tinyGPT(999), cfg3)
 		if err != nil {
@@ -116,7 +116,7 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 // single-rank trainer saves on the same trajectory (the format is defined
 // over the global bucket order, not the ownership).
 func TestCheckpointPortableAcrossRankCounts(t *testing.T) {
-	cfg := baseConfig(2)
+	cfg := shapeConfig(2, 1, 1)
 	eng, err := New(tinyGPT(42), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestCheckpointPortableAcrossRankCounts(t *testing.T) {
 	}
 
 	// DP-2 checkpoint → DP-4 engine.
-	four, err := New(tinyGPT(1), baseConfig(4))
+	four, err := New(tinyGPT(1), shapeConfig(4, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestCheckpointPortableAcrossRankCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// DP-2 checkpoint → single-rank trainer.
-	tr := stv.NewTrainer(tinyGPT(2), stvConfig(baseConfig(1)))
+	tr := stv.NewTrainer(tinyGPT(2), stvConfig(shapeConfig(1, 1, 1)))
 	if err := tr.Load(bytes.NewReader(dpBuf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -194,19 +194,45 @@ func TestCheckpointPortableAcrossRankCounts(t *testing.T) {
 }
 
 func TestEngineValidation(t *testing.T) {
-	if _, err := New(nil, baseConfig(2)); err == nil {
+	if _, err := New(nil, shapeConfig(2, 1, 1)); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := New(tinyGPT(1), Config{Ranks: 0}); err == nil {
-		t.Error("zero ranks accepted")
+	if _, err := New(tinyGPT(1), Config{Ranks: -1}); err == nil {
+		t.Error("negative ranks accepted")
 	}
-	eng, err := New(tinyGPT(1), baseConfig(2))
+	// 0 means 1 on every axis: the zero shape is the one-rank engine.
+	one, err := New(tinyGPT(1), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Ranks() != 1 || one.SeqRanks() != 1 || one.PipeRanks() != 1 {
+		t.Errorf("zero shape = (%d,%d,%d), want (1,1,1)", one.Ranks(), one.SeqRanks(), one.PipeRanks())
+	}
+	one.Close()
+	eng, err := New(tinyGPT(1), shapeConfig(2, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	corpus := data.NewCorpus(64, 1)
 	if _, err := eng.Step(corpus.NextBatch(3, 8)); err == nil {
 		t.Error("indivisible batch accepted")
+	}
+	// Malformed batches surface as errors in the caller's goroutine on
+	// the dense shape too, not as rank-goroutine panics inside
+	// nn.Forward (tinyGPT's MaxSeq is 16).
+	if _, err := eng.Step(corpus.NextBatch(2, 32)); err == nil {
+		t.Error("sequence exceeding MaxSeq accepted")
+	}
+	short := corpus.NextBatch(2, 8)
+	short.Tokens = short.Tokens[:len(short.Tokens)-1]
+	if _, err := eng.Step(short); err == nil {
+		t.Error("batch with too few tokens accepted")
+	}
+	if _, err := eng.StepAccum([]data.Batch{corpus.NextBatch(2, 8), short}); err == nil {
+		t.Error("accumulation window with a malformed batch accepted")
+	}
+	if _, err := eng.Step(corpus.NextBatch(2, 8)); err != nil {
+		t.Errorf("engine unusable after rejected batches: %v", err)
 	}
 	if l, err := eng.StepAccum(nil); err != nil || l != 0 {
 		t.Errorf("empty accum: %v %v", l, err)
@@ -233,17 +259,17 @@ func TestEngineValidation(t *testing.T) {
 // fires nearly every step, and periodic overflow injection — under -race
 // in CI this exercises every cross-rank handoff in the engine.
 func TestStressManyBucketsTightClip(t *testing.T) {
-	cfg := baseConfig(4)
+	cfg := shapeConfig(4, 1, 1)
 	cfg.BucketElems = 600
 	cfg.ClipNorm = 0.35
 	cfg.Scaler = optim.NewLossScaler()
 	cfg.InjectBad = func(step int) bool { return step%7 == 3 }
 	ref := stvConfig(cfg)
 	ref.Scaler = optim.NewLossScaler()
-	eng, trainer, dpLosses, refLosses := runPair(t, cfg, ref, 30, 13, 4)
+	eng, trainer, dpLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: ref, steps: 30, accum: 1, dataSeed: 13, batch: 4, seq: 8})
 	defer eng.Close()
 	if eng.Stats().Rollbacks() < 25 {
 		t.Errorf("stress run should roll back nearly every step, got %+v", eng.Stats())
 	}
-	assertSameTrajectory(t, 4, dpLosses, refLosses, eng, trainer)
+	assertSameTrajectory(t, dpLosses, refLosses, eng, trainer)
 }

@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -18,15 +19,26 @@ func tinyGPT(seed uint64) *nn.GPT {
 	return nn.NewGPT(cfg, 16, tensor.NewRNG(seed))
 }
 
-func baseConfig(ranks int) Config {
+// deepGPT is the pipeline tests' model: 4 transformer blocks so the
+// depth splits across P ∈ {1,2,4}, 4 heads so sequences shard across
+// S ∈ {1,2}.
+func deepGPT(seed uint64) *nn.GPT {
+	cfg := model.Config{Name: "p", Layers: 4, Hidden: 32, Heads: 4, Vocab: 64}
+	return nn.NewGPT(cfg, 16, tensor.NewRNG(seed))
+}
+
+// shapeConfig parameterizes the (R,S,P) equivalence runs.
+func shapeConfig(r, s, p int) Config {
 	a := optim.DefaultConfig()
 	a.LR = 3e-3
 	return Config{
-		Ranks:       ranks,
+		Ranks:       r,
+		SeqRanks:    s,
+		PipeRanks:   p,
 		Adam:        a,
 		Impl:        optim.GraceAdam,
 		ClipNorm:    1.0,
-		BucketElems: 20000, // several buckets for the tiny model
+		BucketElems: 20000, // several buckets for the tiny models
 	}
 }
 
@@ -43,7 +55,7 @@ func stvConfig(c Config) stv.Config {
 	}
 }
 
-// splitBatch mirrors Engine.split for building the single-rank reference
+// splitBatch mirrors splitRows for building the single-rank reference
 // decomposition.
 func splitBatch(b data.Batch, ranks int, t *testing.T) []data.Batch {
 	t.Helper()
@@ -59,31 +71,49 @@ func splitBatch(b data.Batch, ranks int, t *testing.T) []data.Batch {
 	return out
 }
 
-// runPair trains a DP engine with R ranks and a single-rank stv.Trainer on
-// the same global batches (the trainer consumes each batch as the R-way
-// gradient-accumulation decomposition) and returns both loss trajectories
-// plus the engines for further inspection. Callers own Close.
-func runPair(t *testing.T, cfg Config, refCfg stv.Config, steps int, dataSeed uint64, batch int) (*Engine, *stv.Trainer, []float64, []float64) {
+// pairRun describes one engine-vs-reference run: the model constructor,
+// the engine's shape and optimizer config, the matching single-rank
+// config, and the data stream (accum global micro-batches of batch×seq
+// tokens per step).
+type pairRun struct {
+	gpt          func(seed uint64) *nn.GPT
+	cfg          Config
+	ref          stv.Config
+	steps, accum int
+	dataSeed     uint64
+	batch, seq   int
+}
+
+// runPair trains an engine of cfg's (R,S,P) shape and a single-rank
+// stv.Trainer on the same global batches. The trainer consumes each
+// global micro-batch as the R-way row decomposition via gradient
+// accumulation, in (micro, group) order — the engine's reference; S and
+// P must both be invisible, so at R=1 the trainer sees the undivided
+// batches. Returns both loss trajectories; callers own Close.
+func runPair(t *testing.T, p pairRun) (*Engine, *stv.Trainer, []float64, []float64) {
 	t.Helper()
-	eng, err := New(tinyGPT(42), cfg)
+	eng, err := New(p.gpt(42), p.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := stv.NewTrainer(tinyGPT(42), refCfg)
+	ref := stv.NewTrainer(p.gpt(42), p.ref)
 
-	corpus := data.NewCorpus(64, dataSeed)
-	refCorpus := data.NewCorpus(64, dataSeed)
-	var dpLosses, refLosses []float64
-	for i := 0; i < steps; i++ {
-		b := corpus.NextBatch(batch, 8)
-		l, err := eng.Step(b)
+	corpus := data.NewCorpus(64, p.dataSeed)
+	refCorpus := data.NewCorpus(64, p.dataSeed)
+	var engLosses, refLosses []float64
+	for i := 0; i < p.steps; i++ {
+		var window, refWindow []data.Batch
+		for m := 0; m < p.accum; m++ {
+			window = append(window, corpus.NextBatch(p.batch, p.seq))
+			refWindow = append(refWindow, splitBatch(refCorpus.NextBatch(p.batch, p.seq), eng.Ranks(), t)...)
+		}
+		l, err := eng.StepAccum(window)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dpLosses = append(dpLosses, l)
+		engLosses = append(engLosses, l)
 
-		rb := refCorpus.NextBatch(batch, 8)
-		rl, err := ref.StepAccum(splitBatch(rb, cfg.Ranks, t))
+		rl, err := ref.StepAccum(refWindow)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,28 +125,31 @@ func runPair(t *testing.T, cfg Config, refCfg stv.Config, steps int, dataSeed ui
 	if _, err := ref.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return eng, ref, dpLosses, refLosses
+	return eng, ref, engLosses, refLosses
 }
 
-func assertSameTrajectory(t *testing.T, ranks int, dpLosses, refLosses []float64, eng *Engine, ref *stv.Trainer) {
+// assertSameTrajectory checks losses, final master weights, and stats
+// bit for bit.
+func assertSameTrajectory(t *testing.T, engLosses, refLosses []float64, eng *Engine, ref *stv.Trainer) {
 	t.Helper()
-	for i := range dpLosses {
-		if dpLosses[i] != refLosses[i] {
-			t.Fatalf("R=%d: loss diverges at step %d: dp %v vs single-rank %v",
-				ranks, i, dpLosses[i], refLosses[i])
+	shape := fmt.Sprintf("R=%d,S=%d,P=%d", eng.Ranks(), eng.SeqRanks(), eng.PipeRanks())
+	for i := range engLosses {
+		if engLosses[i] != refLosses[i] {
+			t.Fatalf("%s: loss diverges at step %d: engine %v vs single-rank %v",
+				shape, i, engLosses[i], refLosses[i])
 		}
 	}
-	dw, rw := eng.MasterWeights(), ref.MasterWeights()
-	if len(dw) != len(rw) {
-		t.Fatalf("R=%d: master sizes differ: %d vs %d", ranks, len(dw), len(rw))
+	ew, rw := eng.MasterWeights(), ref.MasterWeights()
+	if len(ew) != len(rw) {
+		t.Fatalf("%s: master sizes differ: %d vs %d", shape, len(ew), len(rw))
 	}
-	for i := range dw {
-		if dw[i] != rw[i] {
-			t.Fatalf("R=%d: master weights diverge at %d: %v vs %v", ranks, i, dw[i], rw[i])
+	for i := range ew {
+		if ew[i] != rw[i] {
+			t.Fatalf("%s: master weights diverge at %d: %v vs %v", shape, i, ew[i], rw[i])
 		}
 	}
 	if eng.Stats() != ref.Stats() {
-		t.Errorf("R=%d: stats diverge: dp %+v vs single-rank %+v", ranks, eng.Stats(), ref.Stats())
+		t.Errorf("%s: stats diverge: engine %+v vs single-rank %+v", shape, eng.Stats(), ref.Stats())
 	}
 }
 
@@ -129,12 +162,12 @@ func assertSameTrajectory(t *testing.T, ranks int, dpLosses, refLosses []float64
 // rollback path too.
 func TestEquivalenceAcrossRanks(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4} {
-		cfg := baseConfig(ranks)
-		eng, ref, dpLosses, refLosses := runPair(t, cfg, stvConfig(cfg), 25, 123, 4)
+		cfg := shapeConfig(ranks, 1, 1)
+		eng, ref, dpLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: stvConfig(cfg), steps: 25, accum: 1, dataSeed: 123, batch: 4, seq: 8})
 		if eng.Stats().Rollbacks() == 0 {
 			t.Errorf("R=%d: run triggered no rollbacks; equivalence untested on rollback path", ranks)
 		}
-		assertSameTrajectory(t, ranks, dpLosses, refLosses, eng, ref)
+		assertSameTrajectory(t, dpLosses, refLosses, eng, ref)
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -146,19 +179,19 @@ func TestEquivalenceAcrossRanks(t *testing.T) {
 // step and must skip it identically, with the loss scaler halving in both.
 func TestEquivalenceWithInjectedOverflow(t *testing.T) {
 	for _, ranks := range []int{2, 4} {
-		cfg := baseConfig(ranks)
+		cfg := shapeConfig(ranks, 1, 1)
 		cfg.InjectBad = func(step int) bool { return step == 5 || step == 9 }
 		cfg.Scaler = optim.NewLossScaler()
 		ref := stvConfig(cfg)
 		ref.Scaler = optim.NewLossScaler()
-		eng, trainer, dpLosses, refLosses := runPair(t, cfg, ref, 15, 7, 4)
+		eng, trainer, dpLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: ref, steps: 15, accum: 1, dataSeed: 7, batch: 4, seq: 8})
 		if eng.Stats().SkipRolls != 2 {
 			t.Errorf("R=%d: skip rollbacks = %d, want 2", ranks, eng.Stats().SkipRolls)
 		}
 		if cfg.Scaler.Scale != ref.Scaler.Scale {
 			t.Errorf("R=%d: loss scales diverge: %v vs %v", ranks, cfg.Scaler.Scale, ref.Scaler.Scale)
 		}
-		assertSameTrajectory(t, ranks, dpLosses, refLosses, eng, trainer)
+		assertSameTrajectory(t, dpLosses, refLosses, eng, trainer)
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -168,14 +201,14 @@ func TestEquivalenceWithInjectedOverflow(t *testing.T) {
 // TestEquivalenceWithSchedule: exactness must survive a moving learning
 // rate, including clip re-execution with the rolled-back step's own rate.
 func TestEquivalenceWithSchedule(t *testing.T) {
-	cfg := baseConfig(2)
+	cfg := shapeConfig(2, 1, 1)
 	cfg.ClipNorm = 2.5
 	cfg.Schedule = stv.WarmupCosine(5, 20, 0.1)
-	eng, ref, dpLosses, refLosses := runPair(t, cfg, stvConfig(cfg), 20, 17, 4)
+	eng, ref, dpLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: stvConfig(cfg), steps: 20, accum: 1, dataSeed: 17, batch: 4, seq: 8})
 	if eng.Stats().ClipRolls == 0 {
 		t.Error("test needs clip events to be meaningful")
 	}
-	assertSameTrajectory(t, 2, dpLosses, refLosses, eng, ref)
+	assertSameTrajectory(t, dpLosses, refLosses, eng, ref)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +220,7 @@ func TestEquivalenceWithSchedule(t *testing.T) {
 // (micro-batch, rank) order.
 func TestStepAccumEquivalence(t *testing.T) {
 	const ranks, accum, steps = 2, 3, 10
-	cfg := baseConfig(ranks)
+	cfg := shapeConfig(ranks, 1, 1)
 	eng, err := New(tinyGPT(42), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +270,7 @@ func TestStepAccumEquivalence(t *testing.T) {
 // now across ranks).
 func TestSynchronousMatchesSTV(t *testing.T) {
 	run := func(sync bool) []float32 {
-		cfg := baseConfig(2)
+		cfg := shapeConfig(2, 1, 1)
 		cfg.Synchronous = sync
 		eng, err := New(tinyGPT(42), cfg)
 		if err != nil {
@@ -266,7 +299,7 @@ func TestSynchronousMatchesSTV(t *testing.T) {
 // TestTrainingLearnsAcrossRanks: beyond exactness, the multi-rank engine
 // must actually train.
 func TestTrainingLearnsAcrossRanks(t *testing.T) {
-	cfg := baseConfig(4)
+	cfg := shapeConfig(4, 1, 1)
 	eng, err := New(tinyGPT(42), cfg)
 	if err != nil {
 		t.Fatal(err)

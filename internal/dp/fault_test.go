@@ -59,13 +59,13 @@ func assertDegraded(t *testing.T, rank int, s *stv.MLPStore) {
 // errors (closeStores aggregation), not swallow them.
 func TestDPFaultInjectionGracefulDegradation(t *testing.T) {
 	stores := map[int]*stv.MLPStore{}
-	cfg := baseConfig(2)
+	cfg := shapeConfig(2, 1, 1)
 	cfg.BucketElems = 4000
 	cfg.NewStore = mlpFaultFactory(t, stores)
 	ref := stvConfig(cfg)
-	eng, trainer, dpLosses, refLosses := runPair(t, cfg, ref, 25, 123, 4)
+	eng, trainer, dpLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: ref, steps: 25, accum: 1, dataSeed: 123, batch: 4, seq: 8})
 	defer trainer.Close()
-	assertSameTrajectory(t, 2, dpLosses, refLosses, eng, trainer)
+	assertSameTrajectory(t, dpLosses, refLosses, eng, trainer)
 	if len(stores) != 2 {
 		t.Fatalf("expected 2 per-rank stores, got %d", len(stores))
 	}
@@ -83,15 +83,15 @@ func TestDPFaultInjectionGracefulDegradation(t *testing.T) {
 // failure.
 func TestMeshFaultInjectionGracefulDegradation(t *testing.T) {
 	stores := map[int]*stv.MLPStore{}
-	cfg := meshConfig(2, 2)
+	cfg := shapeConfig(2, 2, 1)
 	// Small buckets: each mesh rank's shard must span more buckets than
 	// the 2-slot window, or nothing streams and the fault never fires.
 	cfg.BucketElems = 4000
 	cfg.NewStore = mlpFaultFactory(t, stores)
 	refCfg := stvConfig(cfg)
-	eng, ref, meshLosses, refLosses := runMeshPair(t, cfg, refCfg, 15, 123, 4, 8)
+	eng, ref, meshLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: refCfg, steps: 15, accum: 1, dataSeed: 123, batch: 4, seq: 8})
 	defer ref.Close()
-	assertMeshTrajectory(t, 2, 2, meshLosses, refLosses, eng, ref)
+	assertSameTrajectory(t, meshLosses, refLosses, eng, ref)
 	if len(stores) != 4 {
 		t.Fatalf("expected one store per mesh rank, got %d", len(stores))
 	}

@@ -11,84 +11,9 @@ import (
 	"superoffload/internal/stv"
 )
 
-// meshConfig parameterizes the R×S mesh equivalence runs over tinyGPT
-// (equivalence_test.go), whose 4 heads divide by every tested S.
-func meshConfig(r, s int) Config {
-	a := optim.DefaultConfig()
-	a.LR = 3e-3
-	return Config{
-		Ranks:       r,
-		SeqRanks:    s,
-		Adam:        a,
-		Impl:        optim.GraceAdam,
-		ClipNorm:    1.0,
-		BucketElems: 20000,
-	}
-}
-
 // meshShapes is the exactness grid the issue pins: every (R,S) in
 // {1,2}×{1,2} plus the asymmetric 8-rank shapes.
 var meshShapes = [][2]int{{1, 1}, {1, 2}, {2, 1}, {2, 2}, {2, 4}, {4, 2}}
-
-// runMeshPair trains an R×S mesh and a single-rank stv.Trainer on the
-// same global batches (the trainer consumes each batch as the R-way row
-// decomposition via gradient accumulation — the DP engine's reference; S
-// must be invisible) and returns both loss trajectories. Callers own
-// Close.
-func runMeshPair(t *testing.T, cfg Config, refCfg stv.Config, steps int, dataSeed uint64, batch, seq int) (*MeshEngine, *stv.Trainer, []float64, []float64) {
-	t.Helper()
-	eng, err := NewMesh(tinyGPT(42), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := stv.NewTrainer(tinyGPT(42), refCfg)
-
-	corpus := data.NewCorpus(64, dataSeed)
-	refCorpus := data.NewCorpus(64, dataSeed)
-	var meshLosses, refLosses []float64
-	for i := 0; i < steps; i++ {
-		l, err := eng.Step(corpus.NextBatch(batch, seq))
-		if err != nil {
-			t.Fatal(err)
-		}
-		meshLosses = append(meshLosses, l)
-
-		rl, err := ref.StepAccum(splitBatch(refCorpus.NextBatch(batch, seq), cfg.Ranks, t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		refLosses = append(refLosses, rl)
-	}
-	if _, err := eng.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return eng, ref, meshLosses, refLosses
-}
-
-func assertMeshTrajectory(t *testing.T, r, s int, meshLosses, refLosses []float64, eng *MeshEngine, ref *stv.Trainer) {
-	t.Helper()
-	for i := range meshLosses {
-		if meshLosses[i] != refLosses[i] {
-			t.Fatalf("R=%d,S=%d: loss diverges at step %d: mesh %v vs single-rank %v",
-				r, s, i, meshLosses[i], refLosses[i])
-		}
-	}
-	mw, rw := eng.MasterWeights(), ref.MasterWeights()
-	if len(mw) != len(rw) {
-		t.Fatalf("R=%d,S=%d: master sizes differ: %d vs %d", r, s, len(mw), len(rw))
-	}
-	for i := range mw {
-		if mw[i] != rw[i] {
-			t.Fatalf("R=%d,S=%d: master weights diverge at %d: %v vs %v", r, s, i, mw[i], rw[i])
-		}
-	}
-	if eng.Stats() != ref.Stats() {
-		t.Errorf("R=%d,S=%d: stats diverge: mesh %+v vs single-rank %+v", r, s, eng.Stats(), ref.Stats())
-	}
-}
 
 // TestMeshEquivalenceGrid is the engine's central invariant: for a fixed
 // seed and global batch, every (R,S) mesh shape in the grid reproduces
@@ -101,12 +26,12 @@ func TestMeshEquivalenceGrid(t *testing.T) {
 	for _, shape := range meshShapes {
 		r, s := shape[0], shape[1]
 		t.Run(fmt.Sprintf("R%dxS%d", r, s), func(t *testing.T) {
-			cfg := meshConfig(r, s)
-			eng, ref, meshLosses, refLosses := runMeshPair(t, cfg, stvConfig(cfg), 25, 123, 4, 8)
+			cfg := shapeConfig(r, s, 1)
+			eng, ref, meshLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: stvConfig(cfg), steps: 25, accum: 1, dataSeed: 123, batch: 4, seq: 8})
 			if eng.Stats().Rollbacks() == 0 {
 				t.Errorf("R=%d,S=%d: run triggered no rollbacks; equivalence untested on rollback path", r, s)
 			}
-			assertMeshTrajectory(t, r, s, meshLosses, refLosses, eng, ref)
+			assertSameTrajectory(t, meshLosses, refLosses, eng, ref)
 			if cs := eng.CommStats(); s > 1 && (cs.A2APayloads == 0 || cs.RingHops == 0) {
 				t.Errorf("R=%d,S=%d: no collective traffic recorded: %+v", r, s, cs)
 			}
@@ -124,19 +49,19 @@ func TestMeshEquivalenceGrid(t *testing.T) {
 func TestMeshEquivalenceWithInjectedOverflow(t *testing.T) {
 	for _, shape := range [][2]int{{2, 2}, {2, 4}, {4, 2}} {
 		r, s := shape[0], shape[1]
-		cfg := meshConfig(r, s)
+		cfg := shapeConfig(r, s, 1)
 		cfg.InjectBad = func(step int) bool { return step == 5 || step == 9 }
 		cfg.Scaler = optim.NewLossScaler()
 		ref := stvConfig(cfg)
 		ref.Scaler = optim.NewLossScaler()
-		eng, trainer, meshLosses, refLosses := runMeshPair(t, cfg, ref, 15, 7, 4, 8)
+		eng, trainer, meshLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: ref, steps: 15, accum: 1, dataSeed: 7, batch: 4, seq: 8})
 		if eng.Stats().SkipRolls != 2 {
 			t.Errorf("R=%d,S=%d: skip rollbacks = %d, want 2", r, s, eng.Stats().SkipRolls)
 		}
 		if cfg.Scaler.Scale != ref.Scaler.Scale {
 			t.Errorf("R=%d,S=%d: loss scales diverge: %v vs %v", r, s, cfg.Scaler.Scale, ref.Scaler.Scale)
 		}
-		assertMeshTrajectory(t, r, s, meshLosses, refLosses, eng, trainer)
+		assertSameTrajectory(t, meshLosses, refLosses, eng, trainer)
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -149,8 +74,8 @@ func TestMeshEquivalenceWithInjectedOverflow(t *testing.T) {
 // (micro-batch, group) order.
 func TestMeshStepAccumEquivalence(t *testing.T) {
 	const r, s, accum, steps = 2, 2, 3, 8
-	cfg := meshConfig(r, s)
-	eng, err := NewMesh(tinyGPT(42), cfg)
+	cfg := shapeConfig(r, s, 1)
+	eng, err := New(tinyGPT(42), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,12 +126,12 @@ func TestMeshStepAccumEquivalence(t *testing.T) {
 func TestMeshWithNVMeStores(t *testing.T) {
 	for _, shape := range [][2]int{{2, 2}, {4, 2}, {2, 4}} {
 		r, s := shape[0], shape[1]
-		cfg := meshConfig(r, s)
+		cfg := shapeConfig(r, s, 1)
 		cfg.BucketElems = 8000 // more buckets than the resident window
 		cfg.NewStore = nvmeFactory(t)
 		refCfg := stvConfig(cfg) // reference stays DRAM-resident
-		eng, ref, meshLosses, refLosses := runMeshPair(t, cfg, refCfg, 15, 123, 4, 8)
-		assertMeshTrajectory(t, r, s, meshLosses, refLosses, eng, ref)
+		eng, ref, meshLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: refCfg, steps: 15, accum: 1, dataSeed: 123, batch: 4, seq: 8})
+		assertSameTrajectory(t, meshLosses, refLosses, eng, ref)
 		if tel, ok := eng.StoreTelemetry(); !ok || tel.Reads == 0 {
 			t.Errorf("R=%d,S=%d: NVMe stores produced no telemetry (ok=%v, %+v)", r, s, ok, tel)
 		}
@@ -229,11 +154,11 @@ func TestMeshCheckpointRoundTripProperty(t *testing.T) {
 	const warm, cont, batch, seq = 8, 5, 4, 8
 	save := func(r, s int, seed uint64, nvme bool) ([]byte, stv.Stats) {
 		t.Helper()
-		cfg := meshConfig(r, s)
+		cfg := shapeConfig(r, s, 1)
 		if nvme {
 			cfg.NewStore = nvmeFactory(t)
 		}
-		eng, err := NewMesh(tinyGPT(42), cfg)
+		eng, err := New(tinyGPT(42), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +193,7 @@ func TestMeshCheckpointRoundTripProperty(t *testing.T) {
 		if !bytes.Equal(ck21, ck22) || !bytes.Equal(ck22, ck24) {
 			t.Fatalf("seed %d: checkpoints differ across S on the same R=2 trajectory", seed)
 		}
-		cfg := meshConfig(2, 1)
+		cfg := shapeConfig(2, 1, 1)
 		ref := stv.NewTrainer(tinyGPT(42), stvConfig(cfg))
 		corpus := data.NewCorpus(64, seed)
 		for i := 0; i < warm; i++ {
@@ -292,7 +217,7 @@ func TestMeshCheckpointRoundTripProperty(t *testing.T) {
 		// against the single-rank reference.
 		for _, shape := range meshShapes {
 			r, s := shape[0], shape[1]
-			restored, err := NewMesh(tinyGPT(1), meshConfig(r, s))
+			restored, err := New(tinyGPT(1), shapeConfig(r, s, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +234,7 @@ func TestMeshCheckpointRoundTripProperty(t *testing.T) {
 				}
 			}
 			if r == 2 {
-				refTr := stv.NewTrainer(tinyGPT(1), stvConfig(meshConfig(r, s)))
+				refTr := stv.NewTrainer(tinyGPT(1), stvConfig(shapeConfig(r, s, 1)))
 				if err := refTr.Load(bytes.NewReader(ck22)); err != nil {
 					t.Fatal(err)
 				}
@@ -350,13 +275,13 @@ func TestMeshCheckpointRoundTripProperty(t *testing.T) {
 // flushes are in flight, concurrently with the ring, all-to-all, and
 // validation goroutines.
 func TestMeshRaceStress(t *testing.T) {
-	cfg := meshConfig(2, 2)
+	cfg := shapeConfig(2, 2, 1)
 	cfg.BucketElems = 4000 // many buckets vs the 2-bucket store window
 	cfg.ClipNorm = 0.5     // clip re-executions nearly every step
 	cfg.Scaler = optim.NewLossScaler()
 	cfg.InjectBad = func(step int) bool { return step%5 == 3 }
 	cfg.NewStore = nvmeFactory(t)
-	eng, err := NewMesh(tinyGPT(42), cfg)
+	eng, err := New(tinyGPT(42), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,8 +314,8 @@ func TestMeshRaceStress(t *testing.T) {
 // TestMeshTrainingLearns: beyond exactness, the mesh engine must
 // actually train.
 func TestMeshTrainingLearns(t *testing.T) {
-	cfg := meshConfig(2, 2)
-	eng, err := NewMesh(tinyGPT(42), cfg)
+	cfg := shapeConfig(2, 2, 1)
+	eng, err := New(tinyGPT(42), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,20 +340,20 @@ func TestMeshTrainingLearns(t *testing.T) {
 
 // TestMeshValidation covers construction- and step-time guards.
 func TestMeshValidation(t *testing.T) {
-	if _, err := NewMesh(nil, meshConfig(2, 2)); err == nil {
+	if _, err := New(nil, shapeConfig(2, 2, 1)); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := NewMesh(tinyGPT(1), meshConfig(0, 2)); err == nil {
-		t.Error("zero groups accepted")
+	if _, err := New(tinyGPT(1), shapeConfig(-1, 2, 1)); err == nil {
+		t.Error("negative groups accepted")
 	}
-	if _, err := NewMesh(tinyGPT(1), meshConfig(2, -1)); err == nil {
+	if _, err := New(tinyGPT(1), shapeConfig(2, -1, 1)); err == nil {
 		t.Error("negative seq ranks accepted")
 	}
 	// tinyGPT has 4 heads; 3 sequence ranks can never divide them.
-	if _, err := NewMesh(tinyGPT(1), meshConfig(2, 3)); err == nil {
+	if _, err := New(tinyGPT(1), shapeConfig(2, 3, 1)); err == nil {
 		t.Error("indivisible head count accepted")
 	}
-	eng, err := NewMesh(tinyGPT(1), meshConfig(2, 2))
+	eng, err := New(tinyGPT(1), shapeConfig(2, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,35 +7,9 @@ import (
 	"testing"
 
 	"superoffload/internal/data"
-	"superoffload/internal/model"
-	"superoffload/internal/nn"
 	"superoffload/internal/optim"
 	"superoffload/internal/stv"
-	"superoffload/internal/tensor"
 )
-
-// deepGPT is the pipeline tests' model: 4 transformer blocks so the
-// depth splits across P ∈ {1,2,4}, 4 heads so sequences shard across
-// S ∈ {1,2}.
-func deepGPT(seed uint64) *nn.GPT {
-	cfg := model.Config{Name: "p", Layers: 4, Hidden: 32, Heads: 4, Vocab: 64}
-	return nn.NewGPT(cfg, 16, tensor.NewRNG(seed))
-}
-
-// pipeConfig parameterizes the R×S×P equivalence runs.
-func pipeConfig(r, s, p int) Config {
-	a := optim.DefaultConfig()
-	a.LR = 3e-3
-	return Config{
-		Ranks:       r,
-		SeqRanks:    s,
-		PipeRanks:   p,
-		Adam:        a,
-		Impl:        optim.GraceAdam,
-		ClipNorm:    1.0,
-		BucketElems: 20000,
-	}
-}
 
 // pipeShapes is the exactness grid the issue pins: every (R,S,P) in
 // {1,2}³ plus the deep 4-stage column.
@@ -43,73 +17,6 @@ var pipeShapes = [][3]int{
 	{1, 1, 1}, {1, 1, 2}, {1, 2, 1}, {1, 2, 2},
 	{2, 1, 1}, {2, 1, 2}, {2, 2, 1}, {2, 2, 2},
 	{1, 1, 4},
-}
-
-// runPipePair trains an R×S×P engine and a single-rank stv.Trainer on
-// the same global batches (the trainer consumes each batch as the R-way
-// row decomposition via gradient accumulation; S and P must both be
-// invisible). accum > 1 feeds the engine that many global micro-batches
-// per step — the 1F1B path — with the trainer accumulating the matching
-// accum·R row slices in (micro, group) order. Callers own Close.
-func runPipePair(t *testing.T, cfg Config, refCfg stv.Config, steps, accum int, dataSeed uint64, batch, seq int) (*PipeEngine, *stv.Trainer, []float64, []float64) {
-	t.Helper()
-	eng, err := NewPipe(deepGPT(42), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := stv.NewTrainer(deepGPT(42), refCfg)
-
-	corpus := data.NewCorpus(64, dataSeed)
-	refCorpus := data.NewCorpus(64, dataSeed)
-	var engLosses, refLosses []float64
-	for i := 0; i < steps; i++ {
-		var window []data.Batch
-		var refWindow []data.Batch
-		for m := 0; m < accum; m++ {
-			window = append(window, corpus.NextBatch(batch, seq))
-			refWindow = append(refWindow, splitBatch(refCorpus.NextBatch(batch, seq), cfg.Ranks, t)...)
-		}
-		l, err := eng.StepAccum(window)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engLosses = append(engLosses, l)
-
-		rl, err := ref.StepAccum(refWindow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refLosses = append(refLosses, rl)
-	}
-	if _, err := eng.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return eng, ref, engLosses, refLosses
-}
-
-func assertPipeTrajectory(t *testing.T, r, s, p int, engLosses, refLosses []float64, eng *PipeEngine, ref *stv.Trainer) {
-	t.Helper()
-	for i := range engLosses {
-		if engLosses[i] != refLosses[i] {
-			t.Fatalf("R=%d,S=%d,P=%d: loss diverges at step %d: pipe %v vs single-rank %v",
-				r, s, p, i, engLosses[i], refLosses[i])
-		}
-	}
-	mw, rw := eng.MasterWeights(), ref.MasterWeights()
-	if len(mw) != len(rw) {
-		t.Fatalf("R=%d,S=%d,P=%d: master sizes differ: %d vs %d", r, s, p, len(mw), len(rw))
-	}
-	for i := range mw {
-		if mw[i] != rw[i] {
-			t.Fatalf("R=%d,S=%d,P=%d: master weights diverge at %d: %v vs %v", r, s, p, i, mw[i], rw[i])
-		}
-	}
-	if eng.Stats() != ref.Stats() {
-		t.Errorf("R=%d,S=%d,P=%d: stats diverge: pipe %+v vs single-rank %+v", r, s, p, eng.Stats(), ref.Stats())
-	}
 }
 
 // TestPipeEquivalenceGrid is the 3-D engine's central invariant: for a
@@ -123,12 +30,12 @@ func TestPipeEquivalenceGrid(t *testing.T) {
 	for _, shape := range pipeShapes {
 		r, s, p := shape[0], shape[1], shape[2]
 		t.Run(fmt.Sprintf("R%dxS%dxP%d", r, s, p), func(t *testing.T) {
-			cfg := pipeConfig(r, s, p)
-			eng, ref, engLosses, refLosses := runPipePair(t, cfg, stvConfig(cfg), 25, 1, 123, 4, 8)
+			cfg := shapeConfig(r, s, p)
+			eng, ref, engLosses, refLosses := runPair(t, pairRun{gpt: deepGPT, cfg: cfg, ref: stvConfig(cfg), steps: 25, accum: 1, dataSeed: 123, batch: 4, seq: 8})
 			if eng.Stats().Rollbacks() == 0 {
 				t.Errorf("R=%d,S=%d,P=%d: run triggered no rollbacks; equivalence untested on rollback path", r, s, p)
 			}
-			assertPipeTrajectory(t, r, s, p, engLosses, refLosses, eng, ref)
+			assertSameTrajectory(t, engLosses, refLosses, eng, ref)
 			cs := eng.CommStats()
 			if s > 1 && (cs.A2APayloads == 0 || cs.RingHops == 0) {
 				t.Errorf("R=%d,S=%d,P=%d: no collective traffic recorded: %+v", r, s, p, cs)
@@ -152,9 +59,9 @@ func TestPipe1F1BEquivalence(t *testing.T) {
 	for _, shape := range [][3]int{{1, 1, 2}, {1, 1, 4}, {2, 1, 2}, {2, 2, 2}, {1, 2, 2}} {
 		r, s, p := shape[0], shape[1], shape[2]
 		t.Run(fmt.Sprintf("R%dxS%dxP%d", r, s, p), func(t *testing.T) {
-			cfg := pipeConfig(r, s, p)
-			eng, ref, engLosses, refLosses := runPipePair(t, cfg, stvConfig(cfg), 10, 3, 31, 2, 8)
-			assertPipeTrajectory(t, r, s, p, engLosses, refLosses, eng, ref)
+			cfg := shapeConfig(r, s, p)
+			eng, ref, engLosses, refLosses := runPair(t, pairRun{gpt: deepGPT, cfg: cfg, ref: stvConfig(cfg), steps: 10, accum: 3, dataSeed: 31, batch: 2, seq: 8})
+			assertSameTrajectory(t, engLosses, refLosses, eng, ref)
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -170,19 +77,19 @@ func TestPipe1F1BEquivalence(t *testing.T) {
 func TestPipeEquivalenceWithInjectedOverflow(t *testing.T) {
 	for _, shape := range [][3]int{{2, 1, 2}, {1, 2, 2}, {1, 1, 4}} {
 		r, s, p := shape[0], shape[1], shape[2]
-		cfg := pipeConfig(r, s, p)
+		cfg := shapeConfig(r, s, p)
 		cfg.InjectBad = func(step int) bool { return step == 5 || step == 9 }
 		cfg.Scaler = optim.NewLossScaler()
 		ref := stvConfig(cfg)
 		ref.Scaler = optim.NewLossScaler()
-		eng, trainer, engLosses, refLosses := runPipePair(t, cfg, ref, 15, 1, 7, 4, 8)
+		eng, trainer, engLosses, refLosses := runPair(t, pairRun{gpt: deepGPT, cfg: cfg, ref: ref, steps: 15, accum: 1, dataSeed: 7, batch: 4, seq: 8})
 		if eng.Stats().SkipRolls != 2 {
 			t.Errorf("R=%d,S=%d,P=%d: skip rollbacks = %d, want 2", r, s, p, eng.Stats().SkipRolls)
 		}
 		if cfg.Scaler.Scale != ref.Scaler.Scale {
 			t.Errorf("R=%d,S=%d,P=%d: loss scales diverge: %v vs %v", r, s, p, cfg.Scaler.Scale, ref.Scaler.Scale)
 		}
-		assertPipeTrajectory(t, r, s, p, engLosses, refLosses, eng, trainer)
+		assertSameTrajectory(t, engLosses, refLosses, eng, trainer)
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -196,12 +103,12 @@ func TestPipeEquivalenceWithInjectedOverflow(t *testing.T) {
 func TestPipeWithNVMeStores(t *testing.T) {
 	for _, shape := range [][3]int{{2, 1, 2}, {1, 2, 2}, {1, 1, 4}} {
 		r, s, p := shape[0], shape[1], shape[2]
-		cfg := pipeConfig(r, s, p)
+		cfg := shapeConfig(r, s, p)
 		cfg.BucketElems = 8000 // more buckets than the resident window
 		cfg.NewStore = nvmeFactory(t)
 		refCfg := stvConfig(cfg) // reference stays DRAM-resident
-		eng, ref, engLosses, refLosses := runPipePair(t, cfg, refCfg, 10, 2, 123, 4, 8)
-		assertPipeTrajectory(t, r, s, p, engLosses, refLosses, eng, ref)
+		eng, ref, engLosses, refLosses := runPair(t, pairRun{gpt: deepGPT, cfg: cfg, ref: refCfg, steps: 10, accum: 2, dataSeed: 123, batch: 4, seq: 8})
+		assertSameTrajectory(t, engLosses, refLosses, eng, ref)
 		if tel, ok := eng.StoreTelemetry(); !ok || tel.Reads == 0 {
 			t.Errorf("R=%d,S=%d,P=%d: NVMe stores produced no telemetry (ok=%v, %+v)", r, s, p, ok, tel)
 		}
@@ -219,11 +126,11 @@ func TestPipeCheckpointCrossShape(t *testing.T) {
 	const warm, cont, batch, seq = 8, 5, 4, 8
 	save := func(r, s, p int, seed uint64, nvme bool) []byte {
 		t.Helper()
-		cfg := pipeConfig(r, s, p)
+		cfg := shapeConfig(r, s, p)
 		if nvme {
 			cfg.NewStore = nvmeFactory(t)
 		}
-		eng, err := NewPipe(deepGPT(42), cfg)
+		eng, err := New(deepGPT(42), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +162,7 @@ func TestPipeCheckpointCrossShape(t *testing.T) {
 	if !bytes.Equal(ck211, ck212) || !bytes.Equal(ck212, ck222) {
 		t.Fatal("checkpoints differ across (S,P) on the same R=2 trajectory")
 	}
-	cfg := pipeConfig(2, 1, 1)
+	cfg := shapeConfig(2, 1, 1)
 	ref := stv.NewTrainer(deepGPT(42), stvConfig(cfg))
 	corpus := data.NewCorpus(64, seed)
 	for i := 0; i < warm; i++ {
@@ -276,7 +183,7 @@ func TestPipeCheckpointCrossShape(t *testing.T) {
 
 	for _, shape := range pipeShapes {
 		r, s, p := shape[0], shape[1], shape[2]
-		restored, err := NewPipe(deepGPT(1), pipeConfig(r, s, p))
+		restored, err := New(deepGPT(1), shapeConfig(r, s, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +200,7 @@ func TestPipeCheckpointCrossShape(t *testing.T) {
 			}
 		}
 		if r == 2 {
-			refTr := stv.NewTrainer(deepGPT(1), stvConfig(pipeConfig(r, s, p)))
+			refTr := stv.NewTrainer(deepGPT(1), stvConfig(shapeConfig(r, s, p)))
 			if err := refTr.Load(bytes.NewReader(ck212)); err != nil {
 				t.Fatal(err)
 			}
@@ -333,13 +240,13 @@ func TestPipeCheckpointCrossShape(t *testing.T) {
 // reduces, store prefetches, and validation goroutines all in flight
 // together.
 func TestPipeRaceStress(t *testing.T) {
-	cfg := pipeConfig(2, 2, 2)
+	cfg := shapeConfig(2, 2, 2)
 	cfg.BucketElems = 4000 // many buckets vs the 2-bucket store window
 	cfg.ClipNorm = 0.5     // clip re-executions nearly every step
 	cfg.Scaler = optim.NewLossScaler()
 	cfg.InjectBad = func(step int) bool { return step%5 == 3 }
 	cfg.NewStore = nvmeFactory(t)
-	eng, err := NewPipe(deepGPT(42), cfg)
+	eng, err := New(deepGPT(42), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,8 +280,8 @@ func TestPipeRaceStress(t *testing.T) {
 // TestPipeTrainingLearns: beyond exactness, the 3-D engine must
 // actually train.
 func TestPipeTrainingLearns(t *testing.T) {
-	cfg := pipeConfig(1, 2, 2)
-	eng, err := NewPipe(deepGPT(42), cfg)
+	cfg := shapeConfig(1, 2, 2)
+	eng, err := New(deepGPT(42), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,27 +306,27 @@ func TestPipeTrainingLearns(t *testing.T) {
 
 // TestPipeValidation covers construction- and step-time guards.
 func TestPipeValidation(t *testing.T) {
-	if _, err := NewPipe(nil, pipeConfig(1, 1, 2)); err == nil {
+	if _, err := New(nil, shapeConfig(1, 1, 2)); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := NewPipe(deepGPT(1), pipeConfig(0, 1, 2)); err == nil {
-		t.Error("zero groups accepted")
+	if _, err := New(deepGPT(1), shapeConfig(-1, 1, 2)); err == nil {
+		t.Error("negative groups accepted")
 	}
-	if _, err := NewPipe(deepGPT(1), pipeConfig(1, -1, 2)); err == nil {
+	if _, err := New(deepGPT(1), shapeConfig(1, -1, 2)); err == nil {
 		t.Error("negative seq ranks accepted")
 	}
-	if _, err := NewPipe(deepGPT(1), pipeConfig(1, 1, -1)); err == nil {
+	if _, err := New(deepGPT(1), shapeConfig(1, 1, -1)); err == nil {
 		t.Error("negative pipe ranks accepted")
 	}
 	// deepGPT has 4 blocks; 5 stages can never each own one.
-	if _, err := NewPipe(deepGPT(1), pipeConfig(1, 1, 5)); err == nil {
+	if _, err := New(deepGPT(1), shapeConfig(1, 1, 5)); err == nil {
 		t.Error("more stages than blocks accepted")
 	}
 	// deepGPT has 4 heads; 3 sequence ranks can never divide them.
-	if _, err := NewPipe(deepGPT(1), pipeConfig(1, 3, 2)); err == nil {
+	if _, err := New(deepGPT(1), shapeConfig(1, 3, 2)); err == nil {
 		t.Error("indivisible head count accepted")
 	}
-	eng, err := NewPipe(deepGPT(1), pipeConfig(2, 2, 2))
+	eng, err := New(deepGPT(1), shapeConfig(2, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,45 +9,9 @@ import (
 	"superoffload/internal/stv"
 )
 
-// placementEngine abstracts the three multi-rank engines for the shared
-// placement assertions.
-type placementEngine interface {
-	Step(b data.Batch) (float64, error)
-	Flush() (bool, error)
-	Save(w *bytes.Buffer) error
-	Stats() stv.Stats
-	PlacementTelemetry() (stv.PlacementTelemetry, bool)
-	NumBuckets() int
-	Close() error
-}
-
-// engineAdapter narrows the concrete engines' io.Writer Save to the
-// buffer the test uses.
-type engineAdapter[E interface {
-	Step(b data.Batch) (float64, error)
-	Flush() (bool, error)
-	Stats() stv.Stats
-	PlacementTelemetry() (stv.PlacementTelemetry, bool)
-	NumBuckets() int
-	Close() error
-}] struct {
-	e    E
-	save func(*bytes.Buffer) error
-}
-
-func (a engineAdapter[E]) Step(b data.Batch) (float64, error) { return a.e.Step(b) }
-func (a engineAdapter[E]) Flush() (bool, error)               { return a.e.Flush() }
-func (a engineAdapter[E]) Save(w *bytes.Buffer) error         { return a.save(w) }
-func (a engineAdapter[E]) Stats() stv.Stats                   { return a.e.Stats() }
-func (a engineAdapter[E]) PlacementTelemetry() (stv.PlacementTelemetry, bool) {
-	return a.e.PlacementTelemetry()
-}
-func (a engineAdapter[E]) NumBuckets() int { return a.e.NumBuckets() }
-func (a engineAdapter[E]) Close() error    { return a.e.Close() }
-
 // runPlacedEngine trains one engine for steps iterations and returns its
 // losses, stats, and checkpoint bytes.
-func runPlacedEngine(t *testing.T, e placementEngine, steps int) ([]float64, stv.Stats, []byte) {
+func runPlacedEngine(t *testing.T, e *Engine, steps int) ([]float64, stv.Stats, []byte) {
 	t.Helper()
 	corpus := data.NewCorpus(64, 55)
 	losses := make([]float64, 0, steps)
@@ -75,7 +39,7 @@ func runPlacedEngine(t *testing.T, e placementEngine, steps int) ([]float64, stv
 // placedConfig is the shared engine config for the placement tests, with
 // fault injection so rollbacks are part of the exactness surface.
 func placedConfig(ranks int) Config {
-	cfg := baseConfig(ranks)
+	cfg := shapeConfig(ranks, 1, 1)
 	cfg.BucketElems = 4096 // a dozen buckets, so the split is meaningful
 	cfg.ClipNorm = 0.9
 	cfg.InjectBad = func(step int) bool { return step == 3 }
@@ -99,37 +63,17 @@ func TestEnginePlacementBitExact(t *testing.T) {
 	nvmePlan := split.WithNVMeBody()
 
 	builders := []struct {
-		name  string
-		ranks int
-		build func(cfg Config) (placementEngine, error)
-	}{
-		{"dp-r2", 2, func(cfg Config) (placementEngine, error) {
-			e, err := New(tinyGPT(42), cfg)
-			if err != nil {
-				return nil, err
-			}
-			return engineAdapter[*Engine]{e: e, save: func(w *bytes.Buffer) error { return e.Save(w) }}, nil
-		}},
-		{"sp-s2", 2, func(cfg Config) (placementEngine, error) {
-			e, err := NewSP(tinyGPT(42), cfg)
-			if err != nil {
-				return nil, err
-			}
-			return engineAdapter[*SPEngine]{e: e, save: func(w *bytes.Buffer) error { return e.Save(w) }}, nil
-		}},
-		{"mesh-2x2", 4, func(cfg Config) (placementEngine, error) {
-			cfg.Ranks, cfg.SeqRanks = 2, 2
-			e, err := NewMesh(tinyGPT(42), cfg)
-			if err != nil {
-				return nil, err
-			}
-			return engineAdapter[*MeshEngine]{e: e, save: func(w *bytes.Buffer) error { return e.Save(w) }}, nil
-		}},
-	}
+		name string
+		r, s int
+	}{{"dp-r2", 2, 1}, {"sp-s2", 1, 2}, {"mesh-2x2", 2, 2}}
 
 	for _, b := range builders {
 		t.Run(b.name, func(t *testing.T) {
-			ref, err := b.build(placedConfig(2))
+			build := func(cfg Config) (*Engine, error) {
+				cfg.Ranks, cfg.SeqRanks = b.r, b.s
+				return New(tinyGPT(42), cfg)
+			}
+			ref, err := build(placedConfig(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +103,7 @@ func TestEnginePlacementBitExact(t *testing.T) {
 						return stv.NewPlacedStore(plan, stv.NVMeStoreConfig{Dir: dir})
 					}
 				}
-				e, err := b.build(cfg)
+				e, err := build(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -231,7 +175,7 @@ func TestEnginePlacementTelemetry(t *testing.T) {
 	}
 
 	// Engines without a plan report none.
-	plain, err := New(tinyGPT(42), baseConfig(2))
+	plain, err := New(tinyGPT(42), shapeConfig(2, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,15 +198,16 @@ func TestEnginePlacementTelemetry(t *testing.T) {
 		},
 		"sp": func() error {
 			cfg := placedConfig(2)
+			cfg.Ranks, cfg.SeqRanks = 1, 2
 			cfg.Placement = &bad
-			_, err := NewSP(tinyGPT(42), cfg)
+			_, err := New(tinyGPT(42), cfg)
 			return err
 		},
 		"mesh": func() error {
 			cfg := placedConfig(2)
 			cfg.SeqRanks = 2
 			cfg.Placement = &bad
-			_, err := NewMesh(tinyGPT(42), cfg)
+			_, err := New(tinyGPT(42), cfg)
 			return err
 		},
 	} {

@@ -15,7 +15,7 @@ import (
 // mirroring a live /metrics endpoint. Run with -race: the assertion is
 // the detector staying quiet plus monotone step counts.
 func TestTelemetryPollDuringTrainingAndClose(t *testing.T) {
-	cfg := baseConfig(2)
+	cfg := shapeConfig(2, 1, 1)
 	cfg.BucketElems = 4096
 	nb := len(stv.PartitionGroups(tinyGPT(42).Params(), cfg.BucketElems))
 	plan := place.GPUTail(nb, 2)

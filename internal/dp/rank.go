@@ -5,10 +5,10 @@ import (
 
 	"superoffload/internal/act"
 	"superoffload/internal/data"
-	"superoffload/internal/fp16"
 	"superoffload/internal/nn"
 	"superoffload/internal/optim"
 	"superoffload/internal/stv"
+	"superoffload/internal/tensor"
 )
 
 // ownedBucket is one entry of a rank's ZeRO partition: the fp32 master
@@ -20,128 +20,52 @@ type ownedBucket struct {
 	b   *stv.Bucket
 }
 
-// partitionReplica computes the replica's global bucket layout and this
-// rank's owned partition under the shared ownership policy, seeding the
-// rank's store with the buckets it owns (keyed by global bucket index,
-// so the store's prefetch cycle walks the rank's ZeRO shard in reduction
-// order). offsets[b] is bucket b's start in the flat Params() layout —
-// the layout the sequence-parallel ring reduces over.
-func partitionReplica(model *nn.GPT, bucketElems, id, ranks int, store stv.BucketStore) (groups []nn.Params, owned []ownedBucket, offsets []int) {
-	groups = stv.PartitionGroups(model.Params(), bucketElems)
-	offsets = make([]int, len(groups))
-	off := 0
-	for bi, g := range groups {
-		offsets[bi] = off
-		off += g.TotalSize()
-		if bucketOwner(bi, ranks) == id {
-			owned = append(owned, ownedBucket{idx: bi, b: stv.NewBucket(g, store, bi)})
-		}
-	}
-	return groups, owned, offsets
-}
-
-// runRankLoop is every rank's top-level loop over the shared control
-// links: interpret step schedules, apply out-of-step resolutions
-// (Flush), stop.
-func runRankLoop(w *world, id int, ex stepExecutor) {
-	for c := range w.cmd[id] {
-		switch c.kind {
-		case cmdStep:
-			ex.begin(c.micros)
-			runSchedule(w, id, c.ops, ex)
-		case cmdResolve:
-			ex.apply(c.res)
-			w.results[id] <- stepResult{}
-		case cmdStop:
-			return
-		}
-	}
-}
-
-// applyResolution is the resolution body shared by every rank type:
-// owners commit, roll back, or re-execute their partition, and allGather
-// republishes when weights changed.
-func applyResolution(v resolution, owned []ownedBucket, impl optim.Impl, allGather func()) {
-	switch v.action {
-	case aCommit:
-		for _, ob := range owned {
-			ob.b.Commit()
-		}
-	case aSkip:
-		for _, ob := range owned {
-			ob.b.Rollback()
-		}
-		allGather()
-	case aClip:
-		for _, ob := range owned {
-			ob.b.ReExecuteClipped(v.adam, impl, v.clipScale)
-		}
-		allGather()
-	}
-}
-
-// speculate runs the shared post-reduction phase on a rank's owned
-// partition: corrupt bucket 0 when fault injection asks, normalize the
-// reduced sum by inv, apply the per-bucket speculative Adam step,
-// republish fp16 weights via allGather, and stream this partition's
-// per-bucket validation partials off the critical path (the next step's
-// forward overlaps with that background goroutine).
-func speculate(w *world, owned []ownedBucket, impl optim.Impl, g goMsg, inv float32, allGather func()) {
-	for _, ob := range owned {
-		if ob.idx == 0 && g.inject {
-			ob.b.Grad()[0] = float32(math.Inf(1))
-		}
-		ob.b.ScaleGrad(inv)
-		ob.b.SpeculativeStep(g.adam, impl)
-	}
-	allGather()
-	go func(owned []ownedBucket) {
-		for _, ob := range owned {
-			grad := ob.b.Grad()
-			w.partial <- partialMsg{
-				idx:   ob.idx,
-				sumsq: optim.SumSquares(grad),
-				bad:   optim.HasBad([][]float32{grad}),
-			}
-		}
-	}(owned)
-}
-
-// gatherWeights is the all-gather body shared by every rank type (bucket
-// ownership is round-robin in every world): owned buckets broadcast over
-// the gather links, non-owned buckets install the received payloads.
-// Owned buckets are skipped on the receive side: the speculative step,
-// rollback, and clip re-execution already wrote them back locally.
-func gatherWeights(owned []ownedBucket, groups []nn.Params, gather [][]chan []fp16.Num, ranks, id int) {
-	for _, ob := range owned {
-		half := ob.b.Half()
-		for dst := 0; dst < ranks; dst++ {
-			if dst != id {
-				gather[ob.idx][dst] <- half
-			}
-		}
-	}
-	for bi, g := range groups {
-		if bucketOwner(bi, ranks) != id {
-			stv.PublishHalf(g, <-gather[bi][id])
-		}
-	}
-}
-
-// rank is one simulated superchip of the data-parallel engine: a full
-// fp16 model replica for forward/backward, plus optimizer state for its
-// owned buckets only, held behind this rank's own bucket store.
+// rank is one simulated superchip: rank (g, s, p) — global id
+// (g·S + s)·P + p — holds a full fp16 model replica but computes only
+// pipeline stage p's contiguous block range, over sequence shard s of
+// data-parallel group g's batch rows, and owns its round-robin share of
+// ALL buckets' optimizer state (ownership ignores topology, so
+// checkpoints are byte-identical across shapes) behind its own bucket
+// store.
+//
+// The replica pass has two forms, selected by the world's shape. On the
+// dense S=P=1 shape the rank runs nn.Forward/Backward on the model-level
+// arena and reads bucket gradients straight out of the replica
+// (stv.GatherGrads). On every other shape it runs
+// nn.ForwardSPStage/BackwardSPStage, whose per-cache arenas let several
+// micro-batches be in flight and whose weight gradients exist only as
+// the per-row replay the in-cell ring folds (nn.SPCache.AccumBatchRow).
+// The sharded form is correct at S=P=1 too (forcing it passes the
+// equivalence suites), but it re-derives every weight gradient row by
+// row and allocates a cache arena per micro: on the benchmark's
+// dp2-mlpcache workload that is 14.2 MB allocated per step instead of
+// 58.7 KB, +9% step time and +14% peak RSS for the same bits.
 type rank struct {
-	id     int
-	w      *dpWorld
+	id    int // global rank: (group·S + local)·P + stage
+	group int // data-parallel group g ∈ [0, R)
+	local int // in-cell sequence rank s ∈ [0, S)
+	stage int // pipeline stage p ∈ [0, P)
+
+	w      *world
+	cell   *spLinks // this rank's (group, stage) cell links
 	model  *nn.GPT
+	sp     *nn.SP // sequence-parallel context (unused on the dense shape)
 	impl   optim.Impl
 	store  stv.BucketStore
 	exec   *stv.PlacementExecutor // nil without a placement plan
 	ast    *act.Store             // nil without an activation tier
 	groups []nn.Params            // global bucket layout over this replica
 	owned  []ownedBucket          // this rank's partition, ascending bucket index
-	// sendBufs[m][b] stages the gradient contribution for micro-batch m
+	// offsets[b] is bucket b's start in the flat Params() layout — the
+	// layout the ring reduces over.
+	offsets []int
+	// spans[p] is stage p's StageParamSpan — spans partition the flat
+	// layout, so every bucket element belongs to exactly one stage.
+	spans [][2]int
+	// seeder hands each cell's local rank 0 the per-micro ring buffers,
+	// sized to this stage's span (see flatSeeder for reuse discipline).
+	seeder flatSeeder
+	// sendBufs[m][b] stages this cell's contribution for micro-batch m
 	// and bucket b. Buffers are distinct per micro-batch within a step
 	// (the owner may still be reading micro m while this rank computes
 	// m+1) and reused across steps: the coordinator collects every
@@ -149,106 +73,326 @@ type rank struct {
 	// of step N happen before any step-N+1 write.
 	sendBufs [][][]float32
 
-	// Per-step interpreter state (begin resets it). cache holds the
-	// latest forward's intermediates; the legacy schedule backwards each
-	// micro immediately after its forward (a resolve-triggered redo only
-	// ever re-forwards the same micro), so one slot suffices — exactly
-	// the single-cache discipline the model-level arena requires.
-	micros []data.Batch
-	losses []float64
-	cache  *nn.FwdCache
+	// Per-step interpreter state (begin resets it). The dense pass keeps
+	// one cache — the model-level arena allows one live forward, and at
+	// P=1 a micro backwards before the next forwards — and scalar
+	// losses. The sharded pass keeps caches[m] per micro plus, at P>1,
+	// bounds[m]/dBounds[m]: the received boundary activation/gradient.
+	micros  []data.Batch
+	losses  []float64
+	cache   *nn.FwdCache
+	rows    [][]float64
+	caches  []*nn.SPCache
+	bounds  []*tensor.Tensor
+	dBounds []*tensor.Tensor
 }
 
-// newRank partitions the replica and seeds this rank's store with the
-// buckets it owns.
-func newRank(id int, w *dpWorld, model *nn.GPT, impl optim.Impl, bucketElems int, store stv.BucketStore) *rank {
-	r := &rank{id: id, w: w, model: model, impl: impl, store: store}
-	r.groups, r.owned, _ = partitionReplica(model, bucketElems, id, w.N, store)
+// newRank partitions the replica under the global (R·S·P-way) ownership
+// policy, seeding the rank's store with the buckets it owns (keyed by
+// global bucket index, so the store's prefetch cycle walks the rank's
+// ZeRO shard in reduction order), and wires the rank into its cell's
+// links.
+func newRank(group, local, stage int, w *world, model *nn.GPT, impl optim.Impl, bucketElems int, store stv.BucketStore) *rank {
+	r := &rank{
+		id:    (group*w.S+local)*w.P + stage,
+		group: group, local: local, stage: stage,
+		w: w, cell: w.cells[group*w.P+stage], model: model, impl: impl, store: store,
+	}
+	r.sp = &nn.SP{Rank: local, Ranks: w.S, AllToAll: func(p [][]float32) [][]float32 {
+		return r.cell.allToAll(local, p)
+	}}
+	r.groups = stv.PartitionGroups(model.Params(), bucketElems)
+	r.offsets = make([]int, len(r.groups))
+	off := 0
+	for bi, g := range r.groups {
+		r.offsets[bi] = off
+		off += g.TotalSize()
+		if bucketOwner(bi, w.N) == r.id {
+			r.owned = append(r.owned, ownedBucket{idx: bi, b: stv.NewBucket(g, store, bi)})
+		}
+	}
+	r.spans = make([][2]int, w.P)
+	for p := 0; p < w.P; p++ {
+		lo, hi := model.StageParamSpan(p, w.P)
+		r.spans[p] = [2]int{lo, hi}
+	}
 	return r
 }
 
-// run is the rank's top-level loop.
-func (r *rank) run() { runRankLoop(r.w.world, r.id, r) }
+// attachAct wires this rank's activation store into its replica pass —
+// the model-level tap on the dense shape (the rank owns its replica),
+// nn.SP.Tap otherwise — and into its placement executor's step model.
+// Nil-safe.
+func (r *rank) attachAct(st *act.Store) {
+	if st == nil {
+		return
+	}
+	r.ast = st
+	if r.w.dense() {
+		r.model.SetActivationTap(st)
+	} else {
+		r.sp.Tap = st
+	}
+	r.exec.SetAct(stv.ActShapeFor(r.model, st))
+}
+
+// run is the rank's top-level loop over the control links: interpret
+// step schedules, apply out-of-step resolutions (Flush), stop.
+func (r *rank) run() {
+	for c := range r.w.cmd[r.id] {
+		switch c.kind {
+		case cmdStep:
+			r.begin(c.micros)
+			r.runSchedule(c.ops)
+		case cmdResolve:
+			r.apply(c.res)
+			r.w.results[r.id] <- stepResult{}
+		case cmdStop:
+			return
+		}
+	}
+}
 
 // begin resets the per-step interpreter state for a new schedule.
 func (r *rank) begin(micros []data.Batch) {
 	r.micros = micros
-	r.losses = make([]float64, len(micros))
+	if r.w.dense() {
+		r.losses = make([]float64, len(micros))
+		return
+	}
+	r.rows = make([][]float64, len(micros))
+	r.caches = make([]*nn.SPCache, len(micros))
+	if r.w.P > 1 {
+		r.bounds = make([]*tensor.Tensor, len(micros))
+		r.dBounds = make([]*tensor.Tensor, len(micros))
+	}
 }
 
-// apply executes a validation resolution on this rank: owners mutate their
-// partition, and if weights changed every rank republishes via all-gather.
+// apply executes a validation resolution on this rank: owners commit,
+// roll back, or re-execute their partition, and if weights changed every
+// rank republishes via all-gather.
 func (r *rank) apply(v resolution) {
-	applyResolution(v, r.owned, r.impl, r.allGather)
+	switch v.action {
+	case aCommit:
+		for _, ob := range r.owned {
+			ob.b.Commit()
+		}
+	case aSkip:
+		for _, ob := range r.owned {
+			ob.b.Rollback()
+		}
+		r.allGather()
+	case aClip:
+		for _, ob := range r.owned {
+			ob.b.ReExecuteClipped(v.adam, r.impl, v.clipScale)
+		}
+		r.allGather()
+	}
 }
 
-// forward runs micro m's forward pass on the replica, recording its loss
-// (an STV redo overwrites the slot, so the reported loss is the last
-// forward's — mirroring stv.Trainer's post-rollback loss).
+// forward runs micro m's forward over this stage's block range and this
+// rank's sequence shard, recording its loss (an STV redo overwrites the
+// slot, so the reported loss is the last forward's — mirroring
+// stv.Trainer's post-rollback loss). Stage 0 embeds from the micro's
+// tokens; later stages consume the boundary activation recvAct stored
+// for this micro. Only the final stage produces losses.
 func (r *rank) forward(m int) {
 	b := r.micros[m]
-	loss, cache := r.model.Forward(b.Tokens, b.Targets, b.BatchSize, b.Seq)
-	r.losses[m] = loss
-	r.cache = cache
+	if r.w.dense() {
+		r.losses[m], r.cache = r.model.Forward(b.Tokens, b.Targets, b.BatchSize, b.Seq)
+		return
+	}
+	var xIn *tensor.Tensor
+	if r.stage > 0 {
+		xIn = r.bounds[m]
+	}
+	r.rows[m], r.caches[m] = r.model.ForwardSPStage(b.Tokens, b.Targets, b.BatchSize, b.Seq,
+		r.sp, r.stage, r.w.P, xIn)
 }
 
-// backward runs micro m's backward pass from the retained forward cache.
+// backward runs micro m's backward over the stage's block range: the
+// final stage seeds from its loss gradient (lossScale applies there and
+// rides the chain upstream), earlier stages from the boundary gradient
+// recvGrad stored for this micro.
 func (r *rank) backward(m int, scale float64) {
-	r.model.Params().ZeroGrads()
-	r.model.Backward(r.cache, scale)
+	if r.w.dense() {
+		r.model.Params().ZeroGrads()
+		r.model.Backward(r.cache, scale)
+		return
+	}
+	var dOut *tensor.Tensor
+	if r.stage < r.w.P-1 {
+		dOut = r.dBounds[m]
+	}
+	r.model.BackwardSPStage(r.caches[m], scale, r.sp, dOut)
 }
 
-// speculate runs the shared speculative phase: the reduced sum
-// accumulated over micros·N micro-batch slices is normalized by inv.
-func (r *rank) speculate(g goMsg) {
-	inv := float32(1 / (g.scale * float64(len(r.micros)*r.w.N)))
-	speculate(r.w.world, r.owned, r.impl, g, inv, r.allGather)
+// col is this rank's (group, sequence) column index into the boundary
+// links.
+func (r *rank) col() int { return r.group*r.w.S + r.local }
+
+// sendAct ships micro m's boundary activation to the next stage down
+// the column.
+func (r *rank) sendAct(m int) {
+	t := r.caches[m].StageOut()
+	r.w.tel.countStage("stageAct", len(t.Data))
+	r.w.acts[r.stage][r.col()].send(t)
 }
 
-// report closes the step out: record placement telemetry and hand the
-// per-micro losses to the coordinator.
-func (r *rank) report() stepResult {
-	r.exec.Record(localTokens(r.micros), r.micros[0].Seq)
-	return stepResult{losses: r.losses}
+// recvAct receives micro m's boundary activation from the previous
+// stage up the column.
+func (r *rank) recvAct(m int) {
+	r.bounds[m] = r.w.acts[r.stage-1][r.col()].recv()
 }
 
-// reduce sends this rank's raw gradient contribution for every bucket
-// to the bucket's owner, then (as owner) folds the incoming contributions
-// for micro-batch m into the owned reduction buffers. Contributions sum in
-// (micro-batch, rank) order — the same order a single-rank trainer's
-// gradient accumulation stages them — so the reduced sum is bit-identical.
+// sendGrad ships micro m's boundary gradient to the previous stage up
+// the column.
+func (r *rank) sendGrad(m int) {
+	t := r.caches[m].StageDIn()
+	r.w.tel.countStage("stageGrad", len(t.Data))
+	r.w.grads[r.stage-1][r.col()].send(t)
+}
+
+// recvGrad receives micro m's boundary gradient from the next stage
+// down the column.
+func (r *rank) recvGrad(m int) {
+	r.dBounds[m] = r.w.grads[r.stage][r.col()].recv()
+}
+
+// intersectRange clips [alo, ahi) to [blo, bhi); empty intersections
+// come back with lo >= hi.
+func intersectRange(alo, ahi, blo, bhi int) (lo, hi int) {
+	return max(alo, blo), min(ahi, bhi)
+}
+
+// delegateLocal maps a bucket to the in-cell rank that forwards the
+// cell's contribution across cells, spreading the sends round-robin over
+// the cell's S ranks (at P=1 that is the rank sharing the global owner's
+// local index, so the owner's own cell's delegate is the owner itself).
+func delegateLocal(bucket, seqRanks int) int { return bucketOwner(bucket, seqRanks) }
+
+// reduce is the two-level gradient reduction for micro m, restricted to
+// this stage's parameter span. Level one produces the cell's span
+// gradient for its group's row slice: read out of the replica on the
+// dense shape, otherwise reduced over the in-cell ring
+// (spLinks.ringReduce), whose hops visit (batch row, shard) pairs in
+// ascending global row order so the result is bit-identical to a
+// single-rank backward over the same rows. Level two is the cross-cell
+// bucketized reduce-scatter: for each bucket intersecting the span, the
+// cell's delegate stages a copy of the intersection slice and sends it
+// to the bucket's global owner; owners fold contributions per stage in
+// ascending stage order and per group in ascending group order. Stage
+// spans are disjoint, so each bucket ELEMENT folds in exactly (micro,
+// group) order — the order a single-rank trainer's gradient accumulation
+// stages the R row slices — keeping the reduced sum bit-identical.
 func (r *rank) reduce(m int) {
+	span := r.spans[r.stage]
+	dense := r.w.dense()
+	var flat []float32 // the cell's ring-reduced span gradient
+	if !dense {
+		flat = r.cell.ringReduce(r.local, r.caches[m], r.micros[m].BatchSize, func() []float32 {
+			return r.seeder.next(span[1] - span[0])
+		})
+	}
 	for len(r.sendBufs) <= m {
 		r.sendBufs = append(r.sendBufs, make([][]float32, len(r.groups)))
 	}
+	cell := r.group*r.w.P + r.stage
 	for bi, g := range r.groups {
+		lo, hi := intersectRange(r.offsets[bi], r.offsets[bi]+g.TotalSize(), span[0], span[1])
+		if lo >= hi || delegateLocal(bi, r.w.S) != r.local {
+			continue
+		}
 		payload := r.sendBufs[m][bi]
-		if payload == nil {
-			payload = make([]float32, g.TotalSize())
+		if len(payload) != hi-lo {
+			payload = make([]float32, hi-lo)
 			r.sendBufs[m][bi] = payload
 		}
-		stv.GatherGrads(g, payload, true)
-		r.w.reduce[bi][r.id] <- payload
+		if dense {
+			stv.GatherGrads(g, payload, true)
+		} else {
+			copy(payload, flat[lo-span[0]:hi-span[0]])
+		}
+		r.w.reduce[bi][cell] <- payload
 	}
 	for _, ob := range r.owned {
 		dst := ob.b.Grad()
-		for src := 0; src < r.w.N; src++ {
-			c := <-r.w.reduce[ob.idx][src]
-			stv.AccumInto(dst, c, m == 0 && src == 0)
+		bo := r.offsets[ob.idx]
+		for p := 0; p < r.w.P; p++ {
+			lo, hi := intersectRange(bo, bo+ob.b.Size(), r.spans[p][0], r.spans[p][1])
+			if lo >= hi {
+				continue
+			}
+			for g := 0; g < r.w.R; g++ {
+				c := <-r.w.reduce[ob.idx][g*r.w.P+p]
+				stv.AccumInto(dst[lo-bo:hi-bo], c, m == 0 && g == 0)
+			}
 		}
 	}
 }
 
-// allGather publishes every owned bucket's fp16 weights to the other
-// ranks and installs the payloads this rank receives into its replica.
-func (r *rank) allGather() {
-	gatherWeights(r.owned, r.groups, r.w.gather, r.w.N, r.id)
+// speculate runs the post-reduction phase on the owned partition:
+// corrupt bucket 0 when fault injection asks, normalize the reduced sum,
+// apply the per-bucket speculative Adam step, republish fp16 weights via
+// allGather, and stream this partition's per-bucket validation partials
+// off the critical path (the next step's forward overlaps with that
+// background goroutine). Each cell produced its whole row slice's span
+// gradient and the cross-cell reduce summed R of them per micro (stages
+// contribute disjoint spans), so the divisor is micros·R — the
+// single-rank trainer's count for the same R-way decomposition.
+func (r *rank) speculate(g goMsg) {
+	inv := float32(1 / (g.scale * float64(len(r.micros)*r.w.R)))
+	for _, ob := range r.owned {
+		if ob.idx == 0 && g.inject {
+			ob.b.Grad()[0] = float32(math.Inf(1))
+		}
+		ob.b.ScaleGrad(inv)
+		ob.b.SpeculativeStep(g.adam, r.impl)
+	}
+	r.allGather()
+	go func(owned []ownedBucket) {
+		for _, ob := range owned {
+			grad := ob.b.Grad()
+			r.w.partial <- partialMsg{
+				idx:   ob.idx,
+				sumsq: optim.SumSquares(grad),
+				bad:   optim.HasBad([][]float32{grad}),
+			}
+		}
+	}(r.owned)
 }
 
-// bucketStore, bucketLayout, and placementExec satisfy engineRank for
-// the shared engine plumbing (storeList, replicaGroups,
-// sumPlacementTelemetry).
-func (r *rank) bucketStore() stv.BucketStore          { return r.store }
-func (r *rank) bucketLayout() []nn.Params             { return r.groups }
-func (r *rank) placementExec() *stv.PlacementExecutor { return r.exec }
-func (r *rank) actStore() *act.Store                  { return r.ast }
+// report closes the step out: record placement telemetry (the backward
+// volume is this rank's batch rows × positions over the step's
+// micro-batches) and hand the per-micro losses — scalars on the dense
+// shape, rows elsewhere (nil except on the final stage) — to the
+// coordinator.
+func (r *rank) report() stepResult {
+	tokens := 0
+	for _, b := range r.micros {
+		tokens += b.BatchSize * b.Seq
+	}
+	r.exec.Record(tokens, r.micros[0].Seq)
+	return stepResult{losses: r.losses, rows: r.rows}
+}
+
+// allGather publishes every owned bucket's fp16 weights to the other
+// N-1 ranks and installs the payloads this rank receives into its
+// replica. Owned buckets are skipped on the receive side: the
+// speculative step, rollback, and clip re-execution already wrote them
+// back locally.
+func (r *rank) allGather() {
+	for _, ob := range r.owned {
+		half := ob.b.Half()
+		for dst := 0; dst < r.w.N; dst++ {
+			if dst != r.id {
+				r.w.gather[ob.idx][dst] <- half
+			}
+		}
+	}
+	for bi, g := range r.groups {
+		if bucketOwner(bi, r.w.N) != r.id {
+			stv.PublishHalf(g, <-r.w.gather[bi][r.id])
+		}
+	}
+}

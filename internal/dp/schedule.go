@@ -1,19 +1,12 @@
 package dp
 
 // The schedule layer: a training step is, per rank, a sequence of
-// schedule ops produced by a pluggable builder and executed by one small
-// interpreter over the rank's engine body (stepExecutor). The legacy
-// engines (DP, SP, mesh) build the trivial all-forward-then-backward
-// sequence the old imperative driver hard-coded in each rank's control
-// flow; the pipeline engine builds a 1F1B schedule per stage. Keeping
-// the step structure in data — instead of in each rank body — is what
-// lets one interpreter, one STV redo rule, and one coordinator drive
-// every topology.
+// schedule ops produced by stageSchedule and executed by one small
+// interpreter over the rank body. Keeping the step structure in data —
+// instead of in the rank body — is what lets one interpreter, one STV
+// redo rule, and one coordinator drive every (R,S,P) shape.
 
-import (
-	"superoffload/internal/data"
-	"superoffload/internal/obs"
-)
+import "superoffload/internal/obs"
 
 // opKind enumerates the schedule ops a rank can execute in one step.
 type opKind int
@@ -75,54 +68,38 @@ type scheduleOp struct {
 	micro int
 }
 
-// scheduleBuilder produces rank `rank`'s op sequence for a step of
-// `micros` micro-batches. Builders must be deterministic: every rank of
-// a collective group must emit matching collective ops in matching
-// order, or the channel collectives deadlock.
-type scheduleBuilder func(rank, micros int) []scheduleOp
-
-// legacyBuilder is the scheduleBuilder the non-pipelined engines (DP,
-// SP, mesh) share: every rank runs the same all-forward-then-backward
-// sequence regardless of its position in the topology.
-func legacyBuilder(rank, micros int) []scheduleOp {
-	return legacySchedule(micros)
-}
-
-// legacySchedule is the all-forward-then-backward step the imperative
-// driver used to hard-code: forward micro 0, resolve the previous step's
-// validation (redoing forward 0 if the weights changed), receive go,
-// then backward+reduce micro 0 and forward/backward/reduce each
-// remaining micro, speculate, report.
-func legacySchedule(micros int) []scheduleOp {
-	ops := make([]scheduleOp, 0, 3*micros+4)
-	ops = append(ops,
-		scheduleOp{kind: opForward, micro: 0},
-		scheduleOp{kind: opResolve},
-		scheduleOp{kind: opGo},
-		scheduleOp{kind: opBackward, micro: 0},
-		scheduleOp{kind: opReduce, micro: 0},
-	)
-	for m := 1; m < micros; m++ {
-		ops = append(ops,
-			scheduleOp{kind: opForward, micro: m},
-			scheduleOp{kind: opBackward, micro: m},
-			scheduleOp{kind: opReduce, micro: m},
-		)
-	}
-	return append(ops, scheduleOp{kind: opSpeculate}, scheduleOp{kind: opReport})
-}
-
-// pipeSchedule is pipeline stage `stage`'s 1F1B schedule over `micros`
-// micro-batches. It resolves BEFORE the first forward (numerically
-// identical — forwards read post-resolution weights either way — and it
-// keeps the redo machinery off the multi-micro-in-flight pipeline), then
-// runs the classic warmup/steady/cooldown pattern: min(stages-1-stage,
-// micros) warmup forwards, alternating forward/backward in steady state,
-// and draining backwards. Each forward is bracketed by recvAct (stages
-// above 0) and sendAct (stages below the last); each backward by
+// stageSchedule is pipeline stage `stage`'s 1F1B schedule over `micros`
+// micro-batches (the only schedule builder; it must stay deterministic —
+// every rank of a collective group emits matching collective ops in
+// matching order, or the channel collectives deadlock). It runs the
+// classic warmup/steady/cooldown pattern: min(stages-1-stage, micros)
+// warmup forwards, alternating forward/backward in steady state, and
+// draining backwards. Each forward is bracketed by recvAct (stages above
+// 0) and sendAct (stages below the last); each backward by
 // recvGrad/sendGrad symmetrically, followed by that micro's reduce.
-func pipeSchedule(stage, stages, micros int) []scheduleOp {
-	ops := []scheduleOp{{kind: opResolve}, {kind: opGo}}
+//
+// Where the previous step's validation resolves depends on the depth.
+// With one stage, forward 0 runs BEFORE resolve — that ordering is the
+// §4.4 overlap of validation with the next step's forward, and a
+// weight-changing verdict redoes exactly that one forward. With several
+// stages it resolves first (numerically identical — forwards read
+// post-resolution weights either way), which keeps the redo machinery
+// off the multi-micro-in-flight pipeline.
+func stageSchedule(stage, stages, micros int) []scheduleOp {
+	perMicro := 3 // forward, backward, reduce
+	if stage > 0 {
+		perMicro += 2 // recvAct, sendGrad
+	}
+	if stage < stages-1 {
+		perMicro += 2 // sendAct, recvGrad
+	}
+	ops := make([]scheduleOp, 0, perMicro*micros+4)
+	open := func() {
+		ops = append(ops, scheduleOp{kind: opResolve}, scheduleOp{kind: opGo})
+	}
+	if stages > 1 {
+		open()
+	}
 	emitF := func(m int) {
 		if stage > 0 {
 			ops = append(ops, scheduleOp{kind: opRecvAct, micro: m})
@@ -130,6 +107,9 @@ func pipeSchedule(stage, stages, micros int) []scheduleOp {
 		ops = append(ops, scheduleOp{kind: opForward, micro: m})
 		if stage < stages-1 {
 			ops = append(ops, scheduleOp{kind: opSendAct, micro: m})
+		}
+		if stages == 1 && m == 0 {
+			open()
 		}
 	}
 	emitB := func(m int) {
@@ -163,43 +143,19 @@ func pipeSchedule(stage, stages, micros int) []scheduleOp {
 	return append(ops, scheduleOp{kind: opSpeculate}, scheduleOp{kind: opReport})
 }
 
-// stepExecutor is a rank's engine body: the interpreter calls these in
-// schedule order. begin resets per-step state before the first op.
-type stepExecutor interface {
-	begin(micros []data.Batch)
-	forward(m int)
-	backward(m int, scale float64)
-	reduce(m int)
-	apply(v resolution)
-	speculate(g goMsg)
-	report() stepResult
-}
-
-// stageExecutor extends stepExecutor with the pipeline-boundary ops.
-// Only schedules that emit stage ops need it; the interpreter
-// type-asserts on demand, so legacy executors stay oblivious.
-type stageExecutor interface {
-	stepExecutor
-	sendAct(m int)
-	recvAct(m int)
-	sendGrad(m int)
-	recvGrad(m int)
-}
-
-// runSchedule interprets one step's op sequence for rank id. It owns the
+// runSchedule interprets one step's op sequence on rank r. It owns the
 // coordinator handshakes (resolution, goMsg, result report) and the STV
 // redo rule: on a weight-changing resolution, every micro that has
-// forwarded but not yet backwarded re-runs its forward — which for the
-// legacy schedules is exactly micro 0, reproducing the old redo loop.
-// Tracing rides the same loop: when the world carries a tracer, every
-// op becomes one span on the rank's track (named after its opKind,
-// tagged with its micro) — which is what gives all five engines a
-// per-rank timeline from a single tap point. With tracing off the
-// track is nil and each op pays exactly one predictable branch.
-func runSchedule(w *world, id int, ops []scheduleOp, ex stepExecutor) {
+// forwarded but not yet backwarded re-runs its forward — which at P=1 is
+// exactly micro 0. Tracing rides the same loop: when the world carries a
+// tracer, every op becomes one span on the rank's track (named after its
+// opKind, tagged with its micro) — which is what gives every shape a
+// per-rank timeline from a single tap point. With tracing off the track
+// is nil and each op pays exactly one predictable branch.
+func (r *rank) runSchedule(ops []scheduleOp) {
 	var g goMsg
 	var inFlight []int // forwarded, not yet backwarded, in forward order
-	tk := w.track(id)
+	tk := r.w.track(r.id)
 	for _, op := range ops {
 		var sp obs.Span
 		if tk != nil {
@@ -207,10 +163,10 @@ func runSchedule(w *world, id int, ops []scheduleOp, ex stepExecutor) {
 		}
 		switch op.kind {
 		case opForward:
-			ex.forward(op.micro)
+			r.forward(op.micro)
 			inFlight = append(inFlight, op.micro)
 		case opBackward:
-			ex.backward(op.micro, g.scale)
+			r.backward(op.micro, g.scale)
 			for i, m := range inFlight {
 				if m == op.micro {
 					inFlight = append(inFlight[:i], inFlight[i+1:]...)
@@ -218,29 +174,29 @@ func runSchedule(w *world, id int, ops []scheduleOp, ex stepExecutor) {
 				}
 			}
 		case opReduce:
-			ex.reduce(op.micro)
+			r.reduce(op.micro)
 		case opResolve:
-			v := <-w.resolution[id]
-			ex.apply(v)
+			v := <-r.w.resolution[r.id]
+			r.apply(v)
 			if v.weightsChanged() {
 				for _, m := range inFlight {
-					ex.forward(m)
+					r.forward(m)
 				}
 			}
 		case opGo:
-			g = <-w.goCh[id]
+			g = <-r.w.goCh[r.id]
 		case opSendAct:
-			ex.(stageExecutor).sendAct(op.micro)
+			r.sendAct(op.micro)
 		case opRecvAct:
-			ex.(stageExecutor).recvAct(op.micro)
+			r.recvAct(op.micro)
 		case opSendGrad:
-			ex.(stageExecutor).sendGrad(op.micro)
+			r.sendGrad(op.micro)
 		case opRecvGrad:
-			ex.(stageExecutor).recvGrad(op.micro)
+			r.recvGrad(op.micro)
 		case opSpeculate:
-			ex.speculate(g)
+			r.speculate(g)
 		case opReport:
-			w.results[id] <- ex.report()
+			r.w.results[r.id] <- r.report()
 		}
 		if tk != nil {
 			if opHasMicro(op.kind) {

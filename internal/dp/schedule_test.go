@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"superoffload/internal/data"
 )
 
 // opNames renders a schedule compactly for golden comparison:
@@ -32,9 +34,9 @@ func opNames(ops []scheduleOp) string {
 }
 
 // TestLegacyScheduleGolden pins the exact op sequence the imperative
-// driver used to hard-code, so the schedule refactor provably changed
-// nothing about the legacy engines' step structure: forward micro 0,
-// resolve (redo point), go, backward+reduce 0, then
+// driver used to hard-code, which every P=1 shape (DP, SP, mesh) still
+// runs: forward micro 0, resolve (redo point — forward 0 overlaps the
+// previous step's validation, §4.4), go, backward+reduce 0, then
 // forward/backward/reduce each remaining micro, speculate, report.
 func TestLegacyScheduleGolden(t *testing.T) {
 	goldens := map[int]string{
@@ -43,15 +45,16 @@ func TestLegacyScheduleGolden(t *testing.T) {
 		3: "F0 resolve go B0 R0 F1 B1 R1 F2 B2 R2 speculate report",
 	}
 	for micros, want := range goldens {
-		if got := opNames(legacySchedule(micros)); got != want {
-			t.Errorf("legacySchedule(%d):\n got %s\nwant %s", micros, got, want)
+		if got := opNames(stageSchedule(0, 1, micros)); got != want {
+			t.Errorf("stageSchedule(0, 1, %d):\n got %s\nwant %s", micros, got, want)
 		}
 	}
-	// legacyBuilder ignores the rank: every rank of a collective group
-	// must emit identical schedules or the channel collectives deadlock.
+	// At P=1 every rank is stage 0 (the coordinator passes rank%P):
+	// every rank of a collective group must emit identical schedules or
+	// the channel collectives deadlock.
 	for rank := 0; rank < 4; rank++ {
-		if got := opNames(legacyBuilder(rank, 2)); got != goldens[2] {
-			t.Errorf("legacyBuilder(%d, 2) = %s, want %s", rank, got, goldens[2])
+		if got := opNames(stageSchedule(rank%1, 1, 2)); got != goldens[2] {
+			t.Errorf("rank %d at P=1: %s, want %s", rank, got, goldens[2])
 		}
 	}
 }
@@ -65,8 +68,8 @@ func TestPipeScheduleGolden(t *testing.T) {
 		stage, stages, micros int
 		want                  string
 	}{
-		// P=1 degenerates to the legacy shape, modulo resolve-first.
-		{0, 1, 2, "resolve go F0 B0 R0 F1 B1 R1 speculate report"},
+		// P=1 is the legacy shape: forward 0 before resolve.
+		{0, 1, 2, "F0 resolve go B0 R0 F1 B1 R1 speculate report"},
 		// P=2, M=3: stage 0 warms up one forward, then steady 1F1B.
 		{0, 2, 3, "resolve go F0 sa0 F1 sa1 rg0 B0 R0 F2 sa2 rg1 B1 R1 rg2 B2 R2 speculate report"},
 		{1, 2, 3, "resolve go ra0 F0 B0 sg0 R0 ra1 F1 B1 sg1 R1 ra2 F2 B2 sg2 R2 speculate report"},
@@ -78,8 +81,8 @@ func TestPipeScheduleGolden(t *testing.T) {
 		{0, 4, 1, "resolve go F0 sa0 rg0 B0 R0 speculate report"},
 	}
 	for _, c := range cases {
-		if got := opNames(pipeSchedule(c.stage, c.stages, c.micros)); got != c.want {
-			t.Errorf("pipeSchedule(%d, %d, %d):\n got %s\nwant %s", c.stage, c.stages, c.micros, got, c.want)
+		if got := opNames(stageSchedule(c.stage, c.stages, c.micros)); got != c.want {
+			t.Errorf("stageSchedule(%d, %d, %d):\n got %s\nwant %s", c.stage, c.stages, c.micros, got, c.want)
 		}
 	}
 }
@@ -90,10 +93,13 @@ func TestPipeScheduleProperties(t *testing.T) {
 	for stages := 1; stages <= 5; stages++ {
 		for stage := 0; stage < stages; stage++ {
 			for micros := 1; micros <= 6; micros++ {
-				ops := pipeSchedule(stage, stages, micros)
+				ops := stageSchedule(stage, stages, micros)
 				name := fmt.Sprintf("stage %d/%d, %d micros", stage, stages, micros)
-				if ops[0].kind != opResolve || ops[1].kind != opGo {
+				if stages > 1 && (ops[0].kind != opResolve || ops[1].kind != opGo) {
 					t.Fatalf("%s: must open resolve, go; got %s", name, opNames(ops[:2]))
+				}
+				if stages == 1 && opNames(ops[:3]) != "F0 resolve go" {
+					t.Fatalf("%s: must open F0 resolve go; got %s", name, opNames(ops[:3]))
 				}
 				if ops[len(ops)-2].kind != opSpeculate || ops[len(ops)-1].kind != opReport {
 					t.Fatalf("%s: must close speculate, report", name)
@@ -151,6 +157,92 @@ func TestPipeScheduleProperties(t *testing.T) {
 					t.Fatalf("%s: max in-flight %d, want %d", name, maxInFlight, warmup+1)
 				}
 			}
+		}
+	}
+}
+
+// TestDegenerateAxesAreFree: a size-1 axis allocates no links, emits no
+// ops, and counts no traffic. (2,1,1) is the dense data-parallel shape —
+// no cell channels, no boundary FIFOs, the legacy schedule, all-zero
+// CommStats; (2,2,1) adds the sequence axis only — still no boundary
+// ops or stage traffic.
+func TestDegenerateAxesAreFree(t *testing.T) {
+	train := func(cfg Config) *Engine {
+		t.Helper()
+		eng, err := New(tinyGPT(42), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus := data.NewCorpus(64, 3)
+		for i := 0; i < 3; i++ {
+			if _, err := eng.Step(corpus.NextBatch(4, 8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := eng.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	boundaryOps := func(ops []scheduleOp) int {
+		n := 0
+		for _, op := range ops {
+			switch op.kind {
+			case opSendAct, opRecvAct, opSendGrad, opRecvGrad:
+				n++
+			}
+		}
+		return n
+	}
+
+	dense := train(shapeConfig(2, 1, 1))
+	defer dense.Close()
+	w := dense.w
+	if len(w.acts) != 0 || len(w.grads) != 0 {
+		t.Errorf("(2,1,1): %d+%d boundary link rows allocated", len(w.acts), len(w.grads))
+	}
+	for i, c := range w.cells {
+		if c.a2a != nil || c.ring != nil || c.flat != nil {
+			t.Errorf("(2,1,1): cell %d holds sequence-parallel channels", i)
+		}
+	}
+	for rank := 0; rank < w.N; rank++ {
+		if got, want := opNames(stageSchedule(rank%w.P, w.P, 2)), "F0 resolve go B0 R0 F1 B1 R1 speculate report"; got != want {
+			t.Errorf("(2,1,1) rank %d schedule:\n got %s\nwant %s", rank, got, want)
+		}
+	}
+	if cs := dense.CommStats(); cs != (SPCommStats{}) {
+		t.Errorf("(2,1,1): link-less shape counted traffic: %+v", cs)
+	}
+
+	mesh := train(shapeConfig(2, 2, 1))
+	defer mesh.Close()
+	w = mesh.w
+	if len(w.acts) != 0 || len(w.grads) != 0 {
+		t.Errorf("(2,2,1): %d+%d boundary link rows allocated", len(w.acts), len(w.grads))
+	}
+	for rank := 0; rank < w.N; rank++ {
+		if n := boundaryOps(stageSchedule(rank%w.P, w.P, 3)); n != 0 {
+			t.Errorf("(2,2,1) rank %d schedule carries %d boundary ops", rank, n)
+		}
+	}
+	cs := mesh.CommStats()
+	if cs.StageSends != 0 || cs.StageFloats != 0 {
+		t.Errorf("(2,2,1): stage traffic without a pipeline axis: %+v", cs)
+	}
+	if cs.A2APayloads == 0 || cs.RingHops == 0 {
+		t.Errorf("(2,2,1): sequence axis recorded no traffic: %+v", cs)
+	}
+
+	// S=1 under a pipeline: stages exist, sequence channels do not.
+	pipe, err := New(deepGPT(42), shapeConfig(1, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	for i, c := range pipe.w.cells {
+		if c.a2a != nil || c.ring != nil || c.flat != nil {
+			t.Errorf("(1,1,2): cell %d holds sequence-parallel channels", i)
 		}
 	}
 }

@@ -11,79 +11,6 @@ import (
 	"superoffload/internal/stv"
 )
 
-// spBaseConfig parameterizes the sequence-parallel equivalence runs over
-// tinyGPT (equivalence_test.go), whose 4 heads divide by every tested S.
-func spBaseConfig(seqRanks int) Config {
-	a := optim.DefaultConfig()
-	a.LR = 3e-3
-	return Config{
-		Ranks:       seqRanks,
-		Adam:        a,
-		Impl:        optim.GraceAdam,
-		ClipNorm:    1.0,
-		BucketElems: 20000,
-	}
-}
-
-// runSPPair trains an S-rank sequence-parallel engine and a single-rank
-// stv.Trainer on the same whole batches (no decomposition: the SP engine's
-// contract is exactness against the undivided single-rank step) and
-// returns both loss trajectories. Callers own Close.
-func runSPPair(t *testing.T, cfg Config, refCfg stv.Config, steps int, dataSeed uint64, batch, seq int) (*SPEngine, *stv.Trainer, []float64, []float64) {
-	t.Helper()
-	eng, err := NewSP(tinyGPT(42), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := stv.NewTrainer(tinyGPT(42), refCfg)
-
-	corpus := data.NewCorpus(64, dataSeed)
-	refCorpus := data.NewCorpus(64, dataSeed)
-	var spLosses, refLosses []float64
-	for i := 0; i < steps; i++ {
-		l, err := eng.Step(corpus.NextBatch(batch, seq))
-		if err != nil {
-			t.Fatal(err)
-		}
-		spLosses = append(spLosses, l)
-
-		rl, err := ref.Step(refCorpus.NextBatch(batch, seq))
-		if err != nil {
-			t.Fatal(err)
-		}
-		refLosses = append(refLosses, rl)
-	}
-	if _, err := eng.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return eng, ref, spLosses, refLosses
-}
-
-func assertSPTrajectory(t *testing.T, ranks int, spLosses, refLosses []float64, eng *SPEngine, ref *stv.Trainer) {
-	t.Helper()
-	for i := range spLosses {
-		if spLosses[i] != refLosses[i] {
-			t.Fatalf("S=%d: loss diverges at step %d: sp %v vs single-rank %v",
-				ranks, i, spLosses[i], refLosses[i])
-		}
-	}
-	sw, rw := eng.MasterWeights(), ref.MasterWeights()
-	if len(sw) != len(rw) {
-		t.Fatalf("S=%d: master sizes differ: %d vs %d", ranks, len(sw), len(rw))
-	}
-	for i := range sw {
-		if sw[i] != rw[i] {
-			t.Fatalf("S=%d: master weights diverge at %d: %v vs %v", ranks, i, sw[i], rw[i])
-		}
-	}
-	if eng.Stats() != ref.Stats() {
-		t.Errorf("S=%d: stats diverge: sp %+v vs single-rank %+v", ranks, eng.Stats(), ref.Stats())
-	}
-}
-
 // TestSPEquivalenceAcrossRanks is the engine's central invariant: for a
 // fixed seed and batch, S ∈ {1,2,4} sequence ranks reproduce the
 // single-rank trainer's loss trajectory on the SAME undivided batch bit
@@ -92,12 +19,12 @@ func assertSPTrajectory(t *testing.T, ranks int, spLosses, refLosses []float64, 
 // rollback path too.
 func TestSPEquivalenceAcrossRanks(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4} {
-		cfg := spBaseConfig(ranks)
-		eng, ref, spLosses, refLosses := runSPPair(t, cfg, stvConfig(cfg), 25, 123, 3, 8)
+		cfg := shapeConfig(1, ranks, 1)
+		eng, ref, spLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: stvConfig(cfg), steps: 25, accum: 1, dataSeed: 123, batch: 3, seq: 8})
 		if eng.Stats().Rollbacks() == 0 {
 			t.Errorf("S=%d: run triggered no rollbacks; equivalence untested on rollback path", ranks)
 		}
-		assertSPTrajectory(t, ranks, spLosses, refLosses, eng, ref)
+		assertSameTrajectory(t, spLosses, refLosses, eng, ref)
 		if cs := eng.CommStats(); ranks > 1 && (cs.A2APayloads == 0 || cs.RingHops == 0) {
 			t.Errorf("S=%d: no collective traffic recorded: %+v", ranks, cs)
 		}
@@ -112,19 +39,19 @@ func TestSPEquivalenceAcrossRanks(t *testing.T) {
 // gradient on the same step and must skip it identically.
 func TestSPEquivalenceWithInjectedOverflow(t *testing.T) {
 	for _, ranks := range []int{2, 4} {
-		cfg := spBaseConfig(ranks)
+		cfg := shapeConfig(1, ranks, 1)
 		cfg.InjectBad = func(step int) bool { return step == 5 || step == 9 }
 		cfg.Scaler = optim.NewLossScaler()
 		ref := stvConfig(cfg)
 		ref.Scaler = optim.NewLossScaler()
-		eng, trainer, spLosses, refLosses := runSPPair(t, cfg, ref, 15, 7, 2, 8)
+		eng, trainer, spLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: ref, steps: 15, accum: 1, dataSeed: 7, batch: 2, seq: 8})
 		if eng.Stats().SkipRolls != 2 {
 			t.Errorf("S=%d: skip rollbacks = %d, want 2", ranks, eng.Stats().SkipRolls)
 		}
 		if cfg.Scaler.Scale != ref.Scaler.Scale {
 			t.Errorf("S=%d: loss scales diverge: %v vs %v", ranks, cfg.Scaler.Scale, ref.Scaler.Scale)
 		}
-		assertSPTrajectory(t, ranks, spLosses, refLosses, eng, trainer)
+		assertSameTrajectory(t, spLosses, refLosses, eng, trainer)
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -134,14 +61,14 @@ func TestSPEquivalenceWithInjectedOverflow(t *testing.T) {
 // TestSPEquivalenceWithSchedule: exactness must survive a moving learning
 // rate, including clip re-execution with the rolled-back step's own rate.
 func TestSPEquivalenceWithSchedule(t *testing.T) {
-	cfg := spBaseConfig(2)
+	cfg := shapeConfig(1, 2, 1)
 	cfg.ClipNorm = 2.5
 	cfg.Schedule = stv.WarmupCosine(5, 20, 0.1)
-	eng, ref, spLosses, refLosses := runSPPair(t, cfg, stvConfig(cfg), 20, 17, 2, 8)
+	eng, ref, spLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: stvConfig(cfg), steps: 20, accum: 1, dataSeed: 17, batch: 2, seq: 8})
 	if eng.Stats().ClipRolls == 0 {
 		t.Error("test needs clip events to be meaningful")
 	}
-	assertSPTrajectory(t, 2, spLosses, refLosses, eng, ref)
+	assertSameTrajectory(t, spLosses, refLosses, eng, ref)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +79,8 @@ func TestSPEquivalenceWithSchedule(t *testing.T) {
 // single-rank trainer accumulating the same M whole micro-batches.
 func TestSPStepAccumEquivalence(t *testing.T) {
 	const ranks, accum, steps = 2, 3, 10
-	cfg := spBaseConfig(ranks)
-	eng, err := NewSP(tinyGPT(42), cfg)
+	cfg := shapeConfig(1, ranks, 1)
+	eng, err := New(tinyGPT(42), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +128,7 @@ func TestSPStepAccumEquivalence(t *testing.T) {
 func TestSPWithNVMeStores(t *testing.T) {
 	dir := t.TempDir()
 	for _, ranks := range []int{2, 4} {
-		cfg := spBaseConfig(ranks)
+		cfg := shapeConfig(1, ranks, 1)
 		cfg.BucketElems = 8000 // more buckets than the resident window
 		cfg.NewStore = func(rank int) (stv.BucketStore, error) {
 			return stv.NewNVMeStore(stv.NVMeStoreConfig{
@@ -210,8 +137,8 @@ func TestSPWithNVMeStores(t *testing.T) {
 		}
 		refCfg := stvConfig(cfg)
 		refCfg.BucketElems = cfg.BucketElems
-		eng, ref, spLosses, refLosses := runSPPair(t, cfg, refCfg, 15, 123, 2, 8)
-		assertSPTrajectory(t, ranks, spLosses, refLosses, eng, ref)
+		eng, ref, spLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: refCfg, steps: 15, accum: 1, dataSeed: 123, batch: 2, seq: 8})
+		assertSameTrajectory(t, spLosses, refLosses, eng, ref)
 		if tel, ok := eng.StoreTelemetry(); !ok || tel.Reads == 0 {
 			t.Errorf("S=%d: NVMe stores produced no telemetry (ok=%v, %+v)", ranks, ok, tel)
 		}
@@ -227,9 +154,9 @@ func TestSPWithNVMeStores(t *testing.T) {
 // store backends.
 func TestSPCheckpointPortability(t *testing.T) {
 	const steps, batch, seq = 10, 2, 8
-	train := func(ranks int) ([]byte, *SPEngine) {
-		cfg := spBaseConfig(ranks)
-		eng, err := NewSP(tinyGPT(42), cfg)
+	train := func(ranks int) ([]byte, *Engine) {
+		cfg := shapeConfig(1, ranks, 1)
+		eng, err := New(tinyGPT(42), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +187,7 @@ func TestSPCheckpointPortability(t *testing.T) {
 	}
 
 	// Single-rank trainer on the same trajectory writes the same bytes.
-	cfg := spBaseConfig(1)
+	cfg := shapeConfig(1, 1, 1)
 	ref := stv.NewTrainer(tinyGPT(42), stvConfig(cfg))
 	corpus := data.NewCorpus(64, 5)
 	for i := 0; i < steps; i++ {
@@ -293,11 +220,11 @@ func TestSPCheckpointPortability(t *testing.T) {
 		}
 		return out
 	}
-	cfg2 := spBaseConfig(2)
+	cfg2 := shapeConfig(1, 2, 1)
 	cfg2.NewStore = func(rank int) (stv.BucketStore, error) {
 		return stv.NewNVMeStore(stv.NVMeStoreConfig{Dir: t.TempDir(), ResidentBuckets: 2})
 	}
-	restored, err := NewSP(tinyGPT(1), cfg2)
+	restored, err := New(tinyGPT(1), cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,9 +258,9 @@ func TestSPCheckpointPortability(t *testing.T) {
 // land on bit-identical weights across the sequence-parallel engine.
 func TestSPSynchronousMatchesSTV(t *testing.T) {
 	run := func(sync bool) []float32 {
-		cfg := spBaseConfig(2)
+		cfg := shapeConfig(1, 2, 1)
 		cfg.Synchronous = sync
-		eng, err := NewSP(tinyGPT(42), cfg)
+		eng, err := New(tinyGPT(42), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,8 +287,8 @@ func TestSPSynchronousMatchesSTV(t *testing.T) {
 // TestSPTrainingLearns: beyond exactness, the sequence-parallel engine
 // must actually train.
 func TestSPTrainingLearns(t *testing.T) {
-	cfg := spBaseConfig(4)
-	eng, err := NewSP(tinyGPT(42), cfg)
+	cfg := shapeConfig(1, 4, 1)
+	eng, err := New(tinyGPT(42), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,17 +316,17 @@ func TestSPTrainingLearns(t *testing.T) {
 
 // TestSPValidation covers construction- and step-time guards.
 func TestSPValidation(t *testing.T) {
-	if _, err := NewSP(nil, spBaseConfig(2)); err == nil {
+	if _, err := New(nil, shapeConfig(1, 2, 1)); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := NewSP(tinyGPT(1), spBaseConfig(0)); err == nil {
-		t.Error("zero ranks accepted")
+	if _, err := New(tinyGPT(1), shapeConfig(1, -1, 1)); err == nil {
+		t.Error("negative ranks accepted")
 	}
 	// tinyGPT has 4 heads; 3 ranks can never divide them.
-	if _, err := NewSP(tinyGPT(1), spBaseConfig(3)); err == nil {
+	if _, err := New(tinyGPT(1), shapeConfig(1, 3, 1)); err == nil {
 		t.Error("indivisible head count accepted")
 	}
-	eng, err := NewSP(tinyGPT(1), spBaseConfig(2))
+	eng, err := New(tinyGPT(1), shapeConfig(1, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

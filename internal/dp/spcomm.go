@@ -7,11 +7,30 @@ import (
 	"superoffload/internal/obs"
 )
 
-// linkTelemetry counts sequence-parallel link traffic: all-to-all
+// SPCommStats counts the engine's link traffic: all-to-all
 // payloads/floats (two exchanges per layer per pass), weight-gradient
-// ring hops/floats, and (under the pipeline engine) stage-boundary
-// tensor sends/floats. Ranks update the counters concurrently; totals
-// are deterministic for a fixed model and step count.
+// ring hops/floats, and stage-boundary tensor sends/floats.
+// Deterministic for a fixed model and step count; all-zero on the dense
+// S=P=1 shape, which has none of these links.
+type SPCommStats struct {
+	// A2APayloads and A2AFloats count cross-rank attention-exchange
+	// payloads and their total float32 volume.
+	A2APayloads int64
+	A2AFloats   int64
+	// RingHops and RingFloats count weight-gradient ring hops and the
+	// total float32 volume they carried.
+	RingHops   int64
+	RingFloats int64
+	// StageSends and StageFloats count pipeline stage-boundary tensor
+	// sends (activations downstream + gradients upstream) and their total
+	// float32 volume. Zero at P=1.
+	StageSends  int64
+	StageFloats int64
+}
+
+// linkTelemetry is the live form of SPCommStats. Ranks update the
+// counters concurrently; totals are deterministic for a fixed model and
+// step count.
 type linkTelemetry struct {
 	a2aPayloads atomic.Int64
 	a2aFloats   atomic.Int64
@@ -26,11 +45,11 @@ type linkTelemetry struct {
 	track *obs.Track
 }
 
-// attach wires the counters to a tracer's "comm" track (no-op on nil).
-func (t *linkTelemetry) attach(tr *obs.Tracer) {
-	if tr != nil {
-		t.track = tr.Track("comm")
-	}
+// countStage records one stage-boundary tensor send of n floats.
+func (t *linkTelemetry) countStage(name string, n int) {
+	t.stageSends.Add(1)
+	t.stageFloats.Add(int64(n))
+	t.track.InstantInt(name, "floats", n)
 }
 
 // snapshot renders the counters as the public stats type.
@@ -45,14 +64,15 @@ func (t *linkTelemetry) snapshot() SPCommStats {
 	}
 }
 
-// spLinks is one sequence-parallel group's collective links: S ranks
-// each own a contiguous sequence shard of every batch row, so the links
-// carry the per-layer all-to-alls that flip attention between sequence
-// and head sharding (§4.7's two collectives per layer per pass) and the
-// weight-gradient ring whose hops visit (batch row, shard) pairs in
-// ascending global row order so the reduced gradient reproduces the
-// single-rank fold bit for bit. The sequence-parallel engine has one
-// group; the mesh engine has one per data-parallel replica group.
+// spLinks is one cell's collective links: the S ranks of a (group, stage)
+// cell each own a contiguous sequence shard of every batch row, so the
+// links carry the per-layer all-to-alls that flip attention between
+// sequence and head sharding (§4.7's two collectives per layer per pass)
+// and the weight-gradient ring whose hops visit (batch row, shard) pairs
+// in ascending global row order so the reduced gradient reproduces the
+// single-rank fold bit for bit. An S=1 cell holds no channels: its
+// exchange is the identity (nn.SP short-circuits it) and its ring is a
+// local replay.
 type spLinks struct {
 	S   int            // sequence ranks in this group
 	tel *linkTelemetry // shared traffic counters
@@ -66,9 +86,12 @@ type spLinks struct {
 	flat []chan []float32
 }
 
-// newSPLinks wires one group's collective links for s sequence ranks.
+// newSPLinks wires one cell's collective links for s sequence ranks.
 func newSPLinks(s int, tel *linkTelemetry) *spLinks {
 	l := &spLinks{S: s, tel: tel}
+	if s == 1 {
+		return l
+	}
 	l.ring = make([]chan []float32, s)
 	l.flat = make([]chan []float32, s)
 	for i := 0; i < s; i++ {
@@ -110,34 +133,40 @@ func (l *spLinks) allToAll(rank int, payloads [][]float32) [][]float32 {
 }
 
 // ringReduce chains one micro-batch's weight-gradient accumulation
-// through the group's ranks and returns the completed flat reduction:
+// through the cell's ranks and returns the completed flat reduction:
 // the buffer hops (batch row, shard) pairs in lexicographic order —
 // ascending global row order — with each hop replaying that shard's
 // per-row contributions on top of the received partial
 // (nn.SPCache.AccumBatchRow). The last hop broadcasts the finished
-// buffer to every rank in the group; each caller receives its copy of
+// buffer to every rank in the cell; each caller receives its copy of
 // the broadcast (the same underlying slice — receivers only read it).
 // Rank 0 seeds each micro-batch's ring via seed (see flatSeeder for the
-// buffer-reuse discipline).
+// buffer-reuse discipline). With S=1 the lone rank folds its rows in
+// place and no channel is touched.
 func (l *spLinks) ringReduce(local int, cache *nn.SPCache, batchRows int, seed func() []float32) []float32 {
+	var buf []float32
 	for b := 0; b < batchRows; b++ {
-		var buf []float32
-		if local == 0 && b == 0 {
+		switch {
+		case local == 0 && b == 0:
 			buf = seed()
-		} else {
+		case l.S > 1:
 			buf = <-l.ring[local]
 		}
 		cache.AccumBatchRow(buf, b)
 		l.tel.ringHops.Add(1)
 		l.tel.ringFloats.Add(int64(len(buf)))
-		if local == l.S-1 && b == batchRows-1 {
+		switch {
+		case local == l.S-1 && b == batchRows-1:
 			l.tel.track.InstantInt("ringBroadcast", "floats", len(buf))
-			for d := 0; d < l.S; d++ {
+			for d := 0; d < len(l.flat); d++ {
 				l.flat[d] <- buf
 			}
-		} else {
+		case l.S > 1:
 			l.ring[(local+1)%l.S] <- buf
 		}
+	}
+	if l.S == 1 {
+		return buf
 	}
 	return <-l.flat[local]
 }
@@ -146,8 +175,8 @@ func (l *spLinks) ringReduce(local int, cache *nn.SPCache, batchRows int, seed f
 // buffers, alternating two: a buffer seeded at micro m is not reused
 // before micro m+2, by which point every rank in the group has finished
 // reading micro m's reduction (it must have, to have contributed its
-// micro m+1 ring hops). Cross-group consumers (the mesh's reduce links)
-// never see these buffers — delegates stage copies.
+// micro m+1 ring hops). Cross-cell consumers (the reduce links) never
+// see these buffers — delegates stage copies.
 type flatSeeder struct {
 	bufs [2][]float32
 	seq  int
@@ -167,18 +196,4 @@ func (f *flatSeeder) next(n int) []float32 {
 		buf[j] = 0
 	}
 	return buf
-}
-
-// spWorld is the sequence-parallel engine's interconnect: the shared
-// world core plus one group of sequence-parallel links.
-type spWorld struct {
-	*world
-	links *spLinks
-	tel   *linkTelemetry
-}
-
-// newSPWorld wires the links for s sequence ranks over b buckets.
-func newSPWorld(s, b int) *spWorld {
-	tel := &linkTelemetry{}
-	return &spWorld{world: newWorld(s, b), links: newSPLinks(s, tel), tel: tel}
 }

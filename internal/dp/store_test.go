@@ -22,7 +22,7 @@ func nvmeFactory(t *testing.T) func(rank int) (stv.BucketStore, error) {
 // nvmeConfig shrinks buckets so each rank's ZeRO shard spans several
 // buckets and genuinely streams through its store window.
 func nvmeConfig(t *testing.T, ranks int) Config {
-	cfg := baseConfig(ranks)
+	cfg := shapeConfig(ranks, 1, 1)
 	cfg.BucketElems = 4000
 	cfg.NewStore = nvmeFactory(t)
 	return cfg
@@ -36,14 +36,14 @@ func TestEquivalenceAcrossRanksNVMe(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4} {
 		cfg := nvmeConfig(t, ranks)
 		ref := stvConfig(cfg) // single-rank reference stays DRAM-resident
-		eng, trainer, dpLosses, refLosses := runPair(t, cfg, ref, 25, 123, 4)
+		eng, trainer, dpLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: ref, steps: 25, accum: 1, dataSeed: 123, batch: 4, seq: 8})
 		if eng.Stats().Rollbacks() == 0 {
 			t.Errorf("R=%d: no rollbacks; equivalence untested on rollback path", ranks)
 		}
 		if _, ok := eng.StoreTelemetry(); !ok {
 			t.Fatalf("R=%d: engine is not using NVMe stores", ranks)
 		}
-		assertSameTrajectory(t, ranks, dpLosses, refLosses, eng, trainer)
+		assertSameTrajectory(t, dpLosses, refLosses, eng, trainer)
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -60,11 +60,11 @@ func TestEquivalenceWithInjectedOverflowNVMe(t *testing.T) {
 		cfg.Scaler = optim.NewLossScaler()
 		ref := stvConfig(cfg)
 		ref.Scaler = optim.NewLossScaler()
-		eng, trainer, dpLosses, refLosses := runPair(t, cfg, ref, 15, 7, 4)
+		eng, trainer, dpLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: ref, steps: 15, accum: 1, dataSeed: 7, batch: 4, seq: 8})
 		if eng.Stats().SkipRolls != 2 {
 			t.Errorf("R=%d: skip rollbacks = %d, want 2", ranks, eng.Stats().SkipRolls)
 		}
-		assertSameTrajectory(t, ranks, dpLosses, refLosses, eng, trainer)
+		assertSameTrajectory(t, dpLosses, refLosses, eng, trainer)
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestEquivalenceWithInjectedOverflowNVMe(t *testing.T) {
 func TestCheckpointPortableAcrossStoresAndRanks(t *testing.T) {
 	const warm, cont = 10, 8
 	mk := func(ranks int, nvme bool) *Engine {
-		cfg := baseConfig(ranks)
+		cfg := shapeConfig(ranks, 1, 1)
 		cfg.BucketElems = 4000
 		if nvme {
 			cfg.NewStore = nvmeFactory(t)

@@ -6,7 +6,6 @@ import (
 
 	"superoffload/internal/core"
 	"superoffload/internal/hw"
-	"superoffload/internal/metrics"
 	"superoffload/internal/model"
 	"superoffload/internal/optim"
 	"superoffload/internal/sched"
@@ -53,7 +52,7 @@ func Table2() []Table2Row {
 
 // RenderTable2 formats the ladder like the paper's Table 2.
 func RenderTable2(rows []Table2Row) string {
-	t := metrics.NewTable("GraceAdam", "Cast Optim.", "STV", "Buck. Repart.", "Throughput")
+	t := newTable("GraceAdam", "Cast Optim.", "STV", "Buck. Repart.", "Throughput")
 	mark := func(b bool) string {
 		if b {
 			return "yes"
@@ -139,7 +138,7 @@ func measureAdam(impl optim.Impl, n int) float64 {
 
 // RenderTable3 formats modeled and measured latencies side by side.
 func RenderTable3(rows []Table3Row) string {
-	t := metrics.NewTable("#Params", "PT-CPU (s)", "CPU-Adam (s)", "GraceAdam (s)", "PT/Grace", "CPU/Grace")
+	t := newTable("#Params", "PT-CPU (s)", "CPU-Adam (s)", "GraceAdam (s)", "PT/Grace", "CPU/Grace")
 	for _, r := range rows {
 		t.AddStrings(fmt.Sprintf("%d billion", r.Params/1e9),
 			fmt.Sprintf("%.3f", r.ModelPTCPU), fmt.Sprintf("%.3f", r.ModelCPUAdam),
@@ -150,9 +149,9 @@ func RenderTable3(rows []Table3Row) string {
 	out := "Table 3: Adam latency, Grace-scale model\n" + t.String()
 	if len(rows) > 0 {
 		r := rows[0]
-		m := metrics.NewTable("#Params (measured)", "PT-CPU", "CPU-Adam", "GraceAdam", "PT/Grace", "CPU/Grace")
+		m := newTable("#Params (measured)", "PT-CPU", "CPU-Adam", "GraceAdam", "PT/Grace", "CPU/Grace")
 		m.AddStrings(fmt.Sprintf("%dM (this host)", r.MeasuredParams>>20),
-			metrics.Seconds(r.MeasPTCPU), metrics.Seconds(r.MeasCPUAdam), metrics.Seconds(r.MeasGrace),
+			seconds(r.MeasPTCPU), seconds(r.MeasCPUAdam), seconds(r.MeasGrace),
 			fmt.Sprintf("%.2fx", r.MeasPTCPU/r.MeasGrace),
 			fmt.Sprintf("%.2fx", r.MeasCPUAdam/r.MeasGrace))
 		out += "\nReal Go kernels measured on this machine:\n" + m.String()
@@ -184,7 +183,7 @@ func Fig12() []Fig12Panel {
 func RenderFig12(panels []Fig12Panel) string {
 	out := "Fig. 12: sequence length scaling and MFU (Ulysses vs SuperOffload-Ulysses)\n"
 	for _, p := range panels {
-		t := metrics.NewTable("Seq", ulysses.Vanilla.String()+" MFU", ulysses.SuperOffloadUlysses.String()+" MFU")
+		t := newTable("Seq", ulysses.Vanilla.String()+" MFU", ulysses.SuperOffloadUlysses.String()+" MFU")
 		bySeq := map[int][2]string{}
 		for _, pt := range p.Points {
 			cell := "OOM"

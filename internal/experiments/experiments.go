@@ -13,7 +13,6 @@ import (
 	"superoffload/internal/baselines"
 	"superoffload/internal/core"
 	"superoffload/internal/hw"
-	"superoffload/internal/metrics"
 	"superoffload/internal/model"
 	"superoffload/internal/sched"
 )
@@ -59,7 +58,7 @@ func Table1() []Table1Row {
 
 // RenderTable1 formats Table1 like the paper.
 func RenderTable1() string {
-	t := metrics.NewTable("Node Arch", "CPU BW (GB/s)", "C<->GPU BW (GB/s)", "CPU Cores", "CPU TFLOPS", "GPU TFLOPS", "GPU/CPU")
+	t := newTable("Node Arch", "CPU BW (GB/s)", "C<->GPU BW (GB/s)", "CPU Cores", "CPU TFLOPS", "GPU TFLOPS", "GPU/CPU")
 	for _, r := range Table1() {
 		t.Add(r.Node, r.CPUBWGBs, r.LinkBWGBs, r.CPUCores, r.CPUTFLOPS, r.GPUTFLOPS, r.FLOPSRatio)
 	}
@@ -99,14 +98,14 @@ func fig38(speculative bool, gpuBuckets int) (string, sched.SteadyStats) {
 func Fig3() string {
 	g, st := fig38(false, 0)
 	return fmt.Sprintf("Fig. 3: ZeRO-Offload STE schedule (5B, bsz 8)\nGPU idle: %s per iteration\n%s",
-		metrics.Pct(st.GPUIdleFrac), g)
+		pct(st.GPUIdleFrac), g)
 }
 
 // Fig8 renders the SuperOffload speculation-then-validation schedule.
 func Fig8() string {
 	g, st := fig38(true, 4)
 	return fmt.Sprintf("Fig. 8: SuperOffload STV schedule (5B, bsz 8)\nGPU idle: %s per iteration\n%s",
-		metrics.Pct(st.GPUIdleFrac), g)
+		pct(st.GPUIdleFrac), g)
 }
 
 // ---- Fig. 4 / Fig. 15: GPU idle time ----
@@ -143,9 +142,9 @@ func Fig15() []IdleRow {
 
 // RenderIdle formats Fig. 4 / Fig. 15 rows.
 func RenderIdle(title string, rows []IdleRow) string {
-	t := metrics.NewTable("Setting", "System", "GPU idle")
+	t := newTable("Setting", "System", "GPU idle")
 	for _, r := range rows {
-		t.AddStrings(r.Setting, r.System, metrics.Pct(r.IdleFrac))
+		t.AddStrings(r.Setting, r.System, pct(r.IdleFrac))
 	}
 	return title + "\n" + t.String()
 }
@@ -159,7 +158,7 @@ func Fig6() []core.EfficiencyPoint {
 
 // RenderFig6 formats the sweep as one series per batch size.
 func RenderFig6() string {
-	t := metrics.NewTable("BW (GB/s)", "Bsz1 (%)", "Bsz2 (%)", "Bsz4 (%)")
+	t := newTable("BW (GB/s)", "Bsz1 (%)", "Bsz2 (%)", "Bsz4 (%)")
 	pts := Fig6()
 	for _, bw := range core.Fig6Bandwidths {
 		row := []string{fmt.Sprintf("%.0f", bw)}
@@ -184,7 +183,7 @@ func Fig7() []hw.BandwidthPoint {
 
 // RenderFig7 formats the sweep.
 func RenderFig7() string {
-	t := metrics.NewTable("Tensor (MB)", "CPU->GPU (GB/s)", "GPU->CPU (GB/s)")
+	t := newTable("Tensor (MB)", "CPU->GPU (GB/s)", "GPU->CPU (GB/s)")
 	for _, p := range Fig7() {
 		t.AddStrings(fmt.Sprintf("%.2f", float64(p.SizeBytes)/(1<<20)),
 			fmt.Sprintf("%.0f", p.H2DBps/1e9), fmt.Sprintf("%.0f", p.D2HBps/1e9))
@@ -201,7 +200,7 @@ func Fig9() []core.CastCostPoint {
 
 // RenderFig9 formats the sweep.
 func RenderFig9() string {
-	t := metrics.NewTable("Tensor (MB)", "Cast_cpu+Move_fp16 (ms)", "Cast_gpu+Move_fp32 (ms)")
+	t := newTable("Tensor (MB)", "Cast_cpu+Move_fp16 (ms)", "Cast_gpu+Move_fp32 (ms)")
 	for _, p := range Fig9() {
 		t.AddStrings(fmt.Sprintf("%d", p.SizeMB),
 			fmt.Sprintf("%.2f", p.CastCPUMs), fmt.Sprintf("%.2f", p.CastGPUMs))
@@ -266,7 +265,7 @@ func RenderThroughput(title string, cells []ThroughputCell) string {
 			systems = append(systems, c.System)
 		}
 	}
-	t := metrics.NewTable(append([]string{"Model"}, systems...)...)
+	t := newTable(append([]string{"Model"}, systems...)...)
 	byModel := map[string][]ThroughputCell{}
 	var order []string
 	for _, c := range cells {
@@ -320,7 +319,7 @@ func Fig13() []ScaleRow {
 
 // RenderFig13 formats the capacity matrix.
 func RenderFig13(rows []ScaleRow) string {
-	t := metrics.NewTable("System", "1 chip", "4 chips", "16 chips")
+	t := newTable("System", "1 chip", "4 chips", "16 chips")
 	bySys := map[string]map[int]string{}
 	var order []string
 	for _, r := range rows {

@@ -5,7 +5,6 @@ import (
 
 	"superoffload/internal/baselines"
 	"superoffload/internal/hw"
-	"superoffload/internal/metrics"
 	"superoffload/internal/model"
 	"superoffload/internal/sched"
 )
@@ -23,7 +22,7 @@ func ExtNVMe() string {
 	maxNVMe := sched.MaxTrainable(nvme, cl, 8, 1024)
 	maxDDR := sched.MaxTrainable(ddr, cl, 8, 1024)
 
-	t := metrics.NewTable("Model", "ZeRO-Infinity (DDR) TFLOPS", "ZeRO-Infinity+NVMe TFLOPS")
+	t := newTable("Model", "ZeRO-Infinity (DDR) TFLOPS", "ZeRO-Infinity+NVMe TFLOPS")
 	for _, name := range []string{"5B", "13B", "25B", "50B", "150B", "200B"} {
 		m, err := model.ByName(name)
 		if err != nil {

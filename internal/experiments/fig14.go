@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"superoffload/internal/data"
-	"superoffload/internal/metrics"
 	"superoffload/internal/model"
 	"superoffload/internal/nn"
 	"superoffload/internal/optim"
@@ -171,7 +170,7 @@ func RenderFig14(real Fig14RealResult, env Fig14EnvelopeResult) string {
 	out += fmt.Sprintf("  late rollbacks: %d (%.2f%% of post-warm-up steps; paper: 93 = 0.12%%)\n",
 		env.LateRolls, 100*env.LateRate)
 	out += fmt.Sprintf("  post-warm-up rollback overhead at %.0fs each: %s (paper: <200s over 79k steps)\n",
-		rollbackCostSeconds, metrics.Seconds(rollbackCostSeconds*float64(env.LateRolls)))
+		rollbackCostSeconds, seconds(rollbackCostSeconds*float64(env.LateRolls)))
 	if len(env.LossCurve) >= 2 {
 		out += fmt.Sprintf("  loss: %.3f @start -> %.3f @end\n",
 			env.LossCurve[0], env.LossCurve[len(env.LossCurve)-1])

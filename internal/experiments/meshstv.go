@@ -90,7 +90,7 @@ func ExtMeshSTV() string {
 	}
 
 	run := func(r, s int, newStore func(rank int) (stv.BucketStore, error)) ([]float64, stv.Stats, dp.SPCommStats, []byte) {
-		eng, err := dp.NewMesh(nn.NewGPT(cfg, seq, tensor.NewRNG(21)), dp.Config{
+		eng, err := dp.New(nn.NewGPT(cfg, seq, tensor.NewRNG(21)), dp.Config{
 			Ranks: r, SeqRanks: s, Adam: adam, Impl: optim.GraceAdam, ClipNorm: 3.0,
 			BucketElems: bucketElems, NewStore: newStore,
 		})

@@ -81,7 +81,7 @@ func ExtPipeSTV() string {
 	}
 
 	run := func(r, s, p int, newStore func(rank int) (stv.BucketStore, error)) ([]float64, stv.Stats, dp.SPCommStats, []byte) {
-		eng, err := dp.NewPipe(nn.NewGPT(cfg, seq, tensor.NewRNG(21)), dp.Config{
+		eng, err := dp.New(nn.NewGPT(cfg, seq, tensor.NewRNG(21)), dp.Config{
 			Ranks: r, SeqRanks: s, PipeRanks: p, Adam: adam, Impl: optim.GraceAdam,
 			ClipNorm: 3.0, BucketElems: bucketElems, NewStore: newStore,
 		})

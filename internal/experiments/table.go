@@ -1,25 +1,25 @@
-// Package metrics provides the small formatting helpers the experiment
-// harness and CLIs share: fixed-width tables and unit formatting.
-package metrics
+package experiments
+
+// Fixed-width tables and unit formatting for the rendered experiments.
 
 import (
 	"fmt"
 	"strings"
 )
 
-// Table accumulates rows for fixed-width rendering.
-type Table struct {
+// table accumulates rows for fixed-width rendering.
+type table struct {
 	header []string
 	rows   [][]string
 }
 
-// NewTable creates a table with the given column headers.
-func NewTable(header ...string) *Table {
-	return &Table{header: header}
+// newTable creates a table with the given column headers.
+func newTable(header ...string) *table {
+	return &table{header: header}
 }
 
 // Add appends one row; values are formatted with %v.
-func (t *Table) Add(cells ...interface{}) {
+func (t *table) Add(cells ...interface{}) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
@@ -33,10 +33,10 @@ func (t *Table) Add(cells ...interface{}) {
 }
 
 // AddStrings appends one pre-formatted row.
-func (t *Table) AddStrings(cells ...string) { t.rows = append(t.rows, cells) }
+func (t *table) AddStrings(cells ...string) { t.rows = append(t.rows, cells) }
 
 // String renders the table with aligned columns.
-func (t *Table) String() string {
+func (t *table) String() string {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {
 		widths[i] = len(h)
@@ -70,17 +70,8 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
-// TFLOPS formats a FLOP/s value in TFLOPS.
-func TFLOPS(flopsPerSec float64) string { return fmt.Sprintf("%.1f", flopsPerSec/1e12) }
-
-// GiB formats bytes in binary gigabytes.
-func GiB(b int64) string { return fmt.Sprintf("%.1f GiB", float64(b)/(1<<30)) }
-
-// Seconds formats a duration with adaptive precision.
-func Seconds(s float64) string {
+// seconds formats a duration with adaptive precision.
+func seconds(s float64) string {
 	switch {
 	case s < 1e-3:
 		return fmt.Sprintf("%.1f µs", s*1e6)
@@ -91,5 +82,5 @@ func Seconds(s float64) string {
 	}
 }
 
-// Pct formats a fraction as a percentage.
-func Pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
+// pct formats a fraction as a percentage.
+func pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }

@@ -1,4 +1,4 @@
-package metrics
+package experiments
 
 import (
 	"strings"
@@ -6,7 +6,7 @@ import (
 )
 
 func TestTableAlignment(t *testing.T) {
-	tb := NewTable("Name", "Value")
+	tb := newTable("Name", "Value")
 	tb.Add("short", 1.5)
 	tb.Add("a-much-longer-name", 123456.789)
 	tb.AddStrings("raw", "cell")
@@ -28,29 +28,23 @@ func TestTableAlignment(t *testing.T) {
 	if !strings.Contains(out, "123456.79") {
 		t.Errorf("float formatting wrong:\n%s", out)
 	}
-	if tb.Rows() != 3 {
-		t.Errorf("rows = %d", tb.Rows())
+	if len(tb.rows) != 3 {
+		t.Errorf("rows = %d", len(tb.rows))
 	}
 }
 
 func TestFormatters(t *testing.T) {
-	if TFLOPS(2.5e12) != "2.5" {
-		t.Errorf("TFLOPS: %s", TFLOPS(2.5e12))
-	}
-	if GiB(96<<30) != "96.0 GiB" {
-		t.Errorf("GiB: %s", GiB(96<<30))
-	}
 	cases := map[float64]string{
 		5e-7: "0.5 µs",
 		5e-3: "5.00 ms",
 		2.5:  "2.500 s",
 	}
 	for in, want := range cases {
-		if got := Seconds(in); got != want {
-			t.Errorf("Seconds(%v) = %s, want %s", in, got, want)
+		if got := seconds(in); got != want {
+			t.Errorf("seconds(%v) = %s, want %s", in, got, want)
 		}
 	}
-	if Pct(0.123) != "12.3%" {
-		t.Errorf("Pct: %s", Pct(0.123))
+	if pct(0.123) != "12.3%" {
+		t.Errorf("Pct: %s", pct(0.123))
 	}
 }

@@ -60,8 +60,8 @@ func ExtUlyssesSTV() string {
 	}
 
 	run := func(s int, newStore func(rank int) (stv.BucketStore, error)) ([]float64, stv.Stats, dp.SPCommStats, []byte) {
-		eng, err := dp.NewSP(nn.NewGPT(cfg, seq, tensor.NewRNG(21)), dp.Config{
-			Ranks: s, Adam: adam, Impl: optim.GraceAdam, ClipNorm: 3.0,
+		eng, err := dp.New(nn.NewGPT(cfg, seq, tensor.NewRNG(21)), dp.Config{
+			SeqRanks: s, Adam: adam, Impl: optim.GraceAdam, ClipNorm: 3.0,
 			BucketElems: bucketElems, NewStore: newStore,
 		})
 		if err != nil {

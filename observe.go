@@ -60,10 +60,9 @@ type actSource interface {
 type commSource interface{ CommStats() SPCommStats }
 
 // RegisterMetrics registers live telemetry providers for an engine
-// (any Engine/DPEngine/SPEngine/MeshEngine/PipeEngine value) on the
-// registry: validation stats, NVMe store accounting, placement clocks,
-// activation tier traffic, and link traffic — whichever surfaces the
-// engine exposes. Each Gather re-reads the engine, so the registry
+// (an Engine or MeshEngine value) on the registry: validation stats,
+// NVMe store accounting, placement clocks, activation tier traffic, and
+// link traffic — whichever surfaces the engine exposes. Each Gather re-reads the engine, so the registry
 // serves mid-run values; every read path is lock-protected engine-side,
 // making polling safe during training. Registering the same engine
 // twice double-counts: Gather sums same-named samples.
@@ -90,6 +89,11 @@ func RegisterMetrics(reg *MetricsRegistry, engine any) {
 		})
 	}
 	if s, ok := engine.(commSource); ok {
-		reg.Register(func() (MetricSource, bool) { return s.CommStats(), true })
+		// Silent until a link carries something: a shape without
+		// sequence or pipeline links publishes no comm metrics.
+		reg.Register(func() (MetricSource, bool) {
+			cs := s.CommStats()
+			return cs, cs != SPCommStats{}
+		})
 	}
 }

@@ -10,15 +10,15 @@
 //   - A real training engine (Init/Step, mirroring the paper's Fig. 1
 //     two-line enablement) that trains an actual GPT on real numerics with
 //     speculative per-bucket Adam steps, background validation, and exact
-//     rollback — plus its multi-superchip variants: InitDP runs R
-//     data-parallel ranks with ZeRO-sharded optimizer state, bucketized
-//     gradient reduce-scatter, and post-step weight all-gather, and
-//     InitSP runs S sequence-parallel ranks (SuperOffload-Ulysses, §4.7)
-//     with per-layer attention all-to-alls and a deterministic
-//     weight-gradient ring, and InitMesh composes the two into an R×S
-//     mesh (R data-parallel groups of S sequence ranks, the paper's
-//     multi-superchip evaluation shape) — all on loss trajectories
-//     bit-identical to the single-rank engine.
+//     rollback — plus its multi-superchip form: InitMesh runs one
+//     engine over an R×S×P shape (R data-parallel groups with
+//     ZeRO-sharded optimizer state, bucketized gradient reduce-scatter
+//     and post-step weight all-gather; S sequence-parallel ranks per
+//     cell — SuperOffload-Ulysses, §4.7 — with per-layer attention
+//     all-to-alls and a deterministic weight-gradient ring; P 1F1B
+//     pipeline stages per column), with InitDP, InitSP and InitPipe as
+//     shape presets over it — all on loss trajectories bit-identical to
+//     the single-rank engine.
 //
 //   - A planner (Plan/Describe) that sizes workloads against modeled
 //     GH200 clusters and predicts throughput for SuperOffload and the
@@ -506,7 +506,7 @@ type Engine struct {
 
 // translate expands an OptimizerConfig into the Adam config, loss scaler,
 // and learning-rate schedule both engines share — one place, so the
-// single-rank and data-parallel engines can never diverge on
+// single-rank and multi-rank engines can never diverge on
 // hyperparameter wiring.
 func (cfg OptimizerConfig) translate() (optim.Config, *optim.LossScaler, func(int) float64) {
 	a := optim.Config{LR: cfg.LR, Beta1: cfg.Beta1, Beta2: cfg.Beta2, Eps: cfg.Eps, WeightDecay: cfg.WeightDecay}
@@ -627,7 +627,25 @@ func (e *Engine) ActTelemetry() (ActTelemetry, bool) { return e.trainer.ActTelem
 // backend too.
 func (e *Engine) Close() error { return e.trainer.Close() }
 
-// ---- multi-superchip data-parallel engine ----
+// ---- multi-superchip engine ----
+
+// MeshConfig is the multi-superchip shape: R data-parallel groups × S
+// Ulysses sequence ranks × P pipeline stages, R·S·P simulated superchip
+// ranks in all — the paper's multi-superchip evaluation shapes (Fig.
+// 11a/b, Fig. 12) and the pipeline axis on top. 0 means 1 on every axis.
+type MeshConfig struct {
+	// Ranks is the data-parallel degree R: the number of replica groups
+	// the global batch's rows split across.
+	Ranks int
+	// SeqRanks is the per-group sequence-parallel degree S. The model's
+	// head count must divide by S, and every batch's sequence length
+	// must too.
+	SeqRanks int
+	// PipeRanks is the pipeline-parallel degree P: each (group,
+	// sequence) column splits the transformer depth over P stage ranks
+	// running 1F1B. The model must have at least P transformer blocks.
+	PipeRanks int
+}
 
 // DPConfig configures multi-superchip data parallelism.
 type DPConfig struct {
@@ -635,115 +653,6 @@ type DPConfig struct {
 	// configurations are 2× and 4× GH200 with ZeRO-3-style sharding).
 	Ranks int
 }
-
-// DPEngine trains a Model across R simulated superchip ranks: every rank
-// runs forward/backward on its slice of the global batch over a full
-// model replica, while the fp32 master weights and Adam moments are
-// partitioned across ranks along bucket boundaries (ZeRO-style). Gradients
-// reduce-scatter and post-step fp16 weights all-gather over channel links,
-// overlapping with STV's speculative step and background validation; a
-// clip or NaN rollback on any rank rolls back the globally reduced step on
-// every rank. For the same global batch, the loss trajectory is
-// bit-identical to the single-rank Engine processing the same R-way
-// micro-batch decomposition.
-type DPEngine struct {
-	engine *dp.Engine
-	guard  *hbmGuard
-}
-
-// InitDP wraps a model and optimizer into a data-parallel SuperOffload
-// engine. Its Step/StepAccum/Save/Load/Stats surface matches Engine's;
-// checkpoints are interchangeable between rank counts (including with the
-// single-rank Engine). Call Close when done to stop the rank goroutines.
-func InitDP(m *Model, cfg OptimizerConfig, dpc DPConfig) (*DPEngine, error) {
-	if m == nil {
-		return nil, fmt.Errorf("superoffload: nil model")
-	}
-	plan, factory, actFactory, err := cfg.trainSetup(m)
-	if err != nil {
-		return nil, err
-	}
-	a, scaler, schedule := cfg.translate()
-	e, err := dp.New(m.gpt, dp.Config{
-		Ranks:       dpc.Ranks,
-		Adam:        a,
-		Impl:        optim.GraceAdam,
-		ClipNorm:    cfg.ClipNorm,
-		BucketElems: cfg.BucketElems,
-		Synchronous: cfg.Synchronous,
-		Scaler:      scaler,
-		Schedule:    schedule,
-		NewStore:    factory,
-		NewActStore: actFactory,
-		Placement:   plan,
-		Tracer:      cfg.Tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &DPEngine{engine: e, guard: cfg.newHBMGuard(m, dpc.Ranks, 1)}, nil
-}
-
-// Step runs one training iteration over the global batch (its rows split
-// evenly across ranks) and returns the mean loss.
-func (e *DPEngine) Step(b Batch) (float64, error) {
-	if err := e.guard.check(b); err != nil {
-		return 0, err
-	}
-	return e.engine.Step(b)
-}
-
-// StepAccum runs one optimizer step over several accumulated global
-// micro-batches, each split across ranks.
-func (e *DPEngine) StepAccum(batches []Batch) (float64, error) {
-	if err := e.guard.checkAll(batches); err != nil {
-		return 0, err
-	}
-	return e.engine.StepAccum(batches)
-}
-
-// Save serializes the sharded training state (gathered into the global
-// bucket order, so the checkpoint is identical to a single-rank one).
-func (e *DPEngine) Save(w io.Writer) error { return e.engine.Save(w) }
-
-// Load restores state saved by either engine's Save.
-func (e *DPEngine) Load(r io.Reader) error { return e.engine.Load(r) }
-
-// Flush resolves the final in-flight validation; call once after the last
-// Step.
-func (e *DPEngine) Flush() error {
-	_, err := e.engine.Flush()
-	return err
-}
-
-// Stats returns the engine's validation counters.
-func (e *DPEngine) Stats() Stats { return e.engine.Stats() }
-
-// NumBuckets reports how many offload buckets the parameter space uses.
-func (e *DPEngine) NumBuckets() int { return e.engine.NumBuckets() }
-
-// Ranks reports the data-parallel degree.
-func (e *DPEngine) Ranks() int { return e.engine.Ranks() }
-
-// StoreTelemetry sums the modeled NVMe-tier accounting over every rank's
-// store; ok is false when optimizer state is DRAM-resident.
-func (e *DPEngine) StoreTelemetry() (StoreTelemetry, bool) { return e.engine.StoreTelemetry() }
-
-// PlacementTelemetry sums the virtual-clock superchip executors' modeled
-// accounting over every rank; ok is false without a placement plan.
-func (e *DPEngine) PlacementTelemetry() (PlacementTelemetry, bool) {
-	return e.engine.PlacementTelemetry()
-}
-
-// ActTelemetry sums the activation stores' traffic and modeled-time
-// accounting over every rank; ok is false without an activation tier.
-func (e *DPEngine) ActTelemetry() (ActTelemetry, bool) { return e.engine.ActTelemetry() }
-
-// Close stops the rank goroutines (resolving any pending validation
-// first). The engine is unusable afterwards.
-func (e *DPEngine) Close() error { return e.engine.Close() }
-
-// ---- sequence-parallel (SuperOffload-Ulysses) engine ----
 
 // SPConfig configures sequence parallelism (§4.7): the paper's
 // long-sequence scenario, where S superchips each hold a contiguous
@@ -755,162 +664,40 @@ type SPConfig struct {
 	SeqRanks int
 }
 
-// SPCommStats counts the sequence-parallel link traffic (all-to-all
-// payloads/floats and weight-gradient ring hops/floats).
+// SPCommStats counts the engine's link traffic (all-to-all
+// payloads/floats, weight-gradient ring hops/floats, stage-boundary
+// sends/floats); all-zero on a pure data-parallel shape.
 type SPCommStats = dp.SPCommStats
 
-// SPEngine trains a Model across S simulated superchip ranks with
-// sequence sharding: every rank runs forward/backward on its sequence
-// shard of every batch row over a full model replica, attention flips to
-// head parallelism over channel all-to-alls, weight gradients reduce over
-// a deterministic ring in global row order, and the fp32 masters and Adam
-// moments stay ZeRO-partitioned along bucket boundaries behind pluggable
-// bucket stores. For the same batches, the loss trajectory — rollbacks,
-// checkpoints and all — is bit-identical to the single-rank Engine.
-type SPEngine struct {
-	engine *dp.SPEngine
-	guard  *hbmGuard
-}
-
-// InitSP wraps a model and optimizer into a sequence-parallel SuperOffload
-// engine. Its surface matches Engine's; checkpoints are interchangeable
-// across sequence-rank counts (and with the other engines). Call Close
-// when done to stop the rank goroutines.
-func InitSP(m *Model, cfg OptimizerConfig, spc SPConfig) (*SPEngine, error) {
-	if m == nil {
-		return nil, fmt.Errorf("superoffload: nil model")
-	}
-	plan, factory, actFactory, err := cfg.trainSetup(m)
-	if err != nil {
-		return nil, err
-	}
-	a, scaler, schedule := cfg.translate()
-	e, err := dp.NewSP(m.gpt, dp.Config{
-		Ranks:       spc.SeqRanks,
-		Adam:        a,
-		Impl:        optim.GraceAdam,
-		ClipNorm:    cfg.ClipNorm,
-		BucketElems: cfg.BucketElems,
-		Synchronous: cfg.Synchronous,
-		Scaler:      scaler,
-		Schedule:    schedule,
-		NewStore:    factory,
-		NewActStore: actFactory,
-		Placement:   plan,
-		Tracer:      cfg.Tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &SPEngine{engine: e, guard: cfg.newHBMGuard(m, 1, spc.SeqRanks)}, nil
-}
-
-// Step runs one training iteration over the batch (its sequence sharded
-// across ranks) and returns the mean loss.
-func (e *SPEngine) Step(b Batch) (float64, error) {
-	if err := e.guard.check(b); err != nil {
-		return 0, err
-	}
-	return e.engine.Step(b)
-}
-
-// StepAccum runs one optimizer step over several accumulated
-// micro-batches, each sequence-sharded across ranks.
-func (e *SPEngine) StepAccum(batches []Batch) (float64, error) {
-	if err := e.guard.checkAll(batches); err != nil {
-		return 0, err
-	}
-	return e.engine.StepAccum(batches)
-}
-
-// Save serializes the sharded training state (gathered into the global
-// bucket order, identical to a single-rank checkpoint).
-func (e *SPEngine) Save(w io.Writer) error { return e.engine.Save(w) }
-
-// Load restores state saved by any engine's Save.
-func (e *SPEngine) Load(r io.Reader) error { return e.engine.Load(r) }
-
-// Flush resolves the final in-flight validation; call once after the last
-// Step.
-func (e *SPEngine) Flush() error {
-	_, err := e.engine.Flush()
-	return err
-}
-
-// Stats returns the engine's validation counters.
-func (e *SPEngine) Stats() Stats { return e.engine.Stats() }
-
-// NumBuckets reports how many offload buckets the parameter space uses.
-func (e *SPEngine) NumBuckets() int { return e.engine.NumBuckets() }
-
-// SeqRanks reports the sequence-parallel degree.
-func (e *SPEngine) SeqRanks() int { return e.engine.SeqRanks() }
-
-// CommStats reports the cumulative all-to-all and ring traffic.
-func (e *SPEngine) CommStats() SPCommStats { return e.engine.CommStats() }
-
-// StoreTelemetry sums the modeled NVMe-tier accounting over every rank's
-// store; ok is false when optimizer state is DRAM-resident.
-func (e *SPEngine) StoreTelemetry() (StoreTelemetry, bool) { return e.engine.StoreTelemetry() }
-
-// PlacementTelemetry sums the virtual-clock superchip executors' modeled
-// accounting over every rank; ok is false without a placement plan.
-func (e *SPEngine) PlacementTelemetry() (PlacementTelemetry, bool) {
-	return e.engine.PlacementTelemetry()
-}
-
-// ActTelemetry sums the activation stores' traffic and modeled-time
-// accounting over every rank; ok is false without an activation tier.
-func (e *SPEngine) ActTelemetry() (ActTelemetry, bool) { return e.engine.ActTelemetry() }
-
-// Close stops the rank goroutines (resolving any pending validation
-// first). The engine is unusable afterwards.
-func (e *SPEngine) Close() error { return e.engine.Close() }
-
-// ---- hybrid R×S mesh engine ----
-
-// MeshConfig configures the hybrid mesh: data parallelism across
-// superchip groups composed with Ulysses sequence parallelism within
-// each group — the paper's multi-superchip evaluation shape (Fig. 11a/b,
-// Fig. 12).
-type MeshConfig struct {
-	// Ranks is the data-parallel degree R: the number of replica groups
-	// the global batch's rows split across.
-	Ranks int
-	// SeqRanks is the per-group sequence-parallel degree S. The model's
-	// head count must divide by S, and every batch's sequence length
-	// must too. The mesh spawns R·S simulated superchip ranks.
-	SeqRanks int
-	// PipeRanks is the pipeline-parallel degree P, read only by InitPipe
-	// (InitMesh ignores it): each (group, sequence) column splits the
-	// transformer depth over P stage ranks running 1F1B. 0 means 1. The
-	// model must have at least P transformer blocks; the full engine
-	// spawns R·S·P simulated superchip ranks.
-	PipeRanks int
-}
-
-// MeshEngine trains a Model across an R×S mesh of simulated superchip
-// ranks: R data-parallel groups each running S-way sequence parallelism.
-// A global batch's rows split across groups; within a group, every
-// rank's forward/backward runs over its sequence shard with attention
-// head-parallelized over channel all-to-alls, and the group's weight
-// gradients reduce over a deterministic ring in global row order. Across
-// groups, the per-group gradients reduce-scatter to bucket owners along
-// bucket boundaries — the fp32 masters and Adam moments are
-// ZeRO-partitioned over all R·S ranks behind pluggable bucket stores.
-// For the same global batch, the loss trajectory — rollbacks,
-// checkpoints and all — is bit-identical to the single-rank Engine
-// processing the same R-way row decomposition (S is invisible to the
-// numerics).
+// MeshEngine trains a Model across an R×S×P shape of simulated superchip
+// ranks. A global batch's rows split across the R groups; within a cell,
+// every rank's forward/backward runs over its sequence shard with
+// attention head-parallelized over channel all-to-alls and the weight
+// gradients reduced over a deterministic ring in global row order; along
+// a column, P stages each own a contiguous block range and run 1F1B over
+// the step's micro-batches, boundary activations and gradients flowing
+// over channel links. The fp32 masters and Adam moments are
+// ZeRO-partitioned over all R·S·P ranks along bucket boundaries behind
+// pluggable bucket stores; gradients reduce-scatter and post-step fp16
+// weights all-gather, overlapping with STV's speculative step and
+// background validation, and a clip or NaN rollback rolls back the
+// globally reduced step on every rank. For the same global batch, the
+// loss trajectory — rollbacks, checkpoints and all — is bit-identical to
+// the single-rank Engine processing the same R-way row decomposition (S
+// and P are invisible to the numerics), and checkpoints move freely
+// across shapes.
 type MeshEngine struct {
-	engine *dp.MeshEngine
+	engine *dp.Engine
 	guard  *hbmGuard
 }
 
-// InitMesh wraps a model and optimizer into a hybrid R×S SuperOffload
-// engine. Its surface matches Engine's; checkpoints are interchangeable
-// across mesh shapes (and with every other engine). Call Close when done
-// to stop the rank goroutines.
+// InitMesh wraps a model and optimizer into the multi-superchip
+// SuperOffload engine of shape mc. Its surface matches Engine's;
+// checkpoints are interchangeable across shapes (and with the
+// single-rank Engine). With PipeRanks > 1, use StepAccum with several
+// micro-batches to actually overlap the stages — one micro-batch
+// degenerates to sequential stages. Call Close when done to stop the
+// rank goroutines.
 func InitMesh(m *Model, cfg OptimizerConfig, mc MeshConfig) (*MeshEngine, error) {
 	if m == nil {
 		return nil, fmt.Errorf("superoffload: nil model")
@@ -920,9 +707,10 @@ func InitMesh(m *Model, cfg OptimizerConfig, mc MeshConfig) (*MeshEngine, error)
 		return nil, err
 	}
 	a, scaler, schedule := cfg.translate()
-	e, err := dp.NewMesh(m.gpt, dp.Config{
+	e, err := dp.New(m.gpt, dp.Config{
 		Ranks:       mc.Ranks,
 		SeqRanks:    mc.SeqRanks,
+		PipeRanks:   mc.PipeRanks,
 		Adam:        a,
 		Impl:        optim.GraceAdam,
 		ClipNorm:    cfg.ClipNorm,
@@ -941,9 +729,27 @@ func InitMesh(m *Model, cfg OptimizerConfig, mc MeshConfig) (*MeshEngine, error)
 	return &MeshEngine{engine: e, guard: cfg.newHBMGuard(m, mc.Ranks, mc.SeqRanks)}, nil
 }
 
+// InitDP is the data-parallel shape preset: R ranks each running
+// forward/backward on their slice of the global batch's rows over a full
+// replica (the paper's 2× and 4× GH200 ZeRO-3-style configurations).
+func InitDP(m *Model, cfg OptimizerConfig, dpc DPConfig) (*MeshEngine, error) {
+	return InitMesh(m, cfg, MeshConfig{Ranks: dpc.Ranks})
+}
+
+// InitSP is the sequence-parallel shape preset (SuperOffload-Ulysses,
+// §4.7): S ranks each holding a contiguous sequence shard of every row.
+func InitSP(m *Model, cfg OptimizerConfig, spc SPConfig) (*MeshEngine, error) {
+	return InitMesh(m, cfg, MeshConfig{SeqRanks: spc.SeqRanks})
+}
+
+// InitPipe is InitMesh under the name the 3-D R×S×P callers use.
+func InitPipe(m *Model, cfg OptimizerConfig, mc MeshConfig) (*MeshEngine, error) {
+	return InitMesh(m, cfg, mc)
+}
+
 // Step runs one training iteration over the global batch (rows split
-// across the R groups, each slice's sequence split across the group's S
-// ranks) and returns the mean loss.
+// across the R groups, sequence split across each cell's S ranks, depth
+// split across each column's P stages) and returns the mean loss.
 func (e *MeshEngine) Step(b Batch) (float64, error) {
 	if err := e.guard.check(b); err != nil {
 		return 0, err
@@ -952,7 +758,9 @@ func (e *MeshEngine) Step(b Batch) (float64, error) {
 }
 
 // StepAccum runs one optimizer step over several accumulated global
-// micro-batches, each sharded over the mesh.
+// micro-batches, each sharded over the ranks — the pipeline's natural
+// shape: M micro-batches fill the 1F1B schedule, shrinking each stage's
+// idle bubble to (P-1)/(M+P-1) of its compute.
 func (e *MeshEngine) StepAccum(batches []Batch) (float64, error) {
 	if err := e.guard.checkAll(batches); err != nil {
 		return 0, err
@@ -984,11 +792,14 @@ func (e *MeshEngine) NumBuckets() int { return e.engine.NumBuckets() }
 // groups).
 func (e *MeshEngine) Ranks() int { return e.engine.Ranks() }
 
-// SeqRanks reports the per-group sequence-parallel degree S.
+// SeqRanks reports the per-cell sequence-parallel degree S.
 func (e *MeshEngine) SeqRanks() int { return e.engine.SeqRanks() }
 
-// CommStats reports the cumulative all-to-all and ring traffic over
-// every group's links.
+// PipeRanks reports the pipeline-parallel degree P (stages per column).
+func (e *MeshEngine) PipeRanks() int { return e.engine.PipeRanks() }
+
+// CommStats reports the cumulative link traffic: every cell's
+// all-to-all and ring links plus the stage-boundary tensor sends.
 func (e *MeshEngine) CommStats() SPCommStats { return e.engine.CommStats() }
 
 // StoreTelemetry sums the modeled NVMe-tier accounting over every rank's
@@ -1002,139 +813,13 @@ func (e *MeshEngine) PlacementTelemetry() (PlacementTelemetry, bool) {
 }
 
 // ActTelemetry sums the activation stores' traffic and modeled-time
-// accounting over every rank; ok is false without an activation tier.
+// accounting over the final-stage ranks; ok is false without an
+// activation tier.
 func (e *MeshEngine) ActTelemetry() (ActTelemetry, bool) { return e.engine.ActTelemetry() }
 
 // Close stops the rank goroutines (resolving any pending validation
-// first). The engine is unusable afterwards.
-func (e *MeshEngine) Close() error { return e.engine.Close() }
-
-// ---- 3-D R×S×P pipeline engine ----
-
-// PipeEngine trains a Model across the full 3-D R×S×P engine: R
-// data-parallel groups × S-way sequence parallelism per cell × P
-// pipeline stages per column, scheduled 1F1B over each step's
-// micro-batches. Boundary activations and gradients flow over
-// per-column channel links; the fp32 masters and Adam moments stay
-// ZeRO-partitioned over all R·S·P ranks. For the same global batch, the
-// loss trajectory — rollbacks, checkpoints and all — is bit-identical
-// to the single-rank Engine processing the same R-way row decomposition
-// (S and P are invisible to the numerics), and checkpoints move freely
-// across (R,S,P) shapes.
-type PipeEngine struct {
-	engine *dp.PipeEngine
-	guard  *hbmGuard
-}
-
-// InitPipe wraps a model and optimizer into the 3-D R×S×P SuperOffload
-// engine (mc.PipeRanks sets P; InitMesh is the P=1 special case). Its
-// surface matches Engine's; use StepAccum with several micro-batches to
-// actually overlap the stages — one micro-batch degenerates to
-// sequential stages. Call Close when done to stop the rank goroutines.
-func InitPipe(m *Model, cfg OptimizerConfig, mc MeshConfig) (*PipeEngine, error) {
-	if m == nil {
-		return nil, fmt.Errorf("superoffload: nil model")
-	}
-	plan, factory, actFactory, err := cfg.trainSetup(m)
-	if err != nil {
-		return nil, err
-	}
-	a, scaler, schedule := cfg.translate()
-	e, err := dp.NewPipe(m.gpt, dp.Config{
-		Ranks:       mc.Ranks,
-		SeqRanks:    mc.SeqRanks,
-		PipeRanks:   mc.PipeRanks,
-		Adam:        a,
-		Impl:        optim.GraceAdam,
-		ClipNorm:    cfg.ClipNorm,
-		BucketElems: cfg.BucketElems,
-		Synchronous: cfg.Synchronous,
-		Scaler:      scaler,
-		Schedule:    schedule,
-		NewStore:    factory,
-		NewActStore: actFactory,
-		Placement:   plan,
-		Tracer:      cfg.Tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &PipeEngine{engine: e, guard: cfg.newHBMGuard(m, mc.Ranks, mc.SeqRanks)}, nil
-}
-
-// Step runs one training iteration over the global batch (rows split
-// across the R groups, sequence split across each cell's S ranks, depth
-// split across each column's P stages) and returns the mean loss.
-func (e *PipeEngine) Step(b Batch) (float64, error) {
-	if err := e.guard.check(b); err != nil {
-		return 0, err
-	}
-	return e.engine.Step(b)
-}
-
-// StepAccum runs one optimizer step over several accumulated global
-// micro-batches — the pipeline's natural shape: M micro-batches fill
-// the 1F1B schedule, shrinking each stage's idle bubble to
-// (P-1)/(M+P-1) of its compute.
-func (e *PipeEngine) StepAccum(batches []Batch) (float64, error) {
-	if err := e.guard.checkAll(batches); err != nil {
-		return 0, err
-	}
-	return e.engine.StepAccum(batches)
-}
-
-// Save serializes the sharded training state (gathered into the global
-// bucket order, identical to a single-rank checkpoint).
-func (e *PipeEngine) Save(w io.Writer) error { return e.engine.Save(w) }
-
-// Load restores state saved by any engine's Save.
-func (e *PipeEngine) Load(r io.Reader) error { return e.engine.Load(r) }
-
-// Flush resolves the final in-flight validation; call once after the
-// last Step.
-func (e *PipeEngine) Flush() error {
-	_, err := e.engine.Flush()
-	return err
-}
-
-// Stats returns the engine's validation counters.
-func (e *PipeEngine) Stats() Stats { return e.engine.Stats() }
-
-// NumBuckets reports how many offload buckets the parameter space uses.
-func (e *PipeEngine) NumBuckets() int { return e.engine.NumBuckets() }
-
-// Ranks reports the data-parallel degree R (the number of replica
-// groups).
-func (e *PipeEngine) Ranks() int { return e.engine.Ranks() }
-
-// SeqRanks reports the per-cell sequence-parallel degree S.
-func (e *PipeEngine) SeqRanks() int { return e.engine.SeqRanks() }
-
-// PipeRanks reports the pipeline-parallel degree P (stages per column).
-func (e *PipeEngine) PipeRanks() int { return e.engine.PipeRanks() }
-
-// CommStats reports the cumulative link traffic: every cell's
-// all-to-all and ring links plus the stage-boundary tensor sends.
-func (e *PipeEngine) CommStats() SPCommStats { return e.engine.CommStats() }
-
-// StoreTelemetry sums the modeled NVMe-tier accounting over every rank's
-// store; ok is false when optimizer state is DRAM-resident.
-func (e *PipeEngine) StoreTelemetry() (StoreTelemetry, bool) { return e.engine.StoreTelemetry() }
-
-// PlacementTelemetry sums the virtual-clock superchip executors' modeled
-// accounting over every rank; ok is false without a placement plan.
-func (e *PipeEngine) PlacementTelemetry() (PlacementTelemetry, bool) {
-	return e.engine.PlacementTelemetry()
-}
-
-// ActTelemetry sums the activation stores' traffic and modeled-time
-// accounting over the final-stage ranks; ok is false without an
-// activation tier.
-func (e *PipeEngine) ActTelemetry() (ActTelemetry, bool) { return e.engine.ActTelemetry() }
-
-// Close stops the rank goroutines (resolving any pending validation
 // first). Idempotent; the engine is unusable afterwards.
-func (e *PipeEngine) Close() error { return e.engine.Close() }
+func (e *MeshEngine) Close() error { return e.engine.Close() }
 
 // NewCorpus returns the deterministic synthetic corpus used throughout the
 // examples and experiments (the Pile stand-in; see DESIGN.md).

@@ -512,8 +512,8 @@ func TestInitDPValidation(t *testing.T) {
 		t.Error("nil model accepted")
 	}
 	m, _ := NewModel(ModelConfig{Layers: 1, Hidden: 32, Vocab: 32, MaxSeq: 8}, 1)
-	if _, err := InitDP(m, DefaultOptimizer(), DPConfig{Ranks: 0}); err == nil {
-		t.Error("zero ranks accepted")
+	if _, err := InitDP(m, DefaultOptimizer(), DPConfig{Ranks: -1}); err == nil {
+		t.Error("negative ranks accepted")
 	}
 	eng, err := InitDP(m, DefaultOptimizer(), DPConfig{Ranks: 2})
 	if err != nil {
@@ -618,8 +618,8 @@ func TestInitSPValidation(t *testing.T) {
 		t.Error("nil model accepted")
 	}
 	m, _ := NewModel(ModelConfig{Layers: 1, Hidden: 32, Heads: 4, Vocab: 32, MaxSeq: 8}, 1)
-	if _, err := InitSP(m, DefaultOptimizer(), SPConfig{SeqRanks: 0}); err == nil {
-		t.Error("zero seq ranks accepted")
+	if _, err := InitSP(m, DefaultOptimizer(), SPConfig{SeqRanks: -1}); err == nil {
+		t.Error("negative seq ranks accepted")
 	}
 	if _, err := InitSP(m, DefaultOptimizer(), SPConfig{SeqRanks: 3}); err == nil {
 		t.Error("head count not divisible by seq ranks accepted")
@@ -732,8 +732,8 @@ func TestInitMeshValidation(t *testing.T) {
 		t.Error("nil model accepted")
 	}
 	m, _ := NewModel(ModelConfig{Layers: 1, Hidden: 32, Heads: 4, Vocab: 32, MaxSeq: 8}, 1)
-	if _, err := InitMesh(m, DefaultOptimizer(), MeshConfig{Ranks: 0, SeqRanks: 2}); err == nil {
-		t.Error("zero groups accepted")
+	if _, err := InitMesh(m, DefaultOptimizer(), MeshConfig{Ranks: -1, SeqRanks: 2}); err == nil {
+		t.Error("negative groups accepted")
 	}
 	if _, err := InitMesh(m, DefaultOptimizer(), MeshConfig{Ranks: 2, SeqRanks: -1}); err == nil {
 		t.Error("negative seq ranks accepted")
@@ -756,6 +756,70 @@ func TestInitMeshValidation(t *testing.T) {
 	}
 	if _, err := eng.Step(NewCorpus(32, 2).NextBatch(2, 7)); err == nil {
 		t.Error("sequence not divisible by seq ranks accepted")
+	}
+}
+
+// TestStepRejectsMalformedBatchOnEveryPreset: a batch the model cannot
+// take — sequence past MaxSeq, token/target slices shorter than
+// BatchSize×Seq, rows not divisible by R — comes back from Step/StepAccum
+// as an error on every shape preset, the data-parallel one included
+// (which used to panic inside a rank goroutine), and leaves the engine
+// usable. MeshConfig.PipeRanks is honoured by InitMesh itself.
+func TestStepRejectsMalformedBatchOnEveryPreset(t *testing.T) {
+	newModel := func() *Model {
+		m, err := NewModel(ModelConfig{Layers: 2, Hidden: 32, Heads: 4, Vocab: 32, MaxSeq: 8}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	presets := map[string]func() (*MeshEngine, error){
+		"dp": func() (*MeshEngine, error) { return InitDP(newModel(), DefaultOptimizer(), DPConfig{Ranks: 2}) },
+		"sp": func() (*MeshEngine, error) { return InitSP(newModel(), DefaultOptimizer(), SPConfig{SeqRanks: 2}) },
+		"mesh": func() (*MeshEngine, error) {
+			return InitMesh(newModel(), DefaultOptimizer(), MeshConfig{Ranks: 2, SeqRanks: 2})
+		},
+		"pipe": func() (*MeshEngine, error) {
+			return InitPipe(newModel(), DefaultOptimizer(), MeshConfig{Ranks: 2, PipeRanks: 2})
+		},
+		"mesh-with-pipe-ranks": func() (*MeshEngine, error) {
+			return InitMesh(newModel(), DefaultOptimizer(), MeshConfig{Ranks: 2, PipeRanks: 2})
+		},
+	}
+	for name, build := range presets {
+		t.Run(name, func(t *testing.T) {
+			eng, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if name == "mesh-with-pipe-ranks" && eng.PipeRanks() != 2 {
+				t.Fatalf("InitMesh dropped PipeRanks: P=%d", eng.PipeRanks())
+			}
+			corpus := NewCorpus(32, 2)
+			if _, err := eng.Step(corpus.NextBatch(2, 16)); err == nil {
+				t.Error("sequence exceeding MaxSeq accepted")
+			}
+			short := corpus.NextBatch(2, 8)
+			short.Targets = short.Targets[:len(short.Targets)-1]
+			if _, err := eng.Step(short); err == nil {
+				t.Error("batch with too few targets accepted")
+			}
+			if _, err := eng.StepAccum([]Batch{corpus.NextBatch(2, 8), short}); err == nil {
+				t.Error("accumulation window with a malformed batch accepted")
+			}
+			if eng.Ranks() > 1 {
+				if _, err := eng.Step(corpus.NextBatch(3, 8)); err == nil {
+					t.Error("rows not divisible by the data-parallel degree accepted")
+				}
+			}
+			if _, err := eng.Step(corpus.NextBatch(2, 8)); err != nil {
+				t.Errorf("engine unusable after rejected batches: %v", err)
+			}
+			if err := eng.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
