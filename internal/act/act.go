@@ -6,9 +6,10 @@
 //
 // Two backing tiers share one store: a DRAM cache (host memory over the
 // modeled C2C link) and a file-backed NVMe tier (real file IO, modeled
-// flash rates). Both run the same FIFO worker and the same virtual
-// dev/cpu clocks as stv.NVMeStore, so telemetry reports the same
-// pipelined-vs-serialized contrast: PipelinedSeconds is compute plus
+// flash rates). Both issue transfers onto an iolane.Lane, as
+// stv.MLPStore's flash paths do (the DRAM tier's is virtual), so
+// telemetry reports the same pipelined-vs-serialized contrast:
+// PipelinedSeconds is compute plus
 // the prefetch stalls the double buffer could not hide, SerializedSeconds
 // is what a blocking store would have cost.
 //
@@ -21,10 +22,10 @@ package act
 import (
 	"fmt"
 	"math"
-	"os"
 	"sync"
 
 	"superoffload/internal/hw"
+	"superoffload/internal/iolane"
 	"superoffload/internal/obs"
 )
 
@@ -124,26 +125,13 @@ func (t Telemetry) Add(o Telemetry) Telemetry {
 	}
 }
 
-// op is one queued store transfer. The worker performs file IO for the
-// NVMe tier and is a pure completion marker for the DRAM tier (whose
-// host copy happens synchronously at enqueue, before the originals are
-// poisoned); doneAt is the op's completion on the virtual clocks.
-type op struct {
-	off    int64
-	buf    []byte
-	write  bool
-	io     bool
-	doneAt float64
-	done   chan struct{}
-}
-
 // layerState tracks one forward layer within the current pass.
 type layerState struct {
 	bufs     [][]float32
 	bytes    int64
 	spilled  bool
 	restored bool
-	read     *op
+	read     *iolane.Op
 }
 
 // record is a layer index's backing slot, reused across passes: a file
@@ -156,25 +144,21 @@ type record struct {
 	cap  int64
 	buf  []byte
 	host []float32
-	last *op
+	last *iolane.Op
 }
 
 // Store spills per-layer forward activations behind a resident window
 // and prefetches them ahead of backward. It implements nn.ActivationTap.
 // All methods are called from the holder's training goroutine; the only
-// concurrency is the store's own IO worker, which never takes the mutex.
+// concurrency is the lane's IO worker, which never takes the mutex.
 type Store struct {
-	cfg  Config
-	file *os.File
-	path string
-	ops  chan *op
-	wg   sync.WaitGroup
-	// track is the store's trace timeline (nil when tracing is off);
-	// immutable after construction, so the worker reads it lock-free.
+	cfg Config
+	// lane carries every transfer: file-backed on the NVMe tier, virtual
+	// on the DRAM tier (the host copy is synchronous: an op is complete
+	// at issue and only the device clock is charged).
+	lane *iolane.Lane
+	// track carries the consumer's instants and the lane's spans.
 	track *obs.Track
-
-	errMu sync.Mutex
-	ioErr error
 
 	mu       sync.Mutex
 	closed   bool
@@ -187,80 +171,45 @@ type Store struct {
 	inflight int
 	layerFwd float64
 	layerBwd float64
-	dev, cpu float64
+	cpu      float64 // virtual consumer clock; the lane holds the device clock
 	tel      Telemetry
 }
 
 // NewStore opens a store. The NVMe tier creates its backing file
 // immediately so configuration errors surface at setup, not mid-step.
-func NewStore(cfg Config) (*Store, error) {
+func NewStore(cfg Config) (*Store, error) { return newStore(cfg, nil) }
+
+// newStore is NewStore with the NVMe lane's file wrap exposed — the
+// fault-injection hook of the package's tests.
+func newStore(cfg Config, wrap func(iolane.File) iolane.File) (*Store, error) {
 	if cfg.ResidentLayers < 2 {
 		cfg.ResidentLayers = 2
 	}
 	cfg.Spec = cfg.Spec.OrDefault()
-	s := &Store{
-		cfg:  cfg,
-		ops:  make(chan *op, 64),
-		recs: make(map[int]*record),
+	label := cfg.TrackLabel
+	if label == "" {
+		label = "act"
 	}
-	if cfg.Tracer != nil {
-		label := cfg.TrackLabel
-		if label == "" {
-			label = "act"
-		}
-		s.track = cfg.Tracer.Track(label)
+	s := &Store{
+		cfg:   cfg,
+		lane:  iolane.Virtual(),
+		track: cfg.Tracer.Track(label),
+		recs:  make(map[int]*record),
 	}
 	if cfg.Tier == NVMe {
-		f, err := os.CreateTemp(cfg.Dir, "superoffload-act-*.dat")
+		lane, err := iolane.Open(cfg.Dir, "superoffload-act-*.dat", s.track, wrap, nil)
 		if err != nil {
 			return nil, fmt.Errorf("act: create backing file: %w", err)
 		}
-		s.file, s.path = f, f.Name()
+		s.lane = lane
 	}
-	s.wg.Add(1)
-	go s.worker()
 	return s, nil
 }
 
-// worker drains the op queue in FIFO order, latching the first IO error
-// (surfaced by the next store call) rather than crashing mid-drain.
-func (s *Store) worker() {
-	defer s.wg.Done()
-	for o := range s.ops {
-		if o.io {
-			var err error
-			var sp obs.Span
-			if o.write {
-				if s.track != nil {
-					sp = s.track.Begin("write")
-				}
-				_, err = s.file.WriteAt(o.buf, o.off)
-			} else {
-				if s.track != nil {
-					sp = s.track.Begin("read")
-				}
-				_, err = s.file.ReadAt(o.buf, o.off)
-			}
-			if s.track != nil {
-				sp.EndInt("bytes", len(o.buf))
-			}
-			if err != nil {
-				s.errMu.Lock()
-				if s.ioErr == nil {
-					s.ioErr = err
-				}
-				s.errMu.Unlock()
-			}
-		}
-		close(o.done)
-	}
-}
-
+// checkIOErr surfaces the lane's latched IO error at the next store call
+// rather than letting the pass read back bytes the file never held.
 func (s *Store) checkIOErr() {
-	s.errMu.Lock()
-	err := s.ioErr
-	s.errMu.Unlock()
-	if err != nil {
+	if err := s.lane.Err(); err != nil {
 		panic(fmt.Sprintf("act: backing IO failed: %v", err))
 	}
 }
@@ -272,7 +221,7 @@ func (s *Store) Resident() int { return s.cfg.ResidentLayers }
 func (s *Store) OnNVMe() bool { return s.cfg.Tier == NVMe }
 
 // Path returns the NVMe tier's backing file path ("" for DRAM).
-func (s *Store) Path() string { return s.path }
+func (s *Store) Path() string { return s.lane.Path() }
 
 // BeginPass starts a forward pass over the given depth and local shape
 // (tokens is this holder's batch rows × positions; seq the attention
@@ -333,7 +282,7 @@ func (s *Store) spillLocked(l int) {
 		s.recs[l] = rec
 	}
 	if rec.last != nil {
-		<-rec.last.done
+		<-rec.last.Done
 		rec.last = nil
 	}
 	if s.cfg.Tier == NVMe {
@@ -354,14 +303,7 @@ func (s *Store) spillLocked(l int) {
 		}
 	}
 	dur := s.writeTime(ls.bytes)
-	o := &op{off: rec.off, write: true, io: s.cfg.Tier == NVMe, done: make(chan struct{})}
-	if o.io {
-		o.buf = rec.buf[:ls.bytes]
-	}
-	o.doneAt = math.Max(s.dev, s.cpu) + dur
-	s.dev = o.doneAt
-	rec.last = o
-	s.ops <- o
+	s.issueLocked(rec, ls.bytes, true, dur)
 	poison(ls.bufs)
 	ls.spilled = true
 	s.tel.Spills++
@@ -405,13 +347,13 @@ func (s *Store) FetchLayer(l int) {
 		s.issueReadLocked(l)
 	}
 	o := ls.read
-	if o.doneAt > s.cpu {
-		s.tel.StallSeconds += o.doneAt - s.cpu
-		s.cpu = o.doneAt
+	if o.DoneAt > s.cpu {
+		s.tel.StallSeconds += o.DoneAt - s.cpu
+		s.cpu = o.DoneAt
 		s.track.InstantInt("stall", "layer", l)
 	}
 	s.mu.Unlock()
-	<-o.done
+	<-o.Done
 	s.mu.Lock()
 	s.checkIOErr()
 	rec := s.recs[l]
@@ -448,20 +390,24 @@ func (s *Store) issueReadLocked(l int) {
 	ls := s.layers[l]
 	rec := s.recs[l]
 	dur := s.readTime(ls.bytes)
-	o := &op{off: rec.off, io: s.cfg.Tier == NVMe, done: make(chan struct{})}
-	if o.io {
-		o.buf = rec.buf[:ls.bytes]
-	}
-	o.doneAt = math.Max(s.dev, s.cpu) + dur
-	s.dev = o.doneAt
-	rec.last = o
-	ls.read = o
+	ls.read = s.issueLocked(rec, ls.bytes, false, dur)
 	s.inflight++
-	s.ops <- o
 	s.tel.Fetches++
 	s.tel.BytesFetched += ls.bytes
 	s.tel.ReadSeconds += dur
 	s.track.InstantInt("prefetch", "layer", l)
+}
+
+// issueLocked puts one transfer of the record on the lane as its newest
+// op, charging dur of modeled device time behind the consumer clock.
+func (s *Store) issueLocked(rec *record, bytes int64, write bool, dur float64) *iolane.Op {
+	o := &iolane.Op{Off: rec.off, Write: write}
+	if s.cfg.Tier == NVMe {
+		o.Buf = rec.buf[:bytes]
+	}
+	s.lane.Issue(o, s.cpu, dur)
+	rec.last = o
+	return o
 }
 
 func (s *Store) writeTime(bytes int64) float64 {
@@ -498,20 +444,7 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	close(s.ops)
-	s.wg.Wait()
-	s.errMu.Lock()
-	err := s.ioErr
-	s.errMu.Unlock()
-	if s.file != nil {
-		if cerr := s.file.Close(); err == nil {
-			err = cerr
-		}
-		if rerr := os.Remove(s.path); err == nil {
-			err = rerr
-		}
-	}
-	return err
+	return s.lane.Close()
 }
 
 // encode packs the buffers' float32 bits little-endian into dst —

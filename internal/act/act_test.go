@@ -3,8 +3,12 @@ package act
 import (
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+
+	"superoffload/internal/iolane"
+	"superoffload/internal/stv/stvtest"
 )
 
 // fillLayer builds deterministic per-layer buffers (two slices per
@@ -108,6 +112,7 @@ func TestStoreAbandonedPass(t *testing.T) {
 // still delete the backing file.
 func TestStoreCloseWithPrefetchInFlight(t *testing.T) {
 	for i := 0; i < 20; i++ {
+		before := runtime.NumGoroutine()
 		s, err := NewStore(Config{Tier: NVMe, Dir: t.TempDir(), Hidden: 32, Params: 1000})
 		if err != nil {
 			t.Fatal(err)
@@ -125,10 +130,48 @@ func TestStoreCloseWithPrefetchInFlight(t *testing.T) {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Fatalf("backing file %s survived Close (err=%v)", path, err)
 		}
+		stvtest.NoLeakedGoroutines(t, before)
 		// Close is idempotent.
 		if err := s.Close(); err != nil {
 			t.Fatalf("second Close: %v", err)
 		}
+	}
+}
+
+// TestStoreBackingIOFailure injects a failing spill write, then a
+// failing fetch read, into the NVMe tier's lane. Nothing waits on a
+// spill, so its failure latches; either way the pass must stop at a
+// store call with the attributable message instead of restoring bytes
+// the file never held, nothing may hang, and Close must report the
+// error and leave no goroutine behind.
+func TestStoreBackingIOFailure(t *testing.T) {
+	// An 8-layer pass at window 2 issues 6 spill writes (ops 0-5) before
+	// its first fetch read.
+	for _, c := range []struct {
+		name     string
+		afterOps int
+	}{{"spill-write", 0}, {"fetch-read", 6}} {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			inj := stvtest.NewInjector(stvtest.Fault{Kind: stvtest.FaultError, AfterOps: c.afterOps})
+			s, err := newStore(Config{Tier: NVMe, Dir: t.TempDir(), Hidden: 32, Params: 1000},
+				func(f iolane.File) iolane.File { return inj.WrapPath(0, f) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			var msg string
+			func() {
+				defer func() { msg, _ = recover().(string) }()
+				runPass(t, s, 8)
+			}()
+			if !strings.Contains(msg, "act: backing IO failed: stvtest: injected") {
+				t.Fatalf("pass over a failing lane ended with %q, want the backing-IO panic", msg)
+			}
+			if err := s.Close(); err == nil || !strings.Contains(err.Error(), "stvtest: injected") {
+				t.Fatalf("Close = %v, want the injected IO error", err)
+			}
+			stvtest.NoLeakedGoroutines(t, before)
+		})
 	}
 }
 

@@ -9,9 +9,8 @@ import (
 	"superoffload/internal/optim"
 )
 
-// Bucket record codec, shared by every file-backed store (NVMeStore's
-// single lane and MLPStore's striped paths). Layout of an n-element
-// record: step u64 | snapshot step u64 | snapshot flag byte, then the
+// Bucket record codec of the file-backed store (MLPStore, at every
+// path count). Layout of an n-element record: step u64 | snapshot step u64 | snapshot flag byte, then the
 // fp32 master/m/v arrays and their snapshot copies (snapshot space is
 // always reserved so offsets stay fixed). float32 round-trips through
 // the raw bit pattern, so storage is bit-exact; the fp16 working copy is

@@ -58,33 +58,42 @@ func eventKinds(events []stv.PathEvent) map[string]int {
 // fault-injection matrix: for each fault mode — a path erroring its IO,
 // a path silently dropping writes (caught by the record checksums), and
 // a path stalling (caught by the SlowOpWall watchdog) — training over
-// the degraded multi-path store must stay bit-identical to the resident
-// engine, the telemetry must show the quarantine and the DRAM recovery,
-// and Close must still report that the hardware failed underneath.
+// the degraded store must stay bit-identical to the resident engine, the
+// telemetry must show the one quarantine and the DRAM recovery, and
+// Close must still report that the hardware failed underneath. The
+// one-path rows are the single-lane store's contract: its only path
+// dies, so every bucket recovers from its replica and pins to DRAM; the
+// dropped-write row there is the regression for the record checksum the
+// single lane used to lack (a lost write decoded as a well-formed stale
+// record).
 func TestFaultInjectionGracefulDegradation(t *testing.T) {
 	dram := faultTrainer(nil)
 	t.Cleanup(func() { dram.Close() })
 	faultTrain(t, dram, 25)
 
 	cases := []struct {
-		name    string
-		inj     *stvtest.Injector
-		wall    time.Duration
-		cache   int
-		errPath int // path named in the latched Close error
+		name  string
+		paths int
+		inj   *stvtest.Injector
+		wall  time.Duration
+		cache int
 	}{
 		// Seed writes round-robin ~6 ops onto each of the 2 paths, so
 		// AfterOps 10 trips the fault a few IOs into real training.
-		{"write-read-errors", stvtest.NewInjector(stvtest.Fault{Path: 1, Kind: stvtest.FaultError, AfterOps: 10}), 0, 0, 1},
-		{"dropped-writes", stvtest.NewInjector(stvtest.Fault{Path: 0, Kind: stvtest.FaultDrop, AfterOps: 10}), 0, 0, 0},
-		{"stalled-path", stvtest.NewInjector(stvtest.Fault{Path: 1, Kind: stvtest.FaultStall, AfterOps: 10, Delay: 150 * time.Millisecond}), 30 * time.Millisecond, 0, 1},
-		{"errors-with-cache-tier", stvtest.NewInjector(stvtest.Fault{Path: 0, Kind: stvtest.FaultError, AfterOps: 12}), 0, 2, 0},
+		{"write-read-errors", 2, stvtest.NewInjector(stvtest.Fault{Path: 1, Kind: stvtest.FaultError, AfterOps: 10}), 0, 0},
+		{"dropped-writes", 2, stvtest.NewInjector(stvtest.Fault{Path: 0, Kind: stvtest.FaultDrop, AfterOps: 10}), 0, 0},
+		{"stalled-path", 2, stvtest.NewInjector(stvtest.Fault{Path: 1, Kind: stvtest.FaultStall, AfterOps: 10, Delay: 150 * time.Millisecond}), 30 * time.Millisecond, 0},
+		{"errors-with-cache-tier", 2, stvtest.NewInjector(stvtest.Fault{Path: 0, Kind: stvtest.FaultError, AfterOps: 12}), 0, 2},
+		// One path: every seed write lands on path 0, so AfterOps 20.
+		{"one-path-errors", 1, stvtest.NewInjector(stvtest.Fault{Path: 0, Kind: stvtest.FaultError, AfterOps: 20}), 0, 0},
+		{"one-path-dropped-writes", 1, stvtest.NewInjector(stvtest.Fault{Path: 0, Kind: stvtest.FaultDrop, AfterOps: 20}), 0, 0},
+		{"one-path-stalled", 1, stvtest.NewInjector(stvtest.Fault{Path: 0, Kind: stvtest.FaultStall, AfterOps: 20, Delay: 150 * time.Millisecond}), 30 * time.Millisecond, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			store, err := stv.NewMLPStore(stv.MLPStoreConfig{
 				Dir:             t.TempDir(),
-				Paths:           hw.NodeIOPaths(2),
+				Paths:           hw.NodeIOPaths(c.paths),
 				ResidentBuckets: 2,
 				CacheBuckets:    c.cache,
 				WrapPath:        c.inj.WrapPath,
@@ -104,11 +113,14 @@ func TestFaultInjectionGracefulDegradation(t *testing.T) {
 				t.Error("store latched no error despite the injected fault")
 			}
 			kinds := eventKinds(store.Telemetry().Events)
-			if kinds["quarantine"] == 0 {
-				t.Errorf("no quarantine event logged: %+v", store.Telemetry().Events)
+			if kinds["quarantine"] != 1 {
+				t.Errorf("want exactly one quarantine event, got %+v", store.Telemetry().Events)
 			}
 			if kinds["recover"]+kinds["reroute"] == 0 {
 				t.Errorf("path failed but nothing recovered or re-routed: %+v", store.Telemetry().Events)
+			}
+			if c.paths == 1 && (kinds["recover"] == 0 || kinds["pin"] == 0) {
+				t.Errorf("last path died but buckets did not recover and pin to DRAM: %+v", kinds)
 			}
 			cerr := tr.Close()
 			if cerr == nil {

@@ -21,8 +21,8 @@ var (
 )
 
 // storeSamples renders the shared StoreTelemetry counters under the
-// given subsystem prefix (nvme for the single-path store, mlp for the
-// multi-path store, which embeds the same counters).
+// given subsystem prefix (nvme for a bare StoreTelemetry, mlp for
+// MLPTelemetry, which embeds the same counters).
 func storeSamples(prefix string, t StoreTelemetry) []obs.Sample {
 	c := func(name string, v float64) obs.Sample {
 		return obs.Sample{Name: "superoffload_" + prefix + "_" + name, Kind: obs.KindCounter, Value: v}

@@ -4,53 +4,54 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
 	"sort"
 	"sync"
 	"time"
 
 	"superoffload/internal/hw"
+	"superoffload/internal/iolane"
 	"superoffload/internal/obs"
 	"superoffload/internal/optim"
 )
 
-// MLPStore is the multi-level multi-path generalization of NVMeStore
-// (MLP-Offload): bucket records stripe across N flash paths — each path
-// a backing file with its own FIFO worker goroutine and its own modeled
-// device clock — behind an optional DRAM cache tier. Writes (seed
-// bootstraps and write-behind flushes) dispatch whole records to the
-// least-loaded live path by virtual clock, reads follow the record to
-// wherever it last landed, and a window eviction drops the state into
-// the DRAM cache (tier-aware LRU) before flash, so a cache hit skips the
-// flash fetch entirely.
+// MLPStore is the flash tier's one bucket store (MLP-Offload): bucket
+// records stripe across N flash paths — each an iolane.Lane: a backing
+// file, a FIFO worker and a modeled device clock — behind an optional
+// DRAM cache tier. One path and no cache is the classic single-lane NVMe
+// store (the NewNVMeStore preset). Acquire auto-prefetches the next
+// bucket's read while the consumer steps the current one (double
+// buffering); evictions enqueue write-behind flushes nobody waits for.
+// Writes dispatch whole records to the least-loaded live path by virtual
+// clock, reads follow the record to wherever it last landed, and a
+// window eviction drops the state into the DRAM cache (LRU) before
+// flash, so a cache hit skips the fetch. Numerics round-trip bit-exactly.
 //
-// Degradation is graceful, not just fast. Every record keeps a crc32 of
-// its last encoding, so a dropped or corrupted write is detected at read
-// time; a path whose op errors (or, with SlowOpWall, stalls) is
+// Alongside the real (host-speed) file IO runs a virtual timeline
+// throttled by hw.NVMeSpec: each lane's device clock serializes modeled
+// transfers in issue order, and a consumer clock advances by modeled Adam
+// compute (ReleaseStep) and by stalls; Telemetry contrasts the pipelined
+// time with the serialized fetch+step+flush time.
+//
+// I/O failure never panics, at any path count. Every record keeps a
+// crc32 of its last encoding, so a dropped or corrupted write is detected
+// at read time; a path whose op errors (or, with SlowOpWall, stalls) is
 // quarantined — its in-flight ops drain, no new ops are dispatched to it
 // — and the affected bucket recovers bit-exactly from its DRAM replica
 // (the parked spare/cache state every non-resident record retains). The
 // recovered bucket re-enters the window modified, so its next eviction
-// re-routes the record to a surviving path. When every path is dead,
-// modified buckets pin to the DRAM tier instead. All of it is recorded
-// as PathEvents in the telemetry, and the first path error stays latched
-// for Close — training completes bit-identically to the resident engine
-// throughout.
+// re-routes the record to a surviving path; with every path dead,
+// modified buckets pin to the DRAM tier instead. All of it is logged as
+// PathEvents, and the first path error stays latched for Err and Close.
 //
-// Locking follows NVMeStore's discipline: workers never take mu (the
-// consumer can block sending on a path's op channel while holding mu,
-// and that path's worker is the drain); quarantine flags, the latched
-// error, and the event log live under the small pathMu that workers and
-// the consumer share.
+// Locking: lane workers never take mu (the consumer can block issuing
+// onto a full lane while holding mu, and that lane's worker is the
+// drain); quarantine flags, the latched error, and the event log live
+// under the small pathMu that workers and the consumer share.
 
 // PathFile is the file-like surface one I/O path needs. *os.File
 // implements it; the fault-injection harness wraps it to throttle,
 // stall, drop, or error a chosen path at a chosen op count.
-type PathFile interface {
-	ReadAt(p []byte, off int64) (int, error)
-	WriteAt(p []byte, off int64) (int, error)
-	Close() error
-}
+type PathFile = iolane.File
 
 // MLPStoreConfig parameterizes an MLPStore.
 type MLPStoreConfig struct {
@@ -60,13 +61,14 @@ type MLPStoreConfig struct {
 	// Paths is the per-path transfer-time model; len(Paths) is the path
 	// count (default hw.NodeIOPaths(2)).
 	Paths hw.IOPaths
-	// ResidentBuckets caps the resident window (default and minimum 2).
+	// ResidentBuckets caps the resident window (default and minimum 2:
+	// the bucket being stepped plus the one being prefetched).
 	ResidentBuckets int
 	// CacheBuckets caps the DRAM cache tier in front of flash (0
 	// disables the cache).
 	CacheBuckets int
 	// ComputeTime models the overlappable CPU work of one bucket's Adam
-	// step (default: GraceAdam on the GH200 Grace CPU).
+	// step, in seconds (default: GraceAdam on the GH200 Grace CPU).
 	ComputeTime func(elems int) float64
 	// WrapPath, when non-nil, wraps each path's backing file before its
 	// worker starts — the fault-injection hook.
@@ -124,12 +126,12 @@ type mlpRecord struct {
 	elems int
 	off   int64
 	bytes int64
-	path  int    // path holding the record's current bytes
-	sum   uint32 // crc32 of the last encoding written
-	read  *mlpOp // in-flight fetch, if any
-	// buf is the record's reusable IO buffer. Unlike nvmeRecord.buf it is
-	// NOT unconditionally safe to re-fill: with one worker per path there
-	// is no single FIFO serializing the record's ops, and a DRAM cache
+	path  int        // path holding the record's current bytes
+	sum   uint32     // crc32 of the last encoding written
+	read  *iolane.Op // in-flight fetch, if any
+	// buf is the record's reusable IO buffer. It is NOT unconditionally
+	// safe to re-fill: with one worker per path there is no single FIFO
+	// serializing the record's ops, and a DRAM cache
 	// hit skips the read that would have waited out the previous
 	// write-behind — so flushLocked surrenders the buffer to a still
 	// in-flight op (tracked in pending) instead of encoding underneath
@@ -138,7 +140,7 @@ type mlpRecord struct {
 	buf []byte
 	// pending is the record's most recently enqueued op; nil or done
 	// means buf is free to reuse.
-	pending *mlpOp
+	pending *iolane.Op
 	// spare parks the bucket's latest DRAM state whenever the record is
 	// neither resident nor cached: the decode target on the next fetch,
 	// and the bit-exact recovery replica when that fetch fails.
@@ -162,31 +164,13 @@ type mlpResident struct {
 	lastUse  int64
 }
 
-// mlpOp is one unit of path-worker IO.
-type mlpOp struct {
-	path   int
-	idx    int // bucket index (event reporting)
-	off    int64
-	buf    []byte
-	write  bool
-	sum    uint32  // expected content checksum; reads verify it
-	doneAt float64 // modeled completion on the path's device timeline
-	err    error
-	done   chan struct{}
-}
-
 // MLPStore implements BucketStore over N path files plus a DRAM cache
 // tier. See the type comment for the degradation contract.
 type MLPStore struct {
 	cfg   MLPStoreConfig
-	files []PathFile
-	names []string // backing file paths, for cleanup
-	ops   []chan *mlpOp
-	wg    sync.WaitGroup
-	// tracks[i] is path i's trace timeline, track the store-level one;
-	// both nil when tracing is off, immutable after construction.
-	tracks []*obs.Track
-	track  *obs.Track
+	lanes []*iolane.Lane // one per path: its file, worker, device clock, trace track
+	track *obs.Track     // store-level trace timeline (nil when tracing is off)
+	wall  *time.Timer    // SlowOpWall watchdog, reused across Acquires
 
 	// pathMu guards the quarantine flags, the latched first error, and
 	// the event log — the only state workers share with the consumer.
@@ -206,7 +190,6 @@ type MLPStore struct {
 	cache    map[int]*BucketState // DRAM cache tier
 	cacheUse map[int]int64        // cache LRU ticks
 	cpu      float64              // virtual consumer clock
-	dev      []float64            // per-path virtual device clocks
 	tel      MLPTelemetry
 	closed   bool
 }
@@ -226,10 +209,6 @@ func NewMLPStore(cfg MLPStoreConfig) (*MLPStore, error) {
 			return hw.AdamStepTime(chip, hw.AdamGrace, int64(elems))
 		}
 	}
-	dir := cfg.Dir
-	if dir == "" {
-		dir = os.TempDir()
-	}
 	n := len(cfg.Paths)
 	s := &MLPStore{
 		cfg:      cfg,
@@ -238,46 +217,41 @@ func NewMLPStore(cfg MLPStoreConfig) (*MLPStore, error) {
 		resident: map[int]*mlpResident{},
 		cache:    map[int]*BucketState{},
 		cacheUse: map[int]int64{},
-		dev:      make([]float64, n),
 	}
 	s.tel.PathReadSeconds = make([]float64, n)
 	s.tel.PathWriteSeconds = make([]float64, n)
-	if cfg.Tracer != nil {
-		label := cfg.TrackLabel
-		if label == "" {
-			label = "mlp"
-		}
-		s.track = cfg.Tracer.Track(label)
-		for i := 0; i < n; i++ {
-			s.tracks = append(s.tracks, cfg.Tracer.Track(fmt.Sprintf("%s path %d", label, i)))
-		}
+	label := cfg.TrackLabel
+	if label == "" {
+		label = "mlp"
 	}
+	s.track = cfg.Tracer.Track(label)
 	for i := 0; i < n; i++ {
-		f, err := os.CreateTemp(dir, fmt.Sprintf("superoffload-mlp-p%d-*.bin", i))
-		if err != nil {
-			for j, g := range s.files {
-				g.Close()
-				os.Remove(s.names[j])
-			}
-			return nil, fmt.Errorf("stv: creating MLP path %d backing file: %w", i, err)
-		}
-		s.names = append(s.names, f.Name())
-		var pf PathFile = f
+		var wrap func(iolane.File) iolane.File
 		if cfg.WrapPath != nil {
-			pf = cfg.WrapPath(i, f)
+			wrap = func(f iolane.File) iolane.File { return cfg.WrapPath(i, f) }
 		}
-		s.files = append(s.files, pf)
-		s.ops = append(s.ops, make(chan *mlpOp, 16))
-	}
-	for i := range s.files {
-		s.wg.Add(1)
-		go s.worker(i)
+		lane, err := iolane.Open(cfg.Dir, fmt.Sprintf("superoffload-mlp-p%d-*.bin", i),
+			cfg.Tracer.Track(fmt.Sprintf("%s path %d", label, i)), wrap,
+			func(op *iolane.Op) { s.checkOp(i, op) })
+		if err != nil {
+			for _, l := range s.lanes {
+				_ = l.Close() // nothing was issued; the create error is the one to report
+			}
+			return nil, fmt.Errorf("stv: creating flash path %d backing file: %w", i, err)
+		}
+		s.lanes = append(s.lanes, lane)
 	}
 	return s, nil
 }
 
 // BackingPaths returns the per-path backing file locations (diagnostics).
-func (s *MLPStore) BackingPaths() []string { return append([]string(nil), s.names...) }
+func (s *MLPStore) BackingPaths() []string {
+	names := make([]string, len(s.lanes))
+	for i, l := range s.lanes {
+		names[i] = l.Path()
+	}
+	return names
+}
 
 // Telemetry returns a snapshot of the modeled-time, cache, and
 // degradation counters.
@@ -301,45 +275,26 @@ func (s *MLPStore) NVMeTelemetry() (StoreTelemetry, bool) {
 	return s.tel.StoreTelemetry, true
 }
 
-// Err returns the first latched path error. Unlike NVMeStore's, a
-// non-nil value is not fatal — it records that the store degraded
-// (quarantined a path and re-routed its records) while training
-// continued bit-exactly. Close reports it too.
+// Err returns the first latched path error. A non-nil value is not
+// fatal — it records that the store degraded (quarantined a path and
+// re-routed or pinned its records) while training continued bit-exactly.
+// Close reports it too.
 func (s *MLPStore) Err() error {
 	s.pathMu.Lock()
 	defer s.pathMu.Unlock()
 	return s.ioErr
 }
 
-// worker drains one path's IO ops in FIFO order and verifies read
-// checksums, so a dropped or corrupted write surfaces as the fetch
-// error that triggers DRAM recovery. A failing op quarantines its path.
-func (s *MLPStore) worker(i int) {
-	defer s.wg.Done()
-	f := s.files[i]
-	var tk *obs.Track
-	if s.tracks != nil {
-		tk = s.tracks[i]
+// checkOp is path i's lane after-hook, run on the lane's worker: it
+// verifies a read's checksum, so a dropped or corrupted write surfaces
+// as the fetch error that triggers DRAM recovery, and quarantines the
+// path on any failing op.
+func (s *MLPStore) checkOp(i int, op *iolane.Op) {
+	if !op.Write && op.Err == nil && crc32.ChecksumIEEE(op.Buf) != op.Sum {
+		op.Err = fmt.Errorf("stv: bucket %d record checksum mismatch on path %d", op.Tag, i)
 	}
-	for op := range s.ops[i] {
-		name := "read"
-		if op.write {
-			name = "write"
-		}
-		sp := tk.Begin(name)
-		if op.write {
-			_, op.err = f.WriteAt(op.buf, op.off)
-		} else {
-			_, op.err = f.ReadAt(op.buf, op.off)
-			if op.err == nil && crc32.ChecksumIEEE(op.buf) != op.sum {
-				op.err = fmt.Errorf("stv: bucket %d record checksum mismatch on path %d", op.idx, i)
-			}
-		}
-		sp.EndInt("bucket", op.idx)
-		if op.err != nil {
-			s.quarantine(i, op.idx, op.err.Error())
-		}
-		close(op.done)
+	if op.Err != nil {
+		s.quarantine(i, int(op.Tag), op.Err.Error())
 	}
 }
 
@@ -349,7 +304,7 @@ func (s *MLPStore) quarantine(i, bucket int, detail string) {
 	s.pathMu.Lock()
 	defer s.pathMu.Unlock()
 	if s.ioErr == nil {
-		s.ioErr = fmt.Errorf("stv: MLP store path %d failed: %s", i, detail)
+		s.ioErr = fmt.Errorf("stv: flash store path %d failed: %s", i, detail)
 	}
 	if s.dead[i] {
 		return
@@ -367,11 +322,11 @@ func (s *MLPStore) event(e PathEvent) {
 	s.track.InstantInt(e.Kind, "bucket", e.Bucket)
 }
 
-// deadPaths snapshots the quarantine flags.
-func (s *MLPStore) deadPaths() []bool {
+// pathDead reports whether path i is quarantined.
+func (s *MLPStore) pathDead(i int) bool {
 	s.pathMu.Lock()
 	defer s.pathMu.Unlock()
-	return append([]bool(nil), s.dead...)
+	return s.dead[i]
 }
 
 // pickPathLocked returns the live path with the lowest device clock
@@ -381,35 +336,35 @@ func (s *MLPStore) deadPaths() []bool {
 // dispatched onto the lane an imminent fetch needs would serialize
 // behind it — exactly the single-lane contention the path split exists
 // to break — so evictions avoid the fetch's home lane.
-func (s *MLPStore) pickPathLocked(dead []bool, avoid int) (int, bool) {
+func (s *MLPStore) pickPathLocked(avoid int) (int, bool) {
+	s.pathMu.Lock()
+	defer s.pathMu.Unlock()
 	best, ok := -1, false
-	for i, d := range dead {
+	for i, d := range s.dead {
 		if d || i == avoid {
 			continue
 		}
-		if !ok || s.dev[i] < s.dev[best] {
+		if !ok || s.lanes[i].Clock() < s.lanes[best].Clock() {
 			best, ok = i, true
 		}
 	}
-	if !ok && avoid >= 0 && avoid < len(dead) && !dead[avoid] {
+	if !ok && avoid >= 0 && avoid < len(s.dead) && !s.dead[avoid] {
 		return avoid, true
 	}
 	return best, ok
 }
 
 // enqueueLocked schedules one IO on the given path, advancing that
-// path's modeled device timeline when modeled is true (seed bootstraps
-// pass false, as in NVMeStore). Issue order is the consumer's program
-// order, so modeled times are deterministic regardless of worker
-// scheduling.
-func (s *MLPStore) enqueueLocked(write bool, rec *mlpRecord, idx int, buf []byte, path int, modeled bool) *mlpOp {
-	op := &mlpOp{
-		path: path, idx: idx, off: rec.off, buf: buf, write: write,
-		sum: rec.sum, doneAt: s.dev[path], done: make(chan struct{}),
-	}
+// path's modeled device timeline when modeled is true (Seed's one-time
+// bootstrap writes pass false: they are real file IO but not
+// steady-state traffic, so they must not inflate the per-step telemetry
+// the reporters divide by step count).
+func (s *MLPStore) enqueueLocked(write bool, rec *mlpRecord, idx int, buf []byte, path int, modeled bool) *iolane.Op {
+	op := &iolane.Op{Off: rec.off, Buf: buf, Write: write, Tag: int32(idx), Sum: rec.sum}
+	var now, dur float64
 	if modeled {
 		spec := s.cfg.Paths[path]
-		var dur float64
+		now = s.cpu
 		if write {
 			dur = spec.WriteTime(rec.bytes)
 			s.tel.Writes++
@@ -423,25 +378,23 @@ func (s *MLPStore) enqueueLocked(write bool, rec *mlpRecord, idx int, buf []byte
 			s.tel.ReadSeconds += dur
 			s.tel.PathReadSeconds[path] += dur
 		}
-		op.doneAt = math.Max(s.dev[path], s.cpu) + dur
-		s.dev[path] = op.doneAt
 	}
 	rec.pending = op
-	s.ops[path] <- op
+	s.lanes[path].Issue(op, now, dur)
 	return op
 }
 
 // flushLocked encodes the state, refreshes the record's checksum, and
 // enqueues the write to the given path, recording a reroute event when
 // the record is moving off a quarantined path.
-func (s *MLPStore) flushLocked(rec *mlpRecord, idx int, st *BucketState, path int, dead []bool, modeled bool) {
+func (s *MLPStore) flushLocked(rec *mlpRecord, idx int, st *BucketState, path int, modeled bool) {
 	// The record's previous op may still be in flight on another path's
 	// worker (a cache hit skips the read that would have waited it out),
 	// and write-behinds are never waited on — surrender the buffer to it
 	// rather than encoding underneath a concurrent WriteAt.
 	if rec.pending != nil {
 		select {
-		case <-rec.pending.done:
+		case <-rec.pending.Done:
 		default:
 			rec.buf = nil
 		}
@@ -449,7 +402,7 @@ func (s *MLPStore) flushLocked(rec *mlpRecord, idx int, st *BucketState, path in
 	}
 	buf := encodeRecord(rec.ioBuf(), st)
 	rec.sum = crc32.ChecksumIEEE(buf)
-	if path != rec.path && rec.path < len(dead) && dead[rec.path] {
+	if path != rec.path && s.pathDead(rec.path) {
 		s.event(PathEvent{Path: rec.path, Kind: "reroute", Bucket: idx,
 			Detail: fmt.Sprintf("record moved to path %d", path)})
 	}
@@ -527,7 +480,6 @@ func (s *MLPStore) parkLocked(idx int, rec *mlpRecord, st *BucketState) {
 // bucket has nowhere durable to go — it is pinned to the DRAM tier
 // instead and the search continues. Reports whether a slot was freed.
 func (s *MLPStore) evictLocked(avoid int) bool {
-	dead := s.deadPaths()
 	for {
 		victim := -1
 		var oldest int64 = math.MaxInt64
@@ -542,14 +494,14 @@ func (s *MLPStore) evictLocked(avoid int) bool {
 		r := s.resident[victim]
 		rec := s.recs[victim]
 		if r.modified {
-			path, ok := s.pickPathLocked(dead, avoid)
+			path, ok := s.pickPathLocked(avoid)
 			if !ok {
 				r.pinned = true
 				s.event(PathEvent{Path: -1, Kind: "pin", Bucket: victim,
 					Detail: "all paths quarantined; bucket pinned to DRAM tier"})
 				continue
 			}
-			s.flushLocked(rec, victim, r.st, path, dead, true)
+			s.flushLocked(rec, victim, r.st, path, true)
 		}
 		delete(s.resident, victim)
 		s.parkLocked(victim, rec, r.st)
@@ -571,7 +523,7 @@ func (s *MLPStore) prefetchLocked(idx int) {
 	if _, ok := s.cache[idx]; ok {
 		return
 	}
-	if dead := s.deadPaths(); dead[rec.path] {
+	if s.pathDead(rec.path) {
 		return
 	}
 	if len(s.resident)+s.inflight >= s.cfg.ResidentBuckets && !s.evictLocked(rec.path) {
@@ -657,7 +609,7 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 	}
 	op := rec.read
 	if op == nil {
-		if dead := s.deadPaths(); dead[rec.path] {
+		if s.pathDead(rec.path) {
 			// The record's bytes live on a quarantined path: skip flash
 			// and restore from the DRAM replica.
 			st := s.recoverLocked(idx, rec, "record on quarantined path")
@@ -672,22 +624,29 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 		rec.read = op
 		s.inflight++
 	}
-	if op.doneAt > s.cpu {
-		s.tel.StallSeconds += op.doneAt - s.cpu
-		s.cpu = op.doneAt
+	if op.DoneAt > s.cpu {
+		s.tel.StallSeconds += op.DoneAt - s.cpu
+		s.cpu = op.DoneAt
 		s.track.InstantInt("stall", "bucket", idx)
 	}
+	path := rec.path // the fetch's lane: a record with a read in flight is not re-routed
 	s.mu.Unlock()
 
 	if s.cfg.SlowOpWall > 0 {
+		if s.wall == nil {
+			s.wall = time.NewTimer(s.cfg.SlowOpWall)
+		} else {
+			s.wall.Reset(s.cfg.SlowOpWall)
+		}
 		select {
-		case <-op.done:
-		case <-time.After(s.cfg.SlowOpWall):
+		case <-op.Done:
+			s.wall.Stop()
+		case <-s.wall.C:
 			// The path is stalled (throttled or hung). Quarantine it and
 			// abandon the op: the zombie keeps the old IO buffer (the
 			// record allocates a fresh one) and its eventual completion
 			// is ignored.
-			s.quarantine(op.path, idx, fmt.Sprintf("fetch exceeded SlowOpWall %s", s.cfg.SlowOpWall))
+			s.quarantine(path, idx, fmt.Sprintf("fetch exceeded SlowOpWall %s", s.cfg.SlowOpWall))
 			s.mu.Lock()
 			rec.read = nil
 			s.inflight--
@@ -697,18 +656,18 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 			return st
 		}
 	} else {
-		<-op.done
+		<-op.Done
 	}
-	if op.err != nil {
+	if op.Err != nil {
 		// The worker already quarantined the path; restore from DRAM.
 		s.mu.Lock()
 		rec.read = nil
 		s.inflight--
-		st := s.recoverLocked(idx, rec, op.err.Error())
+		st := s.recoverLocked(idx, rec, op.Err.Error())
 		s.mu.Unlock()
 		return st
 	}
-	st, derr := decodeRecord(rec.spare, rec.elems, op.buf)
+	st, derr := decodeRecord(rec.spare, rec.elems, op.Buf)
 	s.mu.Lock()
 	rec.read = nil
 	s.inflight--
@@ -716,7 +675,7 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 		// Checksum passed but the codec rejected the bytes — treat the
 		// path as corrupting data and recover (decodeRecord validated
 		// before touching spare, so the replica is intact).
-		s.quarantine(op.path, idx, derr.Error())
+		s.quarantine(path, idx, derr.Error())
 		st := s.recoverLocked(idx, rec, derr.Error())
 		s.mu.Unlock()
 		return st
@@ -727,8 +686,11 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 	return st
 }
 
-// Release ends a hold; modes carry the same write-back and modeled-time
-// semantics as NVMeStore's Release.
+// Release ends a hold. A mutating release (Flush or Step) marks the
+// bucket for write-back on eviction; a Step release also advances the
+// consumer clock by the bucket's modeled Adam step — the compute the
+// device timelines get to hide. Checkpoint IO and rollback restores use
+// Flush, so they never charge phantom optimizer compute.
 func (s *MLPStore) Release(idx int, mode ReleaseMode) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -759,20 +721,16 @@ func (s *MLPStore) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	for _, ch := range s.ops {
-		close(ch)
-	}
-	s.wg.Wait()
-	s.pathMu.Lock()
-	err := s.ioErr
-	s.pathMu.Unlock()
-	for i, f := range s.files {
-		if cerr := f.Close(); err == nil {
+	var err error
+	for _, l := range s.lanes {
+		if cerr := l.Close(); err == nil {
 			err = cerr
 		}
-		if rmErr := os.Remove(s.names[i]); err == nil {
-			err = rmErr
-		}
+	}
+	// The store's latch names the path that failed; with every worker
+	// drained it is final, and outranks a lane's raw error.
+	if lerr := s.Err(); lerr != nil {
+		err = lerr
 	}
 	return err
 }

@@ -1,58 +1,25 @@
 package stv
 
 import (
-	"fmt"
-	"math"
-	"os"
-	"sort"
-	"sync"
-
 	"superoffload/internal/hw"
 	"superoffload/internal/obs"
-	"superoffload/internal/optim"
 )
 
-// NVMeStore spills bucket optimizer state to a backing file, keeping only
-// a small window of buckets resident — the third memory tier of
-// ZeRO-Infinity's design brought to the real STV engine. All file IO runs
-// on one background worker in FIFO order: Acquire auto-prefetches the
-// next bucket's read while the consumer is still stepping the current
-// one (double buffering), and evictions enqueue write-behind flushes the
-// consumer never waits for. Numerics round-trip through the file
-// bit-exactly, so every exactness contract of the engine (STV ≡ STE, DP ≡
-// single-rank, checkpoint portability) holds unchanged.
-//
-// Alongside the real (host-speed) file IO, the store keeps a virtual
-// timeline throttled by hw.NVMeSpec: a device clock serializes modeled
-// transfer times in issue order, and a consumer clock advances by modeled
-// Adam compute (on mutating releases) and by stalls (when an Acquire's
-// read has not completed on the device timeline). Telemetry exposes both
-// the pipelined time this schedule achieves and the serialized
-// fetch+step+flush time a non-overlapped schedule would pay.
-
-// NVMeStoreConfig parameterizes an NVMeStore.
+// NVMeStoreConfig parameterizes the single-lane preset (NewNVMeStore);
+// Dir, ResidentBuckets, ComputeTime and Tracer are MLPStoreConfig's.
 type NVMeStoreConfig struct {
-	// Dir is where the backing file is created (default os.TempDir()).
 	Dir string
-	// Spec is the transfer-time model (default hw.NodeNVMe()).
-	Spec hw.NVMeSpec
-	// ResidentBuckets caps the resident window (default and minimum 2:
-	// the bucket being stepped plus the one being prefetched).
+	// Spec is the one path's transfer-time model (default hw.NodeNVMe()).
+	Spec            hw.NVMeSpec
 	ResidentBuckets int
-	// ComputeTime models the overlappable CPU work of one bucket's Adam
-	// step, in seconds for an elems-sized bucket (default: GraceAdam on
-	// the GH200 Grace CPU via hw.AdamStepTime).
-	ComputeTime func(elems int) float64
-	// Tracer, when non-nil, gives the store a trace track carrying the
-	// worker's wall-clock read/write spans and the consumer-side
-	// prefetch/flush/stall instants. Nil disables tracing at zero cost.
-	Tracer *obs.Tracer
-	// TrackLabel names the store's trace track (default "nvme"); engines
-	// running one store per rank disambiguate with it.
+	ComputeTime     func(elems int) float64
+	Tracer          *obs.Tracer
+	// TrackLabel prefixes the trace track names (default "nvme"): the
+	// consumer's instants on "<label>", the lane's spans on "<label> path 0".
 	TrackLabel string
 }
 
-// StoreTelemetry is the NVMe store's modeled-time accounting. All seconds
+// StoreTelemetry is the flash tier's modeled-time accounting. All seconds
 // are virtual (hw.NVMeSpec-throttled), not wall clock.
 type StoreTelemetry struct {
 	Reads        int
@@ -107,415 +74,35 @@ func (t StoreTelemetry) Add(o StoreTelemetry) StoreTelemetry {
 	}
 }
 
-// nvmeRecord is a bucket's fixed slot in the backing file.
-type nvmeRecord struct {
-	elems int
-	off   int64
-	bytes int64
-	read  *nvmeOp // in-flight fetch, if any
-	// buf is the record's reusable IO buffer. One buffer per record is
-	// safe: a record's ops alternate write (evict) / read (acquire) in
-	// program order, the FIFO worker serializes them, and a buffer is only
-	// re-filled (encode) or consumed (decode) after the record's previous
-	// op has completed.
-	buf []byte
-	// spare parks the evicted bucket's DRAM state so the next fetch of
-	// this record decodes into it instead of allocating fresh slices
-	// (sizes always match — elems is fixed per record).
-	spare *BucketState
-}
+// NVMeStore is the single-lane preset of MLPStore: one flash path, no
+// DRAM cache tier. It exists for its constructor's spelling and its flat
+// Telemetry; every other method and the failure contract are MLPStore's.
+type NVMeStore struct{ *MLPStore }
 
-// ioBuf returns the record's lazily allocated IO buffer.
-func (rec *nvmeRecord) ioBuf() []byte {
-	if rec.buf == nil {
-		rec.buf = make([]byte, rec.bytes)
-	}
-	return rec.buf
-}
-
-// nvmeResident is a bucket currently held in the DRAM window.
-type nvmeResident struct {
-	st       *BucketState
-	held     bool
-	modified bool  // changed since fetch: eviction must write back
-	lastUse  int64 // LRU tick
-}
-
-// nvmeOp is one unit of worker IO.
-type nvmeOp struct {
-	off    int64
-	buf    []byte
-	write  bool
-	doneAt float64 // modeled completion on the device timeline
-	err    error
-	done   chan struct{}
-}
-
-// NVMeStore implements BucketStore over a backing file. See the package
-// comment on store.go for the residency contract.
-type NVMeStore struct {
-	cfg  NVMeStoreConfig
-	file *os.File
-	path string
-	ops  chan *nvmeOp
-	wg   sync.WaitGroup
-	// track is the store's trace timeline (nil when tracing is off);
-	// immutable after construction, so the worker reads it lock-free.
-	track *obs.Track
-
-	// errMu/ioErr latch the first background IO failure. A separate
-	// mutex: the worker must never take mu (enqueueLocked can block on
-	// the ops channel while holding mu, and the worker is the drain).
-	errMu sync.Mutex
-	ioErr error
-
-	// mu guards everything below. The worker goroutine never takes it —
-	// it only performs file IO and closes op.done.
-	mu       sync.Mutex
-	recs     map[int]*nvmeRecord
-	order    []int // seeded indices, ascending: the prefetch cycle
-	end      int64 // next free file offset
-	resident map[int]*nvmeResident
-	inflight int // outstanding fetches (they hold window slots)
-	tick     int64
-	cpu, dev float64 // virtual consumer / device clocks
-	tel      StoreTelemetry
-	closed   bool
-}
-
-// NewNVMeStore creates the backing file and starts the IO worker.
+// NewNVMeStore builds a one-path, cache-less MLPStore over cfg.Spec.
 func NewNVMeStore(cfg NVMeStoreConfig) (*NVMeStore, error) {
 	if cfg.Spec.ReadBW == 0 {
 		cfg.Spec = hw.NodeNVMe()
 	}
-	if cfg.ResidentBuckets < 2 {
-		cfg.ResidentBuckets = 2
+	if cfg.TrackLabel == "" {
+		cfg.TrackLabel = "nvme"
 	}
-	if cfg.ComputeTime == nil {
-		chip := hw.GH200()
-		cfg.ComputeTime = func(elems int) float64 {
-			return hw.AdamStepTime(chip, hw.AdamGrace, int64(elems))
-		}
-	}
-	dir := cfg.Dir
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	f, err := os.CreateTemp(dir, "superoffload-nvme-*.bin")
+	s, err := NewMLPStore(MLPStoreConfig{
+		Dir:             cfg.Dir,
+		Paths:           hw.IOPaths{cfg.Spec},
+		ResidentBuckets: cfg.ResidentBuckets,
+		ComputeTime:     cfg.ComputeTime,
+		Tracer:          cfg.Tracer,
+		TrackLabel:      cfg.TrackLabel,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("stv: creating NVMe backing file: %w", err)
+		return nil, err
 	}
-	s := &NVMeStore{
-		cfg:      cfg,
-		file:     f,
-		path:     f.Name(),
-		ops:      make(chan *nvmeOp, 16),
-		recs:     map[int]*nvmeRecord{},
-		resident: map[int]*nvmeResident{},
-	}
-	if cfg.Tracer != nil {
-		label := cfg.TrackLabel
-		if label == "" {
-			label = "nvme"
-		}
-		s.track = cfg.Tracer.Track(label)
-	}
-	s.wg.Add(1)
-	go s.worker()
-	return s, nil
+	return &NVMeStore{s}, nil
 }
-
-// Path returns the backing file's location (diagnostics).
-func (s *NVMeStore) Path() string { return s.path }
 
 // Telemetry returns a snapshot of the modeled-time counters.
 func (s *NVMeStore) Telemetry() StoreTelemetry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tel
-}
-
-// NVMeTelemetry implements TelemetrySource.
-func (s *NVMeStore) NVMeTelemetry() (StoreTelemetry, bool) { return s.Telemetry(), true }
-
-// worker drains IO ops in FIFO order. The FIFO is the consistency
-// mechanism: a fetch enqueued after an eviction of the same bucket reads
-// the freshly written record. Write failures are latched (nothing waits
-// on a write-behind flush) and surfaced at the next Acquire or Close.
-func (s *NVMeStore) worker() {
-	defer s.wg.Done()
-	for op := range s.ops {
-		name := "read"
-		if op.write {
-			name = "write"
-		}
-		sp := s.track.Begin(name)
-		if op.write {
-			_, op.err = s.file.WriteAt(op.buf, op.off)
-		} else {
-			_, op.err = s.file.ReadAt(op.buf, op.off)
-		}
-		sp.EndInt("bytes", len(op.buf))
-		if op.err != nil {
-			s.errMu.Lock()
-			if s.ioErr == nil {
-				s.ioErr = op.err
-			}
-			s.errMu.Unlock()
-		}
-		close(op.done)
-	}
-}
-
-// Err returns the first latched background IO failure (nil while the
-// backing file is healthy). Unlike MLPStore, the single-lane store has
-// no surviving path to re-route to, so any latched error is fatal: the
-// next Acquire panics with it.
-func (s *NVMeStore) Err() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.ioErr
-}
-
-// fatalIOErr marks the store's latched errors as training-aborting for
-// PlacedStore, which must surface them even on resident-tier acquires.
-func (s *NVMeStore) fatalIOErr() error { return s.Err() }
-
-// checkIOErr panics on a latched background IO failure: continuing would
-// silently train on stale bytes, breaking the bit-exactness contract.
-func (s *NVMeStore) checkIOErr() {
-	if err := s.Err(); err != nil {
-		panic(fmt.Sprintf("stv: NVMe store IO failed: %v", err))
-	}
-}
-
-// enqueueLocked schedules one IO, advancing the modeled device timeline
-// when modeled is true (Seed's one-time bootstrap writes pass false: they
-// are real file IO but not steady-state traffic, so they must not inflate
-// the per-step telemetry the reporters divide by step count). Issue order
-// is the consumer's program order, so modeled times are deterministic
-// regardless of worker scheduling.
-func (s *NVMeStore) enqueueLocked(write bool, rec *nvmeRecord, buf []byte, modeled bool) *nvmeOp {
-	op := &nvmeOp{off: rec.off, buf: buf, write: write, doneAt: s.dev, done: make(chan struct{})}
-	if modeled {
-		var dur float64
-		if write {
-			dur = s.cfg.Spec.WriteTime(rec.bytes)
-			s.tel.Writes++
-			s.tel.BytesWritten += rec.bytes
-			s.tel.WriteSeconds += dur
-		} else {
-			dur = s.cfg.Spec.ReadTime(rec.bytes)
-			s.tel.Reads++
-			s.tel.BytesRead += rec.bytes
-			s.tel.ReadSeconds += dur
-		}
-		op.doneAt = math.Max(s.dev, s.cpu) + dur
-		s.dev = op.doneAt
-	}
-	s.ops <- op
-	return op
-}
-
-// Seed writes the bucket's initial record; nothing becomes resident.
-func (s *NVMeStore) Seed(idx int, master []float32) {
-	st := &BucketState{Shard: optim.NewMixedShard(master)}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.recs[idx]; ok {
-		panic(fmt.Sprintf("stv: bucket %d seeded twice", idx))
-	}
-	rec := &nvmeRecord{elems: len(master), off: s.end, bytes: recordBytes(len(master))}
-	s.recs[idx] = rec
-	s.end += rec.bytes
-	i := sort.SearchInts(s.order, idx)
-	s.order = append(s.order, 0)
-	copy(s.order[i+1:], s.order[i:])
-	s.order[i] = idx
-	s.enqueueLocked(true, rec, s.encode(rec, st), false)
-}
-
-// next returns the index after idx in the seeded cycle.
-func (s *NVMeStore) next(idx int) int {
-	i := sort.SearchInts(s.order, idx) + 1
-	if i >= len(s.order) {
-		i = 0
-	}
-	return s.order[i]
-}
-
-// evictLocked drops the least-recently-used unheld resident bucket,
-// enqueueing a write-behind flush when it was modified. Reports whether a
-// slot was freed.
-func (s *NVMeStore) evictLocked() bool {
-	victim := -1
-	var oldest int64 = math.MaxInt64
-	for idx, r := range s.resident {
-		if !r.held && r.lastUse < oldest {
-			victim, oldest = idx, r.lastUse
-		}
-	}
-	if victim < 0 {
-		return false
-	}
-	r := s.resident[victim]
-	delete(s.resident, victim)
-	rec := s.recs[victim]
-	if r.modified {
-		s.track.InstantInt("flush", "bucket", victim)
-		s.enqueueLocked(true, rec, s.encode(rec, r.st), true)
-	}
-	rec.spare = r.st // decode reuses the slices on the next fetch
-	return true
-}
-
-// prefetchLocked starts an async fetch of idx if a window slot is free.
-func (s *NVMeStore) prefetchLocked(idx int) {
-	rec, ok := s.recs[idx]
-	if !ok || rec.read != nil {
-		return
-	}
-	if _, ok := s.resident[idx]; ok {
-		return
-	}
-	if len(s.resident)+s.inflight >= s.cfg.ResidentBuckets && !s.evictLocked() {
-		return
-	}
-	s.track.InstantInt("prefetch", "bucket", idx)
-	rec.read = s.enqueueLocked(false, rec, rec.ioBuf(), true)
-	s.inflight++
-}
-
-// Acquire fetches bucket idx (waiting on its prefetch if one is in
-// flight), accounts the modeled stall, and auto-prefetches the next
-// bucket in the seeded cycle — the double-buffered pipeline.
-func (s *NVMeStore) Acquire(idx int) *BucketState {
-	s.checkIOErr()
-	s.mu.Lock()
-	if s.closed {
-		// Fail loudly and specifically: the ops channel is closed, so
-		// falling through to a fetch would panic with an opaque
-		// send-on-closed-channel.
-		s.mu.Unlock()
-		panic(fmt.Sprintf("stv: acquire of bucket %d after Close", idx))
-	}
-	rec, ok := s.recs[idx]
-	if !ok {
-		s.mu.Unlock()
-		panic(fmt.Sprintf("stv: acquire of unseeded bucket %d", idx))
-	}
-	if r, ok := s.resident[idx]; ok {
-		r.held = true
-		s.tick++
-		r.lastUse = s.tick
-		if len(s.order) > 1 {
-			s.prefetchLocked(s.next(idx))
-		}
-		s.mu.Unlock()
-		return r.st
-	}
-	op := rec.read
-	if op == nil {
-		// Cold fetch: make room first so the read doesn't overshoot the
-		// window, then enqueue.
-		for len(s.resident)+s.inflight >= s.cfg.ResidentBuckets && s.evictLocked() {
-		}
-		op = s.enqueueLocked(false, rec, rec.ioBuf(), true)
-		rec.read = op
-		s.inflight++
-	}
-	if op.doneAt > s.cpu {
-		s.tel.StallSeconds += op.doneAt - s.cpu
-		s.cpu = op.doneAt
-		s.track.InstantInt("stall", "bucket", idx)
-	}
-	s.mu.Unlock()
-
-	<-op.done
-	if op.err != nil {
-		panic(fmt.Sprintf("stv: NVMe store read failed: %v", op.err))
-	}
-	// The FIFO worker ran every earlier write before this read; surface
-	// any of their failures rather than decoding possibly-stale bytes.
-	s.checkIOErr()
-	st := s.decode(rec, op.buf)
-
-	s.mu.Lock()
-	rec.read = nil
-	s.inflight--
-	for len(s.resident) >= s.cfg.ResidentBuckets && s.evictLocked() {
-	}
-	s.tick++
-	s.resident[idx] = &nvmeResident{st: st, held: true, lastUse: s.tick}
-	if len(s.order) > 1 {
-		s.prefetchLocked(s.next(idx))
-	}
-	s.mu.Unlock()
-	return st
-}
-
-// Release ends a hold. A mutating release (Flush or Step) marks the
-// bucket for write-back on eviction; a Step release also advances the
-// consumer clock by the bucket's modeled Adam step — the compute the
-// device timeline gets to hide. Checkpoint IO and rollback restores use
-// Flush, so they never charge phantom optimizer compute.
-func (s *NVMeStore) Release(idx int, mode ReleaseMode) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.resident[idx]
-	if !ok || !r.held {
-		panic(fmt.Sprintf("stv: release of unheld bucket %d", idx))
-	}
-	r.held = false
-	if mode != ReleaseClean {
-		r.modified = true
-	}
-	if mode == ReleaseStep {
-		c := s.cfg.ComputeTime(s.recs[idx].elems)
-		s.cpu += c
-		s.tel.ComputeSeconds += c
-	}
-}
-
-// Close drains the worker and deletes the backing file.
-func (s *NVMeStore) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.ops)
-	s.wg.Wait()
-	s.errMu.Lock()
-	err := s.ioErr
-	s.errMu.Unlock()
-	if cerr := s.file.Close(); err == nil {
-		err = cerr
-	}
-	if rmErr := os.Remove(s.path); err == nil {
-		err = rmErr
-	}
-	return err
-}
-
-// encode serializes a bucket record into the record's reusable IO buffer
-// via the shared codec (codec.go).
-func (s *NVMeStore) encode(rec *nvmeRecord, st *BucketState) []byte {
-	return encodeRecord(rec.ioBuf(), st)
-}
-
-// decode reconstructs a bucket record via the shared codec, decoding into
-// the record's parked spare state when one exists, so the steady-state
-// fetch→step→evict cycle stops allocating DRAM shards. The bytes came
-// from the store's own encoding, so a codec rejection means the backing
-// file was corrupted underneath us — fail loudly.
-func (s *NVMeStore) decode(rec *nvmeRecord, buf []byte) *BucketState {
-	st, err := decodeRecord(rec.spare, rec.elems, buf)
-	if err != nil {
-		panic(fmt.Sprintf("stv: NVMe store record corrupt: %v", err))
-	}
-	rec.spare = nil
-	return st
+	t, _ := s.NVMeTelemetry()
+	return t
 }

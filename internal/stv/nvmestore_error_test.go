@@ -1,94 +1,91 @@
 package stv
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
+	"superoffload/internal/hw"
 	"superoffload/internal/place"
+	"superoffload/internal/stv/stvtest"
 )
 
-// mustPanic runs fn expecting a panic whose message contains want.
-func mustPanic(t *testing.T, want string, fn func()) {
+// onePathStore builds what NewNVMeStore builds — one flash path, no
+// cache tier, window 2 — with the path's backing file wrapped.
+func onePathStore(t *testing.T, wrap func(int, PathFile) PathFile) *MLPStore {
 	t.Helper()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("expected a panic mentioning %q, got none", want)
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, want) {
-			t.Fatalf("panic %v does not mention %q", r, want)
-		}
-	}()
-	fn()
-}
-
-// TestNVMeStoreLatchedErrorSurfacesAtNextAcquire is the regression for
-// the error-latching bug: a failed write-behind flush has no waiter, so
-// its error used to sit latched until Close — training kept running on
-// state the backing file no longer held. The contract now is that the
-// very next Acquire surfaces the latched failure, even when the bucket
-// it asks for is already resident and needs no IO at all.
-func TestNVMeStoreLatchedErrorSurfacesAtNextAcquire(t *testing.T) {
-	s, err := NewNVMeStore(NVMeStoreConfig{Dir: t.TempDir()})
+	s, err := NewMLPStore(MLPStoreConfig{Dir: t.TempDir(), Paths: hw.IOPaths{hw.NodeNVMe()}, WrapPath: wrap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	for i := 0; i < 3; i++ {
-		s.Seed(i, make([]float32, 64))
-	}
-	// A healthy hold: bucket 0 is resident, so re-acquiring it performs
-	// no file IO.
-	s.Acquire(0)
-	s.Release(0, ReleaseClean)
-
-	// Latch a background write failure the way the worker does when a
-	// write-behind flush errors (nothing waits on those ops).
-	injected := errors.New("injected write-behind failure")
-	s.errMu.Lock()
-	s.ioErr = injected
-	s.errMu.Unlock()
-
-	if got := s.Err(); !errors.Is(got, injected) {
-		t.Fatalf("Err() = %v, want the latched injected error", got)
-	}
-	mustPanic(t, "NVMe store IO failed", func() { s.Acquire(0) })
+	return s
 }
 
-// TestNVMeStoreRealIOFailureLatches drives the latch end to end with a
-// real failure: the backing file is closed underneath the store, so the
-// next fetch's IO errors, the error latches, Acquire panics instead of
-// decoding stale bytes, and Close still reports the failure.
-func TestNVMeStoreRealIOFailureLatches(t *testing.T) {
-	s, err := NewNVMeStore(NVMeStoreConfig{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
+// churn walks buckets [0,n) for a few rounds, bumping every master's
+// first element each hold, and checks each Acquire against a mirror
+// kept outside the store: whatever the flash lane lost, the state
+// handed back must be exactly what was last released.
+func churn(t *testing.T, s BucketStore, mirror map[int]float32, idxs []int, rounds int) {
+	t.Helper()
+	for r := 0; r < rounds; r++ {
+		for _, i := range idxs {
+			st := s.Acquire(i)
+			if got := st.Shard.Master[0]; got != mirror[i] {
+				t.Fatalf("round %d: bucket %d master[0] = %v, want %v (stale state handed back)", r, i, got, mirror[i])
+			}
+			st.Shard.Master[0]++
+			mirror[i]++
+			s.Release(i, ReleaseStep)
+		}
 	}
+}
+
+// TestOnePathLatchedWriteBehindKeepsExactState: a write-behind flush has
+// no waiter, so its failure can only latch. The single-lane store used
+// to panic at the next Acquire; the contract now is that the path
+// quarantines and every later Acquire — resident, replica-recovered or
+// pinned — still returns exactly the last released state.
+func TestOnePathLatchedWriteBehindKeepsExactState(t *testing.T) {
+	// Ops 0-3 are the seed writes, 4 and 5 the first cold fetch and its
+	// prefetch; op 6 is the first eviction's write-behind flush.
+	inj := stvtest.NewInjector(stvtest.Fault{Path: 0, Kind: stvtest.FaultError, AfterOps: 6})
+	s := onePathStore(t, inj.WrapPath)
 	for i := 0; i < 4; i++ {
 		s.Seed(i, make([]float32, 64))
 	}
-	st := s.Acquire(0)
-	if len(st.Shard.Master) != 64 {
-		t.Fatalf("acquired bucket has %d elems, want 64", len(st.Shard.Master))
-	}
-	s.Release(0, ReleaseStep)
+	churn(t, s, map[int]float32{}, []int{0, 1, 2, 3}, 4)
 
-	// Pull the device out from under the store. Every subsequent worker
-	// op fails with "file already closed".
-	if err := s.file.Close(); err != nil {
+	if s.Err() == nil {
+		t.Fatal("failed write-behind latched no error")
+	}
+	kinds := map[string]int{}
+	for _, e := range s.Telemetry().Events {
+		kinds[e.Kind]++
+	}
+	if kinds["quarantine"] != 1 || kinds["recover"] == 0 || kinds["pin"] == 0 {
+		t.Errorf("want one quarantine plus recover and pin events, got %+v", kinds)
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("Close swallowed the latched IO failure")
+	}
+}
+
+// TestOnePathDeadFileRecovers drives the same contract with a real
+// failure: the backing file is closed underneath the store, every
+// later op errors with "file already closed", and the store recovers
+// from its replicas and reports the failure from Err and Close.
+func TestOnePathDeadFileRecovers(t *testing.T) {
+	var backing PathFile
+	s := onePathStore(t, func(_ int, f PathFile) PathFile { backing = f; return f })
+	for i := 0; i < 4; i++ {
+		s.Seed(i, make([]float32, 64))
+	}
+	mirror := map[int]float32{}
+	churn(t, s, mirror, []int{0, 1, 2, 3}, 1)
+
+	// Pull the device out from under the store.
+	if err := backing.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mustPanic(t, "NVMe store", func() {
-		// The window holds two buckets, so walking the cycle is
-		// guaranteed to need a fetch from the dead file within a few
-		// acquires.
-		for i := 1; i < 4; i++ {
-			s.Acquire(i)
-			s.Release(i, ReleaseStep)
-		}
-	})
+	churn(t, s, mirror, []int{0, 1, 2, 3}, 3)
 	if s.Err() == nil {
 		t.Fatal("no error latched after the backing file died")
 	}
@@ -97,43 +94,37 @@ func TestNVMeStoreRealIOFailureLatches(t *testing.T) {
 	}
 }
 
-// TestPlacedStoreSurfacesFlashErrorOnResidentAcquire pins the companion
-// fix at the placement layer: when the flash tier has latched a fatal
-// error, a PlacedStore Acquire must panic even for a bucket routed to
-// the resident DRAM tier. A GPU/CPU-heavy plan may not touch the flash
-// tier again for a long time, and waiting for the next NVMe-tier acquire
-// would let training continue on lost state.
-func TestPlacedStoreSurfacesFlashErrorOnResidentAcquire(t *testing.T) {
+// TestPlacedStoreKeepsWorkingOverDeadFlash: a dead flash tier must not
+// stop the placement layer — resident-tier acquires never touch it and
+// NVMe-tier acquires recover exactly — and PlacedStore.Close reports the
+// failure.
+func TestPlacedStoreKeepsWorkingOverDeadFlash(t *testing.T) {
 	plan := place.GPUTail(6, 2).WithNVMeBody()
-	ps, err := NewPlacedStore(plan, NVMeStoreConfig{Dir: t.TempDir()})
+	inj := stvtest.NewInjector(stvtest.Fault{Path: 0, Kind: stvtest.FaultError, AfterOps: 6})
+	ps, err := NewPlacedStoreFlash(plan, func() (BucketStore, error) { return onePathStore(t, inj.WrapPath), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Close()
-	for i := 0; i < 6; i++ {
-		ps.Seed(i, make([]float32, 32))
-	}
-	resident := -1
+	var flash, resident []int
 	for i, tier := range plan.Tiers {
-		if tier != place.NVMeWindow {
-			resident = i
-			break
+		ps.Seed(i, make([]float32, 32))
+		if tier == place.NVMeWindow {
+			flash = append(flash, i)
+		} else {
+			resident = append(resident, i)
 		}
 	}
-	if resident < 0 {
-		t.Fatal("plan has no resident-tier bucket")
+	if len(flash) < 3 || len(resident) == 0 {
+		t.Fatalf("plan needs a windowed body and a resident tail, got %v", plan.Tiers)
 	}
-	// Healthy resident acquire first.
-	ps.Acquire(resident)
-	ps.Release(resident, ReleaseClean)
-
-	inner, ok := ps.flash.(*NVMeStore)
-	if !ok {
-		t.Fatalf("flash tier is %T, want *NVMeStore", ps.flash)
+	mirror := map[int]float32{}
+	churn(t, ps, mirror, flash, 3)
+	if ps.flash.(*MLPStore).Err() == nil {
+		t.Fatal("flash tier latched no error despite the injected fault")
 	}
-	inner.errMu.Lock()
-	inner.ioErr = errors.New("injected flash failure")
-	inner.errMu.Unlock()
-
-	mustPanic(t, "NVMe store IO failed", func() { ps.Acquire(resident) })
+	churn(t, ps, mirror, resident, 2)
+	churn(t, ps, mirror, flash, 2)
+	if err := ps.Close(); err == nil {
+		t.Fatal("Close swallowed the flash tier's latched failure")
+	}
 }

@@ -1,35 +1,23 @@
 package stv
 
-import (
-	"fmt"
-
-	"superoffload/internal/place"
-)
+import "superoffload/internal/place"
 
 // PlacedStore routes bucket residency by placement tier: GPU-resident and
 // CPU-tier buckets stay permanently resident (DRAM semantics — in the
 // modeled system the tail lives in HBM and the body in host DRAM), while
-// NVMe-tier buckets spill through a windowed flash store between touches
-// — the single-lane NVMeStore or the multi-path MLPStore. The inner
-// store is only created when the plan actually has NVMe buckets, and its
-// prefetch cycle covers exactly the NVMe-tier indices seeded into it.
+// NVMe-tier buckets spill through the windowed flash store (MLPStore)
+// between touches. The inner store is only created when the plan
+// actually has NVMe buckets, and its prefetch cycle covers exactly the
+// NVMe-tier indices seeded into it. A degraded flash tier never stops a
+// resident-tier acquire: its latched error is reported by Close.
 type PlacedStore struct {
 	tiers []place.Tier
 	dram  *DRAMStore
 	flash BucketStore // nil when the plan has no NVMe-tier buckets
 }
 
-// fatalErrSource is implemented by flash stores whose latched background
-// errors must abort training (NVMeStore: no surviving path to re-route
-// to). MLPStore deliberately does not implement it — its latched errors
-// record graceful degradation, not corruption.
-type fatalErrSource interface {
-	fatalIOErr() error
-}
-
-// NewPlacedStore builds a store for the plan over a single-lane inner
-// NVMe store; cfg parameterizes it (ignored when no bucket is
-// NVMe-tier).
+// NewPlacedStore builds a store for the plan over the single-lane flash
+// preset; cfg parameterizes it (ignored when no bucket is NVMe-tier).
 func NewPlacedStore(plan place.Plan, cfg NVMeStoreConfig) (*PlacedStore, error) {
 	return NewPlacedStoreFlash(plan, func() (BucketStore, error) {
 		return NewNVMeStore(cfg)
@@ -37,7 +25,7 @@ func NewPlacedStore(plan place.Plan, cfg NVMeStoreConfig) (*PlacedStore, error) 
 }
 
 // NewPlacedStoreFlash builds a store for the plan with the flash tier
-// supplied by newFlash — the hook the facade uses to put the multi-path
+// supplied by newFlash — the hook the facade uses to put its configured
 // MLPStore behind a placement. newFlash is only called when the plan has
 // NVMe-tier buckets.
 func NewPlacedStoreFlash(plan place.Plan, newFlash func() (BucketStore, error)) (*PlacedStore, error) {
@@ -67,20 +55,8 @@ func (s *PlacedStore) route(idx int) BucketStore {
 // Seed installs the bucket's initial state in its tier's backing store.
 func (s *PlacedStore) Seed(idx int, master []float32) { s.route(idx).Seed(idx, master) }
 
-// Acquire makes the bucket's state resident and returns it. A fatal
-// error latched by the flash tier (a failed write-behind on the
-// single-lane store) surfaces here even when this bucket routes to a
-// resident tier: waiting for the next NVMe-tier acquire — which a
-// GPU/CPU-heavy plan may never issue again — would let training continue
-// on state the backing file no longer holds.
-func (s *PlacedStore) Acquire(idx int) *BucketState {
-	if f, ok := s.flash.(fatalErrSource); ok {
-		if err := f.fatalIOErr(); err != nil {
-			panic(fmt.Sprintf("stv: NVMe store IO failed: %v", err))
-		}
-	}
-	return s.route(idx).Acquire(idx)
-}
+// Acquire makes the bucket's state resident and returns it.
+func (s *PlacedStore) Acquire(idx int) *BucketState { return s.route(idx).Acquire(idx) }
 
 // Release ends the hold started by Acquire.
 func (s *PlacedStore) Release(idx int, mode ReleaseMode) { s.route(idx).Release(idx, mode) }

@@ -67,7 +67,7 @@ type BucketStore interface {
 }
 
 // TelemetrySource is implemented by stores that keep modeled NVMe-tier
-// accounting (NVMeStore, and PlacedStore when its plan has NVMe-tier
+// accounting (MLPStore, and PlacedStore when its plan has NVMe-tier
 // buckets). ok is false when the store has nothing to model.
 type TelemetrySource interface {
 	// NVMeTelemetry returns the store's modeled flash-tier accounting.

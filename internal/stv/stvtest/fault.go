@@ -1,18 +1,21 @@
-// Package stvtest provides the fault-injection harness for the
-// multi-path bucket store's degradation tests: an Injector that wraps a
-// chosen path's backing file (via stv.MLPStoreConfig.WrapPath) and
-// throttles, stalls, drops, or errors its IO once the path reaches a
-// chosen op count. Tests drive real training over the faulty store and
-// assert the graceful-degradation contract — quarantine, re-route,
-// bit-exact recovery, latched-error reporting on Close.
+// Package stvtest provides the fault-injection harness for the offload
+// tiers' I/O lanes: an Injector that wraps a chosen path's backing file
+// (via stv.MLPStoreConfig.WrapPath, or the activation store's lane wrap)
+// and throttles, stalls, drops, or errors its IO once the path reaches a
+// chosen op count, plus the goroutine-leak check the stores' Close tests
+// share. Tests drive real training over the faulty store and assert the
+// graceful-degradation contract — quarantine, re-route, bit-exact
+// recovery, latched-error reporting on Close.
 package stvtest
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"testing"
 	"time"
 
-	"superoffload/internal/stv"
+	"superoffload/internal/iolane"
 )
 
 // FaultKind selects what the injected fault does to the path's IO.
@@ -56,7 +59,7 @@ func NewInjector(faults ...Fault) *Injector {
 }
 
 // WrapPath is the stv.MLPStoreConfig.WrapPath hook.
-func (in *Injector) WrapPath(path int, f stv.PathFile) stv.PathFile {
+func (in *Injector) WrapPath(path int, f iolane.File) iolane.File {
 	return &faultFile{in: in, path: path, f: f}
 }
 
@@ -86,7 +89,7 @@ func (in *Injector) next(path int) (Fault, bool) {
 type faultFile struct {
 	in   *Injector
 	path int
-	f    stv.PathFile
+	f    iolane.File
 }
 
 func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
@@ -116,3 +119,15 @@ func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func (ff *faultFile) Close() error { return ff.f.Close() }
+
+// NoLeakedGoroutines fails the test unless runtime.NumGoroutine settles
+// back to before (the count ahead of the store's constructor) after its
+// Close. It polls: a worker past its WaitGroup may still be counted.
+func NoLeakedGoroutines(t testing.TB, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before the store, %d after Close", before, runtime.NumGoroutine())
+		}
+	}
+}

@@ -58,7 +58,7 @@ type Config struct {
 	Schedule func(step int) float64
 	// Store selects where bucket optimizer state (fp32 masters, Adam
 	// moments, rollback snapshots) lives between touches. Nil keeps
-	// everything resident in DRAM; an NVMeStore spills to a backing file
+	// everything resident in DRAM; an MLPStore spills to backing files
 	// with a small resident window; a PlacedStore routes residency by
 	// the placement plan's tiers. The trainer owns the store: Close
 	// closes it.

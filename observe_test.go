@@ -117,3 +117,54 @@ func TestRegisterMetricsLiveProviders(t *testing.T) {
 		t.Errorf("superoffload_stv_steps_total = %v, want 3 (all samples: %v)", got["superoffload_stv_steps_total"], got)
 	}
 }
+
+// TestStoreLaneTrackNames pins the trace tracks bench/trace.go folds by
+// name: the flash store's lane spans live on "rank N nvme path K" (a
+// " nvme" match, one worker per path) beside the consumer instants on
+// "rank N nvme", and the activation store's lane spans stay on the
+// store's own "rank N act" track (a " act" suffix match).
+func TestStoreLaneTrackNames(t *testing.T) {
+	m, err := NewModel(ModelConfig{Layers: 4, Hidden: 32, Vocab: 64, MaxSeq: 16}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultOptimizer()
+	cfg.BucketElems = 4096
+	cfg.Offload = OffloadConfig{Backend: "nvme", Dir: t.TempDir(), ResidentBuckets: 2}
+	cfg.Activation = ActivationConfig{Offload: "nvme", Dir: t.TempDir(), ResidentLayers: 2}
+	cfg.Tracer = NewTracer()
+	eng, err := Init(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := NewCorpus(64, 2)
+	for i := 0; i < 3; i++ {
+		if _, err := eng.Step(corpus.NextBatch(2, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names := map[int]string{}
+	spans := map[string]map[string]bool{} // track name -> span names seen
+	for _, e := range cfg.Tracer.Events() {
+		switch e.Ph {
+		case "M":
+			names[e.Tid], _ = e.Args["name"].(string)
+		case "X":
+			if spans[names[e.Tid]] == nil {
+				spans[names[e.Tid]] = map[string]bool{}
+			}
+			spans[names[e.Tid]][e.Name] = true
+		}
+	}
+	for _, track := range []string{"rank 0 nvme path 0", "rank 0 act"} {
+		if !spans[track]["read"] || !spans[track]["write"] {
+			t.Errorf("track %q carries spans %v, want the lane's read and write", track, spans[track])
+		}
+	}
+	if len(spans["rank 0 nvme"]) != 0 {
+		t.Errorf("store track \"rank 0 nvme\" carries worker spans %v; they belong on its path track", spans["rank 0 nvme"])
+	}
+}

@@ -280,64 +280,31 @@ type OffloadConfig struct {
 	// scheduled flash paths (MLP-Offload's multi-path layer): bucket
 	// records stripe across per-path backing files with one IO worker
 	// each, and a failed path quarantines while its records re-route to
-	// survivors. Values <= 1 keep the single-lane store.
+	// survivors. Values <= 1 mean one path (the whole array as one lane).
 	IOPaths int
-	// CacheBuckets caps the DRAM cache tier the multi-path store keeps
-	// in front of flash (0 disables the cache tier). Setting it selects
-	// the multi-path store even with IOPaths <= 1.
+	// CacheBuckets caps the DRAM cache tier the store keeps in front of
+	// flash (0 disables the cache tier).
 	CacheBuckets int
 }
 
-// nvmeConfig translates the offload knobs into the windowed store's
-// configuration (shared by the homogeneous and placement-routed paths).
-func (o OffloadConfig) nvmeConfig(tracer *Tracer, label string) stv.NVMeStoreConfig {
-	return stv.NVMeStoreConfig{
-		Dir: o.Dir, ResidentBuckets: o.ResidentBuckets,
-		Tracer: tracer, TrackLabel: label,
-	}
-}
-
-// multipath reports whether the nvme backend should build the
-// multi-path store instead of the single-lane one.
-func (o OffloadConfig) multipath() bool { return o.IOPaths > 1 || o.CacheBuckets > 0 }
-
-// mlpConfig translates the offload knobs into the multi-path store's
-// configuration.
-func (o OffloadConfig) mlpConfig(tracer *Tracer, label string) stv.MLPStoreConfig {
-	n := o.IOPaths
-	if n < 1 {
-		n = 1
-	}
-	return stv.MLPStoreConfig{
-		Dir:             o.Dir,
-		Paths:           hw.NodeIOPaths(n),
-		ResidentBuckets: o.ResidentBuckets,
-		CacheBuckets:    o.CacheBuckets,
-		Tracer:          tracer,
-		TrackLabel:      label,
-	}
-}
-
-// newFlashStore builds the flash-tier store the nvme backend selected:
-// multi-path when any MLP knob is set, else the single-lane store. The
-// label names the store's trace track(s) when the tracer is on.
-func (o OffloadConfig) newFlashStore(tracer *Tracer, label string) (stv.BucketStore, error) {
-	if o.multipath() {
-		return stv.NewMLPStore(o.mlpConfig(tracer, label))
-	}
-	return stv.NewNVMeStore(o.nvmeConfig(tracer, label))
-}
-
 // storeFactory translates the offload selection into a per-rank bucket
-// store constructor (nil means DRAM-resident, the engines' default).
-// The tracer, when non-nil, gives each rank's store its own trace track.
+// store constructor (nil means DRAM-resident, the engines' default; nvme
+// is the flash store). The tracer, when non-nil, gives each rank's store
+// its own trace tracks.
 func (o OffloadConfig) storeFactory(tracer *Tracer) (func(rank int) (stv.BucketStore, error), error) {
 	switch o.Backend {
 	case "", "dram":
 		return nil, nil
 	case "nvme":
 		return func(rank int) (stv.BucketStore, error) {
-			return o.newFlashStore(tracer, fmt.Sprintf("rank %d nvme", rank))
+			return stv.NewMLPStore(stv.MLPStoreConfig{
+				Dir:             o.Dir,
+				Paths:           hw.NodeIOPaths(max(o.IOPaths, 1)),
+				ResidentBuckets: o.ResidentBuckets,
+				CacheBuckets:    o.CacheBuckets,
+				Tracer:          tracer,
+				TrackLabel:      fmt.Sprintf("rank %d nvme", rank),
+			})
 		}, nil
 	}
 	return nil, fmt.Errorf("superoffload: unknown offload backend %q (want dram or nvme)", o.Backend)
@@ -427,36 +394,29 @@ func (cfg OptimizerConfig) trainSetup(m *Model) (*place.Plan, func(rank int) (st
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if plan == nil {
-		factory, err := cfg.Offload.storeFactory(cfg.Tracer)
-		return nil, factory, actFactory, err
-	}
-	// Reuse storeFactory's backend dispatch (one switch, one error
-	// message); a non-nil factory means the nvme backend, which the
-	// placement re-routes through a tier-aware PlacedStore so only the
-	// plan's NVMe-tier body spills.
 	factory, err := cfg.Offload.storeFactory(cfg.Tracer)
-	if err != nil || factory == nil {
-		return plan, nil, actFactory, err
+	if err != nil || plan == nil || factory == nil {
+		return plan, factory, actFactory, err
 	}
+	// A non-nil factory means the nvme backend, which the placement
+	// re-routes through a tier-aware PlacedStore so only the plan's
+	// NVMe-tier body spills.
 	p := *plan
 	return plan, func(rank int) (stv.BucketStore, error) {
-		return stv.NewPlacedStoreFlash(p, func() (stv.BucketStore, error) {
-			return cfg.Offload.newFlashStore(cfg.Tracer, fmt.Sprintf("rank %d nvme", rank))
-		})
+		return stv.NewPlacedStoreFlash(p, func() (stv.BucketStore, error) { return factory(rank) })
 	}, actFactory, nil
 }
 
-// StoreTelemetry is the NVMe store's modeled-time accounting (reads,
+// StoreTelemetry is the flash store's modeled-time accounting (reads,
 // writes, stalls, overlapped compute); see stv.StoreTelemetry.
 type StoreTelemetry = stv.StoreTelemetry
 
-// MLPTelemetry is the multi-path store's extended accounting (per-path
+// MLPTelemetry is the flash store's extended accounting (per-path
 // occupancy, DRAM cache hits, degradation events); see stv.MLPTelemetry.
 type MLPTelemetry = stv.MLPTelemetry
 
 // PathEvent is one degradation event (quarantine, reroute, recover, pin)
-// in a multi-path store's lifetime; see stv.PathEvent.
+// in a flash store's lifetime; see stv.PathEvent.
 type PathEvent = stv.PathEvent
 
 // PlacementConfig selects the adaptive weight-update placement: which
