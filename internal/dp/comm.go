@@ -65,14 +65,9 @@ type world struct {
 	ctrack *obs.Track
 }
 
-// dense reports the S=P=1 shape, where every rank runs the whole model
-// over whole rows and takes the dense replica pass.
-func (w *world) dense() bool { return w.S == 1 && w.P == 1 }
-
 // attachTracer allocates this world's trace tracks: "rank r" per rank,
-// one coordinator track, and — when the shape has links to count — the
-// "comm" track. A nil tracer leaves every track nil — the zero-overhead
-// disabled mode.
+// one coordinator track, and the "comm" track of collective instants. A
+// nil tracer leaves every track nil — the zero-overhead disabled mode.
 func (w *world) attachTracer(tr *obs.Tracer) {
 	if tr == nil {
 		return
@@ -82,9 +77,7 @@ func (w *world) attachTracer(tr *obs.Tracer) {
 	for i := range w.tracks {
 		w.tracks[i] = tr.Track(fmt.Sprintf("rank %d", i))
 	}
-	if !w.dense() {
-		w.tel.track = tr.Track("comm")
-	}
+	w.tel.track = tr.Track("comm")
 }
 
 // track returns rank id's trace track (nil when tracing is disabled).
@@ -104,13 +97,13 @@ type command struct {
 }
 
 // stepResult is a rank's report for one cmdStep (the zero value acks a
-// cmdResolve). The dense shape fills losses — one scalar per
-// micro-batch; every other shape's final-stage ranks fill rows — per
-// micro-batch per-row token losses in local row order, folded at the
-// coordinator in global row order.
+// cmdResolve): final-stage ranks fill rows — per micro-batch, the per-row
+// token losses in local row order, folded at the coordinator in global
+// row order. The slices live in the rank's per-micro cache arenas, which
+// the rank next writes in the following step's forwards — after the
+// coordinator has folded them.
 type stepResult struct {
-	losses []float64
-	rows   [][]float64
+	rows [][]float64
 }
 
 // partialMsg is one bucket's validation contribution.
@@ -263,9 +256,10 @@ func splitSeq(b data.Batch, n int) []data.Batch {
 // upstream stage may run several micro-batches ahead of its consumer,
 // and a bounded link there could deadlock against the cap-1 collective
 // channels the rest of the world uses — while receives block until a
-// tensor arrives. Tensors pass by reference: each SPCache owns its
-// buffers for its own lifetime, so the receiver reads them in place and
-// the happens-before edge comes from the mutex.
+// tensor arrives. Tensors pass by reference: they live in the sender's
+// per-micro cache arena, which the sender next writes in the following
+// step (see rank.caches), so the receiver reads them in place and the
+// happens-before edge comes from the mutex.
 type pipeLink struct {
 	mu   sync.Mutex
 	cond *sync.Cond

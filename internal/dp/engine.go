@@ -240,23 +240,18 @@ func (e *Engine) StepAccum(batches []data.Batch) (float64, error) {
 }
 
 // foldLoss folds the ranks' reported losses in canonical order. Per
-// (micro, group), the group's slice loss is the dense rank's scalar, or
-// — on sharded shapes, where only final-stage ranks (g, s, P-1) produce
-// loss rows — the rows folded in (batch row, shard, position) order,
-// ascending global row order within the slice. The R·m slice losses then
-// sum in (micro, group) order and divide once, matching the single-rank
-// trainer accumulating the same R-way decomposition. shards is any one
-// rank's micro-batches (every rank's have the same shape).
+// (micro, group), the group's slice loss is the loss rows of its
+// final-stage ranks (g, s, P-1) folded in (batch row, shard, position)
+// order — ascending global row order within the slice. The R·m slice
+// losses then sum in (micro, group) order and divide once, matching the
+// single-rank trainer accumulating the same R-way decomposition. shards
+// is any one rank's micro-batches (every rank's have the same shape).
 func (e *Engine) foldLoss(perRank []stepResult, shards []data.Batch) float64 {
 	w := e.w
 	var loss float64
 	for mi, sh := range shards {
 		rowsB, tl := sh.BatchSize, sh.Seq
 		for g := 0; g < w.R; g++ {
-			if w.dense() {
-				loss += perRank[g].losses[mi]
-				continue
-			}
 			var micro float64
 			for b := 0; b < rowsB; b++ {
 				for s := 0; s < w.S; s++ {

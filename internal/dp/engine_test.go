@@ -2,6 +2,7 @@ package dp
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"superoffload/internal/data"
@@ -218,7 +219,7 @@ func TestEngineValidation(t *testing.T) {
 		t.Error("indivisible batch accepted")
 	}
 	// Malformed batches surface as errors in the caller's goroutine on
-	// the dense shape too, not as rank-goroutine panics inside
+	// the (R,1,1) shape too, not as rank-goroutine panics inside
 	// nn.Forward (tinyGPT's MaxSeq is 16).
 	if _, err := eng.Step(corpus.NextBatch(2, 32)); err == nil {
 		t.Error("sequence exceeding MaxSeq accepted")
@@ -272,4 +273,39 @@ func TestStressManyBucketsTightClip(t *testing.T) {
 		t.Errorf("stress run should roll back nearly every step, got %+v", eng.Stats())
 	}
 	assertSameTrajectory(t, dpLosses, refLosses, eng, trainer)
+}
+
+// TestShapesAllocateAlike: the sequence axis runs the same replica pass as
+// the plain data-parallel shape, out of per-micro cache arenas that
+// persist across steps, so a steady-state (1,2,1) step allocates about
+// what a (2,1,1) step does — not the 250× it did when every forward built
+// a fresh arena and every all-to-all fresh payloads.
+func TestShapesAllocateAlike(t *testing.T) {
+	bytesPerStep := func(r, s int) float64 {
+		eng, err := New(tinyGPT(42), shapeConfig(r, s, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		corpus := data.NewCorpus(64, 3)
+		batch := corpus.NextBatch(4, 8)
+		step := func(n int) {
+			for i := 0; i < n; i++ {
+				if _, err := eng.Step(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		step(4) // arenas, ring buffers and staged payloads fill
+		const steps = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		step(steps)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / steps
+	}
+	dpB, spB := bytesPerStep(2, 1), bytesPerStep(1, 2)
+	if lo, hi := min(dpB, spB), max(dpB, spB); hi > 2*lo {
+		t.Errorf("steady-state bytes/step: (2,1,1) %.0f vs (1,2,1) %.0f — more than 2× apart", dpB, spB)
+	}
 }

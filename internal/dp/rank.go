@@ -28,18 +28,12 @@ type ownedBucket struct {
 // checkpoints are byte-identical across shapes) behind its own bucket
 // store.
 //
-// The replica pass has two forms, selected by the world's shape. On the
-// dense S=P=1 shape the rank runs nn.Forward/Backward on the model-level
-// arena and reads bucket gradients straight out of the replica
-// (stv.GatherGrads). On every other shape it runs
-// nn.ForwardSPStage/BackwardSPStage, whose per-cache arenas let several
-// micro-batches be in flight and whose weight gradients exist only as
-// the per-row replay the in-cell ring folds (nn.SPCache.AccumBatchRow).
-// The sharded form is correct at S=P=1 too (forcing it passes the
-// equivalence suites), but it re-derives every weight gradient row by
-// row and allocates a cache arena per micro: on the benchmark's
-// dp2-mlpcache workload that is 14.2 MB allocated per step instead of
-// 58.7 KB, +9% step time and +14% peak RSS for the same bits.
+// Every shape runs the one replica pass: nn.ForwardSPStage /
+// BackwardSPStage into a per-micro cache (so several micro-batches can be
+// in flight), then the weight gradients as the per-row replay the in-cell
+// ring folds (nn.FwdCache.AccumBatchRows). At S=1 the exchange and the
+// ring have no peer, at P=1 there are no boundaries; neither is a branch
+// here.
 type rank struct {
 	id    int // global rank: (group·S + local)·P + stage
 	group int // data-parallel group g ∈ [0, R)
@@ -49,7 +43,7 @@ type rank struct {
 	w      *world
 	cell   *spLinks // this rank's (group, stage) cell links
 	model  *nn.GPT
-	sp     *nn.SP // sequence-parallel context (unused on the dense shape)
+	sp     *nn.SP // this rank's place in its cell, and its activation tap
 	impl   optim.Impl
 	store  stv.BucketStore
 	exec   *stv.PlacementExecutor // nil without a placement plan
@@ -73,16 +67,19 @@ type rank struct {
 	// of step N happen before any step-N+1 write.
 	sendBufs [][][]float32
 
-	// Per-step interpreter state (begin resets it). The dense pass keeps
-	// one cache — the model-level arena allows one live forward, and at
-	// P=1 a micro backwards before the next forwards — and scalar
-	// losses. The sharded pass keeps caches[m] per micro plus, at P>1,
-	// bounds[m]/dBounds[m]: the received boundary activation/gradient.
+	// Per-micro interpreter state, indexed by micro-batch slot m: the
+	// forward cache, the final stage's per-row losses, and the boundary
+	// activation/gradient received from the neighbouring stages. caches[m]
+	// persists across steps — the next forward of slot m takes over its
+	// arena, so a steady-state step allocates nothing here. That is safe
+	// because what another goroutine reads out of an arena (loss rows,
+	// boundary tensors, all-to-all payloads) is read inside the step that
+	// produced it, and the coordinator collects every rank's report
+	// before it releases the next step; nn/workspace.go carries the full
+	// argument, including the STV redo that re-forwards a slot mid-step.
 	micros  []data.Batch
-	losses  []float64
-	cache   *nn.FwdCache
 	rows    [][]float64
-	caches  []*nn.SPCache
+	caches  []*nn.FwdCache
 	bounds  []*tensor.Tensor
 	dBounds []*tensor.Tensor
 }
@@ -98,9 +95,10 @@ func newRank(group, local, stage int, w *world, model *nn.GPT, impl optim.Impl, 
 		group: group, local: local, stage: stage,
 		w: w, cell: w.cells[group*w.P+stage], model: model, impl: impl, store: store,
 	}
-	r.sp = &nn.SP{Rank: local, Ranks: w.S, AllToAll: func(p [][]float32) [][]float32 {
-		return r.cell.allToAll(local, p)
+	r.sp = &nn.SP{Rank: local, Ranks: w.S, AllToAll: func(send, recv [][]float32) {
+		r.cell.allToAll(local, send, recv)
 	}}
+	r.seeder.bufs = make([][]float32, min(w.S, 2))
 	r.groups = stv.PartitionGroups(model.Params(), bucketElems)
 	r.offsets = make([]int, len(r.groups))
 	off := 0
@@ -119,20 +117,14 @@ func newRank(group, local, stage int, w *world, model *nn.GPT, impl optim.Impl, 
 	return r
 }
 
-// attachAct wires this rank's activation store into its replica pass —
-// the model-level tap on the dense shape (the rank owns its replica),
-// nn.SP.Tap otherwise — and into its placement executor's step model.
-// Nil-safe.
+// attachAct wires this rank's activation store into its replica pass
+// (nn.SP.Tap) and into its placement executor's step model. Nil-safe.
 func (r *rank) attachAct(st *act.Store) {
 	if st == nil {
 		return
 	}
 	r.ast = st
-	if r.w.dense() {
-		r.model.SetActivationTap(st)
-	} else {
-		r.sp.Tap = st
-	}
+	r.sp.Tap = st
 	r.exec.SetAct(stv.ActShapeFor(r.model, st))
 }
 
@@ -153,18 +145,15 @@ func (r *rank) run() {
 	}
 }
 
-// begin resets the per-step interpreter state for a new schedule.
+// begin opens a new schedule over micros, growing the per-micro slots to
+// cover them (slots, and their cache arenas, outlive the step).
 func (r *rank) begin(micros []data.Batch) {
 	r.micros = micros
-	if r.w.dense() {
-		r.losses = make([]float64, len(micros))
-		return
-	}
-	r.rows = make([][]float64, len(micros))
-	r.caches = make([]*nn.SPCache, len(micros))
-	if r.w.P > 1 {
-		r.bounds = make([]*tensor.Tensor, len(micros))
-		r.dBounds = make([]*tensor.Tensor, len(micros))
+	for len(r.caches) < len(micros) {
+		r.rows = append(r.rows, nil)
+		r.caches = append(r.caches, nil)
+		r.bounds = append(r.bounds, nil)
+		r.dBounds = append(r.dBounds, nil)
 	}
 }
 
@@ -198,16 +187,12 @@ func (r *rank) apply(v resolution) {
 // for this micro. Only the final stage produces losses.
 func (r *rank) forward(m int) {
 	b := r.micros[m]
-	if r.w.dense() {
-		r.losses[m], r.cache = r.model.Forward(b.Tokens, b.Targets, b.BatchSize, b.Seq)
-		return
-	}
 	var xIn *tensor.Tensor
 	if r.stage > 0 {
 		xIn = r.bounds[m]
 	}
 	r.rows[m], r.caches[m] = r.model.ForwardSPStage(b.Tokens, b.Targets, b.BatchSize, b.Seq,
-		r.sp, r.stage, r.w.P, xIn)
+		r.sp, r.stage, r.w.P, xIn, r.caches[m])
 }
 
 // backward runs micro m's backward over the stage's block range: the
@@ -215,11 +200,6 @@ func (r *rank) forward(m int) {
 // rides the chain upstream), earlier stages from the boundary gradient
 // recvGrad stored for this micro.
 func (r *rank) backward(m int, scale float64) {
-	if r.w.dense() {
-		r.model.Params().ZeroGrads()
-		r.model.Backward(r.cache, scale)
-		return
-	}
 	var dOut *tensor.Tensor
 	if r.stage < r.w.P-1 {
 		dOut = r.dBounds[m]
@@ -273,8 +253,7 @@ func delegateLocal(bucket, seqRanks int) int { return bucketOwner(bucket, seqRan
 
 // reduce is the two-level gradient reduction for micro m, restricted to
 // this stage's parameter span. Level one produces the cell's span
-// gradient for its group's row slice: read out of the replica on the
-// dense shape, otherwise reduced over the in-cell ring
+// gradient for its group's row slice over the in-cell ring
 // (spLinks.ringReduce), whose hops visit (batch row, shard) pairs in
 // ascending global row order so the result is bit-identical to a
 // single-rank backward over the same rows. Level two is the cross-cell
@@ -287,13 +266,10 @@ func delegateLocal(bucket, seqRanks int) int { return bucketOwner(bucket, seqRan
 // stages the R row slices — keeping the reduced sum bit-identical.
 func (r *rank) reduce(m int) {
 	span := r.spans[r.stage]
-	dense := r.w.dense()
-	var flat []float32 // the cell's ring-reduced span gradient
-	if !dense {
-		flat = r.cell.ringReduce(r.local, r.caches[m], r.micros[m].BatchSize, func() []float32 {
-			return r.seeder.next(span[1] - span[0])
-		})
-	}
+	// flat is the cell's ring-reduced span gradient.
+	flat := r.cell.ringReduce(r.local, r.caches[m], r.micros[m].BatchSize, func() []float32 {
+		return r.seeder.next(span[1] - span[0])
+	})
 	for len(r.sendBufs) <= m {
 		r.sendBufs = append(r.sendBufs, make([][]float32, len(r.groups)))
 	}
@@ -308,11 +284,7 @@ func (r *rank) reduce(m int) {
 			payload = make([]float32, hi-lo)
 			r.sendBufs[m][bi] = payload
 		}
-		if dense {
-			stv.GatherGrads(g, payload, true)
-		} else {
-			copy(payload, flat[lo-span[0]:hi-span[0]])
-		}
+		copy(payload, flat[lo-span[0]:hi-span[0]])
 		r.w.reduce[bi][cell] <- payload
 	}
 	for _, ob := range r.owned {
@@ -364,16 +336,15 @@ func (r *rank) speculate(g goMsg) {
 
 // report closes the step out: record placement telemetry (the backward
 // volume is this rank's batch rows × positions over the step's
-// micro-batches) and hand the per-micro losses — scalars on the dense
-// shape, rows elsewhere (nil except on the final stage) — to the
-// coordinator.
+// micro-batches) and hand the per-micro loss rows (nil except on the
+// final stage) to the coordinator.
 func (r *rank) report() stepResult {
 	tokens := 0
 	for _, b := range r.micros {
 		tokens += b.BatchSize * b.Seq
 	}
 	r.exec.Record(tokens, r.micros[0].Seq)
-	return stepResult{losses: r.losses, rows: r.rows}
+	return stepResult{rows: r.rows[:len(r.micros)]}
 }
 
 // allGather publishes every owned bucket's fp16 weights to the other

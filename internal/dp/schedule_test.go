@@ -162,10 +162,11 @@ func TestPipeScheduleProperties(t *testing.T) {
 }
 
 // TestDegenerateAxesAreFree: a size-1 axis allocates no links, emits no
-// ops, and counts no traffic. (2,1,1) is the dense data-parallel shape —
+// ops, and counts no traffic. (2,1,1) is the plain data-parallel shape —
 // no cell channels, no boundary FIFOs, the legacy schedule, all-zero
 // CommStats; (2,2,1) adds the sequence axis only — still no boundary
-// ops or stage traffic.
+// ops or stage traffic; (1,1,2) adds the pipeline axis only — stage
+// sends, but no all-to-all or ring traffic.
 func TestDegenerateAxesAreFree(t *testing.T) {
 	train := func(cfg Config) *Engine {
 		t.Helper()
@@ -195,9 +196,9 @@ func TestDegenerateAxesAreFree(t *testing.T) {
 		return n
 	}
 
-	dense := train(shapeConfig(2, 1, 1))
-	defer dense.Close()
-	w := dense.w
+	plain := train(shapeConfig(2, 1, 1))
+	defer plain.Close()
+	w := plain.w
 	if len(w.acts) != 0 || len(w.grads) != 0 {
 		t.Errorf("(2,1,1): %d+%d boundary link rows allocated", len(w.acts), len(w.grads))
 	}
@@ -211,7 +212,7 @@ func TestDegenerateAxesAreFree(t *testing.T) {
 			t.Errorf("(2,1,1) rank %d schedule:\n got %s\nwant %s", rank, got, want)
 		}
 	}
-	if cs := dense.CommStats(); cs != (SPCommStats{}) {
+	if cs := plain.CommStats(); cs != (SPCommStats{}) {
 		t.Errorf("(2,1,1): link-less shape counted traffic: %+v", cs)
 	}
 
@@ -234,7 +235,8 @@ func TestDegenerateAxesAreFree(t *testing.T) {
 		t.Errorf("(2,2,1): sequence axis recorded no traffic: %+v", cs)
 	}
 
-	// S=1 under a pipeline: stages exist, sequence channels do not.
+	// S=1 under a pipeline: stages exist and send, sequence channels do
+	// not exist and the lone rank's local ring replay is not link traffic.
 	pipe, err := New(deepGPT(42), shapeConfig(1, 1, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -244,5 +246,18 @@ func TestDegenerateAxesAreFree(t *testing.T) {
 		if c.a2a != nil || c.ring != nil || c.flat != nil {
 			t.Errorf("(1,1,2): cell %d holds sequence-parallel channels", i)
 		}
+	}
+	corpus := data.NewCorpus(64, 3)
+	for i := 0; i < 2; i++ {
+		if _, err := pipe.Step(corpus.NextBatch(4, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs = pipe.CommStats()
+	if cs.A2APayloads != 0 || cs.A2AFloats != 0 || cs.RingHops != 0 || cs.RingFloats != 0 {
+		t.Errorf("(1,1,2): sequence traffic without a sequence axis: %+v", cs)
+	}
+	if cs.StageSends == 0 || cs.StageFloats == 0 {
+		t.Errorf("(1,1,2): pipeline axis recorded no stage traffic: %+v", cs)
 	}
 }

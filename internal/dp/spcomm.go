@@ -9,9 +9,10 @@ import (
 
 // SPCommStats counts the engine's link traffic: all-to-all
 // payloads/floats (two exchanges per layer per pass), weight-gradient
-// ring hops/floats, and stage-boundary tensor sends/floats.
-// Deterministic for a fixed model and step count; all-zero on the dense
-// S=P=1 shape, which has none of these links.
+// ring hops/floats, and stage-boundary tensor sends/floats — what
+// crosses a link, so a size-1 axis counts nothing (S=1: no all-to-all or
+// ring traffic; P=1: no stage sends). Deterministic for a fixed model and
+// step count.
 type SPCommStats struct {
 	// A2APayloads and A2AFloats count cross-rank attention-exchange
 	// payloads and their total float32 volume.
@@ -70,9 +71,8 @@ func (t *linkTelemetry) snapshot() SPCommStats {
 // sequence and head sharding (§4.7's two collectives per layer per pass)
 // and the weight-gradient ring whose hops visit (batch row, shard) pairs
 // in ascending global row order so the reduced gradient reproduces the
-// single-rank fold bit for bit. An S=1 cell holds no channels: its
-// exchange is the identity (nn.SP short-circuits it) and its ring is a
-// local replay.
+// single-rank fold bit for bit. An S=1 cell holds no channels: it has
+// no peer to exchange with and its ring is one local replay.
 type spLinks struct {
 	S   int            // sequence ranks in this group
 	tel *linkTelemetry // shared traffic counters
@@ -108,28 +108,29 @@ func newSPLinks(s int, tel *linkTelemetry) *spLinks {
 	return l
 }
 
-// allToAll is the collective primitive: rank sends payloads[d] to every
-// peer d and receives the payload each peer addressed to it, indexed by
-// source. Channels are buffered so all S sends complete before the
-// receives, and per-pair FIFO keeps successive exchanges paired even when
-// ranks run ahead. Telemetry counts only cross-rank payloads — the
-// rank-to-self shard never crosses a link.
-func (l *spLinks) allToAll(rank int, payloads [][]float32) [][]float32 {
+// allToAll is the collective primitive behind nn.SP.AllToAll: rank sends
+// send[d] to every peer d and fills recv[src] with the payload each peer
+// addressed to it; the rank's own shard never crosses a link and is
+// skipped on both sides. Channels are buffered so all sends complete
+// before the receives, and per-pair FIFO keeps successive exchanges
+// paired even when ranks run ahead. Payloads pass by reference out of the
+// sender's cache arena (see the lifetime contract in nn/workspace.go).
+func (l *spLinks) allToAll(rank int, send, recv [][]float32) {
 	sent := 0
 	for d := 0; d < l.S; d++ {
 		if d != rank {
 			l.tel.a2aPayloads.Add(1)
-			l.tel.a2aFloats.Add(int64(len(payloads[d])))
-			sent += len(payloads[d])
+			sent += len(send[d])
+			l.a2a[d][rank] <- send[d]
 		}
-		l.a2a[d][rank] <- payloads[d]
 	}
+	l.tel.a2aFloats.Add(int64(sent))
 	l.tel.track.InstantInt("a2a", "floats", sent)
-	out := make([][]float32, l.S)
 	for src := 0; src < l.S; src++ {
-		out[src] = <-l.a2a[rank][src]
+		if src != rank {
+			recv[src] = <-l.a2a[rank][src]
+		}
 	}
-	return out
 }
 
 // ringReduce chains one micro-batch's weight-gradient accumulation
@@ -137,63 +138,64 @@ func (l *spLinks) allToAll(rank int, payloads [][]float32) [][]float32 {
 // the buffer hops (batch row, shard) pairs in lexicographic order —
 // ascending global row order — with each hop replaying that shard's
 // per-row contributions on top of the received partial
-// (nn.SPCache.AccumBatchRow). The last hop broadcasts the finished
+// (nn.FwdCache.AccumBatchRows). The last hop broadcasts the finished
 // buffer to every rank in the cell; each caller receives its copy of
 // the broadcast (the same underlying slice — receivers only read it).
 // Rank 0 seeds each micro-batch's ring via seed (see flatSeeder for the
-// buffer-reuse discipline). With S=1 the lone rank folds its rows in
-// place and no channel is touched.
-func (l *spLinks) ringReduce(local int, cache *nn.SPCache, batchRows int, seed func() []float32) []float32 {
-	var buf []float32
+// buffer-reuse discipline). With S=1 there is no peer and no link to
+// count: the lone rank replays all its rows in one fused pass.
+func (l *spLinks) ringReduce(local int, cache *nn.FwdCache, batchRows int, seed func() []float32) []float32 {
+	if l.S == 1 {
+		buf := seed()
+		cache.AccumBatchRows(buf, 0, batchRows)
+		return buf
+	}
 	for b := 0; b < batchRows; b++ {
-		switch {
-		case local == 0 && b == 0:
+		var buf []float32
+		if local == 0 && b == 0 {
 			buf = seed()
-		case l.S > 1:
+		} else {
 			buf = <-l.ring[local]
 		}
-		cache.AccumBatchRow(buf, b)
+		cache.AccumBatchRows(buf, b, b+1)
 		l.tel.ringHops.Add(1)
 		l.tel.ringFloats.Add(int64(len(buf)))
-		switch {
-		case local == l.S-1 && b == batchRows-1:
+		if local == l.S-1 && b == batchRows-1 {
 			l.tel.track.InstantInt("ringBroadcast", "floats", len(buf))
-			for d := 0; d < len(l.flat); d++ {
+			for d := range l.flat {
 				l.flat[d] <- buf
 			}
-		case l.S > 1:
+		} else {
 			l.ring[(local+1)%l.S] <- buf
 		}
-	}
-	if l.S == 1 {
-		return buf
 	}
 	return <-l.flat[local]
 }
 
 // flatSeeder hands a ring's rank 0 its per-micro-batch flat gradient
-// buffers, alternating two: a buffer seeded at micro m is not reused
-// before micro m+2, by which point every rank in the group has finished
-// reading micro m's reduction (it must have, to have contributed its
-// micro m+1 ring hops). Cross-cell consumers (the reduce links) never
-// see these buffers — delegates stage copies.
+// buffers, cycling through bufs. A cell with peers alternates two: a
+// buffer seeded at micro m is not reused before micro m+2, by which point
+// every rank in the group has finished reading micro m's reduction (it
+// must have, to have contributed its micro m+1 ring hops). An S=1 cell
+// has no other reader and keeps one. Cross-cell consumers (the reduce
+// links) never see these buffers — delegates stage copies.
 type flatSeeder struct {
-	bufs [2][]float32
+	bufs [][]float32
 	seq  int
 }
 
-// next returns a zeroed flat buffer of n floats under the alternation
-// discipline.
+// next returns a zeroed flat buffer of n floats under the cycling
+// discipline. Every buffer is built at the first call, so the cost lands
+// in the first step rather than across the first len(bufs).
 func (f *flatSeeder) next(n int) []float32 {
-	i := f.seq & 1
+	i := f.seq % len(f.bufs)
 	f.seq++
-	if f.bufs[i] == nil {
-		f.bufs[i] = make([]float32, n)
+	if len(f.bufs[i]) != n {
+		for j := range f.bufs {
+			f.bufs[j] = make([]float32, n)
+		}
 		return f.bufs[i]
 	}
-	buf := f.bufs[i]
-	for j := range buf {
-		buf[j] = 0
-	}
-	return buf
+	clear(f.bufs[i])
+	return f.bufs[i]
 }

@@ -6,23 +6,11 @@ import (
 	"superoffload/internal/tensor"
 )
 
-// attnCache retains what causal self-attention needs for its backward pass.
-type attnCache struct {
-	x       *tensor.Tensor // block input after layernorm, (B*T, C)
-	qkv     *tensor.Tensor // fused projections, (B*T, 3C)
-	attnOut *tensor.Tensor // pre-projection concat of heads, (B*T, C)
-	probs   []*tensor.Tensor
-	// probs[b*heads+h] is the post-softmax score matrix (T, T).
-	batch, seq, heads int
-}
-
 // attendHeadInto runs causal attention for one head over full-sequence q,
 // k, v (T, hs), writing the head output into o (T, hs) and the
 // post-softmax score matrix into probs (T, T); both are fully overwritten.
-// This is the head-sharded entry point the sequence-parallel path shares
-// with the local path: after the first all-to-all a rank holds exactly
-// these (T, hs) tensors for its heads, so both paths run the same math on
-// the same shapes.
+// After the first all-to-all a rank holds exactly these (T, hs) tensors
+// for its heads, whatever the sequence-parallel degree.
 func attendHeadInto(o, probs, q, k, v *tensor.Tensor, scale float32) {
 	tensor.MatMulTInto(probs, q, k) // (T,T)
 	probs.Scale(scale)
@@ -31,17 +19,9 @@ func attendHeadInto(o, probs, q, k, v *tensor.Tensor, scale float32) {
 	tensor.MatMulInto(o, probs, v) // (T,hs)
 }
 
-// attendHead is attendHeadInto with freshly allocated outputs.
-func attendHead(q, k, v *tensor.Tensor, scale float32) (o, probs *tensor.Tensor) {
-	seq, hs := q.Dim(0), q.Dim(1)
-	o, probs = tensor.New(seq, hs), tensor.New(seq, seq)
-	attendHeadInto(o, probs, q, k, v, scale)
-	return o, probs
-}
-
-// attendHeadBackwardInto is attendHead's adjoint: given the cached probs p
-// and the head's q, k, v and upstream do (all full-sequence), it writes
-// dq, dk, dv (each (T, hs), fully overwritten). dp and ds are (T, T)
+// attendHeadBackwardInto is attendHeadInto's adjoint: given the cached
+// probs p and the head's q, k, v and upstream do (all full-sequence), it
+// writes dq, dk, dv (each (T, hs), fully overwritten). dp and ds are (T, T)
 // caller scratch. No parameters are touched — head attention is
 // weight-free.
 func attendHeadBackwardInto(dq, dk, dv, dp, ds *tensor.Tensor, p, q, k, v, do *tensor.Tensor, scale float32) {
@@ -68,103 +48,21 @@ func attendHeadBackwardInto(dq, dk, dv, dp, ds *tensor.Tensor, p, q, k, v, do *t
 	tensor.TMatMulInto(dk, ds, q) // (T,hs)
 }
 
-// attendHeadBackward is attendHeadBackwardInto with fresh outputs.
-func attendHeadBackward(p, q, k, v, do *tensor.Tensor, scale float32) (dq, dk, dv *tensor.Tensor) {
-	seq, hs := q.Dim(0), q.Dim(1)
-	dq, dk, dv = tensor.New(seq, hs), tensor.New(seq, hs), tensor.New(seq, hs)
-	dp, ds := tensor.New(seq, seq), tensor.New(seq, seq)
-	attendHeadBackwardInto(dq, dk, dv, dp, ds, p, q, k, v, do, scale)
-	return dq, dk, dv
-}
-
-// attention runs causal multi-head self-attention over x (B*T, C).
-func (blk *Block) attention(ws *workspace, x *tensor.Tensor, batch, seq int) (*tensor.Tensor, *attnCache) {
-	c := x.Dim(1)
-	heads := blk.heads
-	hs := c / heads
-	scale := float32(1 / math.Sqrt(float64(hs)))
-
-	qkv := linear(ws, x, blk.WQKV, blk.BQKV)
-	out := ws.zeros(batch*seq, c) // scatterHead accumulates into it
-	cache := &attnCache{x: x, qkv: qkv, batch: batch, seq: seq, heads: heads,
-		probs: make([]*tensor.Tensor, batch*heads)}
-
-	q := ws.get(seq, hs)
-	k := ws.get(seq, hs)
-	v := ws.get(seq, hs)
-	o := ws.get(seq, hs)
-	for b := 0; b < batch; b++ {
-		for h := 0; h < heads; h++ {
-			gatherHead(q, qkv, b, seq, 3*c, 0*c+h*hs, hs)
-			gatherHead(k, qkv, b, seq, 3*c, 1*c+h*hs, hs)
-			gatherHead(v, qkv, b, seq, 3*c, 2*c+h*hs, hs)
-
-			probs := ws.get(seq, seq) // retained per head until backward
-			attendHeadInto(o, probs, q, k, v, scale)
-			cache.probs[b*heads+h] = probs
-			scatterHead(out, o, b, seq, c, h*hs, hs)
-		}
-	}
-	proj := linear(ws, out, blk.WO, blk.BO)
-	cache.attnOut = out
-	return proj, cache
-}
-
-// attentionBackward consumes dProj and returns dx, accumulating weight
-// gradients along the way.
-func (blk *Block) attentionBackward(ws *workspace, dProj *tensor.Tensor, cache *attnCache) *tensor.Tensor {
-	c := cache.x.Dim(1)
-	heads := cache.heads
-	hs := c / heads
-	seq := cache.seq
-	scale := float32(1 / math.Sqrt(float64(hs)))
-
-	dOut := linearBackward(ws, cache.attnOut, dProj, blk.WO, blk.BO)
-	dqkv := ws.zeros(cache.batch*seq, 3*c)
-
-	q := ws.get(seq, hs)
-	k := ws.get(seq, hs)
-	v := ws.get(seq, hs)
-	do := ws.get(seq, hs)
-	dq := ws.get(seq, hs)
-	dk := ws.get(seq, hs)
-	dv := ws.get(seq, hs)
-	dp := ws.get(seq, seq)
-	ds := ws.get(seq, seq)
-	for b := 0; b < cache.batch; b++ {
-		for h := 0; h < heads; h++ {
-			gatherHead(q, cache.qkv, b, seq, 3*c, 0*c+h*hs, hs)
-			gatherHead(k, cache.qkv, b, seq, 3*c, 1*c+h*hs, hs)
-			gatherHead(v, cache.qkv, b, seq, 3*c, 2*c+h*hs, hs)
-			gatherHead(do, dOut, b, seq, c, h*hs, hs)
-
-			attendHeadBackwardInto(dq, dk, dv, dp, ds, cache.probs[b*heads+h], q, k, v, do, scale)
-
-			scatterHead(dqkv, dq, b, seq, 3*c, 0*c+h*hs, hs)
-			scatterHead(dqkv, dk, b, seq, 3*c, 1*c+h*hs, hs)
-			scatterHead(dqkv, dv, b, seq, 3*c, 2*c+h*hs, hs)
-		}
-	}
-	return linearBackward(ws, cache.x, dqkv, blk.WQKV, blk.BQKV)
-}
-
-// gatherHead copies column window [col,col+hs) of rows b*seq..(b+1)*seq of
-// src (row width w) into dst (seq, hs).
-func gatherHead(dst, src *tensor.Tensor, b, seq, w, col, hs int) {
+// gatherRows copies column window [col,col+hs) of rows b*seq..(b+1)*seq of
+// src (row width w) into dst, seq rows of hs contiguous floats.
+func gatherRows(dst []float32, src *tensor.Tensor, b, seq, w, col, hs int) {
 	for t := 0; t < seq; t++ {
-		srow := src.Data[(b*seq+t)*w+col : (b*seq+t)*w+col+hs]
-		copy(dst.Data[t*hs:(t+1)*hs], srow)
+		at := (b*seq+t)*w + col
+		copy(dst[t*hs:(t+1)*hs], src.Data[at:at+hs])
 	}
 }
 
-// scatterHead adds src (seq, hs) into the column window of dst.
-func scatterHead(dst, src *tensor.Tensor, b, seq, w, col, hs int) {
+// scatterRows is gatherRows' inverse: src's seq rows of hs floats
+// overwrite the column window of dst.
+func scatterRows(dst *tensor.Tensor, src []float32, b, seq, w, col, hs int) {
 	for t := 0; t < seq; t++ {
-		drow := dst.Data[(b*seq+t)*w+col : (b*seq+t)*w+col+hs]
-		srow := src.Data[t*hs : (t+1)*hs]
-		for j := range drow {
-			drow[j] += srow[j]
-		}
+		at := (b*seq+t)*w + col
+		copy(dst.Data[at:at+hs], src[t*hs:(t+1)*hs])
 	}
 }
 

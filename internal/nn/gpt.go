@@ -15,7 +15,6 @@ type Block struct {
 	LN2G, LN2B *Param
 	W1, B1     *Param
 	W2, B2     *Param
-	heads      int
 }
 
 // GPT is a causal decoder-only transformer with learned positional
@@ -33,16 +32,12 @@ type GPT struct {
 
 	params Params
 
-	// ws is the per-model step arena (see workspace.go): reset at every
-	// Forward/ForwardSP, it hands the pass its transient tensors so
-	// steady-state training steps allocate almost nothing.
-	ws workspace
-
-	// tap, when set, observes layer boundaries on the single-rank path
-	// (see SetActivationTap): forward stashes each block's retained
-	// activations as it completes, backward fetches them back just in
-	// time.
-	tap ActivationTap
+	// sp is Forward/Backward's single-rank context (its Tap is what
+	// SetActivationTap sets) and cache the one cache they recycle: every
+	// Forward takes over the previous one's arena, so steady-state
+	// training steps allocate almost nothing.
+	sp    SP
+	cache *FwdCache
 }
 
 // NewGPT builds a model with N(0, 0.02) initialization (residual
@@ -64,7 +59,7 @@ func newGPT(cfg model.Config, maxSeq int, randn func(std float32, shape ...int) 
 			cfg.Hidden, cfg.Heads, cfg.Hidden/cfg.Heads))
 	}
 	c := cfg.Hidden
-	g := &GPT{Cfg: cfg, MaxSeq: maxSeq}
+	g := &GPT{Cfg: cfg, MaxSeq: maxSeq, sp: SP{Ranks: 1}}
 	add := func(p *Param) *Param {
 		g.params = append(g.params, p)
 		return p
@@ -75,7 +70,7 @@ func newGPT(cfg model.Config, maxSeq int, randn func(std float32, shape ...int) 
 	g.TokEmb = add(newParam("tok_emb", randn(std, cfg.Vocab, c)))
 	g.PosEmb = add(newParam("pos_emb", randn(std, maxSeq, c)))
 	for l := 0; l < cfg.Layers; l++ {
-		blk := &Block{heads: cfg.Heads}
+		blk := &Block{}
 		name := func(s string) string { return fmt.Sprintf("h%d.%s", l, s) }
 		blk.LN1G = add(newParam(name("ln1.g"), ones(c)))
 		blk.LN1B = add(newParam(name("ln1.b"), tensor.New(c)))
@@ -123,147 +118,29 @@ func (g *GPT) Clone() *GPT {
 // NumParams returns the total trainable element count.
 func (g *GPT) NumParams() int { return g.params.TotalSize() }
 
-// blockCache retains one block's forward intermediates.
-type blockCache struct {
-	xIn   *tensor.Tensor // block input
-	ln1   *layerNormCache
-	attn  *attnCache
-	res1  *tensor.Tensor // x + attn
-	ln2   *layerNormCache
-	ln2y  *tensor.Tensor
-	h1    *tensor.Tensor // pre-GELU
-	hGelu *tensor.Tensor
-}
-
-// FwdCache retains one iteration's intermediates for Backward.
-type FwdCache struct {
-	tokens     []int
-	batch, seq int
-	embedded   *tensor.Tensor
-	blocks     []*blockCache
-	lnf        *layerNormCache
-	lnfy       *tensor.Tensor
-	dlogits    *tensor.Tensor
-}
-
 // Forward runs the model over a (batch, seq) token matrix flattened
 // row-major into tokens, computing mean cross-entropy loss against targets
-// (same layout). Returns the loss; call Backward to populate gradients.
+// (same layout): the S=1, stage 0 of 1 case of ForwardSPStage. Returns the
+// loss; call Backward to populate gradients. The returned cache is the
+// model's one recycled cache — valid until the next Forward.
 func (g *GPT) Forward(tokens []int, targets []int, batch, seq int) (float64, *FwdCache) {
-	if len(tokens) != batch*seq || len(targets) != batch*seq {
-		panic("nn: token/target shape mismatch")
+	rows, cache := g.ForwardSPStage(tokens, targets, batch, seq, &g.sp, 0, 1, nil, g.cache)
+	g.cache = cache
+	var loss float64
+	for _, l := range rows {
+		loss += l
 	}
-	if seq > g.MaxSeq {
-		panic(fmt.Sprintf("nn: seq %d exceeds max %d", seq, g.MaxSeq))
-	}
-	c := g.Cfg.Hidden
-	n := batch * seq
-
-	ws := &g.ws
-	ws.reset()
-	x := ws.get(n, c)
-	for i, tok := range tokens {
-		if tok < 0 || tok >= g.Cfg.Vocab {
-			panic(fmt.Sprintf("nn: token %d out of vocab", tok))
-		}
-		t := i % seq
-		dst := x.Data[i*c : (i+1)*c]
-		te := g.TokEmb.W.Data[tok*c : (tok+1)*c]
-		pe := g.PosEmb.W.Data[t*c : (t+1)*c]
-		for j := 0; j < c; j++ {
-			dst[j] = te[j] + pe[j]
-		}
-	}
-
-	cache := &FwdCache{tokens: tokens, batch: batch, seq: seq, embedded: x}
-	if g.tap != nil {
-		g.tap.BeginPass(len(g.Blocks), n, seq)
-	}
-	for l, blk := range g.Blocks {
-		bc := &blockCache{xIn: x}
-		ln1y, ln1c := layerNorm(ws, x, blk.LN1G, blk.LN1B)
-		bc.ln1 = ln1c
-		attnY, attnC := blk.attention(ws, ln1y, batch, seq)
-		bc.attn = attnC
-		res1 := ws.get(n, c)
-		tensor.AddInto(res1, x, attnY)
-		bc.res1 = res1
-
-		ln2y, ln2c := layerNorm(ws, res1, blk.LN2G, blk.LN2B)
-		bc.ln2, bc.ln2y = ln2c, ln2y
-		h1 := linear(ws, ln2y, blk.W1, blk.B1)
-		bc.h1 = h1
-		hg := gelu(ws, h1)
-		bc.hGelu = hg
-		h2 := linear(ws, hg, blk.W2, blk.B2)
-
-		x2 := ws.get(n, c)
-		tensor.AddInto(x2, res1, h2)
-		x = x2
-		cache.blocks = append(cache.blocks, bc)
-		if g.tap != nil {
-			g.tap.StashLayer(l, bc.actBufs())
-		}
-	}
-
-	lnfy, lnfc := layerNorm(ws, x, g.LNFG, g.LNFB)
-	cache.lnf, cache.lnfy = lnfc, lnfy
-	logits := linear(ws, lnfy, g.Head, nil)
-	loss, dlogits := crossEntropy(ws, logits, targets)
-	cache.dlogits = dlogits
-	return loss, cache
+	return loss / float64(len(rows)), cache
 }
 
-// Backward accumulates gradients for the iteration captured in cache.
-// Gradients add into Params().G, so gradient accumulation across
-// micro-batches works by not zeroing between calls. lossScale multiplies
-// the loss (mixed-precision loss scaling); gradients come out scaled.
+// Backward accumulates gradients for the iteration captured in cache:
+// BackwardSPStage, then the weight-gradient replay over every row folded
+// straight onto Params().G — so gradient accumulation across micro-batches
+// works by not zeroing between calls, and from zeroed gradients the result
+// is the one-add-at-a-time fold every engine shape reproduces. lossScale
+// multiplies the loss (mixed-precision loss scaling); gradients come out
+// scaled.
 func (g *GPT) Backward(cache *FwdCache, lossScale float64) {
-	ws := &g.ws
-	dlogits := cache.dlogits
-	if lossScale != 1 {
-		dlogits = ws.get(cache.dlogits.Dim(0), cache.dlogits.Dim(1))
-		copy(dlogits.Data, cache.dlogits.Data)
-		dlogits.Scale(float32(lossScale))
-	}
-	dlnfy := linearBackward(ws, cache.lnfy, dlogits, g.Head, nil)
-	dx := layerNormBackward(ws, dlnfy, cache.lnf, g.LNFG, g.LNFB)
-
-	for l := len(g.Blocks) - 1; l >= 0; l-- {
-		blk := g.Blocks[l]
-		bc := cache.blocks[l]
-		if g.tap != nil {
-			g.tap.FetchLayer(l)
-		}
-
-		// MLP branch: x2 = res1 + W2·gelu(W1·ln2(res1)).
-		dh2 := dx
-		dhg := linearBackward(ws, bc.hGelu, dh2, blk.W2, blk.B2)
-		dh1 := geluBackward(ws, dhg, bc.h1)
-		dln2y := linearBackward(ws, bc.ln2y, dh1, blk.W1, blk.B1)
-		dres1FromMLP := layerNormBackward(ws, dln2y, bc.ln2, blk.LN2G, blk.LN2B)
-		dres1 := ws.get(dx.Dim(0), dx.Dim(1))
-		tensor.AddInto(dres1, dx, dres1FromMLP)
-
-		// Attention branch: res1 = xIn + attn(ln1(xIn)).
-		dattn := dres1
-		dln1y := blk.attentionBackward(ws, dattn, bc.attn)
-		dxFromAttn := layerNormBackward(ws, dln1y, bc.ln1, blk.LN1G, blk.LN1B)
-		dxNext := ws.get(dx.Dim(0), dx.Dim(1))
-		tensor.AddInto(dxNext, dres1, dxFromAttn)
-		dx = dxNext
-	}
-
-	// Embedding gradients.
-	c := g.Cfg.Hidden
-	for i, tok := range cache.tokens {
-		t := i % cache.seq
-		src := dx.Data[i*c : (i+1)*c]
-		te := g.TokEmb.G.Data[tok*c : (tok+1)*c]
-		pe := g.PosEmb.G.Data[t*c : (t+1)*c]
-		for j := 0; j < c; j++ {
-			te[j] += src[j]
-			pe[j] += src[j]
-		}
-	}
+	g.BackwardSPStage(cache, lossScale, &g.sp, nil)
+	cache.accumRows(func(p *Param) []float32 { return p.G.Data }, 0, cache.batch)
 }

@@ -24,26 +24,6 @@ func linear(ws *workspace, x *tensor.Tensor, w, b *Param) *tensor.Tensor {
 	return y
 }
 
-// linearBackward accumulates dW = xᵀ·dy, db = colsum(dy) and returns
-// dx = dy·Wᵀ.
-func linearBackward(ws *workspace, x, dy *tensor.Tensor, w, b *Param) *tensor.Tensor {
-	dw := ws.get(x.Dim(1), dy.Dim(1))
-	tensor.TMatMulInto(dw, x, dy)
-	tensor.AXPY(1, dw.Data, w.G.Data)
-	if b != nil {
-		n, out := dy.Dim(0), dy.Dim(1)
-		for i := 0; i < n; i++ {
-			row := dy.Data[i*out : (i+1)*out]
-			for j := range row {
-				b.G.Data[j] += row[j]
-			}
-		}
-	}
-	dx := ws.get(dy.Dim(0), w.W.Dim(0))
-	tensor.MatMulTInto(dx, dy, w.W)
-	return dx
-}
-
 // ---- LayerNorm ----
 
 type layerNormCache struct {
@@ -54,11 +34,12 @@ type layerNormCache struct {
 
 const lnEps = 1e-5
 
-// layerNorm normalizes each row of x and applies gain g and bias b.
-func layerNorm(ws *workspace, x *tensor.Tensor, g, b *Param) (*tensor.Tensor, *layerNormCache) {
+// layerNorm normalizes each row of x and applies gain g and bias b,
+// refilling cache with what the backward needs.
+func layerNorm(ws *workspace, x *tensor.Tensor, g, b *Param, cache *layerNormCache) *tensor.Tensor {
 	n, c := x.Dim(0), x.Dim(1)
 	y := ws.get(n, c)
-	cache := &layerNormCache{x: x, invStd: ws.floats(n), mean: ws.floats(n)}
+	*cache = layerNormCache{x: x, invStd: ws.floats(n), mean: ws.floats(n)}
 	for i := 0; i < n; i++ {
 		row := x.Data[i*c : (i+1)*c]
 		var mean float64
@@ -81,20 +62,13 @@ func layerNorm(ws *workspace, x *tensor.Tensor, g, b *Param) (*tensor.Tensor, *l
 			out[j] = xhat*g.W.Data[j] + b.W.Data[j]
 		}
 	}
-	return y, cache
-}
-
-// layerNormBackward accumulates gain/bias grads and returns dx.
-func layerNormBackward(ws *workspace, dy *tensor.Tensor, cache *layerNormCache, g, b *Param) *tensor.Tensor {
-	accumLayerNormRows(g.G.Data, b.G.Data, cache, dy, 0, dy.Dim(0))
-	return layerNormBackwardDX(ws, dy, cache, g)
+	return y
 }
 
 // accumLayerNormRows folds rows [lo,hi)'s gain/bias gradient contributions
-// into dstG/dstB, one row at a time in ascending order — the accumulation
-// order layerNormBackward has always used, factored out so the
-// sequence-parallel ring replay (see seqparallel.go) reproduces it
-// bit-for-bit from any starting partial.
+// into dstG/dstB, one row at a time in ascending order, so the
+// weight-gradient replay (see pass.go) reproduces the same fold from any
+// starting partial.
 func accumLayerNormRows(dstG, dstB []float32, cache *layerNormCache, dy *tensor.Tensor, lo, hi int) {
 	c := dy.Dim(1)
 	for i := lo; i < hi; i++ {
@@ -110,10 +84,8 @@ func accumLayerNormRows(dstG, dstB []float32, cache *layerNormCache, dy *tensor.
 	}
 }
 
-// layerNormBackwardDX computes dx without touching parameter gradients —
-// the propagation half of layerNormBackward, used directly by the
-// sequence-parallel backward (whose weight grads flow through the ring
-// replay instead).
+// layerNormBackwardDX computes dx; the gain/bias gradients flow through
+// the replay (accumLayerNormRows) instead.
 func layerNormBackwardDX(ws *workspace, dy *tensor.Tensor, cache *layerNormCache, g *Param) *tensor.Tensor {
 	n, c := dy.Dim(0), dy.Dim(1)
 	dx := ws.get(n, c)
@@ -178,33 +150,19 @@ func geluBackward(ws *workspace, dy, x *tensor.Tensor) *tensor.Tensor {
 
 // ---- softmax cross-entropy ----
 
-// crossEntropy computes mean token loss over logits (n, vocab) against
-// integer targets, and the gradient dlogits = (softmax - onehot)/n.
-func crossEntropy(ws *workspace, logits *tensor.Tensor, targets []int) (float64, *tensor.Tensor) {
-	n := logits.Dim(0)
-	losses, dlogits := crossEntropyRows(ws, logits, targets, n)
-	var loss float64
-	for _, l := range losses {
-		loss += l
-	}
-	return loss / float64(n), dlogits
-}
-
 // crossEntropyRows computes the per-row token losses and the gradient
 // dlogits = (softmax - onehot)/globalN. globalN is the row count of the
 // whole (possibly sequence-sharded) batch: a sequence-parallel rank holds
 // only its shard's rows but normalizes by the global count, so summing the
 // per-row losses over all ranks in global row order and dividing by
-// globalN reproduces crossEntropy's mean loss bit-for-bit.
+// globalN is the same mean loss for every sharding.
 func crossEntropyRows(ws *workspace, logits *tensor.Tensor, targets []int, globalN int) ([]float64, *tensor.Tensor) {
 	n, v := logits.Dim(0), logits.Dim(1)
 	if len(targets) != n {
 		panic("nn: target length mismatch")
 	}
 	dlogits := ws.get(n, v)
-	// Losses are returned to the engine (SP ranks fold them across the
-	// step boundary), so they must not come from the workspace.
-	losses := make([]float64, n)
+	losses := ws.floats64(n)
 	invN := float32(1.0 / float64(globalN))
 	for i := 0; i < n; i++ {
 		row := logits.Data[i*v : (i+1)*v]

@@ -1,5 +1,7 @@
 package nn
 
+import "superoffload/internal/tensor"
+
 // ActivationTap observes layer-boundary activation lifecycle during a
 // forward/backward pass. internal/act implements it as the activation
 // offloading tier; the model side only promises the protocol:
@@ -13,62 +15,36 @@ package nn
 //     (descending order, every layer) and must return with the layer's
 //     buffers restored to their stashed contents.
 //
-// The buffers alias the model's workspace arena: they stay valid until
-// the pass's backward (and any SP weight-gradient replay) completes,
-// and the next pass fully overwrites them.
+// The buffers alias the pass's FwdCache arena: they stay valid until the
+// pass's backward and weight-gradient replay complete, and the slot's next
+// forward fully overwrites them.
 type ActivationTap interface {
 	BeginPass(layers, tokens, seq int)
 	StashLayer(layer int, bufs [][]float32)
 	FetchLayer(layer int)
 }
 
-// SetActivationTap attaches a tap to the single-rank/data-parallel
-// forward/backward path (each DP rank owns its replica, so the tap
-// hangs off the model). The sequence-parallel paths tap via SP.Tap
-// instead — several SP ranks may share one read-only GPT. Nil detaches.
-func (g *GPT) SetActivationTap(t ActivationTap) { g.tap = t }
+// SetActivationTap attaches a tap to Forward/Backward — it is SP.Tap of
+// the model's own single-rank context. Nil detaches.
+func (g *GPT) SetActivationTap(t ActivationTap) { g.sp.Tap = t }
 
 // actBufs enumerates the block's retained forward buffers for the
-// activation tap: every slice its backward reads, each exactly once
-// (ln1.x aliases xIn and ln2.x aliases res1, so the layernorm caches'
-// inputs are not re-listed).
-func (bc *blockCache) actBufs() [][]float32 {
-	bufs := make([][]float32, 0, 12+len(bc.attn.probs))
-	bufs = append(bufs,
-		bc.xIn.Data, bc.ln1.invStd, bc.ln1.mean,
-		bc.attn.x.Data, bc.attn.qkv.Data, bc.attn.attnOut.Data,
-		bc.res1.Data, bc.ln2.invStd, bc.ln2.mean,
-		bc.ln2y.Data, bc.h1.Data, bc.hGelu.Data,
+// activation tap: every slice BackwardSPStage and the weight-gradient
+// replay read, each exactly once, in a list the cache reuses pass after
+// pass. The d* gradient slots are pass outputs, not forward activations,
+// so they stay resident.
+func (lc *layerCache) actBufs() [][]float32 {
+	bufs := append(lc.bufs[:0],
+		lc.ln1.x.Data, lc.ln1.invStd, lc.ln1.mean, lc.ln1y.Data,
+		lc.attnOut.Data, lc.res1.Data,
+		lc.ln2.invStd, lc.ln2.mean, lc.ln2y.Data,
+		lc.h1.Data, lc.hGelu.Data,
 	)
-	for _, p := range bc.attn.probs {
-		bufs = append(bufs, p.Data)
+	for _, heads := range [...][]*tensor.Tensor{lc.q, lc.k, lc.v, lc.probs} {
+		for _, t := range heads {
+			bufs = append(bufs, t.Data)
+		}
 	}
-	return bufs
-}
-
-// actBufs is the sequence-parallel analogue over spBlockCache: the
-// buffers BackwardSP and the AccumBatchRow weight-gradient replay read.
-// All are enumerated once; the d* gradient slots are pass outputs, not
-// forward activations, so they stay resident.
-func (bc *spBlockCache) actBufs() [][]float32 {
-	bufs := make([][]float32, 0, 11+3*len(bc.q)+len(bc.probs))
-	bufs = append(bufs,
-		bc.ln1.x.Data, bc.ln1.invStd, bc.ln1.mean, bc.ln1y.Data,
-		bc.attnOut.Data, bc.res1.Data,
-		bc.ln2.invStd, bc.ln2.mean, bc.ln2y.Data,
-		bc.h1.Data, bc.hGelu.Data,
-	)
-	for _, t := range bc.q {
-		bufs = append(bufs, t.Data)
-	}
-	for _, t := range bc.k {
-		bufs = append(bufs, t.Data)
-	}
-	for _, t := range bc.v {
-		bufs = append(bufs, t.Data)
-	}
-	for _, p := range bc.probs {
-		bufs = append(bufs, p.Data)
-	}
+	lc.bufs = bufs
 	return bufs
 }

@@ -109,24 +109,10 @@ func (b *Bucket) StageGrads(invScale float32) {
 // contributions this way, one whole contribution at a time in a fixed
 // order, so the two produce bit-identical sums.
 func (b *Bucket) AccumGrad(first bool) {
-	GatherGrads(b.group, b.grad, first)
-}
-
-// ScaleGrad multiplies the staged gradient buffer by inv in place (the
-// final 1/(lossScale·contributions) normalization of an accumulated sum).
-func (b *Bucket) ScaleGrad(inv float32) {
-	for i := range b.grad {
-		b.grad[i] *= inv
-	}
-}
-
-// GatherGrads flattens the group's raw gradients into dst, overwriting
-// when first is true and accumulating otherwise.
-func GatherGrads(group nn.Params, dst []float32, first bool) {
 	off := 0
-	for _, p := range group {
+	for _, p := range b.group {
 		g := p.G.Data
-		d := dst[off : off+len(g)]
+		d := b.grad[off : off+len(g)]
 		if first {
 			copy(d, g)
 		} else {
@@ -135,6 +121,14 @@ func GatherGrads(group nn.Params, dst []float32, first bool) {
 			}
 		}
 		off += len(g)
+	}
+}
+
+// ScaleGrad multiplies the staged gradient buffer by inv in place (the
+// final 1/(lossScale·contributions) normalization of an accumulated sum).
+func (b *Bucket) ScaleGrad(inv float32) {
+	for i := range b.grad {
+		b.grad[i] *= inv
 	}
 }
 

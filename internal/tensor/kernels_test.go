@@ -130,6 +130,54 @@ func TestMatMulNaNPropagation(t *testing.T) {
 	}
 }
 
+// TestTMatMulAccumBitExact pins the weight-gradient accumulate entry: over
+// a row sub-range and on top of a non-zero partial it equals the naive
+// one-add-at-a-time fold bit for bit — serial, and split into bands by
+// the worker pool — chaining two sub-ranges equals one call over their
+// union, and a zero activation times a NaN gradient still yields NaN.
+func TestTMatMulAccumBitExact(t *testing.T) {
+	rng := NewRNG(13)
+	// The last shape is past parallelThreshold, so parallelRows bands it.
+	for _, s := range [][3]int{{3, 7, 5}, {5, 13, nBlock + 3}, {96, 90, 96}} {
+		m, k, n := s[0], s[1], s[2]
+		a, b := Randn(rng, 1, k, m), Randn(rng, 1, k, n)
+		for i := 0; i < len(a.Data); i += 3 {
+			a.Data[i] = 0
+		}
+		partial := Randn(rng, 1, m, n)
+		lo, mid, hi := 1, k/2, k-1
+
+		want := partial.Clone()
+		for i := 0; i < m; i++ {
+			for kk := lo; kk < hi; kk++ {
+				av := a.Data[kk*m+i]
+				for j := 0; j < n; j++ {
+					want.Data[i*n+j] += av * b.Data[kk*n+j]
+				}
+			}
+		}
+		got := partial.Clone()
+		TMatMulAccum(got.Data, a, b, lo, hi)
+		assertBitEqual(t, got, want, "TMatMulAccum sub-range")
+
+		chained := partial.Clone()
+		TMatMulAccum(chained.Data, a, b, lo, mid)
+		TMatMulAccum(chained.Data, a, b, mid, hi)
+		assertBitEqual(t, chained, want, "TMatMulAccum chained")
+	}
+
+	nan := float32(math.NaN())
+	at := FromSlice([]float32{1, 0, 0, 0}, 2, 2) // aᵀ row 1 is all zero
+	bg := FromSlice([]float32{5, 6, nan, nan}, 2, 2)
+	out := []float32{1, 2, 3, 4}
+	TMatMulAccum(out, at, bg, 1, 2)
+	for i, v := range out {
+		if !math.IsNaN(float64(v)) {
+			t.Fatalf("TMatMulAccum elem %d = %v, want NaN (0×NaN must propagate)", i, v)
+		}
+	}
+}
+
 // TestIntoVariants checks the Into kernels against their allocating
 // wrappers and verify they fully overwrite stale output contents.
 func TestIntoVariants(t *testing.T) {

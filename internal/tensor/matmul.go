@@ -200,8 +200,27 @@ func TMatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// TMatMulInto computes out = aᵀ × b, reusing out's storage.
+// TMatMulInto computes out = aᵀ × b, reusing out's storage: a zeroed out
+// plus TMatMulAccum over every data row.
 func TMatMulInto(out, a, b *Tensor) {
+	if len(a.shape) != 2 || len(b.shape) != 2 {
+		panic("tensor: TMatMul requires 2D operands")
+	}
+	if len(out.shape) != 2 || out.shape[0] != a.shape[1] || out.shape[1] != b.shape[1] {
+		panic("tensor: TMatMulInto output shape mismatch")
+	}
+	out.Zero()
+	TMatMulAccum(out.Data, a, b, 0, a.shape[0])
+}
+
+// TMatMulAccum folds data rows [lo,hi) of a (k,m) and b (k,n) into the
+// row-major (m,n) product dst, continuing whatever partial dst already
+// carries: dst += a[lo:hi]ᵀ × b[lo:hi]. It is the weight-gradient
+// accumulate entry (dW += xᵀ·dy over a row range): chaining calls over
+// consecutive row ranges folds every element in ascending row order, so
+// the chain equals one call over their union — and TMatMulInto from zero —
+// bit for bit.
+func TMatMulAccum(dst []float32, a, b *Tensor, lo, hi int) {
 	if len(a.shape) != 2 || len(b.shape) != 2 {
 		panic("tensor: TMatMul requires 2D operands")
 	}
@@ -210,13 +229,12 @@ func TMatMulInto(out, a, b *Tensor) {
 	if k != k2 {
 		panic("tensor: TMatMul inner dims differ")
 	}
-	if out.shape[0] != m || out.shape[1] != n {
-		panic("tensor: TMatMulInto output shape mismatch")
+	if len(dst) != m*n || lo < 0 || hi > k || lo > hi {
+		panic("tensor: TMatMulAccum shape or row range mismatch")
 	}
-	out.Zero()
-	aD, bD, oD := a.Data, b.Data, out.Data
-	parallelRows(m, 2*m*k*n, func(lo, hi int) {
-		tmatmulRows(oD, aD, bD, lo, hi, k, m, n)
+	aD, bD := a.Data[lo*m:hi*m], b.Data[lo*n:hi*n]
+	parallelRows(m, 2*m*(hi-lo)*n, func(olo, ohi int) {
+		tmatmulRows(dst, aD, bD, olo, ohi, hi-lo, m, n)
 	})
 }
 

@@ -626,7 +626,8 @@ type SPConfig struct {
 
 // SPCommStats counts the engine's link traffic (all-to-all
 // payloads/floats, weight-gradient ring hops/floats, stage-boundary
-// sends/floats); all-zero on a pure data-parallel shape.
+// sends/floats) — what crosses a link, so a size-1 axis counts nothing
+// and a pure data-parallel shape reads all-zero.
 type SPCommStats = dp.SPCommStats
 
 // MeshEngine trains a Model across an R×S×P shape of simulated superchip
