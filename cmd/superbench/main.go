@@ -1,5 +1,6 @@
 // Command superbench regenerates the paper's tables and figures from the
-// systems in this repository.
+// systems in this repository; it is not bench/, the repository's
+// performance benchmark (BENCHMARK.json, `bash bench/run.sh`).
 //
 // Usage:
 //

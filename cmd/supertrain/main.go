@@ -40,30 +40,25 @@ import (
 	"superoffload"
 )
 
-// engine is the surface shared by the single-rank and multi-rank engines.
+// engine is the surface of superoffload.Engine the command drives (an
+// interface so the report tests can substitute a fake).
 type engine interface {
 	Step(b superoffload.Batch) (float64, error)
 	Flush() error
 	Stats() superoffload.Stats
 	NumBuckets() int
+	CommStats() superoffload.SPCommStats
 	StoreTelemetry() (superoffload.StoreTelemetry, bool)
 	PlacementTelemetry() (superoffload.PlacementTelemetry, bool)
 	ActTelemetry() (superoffload.ActTelemetry, bool)
 	Close() error
 }
 
-// commStatser is implemented by the multi-rank engine for every shape.
-type commStatser interface {
-	CommStats() superoffload.SPCommStats
-}
-
-// linkTraffic returns the engine's link counters; ok is false when the
-// engine has no links or none carried anything (a pure data-parallel
-// run), so link-less shapes report nothing.
+// linkTraffic returns the engine's link counters; ok is false when none
+// carried anything (a single-rank or pure data-parallel run), so
+// link-less shapes report nothing.
 func linkTraffic(eng engine) (cs superoffload.SPCommStats, ok bool) {
-	if cse, has := eng.(commStatser); has {
-		cs = cse.CommStats()
-	}
+	cs = eng.CommStats()
 	return cs, cs != superoffload.SPCommStats{}
 }
 
@@ -294,46 +289,28 @@ func run() (err error) {
 	}
 	cfg.Tracer = tracer
 
-	var eng engine
+	var eng *superoffload.Engine
 	parallelism := "1 rank"
-	switch {
-	case *pipeRanks > 1:
-		pe, err := superoffload.InitPipe(model, cfg, superoffload.MeshConfig{
+	if *ranks == 1 && *seqRanks == 1 && *pipeRanks == 1 {
+		eng, err = superoffload.Init(model, cfg)
+	} else {
+		eng, err = superoffload.InitMesh(model, cfg, superoffload.MeshConfig{
 			Ranks: *ranks, SeqRanks: *seqRanks, PipeRanks: *pipeRanks,
 		})
-		if err != nil {
-			return err
+		switch {
+		case *pipeRanks > 1:
+			parallelism = fmt.Sprintf("%d×%d×%d 3-D engine (%d DP groups × %d SP ranks × %d pipeline stages)",
+				*ranks, *seqRanks, *pipeRanks, *ranks, *seqRanks, *pipeRanks)
+		case *ranks > 1 && *seqRanks > 1:
+			parallelism = fmt.Sprintf("%d×%d mesh (%d DP groups × %d SP ranks)", *ranks, *seqRanks, *ranks, *seqRanks)
+		case *ranks > 1:
+			parallelism = fmt.Sprintf("%d DP rank(s)", *ranks)
+		default:
+			parallelism = fmt.Sprintf("%d SP rank(s)", *seqRanks)
 		}
-		eng = pe
-		parallelism = fmt.Sprintf("%d×%d×%d 3-D engine (%d DP groups × %d SP ranks × %d pipeline stages)",
-			*ranks, *seqRanks, *pipeRanks, *ranks, *seqRanks, *pipeRanks)
-	case *ranks > 1 && *seqRanks > 1:
-		me, err := superoffload.InitMesh(model, cfg, superoffload.MeshConfig{Ranks: *ranks, SeqRanks: *seqRanks})
-		if err != nil {
-			return err
-		}
-		eng = me
-		parallelism = fmt.Sprintf("%d×%d mesh (%d DP groups × %d SP ranks)", *ranks, *seqRanks, *ranks, *seqRanks)
-	case *ranks > 1:
-		dpe, err := superoffload.InitDP(model, cfg, superoffload.DPConfig{Ranks: *ranks})
-		if err != nil {
-			return err
-		}
-		eng = dpe
-		parallelism = fmt.Sprintf("%d DP rank(s)", *ranks)
-	case *seqRanks > 1:
-		spe, err := superoffload.InitSP(model, cfg, superoffload.SPConfig{SeqRanks: *seqRanks})
-		if err != nil {
-			return err
-		}
-		eng = spe
-		parallelism = fmt.Sprintf("%d SP rank(s)", *seqRanks)
-	default:
-		e, err := superoffload.Init(model, cfg)
-		if err != nil {
-			return err
-		}
-		eng = e
+	}
+	if err != nil {
+		return err
 	}
 	// Close surfaces latched NVMe background-IO failures; dropping its
 	// error would let a corrupted-run signal vanish silently, so it joins

@@ -79,11 +79,10 @@ func TestJSONReportGolden(t *testing.T) {
 }
 
 // TestJSONReportOmitsAbsentTelemetry checks the optional keys stay
-// absent for an engine without those surfaces (no comm/store/placement
-// noise in single-rank DRAM runs), and that a data-parallel shape —
-// whose engine type HAS a CommStats surface, reading all-zero because
-// the shape has no sequence or pipeline links — reports no comm block
-// and no superoffload_comm_* metrics either.
+// absent for an engine that reports none of them (no comm/store/placement
+// noise in single-rank DRAM runs), and that all-zero CommStats — a shape
+// with no sequence or pipeline links — yields no comm block and no
+// superoffload_comm_* metrics either.
 func TestJSONReportOmitsAbsentTelemetry(t *testing.T) {
 	rep := buildReport(bareEngine{}, nil, 1, "stv", "1 rank", 1, 0)
 	b, err := json.Marshal(rep)
@@ -97,8 +96,8 @@ func TestJSONReportOmitsAbsentTelemetry(t *testing.T) {
 	}
 
 	reg := superoffload.NewMetricsRegistry()
-	superoffload.RegisterMetrics(reg, dpShapeEngine{})
-	rep = buildReport(dpShapeEngine{}, reg, 1, "stv", "2 DP rank(s)", 1, 0)
+	superoffload.RegisterMetrics(reg, bareEngine{})
+	rep = buildReport(bareEngine{}, reg, 1, "stv", "2 DP rank(s)", 1, 0)
 	if b, err = json.Marshal(rep); err != nil {
 		t.Fatal(err)
 	}
@@ -112,13 +111,8 @@ func TestJSONReportOmitsAbsentTelemetry(t *testing.T) {
 	}
 }
 
-// dpShapeEngine is bareEngine plus the multi-rank engine's CommStats
-// surface on a shape without links: every counter zero.
-type dpShapeEngine struct{ bareEngine }
-
-func (dpShapeEngine) CommStats() superoffload.SPCommStats { return superoffload.SPCommStats{} }
-
-// bareEngine exposes no optional telemetry surface.
+// bareEngine reports no optional telemetry: no store, placement or
+// activation tier, and every link counter zero.
 type bareEngine struct{}
 
 func (bareEngine) Step(b superoffload.Batch) (float64, error) { return 0, nil }
@@ -126,6 +120,7 @@ func (bareEngine) Flush() error                               { return nil }
 func (bareEngine) Close() error                               { return nil }
 func (bareEngine) NumBuckets() int                            { return 1 }
 func (bareEngine) Stats() superoffload.Stats                  { return superoffload.Stats{} }
+func (bareEngine) CommStats() superoffload.SPCommStats        { return superoffload.SPCommStats{} }
 func (bareEngine) StoreTelemetry() (superoffload.StoreTelemetry, bool) {
 	return superoffload.StoreTelemetry{}, false
 }

@@ -8,6 +8,7 @@ import (
 	"superoffload/internal/data"
 	"superoffload/internal/fp16"
 	"superoffload/internal/obs"
+	"superoffload/internal/stv"
 	"superoffload/internal/tensor"
 )
 
@@ -30,7 +31,7 @@ type world struct {
 
 	// Coordinator → rank control links.
 	cmd        []chan command
-	resolution []chan resolution
+	resolution []chan stv.Resolution
 	goCh       []chan goMsg
 	// Rank → coordinator: one stepResult per cmdStep (or an ack for
 	// cmdResolve).
@@ -44,7 +45,7 @@ type world struct {
 	// aggregator combines them in bucket order and delivers one global
 	// verdict per step.
 	partial chan partialMsg
-	val     chan valMsg
+	val     chan stv.Validation
 
 	// cells[g·P+p] is cell (g, p)'s in-cell sequence-parallel links; the
 	// ring there reduces over the stage's contiguous parameter span.
@@ -90,10 +91,10 @@ func (w *world) track(id int) *obs.Track {
 
 // command drives a rank's top-level loop.
 type command struct {
-	kind   int          // cmdStep, cmdResolve, cmdStop
-	micros []data.Batch // cmdStep: this rank's micro-batches, in order
-	ops    []scheduleOp // cmdStep: the schedule to interpret over them
-	res    resolution   // cmdResolve
+	kind   int            // cmdStep, cmdResolve, cmdStop
+	micros []data.Batch   // cmdStep: this rank's micro-batches, in order
+	ops    []scheduleOp   // cmdStep: the schedule to interpret over them
+	res    stv.Resolution // cmdResolve
 }
 
 // stepResult is a rank's report for one cmdStep (the zero value acks a
@@ -113,24 +114,18 @@ type partialMsg struct {
 	bad   bool    // NaN/Inf present
 }
 
-// valMsg is the aggregated global verdict input.
-type valMsg struct {
-	bad  bool
-	norm float64
-}
-
 // newWorld wires the interconnect for r groups, s sequence ranks per
 // cell, p pipeline stages, and b buckets.
 func newWorld(r, s, p, b int) *world {
 	n := r * s * p
 	w := &world{N: n, B: b, R: r, S: s, P: p, tel: &linkTelemetry{}}
 	w.cmd = make([]chan command, n)
-	w.resolution = make([]chan resolution, n)
+	w.resolution = make([]chan stv.Resolution, n)
 	w.goCh = make([]chan goMsg, n)
 	w.results = make([]chan stepResult, n)
 	for i := 0; i < n; i++ {
 		w.cmd[i] = make(chan command, 1)
-		w.resolution[i] = make(chan resolution, 1)
+		w.resolution[i] = make(chan stv.Resolution, 1)
 		w.goCh[i] = make(chan goMsg, 1)
 		w.results[i] = make(chan stepResult, 1)
 	}
@@ -142,7 +137,7 @@ func newWorld(r, s, p, b int) *world {
 		}
 	}
 	w.partial = make(chan partialMsg, b)
-	w.val = make(chan valMsg, 1)
+	w.val = make(chan stv.Validation, 1)
 	w.cells = make([]*spLinks, r*p)
 	for i := range w.cells {
 		w.cells[i] = newSPLinks(s, w.tel)
@@ -187,7 +182,7 @@ func (w *world) aggregate() {
 		for _, q := range sums {
 			s += q
 		}
-		w.val <- valMsg{bad: bad, norm: math.Sqrt(s)}
+		w.val <- stv.Validation{Bad: bad, Norm: math.Sqrt(s)}
 	}
 }
 

@@ -3,71 +3,30 @@ package dp
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"superoffload/internal/act"
 	"superoffload/internal/data"
 	"superoffload/internal/nn"
 	"superoffload/internal/obs"
-	"superoffload/internal/optim"
 	"superoffload/internal/stv"
 )
 
-// coordinator is the engine's verdict/schedule state machine: the
-// loss-scale and learning-rate plumbing, the pending-validation
-// bookkeeping, and the conversion of a global verdict into the
-// resolution every rank applies — the counterpart of the single-rank
-// trainer's resolvePending, which is what keeps stats, scaler updates,
-// and rollback decisions identical to it.
+// coordinator is the engine's control plane: it owns the run's
+// stv.Verdict — the same step counter, loss-scale and learning-rate
+// plumbing, pending-validation bookkeeping and verdict policy the
+// single-rank trainer runs on — and drives the ranks from it.
 type coordinator struct {
-	cfg         Config
-	stepIndex   int
-	pending     bool
-	pendingAdam optim.Config
-	closed      bool
-
-	// statsMu guards stats so the validation counters stay pollable
-	// (the /metrics endpoint, via Stats) while a step is running.
-	statsMu sync.Mutex
-	stats   stv.Stats
+	cfg    Config
+	ctl    stv.Verdict
+	closed bool
 }
 
 // Stats returns the engine's validation counters. Safe to call from
 // another goroutine while training runs (live metrics polling).
-func (c *coordinator) Stats() stv.Stats {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	return c.stats
-}
-
-// bumpStats applies one mutation to the validation counters under the
-// polling lock.
-func (c *coordinator) bumpStats(f func(*stv.Stats)) {
-	c.statsMu.Lock()
-	f(&c.stats)
-	c.statsMu.Unlock()
-}
+func (c *coordinator) Stats() stv.Stats { return c.ctl.Stats() }
 
 // StepIndex reports how many optimizer steps the engine has attempted.
-func (c *coordinator) StepIndex() int { return c.stepIndex }
-
-// scale returns the current loss scale (1 when scaling is disabled).
-func (c *coordinator) scale() float64 {
-	if c.cfg.Scaler == nil {
-		return 1
-	}
-	return c.cfg.Scaler.Scale
-}
-
-// stepAdam returns the Adam config for the current step with the
-// learning-rate schedule applied.
-func (c *coordinator) stepAdam() optim.Config {
-	a := c.cfg.Adam
-	if c.cfg.Schedule != nil {
-		a.LR *= c.cfg.Schedule(c.stepIndex)
-	}
-	return a
-}
+func (c *coordinator) StepIndex() int { return c.ctl.StepIndex() }
 
 // save serializes the training state in the stv checkpoint format over
 // the global bucket order — byte-identical across shapes (and to the
@@ -76,10 +35,7 @@ func (c *coordinator) save(w io.Writer, buckets []*stv.Bucket) error {
 	if c.closed {
 		return fmt.Errorf("dp: engine closed")
 	}
-	if c.pending {
-		return fmt.Errorf("dp: Flush before Save (validation in flight)")
-	}
-	return stv.WriteCheckpoint(w, c.stepIndex, c.cfg.Scaler, buckets)
+	return c.ctl.Save(w, buckets)
 }
 
 // load restores state written by save (from any shape, or the
@@ -89,15 +45,10 @@ func (c *coordinator) load(r io.Reader, buckets []*stv.Bucket, ranks []*rank) er
 	if c.closed {
 		return fmt.Errorf("dp: engine closed")
 	}
-	if c.pending {
-		return fmt.Errorf("dp: Flush before Load (validation in flight)")
-	}
-	stepIndex, err := stv.ReadCheckpoint(r, c.cfg.Scaler, buckets)
-	if err != nil {
+	if err := c.ctl.Load(r, buckets); err != nil {
 		return err
 	}
-	c.stepIndex = stepIndex
-	// ReadCheckpoint republished into owner replicas; propagate to the
+	// Load republished into owner replicas; propagate to the
 	// others (the ranks are quiescent between commands). One store
 	// acquire per bucket, shared across all receiving ranks.
 	for bi, bk := range buckets {
@@ -151,8 +102,7 @@ func (c *coordinator) runStep(w *world, micross [][]data.Batch) ([]stepResult, e
 	if c.closed {
 		return nil, fmt.Errorf("dp: engine closed")
 	}
-	c.stepIndex++
-	adam := c.stepAdam()
+	adam := c.ctl.BeginStep()
 	var sp obs.Span
 	if w.ctrack != nil {
 		sp = w.ctrack.Begin("step")
@@ -163,31 +113,29 @@ func (c *coordinator) runStep(w *world, micross [][]data.Batch) ([]stepResult, e
 	// Ranks are now forwarding; the pending verdict resolves in parallel
 	// with that compute, exactly like the single-rank background
 	// validator.
-	res := c.resolvePending(w.val)
+	res := c.ctl.Resolve(w.val)
 	for r := 0; r < w.N; r++ {
 		w.resolution[r] <- res
 	}
-	if res.weightsChanged() {
-		c.bumpStats(func(s *stv.Stats) { s.Redos++ })
+	if res.WeightsChanged() {
+		c.ctl.Redo()
 	}
 	g := goMsg{
 		adam:   adam,
-		scale:  c.scale(),
-		inject: c.cfg.InjectBad != nil && c.cfg.InjectBad(c.stepIndex),
+		scale:  c.ctl.Scale(),
+		inject: c.cfg.InjectBad != nil && c.cfg.InjectBad(c.ctl.StepIndex()),
 	}
 	for r := 0; r < w.N; r++ {
 		w.goCh[r] <- g
 	}
-	c.pendingAdam = adam
 	out := make([]stepResult, w.N)
 	for r := 0; r < w.N; r++ {
 		out[r] = <-w.results[r]
 	}
 	if w.ctrack != nil {
-		sp.EndInt("step", c.stepIndex)
+		sp.EndInt("step", c.ctl.StepIndex())
 	}
-	c.bumpStats(func(s *stv.Stats) { s.Steps++ })
-	c.pending = true
+	c.ctl.Launched(adam)
 	return out, nil
 }
 
@@ -198,17 +146,17 @@ func (c *coordinator) flush(w *world) (bool, error) {
 	if c.closed {
 		return false, fmt.Errorf("dp: engine closed")
 	}
-	if !c.pending {
+	res := c.ctl.Resolve(w.val)
+	if res.Action == stv.None {
 		return false, nil
 	}
-	res := c.resolvePending(w.val)
 	for r := 0; r < w.N; r++ {
 		w.cmd[r] <- command{kind: cmdResolve, res: res}
 	}
 	for r := 0; r < w.N; r++ {
 		<-w.results[r]
 	}
-	return res.weightsChanged(), nil
+	return res.WeightsChanged(), nil
 }
 
 // closeWorld resolves any pending validation, stops the rank goroutines
@@ -280,33 +228,4 @@ func buildActStores(n int, factory func(rank int) (*act.Store, error)) ([]*act.S
 		stores[id] = st
 	}
 	return stores, nil
-}
-
-// resolvePending consumes the outstanding validation verdict (blocking on
-// the background aggregator if it is still running) and converts it into
-// the resolution every rank must apply. Counters and the loss scaler
-// update exactly as the single-rank trainer's resolvePending does.
-func (c *coordinator) resolvePending(val <-chan valMsg) resolution {
-	if !c.pending {
-		return resolution{action: aNone}
-	}
-	v := <-val
-	c.pending = false
-	if v.bad {
-		c.bumpStats(func(s *stv.Stats) { s.SkipRolls++ })
-		if c.cfg.Scaler != nil {
-			c.cfg.Scaler.Update(true)
-		}
-		return resolution{action: aSkip}
-	}
-	if c.cfg.Scaler != nil {
-		c.cfg.Scaler.Update(false)
-	}
-	clip := optim.ClipScale(v.norm, c.cfg.ClipNorm)
-	if clip != 1.0 {
-		c.bumpStats(func(s *stv.Stats) { s.ClipRolls++ })
-		return resolution{action: aClip, clipScale: clip, adam: c.pendingAdam}
-	}
-	c.bumpStats(func(s *stv.Stats) { s.Commits++ })
-	return resolution{action: aCommit}
 }

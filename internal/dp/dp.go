@@ -110,26 +110,6 @@ type Config struct {
 	NewActStore func(rank int) (*act.Store, error)
 }
 
-// resolution is the verdict for the previous speculative step, broadcast
-// to every rank: the deferred global state of §4.4 applied across the
-// cluster.
-type resolution struct {
-	action    int          // aNone, aCommit, aSkip, aClip
-	clipScale float64      // aClip: gradient scale restoring the norm bound
-	adam      optim.Config // aClip: hyperparameters the speculative step used
-}
-
-const (
-	aNone = iota // nothing pending (first step)
-	aCommit
-	aSkip // NaN/Inf: roll the step back everywhere, skip it
-	aClip // clip violation: re-execute everywhere with scaled gradients
-)
-
-// weightsChanged reports whether applying the resolution modifies model
-// weights (forcing a forward redo mid-step).
-func (v resolution) weightsChanged() bool { return v.action == aSkip || v.action == aClip }
-
 // goMsg releases a rank into the backward phase of the current step with
 // the state the coordinator resolved after validation (loss scale may have
 // just changed).

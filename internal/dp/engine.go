@@ -54,7 +54,10 @@ func New(model *nn.GPT, cfg Config) (*Engine, error) {
 	}
 	w := newWorld(r, s, p, nBuckets)
 	w.attachTracer(cfg.Tracer)
-	e := &Engine{coordinator: coordinator{cfg: cfg}, w: w, buckets: make([]*stv.Bucket, nBuckets)}
+	e := &Engine{w: w, buckets: make([]*stv.Bucket, nBuckets), coordinator: coordinator{
+		cfg: cfg,
+		ctl: stv.Verdict{Adam: cfg.Adam, ClipNorm: cfg.ClipNorm, Scaler: cfg.Scaler, Schedule: cfg.Schedule},
+	}}
 	stores, err := buildStores(w.N, cfg.NewStore)
 	if err != nil {
 		return nil, err

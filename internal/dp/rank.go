@@ -157,24 +157,14 @@ func (r *rank) begin(micros []data.Batch) {
 	}
 }
 
-// apply executes a validation resolution on this rank: owners commit,
-// roll back, or re-execute their partition, and if weights changed every
-// rank republishes via all-gather.
-func (r *rank) apply(v resolution) {
-	switch v.action {
-	case aCommit:
-		for _, ob := range r.owned {
-			ob.b.Commit()
-		}
-	case aSkip:
-		for _, ob := range r.owned {
-			ob.b.Rollback()
-		}
-		r.allGather()
-	case aClip:
-		for _, ob := range r.owned {
-			ob.b.ReExecuteClipped(v.adam, r.impl, v.clipScale)
-		}
+// apply executes a validation resolution on this rank: owners apply it
+// to their partition, and if weights changed every rank republishes via
+// all-gather.
+func (r *rank) apply(v stv.Resolution) {
+	for _, ob := range r.owned {
+		ob.b.Apply(v, r.impl)
+	}
+	if v.WeightsChanged() {
 		r.allGather()
 	}
 }

@@ -178,7 +178,7 @@ func (r *rank) runSchedule(ops []scheduleOp) {
 		case opResolve:
 			v := <-r.w.resolution[r.id]
 			r.apply(v)
-			if v.weightsChanged() {
+			if v.WeightsChanged() {
 				for _, m := range inFlight {
 					r.forward(m)
 				}

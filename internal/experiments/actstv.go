@@ -40,19 +40,7 @@ func ExtActSTV() string {
 			BucketElems: 4096, Mode: stv.STV, Act: store,
 		})
 		defer tr.Close()
-		corpus := data.NewCorpus(cfg.Vocab, 23)
-		losses := make([]float64, 0, steps)
-		for i := 0; i < steps; i++ {
-			l, err := tr.Step(corpus.NextBatch(4, 16))
-			if err != nil {
-				panic(err)
-			}
-			losses = append(losses, l)
-		}
-		if _, err := tr.Flush(); err != nil {
-			panic(err)
-		}
-		return losses, tr.Stats()
+		return trainSteps(tr, steps, windows(data.NewCorpus(cfg.Vocab, 23), 4, 16, 1, 1)), tr.Stats()
 	}
 
 	actStore := func(tier act.Tier) *act.Store {

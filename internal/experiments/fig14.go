@@ -53,19 +53,7 @@ func Fig14Real(steps int) Fig14RealResult {
 			Adam: a, Impl: optim.GraceAdam, ClipNorm: 3.5,
 			BucketElems: 20000, Mode: mode, Scaler: optim.NewLossScaler(),
 		})
-		corpus := data.NewCorpus(64, 7)
-		var losses []float64
-		for i := 0; i < steps; i++ {
-			l, err := tr.Step(corpus.NextBatch(2, 8))
-			if err != nil {
-				panic(err)
-			}
-			losses = append(losses, l)
-		}
-		if _, err := tr.Flush(); err != nil {
-			panic(err)
-		}
-		return tr, losses
+		return tr, trainSteps(tr, steps, windows(data.NewCorpus(64, 7), 2, 8, 1, 1))
 	}
 	stvTr, losses := run(stv.STV)
 	steTr, _ := run(stv.STE)

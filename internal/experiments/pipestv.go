@@ -1,17 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
-	"superoffload/internal/data"
-	"superoffload/internal/dp"
 	"superoffload/internal/model"
-	"superoffload/internal/nn"
-	"superoffload/internal/optim"
-	"superoffload/internal/stv"
-	"superoffload/internal/tensor"
 )
 
 // ExtPipeSTV exercises the full 3-D R×S×P engine: R data-parallel
@@ -26,138 +19,36 @@ import (
 // checkpoints are byte-identical to the reference's, and the NVMe tier
 // composes without disturbing a bit.
 func ExtPipeSTV() string {
-	const (
-		steps       = 25
-		accum       = 2 // micro-batches per step: M ≥ 2 makes 1F1B overlap real
-		batch       = 4
-		seq         = 16
-		bucketElems = 4096
-	)
-	cfg := model.Config{Name: "ext", Layers: 4, Hidden: 64, Heads: 4, Vocab: 128}
-	adam := optim.DefaultConfig()
-	adam.LR = 3e-3
-
-	// Single-rank reference trajectory per data-parallel degree R: the
-	// trainer accumulates each step's accum×R row slices in
-	// (micro-batch, group) order — the same fold the 3-D engine's
-	// cross-cell reduce performs.
-	reference := func(r int) ([]float64, stv.Stats, []byte) {
-		refModel := nn.NewGPT(cfg, seq, tensor.NewRNG(21))
-		ref := stv.NewTrainer(refModel, stv.Config{
-			Adam: adam, Impl: optim.GraceAdam, ClipNorm: 3.0,
-			BucketElems: bucketElems, Mode: stv.STV,
-		})
-		corpus := data.NewCorpus(cfg.Vocab, 23)
-		losses := make([]float64, 0, steps)
-		for i := 0; i < steps; i++ {
-			var window []data.Batch
-			for m := 0; m < accum; m++ {
-				window = append(window, sliceRows(corpus.NextBatch(batch, seq), r)...)
-			}
-			l, err := ref.StepAccum(window)
-			if err != nil {
-				panic(err)
-			}
-			losses = append(losses, l)
-		}
-		if _, err := ref.Flush(); err != nil {
-			panic(err)
-		}
-		var ckpt bytes.Buffer
-		if err := ref.Save(&ckpt); err != nil {
-			panic(err)
-		}
-		return losses, ref.Stats(), ckpt.Bytes()
-	}
-	type refRun struct {
-		losses []float64
-		stats  stv.Stats
-		ckpt   []byte
-	}
-	refs := map[int]refRun{}
-	for _, r := range []int{1, 2} {
-		losses, st, ckpt := reference(r)
-		refs[r] = refRun{losses, st, ckpt}
-	}
-
-	run := func(r, s, p int, newStore func(rank int) (stv.BucketStore, error)) ([]float64, stv.Stats, dp.SPCommStats, []byte) {
-		eng, err := dp.New(nn.NewGPT(cfg, seq, tensor.NewRNG(21)), dp.Config{
-			Ranks: r, SeqRanks: s, PipeRanks: p, Adam: adam, Impl: optim.GraceAdam,
-			ClipNorm: 3.0, BucketElems: bucketElems, NewStore: newStore,
-		})
-		if err != nil {
-			panic(err)
-		}
-		// Close surfaces latched NVMe background-IO failures; dropping
-		// it would render a success table from a corrupted run.
-		defer func() {
-			if cerr := eng.Close(); cerr != nil {
-				panic(cerr)
-			}
-		}()
-		c := data.NewCorpus(cfg.Vocab, 23)
-		losses := make([]float64, 0, steps)
-		for i := 0; i < steps; i++ {
-			window := make([]data.Batch, accum)
-			for m := range window {
-				window[m] = c.NextBatch(batch, seq)
-			}
-			l, err := eng.StepAccum(window)
-			if err != nil {
-				panic(err)
-			}
-			losses = append(losses, l)
-		}
-		if _, err := eng.Flush(); err != nil {
-			panic(err)
-		}
-		var ckpt bytes.Buffer
-		if err := eng.Save(&ckpt); err != nil {
-			panic(err)
-		}
-		return losses, eng.Stats(), eng.CommStats(), ckpt.Bytes()
-	}
-
-	exactVs := func(r int, losses []float64) string {
-		for i, rl := range refs[r].losses {
-			if losses[i] != rl {
-				return "DIVERGED (bug!)"
-			}
-		}
-		return "bit-identical"
+	x := shapeRuns{
+		cfg:   model.Config{Name: "ext", Layers: 4, Hidden: 64, Heads: 4, Vocab: 128},
+		steps: 25, batch: 4,
+		micros: 2, // micro-batches per step: M ≥ 2 makes 1F1B overlap real
 	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension: 3-D R×S×P engine (data × sequence × 1F1B pipeline parallelism) over the STV engine\n")
 	fmt.Fprintf(&b, "model: %d layers, %d heads, batch %d × %d micros, seq %d, ≤%d-elem buckets; ClipNorm 3.0 forces a commit/rollback mix\n",
-		cfg.Layers, cfg.Heads, batch, accum, seq, bucketElems)
+		x.cfg.Layers, x.cfg.Heads, x.batch, x.micros, shapeSeq, shapeBucketElems)
 	for _, r := range []int{1, 2} {
+		ref := x.reference(r)
 		fmt.Fprintf(&b, "single-rank reference (R=%d-way row accumulation) over %d steps: final loss %.4f, %d commits, %d rollbacks\n",
-			r, steps, refs[r].losses[steps-1], refs[r].stats.Commits, refs[r].stats.Rollbacks())
+			r, x.steps, ref.losses[x.steps-1], ref.stats.Commits, ref.stats.Rollbacks())
 	}
 
 	fmt.Fprintf(&b, "\n%-24s %-14s %-10s %18s %16s %10s\n",
 		"configuration", "trajectory", "rollbacks", "stage sends/step", "a2a floats/step", "ckpt=ref")
-	row := func(name string, r int, losses []float64, st stv.Stats, cs dp.SPCommStats, ckpt []byte) {
-		same := "yes"
-		if !bytes.Equal(ckpt, refs[r].ckpt) {
-			same = "NO (bug!)"
-		}
+	row := func(format string, r, s, p int, nvme bool) {
+		t, cs := x.run(r, s, p, nvme)
+		exact, same := x.exactVs(r, t)
 		fmt.Fprintf(&b, "%-24s %-14s %-10d %18d %16d %10s\n",
-			name, exactVs(r, losses), st.Rollbacks(),
-			cs.StageSends/int64(steps), cs.A2AFloats/int64(steps), same)
+			fmt.Sprintf(format, r, s, p), exact, t.stats.Rollbacks(),
+			cs.StageSends/int64(x.steps), cs.A2AFloats/int64(x.steps), same)
 	}
 	for _, shape := range [][3]int{{1, 1, 2}, {1, 1, 4}, {2, 1, 2}, {2, 2, 2}} {
-		r, s, p := shape[0], shape[1], shape[2]
-		losses, st, cs, ckpt := run(r, s, p, nil)
-		row(fmt.Sprintf("R=%d×S=%d×P=%d, dram", r, s, p), r, losses, st, cs, ckpt)
+		row("R=%d×S=%d×P=%d, dram", shape[0], shape[1], shape[2], false)
 	}
 	for _, shape := range [][3]int{{1, 1, 4}, {2, 2, 2}} {
-		r, s, p := shape[0], shape[1], shape[2]
-		losses, st, cs, ckpt := run(r, s, p, func(rank int) (stv.BucketStore, error) {
-			return stv.NewNVMeStore(stv.NVMeStoreConfig{ResidentBuckets: 2})
-		})
-		row(fmt.Sprintf("R=%d×S=%d×P=%d, nvme win 2", r, s, p), r, losses, st, cs, ckpt)
+		row("R=%d×S=%d×P=%d, nvme win 2", shape[0], shape[1], shape[2], true)
 	}
 	fmt.Fprintf(&b, "\nstage spans partition the flat parameter space, so every gradient element\n")
 	fmt.Fprintf(&b, "still folds in (micro-batch, group) order and the 1F1B interleaving reorders\n")

@@ -45,18 +45,7 @@ func ExtPlacementSTV() string {
 			Placement: plan,
 		})
 		defer tr.Close()
-		corpus := data.NewCorpus(cfg.Vocab, 23)
-		losses := make([]float64, 0, steps)
-		for i := 0; i < steps; i++ {
-			l, err := tr.Step(corpus.NextBatch(4, 16))
-			if err != nil {
-				panic(err)
-			}
-			losses = append(losses, l)
-		}
-		if _, err := tr.Flush(); err != nil {
-			panic(err)
-		}
+		losses := trainSteps(tr, steps, windows(data.NewCorpus(cfg.Vocab, 23), 4, 16, 1, 1))
 		tel, _ := tr.PlacementTelemetry()
 		return losses, tr.Stats(), tel
 	}

@@ -1,0 +1,174 @@
+package experiments
+
+import (
+	"bytes"
+	"io"
+
+	"superoffload/internal/data"
+	"superoffload/internal/dp"
+	"superoffload/internal/model"
+	"superoffload/internal/nn"
+	"superoffload/internal/optim"
+	"superoffload/internal/stv"
+	"superoffload/internal/tensor"
+)
+
+// stepper is the training surface stv.Trainer and dp.Engine share — all
+// the real-engine experiments need of either.
+type stepper interface {
+	StepAccum(batches []data.Batch) (float64, error)
+	Flush() (bool, error)
+	Save(w io.Writer) error
+	Stats() stv.Stats
+	Close() error
+}
+
+// windows returns a per-step batch source: each call draws micros global
+// batches of rows×seq from c and cuts every one into r row slices, in
+// (micro-batch, group) order. r > 1 is the decomposition a single-rank
+// reference accumulates to reproduce an R-group engine's step — data
+// parallelism is gradient accumulation across groups; r = 1 leaves the
+// batches whole.
+func windows(c *data.Corpus, rows, seq, micros, r int) func() []data.Batch {
+	return func() []data.Batch {
+		w := make([]data.Batch, 0, micros*r)
+		for m := 0; m < micros; m++ {
+			b := c.NextBatch(rows, seq)
+			per := b.BatchSize / r
+			for g := 0; g < r; g++ {
+				lo, hi := g*per*b.Seq, (g+1)*per*b.Seq
+				w = append(w, data.Batch{Tokens: b.Tokens[lo:hi], Targets: b.Targets[lo:hi], BatchSize: per, Seq: b.Seq})
+			}
+		}
+		return w
+	}
+}
+
+// trainSteps is the loop every real-engine experiment runs: steps
+// optimizer steps, each over next()'s micro-batches, then Flush so the
+// last step is validated. Returns the per-step losses; errors panic
+// (experiment-internal).
+func trainSteps(eng stepper, steps int, next func() []data.Batch) []float64 {
+	losses := make([]float64, 0, steps)
+	for i := 0; i < steps; i++ {
+		l, err := eng.StepAccum(next())
+		if err != nil {
+			panic(err)
+		}
+		losses = append(losses, l)
+	}
+	if _, err := eng.Flush(); err != nil {
+		panic(err)
+	}
+	return losses
+}
+
+// trajectory is what a finished run leaves to compare against another:
+// losses, validation counters, and the checkpoint bytes.
+type trajectory struct {
+	losses []float64
+	stats  stv.Stats
+	ckpt   []byte
+}
+
+// runTrajectory trains eng with trainSteps, checkpoints it and closes it.
+// Close surfaces latched NVMe background-IO failures; dropping its error
+// would render a success table from a corrupted run.
+func runTrajectory(eng stepper, steps int, next func() []data.Batch) trajectory {
+	t := trajectory{losses: trainSteps(eng, steps, next)}
+	var ckpt bytes.Buffer
+	if err := eng.Save(&ckpt); err != nil {
+		panic(err)
+	}
+	t.stats, t.ckpt = eng.Stats(), ckpt.Bytes()
+	if err := eng.Close(); err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// shapeRuns is the setup ext-ulysses-stv, ext-mesh-stv and ext-pipe-stv
+// share: one model and batch geometry trained by the (R,S,P) engine in
+// several shapes, each checked against the single-rank trainer
+// accumulating the same R-way row decomposition.
+type shapeRuns struct {
+	cfg                  model.Config
+	steps, micros, batch int
+	refs                 map[int]trajectory // single-rank references by R
+}
+
+// Geometry and optimizer the three shape experiments share. ClipNorm 3.0
+// forces a commit/rollback mix on this model.
+const (
+	shapeSeq         = 16
+	shapeBucketElems = 4096
+	shapeClipNorm    = 3.0
+)
+
+func (x *shapeRuns) model() *nn.GPT { return nn.NewGPT(x.cfg, shapeSeq, tensor.NewRNG(21)) }
+
+func (x *shapeRuns) feed(r int) func() []data.Batch {
+	return windows(data.NewCorpus(x.cfg.Vocab, 23), x.batch, shapeSeq, x.micros, r)
+}
+
+func shapeAdam() optim.Config {
+	a := optim.DefaultConfig()
+	a.LR = 3e-3
+	return a
+}
+
+// reference is the single-rank trajectory for data-parallel degree r (and
+// the experiment's micro-batch count): the trainer accumulates each
+// step's micros×r row slices in (micro-batch, group) order — the fold the
+// engine's cross-cell reduce performs. Trained once per r.
+func (x *shapeRuns) reference(r int) trajectory {
+	ref, ok := x.refs[r]
+	if !ok {
+		ref = runTrajectory(stv.NewTrainer(x.model(), stv.Config{
+			Adam: shapeAdam(), Impl: optim.GraceAdam, ClipNorm: shapeClipNorm,
+			BucketElems: shapeBucketElems, Mode: stv.STV,
+		}), x.steps, x.feed(r))
+		if x.refs == nil {
+			x.refs = map[int]trajectory{}
+		}
+		x.refs[r] = ref
+	}
+	return ref
+}
+
+// run trains the (r,s,p) engine on the undivided global batches, over
+// DRAM-resident state or (nvme) a 2-bucket flash window per rank.
+func (x *shapeRuns) run(r, s, p int, nvme bool) (trajectory, dp.SPCommStats) {
+	var newStore func(rank int) (stv.BucketStore, error)
+	if nvme {
+		newStore = func(int) (stv.BucketStore, error) {
+			return stv.NewNVMeStore(stv.NVMeStoreConfig{ResidentBuckets: 2})
+		}
+	}
+	eng, err := dp.New(x.model(), dp.Config{
+		Ranks: r, SeqRanks: s, PipeRanks: p, Adam: shapeAdam(), Impl: optim.GraceAdam,
+		ClipNorm: shapeClipNorm, BucketElems: shapeBucketElems, NewStore: newStore,
+	})
+	if err != nil {
+		panic(err)
+	}
+	t := runTrajectory(eng, x.steps, x.feed(1))
+	return t, eng.CommStats()
+}
+
+// exactVs renders a run's two exactness columns against the r-way
+// reference: the loss trajectory and the checkpoint bytes.
+func (x *shapeRuns) exactVs(r int, t trajectory) (losses, ckpt string) {
+	ref := x.reference(r)
+	losses, ckpt = "bit-identical", "yes"
+	for i, l := range ref.losses {
+		if t.losses[i] != l {
+			losses = "DIVERGED (bug!)"
+			break
+		}
+	}
+	if !bytes.Equal(t.ckpt, ref.ckpt) {
+		ckpt = "NO (bug!)"
+	}
+	return losses, ckpt
+}

@@ -1,17 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
-	"superoffload/internal/data"
-	"superoffload/internal/dp"
 	"superoffload/internal/model"
-	"superoffload/internal/nn"
-	"superoffload/internal/optim"
-	"superoffload/internal/stv"
-	"superoffload/internal/tensor"
 )
 
 // ExtUlyssesSTV is the real-engine counterpart of the analytic
@@ -26,108 +19,33 @@ import (
 // NVMe tier composes without disturbing a bit, and the all-to-all/ring
 // traffic scales the way head parallelism prescribes.
 func ExtUlyssesSTV() string {
-	const (
-		steps       = 30
-		batch       = 2
-		seq         = 16
-		bucketElems = 4096
-	)
-	cfg := model.Config{Name: "ext", Layers: 2, Hidden: 64, Heads: 4, Vocab: 128}
-	adam := optim.DefaultConfig()
-	adam.LR = 3e-3
-
+	x := shapeRuns{
+		cfg:   model.Config{Name: "ext", Layers: 2, Hidden: 64, Heads: 4, Vocab: 128},
+		steps: 30, micros: 1, batch: 2,
+	}
 	// Single-rank reference trajectory (whole batches, no decomposition).
-	refModel := nn.NewGPT(cfg, seq, tensor.NewRNG(21))
-	ref := stv.NewTrainer(refModel, stv.Config{
-		Adam: adam, Impl: optim.GraceAdam, ClipNorm: 3.0,
-		BucketElems: bucketElems, Mode: stv.STV,
-	})
-	refLosses := make([]float64, 0, steps)
-	corpus := data.NewCorpus(cfg.Vocab, 23)
-	for i := 0; i < steps; i++ {
-		l, err := ref.Step(corpus.NextBatch(batch, seq))
-		if err != nil {
-			panic(err)
-		}
-		refLosses = append(refLosses, l)
-	}
-	if _, err := ref.Flush(); err != nil {
-		panic(err)
-	}
-	var refCkpt bytes.Buffer
-	if err := ref.Save(&refCkpt); err != nil {
-		panic(err)
-	}
-
-	run := func(s int, newStore func(rank int) (stv.BucketStore, error)) ([]float64, stv.Stats, dp.SPCommStats, []byte) {
-		eng, err := dp.New(nn.NewGPT(cfg, seq, tensor.NewRNG(21)), dp.Config{
-			SeqRanks: s, Adam: adam, Impl: optim.GraceAdam, ClipNorm: 3.0,
-			BucketElems: bucketElems, NewStore: newStore,
-		})
-		if err != nil {
-			panic(err)
-		}
-		// Close surfaces latched NVMe background-IO failures; dropping
-		// it would render a success table from a corrupted run.
-		defer func() {
-			if cerr := eng.Close(); cerr != nil {
-				panic(cerr)
-			}
-		}()
-		c := data.NewCorpus(cfg.Vocab, 23)
-		losses := make([]float64, 0, steps)
-		for i := 0; i < steps; i++ {
-			l, err := eng.Step(c.NextBatch(batch, seq))
-			if err != nil {
-				panic(err)
-			}
-			losses = append(losses, l)
-		}
-		if _, err := eng.Flush(); err != nil {
-			panic(err)
-		}
-		var ckpt bytes.Buffer
-		if err := eng.Save(&ckpt); err != nil {
-			panic(err)
-		}
-		return losses, eng.Stats(), eng.CommStats(), ckpt.Bytes()
-	}
-
-	exactVs := func(losses []float64) string {
-		for i := range refLosses {
-			if losses[i] != refLosses[i] {
-				return "DIVERGED (bug!)"
-			}
-		}
-		return "bit-identical"
-	}
+	ref := x.reference(1)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension: real Ulysses sequence parallelism over the STV engine\n")
 	fmt.Fprintf(&b, "model: %d params, %d heads, seq %d, ≤%d-elem buckets; ClipNorm 3.0 forces a commit/rollback mix\n",
-		refModel.NumParams(), cfg.Heads, seq, bucketElems)
+		x.model().NumParams(), x.cfg.Heads, shapeSeq, shapeBucketElems)
 	fmt.Fprintf(&b, "single-rank reference over %d steps: final loss %.4f, %d commits, %d rollbacks\n",
-		steps, refLosses[len(refLosses)-1], ref.Stats().Commits, ref.Stats().Rollbacks())
+		x.steps, ref.losses[x.steps-1], ref.stats.Commits, ref.stats.Rollbacks())
 
 	fmt.Fprintf(&b, "\n%-22s %-14s %-10s %16s %14s %10s\n",
 		"configuration", "trajectory", "rollbacks", "a2a floats/step", "ring hops/step", "ckpt=S1")
-	row := func(name string, losses []float64, st stv.Stats, cs dp.SPCommStats, ckpt []byte) {
-		same := "yes"
-		if !bytes.Equal(ckpt, refCkpt.Bytes()) {
-			same = "NO (bug!)"
-		}
+	row := func(name string, s int, nvme bool) {
+		t, cs := x.run(1, s, 1, nvme)
+		exact, same := x.exactVs(1, t)
 		fmt.Fprintf(&b, "%-22s %-14s %-10d %16d %14d %10s\n",
-			name, exactVs(losses), st.Rollbacks(),
-			cs.A2AFloats/int64(steps), cs.RingHops/int64(steps), same)
+			name, exact, t.stats.Rollbacks(),
+			cs.A2AFloats/int64(x.steps), cs.RingHops/int64(x.steps), same)
 	}
 	for _, s := range []int{2, 4} {
-		losses, st, cs, ckpt := run(s, nil)
-		row(fmt.Sprintf("S=%d, dram", s), losses, st, cs, ckpt)
+		row(fmt.Sprintf("S=%d, dram", s), s, false)
 	}
-	losses, st, cs, ckpt := run(4, func(rank int) (stv.BucketStore, error) {
-		return stv.NewNVMeStore(stv.NVMeStoreConfig{ResidentBuckets: 2})
-	})
-	row("S=4, nvme window 2", losses, st, cs, ckpt)
+	row("S=4, nvme window 2", 4, true)
 	fmt.Fprintf(&b, "\ntwo all-to-alls per layer per pass flip attention between sequence and head\n")
 	fmt.Fprintf(&b, "sharding; the weight-gradient ring replays rows in global order, so every\n")
 	fmt.Fprintf(&b, "configuration lands on the single-rank trajectory bit for bit (fig12 holds the\n")

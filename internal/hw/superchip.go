@@ -113,12 +113,6 @@ func (s SuperchipSpec) GPUAdamTime(elems int64) float64 {
 // their snapshot reservation — stv.NVMeStore's record layout).
 const superchipNVMeBytesPerElem = 24
 
-// NVMeFetchTime is the flash read bringing one NVMe-tier bucket's
-// optimizer state into the resident window.
-func (s SuperchipSpec) NVMeFetchTime(elems int64) float64 {
-	return s.NVMe.ReadTime(superchipNVMeBytesPerElem * elems)
-}
-
 // NVMeFlushTime is the write-behind flush of one NVMe-tier bucket's
 // updated optimizer state.
 func (s SuperchipSpec) NVMeFlushTime(elems int64) float64 {
@@ -143,7 +137,8 @@ func (s SuperchipSpec) PathNVMe(i int) NVMeSpec {
 	return s.NVMe
 }
 
-// NVMePathFetchTime is NVMeFetchTime on flash path i's lane.
+// NVMePathFetchTime is the flash read bringing one NVMe-tier bucket's
+// optimizer state into the resident window over flash path i's lane.
 func (s SuperchipSpec) NVMePathFetchTime(i int, elems int64) float64 {
 	return s.PathNVMe(i).ReadTime(superchipNVMeBytesPerElem * elems)
 }

@@ -412,37 +412,6 @@ func ActResidentBytes(shape Shape) int64 {
 // the budget the Auto grid search charges per retained bucket.
 const GPUStateBytesPerElem = 16
 
-// AutoPaths extends Auto's grid search with the flash path count for an
-// NVMe-bodied deployment: the spec's NVMe array splits into 1..maxPaths
-// independently scheduled lanes (hw.SplitPaths — total hardware
-// conserved), Auto picks each candidate's GPU tail under that lane
-// model, the offloaded body spills through the flash window
-// (WithNVMeBody — the same transform the facade applies for the nvme
-// backend), and the placement and path count with the lowest modeled
-// pipelined step time win. Ties prefer fewer paths, so path splitting
-// must pay for itself. Every candidate — including the single-path one —
-// uses the multi-path clock model (flushes occupy their lane), keeping
-// the comparison apples-to-apples rather than pitting real lane
-// contention against the legacy idealized single-lane model.
-func AutoPaths(spec hw.SuperchipSpec, elems []int, shape Shape, budgetBytes int64, maxPaths int) (Plan, int) {
-	spec = spec.OrDefault()
-	if maxPaths < 1 {
-		maxPaths = 1
-	}
-	var best Plan
-	bestN := 1
-	bestT := math.Inf(1)
-	for n := 1; n <= maxPaths; n++ {
-		sp := spec
-		sp.IOPaths = hw.SplitPaths(spec.NVMe, n)
-		p := Auto(sp, elems, shape, budgetBytes).WithNVMeBody()
-		if t := StepTimes(sp, p.Work(elems), len(elems), shape).Pipelined; t < bestT {
-			best, bestN, bestT = p, n, t
-		}
-	}
-	return best, bestN
-}
-
 // Auto derives the GPU-retained bucket tail for a partition with the
 // given per-bucket element counts by the paper's §4.3 policy: grid-search
 // the tail size, keeping at most budgetBytes of optimizer state in HBM

@@ -49,32 +49,3 @@ func TestStepTimesMultiPathBeatsSinglePath(t *testing.T) {
 		}
 	}
 }
-
-// TestAutoPaths: the joint placement × path-count search returns an
-// NVMe-bodied plan (the deployment it models), a path count within
-// bounds, and — on a flash-heavy partition where lane concurrency pays —
-// more than one path.
-func TestAutoPaths(t *testing.T) {
-	elems := toyElems(8)
-	// A 1-byte HBM budget forces the whole partition off the GPU, so
-	// every bucket spills through the flash window and the path count
-	// decides the step time.
-	plan, n := AutoPaths(hw.DefaultSuperchip(), elems, toyShape(), 1, 4)
-	if err := plan.Validate(8); err != nil {
-		t.Fatal(err)
-	}
-	if n < 1 || n > 4 {
-		t.Fatalf("path count %d out of bounds", n)
-	}
-	if c := plan.Counts(); c.NVMe == 0 {
-		t.Fatalf("AutoPaths returned a plan with no flash body: %+v", c)
-	}
-	if n < 2 {
-		t.Errorf("latency-dominated flash-heavy partition picked %d path(s); lane concurrency should pay", n)
-	}
-	// maxPaths < 1 clamps to a single-lane search instead of returning
-	// an empty plan.
-	if _, n := AutoPaths(hw.DefaultSuperchip(), elems, toyShape(), 1, 0); n != 1 {
-		t.Errorf("maxPaths 0 returned %d paths, want 1", n)
-	}
-}

@@ -152,12 +152,6 @@ func (e *Engine) Makespan() float64 {
 	return m
 }
 
-// Tasks returns all tasks in submission order.
-func (e *Engine) Tasks() []*Task { return e.tasks }
-
-// ResourceNames returns registered resources in registration order.
-func (e *Engine) ResourceNames() []string { return append([]string(nil), e.order...) }
-
 // ---- heaps ----
 
 type slotHeap []float64

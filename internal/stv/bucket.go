@@ -89,20 +89,6 @@ func (b *Bucket) Half() []fp16.Num {
 	return half
 }
 
-// StageGrads copies (and unscales) the model gradients into the staging
-// buffer — the analogue of the bucket's gradient swap-out.
-func (b *Bucket) StageGrads(invScale float32) {
-	off := 0
-	for _, p := range b.group {
-		g := p.G.Data
-		dst := b.grad[off : off+len(g)]
-		for i, v := range g {
-			dst[i] = v * invScale
-		}
-		off += len(g)
-	}
-}
-
 // AccumGrad stages the model's raw (still loss-scaled) gradients into the
 // buffer, overwriting on the first contribution and adding element-wise
 // afterwards. Gradient accumulation and the data-parallel reduce both sum
@@ -170,33 +156,31 @@ func (b *Bucket) SpeculativeStep(cfg optim.Config, impl optim.Impl) {
 	b.dirty = true
 }
 
-// Commit discards rollback state after successful validation. No store
-// access: the speculative state is already the committed state.
-func (b *Bucket) Commit() { b.dirty = false }
-
-// Rollback restores the pre-step state bit-exactly and republishes weights.
-func (b *Bucket) Rollback() {
-	if !b.dirty {
+// Apply executes the verdict on the bucket's speculative step (§4.4).
+// Commit keeps it — no store access, the speculative state already is the
+// committed state; Skip restores the pre-step snapshot bit-exactly; Clip
+// restores it and re-applies the step with the gradients scaled by
+// r.ClipScale, under the hyperparameters the speculative step used. The
+// last two republish the weights. A bucket with no speculative step
+// outstanding is left alone.
+func (b *Bucket) Apply(r Resolution, impl optim.Impl) {
+	if !b.dirty || r.Action == None {
+		return
+	}
+	b.dirty = false
+	if r.Action == Commit {
 		return
 	}
 	st := b.store.Acquire(b.idx)
-	st.Snap.Restore(st.Shard)
-	PublishHalf(b.group, st.Shard.Half)
-	b.store.Release(b.idx, ReleaseFlush)
-	b.dirty = false
-}
-
-// ReExecuteClipped rolls back and re-applies the step with gradients scaled
-// by clipScale (§4.4 rollback scenario 2).
-func (b *Bucket) ReExecuteClipped(cfg optim.Config, impl optim.Impl, clipScale float64) {
-	if !b.dirty {
-		return
+	mode := ReleaseStep
+	if r.Action == Skip {
+		st.Snap.Restore(st.Shard)
+		mode = ReleaseFlush
+	} else {
+		optim.ReExecuteClipped(r.Adam, impl, st.Shard, st.Snap, b.grad, r.ClipScale)
 	}
-	st := b.store.Acquire(b.idx)
-	optim.ReExecuteClipped(cfg, impl, st.Shard, st.Snap, b.grad, clipScale)
 	PublishHalf(b.group, st.Shard.Half)
-	b.store.Release(b.idx, ReleaseStep)
-	b.dirty = false
+	b.store.Release(b.idx, mode)
 }
 
 // DirectStep applies a committed (non-speculative) step with pre-scaled

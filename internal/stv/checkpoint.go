@@ -136,29 +136,34 @@ func (b *Bucket) readRecord(r io.Reader) error {
 	return nil
 }
 
-// Save writes the trainer state. It fails if a validation is in flight.
-func (t *Trainer) Save(w io.Writer) error {
-	if t.pending {
+// Save writes the run's state over buckets in the given (global) order.
+// It fails if a validation is in flight.
+func (v *Verdict) Save(w io.Writer, buckets []*Bucket) error {
+	if v.pending {
 		return fmt.Errorf("stv: Flush before Save (validation in flight)")
 	}
-	return WriteCheckpoint(w, t.stepIndex, t.Cfg.Scaler, t.buckets)
+	return WriteCheckpoint(w, v.step, v.Scaler, buckets)
 }
+
+// Load restores state written by Save into buckets of the same layout,
+// republishing the fp16-rounded weights to their model tensors. It fails
+// if a validation is in flight.
+func (v *Verdict) Load(r io.Reader, buckets []*Bucket) error {
+	if v.pending {
+		return fmt.Errorf("stv: Flush before Load (validation in flight)")
+	}
+	step, err := ReadCheckpoint(r, v.Scaler, buckets)
+	if err != nil {
+		return err
+	}
+	v.step = step
+	return nil
+}
+
+// Save writes the trainer state. It fails if a validation is in flight.
+func (t *Trainer) Save(w io.Writer) error { return t.ctl.Save(w, t.buckets) }
 
 // Load restores trainer state saved by Save into a trainer built over the
 // same model architecture and bucket configuration, then republishes the
 // fp16-rounded weights to the model.
-func (t *Trainer) Load(r io.Reader) error {
-	if t.pending {
-		return fmt.Errorf("stv: Flush before Load (validation in flight)")
-	}
-	stepIndex, err := ReadCheckpoint(r, t.Cfg.Scaler, t.buckets)
-	if err != nil {
-		return err
-	}
-	t.stepIndex = stepIndex
-	return nil
-}
-
-// StepIndex reports how many optimizer steps the trainer has attempted
-// (restored by Load).
-func (t *Trainer) StepIndex() int { return t.stepIndex }
+func (t *Trainer) Load(r io.Reader) error { return t.ctl.Load(r, t.buckets) }

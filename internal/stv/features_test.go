@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"superoffload/internal/data"
+	"superoffload/internal/obs"
 	"superoffload/internal/optim"
 )
 
@@ -95,6 +96,56 @@ func TestStepAccumSingleBatchEqualsStep(t *testing.T) {
 	for i := range wa {
 		if wa[i] != wb[i] {
 			t.Fatalf("StepAccum([b]) != Step(b) at %d", i)
+		}
+	}
+}
+
+// TestStepAccumSpans: a traced accumulation window of M micro-batches
+// accounts for itself on the "trainer" track under both schedules — M
+// backward spans, M forward spans plus one per redo, one speculate span,
+// and at least one resolve — so the per-phase ledger folded from a trace
+// (bench/trace.go sums these spans by name) is as complete for StepAccum
+// as for Step.
+func TestStepAccumSpans(t *testing.T) {
+	const micros = 3
+	for _, mode := range []Mode{STE, STV} {
+		tracer := obs.NewTracer()
+		cfg := trainerConfig(mode)
+		cfg.Tracer = tracer
+		tr := NewTrainer(tinyGPT(5), cfg)
+		corpus := data.NewCorpus(64, 3)
+		window := func() []data.Batch {
+			w := make([]data.Batch, micros)
+			for i := range w {
+				w[i] = corpus.NextBatch(1, 8)
+			}
+			return w
+		}
+		// The first window leaves a validation in flight under STV, so
+		// the measured one resolves a real verdict.
+		if _, err := tr.StepAccum(window()); err != nil {
+			t.Fatal(err)
+		}
+		seen, redos := tracer.Len(), tr.Stats().Redos
+		if _, err := tr.StepAccum(window()); err != nil {
+			t.Fatal(err)
+		}
+		redos = tr.Stats().Redos - redos
+		trainerTid := 0
+		for _, e := range tracer.Events() {
+			if e.Ph == "M" && e.Args["name"] == "trainer" {
+				trainerTid = e.Tid
+			}
+		}
+		spans := map[string]int{}
+		for _, e := range tracer.EventsSince(seen) {
+			if e.Ph == "X" && e.Tid == trainerTid {
+				spans[e.Name]++
+			}
+		}
+		if spans["backward"] != micros || spans["forward"] != micros+redos ||
+			spans["speculate"] != 1 || spans["resolve"] < 1 || len(spans) != 4 {
+			t.Errorf("%v: window of %d with %d redo(s) traced %v", mode, micros, redos, spans)
 		}
 	}
 }

@@ -39,11 +39,6 @@ type PlacementTier struct {
 	NVMeSeconds float64
 }
 
-// TotalSeconds sums the tier's phase seconds.
-func (t PlacementTier) TotalSeconds() float64 {
-	return t.CastSeconds + t.D2HSeconds + t.AdamSeconds + t.H2DSeconds + t.NVMeSeconds
-}
-
 // add accumulates another tier share (Buckets sum too: across ranks the
 // per-rank shards partition the plan).
 func (t PlacementTier) add(o PlacementTier) PlacementTier {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"testing"
 
+	"superoffload/internal/act"
 	"superoffload/internal/data"
 	"superoffload/internal/optim"
+	"superoffload/internal/place"
 )
 
 // TestBackgroundValidationStress hammers the Step/StepAccum/Flush/Save
@@ -13,7 +15,7 @@ import (
 // tiny buckets so the validator goroutine's scan is long enough to overlap
 // the next step's forward, backward, and gradient staging. Run under
 // -race in CI, this is the harness that proves the §4.4 background
-// validator (launchValidation / resolvePending) shares no unsynchronized
+// validator (StepAccum's launch / resolve) shares no unsynchronized
 // state with the training loop.
 func TestBackgroundValidationStress(t *testing.T) {
 	cfg := trainerConfig(STV)
@@ -85,5 +87,74 @@ func TestBackgroundValidationStress(t *testing.T) {
 	}
 	if st.Commits+st.Rollbacks() != st.Steps {
 		t.Errorf("stats don't add up: %+v", st)
+	}
+}
+
+// TestTelemetryPollDuringTraining: Stats, StoreTelemetry,
+// PlacementTelemetry and ActTelemetry are what a metrics endpoint reads
+// from its own goroutine (the facade's RegisterMetrics, supertrain
+// -obs-addr), so a poller hammering all four must be race-free against
+// every way the trainer moves — Step, an accumulation window, Flush and
+// Close — with the flash store, the placement executor and the activation
+// tier all live and the clip tight enough that rollbacks and redos
+// happen. Meaningful under -race; the accumulation window used to bump
+// the counters outside their lock.
+func TestTelemetryPollDuringTraining(t *testing.T) {
+	m := actGPT(42)
+	cfg := nvmeTrainerConfig(t, STV)
+	cfg.ClipNorm = 0.4
+	cfg.Scaler = optim.NewLossScaler()
+	plan := place.GPUTail(len(PartitionGroups(m.Params(), cfg.BucketElems)), 1)
+	cfg.Placement = &plan
+	ast, err := act.NewStore(act.Config{
+		Tier: act.NVMe, Dir: t.TempDir(), ResidentLayers: 2,
+		Hidden: 32, Params: int64(m.NumParams()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Act = ast
+	tr := NewTrainer(m, cfg)
+
+	stop, polled := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				polled <- n
+				return
+			default:
+			}
+			tr.Stats()
+			tr.StoreTelemetry()
+			tr.PlacementTelemetry()
+			tr.ActTelemetry()
+			n++
+		}
+	}()
+
+	corpus := data.NewCorpus(64, 29)
+	for i := 0; i < 6; i++ {
+		if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
+			t.Fatal(err)
+		}
+		w := []data.Batch{corpus.NextBatch(1, 8), corpus.NextBatch(1, 8)}
+		if _, err := tr.StepAccum(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	if n := <-polled; n == 0 {
+		t.Error("the poller never ran")
+	}
+	if st := tr.Stats(); st.Steps != 12 || st.Rollbacks() == 0 || st.Redos == 0 {
+		t.Errorf("run was not the mix of commits, rollbacks and redos the test is for: %+v", st)
 	}
 }

@@ -14,8 +14,8 @@ import "superoffload/internal/optim"
 //
 // The rollback snapshot rides the store alongside the shard: between a
 // speculative step and its (deferred) validation a bucket may be evicted,
-// and the snapshot must survive the round trip so Rollback and
-// ReExecuteClipped stay bit-exact on windowed state.
+// and the snapshot must survive the round trip so a Skip or Clip verdict
+// (Bucket.Apply) stays bit-exact on windowed state.
 
 // BucketState is the optimizer-tier payload for one bucket: the
 // mixed-precision shard (fp32 masters, Adam moments, fp16 working copy)

@@ -63,13 +63,6 @@ func (in *Injector) WrapPath(path int, f iolane.File) iolane.File {
 	return &faultFile{in: in, path: path, f: f}
 }
 
-// PathOps reports how many IOs the path has attempted (diagnostics).
-func (in *Injector) PathOps(path int) int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.ops[path]
-}
-
 // next counts one op on the path and returns the fault to apply to it,
 // if any armed fault has reached its trigger.
 func (in *Injector) next(path int) (Fault, bool) {

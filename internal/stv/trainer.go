@@ -3,7 +3,6 @@ package stv
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"superoffload/internal/act"
 	"superoffload/internal/data"
@@ -47,10 +46,10 @@ type Config struct {
 	Mode        Mode
 	// Scaler enables mixed-precision loss scaling; nil trains unscaled.
 	Scaler *optim.LossScaler
-	// InjectBad, when non-nil, is consulted after each backward pass
-	// with the step index; returning true corrupts one gradient with
-	// +Inf — the fault-injection hook overflow tests and the Fig. 14
-	// experiment use.
+	// InjectBad, when non-nil, is consulted once per optimizer step with
+	// the step index; returning true corrupts the staged gradient of
+	// bucket 0 with +Inf — the fault-injection hook overflow tests and
+	// the Fig. 14 experiment use.
 	InjectBad func(step int) bool
 	// Schedule, when non-nil, returns a learning-rate multiplier for
 	// the given 1-based step (warm-up, cosine decay, ...). Rollback
@@ -80,9 +79,12 @@ type Config struct {
 	// invisible (restores are bit-exact); the trainer owns the store and
 	// attaches it to the model — Close closes it.
 	Act *act.Store
-	// Tracer, when non-nil, gives the trainer a "trainer" trace track
-	// with one span per step phase (forward, resolve, backward,
-	// speculate). Nil disables tracing at zero cost.
+	// Tracer, when non-nil, gives the trainer a "trainer" trace track:
+	// per micro-batch a forward and a backward span (the latter includes
+	// staging the gradients), a resolve span where a verdict is awaited
+	// and applied, and one speculate span for normalise + optimizer step
+	// (STE's synchronous resolve nests inside it). Nil disables tracing
+	// at zero cost.
 	Tracer *obs.Tracer
 }
 
@@ -106,25 +108,6 @@ func WarmupCosine(warmup, total int, minFrac float64) func(int) float64 {
 // helper so the schedule stays testable.
 func cosApprox(x float64) float64 { return math.Cos(math.Pi * x) }
 
-// Stats counts validation outcomes — the Fig. 14 telemetry.
-type Stats struct {
-	Steps     int // optimizer steps attempted
-	Commits   int // steps that validated clean
-	ClipRolls int // rollback + re-execute with clipped gradients
-	SkipRolls int // rollback + skip (NaN/Inf)
-	Redos     int // forward passes redone after a rollback
-}
-
-// Rollbacks returns total rollback events.
-func (s Stats) Rollbacks() int { return s.ClipRolls + s.SkipRolls }
-
-// valResult is what the background validator reports: the deferred global
-// state of §4.4.
-type valResult struct {
-	bad        bool
-	globalNorm float64
-}
-
 // Trainer drives mixed-precision training of a real GPT with either
 // schedule.
 type Trainer struct {
@@ -136,18 +119,11 @@ type Trainer struct {
 	exec    *PlacementExecutor // nil without a placement plan
 	track   *obs.Track         // step-phase spans; nil when tracing is off
 
-	// stats sits behind statsMu so an observability endpoint can poll
-	// Stats concurrently with a running step.
-	statsMu sync.Mutex
-	stats   Stats
-
-	// STV pipeline state: an in-flight validation for the last
-	// speculative step.
-	pending     bool
-	pendingAdam optim.Config // the hyperparameters the in-flight step used
-	validCh     chan valResult
-	lastLoss    float64
-	stepIndex   int
+	// ctl is the step-control state (step counter, loss scale, pending
+	// validation, counters); validCh delivers the one validation it may
+	// have in flight.
+	ctl     Verdict
+	validCh chan Validation
 
 	// valShards caches the per-bucket gradient slice headers the
 	// validator scans; bucket staging buffers never move, so it is built
@@ -164,16 +140,6 @@ func (t *Trainer) gradShards() [][]float32 {
 		}
 	}
 	return t.valShards
-}
-
-// stepAdam returns the Adam config for the current step, with the
-// learning-rate schedule applied.
-func (t *Trainer) stepAdam() optim.Config {
-	a := t.Cfg.Adam
-	if t.Cfg.Schedule != nil {
-		a.LR *= t.Cfg.Schedule(t.stepIndex)
-	}
-	return a
 }
 
 // DefaultBucketElems is the per-bucket element budget when Config leaves
@@ -200,7 +166,8 @@ func NewTrainer(m *nn.GPT, cfg Config) *Trainer {
 		Cfg:     cfg,
 		store:   store,
 		buckets: partitionParams(m.Params(), cfg.BucketElems, store),
-		validCh: make(chan valResult, 1),
+		ctl:     Verdict{Adam: cfg.Adam, ClipNorm: cfg.ClipNorm, Scaler: cfg.Scaler, Schedule: cfg.Schedule},
+		validCh: make(chan Validation, 1),
 		track:   cfg.Tracer.Track("trainer"),
 	}
 	if cfg.Placement != nil {
@@ -240,9 +207,6 @@ func ActShapeFor(m *nn.GPT, s *act.Store) place.ActShape {
 // NumBuckets reports the partition size (diagnostics).
 func (t *Trainer) NumBuckets() int { return len(t.buckets) }
 
-// Store returns the trainer's bucket store (telemetry access).
-func (t *Trainer) Store() BucketStore { return t.store }
-
 // Close releases the bucket store's (and activation store's) backing
 // resources. The trainer is unusable afterwards; resolve any in-flight
 // validation (Flush) first.
@@ -267,18 +231,19 @@ func (t *Trainer) ActTelemetry() (act.Telemetry, bool) {
 
 // Stats returns validation counters. Safe to call concurrently with a
 // running step (telemetry pollers).
-func (t *Trainer) Stats() Stats {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	return t.stats
-}
+func (t *Trainer) Stats() Stats { return t.ctl.Stats() }
 
-// bumpStats applies a mutation to the validation counters under the
-// stats lock.
-func (t *Trainer) bumpStats(f func(*Stats)) {
-	t.statsMu.Lock()
-	f(&t.stats)
-	t.statsMu.Unlock()
+// StepIndex reports how many optimizer steps the trainer has attempted
+// (restored by Load).
+func (t *Trainer) StepIndex() int { return t.ctl.StepIndex() }
+
+// StoreTelemetry returns the modeled NVMe-tier accounting; ok is false
+// when optimizer state is DRAM-resident (nothing to model).
+func (t *Trainer) StoreTelemetry() (StoreTelemetry, bool) {
+	if src, ok := t.store.(TelemetrySource); ok {
+		return src.NVMeTelemetry()
+	}
+	return StoreTelemetry{}, false
 }
 
 // PlacementTelemetry returns the virtual-clock superchip executor's
@@ -290,211 +255,121 @@ func (t *Trainer) PlacementTelemetry() (PlacementTelemetry, bool) {
 	return t.exec.Telemetry(), true
 }
 
-// Step runs one training iteration on the batch and returns its loss.
-//
-// Under STV the sequencing mirrors Fig. 8: the forward pass runs first;
-// only then is the previous step's validation resolved (it has been
-// running in the background). If validation demands a rollback, the
-// weights change and the forward pass is redone — the "RB → F1" arrow in
-// the figure.
+// Step runs one training iteration on the batch and returns its loss: a
+// StepAccum window of one.
 func (t *Trainer) Step(b data.Batch) (float64, error) {
-	switch t.Cfg.Mode {
-	case STE:
-		return t.stepSTE(b)
-	case STV:
-		return t.stepSTV(b)
+	return t.StepAccum([]data.Batch{b})
+}
+
+// StepAccum runs one optimizer step over the given micro-batches (§5.2's
+// OOM-mitigation strategy 1) and returns their mean loss. Each
+// micro-batch runs forward and backward from zeroed gradients and stages
+// its raw contribution into every bucket, one whole contribution at a
+// time in micro-batch order; the sum is then normalised by
+// 1/(lossScale·M). Summing whole per-micro-batch contributions (rather
+// than accumulating inside the model's gradient tensors across backward
+// passes) fixes the floating-point reduction order, so an R-rank
+// data-parallel engine that reduces per-rank contributions in rank order
+// reproduces the accumulated update bit for bit.
+//
+// Under STV the sequencing mirrors Fig. 8: the previous step's validation,
+// running in the background since that step returned, is resolved only
+// after the window's first forward pass; if it demands a rollback the
+// weights change and that forward is redone — the "RB → F1" arrow in the
+// figure. The speculative per-bucket step then fires once, over the
+// normalised sum, and its own validation is launched into the background.
+// STE (Fig. 3) resolves that validation at once, on the critical path, and
+// steps from the verdict with Bucket.DirectStep: no snapshot, no rollback,
+// and a skipped step does no optimizer work at all.
+func (t *Trainer) StepAccum(batches []data.Batch) (float64, error) {
+	if t.Cfg.Mode != STE && t.Cfg.Mode != STV {
+		return 0, fmt.Errorf("stv: unknown mode %d", t.Cfg.Mode)
 	}
-	return 0, fmt.Errorf("stv: unknown mode %d", t.Cfg.Mode)
-}
-
-// scale returns the current loss scale (1 when scaling is disabled).
-func (t *Trainer) scale() float64 {
-	if t.Cfg.Scaler == nil {
-		return 1
+	if len(t.buckets) == 0 || len(batches) == 0 {
+		return 0, nil
 	}
-	return t.Cfg.Scaler.Scale
-}
-
-// backwardAndStage runs backward and stages unscaled gradients in every
-// bucket.
-func (t *Trainer) backwardAndStage(b data.Batch) float64 {
-	sp := t.track.Begin("forward")
-	loss, cache := t.Model.Forward(b.Tokens, b.Targets, b.BatchSize, b.Seq)
-	sp.End()
-	t.Model.Params().ZeroGrads()
-	sp = t.track.Begin("backward")
-	t.Model.Backward(cache, t.scale())
-	sp.End()
-	t.maybeInject()
-	inv := float32(1 / t.scale())
-	for _, bk := range t.buckets {
-		bk.StageGrads(inv)
-	}
-	return loss
-}
-
-func (t *Trainer) maybeInject() {
-	if t.Cfg.InjectBad != nil && t.Cfg.InjectBad(t.stepIndex) {
-		g := t.Model.Params()[0].G.Data
-		g[0] = float32(math.Inf(1))
-	}
-}
-
-// validate computes the deferred global state over staged gradients.
-func (t *Trainer) validate() valResult {
-	shards := t.gradShards()
-	return valResult{bad: optim.HasBad(shards), globalNorm: optim.GlobalNorm(shards)}
-}
-
-// ---- STE (ZeRO-Offload schedule) ----
-
-func (t *Trainer) stepSTE(b data.Batch) (float64, error) {
-	t.stepIndex++
-	loss := t.backwardAndStage(b)
-	t.bumpStats(func(s *Stats) { s.Steps++ })
-
-	// Synchronize: full validation before any optimizer work (Fig. 3's
-	// gray block on the critical path).
-	sp := t.track.Begin("resolve")
-	v := t.validate()
-	sp.End()
-	if v.bad {
-		t.bumpStats(func(s *Stats) { s.SkipRolls++ })
-		if t.Cfg.Scaler != nil {
-			t.Cfg.Scaler.Update(true)
+	adam := t.ctl.BeginStep()
+	var loss float64
+	tokens := 0 // the backward volume the placement executor charges
+	for m, b := range batches {
+		l, cache := t.forward(b)
+		if m == 0 && t.resolve().WeightsChanged() {
+			t.ctl.Redo()
+			l, cache = t.forward(b)
 		}
-		return loss, nil // skip step entirely
+		sp := t.track.Begin("backward")
+		t.Model.Params().ZeroGrads()
+		t.Model.Backward(cache, t.ctl.Scale())
+		for _, bk := range t.buckets {
+			bk.AccumGrad(m == 0)
+		}
+		sp.End()
+		loss += l
+		tokens += b.BatchSize * b.Seq
 	}
-	if t.Cfg.Scaler != nil {
-		t.Cfg.Scaler.Update(false)
+	loss /= float64(len(batches))
+
+	sp := t.track.Begin("speculate")
+	defer sp.End()
+	if t.Cfg.InjectBad != nil && t.Cfg.InjectBad(t.ctl.StepIndex()) {
+		t.buckets[0].grad[0] = float32(math.Inf(1))
 	}
-	t.applyDirectStep(v)
-	t.exec.Record(b.BatchSize*b.Seq, b.Seq)
+	inv := float32(1 / (t.ctl.Scale() * float64(len(batches))))
+	speculative := t.Cfg.Mode == STV
+	for _, bk := range t.buckets {
+		bk.ScaleGrad(inv)
+		if speculative {
+			// In the real system this overlaps the remaining backward on
+			// the GPU.
+			bk.SpeculativeStep(adam, t.Cfg.Impl)
+		}
+	}
+	// The background validator (the Python-multiprocessing worker of
+	// §4.4): global norm and NaN/Inf scan off the critical path. The staged
+	// gradients stay untouched until resolve consumes the result (the next
+	// window stages after its resolve), so the scan reads stable data.
+	t.ctl.Launched(adam)
+	go func(v chan<- Validation, shards [][]float32) {
+		v <- Validation{Bad: optim.HasBad(shards), Norm: optim.GlobalNorm(shards)}
+	}(t.validCh, t.gradShards())
+	if !speculative {
+		res := t.resolve() // its span nests inside speculate
+		if res.Action == Skip {
+			return loss, nil
+		}
+		for _, bk := range t.buckets {
+			bk.DirectStep(adam, t.Cfg.Impl, res.ClipScale)
+		}
+	}
+	t.exec.Record(tokens, batches[0].Seq)
 	return loss, nil
 }
 
-// applyDirectStep applies a committed (synchronous) optimizer step over
-// all buckets with the clip scale derived from the validated global norm.
-func (t *Trainer) applyDirectStep(v valResult) {
-	clip := optim.ClipScale(v.globalNorm, t.Cfg.ClipNorm)
-	if clip != 1.0 {
-		t.bumpStats(func(s *Stats) { s.ClipRolls++ }) // a clip event, for comparability with STV
-	} else {
-		t.bumpStats(func(s *Stats) { s.Commits++ })
-	}
-	adam := t.stepAdam()
-	sp := t.track.Begin("speculate")
-	for _, bk := range t.buckets {
-		bk.DirectStep(adam, t.Cfg.Impl, clip)
-	}
-	sp.End()
+// forward runs one micro-batch's forward pass under its trace span.
+func (t *Trainer) forward(b data.Batch) (float64, *nn.FwdCache) {
+	sp := t.track.Begin("forward")
+	defer sp.End()
+	return t.Model.Forward(b.Tokens, b.Targets, b.BatchSize, b.Seq)
 }
 
-// ---- STV (SuperOffload schedule) ----
-
-func (t *Trainer) stepSTV(b data.Batch) (float64, error) {
-	t.stepIndex++
-	// Forward; resolve the previous iteration's validation "after the
-	// forward pass" (§4.4). A rollback changes weights ⇒ redo forward.
-	for {
-		sp := t.track.Begin("forward")
-		loss, cache := t.Model.Forward(b.Tokens, b.Targets, b.BatchSize, b.Seq)
-		sp.End()
-		sp = t.track.Begin("resolve")
-		rolledBack, err := t.resolvePending()
-		sp.End()
-		if err != nil {
-			return 0, err
-		}
-		if rolledBack {
-			t.bumpStats(func(s *Stats) { s.Redos++ })
-			continue
-		}
-		t.lastLoss = loss
-		t.Model.Params().ZeroGrads()
-		sp = t.track.Begin("backward")
-		t.Model.Backward(cache, t.scale())
-		sp.End()
-		break
-	}
-	t.maybeInject()
-	inv := float32(1 / t.scale())
-	adam := t.stepAdam()
-	sp := t.track.Begin("speculate")
+// resolve consumes the outstanding validation, if any, and applies its
+// verdict to every bucket: commit, roll back, or re-execute clipped.
+// Under STE no bucket is ever dirty (DirectStep takes no snapshot), so
+// Apply finds nothing to do and StepAccum steps from the returned verdict.
+func (t *Trainer) resolve() Resolution {
+	sp := t.track.Begin("resolve")
+	defer sp.End()
+	res := t.ctl.Resolve(t.validCh)
 	for _, bk := range t.buckets {
-		bk.StageGrads(inv)
-		// Speculative per-bucket step: in the real system this
-		// overlaps the remaining backward on the GPU.
-		bk.SpeculativeStep(adam, t.Cfg.Impl)
+		bk.Apply(res, t.Cfg.Impl)
 	}
-	sp.End()
-	t.bumpStats(func(s *Stats) { s.Steps++ })
-	t.exec.Record(b.BatchSize*b.Seq, b.Seq)
-	t.launchValidation()
-	return t.lastLoss, nil
-}
-
-// launchValidation starts the background validator (the Python-
-// multiprocessing worker of §4.4): global norm and NaN/Inf scan off the
-// critical path, delivered through the queue.
-func (t *Trainer) launchValidation() {
-	t.pendingAdam = t.stepAdam()
-	// The staged gradients stay untouched until resolvePending consumes
-	// this result (the next step's StageGrads runs after resolution), so
-	// the background scan reads stable data.
-	go func(v chan<- valResult, shards [][]float32) {
-		v <- valResult{bad: optim.HasBad(shards), globalNorm: optim.GlobalNorm(shards)}
-	}(t.validCh, t.gradShards())
-	t.pending = true
-}
-
-// resolvePending consumes an outstanding validation, applying rollback /
-// re-execution / commit. Returns whether weights changed (forward must be
-// redone).
-func (t *Trainer) resolvePending() (bool, error) {
-	if !t.pending {
-		return false, nil
-	}
-	v := <-t.validCh
-	t.pending = false
-
-	if v.bad {
-		// Scenario 1: NaN/Inf ⇒ the iteration is skipped; undo the
-		// speculative update entirely.
-		for _, bk := range t.buckets {
-			bk.Rollback()
-		}
-		t.bumpStats(func(s *Stats) { s.SkipRolls++ })
-		if t.Cfg.Scaler != nil {
-			t.Cfg.Scaler.Update(true)
-		}
-		return true, nil
-	}
-	if t.Cfg.Scaler != nil {
-		t.Cfg.Scaler.Update(false)
-	}
-	clip := optim.ClipScale(v.globalNorm, t.Cfg.ClipNorm)
-	if clip != 1.0 {
-		// Scenario 2: clipping violated ⇒ revert and re-execute with
-		// clipped gradients, using the hyperparameters the
-		// speculative step used (the schedule may have moved on).
-		for _, bk := range t.buckets {
-			bk.ReExecuteClipped(t.pendingAdam, t.Cfg.Impl, clip)
-		}
-		t.bumpStats(func(s *Stats) { s.ClipRolls++ })
-		return true, nil
-	}
-	for _, bk := range t.buckets {
-		bk.Commit()
-	}
-	t.bumpStats(func(s *Stats) { s.Commits++ })
-	return false, nil
+	return res
 }
 
 // Flush resolves any in-flight validation (call at end of training so the
 // final step is validated). Returns whether the final step was rolled
 // back or re-executed.
-func (t *Trainer) Flush() (bool, error) { return t.resolvePending() }
+func (t *Trainer) Flush() (bool, error) { return t.resolve().WeightsChanged(), nil }
 
 // MasterWeights exposes the CPU-side fp32 master parameters, concatenated
 // in bucket order — the ground truth for exactness comparisons.

@@ -1,0 +1,155 @@
+package stv
+
+import (
+	"sync"
+
+	"superoffload/internal/optim"
+)
+
+// Stats counts validation outcomes — the Fig. 14 telemetry.
+type Stats struct {
+	Steps     int // optimizer steps attempted
+	Commits   int // steps that validated clean
+	ClipRolls int // rollback + re-execute with clipped gradients
+	SkipRolls int // rollback + skip (NaN/Inf)
+	Redos     int // forward passes redone after a rollback
+}
+
+// Rollbacks returns total rollback events.
+func (s Stats) Rollbacks() int { return s.ClipRolls + s.SkipRolls }
+
+// Validation is the deferred global state of §4.4 that a background
+// validator reports for one speculative step: whether any reduced
+// gradient is NaN/Inf, and the global gradient norm.
+type Validation struct {
+	Bad  bool
+	Norm float64
+}
+
+// Action is what a resolved validation demands of every bucket.
+type Action int
+
+const (
+	// None: nothing was pending (the first step, or a second Flush).
+	None Action = iota
+	// Commit: the speculative step validated clean and stands.
+	Commit
+	// Skip: NaN/Inf — the iteration is skipped, the speculative update
+	// undone entirely (§4.4 rollback scenario 1).
+	Skip
+	// Clip: the norm bound was violated — revert and re-execute with the
+	// gradients scaled by ClipScale (scenario 2).
+	Clip
+)
+
+// Resolution is the verdict on the previous speculative step, applied to
+// every bucket (Bucket.Apply) — on every rank, under internal/dp.
+type Resolution struct {
+	Action    Action
+	ClipScale float64      // gradient scale restoring the norm bound; 1 on Commit
+	Adam      optim.Config // Clip: the hyperparameters the speculative step used
+}
+
+// WeightsChanged reports whether applying the resolution modifies model
+// weights, so that a forward pass already run on them must be redone.
+func (r Resolution) WeightsChanged() bool { return r.Action == Skip || r.Action == Clip }
+
+// Verdict is the step-control state of one training run, shared by the
+// single-rank Trainer and internal/dp's coordinator: the step counter and
+// learning-rate schedule, the loss scale, the one validation that may be
+// in flight with the Adam config its step was taken under, and the
+// outcome counters. Resolve is the only place a validation result becomes
+// an action, a scaler update and a counter, which is what keeps every
+// engine shape on the same rollback decisions. The exported fields are
+// configuration, fixed before the first step; one goroutine drives the
+// methods, except Stats, which may be polled from any.
+type Verdict struct {
+	Adam     optim.Config
+	ClipNorm float64                // 0 disables clipping
+	Scaler   *optim.LossScaler      // nil trains unscaled
+	Schedule func(step int) float64 // nil keeps Adam.LR; else its multiplier for the 1-based step
+
+	step        int
+	pending     bool
+	pendingAdam optim.Config
+
+	mu    sync.Mutex
+	stats Stats
+}
+
+// BeginStep opens the next optimizer step and returns its Adam config,
+// the learning-rate schedule applied. A rollback re-executes with the
+// config of the step it rolls back, not this one (Resolution.Adam).
+func (v *Verdict) BeginStep() optim.Config {
+	v.step++
+	a := v.Adam
+	if v.Schedule != nil {
+		a.LR *= v.Schedule(v.step)
+	}
+	return a
+}
+
+// StepIndex reports how many optimizer steps have been attempted (saved
+// in checkpoints, and restored by Load).
+func (v *Verdict) StepIndex() int { return v.step }
+
+// Scale returns the current loss scale (1 when scaling is disabled). It
+// changes only inside Resolve.
+func (v *Verdict) Scale() float64 {
+	if v.Scaler == nil {
+		return 1
+	}
+	return v.Scaler.Scale
+}
+
+// Launched records that the step opened by BeginStep was applied under
+// adam and that its validation is now in flight.
+func (v *Verdict) Launched(adam optim.Config) {
+	v.pending, v.pendingAdam = true, adam
+	v.bump(func(s *Stats) { s.Steps++ })
+}
+
+// Redo counts one forward pass rerun because a resolution changed the
+// weights under it.
+func (v *Verdict) Redo() { v.bump(func(s *Stats) { s.Redos++ }) }
+
+// Resolve consumes the in-flight validation — blocking on val if the
+// validator is still running — and turns it into the resolution every
+// bucket must apply, updating the loss scaler and the counters. With
+// nothing in flight it returns None without touching val.
+func (v *Verdict) Resolve(val <-chan Validation) Resolution {
+	if !v.pending {
+		return Resolution{}
+	}
+	got := <-val
+	v.pending = false
+	if v.Scaler != nil {
+		v.Scaler.Update(got.Bad)
+	}
+	if got.Bad {
+		v.bump(func(s *Stats) { s.SkipRolls++ })
+		return Resolution{Action: Skip}
+	}
+	clip := optim.ClipScale(got.Norm, v.ClipNorm)
+	if clip != 1.0 {
+		v.bump(func(s *Stats) { s.ClipRolls++ })
+		return Resolution{Action: Clip, ClipScale: clip, Adam: v.pendingAdam}
+	}
+	v.bump(func(s *Stats) { s.Commits++ })
+	return Resolution{Action: Commit, ClipScale: 1}
+}
+
+// Stats returns the validation counters. Safe to call concurrently with a
+// running step (telemetry pollers).
+func (v *Verdict) Stats() Stats {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.stats
+}
+
+// bump applies one mutation to the counters under the polling lock.
+func (v *Verdict) bump(f func(*Stats)) {
+	v.mu.Lock()
+	f(&v.stats)
+	v.mu.Unlock()
+}

@@ -46,7 +46,7 @@ func ObsHandler(reg *MetricsRegistry, tr *Tracer) http.Handler {
 
 // statsSource, telemetrySource, placementSource, actSource, and
 // commSource are the telemetry surfaces RegisterMetrics probes for —
-// every engine implements a subset.
+// Engine has them all, a test fake may implement a subset.
 type statsSource interface{ Stats() Stats }
 type telemetrySource interface {
 	StoreTelemetry() (StoreTelemetry, bool)
@@ -59,11 +59,12 @@ type actSource interface {
 }
 type commSource interface{ CommStats() SPCommStats }
 
-// RegisterMetrics registers live telemetry providers for an engine
-// (an Engine or MeshEngine value) on the registry: validation stats,
-// NVMe store accounting, placement clocks, activation tier traffic, and
-// link traffic — whichever surfaces the engine exposes. Each Gather re-reads the engine, so the registry
-// serves mid-run values; every read path is lock-protected engine-side,
+// RegisterMetrics registers live telemetry providers for an engine (an
+// *Engine, or any value with some of its telemetry methods) on the
+// registry: validation stats, NVMe store accounting, placement clocks,
+// activation tier traffic, and link traffic — whichever surfaces the
+// value exposes. Each Gather re-reads the engine, so the registry serves
+// mid-run values; every read path is lock-protected engine-side,
 // making polling safe during training. Registering the same engine
 // twice double-counts: Gather sums same-named samples.
 func RegisterMetrics(reg *MetricsRegistry, engine any) {

@@ -84,7 +84,9 @@ func TestPlacementTierMetricLabels(t *testing.T) {
 }
 
 // TestRegisterMetricsLiveProviders wires a real engine into a registry
-// and checks Gather serves its live counters.
+// and checks Gather serves its live counters — polled from another
+// goroutine while Step and StepAccum run, the way ObsHandler's /metrics
+// does (meaningful under -race).
 func TestRegisterMetricsLiveProviders(t *testing.T) {
 	m, err := NewModel(ModelConfig{Layers: 1, Hidden: 32, Vocab: 64, MaxSeq: 16}, 1)
 	if err != nil {
@@ -100,15 +102,32 @@ func TestRegisterMetricsLiveProviders(t *testing.T) {
 	reg := NewMetricsRegistry()
 	RegisterMetrics(reg, eng)
 
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				reg.Gather()
+			}
+		}
+	}()
 	corpus := NewCorpus(64, 2)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		if _, err := eng.Step(corpus.NextBatch(2, 8)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if _, err := eng.StepAccum([]Batch{corpus.NextBatch(1, 8), corpus.NextBatch(1, 8)}); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	close(stop)
+	<-stopped
 	got := map[string]float64{}
 	for _, s := range reg.Gather() {
 		got[s.Name] = s.Value

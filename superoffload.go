@@ -251,17 +251,6 @@ func (g *hbmGuard) check(b Batch) error {
 		b.BatchSize, b.Seq, need>>20, g.resident, g.budget>>20, hint)
 }
 
-// checkAll validates every accumulated micro-batch (each is a full
-// forward/backward, so each must fit on its own).
-func (g *hbmGuard) checkAll(batches []Batch) error {
-	for _, b := range batches {
-		if err := g.check(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // OffloadConfig selects where the fp32 master weights and Adam moments
 // live between bucket touches (the third memory tier of the documented
 // ext-nvme extension, on the real engine).
@@ -456,12 +445,35 @@ func DefaultOptimizer() OptimizerConfig {
 // Batch is one training batch in flattened (batch*seq) layout.
 type Batch = data.Batch
 
+// trainer is the surface the single-rank stv.Trainer and the multi-rank
+// dp.Engine share; Engine drives whichever one its InitX built.
+type trainer interface {
+	StepAccum(batches []data.Batch) (float64, error)
+	Flush() (bool, error)
+	Save(w io.Writer) error
+	Load(r io.Reader) error
+	Stats() stv.Stats
+	NumBuckets() int
+	StoreTelemetry() (stv.StoreTelemetry, bool)
+	PlacementTelemetry() (stv.PlacementTelemetry, bool)
+	ActTelemetry() (act.Telemetry, bool)
+	Close() error
+}
+
 // Engine trains a Model with SuperOffload's schedule: CPU-resident fp32
 // master weights and Adam moments, bucketized speculative updates,
-// background validation, and exact rollback (§4.4).
+// background validation, and exact rollback (§4.4) — on one simulated
+// superchip (Init) or across an R×S×P shape of them (InitMesh and its
+// presets). For the same global batch the loss trajectory — rollbacks,
+// checkpoints and all — is bit-identical across shapes: a multi-rank
+// engine reproduces the single-rank one processing the same R-way row
+// decomposition (S and P are invisible to the numerics), and checkpoints
+// move freely between them.
 type Engine struct {
-	trainer *stv.Trainer
-	guard   *hbmGuard
+	t      trainer
+	guard  *hbmGuard
+	maxSeq int
+	shape  MeshConfig // every axis >= 1
 }
 
 // translate expands an OptimizerConfig into the Adam config, loss scaler,
@@ -517,40 +529,56 @@ func Init(m *Model, cfg OptimizerConfig) (*Engine, error) {
 		Schedule: schedule, Store: store, Placement: plan, Act: actStore,
 		Tracer: cfg.Tracer,
 	})
-	return &Engine{trainer: tr, guard: cfg.newHBMGuard(m, 1, 1)}, nil
+	return &Engine{
+		t: tr, guard: cfg.newHBMGuard(m, 1, 1), maxSeq: m.gpt.MaxSeq,
+		shape: MeshConfig{Ranks: 1, SeqRanks: 1, PipeRanks: 1},
+	}, nil
 }
 
 // Step runs one training iteration (forward, backward, speculative
-// optimizer step, background validation) and returns the batch loss.
-func (e *Engine) Step(b Batch) (float64, error) {
-	if err := e.guard.check(b); err != nil {
-		return 0, err
-	}
-	return e.trainer.Step(b)
-}
+// optimizer step, background validation) over the global batch and
+// returns its loss: a StepAccum window of one.
+func (e *Engine) Step(b Batch) (float64, error) { return e.StepAccum([]Batch{b}) }
 
-// StepAccum runs one optimizer step over several accumulated micro-batches
-// (the §5.2 OOM-mitigation path) and returns the mean loss.
+// StepAccum runs one optimizer step over several accumulated global
+// micro-batches (the §5.2 OOM-mitigation path) and returns the mean loss.
+// On a multi-rank engine every micro-batch shards over the ranks, and the
+// window is the pipeline's natural shape: M micro-batches fill the 1F1B
+// schedule, shrinking each stage's idle bubble to (P-1)/(M+P-1) of its
+// compute. A batch the model cannot take — no rows, token or target
+// slices that are not BatchSize×Seq long, a sequence past the model's
+// MaxSeq — or that overflows the modeled HBM budget is refused here, in
+// the caller's goroutine, before any of the window trains.
 func (e *Engine) StepAccum(batches []Batch) (float64, error) {
-	if err := e.guard.checkAll(batches); err != nil {
-		return 0, err
+	for _, b := range batches {
+		if n := b.BatchSize * b.Seq; b.BatchSize < 1 || b.Seq < 1 || len(b.Tokens) != n || len(b.Targets) != n {
+			return 0, fmt.Errorf("superoffload: batch of %d×%d carries %d tokens and %d targets",
+				b.BatchSize, b.Seq, len(b.Tokens), len(b.Targets))
+		}
+		if b.Seq > e.maxSeq {
+			return 0, fmt.Errorf("superoffload: sequence %d exceeds the model's max %d", b.Seq, e.maxSeq)
+		}
+		if err := e.guard.check(b); err != nil {
+			return 0, err
+		}
 	}
-	return e.trainer.StepAccum(batches)
+	return e.t.StepAccum(batches)
 }
 
 // Save serializes the training state (fp32 masters, Adam moments, step
-// counters, loss scale). Call Flush first; an in-flight validation blocks
-// checkpointing.
-func (e *Engine) Save(w io.Writer) error { return e.trainer.Save(w) }
+// counters, loss scale) over the global bucket order, so the bytes do not
+// depend on the engine's shape. Call Flush first; an in-flight validation
+// blocks checkpointing.
+func (e *Engine) Save(w io.Writer) error { return e.t.Save(w) }
 
-// Load restores state saved by Save into an engine over the same model
-// architecture and bucket configuration.
-func (e *Engine) Load(r io.Reader) error { return e.trainer.Load(r) }
+// Load restores state saved by any engine's Save into an engine over the
+// same model architecture and bucket configuration.
+func (e *Engine) Load(r io.Reader) error { return e.t.Load(r) }
 
 // Flush resolves the final in-flight validation; call once after the last
 // Step.
 func (e *Engine) Flush() error {
-	_, err := e.trainer.Flush()
+	_, err := e.t.Flush()
 	return err
 }
 
@@ -558,34 +586,53 @@ func (e *Engine) Flush() error {
 type Stats = stv.Stats
 
 // Stats returns the engine's validation counters.
-func (e *Engine) Stats() Stats { return e.trainer.Stats() }
+func (e *Engine) Stats() Stats { return e.t.Stats() }
 
 // NumBuckets reports how many offload buckets the parameter space uses.
-func (e *Engine) NumBuckets() int { return e.trainer.NumBuckets() }
+func (e *Engine) NumBuckets() int { return e.t.NumBuckets() }
 
-// StoreTelemetry returns the modeled NVMe-tier accounting; ok is false
-// when optimizer state is DRAM-resident (nothing to model).
-func (e *Engine) StoreTelemetry() (StoreTelemetry, bool) {
-	if src, ok := e.trainer.Store().(stv.TelemetrySource); ok {
-		return src.NVMeTelemetry()
+// Ranks reports the data-parallel degree R (the number of replica
+// groups); 1 on the single-rank engine, like the other two axes.
+func (e *Engine) Ranks() int { return e.shape.Ranks }
+
+// SeqRanks reports the per-cell sequence-parallel degree S.
+func (e *Engine) SeqRanks() int { return e.shape.SeqRanks }
+
+// PipeRanks reports the pipeline-parallel degree P (stages per column).
+func (e *Engine) PipeRanks() int { return e.shape.PipeRanks }
+
+// CommStats reports the cumulative link traffic: every cell's all-to-all
+// and ring links plus the stage-boundary tensor sends. All-zero on the
+// single-rank engine, which has no links.
+func (e *Engine) CommStats() SPCommStats {
+	if c, ok := e.t.(commSource); ok {
+		return c.CommStats()
 	}
-	return StoreTelemetry{}, false
+	return SPCommStats{}
 }
 
-// PlacementTelemetry returns the virtual-clock superchip executor's
-// modeled accounting; ok is false without a placement plan.
+// StoreTelemetry returns the modeled NVMe-tier accounting, summed over
+// every rank's store; ok is false when optimizer state is DRAM-resident
+// (nothing to model).
+func (e *Engine) StoreTelemetry() (StoreTelemetry, bool) { return e.t.StoreTelemetry() }
+
+// PlacementTelemetry returns the virtual-clock superchip executors'
+// modeled accounting, summed over every rank; ok is false without a
+// placement plan.
 func (e *Engine) PlacementTelemetry() (PlacementTelemetry, bool) {
-	return e.trainer.PlacementTelemetry()
+	return e.t.PlacementTelemetry()
 }
 
-// ActTelemetry returns the activation store's traffic and modeled-time
-// accounting; ok is false without an activation tier.
-func (e *Engine) ActTelemetry() (ActTelemetry, bool) { return e.trainer.ActTelemetry() }
+// ActTelemetry returns the activation stores' traffic and modeled-time
+// accounting, summed over the final-stage ranks; ok is false without an
+// activation tier.
+func (e *Engine) ActTelemetry() (ActTelemetry, bool) { return e.t.ActTelemetry() }
 
-// Close releases the engine's bucket store (the nvme backend holds a
-// backing file and an IO worker). Call Flush first; safe on the dram
-// backend too.
-func (e *Engine) Close() error { return e.trainer.Close() }
+// Close stops the rank goroutines of a multi-rank engine (resolving any
+// pending validation first; idempotent there) and closes every bucket
+// and activation store — the nvme backends hold backing files and IO
+// workers. Call Flush first; the engine is unusable afterwards.
+func (e *Engine) Close() error { return e.t.Close() }
 
 // ---- multi-superchip engine ----
 
@@ -630,36 +677,22 @@ type SPConfig struct {
 // and a pure data-parallel shape reads all-zero.
 type SPCommStats = dp.SPCommStats
 
-// MeshEngine trains a Model across an R×S×P shape of simulated superchip
-// ranks. A global batch's rows split across the R groups; within a cell,
-// every rank's forward/backward runs over its sequence shard with
-// attention head-parallelized over channel all-to-alls and the weight
-// gradients reduced over a deterministic ring in global row order; along
-// a column, P stages each own a contiguous block range and run 1F1B over
-// the step's micro-batches, boundary activations and gradients flowing
-// over channel links. The fp32 masters and Adam moments are
-// ZeRO-partitioned over all R·S·P ranks along bucket boundaries behind
-// pluggable bucket stores; gradients reduce-scatter and post-step fp16
-// weights all-gather, overlapping with STV's speculative step and
-// background validation, and a clip or NaN rollback rolls back the
-// globally reduced step on every rank. For the same global batch, the
-// loss trajectory — rollbacks, checkpoints and all — is bit-identical to
-// the single-rank Engine processing the same R-way row decomposition (S
-// and P are invisible to the numerics), and checkpoints move freely
-// across shapes.
-type MeshEngine struct {
-	engine *dp.Engine
-	guard  *hbmGuard
-}
-
 // InitMesh wraps a model and optimizer into the multi-superchip
-// SuperOffload engine of shape mc. Its surface matches Engine's;
-// checkpoints are interchangeable across shapes (and with the
-// single-rank Engine). With PipeRanks > 1, use StepAccum with several
-// micro-batches to actually overlap the stages — one micro-batch
-// degenerates to sequential stages. Call Close when done to stop the
-// rank goroutines.
-func InitMesh(m *Model, cfg OptimizerConfig, mc MeshConfig) (*MeshEngine, error) {
+// SuperOffload engine of shape mc. A global batch's rows split across the
+// R groups; within a cell, every rank's forward/backward runs over its
+// sequence shard with attention head-parallelized over channel
+// all-to-alls and the weight gradients reduced over a deterministic ring
+// in global row order; along a column, P stages each own a contiguous
+// block range and run 1F1B over the step's micro-batches. The fp32
+// masters and Adam moments are ZeRO-partitioned over all R·S·P ranks
+// along bucket boundaries behind pluggable bucket stores; gradients
+// reduce-scatter and post-step fp16 weights all-gather, overlapping with
+// STV's speculative step and background validation, and a clip or NaN
+// rollback rolls back the globally reduced step on every rank. With
+// PipeRanks > 1, use StepAccum with several micro-batches to actually
+// overlap the stages — one micro-batch degenerates to sequential stages.
+// Call Close when done to stop the rank goroutines.
+func InitMesh(m *Model, cfg OptimizerConfig, mc MeshConfig) (*Engine, error) {
 	if m == nil {
 		return nil, fmt.Errorf("superoffload: nil model")
 	}
@@ -687,100 +720,29 @@ func InitMesh(m *Model, cfg OptimizerConfig, mc MeshConfig) (*MeshEngine, error)
 	if err != nil {
 		return nil, err
 	}
-	return &MeshEngine{engine: e, guard: cfg.newHBMGuard(m, mc.Ranks, mc.SeqRanks)}, nil
+	return &Engine{
+		t: e, guard: cfg.newHBMGuard(m, mc.Ranks, mc.SeqRanks), maxSeq: m.gpt.MaxSeq,
+		shape: MeshConfig{Ranks: e.Ranks(), SeqRanks: e.SeqRanks(), PipeRanks: e.PipeRanks()},
+	}, nil
 }
 
 // InitDP is the data-parallel shape preset: R ranks each running
 // forward/backward on their slice of the global batch's rows over a full
 // replica (the paper's 2× and 4× GH200 ZeRO-3-style configurations).
-func InitDP(m *Model, cfg OptimizerConfig, dpc DPConfig) (*MeshEngine, error) {
+func InitDP(m *Model, cfg OptimizerConfig, dpc DPConfig) (*Engine, error) {
 	return InitMesh(m, cfg, MeshConfig{Ranks: dpc.Ranks})
 }
 
 // InitSP is the sequence-parallel shape preset (SuperOffload-Ulysses,
 // §4.7): S ranks each holding a contiguous sequence shard of every row.
-func InitSP(m *Model, cfg OptimizerConfig, spc SPConfig) (*MeshEngine, error) {
+func InitSP(m *Model, cfg OptimizerConfig, spc SPConfig) (*Engine, error) {
 	return InitMesh(m, cfg, MeshConfig{SeqRanks: spc.SeqRanks})
 }
 
 // InitPipe is InitMesh under the name the 3-D R×S×P callers use.
-func InitPipe(m *Model, cfg OptimizerConfig, mc MeshConfig) (*MeshEngine, error) {
+func InitPipe(m *Model, cfg OptimizerConfig, mc MeshConfig) (*Engine, error) {
 	return InitMesh(m, cfg, mc)
 }
-
-// Step runs one training iteration over the global batch (rows split
-// across the R groups, sequence split across each cell's S ranks, depth
-// split across each column's P stages) and returns the mean loss.
-func (e *MeshEngine) Step(b Batch) (float64, error) {
-	if err := e.guard.check(b); err != nil {
-		return 0, err
-	}
-	return e.engine.Step(b)
-}
-
-// StepAccum runs one optimizer step over several accumulated global
-// micro-batches, each sharded over the ranks — the pipeline's natural
-// shape: M micro-batches fill the 1F1B schedule, shrinking each stage's
-// idle bubble to (P-1)/(M+P-1) of its compute.
-func (e *MeshEngine) StepAccum(batches []Batch) (float64, error) {
-	if err := e.guard.checkAll(batches); err != nil {
-		return 0, err
-	}
-	return e.engine.StepAccum(batches)
-}
-
-// Save serializes the sharded training state (gathered into the global
-// bucket order, identical to a single-rank checkpoint).
-func (e *MeshEngine) Save(w io.Writer) error { return e.engine.Save(w) }
-
-// Load restores state saved by any engine's Save.
-func (e *MeshEngine) Load(r io.Reader) error { return e.engine.Load(r) }
-
-// Flush resolves the final in-flight validation; call once after the
-// last Step.
-func (e *MeshEngine) Flush() error {
-	_, err := e.engine.Flush()
-	return err
-}
-
-// Stats returns the engine's validation counters.
-func (e *MeshEngine) Stats() Stats { return e.engine.Stats() }
-
-// NumBuckets reports how many offload buckets the parameter space uses.
-func (e *MeshEngine) NumBuckets() int { return e.engine.NumBuckets() }
-
-// Ranks reports the data-parallel degree R (the number of replica
-// groups).
-func (e *MeshEngine) Ranks() int { return e.engine.Ranks() }
-
-// SeqRanks reports the per-cell sequence-parallel degree S.
-func (e *MeshEngine) SeqRanks() int { return e.engine.SeqRanks() }
-
-// PipeRanks reports the pipeline-parallel degree P (stages per column).
-func (e *MeshEngine) PipeRanks() int { return e.engine.PipeRanks() }
-
-// CommStats reports the cumulative link traffic: every cell's
-// all-to-all and ring links plus the stage-boundary tensor sends.
-func (e *MeshEngine) CommStats() SPCommStats { return e.engine.CommStats() }
-
-// StoreTelemetry sums the modeled NVMe-tier accounting over every rank's
-// store; ok is false when optimizer state is DRAM-resident.
-func (e *MeshEngine) StoreTelemetry() (StoreTelemetry, bool) { return e.engine.StoreTelemetry() }
-
-// PlacementTelemetry sums the virtual-clock superchip executors' modeled
-// accounting over every rank; ok is false without a placement plan.
-func (e *MeshEngine) PlacementTelemetry() (PlacementTelemetry, bool) {
-	return e.engine.PlacementTelemetry()
-}
-
-// ActTelemetry sums the activation stores' traffic and modeled-time
-// accounting over the final-stage ranks; ok is false without an
-// activation tier.
-func (e *MeshEngine) ActTelemetry() (ActTelemetry, bool) { return e.engine.ActTelemetry() }
-
-// Close stops the rank goroutines (resolving any pending validation
-// first). Idempotent; the engine is unusable afterwards.
-func (e *MeshEngine) Close() error { return e.engine.Close() }
 
 // NewCorpus returns the deterministic synthetic corpus used throughout the
 // examples and experiments (the Pile stand-in; see DESIGN.md).

@@ -761,9 +761,10 @@ func TestInitMeshValidation(t *testing.T) {
 
 // TestStepRejectsMalformedBatchOnEveryPreset: a batch the model cannot
 // take — sequence past MaxSeq, token/target slices shorter than
-// BatchSize×Seq, rows not divisible by R — comes back from Step/StepAccum
-// as an error on every shape preset, the data-parallel one included
-// (which used to panic inside a rank goroutine), and leaves the engine
+// BatchSize×Seq, no rows, rows not divisible by R — comes back from
+// Step/StepAccum as an error on every shape preset, the single-rank one
+// (which used to panic in nn and tensor) and the data-parallel one (which
+// used to panic inside a rank goroutine) included, and leaves the engine
 // usable. MeshConfig.PipeRanks is honoured by InitMesh itself.
 func TestStepRejectsMalformedBatchOnEveryPreset(t *testing.T) {
 	newModel := func() *Model {
@@ -773,16 +774,17 @@ func TestStepRejectsMalformedBatchOnEveryPreset(t *testing.T) {
 		}
 		return m
 	}
-	presets := map[string]func() (*MeshEngine, error){
-		"dp": func() (*MeshEngine, error) { return InitDP(newModel(), DefaultOptimizer(), DPConfig{Ranks: 2}) },
-		"sp": func() (*MeshEngine, error) { return InitSP(newModel(), DefaultOptimizer(), SPConfig{SeqRanks: 2}) },
-		"mesh": func() (*MeshEngine, error) {
+	presets := map[string]func() (*Engine, error){
+		"init": func() (*Engine, error) { return Init(newModel(), DefaultOptimizer()) },
+		"dp":   func() (*Engine, error) { return InitDP(newModel(), DefaultOptimizer(), DPConfig{Ranks: 2}) },
+		"sp":   func() (*Engine, error) { return InitSP(newModel(), DefaultOptimizer(), SPConfig{SeqRanks: 2}) },
+		"mesh": func() (*Engine, error) {
 			return InitMesh(newModel(), DefaultOptimizer(), MeshConfig{Ranks: 2, SeqRanks: 2})
 		},
-		"pipe": func() (*MeshEngine, error) {
+		"pipe": func() (*Engine, error) {
 			return InitPipe(newModel(), DefaultOptimizer(), MeshConfig{Ranks: 2, PipeRanks: 2})
 		},
-		"mesh-with-pipe-ranks": func() (*MeshEngine, error) {
+		"mesh-with-pipe-ranks": func() (*Engine, error) {
 			return InitMesh(newModel(), DefaultOptimizer(), MeshConfig{Ranks: 2, PipeRanks: 2})
 		},
 	}
@@ -807,6 +809,9 @@ func TestStepRejectsMalformedBatchOnEveryPreset(t *testing.T) {
 			}
 			if _, err := eng.StepAccum([]Batch{corpus.NextBatch(2, 8), short}); err == nil {
 				t.Error("accumulation window with a malformed batch accepted")
+			}
+			if _, err := eng.Step(Batch{Seq: 8}); err == nil {
+				t.Error("batch with no rows accepted")
 			}
 			if eng.Ranks() > 1 {
 				if _, err := eng.Step(corpus.NextBatch(3, 8)); err == nil {
