@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -35,10 +36,42 @@ func refTMatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
+// refMatMulT is the fold MatMulTInto's doc comment promises (and
+// internal/nn's pass golden depends on): four stride-4 partial sums per
+// dot, folded ((s0+s1)+s2)+s3, then the k%4 tail one term at a time.
+func refMatMulT(a, b *Tensor) *Tensor {
+	m, k, n := a.Dim(0), a.Dim(1), b.Dim(0)
+	out := New(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s [4]float32
+			kk := 0
+			for ; kk+4 <= k; kk += 4 {
+				for l := range s {
+					s[l] += a.Data[i*k+kk+l] * b.Data[j*k+kk+l]
+				}
+			}
+			sum := s[0] + s[1] + s[2] + s[3]
+			for ; kk < k; kk++ {
+				sum += a.Data[i*k+kk] * b.Data[j*k+kk]
+			}
+			out.Data[i*n+j] = sum
+		}
+	}
+	return out
+}
+
+// sameBits reports bit equality, or that both are NaN: the payload of a
+// NaN made from two NaN operands is the one thing the contract leaves open
+// (see matmul.go).
+func sameBits(x, y float32) bool {
+	return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
+}
+
 func assertBitEqual(t *testing.T, got, want *Tensor, what string) {
 	t.Helper()
 	for i := range want.Data {
-		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+		if !sameBits(got.Data[i], want.Data[i]) {
 			t.Fatalf("%s: elem %d = %v (bits %#08x), want %v (bits %#08x)",
 				what, i, got.Data[i], math.Float32bits(got.Data[i]),
 				want.Data[i], math.Float32bits(want.Data[i]))
@@ -46,12 +79,29 @@ func assertBitEqual(t *testing.T, got, want *Tensor, what string) {
 	}
 }
 
-// TestTiledKernelsBitExact checks the register-tiled kernels against the
-// scalar fold across awkward shapes (odd rows, non-multiple-of-4 k,
-// columns past one n-block) including zeros in the data.
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: expected panic", name)
+		}
+	}()
+	f()
+}
+
+// pastThreshold returns the smallest inner dimension that makes an (m,·,n)
+// product large enough for parallelRows to band it.
+func pastThreshold(m, n int) int { return parallelThreshold/(2*m*n) + 1 }
+
+// TestTiledKernelsBitExact checks the three entry points against the
+// scalar folds across awkward shapes (odd rows, non-multiple-of-4 k,
+// columns past one n-block, ragged edges around whole assembly tiles, one
+// product large enough to be banded) including zeros in the data.
 func TestTiledKernelsBitExact(t *testing.T) {
 	rng := NewRNG(7)
-	shapes := [][3]int{{1, 1, 1}, {2, 4, 8}, {3, 5, 7}, {5, 9, nBlock + 3}, {7, 13, 33}, {64, 64, 64}}
+	shapes := [][3]int{{1, 1, 1}, {2, 4, 8}, {3, 5, 7}, {5, 9, nBlock + 3}, {7, 13, 33}, {64, 64, 64},
+		{37, 67, 53}, {130, 31, 530}, {66, pastThreshold(66, 70), 70}}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		a := Randn(rng, 1, m, k)
@@ -66,79 +116,151 @@ func TestTiledKernelsBitExact(t *testing.T) {
 		assertBitEqual(t, TMatMul(at, b), refTMatMul(at, b), "TMatMul")
 
 		bt := b.Transpose2D()
-		got := MatMulT(a, bt)
-		want := refMatMul(a, b)
-		if got.Dim(0) != m || got.Dim(1) != n {
-			t.Fatalf("MatMulT shape %v", got.Shape())
+		assertBitEqual(t, MatMulT(a, bt), refMatMulT(a, bt), "MatMulT")
+	}
+}
+
+// TestMatMulNaNPropagation: 0 × NaN (and 0 × ±Inf, the other overflow
+// signature) must produce NaN in every kernel of the family — the zero-skip
+// this replaces silently zeroed overflowed fp16 gradients before STV
+// validation could scan them. Checked at 2×2, which only the Go loops see,
+// and at a shape where whole assembly tiles do the work and the Go loops
+// the ragged edge around them.
+func TestMatMulNaNPropagation(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	allNaN := func(what string, out *Tensor) {
+		t.Helper()
+		for i, v := range out.Data {
+			if !math.IsNaN(float64(v)) {
+				t.Fatalf("%s elem %d = %v, want NaN", what, i, v)
+			}
 		}
-		// MatMulT folds dot products as stride-4 partials, so compare
-		// against MatMul only up to rounding.
-		for i := range want.Data {
-			diff := math.Abs(float64(got.Data[i]) - float64(want.Data[i]))
-			if diff > 1e-4*(1+math.Abs(float64(want.Data[i]))) {
-				t.Fatalf("MatMulT elem %d = %v, want ≈ %v", i, got.Data[i], want.Data[i])
+	}
+	rng := NewRNG(5)
+	for _, s := range [][3]int{{2, 2, 2}, {9, 14, 37}} {
+		m, k, n := s[0], s[1], s[2]
+		bad := k / 2
+		// One poisoned k-row of b met by an all-zero a.
+		for _, poison := range []float32{nan, inf, -inf} {
+			b := New(k, n)
+			b.Fill(1)
+			for j := 0; j < n; j++ {
+				b.Data[bad*n+j] = poison
+			}
+			allNaN("MatMul 0×poison", MatMul(New(m, k), b))
+			allNaN("TMatMul 0×poison", TMatMul(New(k, m), b))
+			allNaN("MatMulT 0×poison", MatMulT(New(m, k), b.Transpose2D()))
+			partial := New(m, n)
+			partial.Fill(3)
+			TMatMulAccum(partial.Data, New(k, m), b, bad, bad+1)
+			allNaN("TMatMulAccum 0×poison", partial)
+		}
+		// MatMulT: a NaN in a's shared k-column reaches every dot that uses
+		// it, whatever finite values surround it.
+		a, b := Randn(rng, 1, m, k), Randn(rng, 1, n, k)
+		for i := 0; i < m; i++ {
+			a.Data[i*k+bad] = nan
+		}
+		allNaN("MatMulT NaN column", MatMulT(a, b))
+	}
+}
+
+// TestMatMulOperandValidation: the entry points reject an operand whose
+// exported Data no longer covers its shape, and an output that is not 2-D,
+// before any kernel — Go loop or assembly leaf — can index past it.
+func TestMatMulOperandValidation(t *testing.T) {
+	const m, k, n = 8, 8, 32 // whole assembly tiles in all three kernels
+	truncated := func(rows, cols int) *Tensor {
+		x := New(rows, cols)
+		x.Data = x.Data[:len(x.Data)-1]
+		return x
+	}
+	type entry struct {
+		name string
+		call func(out, a, b *Tensor)
+		a, b [2]int
+	}
+	for _, e := range []entry{
+		{"MatMulInto", MatMulInto, [2]int{m, k}, [2]int{k, n}},
+		{"MatMulTInto", MatMulTInto, [2]int{m, k}, [2]int{n, k}},
+		{"TMatMulInto", TMatMulInto, [2]int{k, m}, [2]int{k, n}},
+	} {
+		a, b, out := New(e.a[0], e.a[1]), New(e.b[0], e.b[1]), New(m, n)
+		e.call(out, a, b) // the well-formed call passes
+		mustPanic(t, e.name+" truncated a", func() { e.call(out, truncated(e.a[0], e.a[1]), b) })
+		mustPanic(t, e.name+" truncated b", func() { e.call(out, a, truncated(e.b[0], e.b[1])) })
+		mustPanic(t, e.name+" truncated out", func() { e.call(truncated(m, n), a, b) })
+		mustPanic(t, e.name+" 1-D out", func() { e.call(New(m*n), a, b) })
+		mustPanic(t, e.name+" 3-D a", func() { e.call(out, New(e.a[0], e.a[1], 1), b) })
+	}
+	a, b := New(k, m), New(k, n)
+	mustPanic(t, "TMatMulAccum short dst", func() { TMatMulAccum(make([]float32, m*n-1), a, b, 0, k) })
+	mustPanic(t, "TMatMulAccum truncated a", func() { TMatMulAccum(make([]float32, m*n), truncated(k, m), b, 0, k) })
+	mustPanic(t, "TMatMulAccum range", func() { TMatMulAccum(make([]float32, m*n), a, b, 2, k+1) })
+}
+
+// TestMatMulEntriesAllocateNothing: serial or banded, an entry point's
+// steady state is allocation-free — a band task is a pooled frame, not a
+// closure. (AllocsPerRun truncates its average, so a frame the pool lost
+// to a GC cycle does not flake this.)
+func TestMatMulEntriesAllocateNothing(t *testing.T) {
+	rng := NewRNG(3)
+	for _, k := range []int{8, pastThreshold(64, 64)} {
+		a, at := Randn(rng, 1, 64, k), Randn(rng, 1, k, 64)
+		b, bt := Randn(rng, 1, k, 64), Randn(rng, 1, 64, k)
+		out := New(64, 64)
+		for name, f := range map[string]func(){
+			"MatMulInto":   func() { MatMulInto(out, a, b) },
+			"MatMulTInto":  func() { MatMulTInto(out, a, bt) },
+			"TMatMulAccum": func() { TMatMulAccum(out.Data, at, b, 0, k) },
+		} {
+			f() // start the pool, fill the frame pool
+			if got := testing.AllocsPerRun(20, f); got != 0 {
+				t.Errorf("%s k=%d: %v allocs per call, want 0", name, k, got)
 			}
 		}
 	}
 }
 
-// TestMatMulNaNPropagation: 0 × NaN must produce NaN in every kernel of
-// the family — the zero-skip this replaces silently zeroed overflowed
-// fp16 gradients before STV validation could scan them.
-func TestMatMulNaNPropagation(t *testing.T) {
-	nan := float32(math.NaN())
-
-	// a has an exact zero exactly where b carries a NaN row.
-	a := FromSlice([]float32{1, 0, 2, 3}, 2, 2)
-	b := FromSlice([]float32{5, 6, nan, nan}, 2, 2)
-	out := MatMul(a, b)
-	for i, v := range out.Data {
-		if !math.IsNaN(float64(v)) {
-			t.Fatalf("MatMul elem %d = %v, want NaN (0×NaN must propagate)", i, v)
-		}
+// TestBandPoolConcurrentCallers: rank goroutines enter the pool at once,
+// each banding its own product through a recycled frame; every caller
+// must get its own product back, bit for bit (run under -race in CI).
+func TestBandPoolConcurrentCallers(t *testing.T) {
+	const callers, m, n = 4, 32, 48
+	k := pastThreshold(m, n)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := NewRNG(uint64(100 + c))
+			a, b := Randn(rng, 1, m, k), Randn(rng, 1, k, n)
+			want, got := New(m, n), New(m, n)
+			accumRows(want.Data, a.Data, b.Data, 0, m, k, n, k, 1) // one band, this goroutine
+			for rep := 0; rep < 4; rep++ {
+				MatMulInto(got, a, b)
+				for i := range want.Data {
+					if !sameBits(got.Data[i], want.Data[i]) {
+						t.Errorf("caller %d rep %d: elem %d = %v, want %v", c, rep, i, got.Data[i], want.Data[i])
+						return
+					}
+				}
+			}
+		}(c)
 	}
-
-	// TMatMul: zero activation column times NaN gradient row.
-	at := FromSlice([]float32{1, 0, 0, 0}, 2, 2) // aᵀ row 1 is all zero
-	bg := FromSlice([]float32{5, 6, nan, nan}, 2, 2)
-	outT := TMatMul(at, bg)
-	for i, v := range outT.Data {
-		if !math.IsNaN(float64(v)) {
-			t.Fatalf("TMatMul elem %d = %v, want NaN", i, v)
-		}
-	}
-
-	// MatMulT: NaN anywhere in a shared k-row reaches every dot using it.
-	am := FromSlice([]float32{0, 1, 0, 2}, 2, 2)
-	bm := FromSlice([]float32{nan, 1, nan, 2}, 2, 2)
-	outM := MatMulT(am, bm)
-	for i, v := range outM.Data {
-		if !math.IsNaN(float64(v)) {
-			t.Fatalf("MatMulT elem %d = %v, want NaN", i, v)
-		}
-	}
-
-	// Inf × 0 is likewise NaN, the other overflow signature.
-	inf := float32(math.Inf(1))
-	ai := FromSlice([]float32{0, 0, 0, 0}, 2, 2)
-	bi := FromSlice([]float32{inf, inf, inf, inf}, 2, 2)
-	outI := MatMul(ai, bi)
-	for i, v := range outI.Data {
-		if !math.IsNaN(float64(v)) {
-			t.Fatalf("MatMul Inf×0 elem %d = %v, want NaN", i, v)
-		}
-	}
+	wg.Wait()
 }
 
 // TestTMatMulAccumBitExact pins the weight-gradient accumulate entry: over
 // a row sub-range and on top of a non-zero partial it equals the naive
 // one-add-at-a-time fold bit for bit — serial, and split into bands by
-// the worker pool — chaining two sub-ranges equals one call over their
-// union, and a zero activation times a NaN gradient still yields NaN.
+// the worker pool — and chaining two sub-ranges equals one call over their
+// union. (0 × NaN through this entry: TestMatMulNaNPropagation.)
 func TestTMatMulAccumBitExact(t *testing.T) {
 	rng := NewRNG(13)
-	// The last shape is past parallelThreshold, so parallelRows bands it.
-	for _, s := range [][3]int{{3, 7, 5}, {5, 13, nBlock + 3}, {96, 90, 96}} {
+	// The last shape is past parallelThreshold over [lo,hi), so parallelRows
+	// bands it.
+	for _, s := range [][3]int{{3, 7, 5}, {5, 13, nBlock + 3}, {96, pastThreshold(96, 96) + 2, 96}} {
 		m, k, n := s[0], s[1], s[2]
 		a, b := Randn(rng, 1, k, m), Randn(rng, 1, k, n)
 		for i := 0; i < len(a.Data); i += 3 {
@@ -164,17 +286,6 @@ func TestTMatMulAccumBitExact(t *testing.T) {
 		TMatMulAccum(chained.Data, a, b, lo, mid)
 		TMatMulAccum(chained.Data, a, b, mid, hi)
 		assertBitEqual(t, chained, want, "TMatMulAccum chained")
-	}
-
-	nan := float32(math.NaN())
-	at := FromSlice([]float32{1, 0, 0, 0}, 2, 2) // aᵀ row 1 is all zero
-	bg := FromSlice([]float32{5, 6, nan, nan}, 2, 2)
-	out := []float32{1, 2, 3, 4}
-	TMatMulAccum(out, at, bg, 1, 2)
-	for i, v := range out {
-		if !math.IsNaN(float64(v)) {
-			t.Fatalf("TMatMulAccum elem %d = %v, want NaN (0×NaN must propagate)", i, v)
-		}
 	}
 }
 
@@ -205,21 +316,12 @@ func TestIntoVariants(t *testing.T) {
 // dims just like New — two negative dims used to pass the element-count
 // check and corrupt later Row/At indexing.
 func TestShapeValidation(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic on non-positive dim", name)
-			}
-		}()
-		f()
-	}
 	data := make([]float32, 6)
-	mustPanic("FromSlice(-2,-3)", func() { FromSlice(data, -2, -3) })
-	mustPanic("FromSlice(0,…)", func() { FromSlice(nil, 0, 5) })
-	mustPanic("Reshape(-2,-3)", func() { FromSlice(data, 2, 3).Reshape(-2, -3) })
-	mustPanic("Reshape(0)", func() { FromSlice(data, 6).Reshape(0, 6) })
-	mustPanic("New(-1)", func() { New(-1, 4) })
+	mustPanic(t, "FromSlice(-2,-3)", func() { FromSlice(data, -2, -3) })
+	mustPanic(t, "FromSlice(0,…)", func() { FromSlice(nil, 0, 5) })
+	mustPanic(t, "Reshape(-2,-3)", func() { FromSlice(data, 2, 3).Reshape(-2, -3) })
+	mustPanic(t, "Reshape(0)", func() { FromSlice(data, 6).Reshape(0, 6) })
+	mustPanic(t, "New(-1)", func() { New(-1, 4) })
 	// Valid shapes still work.
 	if got := FromSlice(data, 2, 3).Reshape(3, 2).Dim(0); got != 3 {
 		t.Fatalf("Reshape(3,2).Dim(0) = %d", got)
