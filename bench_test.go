@@ -160,7 +160,7 @@ func benchTrainer(b *testing.B, mode stv.Mode) {
 	cfg := model.Config{Name: "bench", Layers: 2, Hidden: 64, Heads: 4, Vocab: 128}
 	m := nn.NewGPT(cfg, 16, tensor.NewRNG(1))
 	a := optim.DefaultConfig()
-	tr := stv.NewTrainer(m, stv.Config{Adam: a, Impl: optim.GraceAdam, ClipNorm: 10, BucketElems: 100000, Mode: mode})
+	tr := stv.NewTrainer(m, stv.Config{Adam: a, ClipNorm: 10, BucketElems: 100000, Mode: mode})
 	corpus := data.NewCorpus(128, 2)
 	batch := corpus.NextBatch(2, 16)
 	// One warm-up step so 1x CI runs measure a steady-state step (arena
@@ -195,7 +195,7 @@ func BenchmarkTrainStepPlacement(b *testing.B) {
 	plan := place.GPUTail(nb, 2)
 	a := optim.DefaultConfig()
 	tr := stv.NewTrainer(m, stv.Config{
-		Adam: a, Impl: optim.GraceAdam, ClipNorm: 10,
+		Adam: a, ClipNorm: 10,
 		BucketElems: 20000, Mode: stv.STV, Placement: &plan,
 	})
 	defer tr.Close()
@@ -231,7 +231,7 @@ func BenchmarkTrainStepSTVNVMe(b *testing.B) {
 	}
 	a := optim.DefaultConfig()
 	tr := stv.NewTrainer(m, stv.Config{
-		Adam: a, Impl: optim.GraceAdam, ClipNorm: 10,
+		Adam: a, ClipNorm: 10,
 		BucketElems: 20000, Mode: stv.STV, Store: store,
 	})
 	defer tr.Close()
@@ -274,7 +274,7 @@ func BenchmarkTrainStepMLP(b *testing.B) {
 	}
 	a := optim.DefaultConfig()
 	tr := stv.NewTrainer(m, stv.Config{
-		Adam: a, Impl: optim.GraceAdam, ClipNorm: 10,
+		Adam: a, ClipNorm: 10,
 		BucketElems: 20000, Mode: stv.STV, Store: store,
 	})
 	defer tr.Close()
@@ -320,7 +320,7 @@ func BenchmarkTrainStepAct(b *testing.B) {
 	}
 	a := optim.DefaultConfig()
 	tr := stv.NewTrainer(m, stv.Config{
-		Adam: a, Impl: optim.GraceAdam, ClipNorm: 10,
+		Adam: a, ClipNorm: 10,
 		BucketElems: 100000, Mode: stv.STV, Act: store,
 	})
 	defer tr.Close()
@@ -350,7 +350,7 @@ func BenchmarkTrainStepDP(b *testing.B) {
 	cfg := model.Config{Name: "bench", Layers: 2, Hidden: 64, Heads: 4, Vocab: 128}
 	m := nn.NewGPT(cfg, 16, tensor.NewRNG(1))
 	eng, err := dp.New(m, dp.Config{
-		Ranks: 2, Adam: optim.DefaultConfig(), Impl: optim.GraceAdam,
+		Ranks: 2, Adam: optim.DefaultConfig(),
 		ClipNorm: 10, BucketElems: 20000,
 	})
 	if err != nil {
@@ -385,7 +385,7 @@ func BenchmarkTrainStepTraced(b *testing.B) {
 	cfg := model.Config{Name: "bench", Layers: 2, Hidden: 64, Heads: 4, Vocab: 128}
 	m := nn.NewGPT(cfg, 16, tensor.NewRNG(1))
 	eng, err := dp.New(m, dp.Config{
-		Ranks: 2, Adam: optim.DefaultConfig(), Impl: optim.GraceAdam,
+		Ranks: 2, Adam: optim.DefaultConfig(),
 		ClipNorm: 10, BucketElems: 20000, Tracer: obs.NewTracer(),
 	})
 	if err != nil {
@@ -418,7 +418,7 @@ func BenchmarkTrainStepSP(b *testing.B) {
 	cfg := model.Config{Name: "bench", Layers: 2, Hidden: 64, Heads: 4, Vocab: 128}
 	m := nn.NewGPT(cfg, 16, tensor.NewRNG(1))
 	eng, err := dp.New(m, dp.Config{
-		SeqRanks: 2, Adam: optim.DefaultConfig(), Impl: optim.GraceAdam,
+		SeqRanks: 2, Adam: optim.DefaultConfig(),
 		ClipNorm: 10, BucketElems: 20000,
 	})
 	if err != nil {
@@ -452,7 +452,7 @@ func BenchmarkTrainStepMesh(b *testing.B) {
 	cfg := model.Config{Name: "bench", Layers: 2, Hidden: 64, Heads: 4, Vocab: 128}
 	m := nn.NewGPT(cfg, 16, tensor.NewRNG(1))
 	eng, err := dp.New(m, dp.Config{
-		Ranks: 2, SeqRanks: 2, Adam: optim.DefaultConfig(), Impl: optim.GraceAdam,
+		Ranks: 2, SeqRanks: 2, Adam: optim.DefaultConfig(),
 		ClipNorm: 10, BucketElems: 20000,
 	})
 	if err != nil {
@@ -489,7 +489,7 @@ func BenchmarkTrainStepPipe(b *testing.B) {
 	m := nn.NewGPT(cfg, 16, tensor.NewRNG(1))
 	eng, err := dp.New(m, dp.Config{
 		Ranks: 1, SeqRanks: 1, PipeRanks: 2,
-		Adam: optim.DefaultConfig(), Impl: optim.GraceAdam,
+		Adam:     optim.DefaultConfig(),
 		ClipNorm: 10, BucketElems: 20000,
 	})
 	if err != nil {

@@ -59,9 +59,6 @@ type Config struct {
 	// is 2 (the backward always needs the layer it is differentiating
 	// while the next fetch is in flight); values below it are raised.
 	ResidentLayers int
-	// Spec is the hardware model charging the virtual clocks (zero value:
-	// hw.DefaultSuperchip).
-	Spec hw.SuperchipSpec
 	// Hidden and Params describe the replica whose forward/backward feed
 	// the compute clock.
 	Hidden int
@@ -153,6 +150,9 @@ type record struct {
 // concurrency is the lane's IO worker, which never takes the mutex.
 type Store struct {
 	cfg Config
+	// spec is the hardware model charging the virtual clocks: the paper's
+	// platform.
+	spec hw.SuperchipSpec
 	// lane carries every transfer: file-backed on the NVMe tier, virtual
 	// on the DRAM tier (the host copy is synchronous: an op is complete
 	// at issue and only the device clock is charged).
@@ -185,13 +185,13 @@ func newStore(cfg Config, wrap func(iolane.File) iolane.File) (*Store, error) {
 	if cfg.ResidentLayers < 2 {
 		cfg.ResidentLayers = 2
 	}
-	cfg.Spec = cfg.Spec.OrDefault()
 	label := cfg.TrackLabel
 	if label == "" {
 		label = "act"
 	}
 	s := &Store{
 		cfg:   cfg,
+		spec:  hw.DefaultSuperchip(),
 		lane:  iolane.Virtual(),
 		track: cfg.Tracer.Track(label),
 		recs:  make(map[int]*record),
@@ -238,7 +238,7 @@ func (s *Store) BeginPass(layers, tokens, seq int) {
 	s.layers = make([]*layerState, 0, layers)
 	s.begun, s.bwd = true, false
 	s.inflight, s.next = 0, -1
-	bwd := s.cfg.Spec.BackwardTime(s.cfg.Params, tokens, s.cfg.Hidden, seq)
+	bwd := s.spec.BackwardTime(s.cfg.Params, tokens, s.cfg.Hidden, seq)
 	s.layerBwd = bwd / float64(max(layers, 1))
 	s.layerFwd = s.layerBwd / 2
 	s.tel.Passes++
@@ -412,16 +412,16 @@ func (s *Store) issueLocked(rec *record, bytes int64, write bool, dur float64) *
 
 func (s *Store) writeTime(bytes int64) float64 {
 	if s.cfg.Tier == NVMe {
-		return s.cfg.Spec.NVMe.WriteTime(bytes)
+		return s.spec.NVMe.WriteTime(bytes)
 	}
-	return s.cfg.Spec.Chip.Link.TransferTime(bytes, hw.DeviceToHost, hw.Pinned)
+	return s.spec.Chip.Link.TransferTime(bytes, hw.DeviceToHost, hw.Pinned)
 }
 
 func (s *Store) readTime(bytes int64) float64 {
 	if s.cfg.Tier == NVMe {
-		return s.cfg.Spec.NVMe.ReadTime(bytes)
+		return s.spec.NVMe.ReadTime(bytes)
 	}
-	return s.cfg.Spec.Chip.Link.TransferTime(bytes, hw.HostToDevice, hw.Pinned)
+	return s.spec.Chip.Link.TransferTime(bytes, hw.HostToDevice, hw.Pinned)
 }
 
 // Telemetry snapshots the cumulative counters.

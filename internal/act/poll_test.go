@@ -3,8 +3,6 @@ package act
 import (
 	"sync"
 	"testing"
-
-	"superoffload/internal/hw"
 )
 
 // TestTelemetryPollDuringClose hammers Telemetry from a poller
@@ -14,7 +12,7 @@ import (
 func TestTelemetryPollDuringClose(t *testing.T) {
 	s, err := NewStore(Config{
 		Tier: NVMe, Dir: t.TempDir(), ResidentLayers: 2,
-		Spec: hw.DefaultSuperchip(), Hidden: 8, Params: 1 << 10,
+		Hidden: 8, Params: 1 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -165,7 +165,7 @@ func TestFitsReasons(t *testing.T) {
 }
 
 func TestMaxTrainableSingleChipIs25B(t *testing.T) {
-	got := MaxTrainableModel(hw.ClusterFor(1), 8, 1024)
+	got := sched.MaxTrainable(New(), hw.ClusterFor(1), 8, 1024)
 	if got.Name != "25B" {
 		t.Errorf("max single-Superchip model = %s, paper says 25B", got.Name)
 	}
@@ -175,10 +175,10 @@ func TestMaxTrainableMultiChip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid search over model zoo")
 	}
-	if got := MaxTrainableModel(hw.ClusterFor(4), 16, 1024); got.Name != "50B" {
+	if got := sched.MaxTrainable(New(), hw.ClusterFor(4), 16, 1024); got.Name != "50B" {
 		t.Errorf("max on 4 chips = %s, paper says 50B", got.Name)
 	}
-	if got := MaxTrainableModel(hw.ClusterFor(16), 128, 1024); got.Name != "200B" {
+	if got := sched.MaxTrainable(New(), hw.ClusterFor(16), 128, 1024); got.Name != "200B" {
 		t.Errorf("max on 16 chips = %s, paper says 200B", got.Name)
 	}
 }
@@ -326,5 +326,40 @@ func TestActCoPlanWindow(t *testing.T) {
 	wRoomy, _ := ActCoPlan(roomy, m, m.Params(), WeightStationary, exec, 1024, 1<<24, 0)
 	if wRoomy < w {
 		t.Errorf("window shrank with more HBM: %d < %d", wRoomy, w)
+	}
+}
+
+// TestDescribeAgreesWithPlan: the decision record superplan and the
+// placement subsystem read (Describe) and the schedule the paper figures
+// time (Plan) are the same decision — same feasibility, same micro-batch,
+// accumulation and checkpointing — over the Appendix A zoo on 1–16 chips
+// from 1 Ki to 128 Ki tokens.
+func TestDescribeAgreesWithPlan(t *testing.T) {
+	s := New()
+	fitting := 0
+	for i, m := range model.AppendixA() {
+		if testing.Short() && i%4 != 0 {
+			continue
+		}
+		for _, chips := range []int{1, 2, 4, 8, 16} {
+			for _, seq := range []int{1 << 10, 4 << 10, 32 << 10, 128 << 10} {
+				w := sched.Workload{Cluster: hw.ClusterFor(chips), Model: m, GlobalBatch: 4 * chips, Seq: seq}
+				r := s.Plan(w)
+				p, ok := s.Describe(w)
+				if ok != r.Fits {
+					t.Errorf("%v: Plan fits %v, Describe %v", w, r.Fits, ok)
+				}
+				if !ok {
+					continue
+				}
+				fitting++
+				if p.Exec != r.Exec {
+					t.Errorf("%v: Plan runs %+v, Describe %+v", w, r.Exec, p.Exec)
+				}
+			}
+		}
+	}
+	if fitting == 0 {
+		t.Fatal("no request on the grid fits")
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"superoffload/internal/hw"
-	"superoffload/internal/model"
 	"superoffload/internal/sched"
 	"superoffload/internal/sim"
 )
@@ -95,13 +94,29 @@ func (s *System) ChoosePolicy(w sched.Workload, exec sched.Execution, bucketPara
 	return WeightStationary, eff
 }
 
-// Plan implements sched.System.
-func (s *System) Plan(w sched.Workload) sched.Result {
-	res := sched.Result{System: s.Name(), Workload: w}
-	chip := w.Cluster.Node.Chip
-	chips := w.Chips()
+// fitFunc is the memory test ChooseExecution searches under: whether a
+// micro-batch (with or without activation checkpointing) fits GPU and CPU
+// memory under the policy §4.2 picks for it, nothing retained on the GPU.
+func (s *System) fitFunc(w sched.Workload, bucketParams int64) sched.FitFunc {
+	chip, chips := w.Cluster.Node.Chip, w.Chips()
 	shard := w.Model.Params() / int64(chips)
+	return func(micro int, ckpt bool) bool {
+		e := sched.Execution{MicroBatch: micro, GradAccum: 1, Checkpoint: ckpt}
+		pol, _ := s.ChoosePolicy(w, e, bucketParams, chips)
+		ok, _ := Fits(chip, w.Model, shard, pol, e, w.Seq, bucketParams, 0)
+		return ok
+	}
+}
 
+// decide is the planner: bucket partition, execution (each candidate timed
+// under the policy it would run with), policy, casting, the §4.3
+// GPU-retained tail — a grid of a handful of simulations — and the
+// activation co-plan. It returns the decision record with the winning
+// schedule's iteration time and engine; Describe and Plan are two views of
+// it, so they cannot disagree.
+func (s *System) decide(w sched.Workload) (Plan, float64, *sim.Engine, bool) {
+	chip, chips := w.Cluster.Node.Chip, w.Chips()
+	shard := w.Model.Params() / int64(chips)
 	bb := s.bucketBytes()
 	nb := int((2*shard + bb - 1) / bb)
 	if nb < 1 {
@@ -109,76 +124,49 @@ func (s *System) Plan(w sched.Workload) sched.Result {
 	}
 	bucketParams := shard / int64(nb)
 
-	fits := func(micro int, ckpt bool) bool {
-		e := sched.Execution{MicroBatch: micro, GradAccum: 1, Checkpoint: ckpt}
-		pol, _ := s.ChoosePolicy(w, e, bucketParams, chips)
-		ok, _ := Fits(chip, w.Model, shard, pol, e, w.Seq, bucketParams, 0)
-		return ok
-	}
-	timeOf := func(e sched.Execution) float64 {
+	exec, ok := sched.ChooseExecution(w.PerGPUBatch(), s.fitFunc(w, bucketParams), func(e sched.Execution) float64 {
 		pol, _ := s.ChoosePolicy(w, e, bucketParams, chips)
 		t, _ := s.simulate(w, e, pol, bucketParams, nb, 0)
 		return t
-	}
-	exec, ok := sched.ChooseExecution(w.PerGPUBatch(), fits, timeOf)
-	if !ok {
-		res.OOM = "no micro-batch fits (GPU or CPU memory)"
-		return res
-	}
-	res.Exec = exec
-	res.Fits = true
-	res.MaxMicroBatchNoCkpt = maxMicroNoCkpt(fits, w.PerGPUBatch())
-
-	pol, eff := s.ChoosePolicy(w, exec, bucketParams, chips)
-
-	gpuBuckets, bestT, bestEngine := s.searchGPUBuckets(w, exec, pol, bucketParams, nb)
-
-	_ = eff // recorded via Describe; Plan keeps Result lean
-	_ = gpuBuckets
-	res.IterTime = bestT
-	res.Engine = bestEngine
-	st := steadyOf(bestEngine)
-	res.GPUIdleFrac = st.GPUIdleFrac
-	res.Finalize(chip)
-	return res
-}
-
-// Describe returns the planner's full decision record — policy, casting,
-// bucket partition, and the §4.3 GPU-retained tail (the same
-// searchGPUBuckets grid the full Plan runs, a handful of simulations) —
-// without the baseline comparison or final throughput accounting. Used
-// by the superplan CLI and the placement subsystem.
-func (s *System) Describe(w sched.Workload) (Plan, bool) {
-	chips := w.Chips()
-	shard := w.Model.Params() / int64(chips)
-	bb := s.bucketBytes()
-	nb := int((2*shard + bb - 1) / bb)
-	if nb < 1 {
-		nb = 1
-	}
-	bucketParams := shard / int64(nb)
-	chip := w.Cluster.Node.Chip
-
-	fits := func(micro int, ckpt bool) bool {
-		e := sched.Execution{MicroBatch: micro, GradAccum: 1, Checkpoint: ckpt}
-		pol, _ := s.ChoosePolicy(w, e, bucketParams, chips)
-		ok, _ := Fits(chip, w.Model, shard, pol, e, w.Seq, bucketParams, 0)
-		return ok
-	}
-	exec, ok := sched.ChooseExecution(w.PerGPUBatch(), fits, func(e sched.Execution) float64 {
-		t, _ := s.simulate(w, e, WeightStationary, bucketParams, nb, 0)
-		return t
 	})
 	if !ok {
-		return Plan{}, false
+		return Plan{}, 0, nil, false
 	}
 	pol, eff := s.ChoosePolicy(w, exec, bucketParams, chips)
-	gpuBuckets, _, _ := s.searchGPUBuckets(w, exec, pol, bucketParams, nb)
+	gpuBuckets, t, engine := s.searchGPUBuckets(w, exec, pol, bucketParams, nb)
 	actW, actSpill := ActCoPlan(chip, w.Model, shard, pol, exec, w.Seq, bucketParams, gpuBuckets)
 	return Plan{Policy: pol, CastPath: s.castPath(chip, bucketParams), BucketBytes: bb,
 		BucketParams: bucketParams, NBuckets: nb, GPUBuckets: gpuBuckets,
 		Exec: exec, Efficiency: eff,
-		ActResidentLayers: actW, ActSpill: actSpill}, true
+		ActResidentLayers: actW, ActSpill: actSpill}, t, engine, true
+}
+
+// Describe returns the planner's full decision record — policy, casting,
+// bucket partition, the GPU-retained tail and the activation co-plan —
+// without the final throughput accounting. Used by the superplan CLI and
+// the placement subsystem.
+func (s *System) Describe(w sched.Workload) (Plan, bool) {
+	p, _, _, ok := s.decide(w)
+	return p, ok
+}
+
+// Plan implements sched.System: the decision Describe reports, finalised
+// into iteration time, GPU idle fraction and throughput.
+func (s *System) Plan(w sched.Workload) sched.Result {
+	res := sched.Result{System: s.Name(), Workload: w}
+	p, t, engine, ok := s.decide(w)
+	if !ok {
+		res.OOM = "no micro-batch fits (GPU or CPU memory)"
+		return res
+	}
+	res.Exec = p.Exec
+	res.Fits = true
+	res.MaxMicroBatchNoCkpt = maxMicroNoCkpt(s.fitFunc(w, p.BucketParams), w.PerGPUBatch())
+	res.IterTime = t
+	res.Engine = engine
+	res.GPUIdleFrac = steadyOf(engine).GPUIdleFrac
+	res.Finalize(w.Cluster.Node.Chip)
+	return res
 }
 
 // searchGPUBuckets grid-searches the GPU-retained bucket count (§4.3)
@@ -291,18 +279,4 @@ func steadyOf(e *sim.Engine) sched.SteadyStats {
 	u := e.Utilization(sched.ResGPU, ms)
 	busy := u.Busy - u.ByTag[sim.TagIdleWait]
 	return sched.SteadyStats{GPUUtil: busy / ms, GPUIdleFrac: 1 - busy/ms, Makespan: ms}
-}
-
-// MaxTrainableModel returns the largest Appendix A model SuperOffload can
-// train on the cluster at the given batch/seq (Fig. 13).
-func MaxTrainableModel(cluster hw.Cluster, batch, seq int) model.Config {
-	s := New()
-	var best model.Config
-	for _, m := range model.AppendixA() {
-		w := sched.Workload{Cluster: cluster, Model: m, GlobalBatch: batch, Seq: seq}
-		if r := s.Plan(w); r.Fits && m.Params() > best.Params() {
-			best = m
-		}
-	}
-	return best
 }

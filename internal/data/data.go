@@ -114,26 +114,4 @@ func (c *Corpus) NextBatch(batch, seq int) Batch {
 	return b
 }
 
-// BigramEntropy estimates the per-token conditional entropy of the stream
-// in nats by counting over n samples — the floor a perfect model's loss
-// approaches.
-func (c *Corpus) BigramEntropy(n int) float64 {
-	counts := make(map[[2]int]int)
-	prevCounts := make(map[int]int)
-	prev := c.Next()
-	for i := 0; i < n; i++ {
-		cur := c.Next()
-		counts[[2]int{prev, cur}]++
-		prevCounts[prev]++
-		prev = cur
-	}
-	var h float64
-	for k, cnt := range counts {
-		pJoint := float64(cnt) / float64(n)
-		pCond := float64(cnt) / float64(prevCounts[k[0]])
-		h -= pJoint * math.Log(pCond)
-	}
-	return h
-}
-
 func (c *Corpus) String() string { return fmt.Sprintf("Corpus(V=%d)", c.Vocab) }

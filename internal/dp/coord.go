@@ -75,7 +75,7 @@ func newRankExecutor(cfg Config, model *nn.GPT, owned []ownedBucket, nGlobal int
 	for i, ob := range owned {
 		idx[i], elems[i] = ob.idx, ob.b.Size()
 	}
-	return stv.NewPlacementExecutor(cfg.Superchip, *cfg.Placement, idx, elems,
+	return stv.NewPlacementExecutor(*cfg.Placement, idx, elems,
 		nGlobal, model.Cfg.Hidden, int64(model.NumParams()))
 }
 

@@ -32,7 +32,6 @@ package dp
 
 import (
 	"superoffload/internal/act"
-	"superoffload/internal/hw"
 	"superoffload/internal/obs"
 	"superoffload/internal/optim"
 	"superoffload/internal/place"
@@ -57,8 +56,6 @@ type Config struct {
 	PipeRanks int
 	// Adam is the optimizer hyperparameter set.
 	Adam optim.Config
-	// Impl is the Adam kernel (default optim.GraceAdam).
-	Impl optim.Impl
 	// ClipNorm is the global gradient-norm clipping threshold (0
 	// disables clipping).
 	ClipNorm float64
@@ -89,10 +86,6 @@ type Config struct {
 	// placement modeling. Tiers never change numerics, so any plan keeps
 	// the engine bit-identical to the homogeneous single-rank trainer.
 	Placement *place.Plan
-	// Superchip is the hardware model the placement executors time
-	// against; the zero value means hw.DefaultSuperchip(). Ignored when
-	// Placement is nil.
-	Superchip hw.SuperchipSpec
 	// Tracer, when non-nil, records per-op schedule spans (one track per
 	// rank), coordinator step spans, and collective instants for export
 	// as Chrome trace-event JSON. Nil disables tracing at zero cost —
@@ -126,8 +119,7 @@ const (
 	cmdStop
 )
 
-// withDefaults fills the size-1 axes, the optimizer implementation and
-// the bucket budget.
+// withDefaults fills the size-1 axes and the bucket budget.
 func (c Config) withDefaults() Config {
 	if c.Ranks == 0 {
 		c.Ranks = 1
@@ -137,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PipeRanks == 0 {
 		c.PipeRanks = 1
-	}
-	if c.Impl == nil {
-		c.Impl = optim.GraceAdam
 	}
 	if c.BucketElems <= 0 {
 		c.BucketElems = 32 << 20 // 64 MB of fp16, §4.3

@@ -86,7 +86,7 @@ func New(model *nn.GPT, cfg Config) (*Engine, error) {
 				if id > 0 {
 					replica = model.Clone()
 				}
-				rk := newRank(g, sl, st, w, replica, cfg.Impl, cfg.BucketElems, stores[id])
+				rk := newRank(g, sl, st, w, replica, cfg.BucketElems, stores[id])
 				rk.exec = newRankExecutor(cfg, replica, rk.owned, nBuckets)
 				rk.attachAct(acts[id])
 				for _, ob := range rk.owned {

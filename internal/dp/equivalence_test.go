@@ -36,7 +36,6 @@ func shapeConfig(r, s, p int) Config {
 		SeqRanks:    s,
 		PipeRanks:   p,
 		Adam:        a,
-		Impl:        optim.GraceAdam,
 		ClipNorm:    1.0,
 		BucketElems: 20000, // several buckets for the tiny models
 	}
@@ -45,7 +44,6 @@ func shapeConfig(r, s, p int) Config {
 func stvConfig(c Config) stv.Config {
 	return stv.Config{
 		Adam:        c.Adam,
-		Impl:        c.Impl,
 		ClipNorm:    c.ClipNorm,
 		BucketElems: c.BucketElems,
 		Mode:        stv.STV,

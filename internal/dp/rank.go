@@ -44,7 +44,6 @@ type rank struct {
 	cell   *spLinks // this rank's (group, stage) cell links
 	model  *nn.GPT
 	sp     *nn.SP // this rank's place in its cell, and its activation tap
-	impl   optim.Impl
 	store  stv.BucketStore
 	exec   *stv.PlacementExecutor // nil without a placement plan
 	ast    *act.Store             // nil without an activation tier
@@ -89,11 +88,11 @@ type rank struct {
 // global bucket index, so the store's prefetch cycle walks the rank's
 // ZeRO shard in reduction order), and wires the rank into its cell's
 // links.
-func newRank(group, local, stage int, w *world, model *nn.GPT, impl optim.Impl, bucketElems int, store stv.BucketStore) *rank {
+func newRank(group, local, stage int, w *world, model *nn.GPT, bucketElems int, store stv.BucketStore) *rank {
 	r := &rank{
 		id:    (group*w.S+local)*w.P + stage,
 		group: group, local: local, stage: stage,
-		w: w, cell: w.cells[group*w.P+stage], model: model, impl: impl, store: store,
+		w: w, cell: w.cells[group*w.P+stage], model: model, store: store,
 	}
 	r.sp = &nn.SP{Rank: local, Ranks: w.S, AllToAll: func(send, recv [][]float32) {
 		r.cell.allToAll(local, send, recv)
@@ -162,7 +161,7 @@ func (r *rank) begin(micros []data.Batch) {
 // all-gather.
 func (r *rank) apply(v stv.Resolution) {
 	for _, ob := range r.owned {
-		ob.b.Apply(v, r.impl)
+		ob.b.Apply(v)
 	}
 	if v.WeightsChanged() {
 		r.allGather()
@@ -309,7 +308,7 @@ func (r *rank) speculate(g goMsg) {
 			ob.b.Grad()[0] = float32(math.Inf(1))
 		}
 		ob.b.ScaleGrad(inv)
-		ob.b.SpeculativeStep(g.adam, r.impl)
+		ob.b.SpeculativeStep(g.adam)
 	}
 	r.allGather()
 	go func(owned []ownedBucket) {

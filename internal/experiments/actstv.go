@@ -5,10 +5,8 @@ import (
 	"strings"
 
 	"superoffload/internal/act"
-	"superoffload/internal/data"
 	"superoffload/internal/model"
 	"superoffload/internal/nn"
-	"superoffload/internal/optim"
 	"superoffload/internal/stv"
 	"superoffload/internal/tensor"
 )
@@ -25,23 +23,8 @@ import (
 // time of the overlapped prefetch pipeline against a serialized
 // spill+compute+fetch schedule on the same virtual clocks.
 func ExtActSTV() string {
-	const (
-		steps  = 30
-		window = 2
-	)
+	const window = 2
 	cfg := model.Config{Name: "ext", Layers: 5, Hidden: 64, Heads: 4, Vocab: 128}
-
-	run := func(store *act.Store) ([]float64, stv.Stats) {
-		m := nn.NewGPT(cfg, 16, tensor.NewRNG(21))
-		a := optim.DefaultConfig()
-		a.LR = 3e-3
-		tr := stv.NewTrainer(m, stv.Config{
-			Adam: a, Impl: optim.GraceAdam, ClipNorm: 4.0,
-			BucketElems: 4096, Mode: stv.STV, Act: store,
-		})
-		defer tr.Close()
-		return trainSteps(tr, steps, windows(data.NewCorpus(cfg.Vocab, 23), 4, 16, 1, 1)), tr.Stats()
-	}
 
 	actStore := func(tier act.Tier) *act.Store {
 		s, err := act.NewStore(act.Config{
@@ -55,34 +38,24 @@ func ExtActSTV() string {
 		return s
 	}
 
-	residentLosses, residentStats := run(nil)
+	residentLosses, residentStats, _ := extRun(cfg, stv.Config{})
 
 	dram := actStore(act.DRAM)
-	dramLosses, dramStats := run(dram)
+	dramLosses, dramStats, _ := extRun(cfg, stv.Config{Act: dram})
 	dramTel := dram.Telemetry()
 
 	nvme := actStore(act.NVMe)
-	nvmeLosses, nvmeStats := run(nvme)
+	nvmeLosses, nvmeStats, _ := extRun(cfg, stv.Config{Act: nvme})
 	nvmeTel := nvme.Telemetry()
 
-	exact := len(residentLosses) == len(dramLosses)
-	for i := range residentLosses {
-		if residentLosses[i] != dramLosses[i] || residentLosses[i] != nvmeLosses[i] {
-			exact = false
-			break
-		}
-	}
-	exactStr := "bit-identical"
-	if !exact {
-		exactStr = "DIVERGED (bug!)"
-	}
+	exactStr := sameLosses(residentLosses, dramLosses, nvmeLosses)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension: SSDTrain-style activation offloading tier on the real STV engine\n")
 	fmt.Fprintf(&b, "model: %d layers, %d params; write-behind window %d, depth-2 async prefetch\n",
 		cfg.Layers, nn.NewGPT(cfg, 16, tensor.NewRNG(21)).NumParams(), window)
 	fmt.Fprintf(&b, "resident vs dram vs nvme loss trajectory over %d steps: %s (final loss %.4f, %d commits, %d rollbacks)\n",
-		steps, exactStr, residentLosses[len(residentLosses)-1], residentStats.Commits, residentStats.Rollbacks())
+		extSteps, exactStr, residentLosses[len(residentLosses)-1], residentStats.Commits, residentStats.Rollbacks())
 	if residentStats != dramStats || residentStats != nvmeStats {
 		fmt.Fprintf(&b, "WARNING: stats diverged across tiers: %+v vs %+v vs %+v\n", residentStats, dramStats, nvmeStats)
 	}
@@ -92,7 +65,7 @@ func ExtActSTV() string {
 	row := func(name string, t act.Telemetry) {
 		pipe, serial := t.PipelinedSeconds(), t.SerializedSeconds()
 		fmt.Fprintf(&b, "  %-22s %8.3f ms %12.3f ms %9.0f%%\n",
-			name, 1e3*pipe/steps, 1e3*serial/steps, 100*(1-pipe/serial))
+			name, 1e3*pipe/extSteps, 1e3*serial/extSteps, 100*(1-pipe/serial))
 	}
 	fmt.Fprintf(&b, "modeled step time          pipelined    serialized     hidden\n")
 	row("DRAM cache (C2C)", dramTel)

@@ -50,7 +50,7 @@ func Fig14Real(steps int) Fig14RealResult {
 		// norm (~3), so rollbacks happen — and are validated exact —
 		// without firing on every step.
 		tr := stv.NewTrainer(m, stv.Config{
-			Adam: a, Impl: optim.GraceAdam, ClipNorm: 3.5,
+			Adam: a, ClipNorm: 3.5,
 			BucketElems: 20000, Mode: mode, Scaler: optim.NewLossScaler(),
 		})
 		return tr, trainSteps(tr, steps, windows(data.NewCorpus(64, 7), 2, 8, 1, 1))

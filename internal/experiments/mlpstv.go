@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"superoffload/internal/data"
 	"superoffload/internal/hw"
 	"superoffload/internal/model"
 	"superoffload/internal/nn"
-	"superoffload/internal/optim"
 	"superoffload/internal/stv"
 	"superoffload/internal/tensor"
 )
@@ -26,9 +24,7 @@ import (
 // entirely.
 func ExtMlpSTV() string {
 	const (
-		steps       = 30
-		bucketElems = 4096
-		window      = 2
+		window = 2
 		// The toy model partitions into 29 buckets; the bucket walk is
 		// cyclic, so an LRU cache only hits once it covers the whole
 		// non-resident span — smaller caches evict every entry right
@@ -39,18 +35,6 @@ func ExtMlpSTV() string {
 	// A 1 GB/s-effective reference core: Adam compute comparable to the
 	// per-bucket transfer time, the regime where extra paths pay off.
 	compute := func(elems int) float64 { return float64(elems) * 16 / 1e9 }
-
-	run := func(store stv.BucketStore) ([]float64, stv.Stats) {
-		m := nn.NewGPT(cfg, 16, tensor.NewRNG(21))
-		a := optim.DefaultConfig()
-		a.LR = 3e-3
-		tr := stv.NewTrainer(m, stv.Config{
-			Adam: a, Impl: optim.GraceAdam, ClipNorm: 4.0,
-			BucketElems: bucketElems, Mode: stv.STV, Store: store,
-		})
-		defer tr.Close()
-		return trainSteps(tr, steps, windows(data.NewCorpus(cfg.Vocab, 23), 4, 16, 1, 1)), tr.Stats()
-	}
 
 	mlpStore := func(paths, cacheBuckets int) *stv.MLPStore {
 		s, err := stv.NewMLPStore(stv.MLPStoreConfig{
@@ -65,39 +49,28 @@ func ExtMlpSTV() string {
 		return s
 	}
 
-	dramLosses, dramStats := run(nil)
+	dramLosses, dramStats, _ := extRun(cfg, stv.Config{})
 
 	one := mlpStore(1, 0)
-	oneLosses, oneStats := run(one)
+	oneLosses, oneStats, _ := extRun(cfg, stv.Config{Store: one})
 	oneTel := one.Telemetry()
 
 	two := mlpStore(2, 0)
-	twoLosses, twoStats := run(two)
+	twoLosses, twoStats, _ := extRun(cfg, stv.Config{Store: two})
 	twoTel := two.Telemetry()
 
 	cached := mlpStore(2, cache)
-	cachedLosses, cachedStats := run(cached)
+	cachedLosses, cachedStats, _ := extRun(cfg, stv.Config{Store: cached})
 	cachedTel := cached.Telemetry()
 
-	exact := true
-	for i := range dramLosses {
-		if dramLosses[i] != oneLosses[i] || dramLosses[i] != twoLosses[i] ||
-			dramLosses[i] != cachedLosses[i] {
-			exact = false
-			break
-		}
-	}
-	exactStr := "bit-identical"
-	if !exact {
-		exactStr = "DIVERGED (bug!)"
-	}
+	exactStr := sameLosses(dramLosses, oneLosses, twoLosses, cachedLosses)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension: multi-level multi-path (MLP) optimizer-state store on the real STV engine\n")
 	fmt.Fprintf(&b, "model: %d params in ≤%d-elem buckets, resident window %d, stripe over hw.NodeIOPaths\n",
-		nn.NewGPT(cfg, 16, tensor.NewRNG(21)).NumParams(), bucketElems, window)
+		nn.NewGPT(cfg, 16, tensor.NewRNG(21)).NumParams(), extBucketElems, window)
 	fmt.Fprintf(&b, "DRAM vs {1-path, 2-path, 2-path+%d-bucket cache} losses over %d steps: %s (final %.4f, %d commits, %d rollbacks)\n",
-		cache, steps, exactStr, dramLosses[len(dramLosses)-1], dramStats.Commits, dramStats.Rollbacks())
+		cache, extSteps, exactStr, dramLosses[len(dramLosses)-1], dramStats.Commits, dramStats.Rollbacks())
 	if dramStats != oneStats || dramStats != twoStats || dramStats != cachedStats {
 		fmt.Fprintf(&b, "WARNING: stats diverged across stores\n")
 	}
@@ -111,7 +84,7 @@ func ExtMlpSTV() string {
 	row := func(name string, t stv.MLPTelemetry) {
 		fmt.Fprintf(&b, "  %-22s %6d %8d %12d %19.3f %20.3f\n",
 			name, t.Reads, t.Writes, t.CacheHits,
-			1e3*t.PipelinedSeconds()/steps, 1e3*t.SerializedSeconds()/steps)
+			1e3*t.PipelinedSeconds()/extSteps, 1e3*t.SerializedSeconds()/extSteps)
 	}
 	row("1 path", oneTel)
 	row("2 paths", twoTel)

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"superoffload/internal/data"
 	"superoffload/internal/model"
 	"superoffload/internal/nn"
-	"superoffload/internal/optim"
 	"superoffload/internal/stv"
 	"superoffload/internal/tensor"
 )
@@ -24,24 +22,8 @@ import (
 // the bottleneck) and a 1 GB/s reference core (balanced, where
 // prefetching shines).
 func ExtNVMeSTV() string {
-	const (
-		steps       = 30
-		bucketElems = 4096
-		window      = 2
-	)
+	const window = 2
 	cfg := model.Config{Name: "ext", Layers: 2, Hidden: 64, Heads: 4, Vocab: 128}
-
-	run := func(store stv.BucketStore) ([]float64, stv.Stats) {
-		m := nn.NewGPT(cfg, 16, tensor.NewRNG(21))
-		a := optim.DefaultConfig()
-		a.LR = 3e-3
-		tr := stv.NewTrainer(m, stv.Config{
-			Adam: a, Impl: optim.GraceAdam, ClipNorm: 4.0,
-			BucketElems: bucketElems, Mode: stv.STV, Store: store,
-		})
-		defer tr.Close()
-		return trainSteps(tr, steps, windows(data.NewCorpus(cfg.Vocab, 23), 4, 16, 1, 1)), tr.Stats()
-	}
 
 	nvmeStore := func(compute func(int) float64) *stv.NVMeStore {
 		s, err := stv.NewNVMeStore(stv.NVMeStoreConfig{
@@ -54,36 +36,26 @@ func ExtNVMeSTV() string {
 		return s
 	}
 
-	dramLosses, dramStats := run(nil)
+	dramLosses, dramStats, _ := extRun(cfg, stv.Config{})
 
 	grace := nvmeStore(nil) // default: the GH200 Grace Adam model
-	graceLosses, nvmeStats := run(grace)
+	graceLosses, nvmeStats, _ := extRun(cfg, stv.Config{Store: grace})
 	graceTel := grace.Telemetry()
 
 	// A 1 GB/s-effective reference core: Adam compute comparable to the
 	// per-bucket transfer time, the regime prefetching is built for.
 	ref := nvmeStore(func(elems int) float64 { return float64(elems) * 16 / 1e9 })
-	refLosses, _ := run(ref)
+	refLosses, _, _ := extRun(cfg, stv.Config{Store: ref})
 	refTel := ref.Telemetry()
 
-	exact := len(dramLosses) == len(graceLosses)
-	for i := range dramLosses {
-		if dramLosses[i] != graceLosses[i] || dramLosses[i] != refLosses[i] {
-			exact = false
-			break
-		}
-	}
-	exactStr := "bit-identical"
-	if !exact {
-		exactStr = "DIVERGED (bug!)"
-	}
+	exactStr := sameLosses(dramLosses, graceLosses, refLosses)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension: NVMe-tier optimizer-state store on the real STV engine\n")
 	fmt.Fprintf(&b, "model: %d params in ≤%d-elem buckets, resident window %d (double-buffered)\n",
-		nn.NewGPT(cfg, 16, tensor.NewRNG(21)).NumParams(), bucketElems, window)
+		nn.NewGPT(cfg, 16, tensor.NewRNG(21)).NumParams(), extBucketElems, window)
 	fmt.Fprintf(&b, "DRAM vs NVMe loss trajectory over %d steps: %s (final loss %.4f, %d commits, %d rollbacks)\n",
-		steps, exactStr, dramLosses[len(dramLosses)-1], dramStats.Commits, dramStats.Rollbacks())
+		extSteps, exactStr, dramLosses[len(dramLosses)-1], dramStats.Commits, dramStats.Rollbacks())
 	if dramStats != nvmeStats {
 		fmt.Fprintf(&b, "WARNING: stats diverged across stores: %+v vs %+v\n", dramStats, nvmeStats)
 	}
@@ -93,7 +65,7 @@ func ExtNVMeSTV() string {
 	row := func(name string, t stv.StoreTelemetry) {
 		pipe, serial := t.PipelinedSeconds(), t.SerializedSeconds()
 		fmt.Fprintf(&b, "  %-22s %8.3f ms %12.3f ms %9.0f%%\n",
-			name, 1e3*pipe/steps, 1e3*serial/steps, 100*(1-pipe/serial))
+			name, 1e3*pipe/extSteps, 1e3*serial/extSteps, 100*(1-pipe/serial))
 	}
 	fmt.Fprintf(&b, "modeled step time          pipelined    serialized     hidden\n")
 	row("Grace CPU (device-bound)", graceTel)

@@ -5,11 +5,9 @@ import (
 	"strings"
 
 	"superoffload/internal/core"
-	"superoffload/internal/data"
 	"superoffload/internal/hw"
 	"superoffload/internal/model"
 	"superoffload/internal/nn"
-	"superoffload/internal/optim"
 	"superoffload/internal/place"
 	"superoffload/internal/sched"
 	"superoffload/internal/stv"
@@ -29,29 +27,10 @@ import (
 // clocks: the planner-derived split reports a strictly lower pipelined
 // step time than all-CPU.
 func ExtPlacementSTV() string {
-	const (
-		steps       = 30
-		bucketElems = 4096
-	)
 	cfg := model.Config{Name: "ext", Layers: 2, Hidden: 64, Heads: 4, Vocab: 128}
 
-	run := func(plan *place.Plan, store stv.BucketStore) ([]float64, stv.Stats, stv.PlacementTelemetry) {
-		m := nn.NewGPT(cfg, 16, tensor.NewRNG(21))
-		a := optim.DefaultConfig()
-		a.LR = 3e-3
-		tr := stv.NewTrainer(m, stv.Config{
-			Adam: a, Impl: optim.GraceAdam, ClipNorm: 4.0,
-			BucketElems: bucketElems, Mode: stv.STV, Store: store,
-			Placement: plan,
-		})
-		defer tr.Close()
-		losses := trainSteps(tr, steps, windows(data.NewCorpus(cfg.Vocab, 23), 4, 16, 1, 1))
-		tel, _ := tr.PlacementTelemetry()
-		return losses, tr.Stats(), tel
-	}
-
 	// Bucket count of the toy partition (every run derives the same one).
-	nb := len(stv.PartitionGroups(nn.NewGPT(cfg, 16, tensor.NewRNG(21)).Params(), bucketElems))
+	nb := len(stv.PartitionGroups(nn.NewGPT(cfg, 16, tensor.NewRNG(21)).Params(), extBucketElems))
 
 	// The adaptive split: the analytic planner's placement for the
 	// paper's 5B single-Superchip workload, mapped onto the toy
@@ -71,13 +50,14 @@ func ExtPlacementSTV() string {
 		panic(err)
 	}
 
-	refLosses, refStats, _ := run(nil, nil)
+	refLosses, refStats, _ := extRun(cfg, stv.Config{})
 	type row struct {
 		name string
 		tel  stv.PlacementTelemetry
 	}
 	var rows []row
-	exact := true
+	var runs [][]float64
+	sameStats := true
 	for _, pc := range []struct {
 		name  string
 		plan  place.Plan
@@ -89,29 +69,23 @@ func ExtPlacementSTV() string {
 		{fmt.Sprintf("auto+nvme (%s)", nvmePlan), nvmePlan, nvmeStore},
 	} {
 		plan := pc.plan
-		losses, stats, tel := run(&plan, pc.store)
-		for i := range refLosses {
-			if losses[i] != refLosses[i] {
-				exact = false
-			}
-		}
-		if stats != refStats {
-			exact = false
-		}
+		losses, stats, tel := extRun(cfg, stv.Config{Store: pc.store, Placement: &plan})
+		runs = append(runs, losses)
+		sameStats = sameStats && stats == refStats
 		rows = append(rows, row{pc.name, tel})
 	}
 
-	exactStr := "bit-identical"
-	if !exact {
+	exactStr := sameLosses(refLosses, runs...)
+	if !sameStats {
 		exactStr = "DIVERGED (bug!)"
 	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension: adaptive GPU/CPU bucket placement on the real STV engine\n")
 	fmt.Fprintf(&b, "model: %d params in %d ≤%d-elem buckets; analytic source plan: 5B on GH200 → GPU tail %d/%d\n",
-		nn.NewGPT(cfg, 16, tensor.NewRNG(21)).NumParams(), nb, bucketElems, cp.GPUBuckets, cp.NBuckets)
+		nn.NewGPT(cfg, 16, tensor.NewRNG(21)).NumParams(), nb, extBucketElems, cp.GPUBuckets, cp.NBuckets)
 	fmt.Fprintf(&b, "loss trajectories across all placements over %d steps: %s (final loss %.4f, %d commits, %d rollbacks)\n",
-		steps, exactStr, refLosses[len(refLosses)-1], refStats.Commits, refStats.Rollbacks())
+		extSteps, exactStr, refLosses[len(refLosses)-1], refStats.Commits, refStats.Rollbacks())
 	fmt.Fprintf(&b, "\nvirtual superchip step time      gpu/cpu/nvme   pipelined    serialized     hidden\n")
 	for _, r := range rows {
 		n := float64(r.tel.Steps)
@@ -129,7 +103,7 @@ func ExtPlacementSTV() string {
 		verdict = "VIOLATION (bug!)"
 	}
 	fmt.Fprintf(&b, "\n§4.3 adaptive placement: auto pipelined %.3f ms vs all-CPU %.3f ms per step → %s\n",
-		1e3*autoPipe/float64(steps), 1e3*cpuPipe/float64(steps), verdict)
+		1e3*autoPipe/float64(extSteps), 1e3*cpuPipe/float64(extSteps), verdict)
 	fmt.Fprintf(&b, "pipelined = backward + unhidden optimizer work; serialized = every phase end to end")
 	return b.String()
 }

@@ -63,6 +63,44 @@ func trainSteps(eng stepper, steps int, next func() []data.Batch) []float64 {
 	return losses
 }
 
+// Length and bucket budget of the ext-*-stv runs.
+const (
+	extSteps       = 30
+	extBucketElems = 4096
+)
+
+// extRun is the run the ext-{nvme,mlp,act,placement}-stv experiments
+// share: an STV trainer over a fresh GPT of the given architecture (LR
+// 3e-3, clip 4.0, extBucketElems-element buckets) trained extSteps steps on
+// corpus seed 23, then closed. tier carries what the experiment varies —
+// the bucket store, activation store or placement plan; the helper owns
+// the rest of the config.
+func extRun(cfg model.Config, tier stv.Config) ([]float64, stv.Stats, stv.PlacementTelemetry) {
+	tier.Adam = shapeAdam()
+	tier.ClipNorm, tier.BucketElems, tier.Mode = 4.0, extBucketElems, stv.STV
+	tr := stv.NewTrainer(nn.NewGPT(cfg, 16, tensor.NewRNG(21)), tier)
+	defer tr.Close()
+	losses := trainSteps(tr, extSteps, windows(data.NewCorpus(cfg.Vocab, 23), 4, 16, 1, 1))
+	tel, _ := tr.PlacementTelemetry()
+	return losses, tr.Stats(), tel
+}
+
+// sameLosses renders the exactness verdict of the ext-*-stv reports:
+// every run's loss trajectory bit-identical to ref's.
+func sameLosses(ref []float64, runs ...[]float64) string {
+	for _, r := range runs {
+		if len(r) != len(ref) {
+			return "DIVERGED (bug!)"
+		}
+		for i := range ref {
+			if r[i] != ref[i] {
+				return "DIVERGED (bug!)"
+			}
+		}
+	}
+	return "bit-identical"
+}
+
 // trajectory is what a finished run leaves to compare against another:
 // losses, validation counters, and the checkpoint bytes.
 type trajectory struct {
@@ -125,7 +163,7 @@ func (x *shapeRuns) reference(r int) trajectory {
 	ref, ok := x.refs[r]
 	if !ok {
 		ref = runTrajectory(stv.NewTrainer(x.model(), stv.Config{
-			Adam: shapeAdam(), Impl: optim.GraceAdam, ClipNorm: shapeClipNorm,
+			Adam: shapeAdam(), ClipNorm: shapeClipNorm,
 			BucketElems: shapeBucketElems, Mode: stv.STV,
 		}), x.steps, x.feed(r))
 		if x.refs == nil {
@@ -146,7 +184,7 @@ func (x *shapeRuns) run(r, s, p int, nvme bool) (trajectory, dp.SPCommStats) {
 		}
 	}
 	eng, err := dp.New(x.model(), dp.Config{
-		Ranks: r, SeqRanks: s, PipeRanks: p, Adam: shapeAdam(), Impl: optim.GraceAdam,
+		Ranks: r, SeqRanks: s, PipeRanks: p, Adam: shapeAdam(),
 		ClipNorm: shapeClipNorm, BucketElems: shapeBucketElems, NewStore: newStore,
 	})
 	if err != nil {
@@ -160,13 +198,7 @@ func (x *shapeRuns) run(r, s, p int, nvme bool) (trajectory, dp.SPCommStats) {
 // reference: the loss trajectory and the checkpoint bytes.
 func (x *shapeRuns) exactVs(r int, t trajectory) (losses, ckpt string) {
 	ref := x.reference(r)
-	losses, ckpt = "bit-identical", "yes"
-	for i, l := range ref.losses {
-		if t.losses[i] != l {
-			losses = "DIVERGED (bug!)"
-			break
-		}
-	}
+	losses, ckpt = sameLosses(ref.losses, t.losses), "yes"
 	if !bytes.Equal(t.ckpt, ref.ckpt) {
 		ckpt = "NO (bug!)"
 	}

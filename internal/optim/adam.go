@@ -189,16 +189,3 @@ func parallelTiles(n int, f func(lo, hi int)) {
 	}
 	wg.Wait()
 }
-
-// ImplByName resolves a kernel by its Table 3 label.
-func ImplByName(name string) (Impl, bool) {
-	switch name {
-	case "PT-CPU", "naive":
-		return NaiveAdam, true
-	case "CPU-Adam", "cpu":
-		return CPUAdam, true
-	case "GraceAdam", "grace":
-		return GraceAdam, true
-	}
-	return nil, false
-}

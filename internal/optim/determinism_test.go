@@ -98,19 +98,3 @@ func TestMixedShardHalfRoundsThroughFP16(t *testing.T) {
 		t.Errorf("half copy too far from master: %v", got)
 	}
 }
-
-func TestAlgebraicRollbackWithWeightDecay(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WeightDecay = 0.05
-	n := 128
-	p, g := randVecs(9, n)
-	sh := NewMixedShard(p)
-	before := append([]float32(nil), sh.Master...)
-	sh.Step(cfg, GraceAdam, g)
-	AlgebraicRollback(cfg, sh, g)
-	for i := range before {
-		if math.Abs(float64(sh.Master[i]-before[i])) > 1e-5 {
-			t.Fatalf("decayed rollback off at %d: %v vs %v", i, sh.Master[i], before[i])
-		}
-	}
-}

@@ -39,19 +39,6 @@ func ClipScale(globalNorm, maxNorm float64) float64 {
 	return maxNorm / globalNorm
 }
 
-// ScaleShards multiplies every gradient shard by scale in place.
-func ScaleShards(shards [][]float32, scale float64) {
-	if scale == 1.0 {
-		return
-	}
-	s := float32(scale)
-	for _, g := range shards {
-		for i := range g {
-			g[i] *= s
-		}
-	}
-}
-
 // HasBad reports whether any shard contains NaN or Inf — the mixed
 // precision validity check STV defers to the validation phase.
 func HasBad(shards [][]float32) bool {
@@ -84,13 +71,13 @@ func NewMixedShard(params []float32) *MixedShard {
 	return m
 }
 
-// Step applies one fused mixed-precision update: Adam on the fp32 master
-// weights followed by the fp16 re-cast of the updated values. grad is
-// fp32 (the Cast_gpu→Move_fp32 path of §4.5 delivers fp32 gradients to the
-// CPU).
-func (m *MixedShard) Step(cfg Config, impl Impl, grad []float32) {
+// Step applies one fused mixed-precision update: GraceAdam (§4.6) on the
+// fp32 master weights followed by the fp16 re-cast of the updated values.
+// grad is fp32 (the Cast_gpu→Move_fp32 path of §4.5 delivers fp32
+// gradients to the CPU).
+func (m *MixedShard) Step(cfg Config, grad []float32) {
 	m.State.Step++
-	impl(cfg, m.Master, grad, m.State, m.State.Step)
+	GraceAdam(cfg, m.Master, grad, m.State, m.State.Step)
 	m.Half = fp16.Cast(m.Half, m.Master)
 }
 
@@ -135,10 +122,4 @@ func (s *LossScaler) Update(overflow bool) bool {
 		s.GoodSteps = 0
 	}
 	return false
-}
-
-// Unscale divides gradient shards by the current scale (fp16 backward
-// produces scaled gradients).
-func (s *LossScaler) Unscale(shards [][]float32) {
-	ScaleShards(shards, 1.0/s.Scale)
 }

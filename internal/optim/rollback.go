@@ -8,17 +8,10 @@ import "superoffload/internal/fp16"
 // gradient-clipping violation (re-execute with scaled gradients), the
 // already-applied updates must be undone exactly.
 //
-// Two mechanisms are provided:
-//
-//   - Snapshot/Restore: bit-exact, costs one bucket's worth of state copies
-//     (the state is only held until validation finishes, so peak overhead
-//     is a single bucket — the paper's "in-place rollback" keeps the same
-//     bound by reconstructing instead of copying).
-//
-//   - AlgebraicRollback: reconstructs the pre-step state by inverting the
-//     Adam recurrences using the retained gradients. Exact in real
-//     arithmetic; in fp32 it reconstructs to ~1e-6 relative error, which
-//     the tests bound. It needs no snapshot memory at all.
+// The mechanism is Snapshot/Restore: bit-exact, at the cost of one
+// bucket's worth of state copies per speculative step, held only until
+// validation finishes. internal/stv composes it with MixedShard.Step into
+// the skip and clip re-execution paths (stv.Bucket.Apply).
 
 // Snapshot is a bit-exact copy of one shard's state before a speculative
 // step.
@@ -50,56 +43,4 @@ func (s *Snapshot) Restore(sh *MixedShard) {
 	copy(sh.State.V, s.V)
 	sh.State.Step = s.Step
 	sh.Half = fp16.Cast(sh.Half, sh.Master)
-}
-
-// AlgebraicRollback undoes one GraceAdam/CPUAdam step in place given the
-// gradients that produced it. Inverts, in order:
-//
-//	p_old = (p_new + stepSize·m̂/(√v̂+eps)) / (1 − lr·wd)
-//	m_old = (m_new − (1−β1)·g) / β1
-//	v_old = (v_new − (1−β2)·g²) / β2
-//
-// and decrements the step counter. The fp16 working copy is re-cast.
-func AlgebraicRollback(cfg Config, sh *MixedShard, grad []float32) {
-	t := sh.State.Step
-	stepSize64, bc2s := biasCorr(cfg, t)
-	stepSize := float32(stepSize64)
-	invBc2s := float32(1 / bc2s)
-	eps := float32(cfg.Eps)
-	b1 := float32(cfg.Beta1)
-	ob1 := float32(1 - cfg.Beta1)
-	b2 := float32(cfg.Beta2)
-	ob2 := float32(1 - cfg.Beta2)
-	wdFactor := float32(1 - cfg.LR*cfg.WeightDecay)
-
-	p, m, v := sh.Master, sh.State.M, sh.State.V
-	for i := range p {
-		g := grad[i]
-		// Current (post-step) moments are exactly what the update
-		// used, so the parameter inversion can reuse them directly.
-		mi, vi := m[i], v[i]
-		update := stepSize * mi / (sqrt32(vi)*invBc2s + eps)
-		pOld := p[i] + update
-		if wdFactor != 1 {
-			pOld = (p[i] + update) / wdFactor
-		}
-		p[i] = pOld
-		m[i] = (mi - ob1*g) / b1
-		v[i] = (vi - ob2*g*g) / b2
-	}
-	sh.State.Step = t - 1
-	sh.Half = fp16.Cast(sh.Half, sh.Master)
-}
-
-// ReExecuteClipped rolls the shard back (bit-exactly via the snapshot) and
-// re-applies the step with gradients scaled by clipScale — the second
-// rollback scenario of §4.4.
-func ReExecuteClipped(cfg Config, impl Impl, sh *MixedShard, snap *Snapshot, grad []float32, clipScale float64) {
-	snap.Restore(sh)
-	scaled := make([]float32, len(grad))
-	s := float32(clipScale)
-	for i, g := range grad {
-		scaled[i] = g * s
-	}
-	sh.Step(cfg, impl, scaled)
 }

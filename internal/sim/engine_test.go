@@ -13,7 +13,8 @@ func TestSerialChainOnOneResource(t *testing.T) {
 	a := e.Add("a", "gpu", 1.0, TagCompute)
 	b := e.Add("b", "gpu", 2.0, TagCompute)
 	c := e.Add("c", "gpu", 3.0, TagCompute)
-	Chain(a, b, c)
+	b.After(a)
+	c.After(b)
 	ms, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -156,9 +157,6 @@ func TestUtilizationAndIdle(t *testing.T) {
 	if math.Abs(u.Fraction()-0.5) > 1e-12 {
 		t.Errorf("gpu utilization = %v, want 0.5", u.Fraction())
 	}
-	if math.Abs(u.IdleFraction()-0.5) > 1e-12 {
-		t.Errorf("gpu idle = %v, want 0.5", u.IdleFraction())
-	}
 	if u.ByTag[TagCompute] != 2.0 {
 		t.Errorf("compute busy = %v", u.ByTag[TagCompute])
 	}
@@ -208,22 +206,6 @@ func TestGanttRendering(t *testing.T) {
 		if !strings.Contains(g, want) {
 			t.Errorf("gantt missing %q:\n%s", want, g)
 		}
-	}
-	csv := e.CSV()
-	if !strings.Contains(csv, "gpu,") || !strings.Contains(csv, "adam") {
-		t.Errorf("csv missing rows:\n%s", csv)
-	}
-}
-
-func TestLastOf(t *testing.T) {
-	e := New()
-	a := e.Add("a", "gpu", 1, TagCompute)
-	b := e.Add("b", "gpu", 2, TagCompute)
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if LastOf([]*Task{a, b, nil}) != b {
-		t.Error("LastOf should pick latest finish")
 	}
 }
 

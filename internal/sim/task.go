@@ -58,34 +58,3 @@ func (t *Task) After(deps ...*Task) *Task {
 func (t *Task) String() string {
 	return fmt.Sprintf("%s@%s[%.6f,%.6f]", t.Name, t.Resource, t.Start, t.Finish)
 }
-
-// Chain links tasks sequentially (each after the previous) and returns the
-// last non-nil task. Nil entries are skipped.
-func Chain(tasks ...*Task) *Task {
-	var prev *Task
-	for _, t := range tasks {
-		if t == nil {
-			continue
-		}
-		if prev != nil {
-			t.After(prev)
-		}
-		prev = t
-	}
-	return prev
-}
-
-// LastOf returns the task in the slice with the latest finish time. It is
-// valid only after Engine.Run.
-func LastOf(tasks []*Task) *Task {
-	var last *Task
-	for _, t := range tasks {
-		if t == nil {
-			continue
-		}
-		if last == nil || t.Finish > last.Finish {
-			last = t
-		}
-	}
-	return last
-}

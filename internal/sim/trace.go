@@ -26,9 +26,6 @@ func (u Utilization) Fraction() float64 {
 	return f
 }
 
-// IdleFraction is 1 - Fraction.
-func (u Utilization) IdleFraction() float64 { return 1 - u.Fraction() }
-
 // Utilization computes busy statistics for one resource over [0, window].
 // Overlapping intervals (capacity > 1) are merged for the busy total so a
 // pool never reports more than 100%.
@@ -137,17 +134,4 @@ func glyphFor(t Tag) byte {
 		return 'V'
 	}
 	return '#'
-}
-
-// CSV renders intervals as "resource,start,end,name,tag" rows for external
-// plotting.
-func (e *Engine) CSV() string {
-	var b strings.Builder
-	b.WriteString("resource,start,end,name,tag\n")
-	for _, name := range e.order {
-		for _, iv := range e.resources[name].Intervals {
-			fmt.Fprintf(&b, "%s,%.9f,%.9f,%s,%s\n", name, iv.Start, iv.End, iv.Name, iv.Tag)
-		}
-	}
-	return b.String()
 }

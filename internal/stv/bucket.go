@@ -143,59 +143,63 @@ func PublishHalf(group nn.Params, half []fp16.Num) {
 	}
 }
 
-// SpeculativeStep acquires the bucket's state, snapshots it, applies Adam
-// with the staged (unclipped) gradients, and publishes the new weights.
-// The snapshot is stored on the state, so it survives eviction until the
-// deferred validation resolves.
-func (b *Bucket) SpeculativeStep(cfg optim.Config, impl optim.Impl) {
+// snapshot and restore are what a step may do to the bucket's rollback
+// snapshot before Adam runs. The snapshot lives on the state, so it
+// survives eviction until the deferred validation resolves.
+func snapshot(st *BucketState) { st.Snap = optim.TakeSnapshot(st.Snap, st.Shard) }
+func restore(st *BucketState)  { st.Snap.Restore(st.Shard) }
+
+// step is the one per-bucket update of §4.4: acquire the state, prepare
+// the snapshot (nil: leave it alone), scale the staged gradients, apply
+// GraceAdam with its fp16 re-cast, publish the new weights, release. The
+// scaling is in place: every caller that scales has already joined the
+// validator reading the buffer, and the buffer's next use is an overwrite
+// (the next window's first AccumGrad / AccumInto).
+func (b *Bucket) step(cfg optim.Config, scale float64, prepare func(*BucketState)) {
 	st := b.store.Acquire(b.idx)
-	st.Snap = optim.TakeSnapshot(st.Snap, st.Shard)
-	st.Shard.Step(cfg, impl, b.grad)
+	if prepare != nil {
+		prepare(st)
+	}
+	if scale != 1.0 {
+		b.ScaleGrad(float32(scale))
+	}
+	st.Shard.Step(cfg, b.grad)
 	PublishHalf(b.group, st.Shard.Half)
 	b.store.Release(b.idx, ReleaseStep)
+}
+
+// SpeculativeStep snapshots the bucket's state and steps it with the
+// staged (unclipped) gradients, ahead of validation.
+func (b *Bucket) SpeculativeStep(cfg optim.Config) {
+	b.step(cfg, 1, snapshot)
 	b.dirty = true
 }
 
+// DirectStep applies a validated step with the staged gradients scaled by
+// scale — the STE path: no snapshot, nothing to roll back.
+func (b *Bucket) DirectStep(cfg optim.Config, scale float64) { b.step(cfg, scale, nil) }
+
 // Apply executes the verdict on the bucket's speculative step (§4.4).
 // Commit keeps it — no store access, the speculative state already is the
-// committed state; Skip restores the pre-step snapshot bit-exactly; Clip
-// restores it and re-applies the step with the gradients scaled by
-// r.ClipScale, under the hyperparameters the speculative step used. The
-// last two republish the weights. A bucket with no speculative step
-// outstanding is left alone.
-func (b *Bucket) Apply(r Resolution, impl optim.Impl) {
+// committed state; Skip restores the pre-step snapshot bit-exactly and
+// republishes the weights; Clip restores it and re-applies the step with
+// the gradients scaled by r.ClipScale, under the hyperparameters the
+// speculative step used. A bucket with no speculative step outstanding is
+// left alone.
+func (b *Bucket) Apply(r Resolution) {
 	if !b.dirty || r.Action == None {
 		return
 	}
 	b.dirty = false
-	if r.Action == Commit {
-		return
+	switch r.Action {
+	case Clip:
+		b.step(r.Adam, r.ClipScale, restore)
+	case Skip:
+		st := b.store.Acquire(b.idx)
+		restore(st)
+		PublishHalf(b.group, st.Shard.Half)
+		b.store.Release(b.idx, ReleaseFlush)
 	}
-	st := b.store.Acquire(b.idx)
-	mode := ReleaseStep
-	if r.Action == Skip {
-		st.Snap.Restore(st.Shard)
-		mode = ReleaseFlush
-	} else {
-		optim.ReExecuteClipped(r.Adam, impl, st.Shard, st.Snap, b.grad, r.ClipScale)
-	}
-	PublishHalf(b.group, st.Shard.Half)
-	b.store.Release(b.idx, mode)
-}
-
-// DirectStep applies a committed (non-speculative) step with pre-scaled
-// gradients — the STE path.
-func (b *Bucket) DirectStep(cfg optim.Config, impl optim.Impl, scale float64) {
-	if scale != 1.0 {
-		s := float32(scale)
-		for i := range b.grad {
-			b.grad[i] *= s
-		}
-	}
-	st := b.store.Acquire(b.idx)
-	st.Shard.Step(cfg, impl, b.grad)
-	PublishHalf(b.group, st.Shard.Half)
-	b.store.Release(b.idx, ReleaseStep)
 }
 
 // PartitionGroups splits params into ordered groups of at most targetElems

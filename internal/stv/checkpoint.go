@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"superoffload/internal/fp16"
 	"superoffload/internal/optim"
@@ -74,7 +75,11 @@ func (b *Bucket) writeRecord(w io.Writer) error {
 // (which must match the checkpoint's layout), republishing the
 // fp16-rounded weights to each bucket's model tensors. A non-nil scaler
 // receives the checkpointed scale and overflow-free streak (skipped when
-// the checkpoint trained unscaled). Returns the restored step index.
+// the checkpoint trained unscaled). Counters that no run can have written
+// — a negative step index, streak or bucket step; a loss scale that is
+// negative, NaN, infinite or outside the scaler's [MinScale, MaxScale] —
+// are rejected before the state they describe is overwritten. Returns the
+// restored step index.
 func ReadCheckpoint(r io.Reader, scaler *optim.LossScaler, buckets []*Bucket) (stepIndex int, err error) {
 	var magic uint32
 	if err = binary.Read(r, binary.LittleEndian, &magic); err != nil {
@@ -90,10 +95,19 @@ func ReadCheckpoint(r io.Reader, scaler *optim.LossScaler, buckets []*Bucket) (s
 	if int(header[0]) != len(buckets) {
 		return 0, fmt.Errorf("stv: checkpoint has %d buckets, engine has %d", header[0], len(buckets))
 	}
+	if header[1] < 0 || header[2] < 0 {
+		return 0, fmt.Errorf("stv: checkpoint has negative counters: step %d, overflow-free streak %d", header[1], header[2])
+	}
 	stepIndex = int(header[1])
 	var scale float64
 	if err = binary.Read(r, binary.LittleEndian, &scale); err != nil {
 		return 0, err
+	}
+	// 0 means the checkpoint trained unscaled; anything else must be a
+	// scale a LossScaler can hold (the negated test also catches NaN).
+	if !(scale >= 0) || math.IsInf(scale, 1) ||
+		(scale > 0 && scaler != nil && (scale < scaler.MinScale || scale > scaler.MaxScale)) {
+		return 0, fmt.Errorf("stv: checkpoint has unusable loss scale %v", scale)
 	}
 	if scaler != nil && scale > 0 {
 		scaler.Scale = scale
@@ -123,6 +137,9 @@ func (b *Bucket) readRecord(r io.Reader) error {
 	if err := binary.Read(r, binary.LittleEndian, &step); err != nil {
 		return err
 	}
+	if step < 0 {
+		return fmt.Errorf("stv: bucket %d has negative Adam step %d", b.idx, step)
+	}
 	st.Shard.State.Step = int(step)
 	for _, arr := range [][]float32{st.Shard.Master, st.Shard.State.M, st.Shard.State.V} {
 		if err := binary.Read(r, binary.LittleEndian, arr); err != nil {
@@ -147,7 +164,10 @@ func (v *Verdict) Save(w io.Writer, buckets []*Bucket) error {
 
 // Load restores state written by Save into buckets of the same layout,
 // republishing the fp16-rounded weights to their model tensors. It fails
-// if a validation is in flight.
+// if a validation is in flight. A Load that fails part-way leaves the
+// engine partially restored: buckets before the bad record hold the
+// checkpoint's state, the rest (and the step counter) the old run's. Load
+// a good checkpoint, or discard the engine.
 func (v *Verdict) Load(r io.Reader, buckets []*Bucket) error {
 	if v.pending {
 		return fmt.Errorf("stv: Flush before Load (validation in flight)")

@@ -23,7 +23,6 @@ func faultTrainer(store stv.BucketStore) *stv.Trainer {
 	a.LR = 3e-3
 	cfg := stv.Config{
 		Adam:        a,
-		Impl:        optim.GraceAdam,
 		ClipNorm:    1.0,
 		BucketElems: 4000,
 		Mode:        stv.STV,

@@ -2,10 +2,13 @@ package stv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
+	"superoffload/internal/nn"
 	"superoffload/internal/optim"
+	"superoffload/internal/tensor"
 )
 
 // fuzzState builds a bucket state from fuzz-chosen scalars: n elements
@@ -164,4 +167,96 @@ func TestDecodeRecordRejectsCorruptFlag(t *testing.T) {
 	if _, err := decodeRecord(nil, 2, buf[:recordLiveBytes(2, false)]); err == nil {
 		t.Fatal("snapshot-flagged record without snapshot bytes accepted")
 	}
+}
+
+// fuzzBuckets builds the 2-bucket (3 + 5 element) layout FuzzReadCheckpoint
+// loads into, over a fresh DRAM store.
+func fuzzBuckets() []*Bucket {
+	store := NewDRAMStore()
+	var out []*Bucket
+	for i, n := range []int{3, 5} {
+		w := tensor.New(n)
+		for j := range w.Data {
+			w.Data[j] = float32(i+1) + float32(j)/8
+		}
+		out = append(out, NewBucket(nn.Params{{Name: "p", W: w, G: tensor.New(n)}}, store, i))
+	}
+	return out
+}
+
+// FuzzReadCheckpoint: ReadCheckpoint over arbitrary bytes never panics,
+// and whatever it accepts leaves counters a run could have written — a
+// finite loss scale inside the scaler's range, a non-negative step index,
+// streak and per-bucket Adam step. The seeds are a real checkpoint and the
+// single-word corruptions of it that used to load: a bucket step of -3
+// (the next step's bias correction is NaN), a scale of +Inf (every later
+// step skips), and negative run counters.
+func FuzzReadCheckpoint(f *testing.F) {
+	src := fuzzBuckets()
+	for _, bk := range src {
+		for i := range bk.grad {
+			bk.grad[i] = 0.25 * float32(i+1)
+		}
+		bk.DirectStep(optim.DefaultConfig(), 1)
+	}
+	scaler := optim.NewLossScaler()
+	scaler.GoodSteps = 3
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, 7, scaler, src); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	f.Add(good)
+	// Offsets: magic 4, then int64 {buckets, stepIndex, goodSteps}, the
+	// float64 scale, then per bucket int64 {elems, step} and the arrays.
+	const stepIndexOff, goodStepsOff, scaleOff, bucketStepOff = 12, 20, 28, 44
+	for _, m := range []struct {
+		off   int
+		word  uint64
+		loads bool
+	}{
+		{bucketStepOff, uint64(1<<64 - 3), false},
+		{stepIndexOff, uint64(1<<64 - 1), false},
+		{goodStepsOff, uint64(1<<64 - 1), false},
+		{scaleOff, math.Float64bits(math.Inf(1)), false},
+		{scaleOff, math.Float64bits(math.Inf(-1)), false},
+		{scaleOff, math.Float64bits(math.NaN()), false},
+		{scaleOff, math.Float64bits(-2), false},
+		{scaleOff, math.Float64bits(0.5), false},
+		{scaleOff, math.Float64bits(1 << 30), false},
+		{scaleOff, 0, true}, // trained unscaled: the scaler keeps its own state
+		{bucketStepOff, 2, true},
+	} {
+		ckpt := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(ckpt[m.off:], m.word)
+		_, err := ReadCheckpoint(bytes.NewReader(ckpt), optim.NewLossScaler(), fuzzBuckets())
+		if (err == nil) != m.loads {
+			f.Fatalf("word %#x at offset %d: loads = %v (err %v), want %v", m.word, m.off, err == nil, err, m.loads)
+		}
+		f.Add(ckpt)
+	}
+	f.Add(good[:len(good)-5])
+
+	f.Fuzz(func(t *testing.T, ckpt []byte) {
+		dst := fuzzBuckets()
+		sc := optim.NewLossScaler()
+		step, err := ReadCheckpoint(bytes.NewReader(ckpt), sc, dst)
+		if err != nil {
+			return
+		}
+		if step < 0 || sc.GoodSteps < 0 {
+			t.Fatalf("accepted negative counters: step %d, streak %d", step, sc.GoodSteps)
+		}
+		if !(sc.Scale >= sc.MinScale && sc.Scale <= sc.MaxScale) {
+			t.Fatalf("accepted loss scale %v outside [%v, %v]", sc.Scale, sc.MinScale, sc.MaxScale)
+		}
+		for _, bk := range dst {
+			st := bk.store.Acquire(bk.idx)
+			adamStep := st.Shard.State.Step
+			bk.store.Release(bk.idx, ReleaseClean)
+			if adamStep < 0 {
+				t.Fatalf("accepted bucket %d with Adam step %d", bk.idx, adamStep)
+			}
+		}
+	})
 }

@@ -135,8 +135,9 @@ func (e *PlacementExecutor) SetAct(a place.ActShape) {
 // NewPlacementExecutor builds an executor over the holder's bucket
 // subset: idx and elems list the modeled buckets' global indices and
 // sizes in ascending index order, nGlobal is the full partition size, and
-// hidden/params describe the replica whose backward feeds the clocks.
-func NewPlacementExecutor(spec hw.SuperchipSpec, plan place.Plan, idx, elems []int, nGlobal, hidden int, params int64) *PlacementExecutor {
+// hidden/params describe the replica whose backward feeds the clocks. The
+// clocks are those of the paper's platform, hw.DefaultSuperchip.
+func NewPlacementExecutor(plan place.Plan, idx, elems []int, nGlobal, hidden int, params int64) *PlacementExecutor {
 	if len(idx) != len(elems) {
 		panic(fmt.Sprintf("stv: placement executor got %d indices for %d sizes", len(idx), len(elems)))
 	}
@@ -145,7 +146,7 @@ func NewPlacementExecutor(spec hw.SuperchipSpec, plan place.Plan, idx, elems []i
 		work[i] = place.BucketWork{Index: idx[i], Elems: elems[i], Tier: plan.Tier(idx[i])}
 	}
 	e := &PlacementExecutor{
-		spec: spec.OrDefault(), work: work, nGlobal: nGlobal,
+		spec: hw.DefaultSuperchip(), work: work, nGlobal: nGlobal,
 		hidden: hidden, params: params,
 	}
 	for _, wk := range work {

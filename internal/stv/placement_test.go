@@ -23,7 +23,7 @@ func runPlaced(t *testing.T, steps int, plan *place.Plan, store BucketStore) ([]
 	a := optim.DefaultConfig()
 	a.LR = 3e-3
 	tr := NewTrainer(m, Config{
-		Adam: a, Impl: optim.GraceAdam, ClipNorm: 0.9,
+		Adam: a, ClipNorm: 0.9,
 		BucketElems: 4096, Mode: STV, Store: store,
 		Placement: plan,
 		InjectBad: func(step int) bool { return step == 4 },
@@ -111,7 +111,7 @@ func TestPlacementTelemetry(t *testing.T) {
 	cfg := model.Config{Name: "place", Layers: 2, Hidden: 64, Heads: 4, Vocab: 128}
 	m := nn.NewGPT(cfg, 16, tensor.NewRNG(11))
 	tr := NewTrainer(m, Config{
-		Adam: optim.DefaultConfig(), Impl: optim.GraceAdam, ClipNorm: 4,
+		Adam: optim.DefaultConfig(), ClipNorm: 4,
 		BucketElems: 4096, Mode: STV, Placement: &plan,
 	})
 	defer tr.Close()
@@ -169,7 +169,7 @@ func TestPlacementTelemetry(t *testing.T) {
 
 	// Homogeneous trainers report no placement telemetry.
 	plain := NewTrainer(nn.NewGPT(cfg, 16, tensor.NewRNG(11)), Config{
-		Adam: optim.DefaultConfig(), Impl: optim.GraceAdam, BucketElems: 4096,
+		Adam: optim.DefaultConfig(), BucketElems: 4096,
 	})
 	defer plain.Close()
 	if _, ok := plain.PlacementTelemetry(); ok {

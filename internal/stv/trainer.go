@@ -6,7 +6,6 @@ import (
 
 	"superoffload/internal/act"
 	"superoffload/internal/data"
-	"superoffload/internal/hw"
 	"superoffload/internal/nn"
 	"superoffload/internal/obs"
 	"superoffload/internal/optim"
@@ -36,7 +35,6 @@ func (m Mode) String() string {
 // Config parameterizes a Trainer.
 type Config struct {
 	Adam optim.Config
-	Impl optim.Impl
 	// ClipNorm is the global gradient-norm clipping threshold (0
 	// disables clipping).
 	ClipNorm float64
@@ -69,10 +67,6 @@ type Config struct {
 	// store) where state resides — numerics are tier-invariant, so any
 	// plan trains bit-identically to the homogeneous trainer.
 	Placement *place.Plan
-	// Superchip is the hardware model the placement executor times
-	// against; the zero value means hw.DefaultSuperchip(). Ignored when
-	// Placement is nil.
-	Superchip hw.SuperchipSpec
 	// Act, when non-nil, is the activation offloading tier: per-layer
 	// forward activations spill out of the replica behind the store's
 	// resident window and prefetch back ahead of backward. Numerically
@@ -151,9 +145,6 @@ const DefaultBucketElems = 32 << 20
 // exactly (NewTrainer panics otherwise — the partition is deterministic,
 // so a mismatch is a construction bug, not a runtime condition).
 func NewTrainer(m *nn.GPT, cfg Config) *Trainer {
-	if cfg.Impl == nil {
-		cfg.Impl = optim.GraceAdam
-	}
 	if cfg.BucketElems <= 0 {
 		cfg.BucketElems = DefaultBucketElems
 	}
@@ -179,7 +170,7 @@ func NewTrainer(m *nn.GPT, cfg Config) *Trainer {
 		for i, bk := range t.buckets {
 			idx[i], elems[i] = i, bk.Size()
 		}
-		t.exec = NewPlacementExecutor(cfg.Superchip, *cfg.Placement, idx, elems,
+		t.exec = NewPlacementExecutor(*cfg.Placement, idx, elems,
 			len(t.buckets), m.Cfg.Hidden, int64(m.NumParams()))
 	}
 	if cfg.Act != nil {
@@ -321,7 +312,7 @@ func (t *Trainer) StepAccum(batches []data.Batch) (float64, error) {
 		if speculative {
 			// In the real system this overlaps the remaining backward on
 			// the GPU.
-			bk.SpeculativeStep(adam, t.Cfg.Impl)
+			bk.SpeculativeStep(adam)
 		}
 	}
 	// The background validator (the Python-multiprocessing worker of
@@ -338,7 +329,7 @@ func (t *Trainer) StepAccum(batches []data.Batch) (float64, error) {
 			return loss, nil
 		}
 		for _, bk := range t.buckets {
-			bk.DirectStep(adam, t.Cfg.Impl, res.ClipScale)
+			bk.DirectStep(adam, res.ClipScale)
 		}
 	}
 	t.exec.Record(tokens, batches[0].Seq)
@@ -361,7 +352,7 @@ func (t *Trainer) resolve() Resolution {
 	defer sp.End()
 	res := t.ctl.Resolve(t.validCh)
 	for _, bk := range t.buckets {
-		bk.Apply(res, t.Cfg.Impl)
+		bk.Apply(res)
 	}
 	return res
 }

@@ -21,7 +21,6 @@ func trainerConfig(mode Mode) Config {
 	a.LR = 3e-3
 	return Config{
 		Adam:        a,
-		Impl:        optim.GraceAdam,
 		ClipNorm:    1.0,
 		BucketElems: 20000, // several buckets for the tiny model
 		Mode:        mode,
@@ -236,4 +235,40 @@ func avg(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
+}
+
+// TestClipRollbackAllocatesNothing: a step whose predecessor is clipped
+// runs the forward and the per-bucket update body twice (the speculative
+// step and its clipped re-execution) and nothing else, so it may allocate
+// at most twice what a committing step does — the body's own allocations,
+// not a gradient-sized scratch copy per bucket on top of them.
+func TestClipRollbackAllocatesNothing(t *testing.T) {
+	batches := []data.Batch{data.NewCorpus(64, 9).NextBatch(2, 8)}
+	stepAllocs := func(clipNorm float64) float64 {
+		cfg := trainerConfig(STV)
+		cfg.BucketElems = 2000 // many buckets, so a per-bucket allocation shows
+		cfg.ClipNorm = clipNorm
+		tr := NewTrainer(tinyGPT(5), cfg)
+		if tr.NumBuckets() < 8 {
+			t.Fatalf("want many buckets, have %d", tr.NumBuckets())
+		}
+		step := func() {
+			if _, err := tr.StepAccum(batches); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			step() // warm: snapshots and the forward cache are allocated once
+		}
+		before := tr.Stats().ClipRolls
+		allocs := testing.AllocsPerRun(10, step) // one warm-up call + 10 measured
+		if d := tr.Stats().ClipRolls - before; (clipNorm == 0 && d != 0) || (clipNorm > 0 && d != 11) {
+			t.Fatalf("ClipNorm %v: %d of 11 steps clipped", clipNorm, d)
+		}
+		return allocs
+	}
+	commit, clip := stepAllocs(0), stepAllocs(1e-3)
+	if clip > 2*commit {
+		t.Errorf("a clip-rollback step allocates %v times, a commit step %v: the rollback allocates beyond the step body", clip, commit)
+	}
 }

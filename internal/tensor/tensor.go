@@ -52,9 +52,6 @@ func (t *Tensor) Size() int { return len(t.Data) }
 // Dim returns the i-th dimension.
 func (t *Tensor) Dim(i int) int { return t.shape[i] }
 
-// At reads an element by multi-index (2D fast path + general).
-func (t *Tensor) At(idx ...int) float32 { return t.Data[t.offset(idx)] }
-
 // Set writes an element by multi-index.
 func (t *Tensor) Set(v float32, idx ...int) { t.Data[t.offset(idx)] = v }
 
@@ -151,38 +148,10 @@ func AddInto(out, a, b *Tensor) {
 	}
 }
 
-// SubInto computes out = a - b.
-func SubInto(out, a, b *Tensor) {
-	assertSame(a, b, "sub")
-	assertSame(out, a, "sub")
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
-// MulInto computes out = a ⊙ b.
-func MulInto(out, a, b *Tensor) {
-	assertSame(a, b, "mul")
-	assertSame(out, a, "mul")
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-}
-
 // Scale multiplies in place by s.
 func (t *Tensor) Scale(s float32) {
 	for i := range t.Data {
 		t.Data[i] *= s
-	}
-}
-
-// AXPY computes y += alpha * x over raw slices.
-func AXPY(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic("tensor: axpy length mismatch")
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
 	}
 }
 
@@ -196,30 +165,6 @@ func (t *Tensor) Sum() float64 {
 		s += float64(v)
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean.
-func (t *Tensor) Mean() float64 { return t.Sum() / float64(len(t.Data)) }
-
-// MaxAbs returns the max |x|.
-func (t *Tensor) MaxAbs() float64 {
-	var m float64
-	for _, v := range t.Data {
-		a := math.Abs(float64(v))
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Norm2 returns the L2 norm, accumulated in fp64.
-func Norm2(xs []float32) float64 {
-	var s float64
-	for _, v := range xs {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 // GlobalNorm returns sqrt(sum of squared L2 norms) across tensors — the

@@ -524,7 +524,7 @@ func Init(m *Model, cfg OptimizerConfig) (*Engine, error) {
 	}
 	a, scaler, schedule := cfg.translate()
 	tr := stv.NewTrainer(m.gpt, stv.Config{
-		Adam: a, Impl: optim.GraceAdam, ClipNorm: cfg.ClipNorm,
+		Adam: a, ClipNorm: cfg.ClipNorm,
 		BucketElems: cfg.BucketElems, Mode: mode, Scaler: scaler,
 		Schedule: schedule, Store: store, Placement: plan, Act: actStore,
 		Tracer: cfg.Tracer,
@@ -572,7 +572,10 @@ func (e *Engine) StepAccum(batches []Batch) (float64, error) {
 func (e *Engine) Save(w io.Writer) error { return e.t.Save(w) }
 
 // Load restores state saved by any engine's Save into an engine over the
-// same model architecture and bucket configuration.
+// same model architecture and bucket configuration. A checkpoint with
+// counters no run writes (negative steps, a non-finite or out-of-range
+// loss scale) is rejected; a Load that fails part-way leaves the engine
+// partially restored — load a good checkpoint or discard the engine.
 func (e *Engine) Load(r io.Reader) error { return e.t.Load(r) }
 
 // Flush resolves the final in-flight validation; call once after the last
@@ -706,7 +709,6 @@ func InitMesh(m *Model, cfg OptimizerConfig, mc MeshConfig) (*Engine, error) {
 		SeqRanks:    mc.SeqRanks,
 		PipeRanks:   mc.PipeRanks,
 		Adam:        a,
-		Impl:        optim.GraceAdam,
 		ClipNorm:    cfg.ClipNorm,
 		BucketElems: cfg.BucketElems,
 		Synchronous: cfg.Synchronous,
