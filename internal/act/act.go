@@ -291,7 +291,10 @@ func (s *Store) spillLocked(l int) {
 			rec.buf = make([]byte, ls.bytes)
 			s.end += ls.bytes
 		}
-		encode(rec.buf, ls.bufs)
+		dst := rec.buf
+		for _, b := range ls.bufs {
+			dst = iolane.PutFloat32s(dst, b)
+		}
 	} else {
 		if rec.cap < ls.bytes {
 			rec.cap = ls.bytes
@@ -358,7 +361,10 @@ func (s *Store) FetchLayer(l int) {
 	s.checkIOErr()
 	rec := s.recs[l]
 	if s.cfg.Tier == NVMe {
-		decode(ls.bufs, rec.buf)
+		src := rec.buf
+		for _, b := range ls.bufs {
+			src = iolane.Float32s(b, src)
+		}
 	} else {
 		n := 0
 		for _, b := range ls.bufs {
@@ -445,34 +451,6 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	return s.lane.Close()
-}
-
-// encode packs the buffers' float32 bits little-endian into dst —
-// bit-exact round-tripping, NaN payloads included.
-func encode(dst []byte, bufs [][]float32) {
-	n := 0
-	for _, b := range bufs {
-		for _, v := range b {
-			bits := math.Float32bits(v)
-			dst[n] = byte(bits)
-			dst[n+1] = byte(bits >> 8)
-			dst[n+2] = byte(bits >> 16)
-			dst[n+3] = byte(bits >> 24)
-			n += 4
-		}
-	}
-}
-
-// decode is encode's inverse, restoring the exact spilled bits.
-func decode(bufs [][]float32, src []byte) {
-	n := 0
-	for _, b := range bufs {
-		for i := range b {
-			bits := uint32(src[n]) | uint32(src[n+1])<<8 | uint32(src[n+2])<<16 | uint32(src[n+3])<<24
-			b[i] = math.Float32frombits(bits)
-			n += 4
-		}
-	}
 }
 
 // actPoison is the NaN spilled buffers hold until their fetch: any use

@@ -2,6 +2,7 @@ package fp16
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -187,6 +188,49 @@ func TestSubnormalRoundTrip(t *testing.T) {
 		n := Num(i) // all positive subnormals
 		if FromFloat32(n.Float32()) != n {
 			t.Fatalf("subnormal %#04x does not round-trip", i)
+		}
+	}
+}
+
+// ---- casting kernels (the §4.5 payload producers; b.SetBytes reports GB/s) ----
+
+func BenchmarkFP16Cast(b *testing.B) {
+	const n = 1 << 22
+	src := make([]float32, n)
+	rng := rand.New(rand.NewSource(9))
+	for i := range src {
+		src[i] = float32(rng.NormFloat64())
+	}
+	dst := make([]Num, n)
+	b.SetBytes(n * 6)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Cast(dst, src)
+	}
+}
+
+func BenchmarkFP16Uncast(b *testing.B) {
+	const n = 1 << 22
+	src := make([]Num, n)
+	for i := range src {
+		src[i] = FromFloat32(float32(i % 1000))
+	}
+	dst := make([]float32, n)
+	b.SetBytes(n * 6)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Uncast(dst, src)
+	}
+}
+
+func BenchmarkFP16ScanBad(b *testing.B) {
+	const n = 1 << 22
+	xs := make([]Num, n)
+	b.SetBytes(n * 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ScanBad(xs) {
+			b.Fatal("clean slice flagged")
 		}
 	}
 }

@@ -11,6 +11,7 @@
 package iolane
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
 	"sync"
@@ -163,4 +164,26 @@ func (l *Lane) Close() error {
 		err = rerr
 	}
 	return err
+}
+
+// PutFloat32s packs xs's bit patterns little-endian at the front of dst
+// and returns the bytes after them, ready for the next array; the round
+// trip through Float32s is bit-exact, NaN payloads included. dst must
+// hold 4*len(xs) bytes.
+func PutFloat32s(dst []byte, xs []float32) []byte {
+	for _, x := range xs {
+		binary.LittleEndian.PutUint32(dst, math.Float32bits(x))
+		dst = dst[4:]
+	}
+	return dst
+}
+
+// Float32s is PutFloat32s' inverse: it fills xs from the front of src
+// and returns the bytes after them.
+func Float32s(xs []float32, src []byte) []byte {
+	for i := range xs {
+		xs[i] = math.Float32frombits(binary.LittleEndian.Uint32(src))
+		src = src[4:]
+	}
+	return src
 }

@@ -3,6 +3,7 @@ package iolane
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"testing"
 )
@@ -83,5 +84,33 @@ func TestVirtualLane(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFloat32sLittleEndianBitExact: PutFloat32s writes each value's bit
+// pattern low byte first (the byte-at-a-time loop the activation spill
+// file was written with is the reference), chains through its return
+// value, and Float32s restores the exact bits, NaN payloads included.
+func TestFloat32sLittleEndianBitExact(t *testing.T) {
+	a := []float32{1.5, float32(math.Copysign(0, -1)), math.Float32frombits(0x7fc0dead)}
+	b := []float32{float32(math.Inf(-1)), math.SmallestNonzeroFloat32}
+	all := append(append([]float32{}, a...), b...)
+	var want []byte
+	for _, v := range all {
+		bits := math.Float32bits(v)
+		want = append(want, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
+	}
+	buf := make([]byte, len(want)+3)
+	if rest := PutFloat32s(PutFloat32s(buf, a), b); len(rest) != 3 || !bytes.Equal(buf[:len(want)], want) {
+		t.Fatalf("encoded % x (rest %d), want % x (rest 3)", buf[:len(want)], len(rest), want)
+	}
+	gotA, gotB := make([]float32, len(a)), make([]float32, len(b))
+	if rest := Float32s(gotB, Float32s(gotA, buf)); len(rest) != 3 {
+		t.Fatalf("decode left %d bytes, want 3", len(rest))
+	}
+	for i, v := range append(gotA, gotB...) {
+		if math.Float32bits(v) != math.Float32bits(all[i]) {
+			t.Errorf("value %d: %#x round-tripped to %#x", i, math.Float32bits(all[i]), math.Float32bits(v))
+		}
 	}
 }

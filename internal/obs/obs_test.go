@@ -7,19 +7,25 @@ import (
 )
 
 // TestNilTracerIsDisabled: every method on the nil tracer/track/span
-// chain must no-op — the zero-overhead-when-disabled contract.
+// chain must no-op and allocate nothing — the zero-overhead-when-disabled
+// contract.
 func TestNilTracerIsDisabled(t *testing.T) {
 	var tr *Tracer
 	tk := tr.Track("rank 0")
 	if tk != nil {
 		t.Fatal("nil tracer returned a non-nil track")
 	}
-	sp := tk.Begin("forward")
-	sp.End()
-	sp.EndMicro(3)
-	sp.EndInt("bucket", 1)
-	tk.Instant("stall")
-	tk.InstantInt("prefetch", "bucket", 2)
+	calls := func() {
+		sp := tk.Begin("forward")
+		sp.End()
+		sp.EndMicro(3)
+		sp.EndInt("bucket", 1)
+		tk.Instant("stall")
+		tk.InstantInt("prefetch", "bucket", 2)
+	}
+	if n := testing.AllocsPerRun(10, calls); n != 0 {
+		t.Fatalf("the nil chain allocates %v times a pass; no tracer must cost what no call costs", n)
+	}
 	if tr.Len() != 0 || tr.Events() != nil || tr.EventsSince(0) != nil {
 		t.Fatal("nil tracer reported events")
 	}

@@ -16,8 +16,8 @@ import (
 //     client disconnects (Perfetto tolerates the truncated tail)
 //   - /debug/pprof/ — the standard net/http/pprof profiles
 //
-// reg may not be nil; tr may be nil (tracing disabled), in which case
-// /trace reports 404.
+// Either argument may be nil (no registry, tracing disabled), in which
+// case its endpoint reports 404.
 func Handler(reg *Registry, tr *Tracer) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -28,6 +28,10 @@ func Handler(reg *Registry, tr *Tracer) http.Handler {
 		fmt.Fprintln(w, "superoffload observability: /metrics /trace /debug/pprof/")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		if reg == nil {
+			http.Error(w, "no metrics registry (pass a MetricsRegistry)", http.StatusNotFound)
+			return
+		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		reg.WriteText(w)
 	})

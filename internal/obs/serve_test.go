@@ -25,7 +25,7 @@ func TestHandlerMetrics(t *testing.T) {
 }
 
 // TestHandlerTraceSnapshot: /trace returns the full Chrome trace JSON;
-// without a tracer it 404s.
+// without a tracer it 404s, as /metrics does without a registry.
 func TestHandlerTraceSnapshot(t *testing.T) {
 	tr := NewTracer()
 	tr.Track("rank 0").Begin("forward").End()
@@ -42,15 +42,17 @@ func TestHandlerTraceSnapshot(t *testing.T) {
 		t.Fatalf("got %d traceEvents, want 2", len(parsed.TraceEvents))
 	}
 
-	none := httptest.NewServer(Handler(NewRegistry(), nil))
+	none := httptest.NewServer(Handler(nil, nil))
 	defer none.Close()
-	resp, err := http.Get(none.URL + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/trace without tracer = %d, want 404", resp.StatusCode)
+	for _, path := range []string{"/trace", "/metrics"} {
+		resp, err := http.Get(none.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s without its source = %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 

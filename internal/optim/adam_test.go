@@ -275,3 +275,21 @@ func TestReExecuteClipped(t *testing.T) {
 		t.Errorf("step = %d after re-execution", sh.State.Step)
 	}
 }
+
+// ---- Table 3: the three Adam kernels, measured (b.SetBytes reports GB/s) ----
+
+func benchAdam(b *testing.B, impl Impl) {
+	const n = 4 << 20
+	p, g := randVecs(5, n)
+	s := NewState(n)
+	cfg := DefaultConfig()
+	b.SetBytes(int64(n) * 16) // p, g, m, v fp32 traffic per step
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		impl(cfg, p, g, s, i+1)
+	}
+}
+
+func BenchmarkTable3_PTCPU(b *testing.B)     { benchAdam(b, NaiveAdam) }
+func BenchmarkTable3_CPUAdam(b *testing.B)   { benchAdam(b, CPUAdam) }
+func BenchmarkTable3_GraceAdam(b *testing.B) { benchAdam(b, GraceAdam) }

@@ -3,9 +3,9 @@ package stv
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"superoffload/internal/fp16"
+	"superoffload/internal/iolane"
 	"superoffload/internal/optim"
 )
 
@@ -45,22 +45,16 @@ func encodeRecord(buf []byte, st *BucketState) []byte {
 	le.PutUint64(buf[0:], uint64(st.Shard.State.Step))
 	le.PutUint64(buf[8:], 0)
 	buf[16] = 0
-	off := recordHeaderBytes
-	put := func(xs []float32) {
-		for _, x := range xs {
-			le.PutUint32(buf[off:], math.Float32bits(x))
-			off += 4
-		}
-	}
-	put(st.Shard.Master)
-	put(st.Shard.State.M)
-	put(st.Shard.State.V)
+	rest := buf[recordHeaderBytes:]
+	rest = iolane.PutFloat32s(rest, st.Shard.Master)
+	rest = iolane.PutFloat32s(rest, st.Shard.State.M)
+	rest = iolane.PutFloat32s(rest, st.Shard.State.V)
 	if st.Snap != nil {
 		le.PutUint64(buf[8:], uint64(st.Snap.Step))
 		buf[16] = 1
-		put(st.Snap.Master)
-		put(st.Snap.M)
-		put(st.Snap.V)
+		rest = iolane.PutFloat32s(rest, st.Snap.Master)
+		rest = iolane.PutFloat32s(rest, st.Snap.M)
+		iolane.PutFloat32s(rest, st.Snap.V)
 	}
 	return buf
 }
@@ -104,18 +98,11 @@ func decodeRecord(spare *BucketState, elems int, buf []byte) (*BucketState, erro
 		}}
 	}
 	le := binary.LittleEndian
-	off := recordHeaderBytes
-	get := func(xs []float32) {
-		for i := range xs {
-			xs[i] = math.Float32frombits(le.Uint32(buf[off:]))
-			off += 4
-		}
-	}
 	shard := st.Shard
 	shard.State.Step = int(int64(le.Uint64(buf[0:])))
-	get(shard.Master)
-	get(shard.State.M)
-	get(shard.State.V)
+	rest := iolane.Float32s(shard.Master, buf[recordHeaderBytes:])
+	rest = iolane.Float32s(shard.State.M, rest)
+	rest = iolane.Float32s(shard.State.V, rest)
 	shard.Half = fp16.Cast(shard.Half, shard.Master)
 	if snap {
 		// A reused spare's snapshot buffers are only trusted at the right
@@ -129,9 +116,9 @@ func decodeRecord(spare *BucketState, elems int, buf []byte) (*BucketState, erro
 			}
 		}
 		st.Snap.Step = int(int64(le.Uint64(buf[8:])))
-		get(st.Snap.Master)
-		get(st.Snap.M)
-		get(st.Snap.V)
+		rest = iolane.Float32s(st.Snap.Master, rest)
+		rest = iolane.Float32s(st.Snap.M, rest)
+		iolane.Float32s(st.Snap.V, rest)
 	} else {
 		st.Snap = nil
 	}

@@ -55,7 +55,8 @@ func sameF32(t *testing.T, label string, a, b []float32) {
 // FuzzRecordRoundTrip: encodeRecord → decodeRecord is the identity on
 // every field (bit patterns, not float equality — NaN payloads and
 // signed zeros must survive), with and without a snapshot, into both a
-// fresh state and a reused spare.
+// fresh state and a reused spare — and the encoded bytes are the
+// reference encoder's (refEncodeRecord).
 func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add(uint8(4), float32(1.5), float32(-0.25), 7, true, 3)
 	f.Add(uint8(1), float32(0), float32(0), 0, false, 0)
@@ -64,6 +65,13 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		n := int(nRaw%32) + 1
 		st := fuzzState(n, a, b, step, snap, snapStep)
 		buf := encodeRecord(make([]byte, recordBytes(n)), st)
+
+		// Byte for byte the reference encoder's output, over a buffer that
+		// carries a previous encoding.
+		stale := bytes.Repeat([]byte{0xAA}, len(buf))
+		if !bytes.Equal(encodeRecord(bytes.Clone(stale), st), refEncodeRecord(stale, st)) {
+			t.Fatal("record bytes differ from the reference encoder's")
+		}
 
 		check := func(label string, got *BucketState) {
 			t.Helper()

@@ -327,3 +327,16 @@ func TestShapeValidation(t *testing.T) {
 		t.Fatalf("Reshape(3,2).Dim(0) = %d", got)
 	}
 }
+
+func BenchmarkMatMul256(b *testing.B) {
+	rng := NewRNG(3)
+	x := Randn(rng, 1, 256, 256)
+	y := Randn(rng, 1, 256, 256)
+	out := New(256, 256)
+	MatMulInto(out, x, y) // warm-up: fault in pages, start the pool
+	b.SetBytes(3 * 256 * 256 * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulInto(out, x, y)
+	}
+}

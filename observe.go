@@ -38,8 +38,8 @@ type MetricSource = obs.Source
 
 // ObsHandler serves the observability endpoints over HTTP: /metrics
 // (text-format registry snapshot), /trace (Chrome trace JSON; ?follow=1
-// streams), and /debug/pprof. Either argument may be nil; the
-// corresponding endpoint degrades gracefully.
+// streams), and /debug/pprof. Either argument may be nil; its endpoint
+// then reports 404.
 func ObsHandler(reg *MetricsRegistry, tr *Tracer) http.Handler {
 	return obs.Handler(reg, tr)
 }

@@ -519,6 +519,9 @@ func Init(m *Model, cfg OptimizerConfig) (*Engine, error) {
 	var actStore *act.Store
 	if actFactory != nil {
 		if actStore, err = actFactory(0); err != nil {
+			if store != nil {
+				store.Close() // the open failure is the error to report
+			}
 			return nil, err
 		}
 	}

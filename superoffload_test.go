@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"superoffload/internal/hw"
+	"superoffload/internal/stv/stvtest"
 )
 
 func TestFig1Facade(t *testing.T) {
@@ -121,6 +125,34 @@ func TestOffloadFacade(t *testing.T) {
 	}
 	if _, err := InitDP(m, bad, DPConfig{Ranks: 2}); err == nil {
 		t.Error("unknown offload backend accepted by InitDP")
+	}
+}
+
+// TestInitClosesBucketStoreWhenActivationStoreFails: an activation tier
+// that cannot open its backing file fails Init after the bucket store is
+// already up; the error must not strand the store's lane goroutines or
+// its backing files, on either engine.
+func TestInitClosesBucketStoreWhenActivationStoreFails(t *testing.T) {
+	m, err := NewModel(ModelConfig{Layers: 2, Hidden: 32, Vocab: 64, MaxSeq: 16}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func(OptimizerConfig) (*Engine, error){
+		"Init":   func(cfg OptimizerConfig) (*Engine, error) { return Init(m, cfg) },
+		"InitDP": func(cfg OptimizerConfig) (*Engine, error) { return InitDP(m, cfg, DPConfig{Ranks: 2}) },
+	} {
+		dir := t.TempDir()
+		cfg := DefaultOptimizer()
+		cfg.Offload = OffloadConfig{Backend: "nvme", Dir: dir, IOPaths: 2}
+		cfg.Activation = ActivationConfig{Offload: "nvme", Dir: filepath.Join(dir, "nonexistent")}
+		before := runtime.NumGoroutine()
+		if _, err := build(cfg); err == nil {
+			t.Fatalf("%s: activation store opened in a directory that does not exist", name)
+		}
+		stvtest.NoLeakedGoroutines(t, before)
+		if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+			t.Errorf("%s: %d backing files left behind (%v)", name, len(left), err)
+		}
 	}
 }
 
