@@ -23,13 +23,13 @@ func TestStepAllocations(t *testing.T) {
 		mesh        MeshConfig             // zero: the single-rank Init
 		allocs      float64
 	}{
-		{"synchronous", 2, 100000, func(c *OptimizerConfig) { c.Synchronous = true }, MeshConfig{}, 13},
+		{"synchronous", 2, 100000, func(c *OptimizerConfig) { c.Synchronous = true }, MeshConfig{}, 2},
 		{"act-dram", 5, 100000, func(c *OptimizerConfig) {
 			c.Activation = ActivationConfig{Offload: "dram", ResidentLayers: 2}
-		}, MeshConfig{}, 37},
-		{"sp-2", 2, 20000, nil, MeshConfig{SeqRanks: 2}, 67},
-		{"dp-2", 2, 20000, nil, MeshConfig{Ranks: 2}, 64},
-		{"dp-2-traced", 2, 20000, func(c *OptimizerConfig) { c.Tracer = tracer }, MeshConfig{Ranks: 2}, 78},
+		}, MeshConfig{}, 20},
+		{"sp-2", 2, 20000, nil, MeshConfig{SeqRanks: 2}, 20},
+		{"dp-2", 2, 20000, nil, MeshConfig{Ranks: 2}, 17},
+		{"dp-2-traced", 2, 20000, func(c *OptimizerConfig) { c.Tracer = tracer }, MeshConfig{Ranks: 2}, 31},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := NewModel(ModelConfig{Layers: tc.layers, Hidden: 64, Heads: 4, Vocab: 128, MaxSeq: 16}, 1)

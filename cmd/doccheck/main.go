@@ -1,16 +1,17 @@
 // Command doccheck is the docs-consistency gate CI runs alongside the
 // linters. It fails (exit 1) when the documentation has drifted from the
-// code in either of two ways:
+// code in any of four ways:
 //
 //  1. CLI surface: every flag cmd/supertrain registers must be mentioned
 //     in README.md (as "-name"), so a new training knob cannot ship
 //     undocumented.
 //  2. Godoc surface: every exported identifier in the audited packages
 //     (the root facade, internal/act, internal/dp, internal/stv,
-//     internal/iolane, internal/place) must
-//     carry a doc comment, and each audited package must have a package
-//     comment — the ST1000/ST1020/ST1021-class checks, enforced without
-//     needing staticcheck installed locally.
+//     internal/iolane, internal/place, internal/obs) must carry a doc
+//     comment, and each audited package must have a package comment —
+//     staticcheck's ST1000/ST1020/ST1021-class checks, done with go/ast
+//     alone so the gate runs offline. It is the only missing-doc gate CI
+//     runs.
 //  3. Experiment surface: every experiment id registered in
 //     internal/experiments/registry.go must have a row in EXPERIMENTS.md
 //     (as `id`), so the registry and its documentation cannot drift.

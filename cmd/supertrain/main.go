@@ -38,6 +38,7 @@ import (
 	"os"
 
 	"superoffload"
+	"superoffload/internal/hw"
 )
 
 // engine is the surface of superoffload.Engine the command drives (an
@@ -130,8 +131,8 @@ func (f trainFlags) validate() error {
 	default:
 		return usageError("unknown -act-offload %q (want dram or nvme)", f.actOffload)
 	}
-	if f.actResident < 2 {
-		return usageError("-act-resident-layers must be >= 2 (the activation store's minimum write-behind window), got %d", f.actResident)
+	if f.actResident < hw.ActMinResidentLayers {
+		return usageError("-act-resident-layers must be >= %d (the activation store's minimum write-behind window), got %d", hw.ActMinResidentLayers, f.actResident)
 	}
 	switch f.placement {
 	case "", "auto", "cpu", "gpu":
@@ -239,7 +240,7 @@ func run() (err error) {
 	dramCache := flag.Int("dram-cache-buckets", 0, "DRAM cache tier in front of the nvme store, in buckets (0 disables; requires -offload nvme)")
 	actOffload := flag.String("act-offload", "", "activation spill tier: dram (host cache over C2C), nvme (file-backed), or empty (activations stay resident)")
 	actDir := flag.String("act-dir", "", "directory for nvme activation backing files (default: system temp)")
-	actResident := flag.Int("act-resident-layers", 2, "activation write-behind window: layers kept resident with -act-offload (floor 2)")
+	actResident := flag.Int("act-resident-layers", hw.ActMinResidentLayers, "activation write-behind window: layers kept resident with -act-offload (the default is the floor)")
 	bucketElems := flag.Int("bucket-elems", 0, "per-bucket element budget (0: the 64 MB default; shrink so toy models split into several buckets)")
 	placement := flag.String("placement", "", "bucket placement: auto (GPU-retained tail, §4.3), cpu, gpu, or empty (homogeneous)")
 	gpuBuckets := flag.Int("gpu-buckets", 0, "pin the GPU-retained bucket tail in -placement auto (0: derive by grid search)")
@@ -458,11 +459,4 @@ func emitJSON(eng engine, reg *superoffload.MetricsRegistry, params int, mode, p
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(buildReport(eng, reg, params, mode, parallelism, steps, finalLoss))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -55,9 +55,8 @@ type Config struct {
 	// Ignored by the DRAM tier.
 	Dir string
 	// ResidentLayers is the write-behind window W: the W most recent
-	// forward layers stay resident, everything older spills. The floor
-	// is 2 (the backward always needs the layer it is differentiating
-	// while the next fetch is in flight); values below it are raised.
+	// forward layers stay resident, everything older spills. Values below
+	// hw.ActMinResidentLayers are raised to it.
 	ResidentLayers int
 	// Hidden and Params describe the replica whose forward/backward feed
 	// the compute clock.
@@ -182,9 +181,10 @@ func NewStore(cfg Config) (*Store, error) { return newStore(cfg, nil) }
 // newStore is NewStore with the NVMe lane's file wrap exposed — the
 // fault-injection hook of the package's tests.
 func newStore(cfg Config, wrap func(iolane.File) iolane.File) (*Store, error) {
-	if cfg.ResidentLayers < 2 {
-		cfg.ResidentLayers = 2
-	}
+	// The depth is not known until the first pass stashes its layers, so
+	// only the floor of hw.ActWindow applies here; a window past the depth
+	// simply never spills.
+	cfg.ResidentLayers = max(cfg.ResidentLayers, hw.ActMinResidentLayers)
 	label := cfg.TrackLabel
 	if label == "" {
 		label = "act"

@@ -7,7 +7,7 @@
 package baselines
 
 import (
-	"fmt"
+	"math"
 
 	"superoffload/internal/hw"
 	"superoffload/internal/model"
@@ -63,42 +63,18 @@ func gpuComputeIter(chip hw.Chip, m model.Config, e sched.Execution, seq int, op
 	return compute + hw.AdamStepTime(chip, hw.AdamGPU, optParams) + collective
 }
 
-// planGPUOnly is the shared Plan skeleton for DDP/ZeRO-2/ZeRO-3/Megatron.
-func planGPUOnly(name string, w sched.Workload, fits sched.FitFunc, timeOf sched.TimeFunc) sched.Result {
-	res := sched.Result{System: name, Workload: w}
-	exec, ok := sched.ChooseExecution(w.PerGPUBatch(), fits, timeOf)
-	if !ok {
-		res.OOM = "model states + activations exceed HBM"
-		return res
-	}
-	res.Fits = true
-	res.Exec = exec
-	res.MaxMicroBatchNoCkpt = maxNoCkpt(fits, w.PerGPUBatch())
-	res.IterTime = timeOf(exec)
-	fwd, bwd := sched.ComputeTimes(w.Cluster.Node.Chip, w.Model, exec.MicroBatch, w.Seq, exec.Checkpoint)
-	busy := float64(exec.GradAccum) * (fwd + bwd) / sched.EffBatchEfficiency(exec.MicroBatch, w.Seq)
-	res.GPUIdleFrac = clamp01(1 - busy/res.IterTime)
-	res.Finalize(w.Cluster.Node.Chip)
-	return res
-}
+// hbmOOM is the out-of-memory reason of the systems that keep every model
+// state in HBM.
+const hbmOOM = "model states + activations exceed HBM"
 
-func maxNoCkpt(fits sched.FitFunc, max int) int {
-	for b := max; b >= 1; b-- {
-		if fits(b, false) {
-			return b
-		}
-	}
-	return 0
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
+// zeroCollectives is one iteration's ZeRO collective time: the gradient
+// reduce-scatter plus allGathers parameter all-gathers — 1 under ZeRO-2
+// (the updated parameters), 2 under ZeRO-3 (every layer, in forward and
+// again in backward).
+func zeroCollectives(w sched.Workload, allGathers float64) float64 {
+	n, bytes := w.Chips(), 2*w.Model.Params()
+	link := w.Cluster.DataParallelLink(n)
+	return allGathers*hw.CollectiveTime(hw.AllGather, n, bytes, link) + hw.CollectiveTime(hw.ReduceScatter, n, bytes, link)
 }
 
 // ---- PyTorch DDP ----
@@ -115,15 +91,11 @@ func (d DDP) Plan(w sched.Workload) sched.Result {
 	fits := func(micro int, ckpt bool) bool {
 		return gpuOnlyFits(chip, w.Model, 16, adamTransientBytesPerParam, p, micro, w.Seq, ckpt)
 	}
-	timeOf := func(e sched.Execution) float64 {
-		var coll float64
-		if n := w.Chips(); n > 1 {
-			// All-reduce of fp16 gradients, mostly overlapped.
-			coll = exposedCollectiveFrac * hw.CollectiveTime(hw.AllReduce, n, 2*p, w.Cluster.DataParallelLink(n))
-		}
-		return gpuComputeIter(chip, w.Model, e, w.Seq, p, coll)
-	}
-	return planGPUOnly(d.Name(), w, fits, timeOf)
+	// All-reduce of fp16 gradients, mostly overlapped.
+	n := w.Chips()
+	coll := exposedCollectiveFrac * hw.CollectiveTime(hw.AllReduce, n, 2*p, w.Cluster.DataParallelLink(n))
+	timeOf := func(e sched.Execution) float64 { return gpuComputeIter(chip, w.Model, e, w.Seq, p, coll) }
+	return sched.AnalyticPlan(d.Name(), w, hbmOOM, fits, timeOf)
 }
 
 // ---- Megatron (tensor parallelism) ----
@@ -177,7 +149,7 @@ func (mg Megatron) Plan(w sched.Workload) sched.Result {
 		timeOf := func(e sched.Execution) float64 {
 			// TP shrinks per-rank GEMMs; effective hidden drops
 			// with √tp, lowering achievable efficiency.
-			effHidden := int(float64(w.Model.Hidden) / sqrtf(tp))
+			effHidden := int(float64(w.Model.Hidden) / math.Sqrt(float64(tp)))
 			ach := hw.AchievableGPUFLOPS(chip, effHidden, w.Seq)
 			flops := w.Model.IterFLOPs(e.MicroBatch, w.Seq) / float64(tp)
 			if e.Checkpoint {
@@ -218,15 +190,6 @@ func (mg Megatron) Plan(w sched.Workload) sched.Result {
 	return res
 }
 
-func sqrtf(n int) float64 {
-	x := float64(n)
-	z := x / 2
-	for i := 0; i < 20; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
-}
-
 // ---- ZeRO-2 ----
 
 // ZeRO2 shards gradients and optimizer states across ranks but keeps a
@@ -248,16 +211,9 @@ func (z ZeRO2) Plan(w sched.Workload) sched.Result {
 		act := float64(w.Model.ActivationBytes(micro, w.Seq, ckpt))
 		return int64(resident+act)+hw.GPUMemoryOverheadBytes <= chip.GPU.MemBytes
 	}
-	timeOf := func(e sched.Execution) float64 {
-		var coll float64
-		if n > 1 {
-			link := w.Cluster.DataParallelLink(int(n))
-			coll = exposedCollectiveFrac * (hw.CollectiveTime(hw.ReduceScatter, int(n), 2*p, link) +
-				hw.CollectiveTime(hw.AllGather, int(n), 2*p, link))
-		}
-		return gpuComputeIter(chip, w.Model, e, w.Seq, p/n, coll)
-	}
-	return planGPUOnly(z.Name(), w, fits, timeOf)
+	coll := exposedCollectiveFrac * zeroCollectives(w, 1)
+	timeOf := func(e sched.Execution) float64 { return gpuComputeIter(chip, w.Model, e, w.Seq, p/n, coll) }
+	return sched.AnalyticPlan(z.Name(), w, hbmOOM, fits, timeOf)
 }
 
 // ---- ZeRO-3 ----
@@ -279,33 +235,15 @@ func (z ZeRO3) Plan(w sched.Workload) sched.Result {
 		}
 		return gpuOnlyFits(chip, w.Model, 16*zero3Factor, shardTransientBytesPerParam, shard, micro, w.Seq, ckpt)
 	}
-	timeOf := func(e sched.Execution) float64 {
-		var coll float64
-		if n > 1 {
-			link := w.Cluster.DataParallelLink(n)
-			// Parameter all-gathers in forward and backward plus
-			// gradient reduce-scatter; prefetch overlaps most.
-			coll = exposedCollectiveFrac * (2*hw.CollectiveTime(hw.AllGather, n, 2*p, link) +
-				hw.CollectiveTime(hw.ReduceScatter, n, 2*p, link))
-		}
-		return gpuComputeIter(chip, w.Model, e, w.Seq, shard, coll)
-	}
-	return planGPUOnly(z.Name(), w, fits, timeOf)
+	// Prefetch overlaps most of the collectives.
+	coll := exposedCollectiveFrac * zeroCollectives(w, 2)
+	timeOf := func(e sched.Execution) float64 { return gpuComputeIter(chip, w.Model, e, w.Seq, shard, coll) }
+	return sched.AnalyticPlan(z.Name(), w, hbmOOM, fits, timeOf)
 }
 
 // ---- All ----
 
 // All returns every baseline in the paper's comparison order.
 func All() []sched.System {
-	return []sched.System{DDP{}, Megatron{}, ZeRO2{}, ZeRO3{}, ZeROOffload{}, ZeROInfinity{}, FSDPOffload{}}
-}
-
-// ByName resolves a baseline by display name.
-func ByName(name string) (sched.System, error) {
-	for _, s := range All() {
-		if s.Name() == name {
-			return s, nil
-		}
-	}
-	return nil, fmt.Errorf("baselines: unknown system %q", name)
+	return []sched.System{DDP{}, Megatron{}, ZeRO2{}, ZeRO3{}, ZeROOffload, ZeROInfinity, FSDPOffload}
 }

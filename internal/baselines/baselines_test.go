@@ -29,15 +29,6 @@ func TestAllSystemsHaveDistinctNames(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	if _, err := ByName("ZeRO-Offload"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ByName("Adam-SGD-3000"); err == nil {
-		t.Fatal("unknown system resolved")
-	}
-}
-
 // TestFig13SingleChipCapacities pins the paper's Fig. 13 single-Superchip
 // capacity points: DDP 3.5B, ZeRO-Offload 15B (SuperOffload's 25B is
 // asserted in internal/core).
@@ -46,10 +37,10 @@ func TestFig13SingleChipCapacities(t *testing.T) {
 	if got := sched.MaxTrainable(DDP{}, cl, 8, 1024); got.Name != "3.5B" {
 		t.Errorf("DDP max = %s, paper 3.5B", got.Name)
 	}
-	if got := sched.MaxTrainable(ZeROOffload{}, cl, 8, 1024); got.Name != "15B" {
+	if got := sched.MaxTrainable(ZeROOffload, cl, 8, 1024); got.Name != "15B" {
 		t.Errorf("ZeRO-Offload max = %s, paper 15B", got.Name)
 	}
-	if got := sched.MaxTrainable(ZeROInfinity{}, cl, 8, 1024); got.Name != "25B" {
+	if got := sched.MaxTrainable(ZeROInfinity, cl, 8, 1024); got.Name != "25B" {
 		t.Errorf("ZeRO-Infinity max = %s, paper ~25B (comparable to SuperOffload)", got.Name)
 	}
 	// Megatron/ZeRO-2/ZeRO-3 "do not enable training larger models on a
@@ -69,7 +60,7 @@ func TestFig13MultiChipCapacities(t *testing.T) {
 	cl16 := hw.ClusterFor(16)
 	// §5.4: ZeRO-Offload stays bounded (~20B) regardless of GPU count;
 	// ZeRO-2 ~20B; Megatron and ZeRO-3 reach ~45-50B on 16 chips.
-	if got := sched.MaxTrainable(ZeROOffload{}, cl16, 128, 1024); got.Params() > 26e9 {
+	if got := sched.MaxTrainable(ZeROOffload, cl16, 128, 1024); got.Params() > 26e9 {
 		t.Errorf("ZeRO-Offload 16-chip max = %s, paper says bounded ~20B", got.Name)
 	}
 	if got := sched.MaxTrainable(ZeRO2{}, cl16, 128, 1024); got.Name != "20B" {
@@ -89,9 +80,9 @@ func TestFig13MultiChipCapacities(t *testing.T) {
 
 func TestFig10SingleChipThroughputShape(t *testing.T) {
 	w := wl(1, "5B", 8)
-	zo := ZeROOffload{}.Plan(w)
-	zi := ZeROInfinity{}.Plan(w)
-	fsdp := FSDPOffload{}.Plan(w)
+	zo := ZeROOffload.Plan(w)
+	zi := ZeROInfinity.Plan(w)
+	fsdp := FSDPOffload.Plan(w)
 	if !zo.Fits || !zi.Fits || !fsdp.Fits {
 		t.Fatalf("5B must fit all offload systems")
 	}
@@ -114,7 +105,7 @@ func TestFig10SingleChipThroughputShape(t *testing.T) {
 
 func TestZeROOffloadIdleFraction(t *testing.T) {
 	// Fig. 4: prior offloading leaves the GPU idle 40-50% per iteration.
-	r := ZeROOffload{}.Plan(wl(1, "5B", 8))
+	r := ZeROOffload.Plan(wl(1, "5B", 8))
 	if r.GPUIdleFrac < 0.35 || r.GPUIdleFrac > 0.65 {
 		t.Errorf("ZeRO-Offload GPU idle = %.2f, paper 0.40-0.50", r.GPUIdleFrac)
 	}
@@ -167,7 +158,7 @@ func TestOffloadBeatsGPUOnlyOnCapacityNotSpeed(t *testing.T) {
 	// At 3B on a single chip, GPU-only systems are faster than
 	// PCIe-era offloading (the conventional wisdom SuperOffload breaks).
 	ddp := DDP{}.Plan(wl(1, "3B", 8))
-	zo := ZeROOffload{}.Plan(wl(1, "3B", 8))
+	zo := ZeROOffload.Plan(wl(1, "3B", 8))
 	if !ddp.Fits || !zo.Fits {
 		t.Fatal("both fit 3B")
 	}
@@ -177,8 +168,8 @@ func TestOffloadBeatsGPUOnlyOnCapacityNotSpeed(t *testing.T) {
 }
 
 func TestCollectivesHurtMultiChipOffloadBaselines(t *testing.T) {
-	single := ZeROOffload{}.Plan(wl(1, "13B", 8))
-	multi := ZeROOffload{}.Plan(wl(16, "13B", 128))
+	single := ZeROOffload.Plan(wl(1, "13B", 8))
+	multi := ZeROOffload.Plan(wl(16, "13B", 128))
 	if !single.Fits || !multi.Fits {
 		t.Skip("capacity differs")
 	}
@@ -191,7 +182,7 @@ func TestCollectivesHurtMultiChipOffloadBaselines(t *testing.T) {
 }
 
 func TestResultsCarryExecution(t *testing.T) {
-	r := ZeROOffload{}.Plan(wl(1, "13B", 8))
+	r := ZeROOffload.Plan(wl(1, "13B", 8))
 	if !r.Fits {
 		t.Fatalf("13B should fit ZeRO-Offload: %s", r.OOM)
 	}

@@ -11,11 +11,11 @@ func TestNVMeExtendsCapacityBeyondDDR(t *testing.T) {
 	// With the NVMe tier, even a 200B model fits a single Superchip
 	// (optimizer states on flash) — far beyond the 25B DDR bound.
 	cl := hw.ClusterFor(1)
-	got := sched.MaxTrainable(ZeROInfinityNVMe{}, cl, 8, 1024)
+	got := sched.MaxTrainable(ZeROInfinityNVMe, cl, 8, 1024)
 	if got.Params() < 150e9 {
 		t.Errorf("NVMe tier max = %s, expected ≥150B on one chip", got.Name)
 	}
-	ddr := sched.MaxTrainable(ZeROInfinity{}, cl, 8, 1024)
+	ddr := sched.MaxTrainable(ZeROInfinity, cl, 8, 1024)
 	if got.Params() <= ddr.Params() {
 		t.Errorf("NVMe (%s) should exceed DDR-bound ZeRO-Infinity (%s)", got.Name, ddr.Name)
 	}
@@ -25,8 +25,8 @@ func TestNVMeThroughputPenalty(t *testing.T) {
 	// The extra tier costs throughput where both fit: swap traffic is
 	// exposed on the synchronous schedule.
 	w := wl(1, "13B", 8)
-	nvme := ZeROInfinityNVMe{}.Plan(w)
-	ddr := ZeROInfinity{}.Plan(w)
+	nvme := ZeROInfinityNVMe.Plan(w)
+	ddr := ZeROInfinity.Plan(w)
 	if !nvme.Fits || !ddr.Fits {
 		t.Fatal("13B must fit both variants")
 	}

@@ -6,16 +6,111 @@ import (
 	"superoffload/internal/sched"
 )
 
-// ---- ZeRO-Offload ----
+// offloadSystem is one offloading baseline. All four run the bucketized
+// schedule of sched.Build on the synchronize-then-execute barrier with
+// the PCIe-era cast-on-CPU transfer format, and differ only in the data
+// below.
+type offloadSystem struct {
+	name string
+	oom  string // Result.OOM when no execution fits
+	// bucketBytes is the fp16 payload of one transfer bucket; 0 makes
+	// every transformer layer one bucket (FSDP's wrapping unit).
+	bucketBytes int64
+	// knobs are the schedule flags of the sched.OffloadPlan; Plan fills
+	// in the chip, model, execution and bucket partition.
+	knobs sched.OffloadPlan
+	fits  func(w sched.Workload, micro int, ckpt bool) bool
+	// allGathers selects the zeroCollectives term (1: ZeRO-2 layout, 2:
+	// ZeRO-3). The synchronous schedule serializes it with the offload
+	// phase — nothing hides it (Fig. 3).
+	allGathers float64
+	// swap is the exposed flash time per step for a shard held on NVMe;
+	// nil when the states live in DRAM.
+	swap func(shardParams int64) float64
+}
+
+func (s offloadSystem) Name() string { return s.name }
+
+func (s offloadSystem) Plan(w sched.Workload) sched.Result {
+	chip := w.Cluster.Node.Chip
+	shard := w.Model.Params() / int64(w.Chips())
+	nb := w.Model.Layers
+	if s.bucketBytes > 0 {
+		nb = int((2*shard + s.bucketBytes - 1) / s.bucketBytes)
+	}
+	nb = max(nb, 1)
+	var swap float64
+	if s.swap != nil {
+		swap = s.swap(shard)
+	}
+	coll := zeroCollectives(w, s.allGathers)
+	timeOf := func(e sched.Execution) float64 {
+		p := s.knobs
+		p.Chip, p.Link, p.Model, p.Exec, p.Seq = chip, chip.Link, w.Model, e, w.Seq
+		p.NBuckets, p.BucketParams = nb, shard/int64(nb)
+		_, st, err := sched.Build(p)
+		if err != nil {
+			return 0
+		}
+		return st.IterTime + swap + coll
+	}
+	fits := func(micro int, ckpt bool) bool { return s.fits(w, micro, ckpt) }
+	return sched.AnalyticPlan(s.name, w, s.oom, fits, timeOf)
+}
 
 // ZeROOffload is DeepSpeed's CPU offloading on top of ZeRO-2 (ATC'21):
 // fp16 weights and gradients stay on the GPU, optimizer states and the
-// Adam step move to the CPU, with PCIe-tuned buckets, the
-// synchronize-then-execute schedule, and the minimum-volume (cast-on-CPU)
-// transfer format.
-type ZeROOffload struct{}
+// Adam step move to the CPU, with PCIe-tuned buckets.
+var ZeROOffload = offloadSystem{
+	name: "ZeRO-Offload", oom: "fp16 replica + gradients exceed HBM",
+	bucketBytes: hw.ZeROOffloadBucketBytes,
+	knobs:       sched.OffloadPlan{CPUImpl: hw.AdamCPU},
+	fits:        fitsZeROOffload,
+	allGathers:  1,
+}
 
-func (ZeROOffload) Name() string { return "ZeRO-Offload" }
+// ZeROInfinity extends ZeRO-3 with CPU offload of parameters and optimizer
+// states (SC'21), streaming weights per small swap buffer. Its PCIe-tuned
+// buffer sizes leave the C2C link latency-bound (§5.2).
+var ZeROInfinity = offloadSystem{
+	name: "ZeRO-Infinity", oom: "CPU states exceed DDR (or activations exceed HBM)",
+	bucketBytes: hw.ZeROInfinityBucketBytes,
+	knobs:       sched.OffloadPlan{CPUImpl: hw.AdamCPU, WeightFlow: true, UnpinnedWeights: true},
+	fits:        fitsCPUStates,
+	allGathers:  2,
+}
+
+// FSDPOffload is PyTorch FSDP with CPUOffload(offload_params=True)
+// (VLDB'23): parameters, gradients and optimizer states live on the CPU;
+// every layer's weights are copied in synchronously per pass through
+// pageable memory, gradients are copied back the same way, and the
+// optimizer is the native (unfused) CPU Adam.
+var FSDPOffload = offloadSystem{
+	name: "FSDP-Offload", oom: ZeROInfinity.oom,
+	knobs: sched.OffloadPlan{CPUImpl: hw.AdamNaive, WeightFlow: true,
+		PageableTransfers: true, PerLayerSync: hw.FSDPSyncPerLayerS},
+	fits:       fitsCPUStates,
+	allGathers: 2,
+}
+
+// ZeROInfinityNVMe is ZeRO-Infinity with its NVMe tier enabled — the full
+// design of the original paper, which the SuperOffload evaluation turns
+// off for fair comparison (§5.1 "we only enable its CPU offloading"). It
+// extends trainable model scale far past DDR at the cost of swapping
+// optimizer states through the NVMe array every step.
+var ZeROInfinityNVMe = offloadSystem{
+	name: "ZeRO-Infinity+NVMe", oom: "NVMe/DRAM staging exceeded",
+	bucketBytes: ZeROInfinity.bucketBytes,
+	knobs:       ZeROInfinity.knobs,
+	fits:        fitsNVMeStates,
+	allGathers:  2,
+	// Optimizer states stream through NVMe each step, and the fp16
+	// weights are re-read from flash for each pass; the aio pipeline
+	// overlaps poorly with the synchronous schedule, so both are exposed.
+	swap: func(shardParams int64) float64 {
+		return hw.NodeNVMe().StepSwapTime(shardParams, model.BytesFP16Param, 2)
+	},
+}
 
 // fitsZeROOffload: single GPU holds full fp16 params+grads (4Ψ); with
 // ZeRO-2 sharding across n ranks the gradients shrink to 2Ψ/n but the
@@ -42,204 +137,28 @@ func fitsZeROOffload(w sched.Workload, micro int, ckpt bool) bool {
 	return cpu <= chip.CPU.MemBytes
 }
 
-func (z ZeROOffload) Plan(w sched.Workload) sched.Result {
-	res := sched.Result{System: z.Name(), Workload: w}
-	chip := w.Cluster.Node.Chip
-	n := w.Chips()
-	shard := w.Model.Params() / int64(n)
-	nb := int((2*shard + hw.ZeROOffloadBucketBytes - 1) / hw.ZeROOffloadBucketBytes)
-	if nb < 1 {
-		nb = 1
-	}
-
-	timeOf := func(e sched.Execution) float64 {
-		p := sched.OffloadPlan{
-			Chip: chip, Link: chip.Link, Model: w.Model, Exec: e, Seq: w.Seq,
-			NBuckets: nb, BucketParams: shard / int64(nb),
-			CastOnGPU: false, Speculative: false, CPUImpl: hw.AdamCPU,
-		}
-		_, st, err := sched.Build(p)
-		if err != nil {
-			return 0
-		}
-		t := st.IterTime
-		if n > 1 {
-			// The synchronize-then-execute schedule serializes the
-			// gradient reduce-scatter and the post-step parameter
-			// all-gather with the offload phase — nothing hides
-			// them (Fig. 3).
-			link := w.Cluster.DataParallelLink(n)
-			t += hw.CollectiveTime(hw.ReduceScatter, n, 2*w.Model.Params(), link) +
-				hw.CollectiveTime(hw.AllGather, n, 2*w.Model.Params(), link)
-		}
-		return t
-	}
-	fits := func(micro int, ckpt bool) bool { return fitsZeROOffload(w, micro, ckpt) }
-	exec, ok := sched.ChooseExecution(w.PerGPUBatch(), fits, timeOf)
-	if !ok {
-		res.OOM = "fp16 replica + gradients exceed HBM"
-		return res
-	}
-	res.Fits = true
-	res.Exec = exec
-	res.MaxMicroBatchNoCkpt = maxNoCkpt(fits, w.PerGPUBatch())
-
-	p := sched.OffloadPlan{
-		Chip: chip, Link: chip.Link, Model: w.Model, Exec: exec, Seq: w.Seq,
-		NBuckets: nb, BucketParams: shard / int64(nb),
-		CastOnGPU: false, Speculative: false, CPUImpl: hw.AdamCPU,
-	}
-	engine, _, err := sched.Build(p)
-	if err != nil {
-		res.Fits = false
-		res.OOM = err.Error()
-		return res
-	}
-	res.Engine = engine
-	res.IterTime = timeOf(exec)
-	// Idle accounts for the full iteration including the exposed
-	// data-parallel collectives, matching the Fig. 4 measurement.
-	res.GPUIdleFrac = idleFromCompute(chip, w, exec, res.IterTime)
-	res.Finalize(chip)
-	return res
-}
-
-// ---- ZeRO-Infinity ----
-
-// ZeROInfinity extends ZeRO-3 with CPU offload of parameters and optimizer
-// states (SC'21), streaming weights per small swap buffer. Its PCIe-tuned
-// buffer sizes leave the C2C link latency-bound (§5.2).
-type ZeROInfinity struct{}
-
-func (ZeROInfinity) Name() string { return "ZeRO-Infinity" }
-
-func fitsCPUStates(w sched.Workload, micro int, ckpt bool, workingBytes int64) bool {
-	chip := w.Cluster.Node.Chip
-	n := int64(w.Chips())
-	shard := w.Model.Params() / n
-	act := w.Model.ActivationBytes(micro, w.Seq, ckpt)
-	if workingBytes+act+hw.GPUMemoryOverheadBytes > chip.GPU.MemBytes {
-		return false
-	}
-	return shard*model.BytesCPUStatesFull+hw.CPUMemoryOverheadBytes <= chip.CPU.MemBytes
-}
-
-func (z ZeROInfinity) Plan(w sched.Workload) sched.Result {
-	res := sched.Result{System: z.Name(), Workload: w}
-	chip := w.Cluster.Node.Chip
-	n := w.Chips()
-	shard := w.Model.Params() / int64(n)
-	nb := int((2*shard + hw.ZeROInfinityBucketBytes - 1) / hw.ZeROInfinityBucketBytes)
-	if nb < 1 {
-		nb = 1
-	}
-	const workingBytes = 2 << 30 // swap buffers + live layer
-
-	fits := func(micro int, ckpt bool) bool { return fitsCPUStates(w, micro, ckpt, workingBytes) }
-	timeOf := func(e sched.Execution) float64 {
-		p := sched.OffloadPlan{
-			Chip: chip, Link: chip.Link, Model: w.Model, Exec: e, Seq: w.Seq,
-			NBuckets: nb, BucketParams: shard / int64(nb),
-			CastOnGPU: false, Speculative: false, CPUImpl: hw.AdamCPU,
-			WeightFlow: true, UnpinnedWeights: true,
-		}
-		_, st, err := sched.Build(p)
-		if err != nil {
-			return 0
-		}
-		t := st.IterTime
-		if n > 1 {
-			// ZeRO-3-style parameter all-gathers in both passes plus
-			// the gradient reduce-scatter, serialized by the
-			// synchronous swap pipeline.
-			link := w.Cluster.DataParallelLink(n)
-			t += 2*hw.CollectiveTime(hw.AllGather, n, 2*w.Model.Params(), link) +
-				hw.CollectiveTime(hw.ReduceScatter, n, 2*w.Model.Params(), link)
-		}
-		return t
-	}
-	exec, ok := sched.ChooseExecution(w.PerGPUBatch(), fits, timeOf)
-	if !ok {
-		res.OOM = "CPU states exceed DDR (or activations exceed HBM)"
-		return res
-	}
-	res.Fits = true
-	res.Exec = exec
-	res.MaxMicroBatchNoCkpt = maxNoCkpt(fits, w.PerGPUBatch())
-	res.IterTime = timeOf(exec)
-	res.GPUIdleFrac = idleFromCompute(chip, w, exec, res.IterTime)
-	res.Finalize(chip)
-	return res
-}
-
-// ---- FSDP CPU Offload ----
-
-// FSDPOffload is PyTorch FSDP with CPUOffload(offload_params=True)
-// (VLDB'23): parameters, gradients and optimizer states live on the CPU;
-// every layer's weights are copied in synchronously per pass through
-// pageable memory, gradients are copied back the same way, and the
-// optimizer is the native (unfused) CPU Adam.
-type FSDPOffload struct{}
-
-func (FSDPOffload) Name() string { return "FSDP-Offload" }
-
-func (f FSDPOffload) Plan(w sched.Workload) sched.Result {
-	res := sched.Result{System: f.Name(), Workload: w}
-	chip := w.Cluster.Node.Chip
-	n := w.Chips()
-	shard := w.Model.Params() / int64(n)
-	nb := w.Model.Layers // FSDP units are layers
-	if nb < 1 {
-		nb = 1
-	}
+// streamedFitsHBM is the HBM check of the weight-streaming systems: swap
+// buffers plus the live layer (2 GiB) next to the activations.
+func streamedFitsHBM(w sched.Workload, micro int, ckpt bool) bool {
 	const workingBytes = 2 << 30
-
-	fits := func(micro int, ckpt bool) bool { return fitsCPUStates(w, micro, ckpt, workingBytes) }
-	timeOf := func(e sched.Execution) float64 {
-		p := sched.OffloadPlan{
-			Chip: chip, Link: chip.Link, Model: w.Model, Exec: e, Seq: w.Seq,
-			NBuckets: nb, BucketParams: shard / int64(nb),
-			CastOnGPU: false, Speculative: false, CPUImpl: hw.AdamNaive,
-			WeightFlow: true, PageableTransfers: true,
-			PerLayerSync: hw.FSDPSyncPerLayerS,
-		}
-		_, st, err := sched.Build(p)
-		if err != nil {
-			return 0
-		}
-		t := st.IterTime
-		if n > 1 {
-			// ZeRO-3-style parameter all-gathers in both passes plus
-			// the gradient reduce-scatter, serialized by the
-			// synchronous swap pipeline.
-			link := w.Cluster.DataParallelLink(n)
-			t += 2*hw.CollectiveTime(hw.AllGather, n, 2*w.Model.Params(), link) +
-				hw.CollectiveTime(hw.ReduceScatter, n, 2*w.Model.Params(), link)
-		}
-		return t
-	}
-	exec, ok := sched.ChooseExecution(w.PerGPUBatch(), fits, timeOf)
-	if !ok {
-		res.OOM = "CPU states exceed DDR (or activations exceed HBM)"
-		return res
-	}
-	res.Fits = true
-	res.Exec = exec
-	res.MaxMicroBatchNoCkpt = maxNoCkpt(fits, w.PerGPUBatch())
-	res.IterTime = timeOf(exec)
-	res.GPUIdleFrac = idleFromCompute(chip, w, exec, res.IterTime)
-	res.Finalize(chip)
-	return res
+	act := w.Model.ActivationBytes(micro, w.Seq, ckpt)
+	return workingBytes+act+hw.GPUMemoryOverheadBytes <= w.Cluster.Node.Chip.GPU.MemBytes
 }
 
-// idleFromCompute derives the GPU idle fraction from useful compute vs
-// iteration time for systems timed through the pipeline builder plus
-// collective terms.
-func idleFromCompute(chip hw.Chip, w sched.Workload, e sched.Execution, iter float64) float64 {
-	if iter <= 0 {
-		return 0
-	}
-	fwd, bwd := sched.ComputeTimes(chip, w.Model, e.MicroBatch, w.Seq, e.Checkpoint)
-	busy := float64(e.GradAccum) * (fwd + bwd) / sched.EffBatchEfficiency(e.MicroBatch, w.Seq)
-	return clamp01(1 - busy/iter)
+// fitsCPUStates: every model state of the shard lives in DDR.
+func fitsCPUStates(w sched.Workload, micro int, ckpt bool) bool {
+	shard := w.Model.Params() / int64(w.Chips())
+	return streamedFitsHBM(w, micro, ckpt) &&
+		shard*model.BytesCPUStatesFull+hw.CPUMemoryOverheadBytes <= w.Cluster.Node.Chip.CPU.MemBytes
+}
+
+// fitsNVMeStates: DRAM holds only the swap pipeline's staging buffers;
+// model states (fp16 params, fp32 gradients, optimizer states) all live on
+// the NVMe tier, which is what "breaking the GPU memory wall" buys.
+func fitsNVMeStates(w sched.Workload, micro int, ckpt bool) bool {
+	const dramStagingBytes = 16 << 30
+	shard := w.Model.Params() / int64(w.Chips())
+	return streamedFitsHBM(w, micro, ckpt) &&
+		dramStagingBytes+hw.CPUMemoryOverheadBytes <= w.Cluster.Node.Chip.CPU.MemBytes &&
+		shard*model.BytesCPUStatesFull <= hw.NodeNVMe().Capacity
 }

@@ -303,12 +303,12 @@ func TestActCoPlanWindow(t *testing.T) {
 		t.Errorf("roomy co-plan = (%d, %v), want (%d, false)", w, spill, m.Layers)
 	}
 
-	// No HBM at all: the window floors at ActMinResidentLayers and spills
+	// No HBM at all: the window floors at hw.ActMinResidentLayers and spills
 	// (feasibility is the caller's Fits check, not ActCoPlan's).
 	tiny := chip
 	tiny.GPU.MemBytes = 1
-	if w, spill := ActCoPlan(tiny, m, m.Params(), WeightStationary, exec, 1024, 1<<24, 0); w != ActMinResidentLayers || !spill {
-		t.Errorf("tiny co-plan = (%d, %v), want (%d, true)", w, spill, ActMinResidentLayers)
+	if w, spill := ActCoPlan(tiny, m, m.Params(), WeightStationary, exec, 1024, 1<<24, 0); w != hw.ActMinResidentLayers || !spill {
+		t.Errorf("tiny co-plan = (%d, %v), want (%d, true)", w, spill, hw.ActMinResidentLayers)
 	}
 
 	// The window is monotone in HBM: more memory never shrinks it, and
@@ -320,7 +320,7 @@ func TestActCoPlanWindow(t *testing.T) {
 	mid := chip
 	mid.GPU.MemBytes = base + full/2
 	w, spill := ActCoPlan(mid, m, m.Params(), WeightStationary, exec, 1024, 1<<24, 0)
-	if !spill || w <= ActMinResidentLayers || w >= m.Layers {
+	if !spill || w <= hw.ActMinResidentLayers || w >= m.Layers {
 		t.Errorf("mid co-plan = (%d, %v), want a partial spilling window", w, spill)
 	}
 	wRoomy, _ := ActCoPlan(roomy, m, m.Params(), WeightStationary, exec, 1024, 1<<24, 0)

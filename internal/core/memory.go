@@ -69,14 +69,10 @@ func CPUMemory(shardParams int64, bucketParams int64, gpuBuckets int) int64 {
 	return cpuParams*model.BytesCPUStatesFull + hw.CPUMemoryOverheadBytes
 }
 
-// ActMinResidentLayers is the activation tier's write-behind floor: the
-// layer being differentiated plus the prefetch in flight.
-const ActMinResidentLayers = 2
-
 // ActCoPlan sizes the activation tier against the HBM left over after
 // the optimizer placement claims its share — the two offload subsystems
 // planned under one budget. It returns the largest resident-layer window
-// W (ActMinResidentLayers ≤ W ≤ layers) such that the plan's
+// W (hw.ActWindow(0, layers) ≤ W ≤ layers) such that the plan's
 // non-activation GPU demand plus W/L of the uncheckpointed per-layer
 // activation footprint (the logit activations always stay resident) fits
 // the chip, plus whether that window spills (W < layers). When even the
@@ -94,8 +90,8 @@ func ActCoPlan(chip hw.Chip, m model.Config, shardParams int64, pol Policy, exec
 	head.Layers = 0
 	logit := head.ActivationBytes(exec.MicroBatch, seq, false)
 	perLayer := (m.ActivationBytes(exec.MicroBatch, seq, false) - logit) / int64(m.Layers)
-	w := m.Layers
-	for w > ActMinResidentLayers && base+logit+int64(w)*perLayer > chip.GPU.MemBytes {
+	w, floor := m.Layers, hw.ActWindow(0, m.Layers)
+	for w > floor && base+logit+int64(w)*perLayer > chip.GPU.MemBytes {
 		w--
 	}
 	return w, w < m.Layers

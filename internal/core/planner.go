@@ -161,10 +161,8 @@ func (s *System) Plan(w sched.Workload) sched.Result {
 	}
 	res.Exec = p.Exec
 	res.Fits = true
-	res.MaxMicroBatchNoCkpt = maxMicroNoCkpt(s.fitFunc(w, p.BucketParams), w.PerGPUBatch())
 	res.IterTime = t
-	res.Engine = engine
-	res.GPUIdleFrac = steadyOf(engine).GPUIdleFrac
+	res.GPUIdleFrac = gpuIdleOf(engine)
 	res.Finalize(w.Cluster.Node.Chip)
 	return res
 }
@@ -258,25 +256,15 @@ func gridPoints(nb int) []int {
 	return out
 }
 
-func maxMicroNoCkpt(fits sched.FitFunc, max int) int {
-	for b := max; b >= 1; b-- {
-		if fits(b, false) {
-			return b
-		}
-	}
-	return 0
-}
-
-// steadyOf recomputes steady stats from an engine built by simulate; when
-// the engine is nil (error path) it returns zeros.
-func steadyOf(e *sim.Engine) sched.SteadyStats {
+// gpuIdleOf is the GPU idle share of an engine simulate has run, over the
+// whole horizon (warm-up bias is small with ≥3 iterations); host-sync
+// stalls occupy the stream but count as idle. A nil engine (simulate's
+// error path) reads 0.
+func gpuIdleOf(e *sim.Engine) float64 {
 	if e == nil {
-		return sched.SteadyStats{}
+		return 0
 	}
-	// The engine has already run; recover GPU utilization over the
-	// whole horizon (warm-up bias is small with ≥3 iterations).
 	ms := e.Makespan()
 	u := e.Utilization(sched.ResGPU, ms)
-	busy := u.Busy - u.ByTag[sim.TagIdleWait]
-	return sched.SteadyStats{GPUUtil: busy / ms, GPUIdleFrac: 1 - busy/ms, Makespan: ms}
+	return 1 - (u.Busy-u.ByTag[sim.TagIdleWait])/ms
 }

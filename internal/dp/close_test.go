@@ -1,10 +1,14 @@
 package dp
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
+	"superoffload/internal/act"
 	"superoffload/internal/data"
 	"superoffload/internal/stv"
+	"superoffload/internal/stv/stvtest"
 )
 
 // closeable is the lifecycle surface the idempotency tests drive.
@@ -119,5 +123,53 @@ func TestCloseRejectsFurtherUse(t *testing.T) {
 	}
 	if _, err := eng.Flush(); err == nil {
 		t.Error("Flush on a closed engine succeeded")
+	}
+}
+
+// closeCounter is a DRAM bucket store that counts its Close calls.
+type closeCounter struct {
+	*stv.DRAMStore
+	closed *int
+}
+
+func (c closeCounter) Close() error { *c.closed++; return nil }
+
+// TestFailedStoreFactoryUnwinds: when a rank's bucket-store or
+// activation-store factory fails, New returns an error naming the rank
+// and what it was building, and every store already built is closed.
+func TestFailedStoreFactoryUnwinds(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name, want string
+		actFails   bool // the activation factory fails, not the bucket one
+		closed     int  // bucket stores New must close
+	}{
+		{"bucket store", "dp: building rank 1 store: boom", false, 1},
+		{"activation store", "dp: building rank 1 activation store: boom", true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before, closed := runtime.NumGoroutine(), 0
+			cfg := shapeConfig(2, 1, 1)
+			cfg.NewStore = func(rank int) (stv.BucketStore, error) {
+				if rank == 1 && !tc.actFails {
+					return nil, boom
+				}
+				return closeCounter{stv.NewDRAMStore(), &closed}, nil
+			}
+			cfg.NewActStore = func(rank int) (*act.Store, error) {
+				if rank == 1 {
+					return nil, boom
+				}
+				return act.NewStore(act.Config{})
+			}
+			_, err := New(tinyGPT(3), cfg)
+			if err == nil || err.Error() != tc.want || !errors.Is(err, boom) {
+				t.Fatalf("New error = %v, want %q wrapping the factory's", err, tc.want)
+			}
+			if closed != tc.closed {
+				t.Errorf("%d bucket stores closed, want %d", closed, tc.closed)
+			}
+			stvtest.NoLeakedGoroutines(t, before)
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"superoffload/internal/act"
 	"superoffload/internal/data"
 	"superoffload/internal/nn"
 	"superoffload/internal/obs"
@@ -185,47 +184,27 @@ func (c *coordinator) closeWorld(w *world, ranks []*rank) error {
 	return err
 }
 
-// buildStores constructs every rank's bucket store before any rank
-// goroutine starts, so a failing store constructor can unwind cleanly.
-// A nil factory keeps every shard DRAM-resident.
-func buildStores(n int, factory func(rank int) (stv.BucketStore, error)) ([]stv.BucketStore, error) {
-	stores := make([]stv.BucketStore, n)
-	for id := 0; id < n; id++ {
-		if factory == nil {
-			stores[id] = stv.NewDRAMStore()
-			continue
-		}
-		st, err := factory(id)
+// buildPerRank calls factory once per rank before any rank goroutine
+// starts, so a failing constructor can unwind cleanly: what the earlier
+// ranks built is closed and the error names the rank and what it was
+// building. A factory may return a nil T for a rank that gets none.
+func buildPerRank[T interface {
+	comparable
+	Close() error
+}](n int, what string, factory func(rank int) (T, error)) ([]T, error) {
+	var none T
+	built := make([]T, n)
+	for id := range built {
+		v, err := factory(id)
 		if err != nil {
-			for _, s := range stores[:id] {
-				s.Close()
-			}
-			return nil, fmt.Errorf("dp: building rank %d store: %w", id, err)
-		}
-		stores[id] = st
-	}
-	return stores, nil
-}
-
-// buildActStores constructs every rank's activation store before any
-// rank goroutine starts (nil factory: no activation tier, all entries
-// nil). A failing constructor unwinds the stores already built.
-func buildActStores(n int, factory func(rank int) (*act.Store, error)) ([]*act.Store, error) {
-	stores := make([]*act.Store, n)
-	if factory == nil {
-		return stores, nil
-	}
-	for id := 0; id < n; id++ {
-		st, err := factory(id)
-		if err != nil {
-			for _, s := range stores[:id] {
-				if s != nil {
-					s.Close()
+			for _, b := range built[:id] {
+				if b != none {
+					b.Close()
 				}
 			}
-			return nil, fmt.Errorf("dp: building rank %d activation store: %w", id, err)
+			return nil, fmt.Errorf("dp: building rank %d %s: %w", id, what, err)
 		}
-		stores[id] = st
+		built[id] = v
 	}
-	return stores, nil
+	return built, nil
 }

@@ -58,23 +58,22 @@ func New(model *nn.GPT, cfg Config) (*Engine, error) {
 		cfg: cfg,
 		ctl: stv.Verdict{Adam: cfg.Adam, ClipNorm: cfg.ClipNorm, Scaler: cfg.Scaler, Schedule: cfg.Schedule},
 	}}
-	stores, err := buildStores(w.N, cfg.NewStore)
+	newStore := cfg.NewStore
+	if newStore == nil {
+		newStore = func(int) (stv.BucketStore, error) { return stv.NewDRAMStore(), nil }
+	}
+	stores, err := buildPerRank(w.N, "store", newStore)
 	if err != nil {
 		return nil, err
 	}
 	// Activation stores attach only on final-stage ranks (see
-	// Config.NewActStore); the factory is gated so no store is built
-	// just to sit idle.
-	actFactory := cfg.NewActStore
-	if actFactory != nil && p > 1 {
-		actFactory = func(rank int) (*act.Store, error) {
-			if rank%p != p-1 {
-				return nil, nil
-			}
-			return cfg.NewActStore(rank)
+	// Config.NewActStore), so no store is built just to sit idle.
+	acts, err := buildPerRank(w.N, "activation store", func(rank int) (*act.Store, error) {
+		if cfg.NewActStore == nil || rank%p != p-1 {
+			return nil, nil
 		}
-	}
-	acts, err := buildActStores(w.N, actFactory)
+		return cfg.NewActStore(rank)
+	})
 	if err != nil {
 		return nil, closeStores(stores, err)
 	}

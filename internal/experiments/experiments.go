@@ -132,7 +132,7 @@ func idleFor(s sched.System, chips int) IdleRow {
 
 // Fig4 measures prior offloading's GPU idle on one Superchip and one node.
 func Fig4() []IdleRow {
-	return []IdleRow{idleFor(baselines.ZeROOffload{}, 1), idleFor(baselines.ZeROOffload{}, 4)}
+	return []IdleRow{idleFor(baselines.ZeROOffload, 1), idleFor(baselines.ZeROOffload, 4)}
 }
 
 // Fig15 measures SuperOffload's GPU idle in the same settings.

@@ -16,8 +16,8 @@ import (
 // where the DDR-bound variant also fits.
 func ExtNVMe() string {
 	cl := hw.ClusterFor(1)
-	nvme := baselines.ZeROInfinityNVMe{}
-	ddr := baselines.ZeROInfinity{}
+	nvme := baselines.ZeROInfinityNVMe
+	ddr := baselines.ZeROInfinity
 
 	maxNVMe := sched.MaxTrainable(nvme, cl, 8, 1024)
 	maxDDR := sched.MaxTrainable(ddr, cl, 8, 1024)

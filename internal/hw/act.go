@@ -23,3 +23,15 @@ func ActLayerBytes(tokens, hidden, heads, seq int) int64 {
 	probs := int64(tokens) * int64(heads) * int64(seq)
 	return 4 * (rows + probs)
 }
+
+// ActMinResidentLayers is the activation tier's write-behind floor: the
+// layer being differentiated plus the prefetch in flight.
+const ActMinResidentLayers = 2
+
+// ActWindow is the resident-layer window the activation tier runs with
+// when asked for resident layers on a model of the given depth: raised to
+// ActMinResidentLayers, capped at the depth. The store, the step clock,
+// both planners, the facade and the supertrain flag all clamp through it.
+func ActWindow(resident, layers int) int {
+	return min(max(resident, ActMinResidentLayers), layers)
+}

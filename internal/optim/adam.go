@@ -2,9 +2,9 @@
 // compares (§4.6, Table 3): a naive per-element Adam standing in for
 // PyTorch's native CPU optimizer, a blocked-parallel CPU-Adam mirroring
 // DeepSpeed's x86 design, and GraceAdam — the paper's ARM-tuned kernel —
-// reproduced with the same optimization hierarchy in Go (cache-sized
-// tiles, per-core parallelism, register-resident unrolled inner loops,
-// fused bias correction). It also provides the global-norm clipping,
+// reproduced with the same optimization hierarchy in Go (one fused pass,
+// per-core parallelism on large shards, register-resident unrolled inner
+// loops, fused bias correction). It also provides the global-norm clipping,
 // NaN/Inf scanning, and exact rollback primitives the
 // speculation-then-validation scheme requires (§4.4).
 package optim
@@ -83,44 +83,40 @@ func NaiveAdam(cfg Config, p, g []float32, s *State, t int) {
 	}
 }
 
-// tileSize is the per-core working-set tile: small enough to stay resident
-// in L1/L2 while the fused kernel makes its single pass (§4.6 "tiled
-// processing approach divides parameter updates into cache-friendly
-// chunks").
-const tileSize = 4096
+// CPUAdam is the DeepSpeed-style blocked kernel: fused single pass,
+// parallel across cores on large shards — but its inner loop is the x86
+// SIMD algorithm translated element-by-element, which on a non-AVX target
+// runs scalar with per-element double-precision upconversion (the
+// "CPU-Adam" row of Table 3: good, but leaves throughput behind).
+func CPUAdam(cfg Config, p, g []float32, s *State, t int) { acrossCores(cpuAdam, cfg, p, g, s, t) }
 
-// CPUAdam is the DeepSpeed-style blocked kernel: fused single pass, tiled,
-// parallel across cores — but its inner loop is the x86 SIMD algorithm
-// translated element-by-element, which on a non-AVX target runs scalar
-// with per-element double-precision upconversion (the "CPU-Adam" row of
-// Table 3: good, but leaves throughput behind).
-func CPUAdam(cfg Config, p, g []float32, s *State, t int) {
+func cpuAdam(cfg Config, p, g []float32, s *State, t int) {
 	stepSize, bc2s := biasCorr(cfg, t)
 	wd := cfg.LR * cfg.WeightDecay
-	parallelTiles(len(p), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			// Scalar fallback of the AVX kernel: everything in
-			// float64, like _mm256 lanes emulated one at a time.
-			m := cfg.Beta1*float64(s.M[i]) + (1-cfg.Beta1)*float64(g[i])
-			v := cfg.Beta2*float64(s.V[i]) + (1-cfg.Beta2)*float64(g[i])*float64(g[i])
-			s.M[i] = float32(m)
-			s.V[i] = float32(v)
-			den := math.Sqrt(v)/bc2s + cfg.Eps
-			up := stepSize * m / den
-			x := float64(p[i]) - up
-			if wd != 0 {
-				x -= wd * float64(p[i])
-			}
-			p[i] = float32(x)
+	for i := range p {
+		// Scalar fallback of the AVX kernel: everything in
+		// float64, like _mm256 lanes emulated one at a time.
+		m := cfg.Beta1*float64(s.M[i]) + (1-cfg.Beta1)*float64(g[i])
+		v := cfg.Beta2*float64(s.V[i]) + (1-cfg.Beta2)*float64(g[i])*float64(g[i])
+		s.M[i] = float32(m)
+		s.V[i] = float32(v)
+		den := math.Sqrt(v)/bc2s + cfg.Eps
+		up := stepSize * m / den
+		x := float64(p[i]) - up
+		if wd != 0 {
+			x -= wd * float64(p[i])
 		}
-	})
+		p[i] = float32(x)
+	}
 }
 
 // GraceAdam is the paper's optimized kernel reproduced in Go: one fused
-// pass, cache tiles, core-level parallelism, and a 4-way unrolled inner
+// pass, core-level parallelism on large shards, and a 4-way unrolled inner
 // loop whose accumulators stay in registers — the portable analogue of the
 // SVE svmla/svsqrt vector pipeline. All arithmetic stays in fp32.
-func GraceAdam(cfg Config, p, g []float32, s *State, t int) {
+func GraceAdam(cfg Config, p, g []float32, s *State, t int) { acrossCores(graceAdam, cfg, p, g, s, t) }
+
+func graceAdam(cfg Config, p, g []float32, s *State, t int) {
 	stepSize64, bc2s := biasCorr(cfg, t)
 	b1 := float32(cfg.Beta1)
 	ob1 := float32(1 - cfg.Beta1)
@@ -131,61 +127,68 @@ func GraceAdam(cfg Config, p, g []float32, s *State, t int) {
 	eps := float32(cfg.Eps)
 	wd := float32(cfg.LR * cfg.WeightDecay)
 
-	parallelTiles(len(p), func(lo, hi int) {
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			g0, g1, g2, g3 := g[i], g[i+1], g[i+2], g[i+3]
-			m0 := b1*s.M[i] + ob1*g0
-			m1 := b1*s.M[i+1] + ob1*g1
-			m2 := b1*s.M[i+2] + ob1*g2
-			m3 := b1*s.M[i+3] + ob1*g3
-			v0 := b2*s.V[i] + ob2*g0*g0
-			v1 := b2*s.V[i+1] + ob2*g1*g1
-			v2 := b2*s.V[i+2] + ob2*g2*g2
-			v3 := b2*s.V[i+3] + ob2*g3*g3
-			s.M[i], s.M[i+1], s.M[i+2], s.M[i+3] = m0, m1, m2, m3
-			s.V[i], s.V[i+1], s.V[i+2], s.V[i+3] = v0, v1, v2, v3
-			p[i] -= stepSize*m0/(sqrt32(v0)*invBc2s+eps) + wd*p[i]
-			p[i+1] -= stepSize*m1/(sqrt32(v1)*invBc2s+eps) + wd*p[i+1]
-			p[i+2] -= stepSize*m2/(sqrt32(v2)*invBc2s+eps) + wd*p[i+2]
-			p[i+3] -= stepSize*m3/(sqrt32(v3)*invBc2s+eps) + wd*p[i+3]
-		}
-		for ; i < hi; i++ {
-			gg := g[i]
-			m := b1*s.M[i] + ob1*gg
-			v := b2*s.V[i] + ob2*gg*gg
-			s.M[i], s.V[i] = m, v
-			p[i] -= stepSize*m/(sqrt32(v)*invBc2s+eps) + wd*p[i]
-		}
-	})
+	i := 0
+	for ; i+4 <= len(p); i += 4 {
+		g0, g1, g2, g3 := g[i], g[i+1], g[i+2], g[i+3]
+		m0 := b1*s.M[i] + ob1*g0
+		m1 := b1*s.M[i+1] + ob1*g1
+		m2 := b1*s.M[i+2] + ob1*g2
+		m3 := b1*s.M[i+3] + ob1*g3
+		v0 := b2*s.V[i] + ob2*g0*g0
+		v1 := b2*s.V[i+1] + ob2*g1*g1
+		v2 := b2*s.V[i+2] + ob2*g2*g2
+		v3 := b2*s.V[i+3] + ob2*g3*g3
+		s.M[i], s.M[i+1], s.M[i+2], s.M[i+3] = m0, m1, m2, m3
+		s.V[i], s.V[i+1], s.V[i+2], s.V[i+3] = v0, v1, v2, v3
+		p[i] -= stepSize*m0/(sqrt32(v0)*invBc2s+eps) + wd*p[i]
+		p[i+1] -= stepSize*m1/(sqrt32(v1)*invBc2s+eps) + wd*p[i+1]
+		p[i+2] -= stepSize*m2/(sqrt32(v2)*invBc2s+eps) + wd*p[i+2]
+		p[i+3] -= stepSize*m3/(sqrt32(v3)*invBc2s+eps) + wd*p[i+3]
+	}
+	for ; i < len(p); i++ {
+		gg := g[i]
+		m := b1*s.M[i] + ob1*gg
+		v := b2*s.V[i] + ob2*gg*gg
+		s.M[i], s.V[i] = m, v
+		p[i] -= stepSize*m/(sqrt32(v)*invBc2s+eps) + wd*p[i]
+	}
 }
 
 func sqrt32(x float32) float32 { return float32(math.Sqrt(float64(x))) }
 
-// parallelTiles splits [0,n) into tileSize chunks distributed over
-// GOMAXPROCS workers. Tiles are 4-aligned so the unrolled kernels keep
-// their fast path.
-func parallelTiles(n int, f func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if n < tileSize || workers == 1 {
-		f(0, n)
+// fanOutElems is the shard size from which a kernel is cut across cores;
+// below it the kernel runs on its caller and allocates nothing. GraceAdam
+// on the two-vCPU bench host, fanned out against serial, medians of 10–15
+// runs: with one caller on idle cores 2¹⁶ elements read level (283 vs
+// 263–298 µs), 2¹⁸ 0.67–0.96 vs 1.07–1.30 ms in one round and 1.2–1.8 vs
+// 1.0 ms in another, 2²⁰ 3.2–3.5 vs 4.5–4.9 ms (1.08× in the other round),
+// 2²² 15.5–16.5 vs 18.9–21.8 ms; with two callers at once (two ranks, the
+// cores already full) 2¹⁸ 1.30 vs 1.19 ms, 2²⁰ 5.6 vs 4.8 ms, 2²² level.
+// The gate sits at the first size where fan-out won every single-caller
+// round; the engines' buckets (2¹⁴–2¹⁶ elements) are far below it, where a
+// goroutine and a closure per chunk plus a WaitGroup per bucket per step
+// bought nothing.
+const fanOutElems = 1 << 20
+
+// acrossCores runs a serial kernel over the shard: on its caller below
+// fanOutElems, otherwise as one goroutine per core over contiguous
+// sub-shards cut at multiples of 4, so the unrolled kernels group the
+// same elements and every element sees the same arithmetic either way.
+func acrossCores(kernel Impl, cfg Config, p, g []float32, s *State, t int) {
+	n, workers := len(p), runtime.GOMAXPROCS(0)
+	if n < fanOutElems || workers == 1 {
+		kernel(cfg, p, g, s, t)
 		return
 	}
 	chunk := (n/workers + 3) &^ 3
-	if chunk < tileSize {
-		chunk = tileSize
-	}
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
+			kernel(cfg, p[lo:hi], g[lo:hi], &State{M: s.M[lo:hi], V: s.V[lo:hi]}, t)
+		}()
 	}
 	wg.Wait()
 }

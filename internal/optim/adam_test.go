@@ -2,6 +2,7 @@ package optim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -68,6 +69,27 @@ func runImplVsRef(t *testing.T, impl Impl, name string, steps int, tol float64) 
 func TestNaiveAdamMatchesReference(t *testing.T) { runImplVsRef(t, NaiveAdam, "naive", 20, 2e-4) }
 func TestCPUAdamMatchesReference(t *testing.T)   { runImplVsRef(t, CPUAdam, "cpu", 20, 2e-4) }
 func TestGraceAdamMatchesReference(t *testing.T) { runImplVsRef(t, GraceAdam, "grace", 20, 2e-4) }
+
+// TestGraceAdamBucketStepAllocatesNothing pins the kernel to its caller at
+// an engine bucket's size: no goroutine, closure or WaitGroup per step.
+// Counted from MemStats with two Ps, because testing.AllocsPerRun drops to
+// one P, where no size ever fanned out.
+func TestGraceAdamBucketStepAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n, steps = 1 << 16, 10
+	p, g := randVecs(3, n)
+	s := NewState(n)
+	cfg := DefaultConfig()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= steps; i++ {
+		GraceAdam(cfg, p, g, s, i)
+	}
+	runtime.ReadMemStats(&after)
+	if a := after.Mallocs - before.Mallocs; a != 0 {
+		t.Errorf("GraceAdam on %d elements: %d allocations over %d steps, want 0", n, a, steps)
+	}
+}
 
 func TestAllImplsAgreeProperty(t *testing.T) {
 	cfg := DefaultConfig()

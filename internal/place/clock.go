@@ -61,7 +61,7 @@ type ActShape struct {
 	// Layers is the transformer depth (0 disables activation modeling).
 	Layers int
 	// Resident is the store's resident window W: the trailing W layers
-	// never spill. Values below the store's floor of 2 model W = 2.
+	// never spill; the model clamps it through hw.ActWindow.
 	Resident int
 	// Heads is the attention head count feeding hw.ActLayerBytes.
 	Heads int
@@ -331,10 +331,7 @@ func actSchedule(spec hw.SuperchipSpec, shape Shape, bd *Breakdown) float64 {
 		return 0
 	}
 	bd.Forward = bd.Backward / 2
-	w := shape.Act.Resident
-	if w < 2 {
-		w = 2
-	}
+	w := hw.ActWindow(shape.Act.Resident, L)
 	spilled := L - w
 	if spilled <= 0 {
 		return bd.Forward
@@ -389,22 +386,15 @@ func actSchedule(spec hw.SuperchipSpec, shape Shape, bd *Breakdown) float64 {
 }
 
 // ActResidentBytes is the HBM the activation tier keeps resident: the
-// trailing W layers that never spill (W floors at the store's minimum
-// window of 2 and caps at the depth). Auto charges it against the same
-// budget as retained optimizer state, co-planning the two tiers.
+// trailing hw.ActWindow layers that never spill. Auto charges it against
+// the same budget as retained optimizer state, co-planning the two tiers,
+// and the facade's step-shape HBM guard charges the same product.
 func ActResidentBytes(shape Shape) int64 {
 	L := shape.Act.Layers
 	if L <= 0 || shape.Tokens <= 0 {
 		return 0
 	}
-	w := shape.Act.Resident
-	if w < 2 {
-		w = 2
-	}
-	if w > L {
-		w = L
-	}
-	return int64(w) * hw.ActLayerBytes(shape.Tokens, shape.Hidden, shape.Act.Heads, shape.Seq)
+	return int64(hw.ActWindow(shape.Act.Resident, L)) * hw.ActLayerBytes(shape.Tokens, shape.Hidden, shape.Act.Heads, shape.Seq)
 }
 
 // GPUStateBytesPerElem is the HBM footprint of one GPU-resident

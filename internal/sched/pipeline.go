@@ -72,8 +72,6 @@ type SteadyStats struct {
 	IterTime    float64
 	GPUUtil     float64
 	GPUIdleFrac float64
-	CPUUtil     float64
-	Makespan    float64
 }
 
 // totalParams returns the parameter count covered by the bucket pipeline.
@@ -313,25 +311,17 @@ func Build(p OffloadPlan) (*sim.Engine, SteadyStats, error) {
 		fwdStarts = append(fwdStarts, fwdFirst)
 	}
 
-	makespan, err := e.Run()
-	if err != nil {
+	if _, err := e.Run(); err != nil {
 		return nil, SteadyStats{}, err
 	}
 
+	// Steady state is the last forward-start to forward-start interval
+	// (Iterations ≥ 2 above guarantees there is one).
 	n := len(fwdStarts)
-	stats := SteadyStats{Makespan: makespan}
-	if n >= 2 {
-		stats.IterTime = fwdStarts[n-1].Start - fwdStarts[n-2].Start
-		from, to := fwdStarts[n-2].Start, fwdStarts[n-1].Start
-		gu := e.UtilizationBetween(ResGPU, from, to)
-		// Host-sync stalls (TagIdleWait) occupy the stream but are not
-		// useful work; count them as idle.
-		busy := gu.Busy - gu.ByTag[sim.TagIdleWait]
-		stats.GPUUtil = busy / (to - from)
-		stats.GPUIdleFrac = 1 - stats.GPUUtil
-		stats.CPUUtil = e.UtilizationBetween(ResCPU, from, to).Fraction()
-	} else {
-		stats.IterTime = makespan
-	}
-	return e, stats, nil
+	from, to := fwdStarts[n-2].Start, fwdStarts[n-1].Start
+	gu := e.UtilizationBetween(ResGPU, from, to)
+	// Host-sync stalls (TagIdleWait) occupy the stream but are not
+	// useful work; count them as idle.
+	util := (gu.Busy - gu.ByTag[sim.TagIdleWait]) / (to - from)
+	return e, SteadyStats{IterTime: to - from, GPUUtil: util, GPUIdleFrac: 1 - util}, nil
 }

@@ -11,7 +11,6 @@ import (
 
 	"superoffload/internal/hw"
 	"superoffload/internal/model"
-	"superoffload/internal/sim"
 )
 
 // Workload is one training setting: a model on a cluster with a global
@@ -72,11 +71,6 @@ type Result struct {
 	MFU float64
 	// GPUIdleFrac is the GPU idle share of the iteration (Figs. 4/15).
 	GPUIdleFrac float64
-	// MaxMicroBatchNoCkpt records the largest micro-batch that fits
-	// without checkpointing (0 when even micro=1 needs it).
-	MaxMicroBatchNoCkpt int
-	// Engine holds the simulated schedule when the system builds one.
-	Engine *sim.Engine
 }
 
 // Finalize fills the derived throughput fields from IterTime.
@@ -134,6 +128,30 @@ func ChooseExecution(perRankBatch int, fits FitFunc, timeOf TimeFunc) (Execution
 	return best, true
 }
 
+// AnalyticPlan is the body every analytic system's Plan ends in: choose the
+// execution under the §5.2 policy, then either report oom or time the
+// winner — IterTime from timeOf, the GPU idle share as whatever of the
+// iteration is not useful forward+backward compute (exposed transfers,
+// optimizer and collectives included, matching the Fig. 4 measurement),
+// and the throughput fields from Finalize.
+func AnalyticPlan(name string, w Workload, oom string, fits FitFunc, timeOf TimeFunc) Result {
+	res := Result{System: name, Workload: w}
+	exec, ok := ChooseExecution(w.PerGPUBatch(), fits, timeOf)
+	if !ok {
+		res.OOM = oom
+		return res
+	}
+	chip := w.Cluster.Node.Chip
+	res.Fits, res.Exec, res.IterTime = true, exec, timeOf(exec)
+	if res.IterTime > 0 {
+		fwd, bwd := ComputeTimes(chip, w.Model, exec.MicroBatch, w.Seq, exec.Checkpoint)
+		busy := float64(exec.GradAccum) * (fwd + bwd) / EffBatchEfficiency(exec.MicroBatch, w.Seq)
+		res.GPUIdleFrac = math.Min(1, math.Max(0, 1-busy/res.IterTime))
+	}
+	res.Finalize(chip)
+	return res
+}
+
 func largestFitting(maxB int, fits func(int) bool) int {
 	for b := maxB; b >= 1; b-- {
 		if fits(b) {
@@ -157,11 +175,6 @@ func ComputeTimes(chip hw.Chip, m model.Config, micro, seq int, checkpoint bool)
 		bwd += f / ach // recompute forward inside backward
 	}
 	return fwd, bwd
-}
-
-// GPUAdamTime is the optimizer step time for a fully GPU-resident update.
-func GPUAdamTime(chip hw.Chip, params int64) float64 {
-	return hw.AdamStepTime(chip, hw.AdamGPU, params)
 }
 
 // MaxTrainable returns the largest Appendix A model the system can train

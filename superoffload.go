@@ -158,21 +158,16 @@ type ActivationConfig struct {
 	HBMBudgetBytes int64
 }
 
-// window returns the effective resident-layer window for a model of the
-// given depth: every layer without offload, the floored ResidentLayers
-// (≥2, ≤layers) with it.
-func (a ActivationConfig) window(layers int) int {
-	if a.Offload == "" {
-		return layers
+// shape describes the activation tier of a model to the placement layer:
+// every layer resident without offload, the hw.ActWindow of
+// ResidentLayers with it.
+func (a ActivationConfig) shape(m *Model) place.ActShape {
+	layers := m.gpt.Cfg.Layers
+	resident := layers
+	if a.Offload != "" {
+		resident = hw.ActWindow(a.ResidentLayers, layers)
 	}
-	w := a.ResidentLayers
-	if w < 2 {
-		w = 2
-	}
-	if w > layers {
-		w = layers
-	}
-	return w
+	return place.ActShape{Layers: layers, Resident: resident, Heads: m.gpt.Cfg.Heads, NVMe: a.Offload == "nvme"}
 }
 
 // storeFactory translates the activation selection into a per-rank store
@@ -214,8 +209,8 @@ type ActTelemetry = act.Telemetry
 type hbmGuard struct {
 	budget           int64
 	params           int64
-	hidden, heads    int
-	resident         int
+	hidden           int
+	act              place.ActShape
 	rowsDiv, seqDiv  int
 	offloadAvailable bool // false when Activation.Offload is already on
 }
@@ -229,9 +224,8 @@ func (cfg OptimizerConfig) newHBMGuard(m *Model, rowsDiv, seqDiv int) *hbmGuard 
 	}
 	return &hbmGuard{
 		budget: budget, params: int64(m.NumParams()),
-		hidden: m.gpt.Cfg.Hidden, heads: m.gpt.Cfg.Heads,
-		resident: cfg.Activation.window(m.gpt.Cfg.Layers),
-		rowsDiv:  rowsDiv, seqDiv: seqDiv,
+		hidden: m.gpt.Cfg.Hidden, act: cfg.Activation.shape(m),
+		rowsDiv: rowsDiv, seqDiv: seqDiv,
 		offloadAvailable: cfg.Activation.Offload == "",
 	}
 }
@@ -239,7 +233,7 @@ func (cfg OptimizerConfig) newHBMGuard(m *Model, rowsDiv, seqDiv int) *hbmGuard 
 // check validates one batch's shape against the modeled budget.
 func (g *hbmGuard) check(b Batch) error {
 	tokens := (b.BatchSize / max(g.rowsDiv, 1)) * (b.Seq / max(g.seqDiv, 1))
-	need := 4*g.params + int64(g.resident)*hw.ActLayerBytes(tokens, g.hidden, g.heads, b.Seq)
+	need := 4*g.params + place.ActResidentBytes(place.Shape{Tokens: tokens, Hidden: g.hidden, Seq: b.Seq, Act: g.act})
 	if need <= g.budget {
 		return nil
 	}
@@ -248,7 +242,7 @@ func (g *hbmGuard) check(b Batch) error {
 		hint = "enable activation offloading (Activation.Offload / -act-offload) or shrink the batch"
 	}
 	return fmt.Errorf("superoffload: step shape %d×%d needs ~%d MiB of modeled HBM (%d resident layers) against a %d MiB budget; %s",
-		b.BatchSize, b.Seq, need>>20, g.resident, g.budget>>20, hint)
+		b.BatchSize, b.Seq, need>>20, g.act.Resident, g.budget>>20, hint)
 }
 
 // OffloadConfig selects where the fp32 master weights and Adam moments
@@ -343,12 +337,7 @@ func (cfg OptimizerConfig) placementPlan(m *Model) (*place.Plan, error) {
 				// Co-plan optimizer and activation placement under one
 				// HBM budget: the resident activation window claims its
 				// bytes first, shrinking the GPU-retained bucket tail.
-				shape.Act = place.ActShape{
-					Layers:   m.gpt.Cfg.Layers,
-					Resident: cfg.Activation.window(m.gpt.Cfg.Layers),
-					Heads:    m.gpt.Cfg.Heads,
-					NVMe:     cfg.Activation.Offload == "nvme",
-				}
+				shape.Act = cfg.Activation.shape(m)
 			}
 			spec := hw.DefaultSuperchip()
 			if cfg.Offload.Backend == "nvme" && cfg.Offload.IOPaths > 1 {
