@@ -7,7 +7,7 @@ import "testing"
 // (BENCHMARK.json bounds alloc_kb_per_step on its own six). The count is
 // a property of the code, not of the machine, so an allocation that
 // creeps into the schedule, a store or a collective fails here and not
-// in a timing. The two data-parallel rows are DESIGN contract 10: a live
+// in a timing. The two data-parallel rows are DESIGN contract 7: a live
 // tracer costs a bounded number of allocations a step, and no tracer
 // costs what the step cost before the tracing layer existed.
 func TestStepAllocations(t *testing.T) {

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -370,12 +371,7 @@ func run() (err error) {
 	st := eng.Stats()
 	fmt.Printf("done: %d steps, %d commits, %d clip-rollbacks, %d skip-rollbacks, %d forward redos\n",
 		st.Steps, st.Commits, st.ClipRolls, st.SkipRolls, st.Redos)
-	if cs, ok := linkTraffic(eng); ok {
-		n := float64(*steps)
-		fmt.Printf("ulysses links: %.1f all-to-all payloads/step (%.1f MB/step), %.1f ring hops/step (%.1f MB/step)\n",
-			float64(cs.A2APayloads)/n, float64(cs.A2AFloats)*4/1e6/n,
-			float64(cs.RingHops)/n, float64(cs.RingFloats)*4/1e6/n)
-	}
+	printLinks(os.Stdout, eng.CommStats(), *steps)
 	if tel, ok := eng.StoreTelemetry(); ok {
 		n := float64(*steps)
 		fmt.Printf("nvme tier: %d reads (%.1f MB), %d writes (%.1f MB)\n",
@@ -401,6 +397,22 @@ func run() (err error) {
 			100*(1-tel.PipelinedSeconds()/tel.SerializedSeconds()))
 	}
 	return nil
+}
+
+// printLinks writes one line per link family that carried traffic: the
+// Ulysses all-to-alls and ring of a sequence axis, and the stage-boundary
+// sends of a pipeline axis. A link-less shape prints nothing.
+func printLinks(w io.Writer, cs superoffload.SPCommStats, steps int) {
+	n := float64(steps)
+	if cs.A2APayloads > 0 || cs.RingHops > 0 {
+		fmt.Fprintf(w, "ulysses links: %.1f all-to-all payloads/step (%.1f MB/step), %.1f ring hops/step (%.1f MB/step)\n",
+			float64(cs.A2APayloads)/n, float64(cs.A2AFloats)*4/1e6/n,
+			float64(cs.RingHops)/n, float64(cs.RingFloats)*4/1e6/n)
+	}
+	if cs.StageSends > 0 {
+		fmt.Fprintf(w, "pipeline links: %.1f stage-boundary sends/step (%.2f MB/step)\n",
+			float64(cs.StageSends)/n, float64(cs.StageFloats)*4/1e6/n)
+	}
 }
 
 // writeTrace exports the tracer's events as a Chrome trace-event JSON

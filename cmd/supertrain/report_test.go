@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"superoffload"
@@ -108,6 +109,44 @@ func TestJSONReportOmitsAbsentTelemetry(t *testing.T) {
 	}
 	if _, ok := rep.MetricsV1["superoffload_stv_steps_total"]; !ok {
 		t.Errorf("link-less shape lost its other metrics: %v", rep.MetricsV1)
+	}
+}
+
+// runCommand runs the command's run() on args the way main would, and
+// returns what it printed on stdout.
+func runCommand(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	savedArgs, savedFlags, savedStdout := os.Args, flag.CommandLine, os.Stdout
+	defer func() { os.Args, flag.CommandLine, os.Stdout = savedArgs, savedFlags, savedStdout }()
+	os.Args = append([]string{"supertrain"}, args...)
+	flag.CommandLine = flag.NewFlagSet("supertrain", flag.ContinueOnError)
+	os.Stdout = out
+	if err := run(); err != nil {
+		t.Fatalf("supertrain %v: %v", args, err)
+	}
+	b, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestPipelineRunReportsStageLinks: a pipeline run's text report carries
+// the stage-boundary traffic its -json comm block counts (two stages, four
+// steps: 8 sends of 4,096 floats), and no all-zero Ulysses line for the
+// sequence axis it does not have.
+func TestPipelineRunReportsStageLinks(t *testing.T) {
+	out := runCommand(t, "-pipe-ranks", "2", "-layers", "2", "-steps", "4")
+	if want := "pipeline links: 2.0 stage-boundary sends/step (0.03 MB/step)\n"; !strings.Contains(out, want) {
+		t.Errorf("output lacks %q:\n%s", want, out)
+	}
+	if strings.Contains(out, "ulysses links") {
+		t.Errorf("pipeline-only run printed a Ulysses line:\n%s", out)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Ulysses sequence parallelism, for real: the paper's long-sequence
 // scenario (§4.7, Fig. 12) runs here on actual numerics rather than the
-// analytic MFU model behind `examples/long_sequence`. S simulated
+// analytic MFU model behind `superbench -exp fig12`. S simulated
 // superchip ranks each own a contiguous sequence shard of every batch
 // row; attention flips to head parallelism through two all-to-alls per
 // layer per pass; weight gradients reduce over a deterministic ring; and
@@ -94,5 +94,5 @@ func main() {
 		nvmeStats.Commits, nvmeStats.Rollbacks())
 	fmt.Println("\nsequence parallelism and optimizer-state residency are both")
 	fmt.Println("invisible to the numerics; only the link traffic changes.")
-	fmt.Println("(The analytic Fig. 12 scale model lives in examples/long_sequence.)")
+	fmt.Println("(The analytic Fig. 12 scale model: go run ./cmd/superbench -exp fig12.)")
 }

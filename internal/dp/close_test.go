@@ -11,6 +11,16 @@ import (
 	"superoffload/internal/stv/stvtest"
 )
 
+// nvmeFactory gives every rank its own file-backed store with a 2-bucket
+// window in the test's temp dir.
+func nvmeFactory(t *testing.T) func(rank int) (stv.BucketStore, error) {
+	t.Helper()
+	dir := t.TempDir()
+	return func(rank int) (stv.BucketStore, error) {
+		return stv.NewNVMeStore(stv.NVMeStoreConfig{Dir: dir, ResidentBuckets: 2})
+	}
+}
+
 // closeable is the lifecycle surface the idempotency tests drive.
 type closeable interface {
 	Close() error
@@ -18,8 +28,7 @@ type closeable interface {
 
 // buildEngines constructs four engine shapes and the single-rank
 // trainer over NVMe-backed stores (the backend with real resources to
-// double-release) and steps
-// each one WITHOUT flushing, so a speculative step's validation is
+// double-release) and steps each one WITHOUT flushing, so a speculative step's validation is
 // still in flight when Close arrives. Run under -race, this covers the
 // close-while-validation-pending path: closeWorld must drain the
 // background aggregator before tearing the world down.
@@ -28,57 +37,28 @@ func buildEngines(t *testing.T) map[string]closeable {
 	engines := map[string]closeable{}
 	corpus := data.NewCorpus(64, 11)
 
-	mk := func(name string, build func(cfg Config) (closeable, func(b data.Batch) error)) {
-		cfg := shapeConfig(1, 1, 1)
+	for name, sh := range map[string]shape{"dp": s211, "sp": s121, "mesh": s221, "pipe": s212} {
+		cfg := shapeConfig(sh.R, sh.S, sh.P)
 		cfg.NewStore = nvmeFactory(t)
-		eng, step := build(cfg)
-		if err := step(corpus.NextBatch(2, 8)); err != nil {
-			t.Fatalf("%s: step: %v", name, err)
-		}
-		engines[name] = eng
-	}
-	mk("dp", func(cfg Config) (closeable, func(b data.Batch) error) {
-		cfg.Ranks = 2
-		e, err := New(tinyGPT(3), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, func(b data.Batch) error { _, err := e.Step(b); return err }
-	})
-	mk("sp", func(cfg Config) (closeable, func(b data.Batch) error) {
-		cfg.SeqRanks = 2
-		e, err := New(tinyGPT(3), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, func(b data.Batch) error { _, err := e.Step(b); return err }
-	})
-	mk("mesh", func(cfg Config) (closeable, func(b data.Batch) error) {
-		cfg.Ranks, cfg.SeqRanks = 2, 2
-		e, err := New(tinyGPT(3), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, func(b data.Batch) error { _, err := e.Step(b); return err }
-	})
-	mk("pipe", func(cfg Config) (closeable, func(b data.Batch) error) {
-		cfg.Ranks, cfg.SeqRanks, cfg.PipeRanks = 2, 1, 2
 		e, err := New(deepGPT(3), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e, func(b data.Batch) error { _, err := e.Step(b); return err }
-	})
-	mk("stv", func(cfg Config) (closeable, func(b data.Batch) error) {
-		sc := stvConfig(cfg)
-		store, err := cfg.NewStore(0)
-		if err != nil {
-			t.Fatal(err)
+		if _, err := e.Step(corpus.NextBatch(2, 8)); err != nil {
+			t.Fatalf("%s: step: %v", name, err)
 		}
-		sc.Store = store
-		e := stv.NewTrainer(tinyGPT(3), sc)
-		return e, func(b data.Batch) error { _, err := e.Step(b); return err }
-	})
+		engines[name] = e
+	}
+	store, err := nvmeFactory(t)(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := shapeConfig(1, 1, 1)
+	tr := stv.NewTrainer(tinyGPT(3), stv.Config{Adam: cfg.Adam, ClipNorm: cfg.ClipNorm, BucketElems: cfg.BucketElems, Mode: stv.STV, Store: store})
+	if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
+		t.Fatalf("stv: step: %v", err)
+	}
+	engines["stv"] = tr
 	return engines
 }
 

@@ -2,207 +2,61 @@ package dp
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 
 	"superoffload/internal/data"
+	"superoffload/internal/model"
+	"superoffload/internal/nn"
 	"superoffload/internal/optim"
-	"superoffload/internal/stv"
+	"superoffload/internal/place"
+	"superoffload/internal/tensor"
 )
 
-// TestCheckpointRoundTripProperty: Save mid-training with a validation in
-// flight (must be refused), Flush, Save, Load into a fresh engine, and the
-// continued loss trajectory must be bit-identical to an uninterrupted run.
-// Covers single-rank (R=1) and multi-rank (R=2, R=4) engines.
-func TestCheckpointRoundTripProperty(t *testing.T) {
-	const warm, cont = 10, 10
-	// A growth interval that does not divide the warm-up length puts a
-	// scale-doubling boundary inside the continuation window: exact
-	// resume therefore requires the checkpoint to carry the scaler's
-	// overflow-free streak, not just the scale.
-	smallGrowth := func() *optim.LossScaler {
-		return &optim.LossScaler{Scale: 1024, GrowthInterval: 7, MinScale: 1, MaxScale: 1 << 24}
-	}
-	for _, ranks := range []int{1, 2, 4} {
-		cfg := shapeConfig(ranks, 1, 1)
-		cfg.Scaler = smallGrowth()
-
-		// Uninterrupted reference run.
-		full, err := New(tinyGPT(42), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		corpus := data.NewCorpus(64, 55)
-		var fullLosses []float64
-		for i := 0; i < warm+cont; i++ {
-			l, err := full.Step(corpus.NextBatch(4, 8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fullLosses = append(fullLosses, l)
-		}
-		if _, err := full.Flush(); err != nil {
-			t.Fatal(err)
-		}
-
-		// Interrupted run: warm up, attempt Save with the validation of
-		// the last step still in flight, then Flush and Save for real.
-		cfg2 := shapeConfig(ranks, 1, 1)
-		cfg2.Scaler = smallGrowth()
-		eng, err := New(tinyGPT(42), cfg2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		corpus2 := data.NewCorpus(64, 55)
-		for i := 0; i < warm; i++ {
-			if _, err := eng.Step(corpus2.NextBatch(4, 8)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var buf bytes.Buffer
-		if err := eng.Save(&buf); err == nil {
-			t.Fatalf("R=%d: Save with validation in flight should be refused", ranks)
-		}
-		if _, err := eng.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		// Restore into a fresh engine with different init — the
-		// checkpoint must fully determine the continuation.
-		cfg3 := shapeConfig(ranks, 1, 1)
-		cfg3.Scaler = smallGrowth()
-		restored, err := New(tinyGPT(999), cfg3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-		if restored.StepIndex() != warm {
-			t.Errorf("R=%d: restored step index %d, want %d", ranks, restored.StepIndex(), warm)
-		}
-		for i := 0; i < cont; i++ {
-			l, err := restored.Step(corpus2.NextBatch(4, 8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if l != fullLosses[warm+i] {
-				t.Fatalf("R=%d: continued loss diverges at step %d: %v vs %v",
-					ranks, warm+i, l, fullLosses[warm+i])
-			}
-		}
-		if _, err := restored.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		fw, rw := full.MasterWeights(), restored.MasterWeights()
-		for i := range fw {
-			if fw[i] != rw[i] {
-				t.Fatalf("R=%d: final masters diverge at %d", ranks, i)
-			}
-		}
-		full.Close()
-		restored.Close()
-	}
+func tinyGPT(seed uint64) *nn.GPT {
+	// 4 heads so the sequence axis can shard across S ∈ {1,2,4}.
+	cfg := model.Config{Name: "t", Layers: 2, Hidden: 32, Heads: 4, Vocab: 64}
+	return nn.NewGPT(cfg, 16, tensor.NewRNG(seed))
 }
 
-// TestCheckpointPortableAcrossRankCounts: a DP-2 checkpoint restores into
-// a DP-4 engine and a single-rank stv.Trainer, and all three continue on
-// identical trajectories. The bytes themselves must match what the
-// single-rank trainer saves on the same trajectory (the format is defined
-// over the global bucket order, not the ownership).
-func TestCheckpointPortableAcrossRankCounts(t *testing.T) {
-	cfg := shapeConfig(2, 1, 1)
-	eng, err := New(tinyGPT(42), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	ref := stv.NewTrainer(tinyGPT(42), stvConfig(cfg))
-
-	corpus := data.NewCorpus(64, 21)
-	refCorpus := data.NewCorpus(64, 21)
-	for i := 0; i < 8; i++ {
-		b := corpus.NextBatch(4, 8)
-		if _, err := eng.Step(b); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ref.StepAccum(splitBatch(refCorpus.NextBatch(4, 8), 2, t)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := eng.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var dpBuf, refBuf bytes.Buffer
-	if err := eng.Save(&dpBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Save(&refBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dpBuf.Bytes(), refBuf.Bytes()) {
-		t.Fatal("DP-2 and single-rank checkpoints differ byte-wise on the same trajectory")
-	}
-
-	// DP-2 checkpoint → DP-4 engine.
-	four, err := New(tinyGPT(1), shapeConfig(4, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer four.Close()
-	if err := four.Load(bytes.NewReader(dpBuf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	// DP-2 checkpoint → single-rank trainer.
-	tr := stv.NewTrainer(tinyGPT(2), stvConfig(shapeConfig(1, 1, 1)))
-	if err := tr.Load(bytes.NewReader(dpBuf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-
-	cont := data.NewCorpus(64, 77)
-	cont4 := data.NewCorpus(64, 77)
-	contT := data.NewCorpus(64, 77)
-	for i := 0; i < 6; i++ {
-		// Keep the decomposition fixed (4 slices) so all three engines
-		// see the same reduction order regardless of rank count: the
-		// 2-rank engine accumulates two global micro-batches of 2 rows.
-		b := cont.NextBatch(4, 8)
-		l2, err := eng.StepAccum(splitBatch(b, 2, t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		l4, err := four.Step(cont4.NextBatch(4, 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lt, err := tr.StepAccum(splitBatch(contT.NextBatch(4, 8), 4, t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l2 != l4 || l2 != lt {
-			t.Fatalf("continued losses diverge at step %d: DP-2 %v, DP-4 %v, single %v", i, l2, l4, lt)
-		}
-	}
+// deepGPT has 4 transformer blocks so the depth splits across P ∈ {1,2,4}.
+func deepGPT(seed uint64) *nn.GPT {
+	cfg := model.Config{Name: "p", Layers: 4, Hidden: 32, Heads: 4, Vocab: 64}
+	return nn.NewGPT(cfg, 16, tensor.NewRNG(seed))
 }
 
-func TestEngineValidation(t *testing.T) {
-	if _, err := New(nil, shapeConfig(2, 1, 1)); err == nil {
+// shapeConfig is an (R,S,P) engine config with several buckets for the
+// tiny models.
+func shapeConfig(r, s, p int) Config {
+	a := optim.DefaultConfig()
+	a.LR = 3e-3
+	return Config{Ranks: r, SeqRanks: s, PipeRanks: p, Adam: a, ClipNorm: 1.0, BucketElems: 20000}
+}
+
+// The construction- and step-time guards, one shape per test.
+func TestEngineValidation(t *testing.T) { checkGuards(t, s211) }
+func TestSPValidation(t *testing.T)     { checkGuards(t, s121) }
+func TestMeshValidation(t *testing.T)   { checkGuards(t, s221) }
+func TestPipeValidation(t *testing.T)   { checkGuards(t, s222) }
+
+// checkGuards: in shape sh, New rejects a nil model, every shape the
+// model cannot take and a plan sized for another partition, and the zero
+// shape is (1,1,1); Step rejects every malformed batch as an error in the
+// caller's goroutine, not a rank-goroutine panic, and leaves the engine
+// usable; after Close, Close is a no-op and every other entry point errors.
+func checkGuards(t *testing.T, sh shape) {
+	if _, err := New(nil, shapeConfig(sh.R, sh.S, sh.P)); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := New(tinyGPT(1), Config{Ranks: -1}); err == nil {
-		t.Error("negative ranks accepted")
+	// deepGPT's 4 heads cannot split 3 ways, nor its 4 blocks 5 ways.
+	for _, bad := range []shape{{-1, sh.S, sh.P}, {sh.R, -1, sh.P}, {sh.R, sh.S, -1}, {sh.R, 3, sh.P}, {sh.R, sh.S, 5}} {
+		if e, err := New(deepGPT(1), shapeConfig(bad.R, bad.S, bad.P)); err == nil {
+			e.Close()
+			t.Errorf("shape %v accepted", bad)
+		}
 	}
-	// 0 means 1 on every axis: the zero shape is the one-rank engine.
-	one, err := New(tinyGPT(1), Config{})
+	one, err := New(deepGPT(1), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,39 +64,45 @@ func TestEngineValidation(t *testing.T) {
 		t.Errorf("zero shape = (%d,%d,%d), want (1,1,1)", one.Ranks(), one.SeqRanks(), one.PipeRanks())
 	}
 	one.Close()
-	eng, err := New(tinyGPT(1), shapeConfig(2, 1, 1))
+
+	eng, err := New(deepGPT(1), shapeConfig(sh.R, sh.S, sh.P))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
+	if got := (shape{eng.Ranks(), eng.SeqRanks(), eng.PipeRanks()}); got != sh || eng.NumBuckets() < 2 {
+		t.Errorf("built %v with %d buckets, want %v with several", got, eng.NumBuckets(), sh)
+	}
+	misfit := shapeConfig(sh.R, sh.S, sh.P)
+	plan := place.GPUTail(eng.NumBuckets()+1, 1)
+	misfit.Placement = &plan
+	if e, err := New(deepGPT(1), misfit); err == nil {
+		e.Close()
+		t.Error("placement plan for another partition accepted")
+	}
 	corpus := data.NewCorpus(64, 1)
-	if _, err := eng.Step(corpus.NextBatch(3, 8)); err == nil {
-		t.Error("indivisible batch accepted")
-	}
-	// Malformed batches surface as errors in the caller's goroutine on
-	// the (R,1,1) shape too, not as rank-goroutine panics inside
-	// nn.Forward (tinyGPT's MaxSeq is 16).
-	if _, err := eng.Step(corpus.NextBatch(2, 32)); err == nil {
-		t.Error("sequence exceeding MaxSeq accepted")
-	}
-	short := corpus.NextBatch(2, 8)
+	short := corpus.NextBatch(sh.R, 8)
 	short.Tokens = short.Tokens[:len(short.Tokens)-1]
-	if _, err := eng.Step(short); err == nil {
-		t.Error("batch with too few tokens accepted")
+	bad := map[string]data.Batch{"sequence exceeding MaxSeq": corpus.NextBatch(sh.R, 32), "too few tokens": short}
+	if sh.R > 1 {
+		bad["rows not divisible by R"] = corpus.NextBatch(sh.R+1, 8)
 	}
-	if _, err := eng.StepAccum([]data.Batch{corpus.NextBatch(2, 8), short}); err == nil {
+	if sh.S > 1 {
+		bad["sequence not divisible by S"] = corpus.NextBatch(sh.R, 7)
+	}
+	for what, b := range bad {
+		if _, err := eng.Step(b); err == nil {
+			t.Errorf("%s accepted", what)
+		}
+	}
+	if _, err := eng.StepAccum([]data.Batch{corpus.NextBatch(sh.R, 8), short}); err == nil {
 		t.Error("accumulation window with a malformed batch accepted")
 	}
-	if _, err := eng.Step(corpus.NextBatch(2, 8)); err != nil {
-		t.Errorf("engine unusable after rejected batches: %v", err)
-	}
 	if l, err := eng.StepAccum(nil); err != nil || l != 0 {
-		t.Errorf("empty accum: %v %v", l, err)
+		t.Errorf("empty window: %v %v", l, err)
 	}
-	if eng.Ranks() != 2 {
-		t.Errorf("ranks = %d", eng.Ranks())
-	}
-	if eng.NumBuckets() < 2 {
-		t.Errorf("expected multiple buckets, got %d", eng.NumBuckets())
+	if _, err := eng.Step(corpus.NextBatch(sh.R, 8)); err != nil {
+		t.Fatalf("engine unusable after rejected batches: %v", err)
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -250,29 +110,13 @@ func TestEngineValidation(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Errorf("Close not idempotent: %v", err)
 	}
-	if _, err := eng.Step(corpus.NextBatch(2, 8)); err == nil {
-		t.Error("Step after Close accepted")
+	_, stepErr := eng.Step(corpus.NextBatch(sh.R, 8))
+	_, flushErr := eng.Flush()
+	for what, err := range map[string]error{"Step": stepErr, "Flush": flushErr, "Save": eng.Save(&bytes.Buffer{}), "Load": eng.Load(bytes.NewReader(nil))} {
+		if err == nil {
+			t.Errorf("%s after Close accepted", what)
+		}
 	}
-}
-
-// TestStressManyBucketsTightClip hammers the rollback machinery: tiny
-// buckets (lots of reduce/gather/partial traffic), a clip threshold that
-// fires nearly every step, and periodic overflow injection — under -race
-// in CI this exercises every cross-rank handoff in the engine.
-func TestStressManyBucketsTightClip(t *testing.T) {
-	cfg := shapeConfig(4, 1, 1)
-	cfg.BucketElems = 600
-	cfg.ClipNorm = 0.35
-	cfg.Scaler = optim.NewLossScaler()
-	cfg.InjectBad = func(step int) bool { return step%7 == 3 }
-	ref := stvConfig(cfg)
-	ref.Scaler = optim.NewLossScaler()
-	eng, trainer, dpLosses, refLosses := runPair(t, pairRun{gpt: tinyGPT, cfg: cfg, ref: ref, steps: 30, accum: 1, dataSeed: 13, batch: 4, seq: 8})
-	defer eng.Close()
-	if eng.Stats().Rollbacks() < 25 {
-		t.Errorf("stress run should roll back nearly every step, got %+v", eng.Stats())
-	}
-	assertSameTrajectory(t, dpLosses, refLosses, eng, trainer)
 }
 
 // TestShapesAllocateAlike: the sequence axis runs the same replica pass as
@@ -297,12 +141,18 @@ func TestShapesAllocateAlike(t *testing.T) {
 			}
 		}
 		step(4) // arenas, ring buffers and staged payloads fill
+		// The best of three windows: the runtime's own allocations land in
+		// some windows and not others, by up to ~1 KB a step.
 		const steps = 16
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		step(steps)
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / steps
+		best := math.Inf(1)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			step(steps)
+			runtime.ReadMemStats(&after)
+			best = min(best, float64(after.TotalAlloc-before.TotalAlloc)/steps)
+		}
+		return best
 	}
 	dpB, spB := bytesPerStep(2, 1), bytesPerStep(1, 2)
 	if lo, hi := min(dpB, spB), max(dpB, spB); hi > 2*lo {

@@ -45,7 +45,9 @@ func ExtPlacementSTV() string {
 	allCPU := place.Uniform(nb, place.CPUAdam)
 	allGPU := place.Uniform(nb, place.GPUResident)
 	nvmePlan := auto.WithNVMeBody()
-	nvmeStore, err := stv.NewPlacedStore(nvmePlan, stv.NVMeStoreConfig{})
+	nvmeStore, err := stv.NewPlacedStoreFlash(nvmePlan, func() (stv.BucketStore, error) {
+		return stv.NewNVMeStore(stv.NVMeStoreConfig{})
+	})
 	if err != nil {
 		panic(err)
 	}

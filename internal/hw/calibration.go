@@ -95,24 +95,6 @@ const (
 	// saturation knee (§4.3, Fig. 7).
 	SuperOffloadBucketBytes = 64 * MiB
 
-	// ActivationBytesPerTokenPerLayerFP16 approximates the fp16
-	// activation working set retained per token per transformer layer
-	// without checkpointing (hidden-size multiplier applied separately):
-	// ~34 * hidden bytes covers QKV, attention probs at moderate seq,
-	// MLP intermediates (4x hidden), and residuals.
-	ActivationBytesPerTokenPerLayerFP16 = 34.0
-
-	// CheckpointActivationFraction is the fraction of activation memory
-	// retained under full activation checkpointing (boundary tensors
-	// only).
-	CheckpointActivationFraction = 1.0 / 17.0
-
-	// RecomputeOverheadFactor is the extra forward pass activation
-	// checkpointing adds to iteration compute: fwd(2) + recompute(2) +
-	// bwd(4) = 8 units vs 6 ⇒ 4/3 on total compute (§5.2 cites ~33%
-	// throughput loss).
-	RecomputeOverheadFactor = 4.0 / 3.0
-
 	// GPUMemoryOverheadBytes reserves HBM for CUDA context, workspace,
 	// fragmentation and framework buffers.
 	GPUMemoryOverheadBytes = 6 * GiB
@@ -132,10 +114,6 @@ const (
 	// access crosses the socket fabric), which is what makes misbinding
 	// hurt even when transfers stay overlapped.
 	NUMAMisbindCPUBWFraction = 0.4
-
-	// ValidationCPUFraction is the share of CPU cores the STV background
-	// validator uses while the GPU runs the next forward pass (§4.4).
-	ValidationCPUFraction = 0.25
 )
 
 // GEMMEfficiency returns the achievable fraction of GPU peak FLOPS for a

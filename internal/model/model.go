@@ -157,8 +157,10 @@ const (
 func (c Config) StateBytes() int64 { return BytesAllStates * c.Params() }
 
 // ActivationBytesPerTokenLayer is the fp16 working set retained per token
-// per layer without checkpointing (fused attention assumed, so no seq²
-// term); see hw.ActivationBytesPerTokenPerLayerFP16 for calibration.
+// per layer without checkpointing, as a multiple of the hidden size: ~34
+// covers QKV, attention probabilities at moderate sequence length, the
+// 4× MLP intermediates and the residuals (fused attention assumed, so no
+// seq² term).
 const ActivationBytesPerTokenLayer = 34
 
 // CheckpointFraction is the activation memory retained under full

@@ -13,7 +13,7 @@ import (
 // Naming scheme: every metric is superoffload_<subsystem>_<metric>,
 // with counters suffixed _total and time accumulators suffixed
 // _seconds_total. Each telemetry struct's Samples method owns one
-// subsystem prefix (nvme, mlp, act, placement, comm, stv), which is
+// subsystem prefix (nvme, act, placement, comm, stv), which is
 // what keeps the five engines' metrics non-colliding — the conformance
 // test in the root package asserts it.
 

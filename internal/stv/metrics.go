@@ -7,25 +7,20 @@ package stv
 // register live readings through obs.Provider closures instead.
 
 import (
-	"fmt"
-
 	"superoffload/internal/obs"
 	"superoffload/internal/place"
 )
 
 var (
 	_ obs.Source = StoreTelemetry{}
-	_ obs.Source = MLPTelemetry{}
 	_ obs.Source = PlacementTelemetry{}
 	_ obs.Source = Stats{}
 )
 
-// storeSamples renders the shared StoreTelemetry counters under the
-// given subsystem prefix (nvme for a bare StoreTelemetry, mlp for
-// MLPTelemetry, which embeds the same counters).
-func storeSamples(prefix string, t StoreTelemetry) []obs.Sample {
+// Samples publishes the store counters as superoffload_nvme_* metrics.
+func (t StoreTelemetry) Samples() []obs.Sample {
 	c := func(name string, v float64) obs.Sample {
-		return obs.Sample{Name: "superoffload_" + prefix + "_" + name, Kind: obs.KindCounter, Value: v}
+		return obs.Sample{Name: "superoffload_nvme_" + name, Kind: obs.KindCounter, Value: v}
 	}
 	return []obs.Sample{
 		c("reads_total", float64(t.Reads)),
@@ -37,36 +32,6 @@ func storeSamples(prefix string, t StoreTelemetry) []obs.Sample {
 		c("stall_seconds_total", t.StallSeconds),
 		c("compute_seconds_total", t.ComputeSeconds),
 	}
-}
-
-// Samples publishes the store counters as superoffload_nvme_* metrics.
-func (t StoreTelemetry) Samples() []obs.Sample {
-	return storeSamples("nvme", t)
-}
-
-// Samples publishes the multi-path store counters as superoffload_mlp_*
-// metrics: the embedded store counters, the DRAM-cache hits, the
-// degradation-event count, and per-path modeled occupancy
-// (superoffload_mlp_path<i>_{read,write}_seconds_total).
-func (t MLPTelemetry) Samples() []obs.Sample {
-	out := storeSamples("mlp", t.StoreTelemetry)
-	out = append(out,
-		obs.Sample{Name: "superoffload_mlp_cache_hits_total", Kind: obs.KindCounter, Value: float64(t.CacheHits)},
-		obs.Sample{Name: "superoffload_mlp_path_events_total", Kind: obs.KindCounter, Value: float64(len(t.Events))},
-	)
-	for i, s := range t.PathReadSeconds {
-		out = append(out, obs.Sample{
-			Name: fmt.Sprintf("superoffload_mlp_path%d_read_seconds_total", i),
-			Kind: obs.KindCounter, Value: s,
-		})
-	}
-	for i, s := range t.PathWriteSeconds {
-		out = append(out, obs.Sample{
-			Name: fmt.Sprintf("superoffload_mlp_path%d_write_seconds_total", i),
-			Kind: obs.KindCounter, Value: s,
-		})
-	}
-	return out
 }
 
 // Samples publishes the superchip executor's modeled accounting as

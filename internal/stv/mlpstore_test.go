@@ -1,12 +1,10 @@
 package stv
 
 import (
-	"bytes"
 	"testing"
 
 	"superoffload/internal/data"
 	"superoffload/internal/hw"
-	"superoffload/internal/optim"
 )
 
 // mlpTestStore builds a tightly-windowed multi-path store backed by the
@@ -27,92 +25,33 @@ func mlpTestStore(t *testing.T, paths, cache int) *MLPStore {
 }
 
 // TestMLPStoreSTVMatchesDRAMBitExact is the multi-path exactness claim:
-// striping bucket records across two flash paths — with and without the
-// DRAM cache tier in front — must not change a single bit of the
-// trajectory, across both schedules and through injected-overflow
-// rollbacks.
+// striping bucket records across flash paths — with and without the DRAM
+// cache tier in front — changes no bit of the trajectory, under both
+// schedules and through injected-overflow rollbacks.
 func TestMLPStoreSTVMatchesDRAMBitExact(t *testing.T) {
-	inject := func(step int) bool { return step == 4 || step == 11 }
-	run := func(mode Mode, store BucketStore) *Trainer {
-		cfg := trainerConfig(mode)
-		cfg.BucketElems = 4000
-		cfg.Store = store
-		cfg.InjectBad = inject
-		cfg.Scaler = optim.NewLossScaler()
-		tr := NewTrainer(tinyGPT(42), cfg)
-		t.Cleanup(func() { tr.Close() })
-		corpus := data.NewCorpus(64, 123)
-		for i := 0; i < 25; i++ {
-			if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := tr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	dram := run(STV, nil)
 	striped := mlpTestStore(t, 2, 0)
-	mlp := run(STV, striped)
-	if mlp.NumBuckets() < 3 {
-		t.Fatalf("need several buckets to exercise the window, got %d", mlp.NumBuckets())
-	}
-	assertSameWeights(t, "STV mlp vs dram", dram.MasterWeights(), mlp.MasterWeights())
-	if dram.Stats() != mlp.Stats() {
-		t.Errorf("stats diverge: dram %+v vs mlp %+v", dram.Stats(), mlp.Stats())
-	}
+	sameAsDRAM(t, tinyGPT, overflowConfig(STV), withStore(striped), 25)
 	tel := striped.Telemetry()
-	for i := 0; i < 2; i++ {
-		if tel.PathWriteSeconds[i] <= 0 {
-			t.Errorf("path %d never wrote: %+v", i, tel)
-		}
+	if tel.PathWriteSeconds[0] <= 0 || tel.PathWriteSeconds[1] <= 0 || len(tel.Events) != 0 {
+		t.Errorf("healthy 2-path run: path writes %v, events %+v", tel.PathWriteSeconds, tel.Events)
 	}
-	if len(tel.Events) != 0 {
-		t.Errorf("healthy run logged degradation events: %+v", tel.Events)
-	}
-
-	cached := run(STV, mlpTestStore(t, 2, 2))
-	assertSameWeights(t, "STV mlp+cache vs dram", dram.MasterWeights(), cached.MasterWeights())
-
-	ste := run(STE, mlpTestStore(t, 3, 1))
-	assertSameWeights(t, "STE(mlp) vs STV(dram)", ste.MasterWeights(), dram.MasterWeights())
+	sameAsDRAM(t, tinyGPT, overflowConfig(STV), withStore(mlpTestStore(t, 2, 2)), 25)
+	sameAsDRAM(t, tinyGPT, overflowConfig(STE), withStore(mlpTestStore(t, 3, 1)), 25)
 }
 
-// TestMLPStoreClipRollbackExact drives the clip re-execution rollback on
-// multi-path-windowed state: the snapshots the rollback restores from
-// have striped out to the per-path files and fetched back.
+// TestMLPStoreClipRollbackExact drives the clip re-execution on
+// multi-path-windowed state: the snapshots the rollback restores have
+// striped out to the per-path files and fetched back.
 func TestMLPStoreClipRollbackExact(t *testing.T) {
-	run := func(store BucketStore) *Trainer {
-		cfg := trainerConfig(STV)
-		cfg.BucketElems = 4000
-		cfg.ClipNorm = 0.35 // clip fires nearly every step
-		cfg.Schedule = WarmupCosine(5, 30, 0.1)
-		cfg.Store = store
-		tr := NewTrainer(tinyGPT(7), cfg)
-		t.Cleanup(func() { tr.Close() })
-		corpus := data.NewCorpus(64, 9)
-		for i := 0; i < 30; i++ {
-			if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := tr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return tr
+	if run := sameAsDRAM(t, tinyGPT, clipConfig, withStore(mlpTestStore(t, 2, 2)), 30); run.stats.ClipRolls < 20 {
+		t.Fatalf("tight clip produced only %d rollbacks; window untested", run.stats.ClipRolls)
 	}
-	dram, mlp := run(nil), run(mlpTestStore(t, 2, 2))
-	if mlp.Stats().ClipRolls < 20 {
-		t.Fatalf("tight clip produced only %d rollbacks; window untested", mlp.Stats().ClipRolls)
-	}
-	assertSameWeights(t, "clip rollback", dram.MasterWeights(), mlp.MasterWeights())
 }
 
 // TestMLPStoreCacheTier: with a DRAM cache tier in front of flash, some
 // Acquires hit the cache (no flash read, no stall), so the cached run
 // does strictly less flash reading than the cache-less one — while
-// TestMLPStoreSTVMatchesDRAMBitExact already pinned the trajectory.
+// TestMLPStoreSTVMatchesDRAMBitExact pins the trajectory.
 func TestMLPStoreCacheTier(t *testing.T) {
 	run := func(cache int) MLPTelemetry {
 		store := mlpTestStore(t, 2, cache)
@@ -195,83 +134,10 @@ func TestMLPStoreMultipathBeatsSinglePath(t *testing.T) {
 }
 
 // TestCheckpointPortableAcrossFlashStores extends the cross-backend
-// checkpoint property to the multi-path store: a checkpoint written
-// under any of {single-lane NVMe, N-path striped, striped + DRAM cache}
-// loads under the others and resumes bit-exactly, including a
-// post-rollback checkpoint taken mid-schedule.
+// checkpoint property to the multi-path store, with and without its cache
+// tier.
 func TestCheckpointPortableAcrossFlashStores(t *testing.T) {
-	const warm, cont = 9, 8
-	schedule := WarmupCosine(5, warm+cont, 0.1)
-	inject := func(step int) bool { return step == warm }
-	mkStore := func(kind string) BucketStore {
-		switch kind {
-		case "dram":
-			return nil
-		case "nvme":
-			return nvmeTestStore(t, 2)
-		case "mlp":
-			return mlpTestStore(t, 2, 0)
-		case "mlp+cache":
-			return mlpTestStore(t, 3, 2)
-		}
-		t.Fatalf("unknown store kind %q", kind)
-		return nil
-	}
-	mkTrainer := func(seed uint64, kind string) *Trainer {
-		cfg := trainerConfig(STV)
-		cfg.BucketElems = 4000
-		cfg.Schedule = schedule
-		cfg.InjectBad = inject
-		cfg.Scaler = optim.NewLossScaler()
-		cfg.Store = mkStore(kind)
-		tr := NewTrainer(tinyGPT(seed), cfg)
-		t.Cleanup(func() { tr.Close() })
-		return tr
-	}
-	train := func(tr *Trainer, corpus *data.Corpus, steps int) {
-		t.Helper()
-		for i := 0; i < steps; i++ {
-			if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := tr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, dir := range []struct{ src, dst string }{
-		{"nvme", "mlp"},
-		{"mlp", "dram"},
-		{"mlp+cache", "mlp"},
-	} {
-		t.Run(dir.src+"->"+dir.dst, func(t *testing.T) {
-			src := mkTrainer(42, dir.src)
-			corpus := data.NewCorpus(64, 77)
-			train(src, corpus, warm)
-			if src.Stats().SkipRolls != 1 {
-				t.Fatalf("expected the injected overflow to roll back before Save, got %+v", src.Stats())
-			}
-			var ckpt bytes.Buffer
-			if err := src.Save(&ckpt); err != nil {
-				t.Fatal(err)
-			}
-
-			dst := mkTrainer(999, dir.dst) // different init: must be overwritten
-			if err := dst.Load(bytes.NewReader(ckpt.Bytes())); err != nil {
-				t.Fatal(err)
-			}
-			assertSameWeights(t, "restored masters", src.MasterWeights(), dst.MasterWeights())
-
-			srcCont := data.NewCorpus(64, 88)
-			dstCont := data.NewCorpus(64, 88)
-			train(src, srcCont, cont)
-			train(dst, dstCont, cont)
-			assertSameWeights(t, "post-resume masters", src.MasterWeights(), dst.MasterWeights())
-			if src.StepIndex() != dst.StepIndex() {
-				t.Errorf("step indices diverge: %d vs %d", src.StepIndex(), dst.StepIndex())
-			}
-		})
-	}
+	resumesAcrossEach(t, [2]string{"nvme", "mlp"}, [2]string{"mlp", "dram"}, [2]string{"mlp+cache", "mlp"})
 }
 
 // TestMLPWindowStaysBounded: residency never exceeds the configured

@@ -16,18 +16,10 @@ type PlacedStore struct {
 	flash BucketStore // nil when the plan has no NVMe-tier buckets
 }
 
-// NewPlacedStore builds a store for the plan over the single-lane flash
-// preset; cfg parameterizes it (ignored when no bucket is NVMe-tier).
-func NewPlacedStore(plan place.Plan, cfg NVMeStoreConfig) (*PlacedStore, error) {
-	return NewPlacedStoreFlash(plan, func() (BucketStore, error) {
-		return NewNVMeStore(cfg)
-	})
-}
-
 // NewPlacedStoreFlash builds a store for the plan with the flash tier
-// supplied by newFlash — the hook the facade uses to put its configured
-// MLPStore behind a placement. newFlash is only called when the plan has
-// NVMe-tier buckets.
+// supplied by newFlash (an NVMeStore, or the facade's configured
+// MLPStore). newFlash is only called when the plan has NVMe-tier
+// buckets.
 func NewPlacedStoreFlash(plan place.Plan, newFlash func() (BucketStore, error)) (*PlacedStore, error) {
 	s := &PlacedStore{
 		tiers: append([]place.Tier(nil), plan.Tiers...),

@@ -1,7 +1,6 @@
 package stv
 
 import (
-	"bytes"
 	"testing"
 
 	"superoffload/internal/data"
@@ -12,92 +11,33 @@ import (
 	"superoffload/internal/tensor"
 )
 
-// runPlaced trains a fresh toy model for steps iterations under the given
-// placement/store and returns the losses, stats, and final checkpoint
-// bytes. A tight clip plus fault injection exercises both rollback
-// scenarios, so exactness covers the full verdict surface.
-func runPlaced(t *testing.T, steps int, plan *place.Plan, store BucketStore) ([]float64, Stats, []byte) {
-	t.Helper()
-	cfg := model.Config{Name: "place", Layers: 2, Hidden: 64, Heads: 4, Vocab: 128}
-	m := nn.NewGPT(cfg, 16, tensor.NewRNG(11))
-	a := optim.DefaultConfig()
-	a.LR = 3e-3
-	tr := NewTrainer(m, Config{
-		Adam: a, ClipNorm: 0.9,
-		BucketElems: 4096, Mode: STV, Store: store,
-		Placement: plan,
-		InjectBad: func(step int) bool { return step == 4 },
-	})
-	defer func() {
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	corpus := data.NewCorpus(cfg.Vocab, 13)
-	losses := make([]float64, 0, steps)
-	for i := 0; i < steps; i++ {
-		l, err := tr.Step(corpus.NextBatch(4, 16))
-		if err != nil {
-			t.Fatal(err)
-		}
-		losses = append(losses, l)
-	}
-	if _, err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var ckpt bytes.Buffer
-	if err := tr.Save(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	return losses, tr.Stats(), ckpt.Bytes()
-}
-
 // placementBuckets is the toy partition size for hidden 64 / 4096-elem
 // buckets (asserted inside the test so plan sizes stay in sync).
 const placementBuckets = 19
 
-// TestPlacementBitExact asserts the tentpole contract: any placement
-// plan — all-GPU, all-CPU, the auto split, and the split with an NVMe
-// body through a PlacedStore — trains bit-identically to the homogeneous
-// trainer: same losses, same rollback stats, byte-identical checkpoints.
+// TestPlacementBitExact: any placement plan — all-CPU, all-GPU, a GPU
+// tail, and the tail with a flash body through a PlacedStore — trains
+// bit-identically to the homogeneous trainer.
 func TestPlacementBitExact(t *testing.T) {
-	const steps = 24
-	refLosses, refStats, refCkpt := runPlaced(t, steps, nil, nil)
-	if refStats.Rollbacks() == 0 {
-		t.Fatal("reference run produced no rollbacks; the exactness test is not exercising the verdict surface")
-	}
-
-	split := place.GPUTail(placementBuckets, 3)
-	nvmePlan := split.WithNVMeBody()
-	nvmeStore, err := NewPlacedStore(nvmePlan, NVMeStoreConfig{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name  string
-		plan  place.Plan
-		store BucketStore
+	nb := len(PartitionGroups(tinyGPT(42).Params(), 4000))
+	tail := place.GPUTail(nb, 3)
+	for _, c := range []struct {
+		name string
+		plan place.Plan
 	}{
-		{"all-cpu", place.Uniform(placementBuckets, place.CPUAdam), nil},
-		{"all-gpu", place.Uniform(placementBuckets, place.GPUResident), nil},
-		{"gpu-tail", split, nil},
-		{"gpu-tail+nvme", nvmePlan, nvmeStore},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			plan := tc.plan
-			losses, stats, ckpt := runPlaced(t, steps, &plan, tc.store)
-			for i := range refLosses {
-				if losses[i] != refLosses[i] {
-					t.Fatalf("loss diverged at step %d: %v vs homogeneous %v", i, losses[i], refLosses[i])
-				}
+		{"all-cpu", place.Uniform(nb, place.CPUAdam)},
+		{"all-gpu", place.Uniform(nb, place.GPUResident)},
+		{"gpu-tail", tail},
+		{"gpu-tail+nvme", tail.WithNVMeBody()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			store, err := NewPlacedStoreFlash(c.plan, func() (BucketStore, error) {
+				return nvmeTestStore(t, 2), nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if stats != refStats {
-				t.Fatalf("stats diverged: %+v vs homogeneous %+v", stats, refStats)
-			}
-			if !bytes.Equal(ckpt, refCkpt) {
-				t.Fatal("checkpoint bytes diverged from the homogeneous trainer")
-			}
+			sameAsDRAM(t, tinyGPT, overflowConfig(STV), func(cfg *Config) { cfg.Store, cfg.Placement = store, &c.plan }, 24)
 		})
 	}
 }
@@ -183,7 +123,7 @@ func TestPlacementTelemetry(t *testing.T) {
 // buckets.
 func TestPlacedStoreRouting(t *testing.T) {
 	plan := place.Plan{Tiers: []place.Tier{place.GPUResident, place.CPUAdam, place.NVMeWindow}}
-	s, err := NewPlacedStore(plan, NVMeStoreConfig{Dir: t.TempDir()})
+	s, err := NewPlacedStoreFlash(plan, func() (BucketStore, error) { return nvmeTestStore(t, 2), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +154,10 @@ func TestPlacedStoreRouting(t *testing.T) {
 
 	// A plan with no NVMe buckets builds no inner store and reports no
 	// telemetry.
-	resident, err := NewPlacedStore(place.Uniform(2, place.CPUAdam), NVMeStoreConfig{Dir: t.TempDir()})
+	resident, err := NewPlacedStoreFlash(place.Uniform(2, place.CPUAdam), func() (BucketStore, error) {
+		t.Fatal("flash tier built for a plan without NVMe buckets")
+		return nil, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

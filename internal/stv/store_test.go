@@ -2,9 +2,11 @@ package stv
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"superoffload/internal/data"
+	"superoffload/internal/nn"
 	"superoffload/internal/optim"
 )
 
@@ -29,117 +31,127 @@ func nvmeTrainerConfig(t *testing.T, mode Mode) Config {
 	return cfg
 }
 
-func assertSameWeights(t *testing.T, label string, a, b []float32) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: weight counts differ: %d vs %d", label, len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("%s: weights diverge at %d: %v vs %v", label, i, a[i], b[i])
-		}
-	}
+// trajectory is what a trainer run leaves behind: its losses, Stats,
+// master weights and checkpoint bytes after a final Flush.
+type trajectory struct {
+	losses  []float64
+	stats   Stats
+	masters []float32
+	ckpt    []byte
 }
 
-// TestNVMeStoreSTVMatchesDRAMBitExact is the residency-tier exactness
-// claim: windowing optimizer state through the file-backed store must not
-// change a single bit of the trajectory, across both schedules and
-// through injected-overflow rollbacks.
-func TestNVMeStoreSTVMatchesDRAMBitExact(t *testing.T) {
-	inject := func(step int) bool { return step == 4 || step == 11 }
-	run := func(mode Mode, nvme bool) *Trainer {
+// train steps tr over steps 2×8 batches of corpus 123, flushes it, and
+// closes it.
+func train(t *testing.T, tr *Trainer, steps int) trajectory {
+	t.Helper()
+	defer tr.Close()
+	corpus := data.NewCorpus(64, 123)
+	var run trajectory
+	for i := 0; i < steps; i++ {
+		l, err := tr.Step(corpus.NextBatch(2, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.losses = append(run.losses, l)
+	}
+	if _, err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := tr.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	run.stats, run.masters, run.ckpt = tr.Stats(), tr.MasterWeights(), ckpt.Bytes()
+	return run
+}
+
+// sameAsDRAM trains the trainer mk and with configure and mk's plain
+// DRAM-resident one from the same init on the same batches, requires the
+// two runs identical bit for bit, and returns the configured one. The
+// generated suite in internal/dp checks the same contract over every
+// engine shape; these are the stores' own single-rank cases.
+func sameAsDRAM(t *testing.T, gpt func(uint64) *nn.GPT, mk func() Config, with func(*Config), steps int) trajectory {
+	t.Helper()
+	cfg := mk()
+	with(&cfg)
+	got, want := train(t, NewTrainer(gpt(42), cfg), steps), train(t, NewTrainer(gpt(42), mk()), steps)
+	if !slices.Equal(got.losses, want.losses) || got.stats != want.stats ||
+		!slices.Equal(got.masters, want.masters) || !bytes.Equal(got.ckpt, want.ckpt) {
+		t.Fatalf("diverged from the DRAM trainer: losses %v vs %v, stats %+v vs %+v", got.losses, want.losses, got.stats, want.stats)
+	}
+	return got
+}
+
+func withStore(s BucketStore) func(*Config) { return func(c *Config) { c.Store = s } }
+
+// overflowConfig streams 4000-element buckets under loss scaling, with an
+// overflow injected on steps 4 and 11.
+func overflowConfig(mode Mode) func() Config {
+	return func() Config {
 		cfg := trainerConfig(mode)
 		cfg.BucketElems = 4000
-		if nvme {
-			cfg.Store = nvmeTestStore(t, 2)
-		}
-		cfg.InjectBad = inject
 		cfg.Scaler = optim.NewLossScaler()
-		tr := NewTrainer(tinyGPT(42), cfg)
-		t.Cleanup(func() { tr.Close() })
-		corpus := data.NewCorpus(64, 123)
-		for i := 0; i < 25; i++ {
-			if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := tr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	dram := run(STV, false)
-	nvme := run(STV, true)
-	if nvme.NumBuckets() < 3 {
-		t.Fatalf("need several buckets to exercise the window, got %d", nvme.NumBuckets())
-	}
-	assertSameWeights(t, "STV nvme vs dram", dram.MasterWeights(), nvme.MasterWeights())
-
-	ste := run(STE, true)
-	assertSameWeights(t, "STE(nvme) vs STV(nvme)", ste.MasterWeights(), nvme.MasterWeights())
-	if dram.Stats() != nvme.Stats() {
-		t.Errorf("stats diverge: dram %+v vs nvme %+v", dram.Stats(), nvme.Stats())
+		cfg.InjectBad = func(step int) bool { return step == 4 || step == 11 }
+		return cfg
 	}
 }
 
-// TestNVMeStoreClipRollbackExact drives the clip re-execution path (the
-// §4.4 scenario-2 rollback) on windowed state: the snapshots the rollback
-// restores from have been evicted to the file and fetched back.
+// clipConfig clips on nearly every step under a moving learning rate, so
+// the rollbacks restore snapshots that went through the store.
+func clipConfig() Config {
+	cfg := trainerConfig(STV)
+	cfg.BucketElems = 4000
+	cfg.ClipNorm = 0.35
+	cfg.Schedule = WarmupCosine(5, 30, 0.1)
+	return cfg
+}
+
+// TestNVMeStoreSTVMatchesDRAMBitExact: windowing optimizer state through
+// the file-backed store changes no bit of the trajectory, under both
+// schedules and through injected-overflow rollbacks; the checkpoint bytes
+// are the DRAM trainer's.
+func TestNVMeStoreSTVMatchesDRAMBitExact(t *testing.T) {
+	for _, mode := range []Mode{STV, STE} {
+		sameAsDRAM(t, tinyGPT, overflowConfig(mode), withStore(nvmeTestStore(t, 2)), 25)
+	}
+}
+
+// TestNVMeStoreClipRollbackExact drives the clip re-execution on windowed
+// state: the snapshots the rollback restores have been evicted to the
+// file and fetched back.
 func TestNVMeStoreClipRollbackExact(t *testing.T) {
-	run := func(nvme bool) *Trainer {
-		cfg := trainerConfig(STV)
-		cfg.BucketElems = 4000
-		cfg.ClipNorm = 0.35 // clip fires nearly every step
-		cfg.Schedule = WarmupCosine(5, 30, 0.1)
-		if nvme {
-			cfg.Store = nvmeTestStore(t, 2)
-		}
-		tr := NewTrainer(tinyGPT(7), cfg)
-		t.Cleanup(func() { tr.Close() })
-		corpus := data.NewCorpus(64, 9)
-		for i := 0; i < 30; i++ {
-			if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := tr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return tr
+	if run := sameAsDRAM(t, tinyGPT, clipConfig, withStore(nvmeTestStore(t, 2)), 30); run.stats.ClipRolls < 20 {
+		t.Fatalf("tight clip produced only %d rollbacks; window untested", run.stats.ClipRolls)
 	}
-	dram, nvme := run(false), run(true)
-	if nvme.Stats().ClipRolls < 20 {
-		t.Fatalf("tight clip produced only %d rollbacks; window untested", nvme.Stats().ClipRolls)
-	}
-	assertSameWeights(t, "clip rollback", dram.MasterWeights(), nvme.MasterWeights())
 }
 
-// TestCheckpointPortableAcrossStores is the cross-backend checkpoint
-// property: a checkpoint written under either store loads under the other
-// and resumes bit-exactly — including checkpoints taken mid-schedule and
-// right after a rollback, the states where hidden divergence would hide.
-func TestCheckpointPortableAcrossStores(t *testing.T) {
+// TestCheckpointBytesIdenticalAcrossStores: the serialized checkpoint is
+// byte-identical whichever store produced it.
+func TestCheckpointBytesIdenticalAcrossStores(t *testing.T) {
+	sameAsDRAM(t, tinyGPT, overflowConfig(STV), withStore(nvmeTestStore(t, 2)), 10)
+}
+
+// resumesAcross is the cross-backend checkpoint property: a checkpoint
+// written over src — mid-schedule, right after a rollback — loads into a
+// differently initialized trainer over dst, and both resume on the same
+// trajectory.
+func resumesAcross(t *testing.T, src, dst BucketStore) {
+	t.Helper()
 	const warm, cont = 9, 8
-	schedule := WarmupCosine(5, warm+cont, 0.1)
-	// Injecting on the warm-up's last step makes the saved state a
-	// post-rollback one (the skip resolves at Flush, just before Save).
-	inject := func(step int) bool { return step == warm }
-	mkTrainer := func(seed uint64, nvme bool) *Trainer {
-		cfg := trainerConfig(STV)
-		cfg.BucketElems = 4000
-		cfg.Schedule = schedule
-		cfg.InjectBad = inject
-		cfg.Scaler = optim.NewLossScaler()
-		if nvme {
-			cfg.Store = nvmeTestStore(t, 2)
-		}
+	mk := func(seed uint64, store BucketStore) *Trainer {
+		cfg := overflowConfig(STV)()
+		cfg.Schedule = WarmupCosine(5, warm+cont, 0.1)
+		// The overflow on the warm-up's last step makes the saved state a
+		// post-rollback one (the skip resolves at Flush, just before Save).
+		cfg.InjectBad = func(step int) bool { return step == warm }
+		cfg.Store = store
 		tr := NewTrainer(tinyGPT(seed), cfg)
 		t.Cleanup(func() { tr.Close() })
 		return tr
 	}
-	train := func(tr *Trainer, corpus *data.Corpus, steps int) {
+	steps := func(tr *Trainer, corpus *data.Corpus, n int) {
 		t.Helper()
-		for i := 0; i < steps; i++ {
+		for i := 0; i < n; i++ {
 			if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
 				t.Fatal(err)
 			}
@@ -148,76 +160,48 @@ func TestCheckpointPortableAcrossStores(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, dir := range []struct {
-		name             string
-		srcNVMe, dstNVMe bool
-	}{
-		{"dram->nvme", false, true},
-		{"nvme->dram", true, false},
-		{"nvme->nvme", true, true},
-	} {
-		t.Run(dir.name, func(t *testing.T) {
-			src := mkTrainer(42, dir.srcNVMe)
-			corpus := data.NewCorpus(64, 77)
-			train(src, corpus, warm)
-			if src.Stats().SkipRolls != 1 {
-				t.Fatalf("expected the injected overflow to roll back before Save, got %+v", src.Stats())
-			}
-			var ckpt bytes.Buffer
-			if err := src.Save(&ckpt); err != nil {
-				t.Fatal(err)
-			}
-
-			dst := mkTrainer(999, dir.dstNVMe) // different init: must be overwritten
-			if err := dst.Load(bytes.NewReader(ckpt.Bytes())); err != nil {
-				t.Fatal(err)
-			}
-			assertSameWeights(t, "restored masters", src.MasterWeights(), dst.MasterWeights())
-
-			// Resume both mid-schedule on identical data; the schedule
-			// continues from the checkpointed step index.
-			srcCont := data.NewCorpus(64, 88)
-			dstCont := data.NewCorpus(64, 88)
-			train(src, srcCont, cont)
-			train(dst, dstCont, cont)
-			assertSameWeights(t, "post-resume masters", src.MasterWeights(), dst.MasterWeights())
-			if src.StepIndex() != dst.StepIndex() {
-				t.Errorf("step indices diverge: %d vs %d", src.StepIndex(), dst.StepIndex())
-			}
-		})
+	from, into := mk(42, src), mk(999, dst)
+	steps(from, data.NewCorpus(64, 77), warm)
+	if from.Stats().SkipRolls != 1 {
+		t.Fatalf("expected the injected overflow to roll back before Save, got %+v", from.Stats())
+	}
+	var ckpt bytes.Buffer
+	if err := from.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := into.Load(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(from.MasterWeights(), into.MasterWeights()) {
+		t.Fatal("restored masters differ")
+	}
+	steps(from, data.NewCorpus(64, 88), cont)
+	steps(into, data.NewCorpus(64, 88), cont)
+	if !slices.Equal(from.MasterWeights(), into.MasterWeights()) || from.StepIndex() != into.StepIndex() {
+		t.Fatalf("resumed runs diverge (step indices %d, %d)", from.StepIndex(), into.StepIndex())
 	}
 }
 
-// TestCheckpointBytesIdenticalAcrossStores: the serialized checkpoint
-// itself must be byte-identical whichever store produced it.
-func TestCheckpointBytesIdenticalAcrossStores(t *testing.T) {
-	run := func(nvme bool) []byte {
-		cfg := trainerConfig(STV)
-		cfg.BucketElems = 4000
-		cfg.Scaler = optim.NewLossScaler()
-		if nvme {
-			cfg.Store = nvmeTestStore(t, 2)
-		}
-		tr := NewTrainer(tinyGPT(31), cfg)
-		t.Cleanup(func() { tr.Close() })
-		corpus := data.NewCorpus(64, 23)
-		for i := 0; i < 10; i++ {
-			if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := tr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+// testStores builds the stores the checkpoint-portability tests move
+// between, by name.
+var testStores = map[string]func(t *testing.T) BucketStore{
+	"dram":      func(*testing.T) BucketStore { return nil },
+	"nvme":      func(t *testing.T) BucketStore { return nvmeTestStore(t, 2) },
+	"mlp":       func(t *testing.T) BucketStore { return mlpTestStore(t, 2, 0) },
+	"mlp+cache": func(t *testing.T) BucketStore { return mlpTestStore(t, 3, 2) },
+}
+
+// resumesAcrossEach runs resumesAcross once per "src->dst" store pair.
+func resumesAcrossEach(t *testing.T, pairs ...[2]string) {
+	for _, c := range pairs {
+		t.Run(c[0]+"->"+c[1], func(t *testing.T) { resumesAcross(t, testStores[c[0]](t), testStores[c[1]](t)) })
 	}
-	if !bytes.Equal(run(false), run(true)) {
-		t.Fatal("checkpoint bytes differ between DRAM and NVMe stores")
-	}
+}
+
+// TestCheckpointPortableAcrossStores: checkpoints move between the DRAM
+// and NVMe stores in both directions.
+func TestCheckpointPortableAcrossStores(t *testing.T) {
+	resumesAcrossEach(t, [2]string{"dram", "nvme"}, [2]string{"nvme", "dram"}, [2]string{"nvme", "nvme"})
 }
 
 // TestNVMeWindowStaysBounded: residency never exceeds the configured

@@ -19,14 +19,7 @@ func populatedSources() map[string]MetricSource {
 		pt.Tiers[i].Buckets = i + 1
 	}
 	return map[string]MetricSource{
-		"nvme": StoreTelemetry{Reads: 1, Writes: 2, ReadSeconds: 0.5},
-		"mlp": MLPTelemetry{
-			StoreTelemetry:   StoreTelemetry{Reads: 4},
-			CacheHits:        2,
-			PathReadSeconds:  []float64{0.1, 0.2},
-			PathWriteSeconds: []float64{0.3, 0.4},
-			Events:           []PathEvent{{Kind: "quarantine"}},
-		},
+		"nvme":      StoreTelemetry{Reads: 1, Writes: 2, ReadSeconds: 0.5},
 		"act":       ActTelemetry{Passes: 2, Spills: 5, Fetches: 5},
 		"placement": pt,
 		"comm":      SPCommStats{A2APayloads: 7, RingHops: 3},

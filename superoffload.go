@@ -389,14 +389,6 @@ func (cfg OptimizerConfig) trainSetup(m *Model) (*place.Plan, func(rank int) (st
 // writes, stalls, overlapped compute); see stv.StoreTelemetry.
 type StoreTelemetry = stv.StoreTelemetry
 
-// MLPTelemetry is the flash store's extended accounting (per-path
-// occupancy, DRAM cache hits, degradation events); see stv.MLPTelemetry.
-type MLPTelemetry = stv.MLPTelemetry
-
-// PathEvent is one degradation event (quarantine, reroute, recover, pin)
-// in a flash store's lifetime; see stv.PathEvent.
-type PathEvent = stv.PathEvent
-
 // PlacementConfig selects the adaptive weight-update placement: which
 // buckets update synchronously on the GPU (the §4.3 GPU-retained tail)
 // versus flowing over NVLink-C2C to the CPU Adam — and, combined with

@@ -197,56 +197,14 @@ func TestActivationFacade(t *testing.T) {
 		}
 	})
 
-	builders := []struct {
-		name string
-		init func(cfg OptimizerConfig) (interface {
-			Step(Batch) (float64, error)
-			Flush() error
-			ActTelemetry() (ActTelemetry, bool)
-			Close() error
-		}, error)
-		rowsDiv, seqDiv int
-	}{
-		{"single", func(cfg OptimizerConfig) (interface {
-			Step(Batch) (float64, error)
-			Flush() error
-			ActTelemetry() (ActTelemetry, bool)
-			Close() error
-		}, error) {
-			return Init(newM(), cfg)
-		}, 1, 1},
-		{"dp-r2", func(cfg OptimizerConfig) (interface {
-			Step(Batch) (float64, error)
-			Flush() error
-			ActTelemetry() (ActTelemetry, bool)
-			Close() error
-		}, error) {
-			return InitDP(newM(), cfg, DPConfig{Ranks: 2})
-		}, 2, 1},
-		{"sp-s2", func(cfg OptimizerConfig) (interface {
-			Step(Batch) (float64, error)
-			Flush() error
-			ActTelemetry() (ActTelemetry, bool)
-			Close() error
-		}, error) {
-			return InitSP(newM(), cfg, SPConfig{SeqRanks: 2})
-		}, 1, 2},
-		{"mesh-2x2", func(cfg OptimizerConfig) (interface {
-			Step(Batch) (float64, error)
-			Flush() error
-			ActTelemetry() (ActTelemetry, bool)
-			Close() error
-		}, error) {
-			return InitMesh(newM(), cfg, MeshConfig{Ranks: 2, SeqRanks: 2})
-		}, 2, 2},
-	}
-	for _, b := range builders {
-		t.Run("offloaded-"+b.name, func(t *testing.T) {
+	for _, b := range [][2]string{{"single", "init"}, {"dp-r2", "dp"}, {"sp-s2", "sp"}, {"mesh-2x2", "mesh"}} {
+		t.Run("offloaded-"+b[0], func(t *testing.T) {
 			cfg := DefaultOptimizer()
 			cfg.Activation = ActivationConfig{
 				Offload: "dram", ResidentLayers: 2, HBMBudgetBytes: budget,
 			}
-			eng, err := b.init(cfg)
+			p := presets[b[1]]
+			eng, err := p.build(newM(), cfg, p.shape)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +212,7 @@ func TestActivationFacade(t *testing.T) {
 			// Per-rank tokens shrink under DP/SP, so scale the batch up to
 			// keep the per-rank shape identical to the single-rank case.
 			for i := 0; i < 4; i++ {
-				if _, err := eng.Step(corpus.NextBatch(rows*b.rowsDiv, seq*b.seqDiv)); err != nil {
+				if _, err := eng.Step(corpus.NextBatch(rows*p.shape.Ranks, seq*p.shape.SeqRanks)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -449,389 +407,166 @@ func TestEngineAccumScheduleCheckpoint(t *testing.T) {
 	}
 }
 
-// TestInitDPFacade mirrors the paper's multi-superchip enablement: the
-// data-parallel engine behind the same two-line surface, on a loss
-// trajectory bit-identical to the single-rank engine consuming the same
-// R-way micro-batch decomposition — including across a rollback.
-func TestInitDPFacade(t *testing.T) {
-	const ranks, steps = 2, 20
-	mk := func(seed uint64) *Model {
-		m, err := NewModel(ModelConfig{Layers: 2, Hidden: 32, Vocab: 64, MaxSeq: 16}, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	cfg := DefaultOptimizer()
-	cfg.LR = 3e-3
-	cfg.ClipNorm = 1.0 // tight enough to trigger rollbacks on this workload
-	cfg.BucketElems = 20000
+// presets are the facade's shape presets: the shape each builds, and the
+// shapes it must reject on presetModel (whose 4 heads cannot split 3 ways).
+var presets = map[string]struct {
+	build func(*Model, OptimizerConfig, MeshConfig) (*Engine, error)
+	shape MeshConfig
+	bad   []MeshConfig
+}{
+	"init": {func(m *Model, cfg OptimizerConfig, _ MeshConfig) (*Engine, error) { return Init(m, cfg) },
+		MeshConfig{Ranks: 1, SeqRanks: 1, PipeRanks: 1}, nil},
+	"dp": {func(m *Model, cfg OptimizerConfig, mc MeshConfig) (*Engine, error) {
+		return InitDP(m, cfg, DPConfig{Ranks: mc.Ranks})
+	}, MeshConfig{Ranks: 2, SeqRanks: 1, PipeRanks: 1}, []MeshConfig{{Ranks: -1}}},
+	"sp": {func(m *Model, cfg OptimizerConfig, mc MeshConfig) (*Engine, error) {
+		return InitSP(m, cfg, SPConfig{SeqRanks: mc.SeqRanks})
+	}, MeshConfig{Ranks: 1, SeqRanks: 2, PipeRanks: 1}, []MeshConfig{{SeqRanks: -1}, {SeqRanks: 3}}},
+	"mesh": {InitMesh, MeshConfig{Ranks: 2, SeqRanks: 2, PipeRanks: 1},
+		[]MeshConfig{{Ranks: -1, SeqRanks: 2}, {Ranks: 2, SeqRanks: -1}, {Ranks: 2, SeqRanks: 3}}},
+	"pipe":                 {InitPipe, MeshConfig{Ranks: 2, SeqRanks: 1, PipeRanks: 2}, []MeshConfig{{Ranks: 2, PipeRanks: 3}}},
+	"mesh-with-pipe-ranks": {InitMesh, MeshConfig{Ranks: 2, SeqRanks: 1, PipeRanks: 2}, nil},
+}
 
-	dpe, err := InitDP(mk(42), cfg, DPConfig{Ranks: ranks})
+func presetModel(t *testing.T, seed uint64) *Model {
+	t.Helper()
+	m, err := NewModel(ModelConfig{Layers: 2, Hidden: 32, Heads: 4, Vocab: 64, MaxSeq: 16}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dpe.Close()
-	single, err := Init(mk(42), cfg)
+	return m
+}
+
+// matchesInit trains preset name and Init from the same model on the same
+// batches — Init accumulating the preset's R-way row decomposition — and
+// requires the shape the preset names, link traffic on exactly its
+// parallel axes, the same losses and Stats, and a checkpoint that
+// round-trips through Init byte for byte. It returns the preset's Stats.
+func matchesInit(t *testing.T, name string, cfg OptimizerConfig, steps int) Stats {
+	t.Helper()
+	p := presets[name]
+	eng, err := p.build(presetModel(t, 42), cfg, p.shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	single, err := Init(presetModel(t, 42), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer single.Close()
-	if dpe.Ranks() != ranks || dpe.NumBuckets() != single.NumBuckets() {
-		t.Fatalf("layout mismatch: ranks=%d buckets %d vs %d", dpe.Ranks(), dpe.NumBuckets(), single.NumBuckets())
+	if got := (MeshConfig{eng.Ranks(), eng.SeqRanks(), eng.PipeRanks()}); got != p.shape || eng.NumBuckets() != single.NumBuckets() {
+		t.Fatalf("built %+v with %d buckets, want %+v with %d", got, eng.NumBuckets(), p.shape, single.NumBuckets())
 	}
-
-	corpus := NewCorpus(64, 123)
-	refCorpus := NewCorpus(64, 123)
+	r := eng.Ranks()
+	corpus, refCorpus := NewCorpus(64, 123), NewCorpus(64, 123)
 	for i := 0; i < steps; i++ {
-		b := corpus.NextBatch(4, 8)
-		dl, err := dpe.Step(b)
+		l, err := eng.Step(corpus.NextBatch(4, 8))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb := refCorpus.NextBatch(4, 8)
-		half := rb.BatchSize / ranks * rb.Seq
-		sl, err := single.StepAccum([]Batch{
-			{Tokens: rb.Tokens[:half], Targets: rb.Targets[:half], BatchSize: rb.BatchSize / ranks, Seq: rb.Seq},
-			{Tokens: rb.Tokens[half:], Targets: rb.Targets[half:], BatchSize: rb.BatchSize / ranks, Seq: rb.Seq},
-		})
+		b, per := refCorpus.NextBatch(4, 8), 4/r*8
+		var parts []Batch
+		for g := 0; g < r; g++ {
+			parts = append(parts, Batch{Tokens: b.Tokens[g*per : (g+1)*per], Targets: b.Targets[g*per : (g+1)*per], BatchSize: 4 / r, Seq: 8})
+		}
+		sl, err := single.StepAccum(parts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dl != sl {
-			t.Fatalf("step %d: DP loss %v != single-rank loss %v", i, dl, sl)
+		if l != sl {
+			t.Fatalf("step %d: %s loss %v, Init %v", i, name, l, sl)
 		}
 	}
-	if err := dpe.Flush(); err != nil {
+	for _, e := range []*Engine{eng, single} {
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if eng.Stats() != single.Stats() {
+		t.Errorf("stats diverge: %+v vs %+v", eng.Stats(), single.Stats())
+	}
+	if cs := eng.CommStats(); (cs.A2APayloads > 0) != (p.shape.SeqRanks > 1) || (cs.StageSends > 0) != (p.shape.PipeRanks > 1) {
+		t.Errorf("link traffic %+v for shape %+v", cs, p.shape)
+	}
+	var buf, back bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := single.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if dpe.Stats() != single.Stats() {
-		t.Errorf("stats diverge: %+v vs %+v", dpe.Stats(), single.Stats())
-	}
-	if dpe.Stats().Rollbacks() == 0 {
-		t.Error("facade equivalence run triggered no rollbacks")
-	}
-
-	// Checkpoints are interchangeable between the two engines.
-	var buf bytes.Buffer
-	if err := dpe.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Init(mk(7), cfg)
+	restored, err := Init(presetModel(t, 7), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer restored.Close()
 	if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	var buf2 bytes.Buffer
-	if err := restored.Save(&buf2); err != nil {
+	if err := restored.Save(&back); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Error("DP checkpoint does not round-trip through the single-rank engine")
+	if !bytes.Equal(buf.Bytes(), back.Bytes()) {
+		t.Errorf("%s checkpoint does not round-trip through Init", name)
 	}
-	if err := restored.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return eng.Stats()
 }
 
-func TestInitDPValidation(t *testing.T) {
-	if _, err := InitDP(nil, DefaultOptimizer(), DPConfig{Ranks: 2}); err == nil {
-		t.Error("nil model accepted")
-	}
-	m, _ := NewModel(ModelConfig{Layers: 1, Hidden: 32, Vocab: 32, MaxSeq: 8}, 1)
-	if _, err := InitDP(m, DefaultOptimizer(), DPConfig{Ranks: -1}); err == nil {
-		t.Error("negative ranks accepted")
-	}
-	eng, err := InitDP(m, DefaultOptimizer(), DPConfig{Ranks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if _, err := eng.Step(NewCorpus(32, 2).NextBatch(3, 8)); err == nil {
-		t.Error("batch not divisible by ranks accepted")
-	}
-}
-
-// TestInitSPFacade mirrors the paper's long-sequence enablement: the
-// sequence-parallel engine behind the same two-line surface, on a loss
-// trajectory bit-identical to the single-rank engine consuming the SAME
-// undivided batches — including across a rollback — with checkpoints
-// interchangeable between the engines.
-func TestInitSPFacade(t *testing.T) {
-	const seqRanks, steps = 2, 20
-	mk := func(seed uint64) *Model {
-		m, err := NewModel(ModelConfig{Layers: 2, Hidden: 32, Heads: 4, Vocab: 64, MaxSeq: 16}, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
+// facadeMatchesInit is the multi-bucket run of matchesInit: 8 steps under
+// a clip that rolls back.
+func facadeMatchesInit(t *testing.T, name string) {
 	cfg := DefaultOptimizer()
 	cfg.LR = 3e-3
-	cfg.ClipNorm = 1.0 // tight enough to trigger rollbacks on this workload
+	cfg.ClipNorm = 1.0
 	cfg.BucketElems = 20000
-
-	spe, err := InitSP(mk(42), cfg, SPConfig{SeqRanks: seqRanks})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer spe.Close()
-	single, err := Init(mk(42), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-	if spe.SeqRanks() != seqRanks || spe.NumBuckets() != single.NumBuckets() {
-		t.Fatalf("layout mismatch: seqRanks=%d buckets %d vs %d", spe.SeqRanks(), spe.NumBuckets(), single.NumBuckets())
-	}
-
-	corpus := NewCorpus(64, 123)
-	refCorpus := NewCorpus(64, 123)
-	for i := 0; i < steps; i++ {
-		sl, err := spe.Step(corpus.NextBatch(4, 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rl, err := single.Step(refCorpus.NextBatch(4, 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sl != rl {
-			t.Fatalf("step %d: SP loss %v != single-rank loss %v", i, sl, rl)
-		}
-	}
-	if err := spe.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := single.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if spe.Stats() != single.Stats() {
-		t.Errorf("stats diverge: %+v vs %+v", spe.Stats(), single.Stats())
-	}
-	if spe.Stats().Rollbacks() == 0 {
+	if st := matchesInit(t, name, cfg, 8); st.Rollbacks() == 0 {
 		t.Error("facade equivalence run triggered no rollbacks")
 	}
-	if cs := spe.CommStats(); cs.A2APayloads == 0 || cs.RingHops == 0 {
-		t.Errorf("no collective traffic recorded: %+v", cs)
-	}
-
-	// Checkpoints are interchangeable between the two engines.
-	var buf bytes.Buffer
-	if err := spe.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Init(mk(7), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	var buf2 bytes.Buffer
-	if err := restored.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Error("SP checkpoint does not round-trip through the single-rank engine")
-	}
-	if err := restored.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
-func TestInitSPValidation(t *testing.T) {
-	if _, err := InitSP(nil, DefaultOptimizer(), SPConfig{SeqRanks: 2}); err == nil {
-		t.Error("nil model accepted")
-	}
-	m, _ := NewModel(ModelConfig{Layers: 1, Hidden: 32, Heads: 4, Vocab: 32, MaxSeq: 8}, 1)
-	if _, err := InitSP(m, DefaultOptimizer(), SPConfig{SeqRanks: -1}); err == nil {
-		t.Error("negative seq ranks accepted")
-	}
-	if _, err := InitSP(m, DefaultOptimizer(), SPConfig{SeqRanks: 3}); err == nil {
-		t.Error("head count not divisible by seq ranks accepted")
-	}
+// rejectsBadBuilds: preset name refuses a nil model, an unknown offload
+// backend and every shape it lists as bad.
+func rejectsBadBuilds(t *testing.T, name string) {
+	p := presets[name]
 	bad := DefaultOptimizer()
 	bad.Offload.Backend = "tape"
-	if _, err := InitSP(m, bad, SPConfig{SeqRanks: 2}); err == nil {
-		t.Error("unknown offload backend accepted by InitSP")
+	builds := map[string]error{}
+	_, builds["nil model"] = p.build(nil, DefaultOptimizer(), p.shape)
+	_, builds["unknown offload backend"] = p.build(presetModel(t, 1), bad, p.shape)
+	for _, mc := range p.bad {
+		_, builds[fmt.Sprintf("shape %+v", mc)] = p.build(presetModel(t, 1), DefaultOptimizer(), mc)
 	}
-	eng, err := InitSP(m, DefaultOptimizer(), SPConfig{SeqRanks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if _, err := eng.Step(NewCorpus(32, 2).NextBatch(2, 7)); err == nil {
-		t.Error("sequence not divisible by seq ranks accepted")
+	for what, err := range builds {
+		if err == nil {
+			t.Errorf("%s: %s accepted", name, what)
+		}
 	}
 }
 
-// TestInitMeshFacade: the hybrid R×S mesh behind the facade must land
-// bit for bit on the data-parallel engine's trajectory for the same R
-// (the sequence axis is invisible), with interchangeable checkpoints.
-func TestInitMeshFacade(t *testing.T) {
-	const ranks, seqRanks, steps = 2, 2, 20
-	mk := func(seed uint64) *Model {
-		m, err := NewModel(ModelConfig{Layers: 2, Hidden: 32, Heads: 4, Vocab: 64, MaxSeq: 16}, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	cfg := DefaultOptimizer()
-	cfg.LR = 3e-3
-	cfg.ClipNorm = 1.0 // tight enough to trigger rollbacks on this workload
-	cfg.BucketElems = 20000
-
-	mesh, err := InitMesh(mk(42), cfg, MeshConfig{Ranks: ranks, SeqRanks: seqRanks})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mesh.Close()
-	dpe, err := InitDP(mk(42), cfg, DPConfig{Ranks: ranks})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dpe.Close()
-	if mesh.Ranks() != ranks || mesh.SeqRanks() != seqRanks || mesh.NumBuckets() != dpe.NumBuckets() {
-		t.Fatalf("layout mismatch: R=%d S=%d buckets %d vs %d",
-			mesh.Ranks(), mesh.SeqRanks(), mesh.NumBuckets(), dpe.NumBuckets())
-	}
-
-	corpus := NewCorpus(64, 123)
-	refCorpus := NewCorpus(64, 123)
-	for i := 0; i < steps; i++ {
-		ml, err := mesh.Step(corpus.NextBatch(4, 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rl, err := dpe.Step(refCorpus.NextBatch(4, 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ml != rl {
-			t.Fatalf("step %d: mesh loss %v != DP loss %v", i, ml, rl)
-		}
-	}
-	if err := mesh.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := dpe.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if mesh.Stats() != dpe.Stats() {
-		t.Errorf("stats diverge: %+v vs %+v", mesh.Stats(), dpe.Stats())
-	}
-	if mesh.Stats().Rollbacks() == 0 {
-		t.Error("facade equivalence run triggered no rollbacks")
-	}
-	if cs := mesh.CommStats(); cs.A2APayloads == 0 || cs.RingHops == 0 {
-		t.Errorf("no collective traffic recorded: %+v", cs)
-	}
-
-	// Checkpoints are interchangeable between the engines.
-	var buf bytes.Buffer
-	if err := mesh.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Init(mk(7), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	var buf2 bytes.Buffer
-	if err := restored.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Error("mesh checkpoint does not round-trip through the single-rank engine")
-	}
-	if err := restored.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestInitMeshValidation covers the facade-level guards.
-func TestInitMeshValidation(t *testing.T) {
-	if _, err := InitMesh(nil, DefaultOptimizer(), MeshConfig{Ranks: 2, SeqRanks: 2}); err == nil {
-		t.Error("nil model accepted")
-	}
-	m, _ := NewModel(ModelConfig{Layers: 1, Hidden: 32, Heads: 4, Vocab: 32, MaxSeq: 8}, 1)
-	if _, err := InitMesh(m, DefaultOptimizer(), MeshConfig{Ranks: -1, SeqRanks: 2}); err == nil {
-		t.Error("negative groups accepted")
-	}
-	if _, err := InitMesh(m, DefaultOptimizer(), MeshConfig{Ranks: 2, SeqRanks: -1}); err == nil {
-		t.Error("negative seq ranks accepted")
-	}
-	if _, err := InitMesh(m, DefaultOptimizer(), MeshConfig{Ranks: 2, SeqRanks: 3}); err == nil {
-		t.Error("head count not divisible by seq ranks accepted")
-	}
-	bad := DefaultOptimizer()
-	bad.Offload.Backend = "tape"
-	if _, err := InitMesh(m, bad, MeshConfig{Ranks: 2, SeqRanks: 2}); err == nil {
-		t.Error("unknown offload backend accepted by InitMesh")
-	}
-	eng, err := InitMesh(m, DefaultOptimizer(), MeshConfig{Ranks: 2, SeqRanks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if _, err := eng.Step(NewCorpus(32, 2).NextBatch(3, 8)); err == nil {
-		t.Error("batch not divisible by groups accepted")
-	}
-	if _, err := eng.Step(NewCorpus(32, 2).NextBatch(2, 7)); err == nil {
-		t.Error("sequence not divisible by seq ranks accepted")
-	}
-}
+func TestInitDPFacade(t *testing.T)       { facadeMatchesInit(t, "dp") }
+func TestInitSPFacade(t *testing.T)       { facadeMatchesInit(t, "sp") }
+func TestInitMeshFacade(t *testing.T)     { facadeMatchesInit(t, "mesh") }
+func TestInitDPValidation(t *testing.T)   { rejectsBadBuilds(t, "dp") }
+func TestInitSPValidation(t *testing.T)   { rejectsBadBuilds(t, "sp") }
+func TestInitMeshValidation(t *testing.T) { rejectsBadBuilds(t, "mesh") }
 
 // TestStepRejectsMalformedBatchOnEveryPreset: a batch the model cannot
 // take — sequence past MaxSeq, token/target slices shorter than
-// BatchSize×Seq, no rows, rows not divisible by R — comes back from
-// Step/StepAccum as an error on every shape preset, the single-rank one
-// (which used to panic in nn and tensor) and the data-parallel one (which
-// used to panic inside a rank goroutine) included, and leaves the engine
-// usable. MeshConfig.PipeRanks is honoured by InitMesh itself.
+// BatchSize×Seq, no rows, rows not divisible by R, a sequence not
+// divisible by S — comes back from Step/StepAccum as an error on every
+// shape preset, the single-rank one (which used to panic in nn and
+// tensor) and the data-parallel one (which used to panic inside a rank
+// goroutine) included, and leaves the engine usable. Each preset also
+// builds the shape it names and matches Init over a few steps.
+// MeshConfig.PipeRanks is honoured by InitMesh itself.
 func TestStepRejectsMalformedBatchOnEveryPreset(t *testing.T) {
-	newModel := func() *Model {
-		m, err := NewModel(ModelConfig{Layers: 2, Hidden: 32, Heads: 4, Vocab: 32, MaxSeq: 8}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	presets := map[string]func() (*Engine, error){
-		"init": func() (*Engine, error) { return Init(newModel(), DefaultOptimizer()) },
-		"dp":   func() (*Engine, error) { return InitDP(newModel(), DefaultOptimizer(), DPConfig{Ranks: 2}) },
-		"sp":   func() (*Engine, error) { return InitSP(newModel(), DefaultOptimizer(), SPConfig{SeqRanks: 2}) },
-		"mesh": func() (*Engine, error) {
-			return InitMesh(newModel(), DefaultOptimizer(), MeshConfig{Ranks: 2, SeqRanks: 2})
-		},
-		"pipe": func() (*Engine, error) {
-			return InitPipe(newModel(), DefaultOptimizer(), MeshConfig{Ranks: 2, PipeRanks: 2})
-		},
-		"mesh-with-pipe-ranks": func() (*Engine, error) {
-			return InitMesh(newModel(), DefaultOptimizer(), MeshConfig{Ranks: 2, PipeRanks: 2})
-		},
-	}
-	for name, build := range presets {
+	for name, p := range presets {
 		t.Run(name, func(t *testing.T) {
-			eng, err := build()
+			eng, err := p.build(presetModel(t, 1), DefaultOptimizer(), p.shape)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-			if name == "mesh-with-pipe-ranks" && eng.PipeRanks() != 2 {
-				t.Fatalf("InitMesh dropped PipeRanks: P=%d", eng.PipeRanks())
-			}
-			corpus := NewCorpus(32, 2)
-			if _, err := eng.Step(corpus.NextBatch(2, 16)); err == nil {
+			corpus := NewCorpus(64, 2)
+			if _, err := eng.Step(corpus.NextBatch(2, 32)); err == nil {
 				t.Error("sequence exceeding MaxSeq accepted")
 			}
 			short := corpus.NextBatch(2, 8)
@@ -845,10 +580,11 @@ func TestStepRejectsMalformedBatchOnEveryPreset(t *testing.T) {
 			if _, err := eng.Step(Batch{Seq: 8}); err == nil {
 				t.Error("batch with no rows accepted")
 			}
-			if eng.Ranks() > 1 {
-				if _, err := eng.Step(corpus.NextBatch(3, 8)); err == nil {
-					t.Error("rows not divisible by the data-parallel degree accepted")
-				}
+			if _, err := eng.Step(corpus.NextBatch(3, 8)); (err == nil) != (eng.Ranks() == 1) {
+				t.Errorf("3 rows on %d data-parallel groups: %v", eng.Ranks(), err)
+			}
+			if _, err := eng.Step(corpus.NextBatch(2, 7)); (err == nil) != (eng.SeqRanks() == 1) {
+				t.Errorf("sequence 7 on %d sequence ranks: %v", eng.SeqRanks(), err)
 			}
 			if _, err := eng.Step(corpus.NextBatch(2, 8)); err != nil {
 				t.Errorf("engine unusable after rejected batches: %v", err)
@@ -856,6 +592,7 @@ func TestStepRejectsMalformedBatchOnEveryPreset(t *testing.T) {
 			if err := eng.Flush(); err != nil {
 				t.Fatal(err)
 			}
+			matchesInit(t, name, DefaultOptimizer(), 3)
 		})
 	}
 }
@@ -876,33 +613,17 @@ func TestPlacementFacade(t *testing.T) {
 	}
 	train := func(t *testing.T, engineKind string, pc PlacementConfig, backend string) result {
 		t.Helper()
-		m, err := NewModel(ModelConfig{Layers: 2, Hidden: 32, Heads: 4, Vocab: 64, MaxSeq: 16}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := DefaultOptimizer()
 		cfg.BucketElems = 4000
 		cfg.Placement = pc
 		if backend != "" {
 			cfg.Offload = OffloadConfig{Backend: backend, Dir: t.TempDir()}
 		}
-		var eng interface {
-			Step(Batch) (float64, error)
-			Flush() error
-			Stats() Stats
-			PlacementTelemetry() (PlacementTelemetry, bool)
-			Close() error
+		p := presets[engineKind]
+		if engineKind == "single" {
+			p = presets["init"]
 		}
-		switch engineKind {
-		case "single":
-			eng, err = Init(m, cfg)
-		case "dp":
-			eng, err = InitDP(m, cfg, DPConfig{Ranks: 2})
-		case "sp":
-			eng, err = InitSP(m, cfg, SPConfig{SeqRanks: 2})
-		case "mesh":
-			eng, err = InitMesh(m, cfg, MeshConfig{Ranks: 2, SeqRanks: 2})
-		}
+		eng, err := p.build(presetModel(t, 1), cfg, p.shape)
 		if err != nil {
 			t.Fatal(err)
 		}
