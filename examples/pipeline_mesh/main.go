@@ -7,9 +7,7 @@
 // one-forward-one-backward schedule. The headline property: every
 // (R,S,P) shape lands — bit for bit — on the trajectory of single-rank
 // training over the same R-way row decomposition (the sequence AND
-// pipeline axes are invisible), checkpoints move freely across shapes,
-// and the virtual-clock model shows the 1F1B stage time beating the
-// serialized forward+backward whenever M ≥ 2.
+// pipeline axes are invisible) and checkpoints move freely across shapes.
 package main
 
 import (
@@ -18,8 +16,6 @@ import (
 	"log"
 
 	"superoffload"
-	"superoffload/internal/hw"
-	"superoffload/internal/place"
 )
 
 const (
@@ -124,19 +120,7 @@ func main() {
 	fmt.Printf("  R=2×S=2×P=2 + nvme bucket stores: still bit-identical (%d commits, %d rollbacks)\n",
 		nvmeStats.Commits, nvmeStats.Rollbacks())
 
-	// The virtual-clock model of the win: 1F1B overlaps the stages, so a
-	// stage's compute time beats serializing the replica's
-	// forward+backward — strictly, whenever M ≥ 2 and P ≥ 2.
-	shape := place.Shape{Tokens: batch * seq, Hidden: 64, Seq: seq, Params: 1 << 20,
-		Pipe: place.PipeShape{Stages: 2, Micros: accum}}
-	plan := place.Uniform(4, place.CPUAdam)
-	bd := place.StepTimes(hw.DefaultSuperchip(), plan.Work([]int{1 << 18, 1 << 18, 1 << 18, 1 << 18}), 4, shape)
-	if bd.PipeStage >= bd.Forward+bd.Backward {
-		log.Fatal("modeled 1F1B stage time failed to beat the serialized forward+backward")
-	}
-	fmt.Printf("\nmodeled stage time (P=2, M=%d): %.3f ms 1F1B vs %.3f ms serialized compute (bubble %.3f ms)\n",
-		accum, 1e3*bd.PipeStage, 1e3*(bd.Forward+bd.Backward), 1e3*bd.PipeBubble)
 	fmt.Println("\nall three axes — replica groups, sequence shards, pipeline stages — and")
-	fmt.Println("optimizer-state residency are invisible to the numerics; only traffic and")
-	fmt.Println("the modeled step time change. (Two-axis runs: examples/hybrid_mesh.)")
+	fmt.Println("optimizer-state residency are invisible to the numerics; only traffic")
+	fmt.Println("changes. (Two-axis runs: examples/hybrid_mesh.)")
 }

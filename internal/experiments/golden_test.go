@@ -21,7 +21,7 @@ const hostMeasuredMarker = "\nReal Go kernels measured on this machine:"
 // into FMA on arm64 but not amd64, and a real loss trajectory amplifies
 // that rounding difference, so byte-exact comparison only holds on the
 // generating architecture; elsewhere the experiment still runs and must
-// render non-empty.
+// render at least 40 bytes.
 var archSensitive = map[string]string{
 	"fig14":             "amd64",
 	"ext-act-stv":       "amd64",
@@ -55,8 +55,8 @@ func TestGoldenExperiments(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out == "" {
-				t.Fatal("experiment rendered empty output")
+			if len(out) < 40 {
+				t.Fatalf("output suspiciously short:\n%s", out)
 			}
 			out = canonical(out)
 			if arch, ok := archSensitive[name]; ok && runtime.GOARCH != arch {

@@ -3,11 +3,8 @@ package hw
 // Multi-path flash modeling (MLP-Offload). The single-lane NVMeSpec
 // serializes every transfer on one device timeline; IOPaths splits the
 // same tier into N independently scheduled paths so fetches and
-// write-behind flushes can proceed concurrently on different lanes. The
-// striped aggregate model answers "what if one transfer spanned every
-// lane at once", while per-path scheduling (least-loaded-clock dispatch,
-// done by the consumers in internal/stv and internal/place) answers
-// "what does concurrency across whole records buy".
+// write-behind flushes can proceed concurrently on different lanes
+// (stv.MLPStore writes each record to the least-loaded lane).
 
 // IOPaths is the flash tier as a set of independently scheduled NVMe
 // paths. Index order is the dispatch tie-break order and is significant.
@@ -15,9 +12,8 @@ type IOPaths []NVMeSpec
 
 // SplitPaths divides one NVMe array into n equal, independently
 // scheduled lanes: each lane carries 1/n of the array's bandwidth and
-// capacity at the array's latency, so total hardware is conserved and
-// Aggregate of the result models the original spec (up to latency, which
-// every lane pays independently).
+// capacity at the array's latency, so total hardware is conserved (every
+// lane pays the latency independently).
 func SplitPaths(spec NVMeSpec, n int) IOPaths {
 	if n < 1 {
 		n = 1
@@ -37,29 +33,3 @@ func SplitPaths(spec NVMeSpec, n int) IOPaths {
 // lanes — the facade's -io-paths model. NodeIOPaths(1) is the RAID as a
 // single path, matching the legacy single-lane store's spec.
 func NodeIOPaths(n int) IOPaths { return SplitPaths(NodeNVMe(), n) }
-
-// Aggregate is the striped single-path equivalent of the path set:
-// bandwidths and capacity sum, and a striped transfer pays the slowest
-// lane's setup latency.
-func (p IOPaths) Aggregate() NVMeSpec {
-	agg := NVMeSpec{Name: "IO-paths"}
-	if len(p) == 1 {
-		return p[0]
-	}
-	for _, lane := range p {
-		agg.ReadBW += lane.ReadBW
-		agg.WriteBW += lane.WriteBW
-		agg.Capacity += lane.Capacity
-		if lane.LatencyS > agg.LatencyS {
-			agg.LatencyS = lane.LatencyS
-		}
-	}
-	return agg
-}
-
-// ReadTime returns seconds to read size bytes striped across every lane
-// (each lane carries its bandwidth-proportional share concurrently).
-func (p IOPaths) ReadTime(size int64) float64 { return p.Aggregate().ReadTime(size) }
-
-// WriteTime returns seconds to write size bytes striped across every lane.
-func (p IOPaths) WriteTime(size int64) float64 { return p.Aggregate().WriteTime(size) }

@@ -50,59 +50,3 @@ func TestNodeIOPathsSingleLaneMatchesLegacySpec(t *testing.T) {
 		t.Fatalf("NodeIOPaths(1) = %+v, want exactly [NodeNVMe()]", paths)
 	}
 }
-
-// TestAggregateModelsOriginalArray: the striped aggregate of a split
-// recovers the original array's rates and latency, so a transfer striped
-// over every lane costs what the unsplit array charged.
-func TestAggregateModelsOriginalArray(t *testing.T) {
-	spec := NodeNVMe()
-	paths := SplitPaths(spec, 4)
-	agg := paths.Aggregate()
-	if agg.ReadBW != spec.ReadBW || agg.WriteBW != spec.WriteBW || agg.LatencyS != spec.LatencyS {
-		t.Fatalf("aggregate %+v does not recover the array %+v", agg, spec)
-	}
-	const size = 1 << 20
-	if got, want := paths.ReadTime(size), spec.ReadTime(size); got != want {
-		t.Errorf("striped ReadTime %v != array %v", got, want)
-	}
-	if got, want := paths.WriteTime(size), spec.WriteTime(size); got != want {
-		t.Errorf("striped WriteTime %v != array %v", got, want)
-	}
-	// A single-lane set aggregates to that lane verbatim, name included.
-	one := IOPaths{spec}
-	if one.Aggregate() != spec {
-		t.Errorf("single-lane Aggregate() = %+v, want the lane itself", one.Aggregate())
-	}
-}
-
-// TestSuperchipPathHelpers: the per-path accessors fall back to the
-// legacy scalar spec when IOPaths is unset or the index is out of range.
-func TestSuperchipPathHelpers(t *testing.T) {
-	s := DefaultSuperchip()
-	if s.NVMePathCount() != 1 {
-		t.Fatalf("legacy spec path count = %d, want 1", s.NVMePathCount())
-	}
-	if s.PathNVMe(0) != s.NVMe {
-		t.Fatalf("legacy PathNVMe(0) = %+v, want the scalar NVMe spec", s.PathNVMe(0))
-	}
-
-	s.IOPaths = SplitPaths(s.NVMe, 2)
-	if s.NVMePathCount() != 2 {
-		t.Fatalf("split path count = %d, want 2", s.NVMePathCount())
-	}
-	if s.PathNVMe(1) != s.IOPaths[1] {
-		t.Errorf("PathNVMe(1) = %+v, want lane 1", s.PathNVMe(1))
-	}
-	if s.PathNVMe(7) != s.NVMe {
-		t.Errorf("out-of-range PathNVMe falls back to %+v, want the scalar spec", s.PathNVMe(7))
-	}
-	const elems = 4096
-	wantFetch := s.IOPaths[0].ReadTime(superchipNVMeBytesPerElem * elems)
-	if got := s.NVMePathFetchTime(0, elems); got != wantFetch {
-		t.Errorf("NVMePathFetchTime(0) = %v, want %v", got, wantFetch)
-	}
-	wantFlush := s.IOPaths[1].WriteTime(superchipNVMeBytesPerElem * elems)
-	if got := s.NVMePathFlushTime(1, elems); got != wantFlush {
-		t.Errorf("NVMePathFlushTime(1) = %v, want %v", got, wantFlush)
-	}
-}

@@ -8,8 +8,8 @@ import (
 
 // Virtual-clock superchip model. One optimizer step is scheduled over
 // five engines in the style of stv.NVMeStore's throttled clocks: the GPU
-// stream (backward chunks, gradient casts, and GPU-resident Adam steps),
-// the D2H and H2D copy engines of the C2C link, the CPU optimizer, and
+// stream (backward chunks and GPU-resident Adam steps), the D2H and H2D
+// copy engines of the C2C link (casts fused in), the CPU optimizer, and
 // the NVMe array. Buckets enter in gradient-production order (descending
 // bucket index — backward walks the partition back to front), each tier
 // charges its phases on the engines it occupies, and the step's pipelined
@@ -33,24 +33,6 @@ type Shape struct {
 	// The zero value (Act.Layers == 0) models fully resident activations
 	// and leaves the step schedule exactly as before.
 	Act ActShape
-	// Pipe describes the pipeline-parallel axis, when one is configured.
-	// The zero value (Pipe.Stages <= 1) models an unpipelined replica and
-	// leaves the step schedule exactly as before.
-	Pipe PipeShape
-}
-
-// PipeShape describes the pipeline axis of an R×S×P engine for the
-// virtual clock: the transformer depth splits over Stages ranks, and
-// each step's Micros micro-batches fill the 1F1B schedule. The model
-// charges each stage 1/Stages of the replica's forward+backward per
-// micro-batch; a stage completes its compute in (Micros + Stages - 1)
-// micro slots — Micros of steady-state work plus the Stages-1 slot
-// warmup/cooldown bubble.
-type PipeShape struct {
-	// Stages is the pipeline depth P (values <= 1 disable the model).
-	Stages int
-	// Micros is the micro-batches per optimizer step M (0 counts as 1).
-	Micros int
 }
 
 // ActShape describes an activation store (internal/act) hanging off the
@@ -95,12 +77,6 @@ func (p Plan) Work(elems []int) []BucketWork {
 type TierSeconds struct {
 	// Buckets counts the work items on this tier.
 	Buckets int
-	// Cast is standalone conversion time. Under the fused-transfer model
-	// it stays zero: the GPU-side gradient cast is charged to the D2H hop
-	// and the CPU-side weight re-cast to the H2D hop (each hop costs the
-	// slower of its cast and copy rates). The field remains for schedules
-	// that model an unfused conversion pass.
-	Cast float64
 	// D2H is the gradient hop to the CPU over the C2C link, with the
 	// fp16→fp32 cast fused into the copy.
 	D2H float64
@@ -115,28 +91,16 @@ type TierSeconds struct {
 }
 
 // Total sums the tier's phase seconds.
-func (t TierSeconds) Total() float64 { return t.Cast + t.D2H + t.Adam + t.H2D + t.NVMe }
+func (t TierSeconds) Total() float64 { return t.D2H + t.Adam + t.H2D + t.NVMe }
 
 // Breakdown is the virtual-clock result for one optimizer step.
 type Breakdown struct {
 	// Backward is the modeled GPU backward producing the gradients.
 	Backward float64
 	// Forward is the modeled GPU forward (half of Backward). Zero unless
-	// the shape carries an activation tier or a pipeline axis: otherwise
-	// forward never interacts with the optimizer schedule and stays out
-	// of both totals.
+	// the shape carries an activation tier: otherwise forward never
+	// interacts with the optimizer schedule and stays out of both totals.
 	Forward float64
-	// PipeStage is one stage's modeled compute time under the 1F1B
-	// schedule: (Micros + Stages - 1) micro slots of the per-stage,
-	// per-micro forward+backward share. Zero unless the shape carries a
-	// pipeline axis. With Micros >= 2 it beats the serialized
-	// forward+backward strictly — the pipelining win the engine exists
-	// for — while Micros == 1 degenerates to sequential stages.
-	PipeStage float64
-	// PipeBubble is the warmup/cooldown share of PipeStage: the
-	// (Stages - 1) micro slots each stage idles while the pipeline fills
-	// and drains.
-	PipeBubble float64
 	// ActWrite and ActRead are the activation tier's spill and prefetch
 	// transfer times; ActStall is the portion of the reads the depth-2
 	// prefetch could not hide ahead of the backward layer that needed
@@ -144,11 +108,6 @@ type Breakdown struct {
 	ActWrite float64
 	ActRead  float64
 	ActStall float64
-	// NVMePathSeconds is the per-path modeled flash occupancy when the
-	// spec carries hw.IOPaths (MLP-Offload's multi-path layer): fetches
-	// and write-behind flushes dispatched to the least-loaded path. Nil
-	// under the legacy single-lane model.
-	NVMePathSeconds []float64
 	// Pipelined is the schedule's completion time with every engine
 	// overlapping: backward + whatever optimizer work the clocks could
 	// not hide.
@@ -167,7 +126,6 @@ type Breakdown struct {
 // breakdown is deterministic: clocks advance in program order, never by
 // wall time.
 func StepTimes(spec hw.SuperchipSpec, work []BucketWork, nGlobal int, shape Shape) Breakdown {
-	spec = spec.OrDefault()
 	var bd Breakdown
 	if nGlobal < len(work) {
 		nGlobal = len(work)
@@ -177,36 +135,15 @@ func StepTimes(spec hw.SuperchipSpec, work []BucketWork, nGlobal int, shape Shap
 	}
 	bd.Backward = spec.BackwardTime(shape.Params, shape.Tokens, shape.Hidden, shape.Seq)
 	fwdEnd := actSchedule(spec, shape, &bd)
-	pipeTimes(shape, &bd)
 	chunk := (bd.Backward + bd.ActStall) / float64(nGlobal)
 
 	// Engine clocks: gpu is the GPU stream's current time; the others
 	// are each engine's next-free time. With an activation tier the GPU
 	// stream starts after the modeled forward (whose spills ride their
 	// own store engine), and prefetch stalls stretch the backward the
-	// optimizer chunks are spaced over. The flash tier is one clock per
-	// path: the legacy single-lane model uses one, and a spec with
-	// hw.IOPaths dispatches each transfer to the least-loaded path —
-	// multiPath additionally charges write-behind flushes to the path
-	// clocks (lane contention the idealized single-lane model omits).
-	var gpu, d2h, cpu, h2d float64
-	multiPath := len(spec.IOPaths) > 0
-	nvmePaths := make([]float64, spec.NVMePathCount())
-	var pathBusy []float64
-	if multiPath {
-		pathBusy = make([]float64, len(nvmePaths))
-	}
-	leastLoaded := func() int {
-		best := 0
-		for i := 1; i < len(nvmePaths); i++ {
-			if nvmePaths[i] < nvmePaths[best] {
-				best = i
-			}
-		}
-		return best
-	}
-	gpu = fwdEnd
-	var gpuTail []int64 // element counts of GPU-resident buckets, stepped post-backward
+	// optimizer chunks are spaced over.
+	gpu := fwdEnd
+	var d2h, cpu, h2d, nvme float64
 
 	prevIndex := nGlobal // one past the first-produced bucket
 	for i := len(work) - 1; i >= 0; i-- {
@@ -219,8 +156,7 @@ func StepTimes(spec hw.SuperchipSpec, work []BucketWork, nGlobal int, shape Shap
 		ts := &bd.Tiers[wk.Tier]
 		ts.Buckets++
 		if wk.Tier == GPUResident {
-			gpuTail = append(gpuTail, elems)
-			continue
+			continue // stepped post-backward, below
 		}
 		// The gradient cast rides the D2H copy (fused streaming kernel),
 		// so the hop is charged max(cast, move) on the copy engine and
@@ -231,16 +167,11 @@ func StepTimes(spec hw.SuperchipSpec, work []BucketWork, nGlobal int, shape Shap
 		stateReady := d2h
 		if wk.Tier == NVMeWindow {
 			// The state fetch is gradient-independent: prefetches
-			// pipeline on the flash engine from step start, dispatched
-			// to the least-loaded path.
-			p := leastLoaded()
-			ft := spec.NVMePathFetchTime(p, elems)
+			// pipeline on the flash engine from step start.
+			ft := spec.NVMeFetchTime(elems)
 			ts.NVMe += ft
-			nvmePaths[p] += ft
-			if multiPath {
-				pathBusy[p] += ft
-			}
-			stateReady = math.Max(stateReady, nvmePaths[p])
+			nvme += ft
+			stateReady = math.Max(stateReady, nvme)
 		}
 		at := spec.CPUAdamTime(elems)
 		ts.Adam += at
@@ -251,31 +182,21 @@ func StepTimes(spec hw.SuperchipSpec, work []BucketWork, nGlobal int, shape Shap
 		if wk.Tier == NVMeWindow {
 			// Write-behind flush: charged to the serialized reference
 			// but never on the step's critical path (the store's
-			// eviction discipline). Under the multi-path model the flush
-			// additionally occupies its least-loaded path after the
-			// step, delaying later fetches on that lane — the contention
-			// that makes path count matter.
-			if multiPath {
-				p := leastLoaded()
-				flt := spec.NVMePathFlushTime(p, elems)
-				ts.NVMe += flt
-				nvmePaths[p] = math.Max(nvmePaths[p], cpu) + flt
-				pathBusy[p] += flt
-			} else {
-				ts.NVMe += spec.NVMeFlushTime(elems)
-			}
+			// eviction discipline).
+			ts.NVMe += spec.NVMeFlushTime(elems)
 		}
 	}
 	// Backward chunks below the lowest owned bucket, then the resident
-	// tail's synchronous GPU updates.
+	// tail's synchronous GPU updates in production order.
 	gpu += float64(prevIndex) * chunk
-	for _, elems := range gpuTail {
-		at := spec.GPUAdamTime(elems)
-		bd.Tiers[GPUResident].Adam += at
-		gpu += at
+	for i := len(work) - 1; i >= 0; i-- {
+		if work[i].Tier == GPUResident {
+			at := spec.GPUAdamTime(int64(work[i].Elems))
+			bd.Tiers[GPUResident].Adam += at
+			gpu += at
+		}
 	}
 
-	bd.NVMePathSeconds = pathBusy
 	bd.Pipelined = math.Max(gpu, math.Max(cpu, h2d))
 	bd.Serialized = bd.Backward + bd.Forward + bd.ActWrite + bd.ActRead
 	for _, ts := range bd.Tiers {
@@ -286,33 +207,6 @@ func StepTimes(spec hw.SuperchipSpec, work []BucketWork, nGlobal int, shape Shap
 	// clamp to keep Pipelined ≤ Serialized an invariant.
 	bd.Pipelined = math.Min(bd.Pipelined, bd.Serialized)
 	return bd
-}
-
-// pipeTimes models the pipeline axis: with Stages > 1 the replica's
-// forward+backward splits evenly over the stages, each micro-batch
-// charges one stage 1/(Micros·Stages) of the whole, and 1F1B completes
-// a stage's compute in Micros + Stages - 1 micro slots. It fills
-// bd.PipeStage/PipeBubble (and bd.Forward when the activation model
-// left it zero, so the serialized reference covers the same
-// forward+backward the pipeline overlaps); with no pipeline axis it is
-// a no-op, leaving the step schedule bit-identical to the unpipelined
-// model. Runs after actSchedule and before the serialized total
-// accumulates.
-func pipeTimes(shape Shape, bd *Breakdown) {
-	p := shape.Pipe.Stages
-	if p <= 1 {
-		return
-	}
-	if bd.Forward == 0 {
-		bd.Forward = bd.Backward / 2
-	}
-	m := shape.Pipe.Micros
-	if m < 1 {
-		m = 1
-	}
-	perMicro := (bd.Backward + bd.Forward) / float64(m*p)
-	bd.PipeStage = float64(m+p-1) * perMicro
-	bd.PipeBubble = float64(p-1) * perMicro
 }
 
 // actSchedule models the activation tier around the optimizer step,
@@ -409,7 +303,6 @@ const GPUStateBytesPerElem = 16
 // with the lowest modeled pipelined step time. Ties prefer the smaller
 // tail, so the all-CPU plan wins when retention buys nothing.
 func Auto(spec hw.SuperchipSpec, elems []int, shape Shape, budgetBytes int64) Plan {
-	spec = spec.OrDefault()
 	nb := len(elems)
 	if nb == 0 {
 		return Plan{}

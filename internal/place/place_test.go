@@ -1,7 +1,6 @@
 package place
 
 import (
-	"reflect"
 	"testing"
 
 	"superoffload/internal/core"
@@ -239,59 +238,4 @@ func mustModel(t *testing.T, name string) model.Config {
 		t.Fatal(err)
 	}
 	return mc
-}
-
-func TestStepTimesPipeModel(t *testing.T) {
-	spec := hw.DefaultSuperchip()
-	elems := toyElems(8)
-	plan := Uniform(8, CPUAdam)
-
-	// No pipeline axis: the pipe fields stay zero and the schedule is
-	// bit-identical to the unpipelined model.
-	base := StepTimes(spec, plan.Work(elems), 8, toyShape())
-	if base.PipeStage != 0 || base.PipeBubble != 0 || base.Forward != 0 {
-		t.Fatalf("unpipelined shape grew pipe figures: %+v", base)
-	}
-	one := toyShape()
-	one.Pipe = PipeShape{Stages: 1, Micros: 4}
-	if got := StepTimes(spec, plan.Work(elems), 8, one); !reflect.DeepEqual(got, base) {
-		t.Fatalf("Stages=1 changed the schedule: %+v vs %+v", got, base)
-	}
-
-	for _, p := range []int{2, 4} {
-		for _, m := range []int{2, 4} {
-			sh := toyShape()
-			sh.Pipe = PipeShape{Stages: p, Micros: m}
-			bd := StepTimes(spec, plan.Work(elems), 8, sh)
-			if bd.Forward != bd.Backward/2 {
-				t.Fatalf("P=%d M=%d: Forward = %v, want Backward/2 = %v", p, m, bd.Forward, bd.Backward/2)
-			}
-			if bd.PipeBubble <= 0 {
-				t.Fatalf("P=%d M=%d: PipeBubble = %v, want > 0", p, m, bd.PipeBubble)
-			}
-			// The pipelining win: a stage's 1F1B compute time strictly
-			// beats serializing the replica's forward+backward (and a
-			// fortiori the full serialized step).
-			if bd.PipeStage >= bd.Forward+bd.Backward {
-				t.Fatalf("P=%d M=%d: PipeStage %v does not beat serialized compute %v",
-					p, m, bd.PipeStage, bd.Forward+bd.Backward)
-			}
-			if bd.PipeStage >= bd.Serialized {
-				t.Fatalf("P=%d M=%d: PipeStage %v does not beat Serialized %v", p, m, bd.PipeStage, bd.Serialized)
-			}
-			// Exact closed form: (M+P-1)/(M*P) of the compute.
-			want := (bd.Forward + bd.Backward) * float64(m+p-1) / float64(m*p)
-			if diff := bd.PipeStage - want; diff > 1e-12 || diff < -1e-12 {
-				t.Fatalf("P=%d M=%d: PipeStage = %v, want %v", p, m, bd.PipeStage, want)
-			}
-			// M=1 degenerates to sequential stages: no win, pure bubble.
-			seq := toyShape()
-			seq.Pipe = PipeShape{Stages: p, Micros: 1}
-			sbd := StepTimes(spec, plan.Work(elems), 8, seq)
-			if sbd.PipeStage < sbd.Forward+sbd.Backward {
-				t.Fatalf("P=%d M=1: PipeStage %v beat serial compute %v; a one-micro pipeline cannot overlap",
-					p, sbd.PipeStage, sbd.Forward+sbd.Backward)
-			}
-		}
-	}
 }

@@ -133,7 +133,7 @@ func (e *Engine) Run() (float64, error) {
 	}
 
 	if doneCount != len(e.tasks) {
-		return 0, fmt.Errorf("sim: dependency cycle: %d of %d tasks unreachable", len(e.tasks)-doneCount, doneCount)
+		return 0, fmt.Errorf("sim: dependency cycle: %d of %d tasks unreachable", len(e.tasks)-doneCount, len(e.tasks))
 	}
 	for _, r := range e.resources {
 		sort.Slice(r.Intervals, func(i, j int) bool { return r.Intervals[i].Start < r.Intervals[j].Start })

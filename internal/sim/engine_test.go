@@ -126,6 +126,18 @@ func TestCycleDetection(t *testing.T) {
 	if _, err := e.Run(); err == nil {
 		t.Fatal("expected cycle error")
 	}
+
+	// One reachable task beside the cycle: the count names the total.
+	e = New()
+	e.Add("root", "gpu", 1, TagCompute)
+	a = e.Add("a", "gpu", 1, TagCompute)
+	b = e.Add("b", "gpu", 1, TagCompute)
+	a.After(b)
+	b.After(a)
+	_, err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), "2 of 3 tasks unreachable") {
+		t.Fatalf("cycle error = %v, want \"2 of 3 tasks unreachable\"", err)
+	}
 }
 
 func TestRunTwiceFails(t *testing.T) {

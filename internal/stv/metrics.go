@@ -56,7 +56,6 @@ func (t PlacementTelemetry) Samples() []obs.Sample {
 		label := place.Tier(i).MetricLabel()
 		out = append(out,
 			obs.Sample{Name: "superoffload_placement_" + label + "_buckets", Kind: obs.KindGauge, Value: float64(tier.Buckets)},
-			c(label+"_cast_seconds_total", tier.CastSeconds),
 			c(label+"_d2h_seconds_total", tier.D2HSeconds),
 			c(label+"_adam_seconds_total", tier.AdamSeconds),
 			c(label+"_h2d_seconds_total", tier.H2DSeconds),

@@ -26,13 +26,11 @@ type PlacementTier struct {
 	// Buckets counts the buckets this holder models on the tier (static
 	// per executor; engines sum it across ranks).
 	Buckets int
-	// CastSeconds, D2HSeconds, AdamSeconds, H2DSeconds, and NVMeSeconds
-	// accumulate the tier's modeled phase times over all recorded steps.
-	// Conversions are fused into the transfers they precede (see
-	// place.TierSeconds), so CastSeconds stays zero for offloaded tiers:
-	// the gradient cast is inside D2HSeconds, the weight re-cast inside
+	// D2HSeconds, AdamSeconds, H2DSeconds, and NVMeSeconds accumulate the
+	// tier's modeled phase times over all recorded steps. Conversions are
+	// fused into the transfers they precede (see place.TierSeconds): the
+	// gradient cast is inside D2HSeconds, the weight re-cast inside
 	// H2DSeconds.
-	CastSeconds float64
 	D2HSeconds  float64
 	AdamSeconds float64
 	H2DSeconds  float64
@@ -44,7 +42,6 @@ type PlacementTier struct {
 func (t PlacementTier) add(o PlacementTier) PlacementTier {
 	return PlacementTier{
 		Buckets:     t.Buckets + o.Buckets,
-		CastSeconds: t.CastSeconds + o.CastSeconds,
 		D2HSeconds:  t.D2HSeconds + o.D2HSeconds,
 		AdamSeconds: t.AdamSeconds + o.AdamSeconds,
 		H2DSeconds:  t.H2DSeconds + o.H2DSeconds,
@@ -178,7 +175,6 @@ func (e *PlacementExecutor) Record(tokens, seq int) {
 	e.tel.ActStallSeconds += bd.ActStall
 	for i, ts := range bd.Tiers {
 		pt := &e.tel.Tiers[i]
-		pt.CastSeconds += ts.Cast
 		pt.D2HSeconds += ts.D2H
 		pt.AdamSeconds += ts.Adam
 		pt.H2DSeconds += ts.H2D

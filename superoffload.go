@@ -339,14 +339,7 @@ func (cfg OptimizerConfig) placementPlan(m *Model) (*place.Plan, error) {
 				// bytes first, shrinking the GPU-retained bucket tail.
 				shape.Act = cfg.Activation.shape(m)
 			}
-			spec := hw.DefaultSuperchip()
-			if cfg.Offload.Backend == "nvme" && cfg.Offload.IOPaths > 1 {
-				// Multi-path flash: the auto search times NVMe-tier
-				// buckets under the per-path clock model, so path count
-				// influences the GPU/CPU/flash split it picks.
-				spec.IOPaths = hw.NodeIOPaths(cfg.Offload.IOPaths)
-			}
-			plan = place.Auto(spec, elems, shape, 0)
+			plan = place.Auto(hw.DefaultSuperchip(), elems, shape, 0)
 		}
 	default:
 		return nil, fmt.Errorf("superoffload: unknown placement mode %q (want auto, cpu, or gpu)", pc.Mode)
