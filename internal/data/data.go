@@ -93,6 +93,31 @@ type Batch struct {
 	BatchSize, Seq  int
 }
 
+// Check reports why a model of vocabulary vocab and maximum sequence
+// maxSeq cannot train on b: no rows, token or target slices that are not
+// BatchSize×Seq long, a sequence past maxSeq, or a token or target
+// outside [0, vocab), named by its flat index. Engines call it in the
+// caller's goroutine, so a bad batch is an error there rather than a
+// panic deep in a forward pass.
+func (b Batch) Check(vocab, maxSeq int) error {
+	if n := b.BatchSize * b.Seq; b.BatchSize < 1 || b.Seq < 1 || len(b.Tokens) != n || len(b.Targets) != n {
+		return fmt.Errorf("batch of %d×%d carries %d tokens and %d targets",
+			b.BatchSize, b.Seq, len(b.Tokens), len(b.Targets))
+	}
+	if b.Seq > maxSeq {
+		return fmt.Errorf("sequence %d exceeds the model's max %d", b.Seq, maxSeq)
+	}
+	for i, tok := range b.Tokens {
+		if tok < 0 || tok >= vocab {
+			return fmt.Errorf("token %d at index %d is outside the vocabulary [0, %d)", tok, i, vocab)
+		}
+		if tgt := b.Targets[i]; tgt < 0 || tgt >= vocab {
+			return fmt.Errorf("target %d at index %d is outside the vocabulary [0, %d)", tgt, i, vocab)
+		}
+	}
+	return nil
+}
+
 // NextBatch draws batch rows of seq+1 tokens and splits them into
 // input/target windows.
 func (c *Corpus) NextBatch(batch, seq int) Batch {

@@ -39,6 +39,31 @@ func TestBatchLayout(t *testing.T) {
 	}
 }
 
+func TestBatchCheck(t *testing.T) {
+	c := NewCorpus(64, 3)
+	b := c.NextBatch(2, 8)
+	b.Tokens[0], b.Targets[15] = 0, 63 // both ends of the vocabulary
+	if err := b.Check(64, 8); err != nil {
+		t.Fatalf("good batch rejected: %v", err)
+	}
+	bad := map[string]func(b *Batch){
+		"no rows":           func(b *Batch) { *b = Batch{Seq: 8} },
+		"short targets":     func(b *Batch) { b.Targets = b.Targets[1:] },
+		"sequence too long": func(b *Batch) { b.Seq, b.BatchSize = 16, 1 },
+		"negative token":    func(b *Batch) { b.Tokens[3] = -1 },
+		"token past vocab":  func(b *Batch) { b.Tokens[3] = 64 },
+		"target past vocab": func(b *Batch) { b.Targets[3] = 64 },
+	}
+	for what, mutate := range bad {
+		m := b
+		m.Tokens, m.Targets = append([]int(nil), b.Tokens...), append([]int(nil), b.Targets...)
+		mutate(&m)
+		if err := m.Check(64, 8); err == nil {
+			t.Errorf("%s accepted", what)
+		}
+	}
+}
+
 func TestZipfMarginalSkewed(t *testing.T) {
 	c := NewCorpus(128, 11)
 	counts := make([]int, 128)

@@ -171,15 +171,14 @@ func (e *Engine) NumBuckets() int { return len(e.buckets) }
 // the caller's goroutine, so a malformed one surfaces as an error
 // instead of a rank-goroutine panic.
 func (e *Engine) split(b data.Batch) ([]data.Batch, error) {
-	w := e.w
-	if n := b.BatchSize * b.Seq; b.BatchSize < 1 || b.Seq < 1 || len(b.Tokens) != n || len(b.Targets) != n {
-		return nil, fmt.Errorf("dp: batch of %d×%d carries %d tokens and %d targets",
-			b.BatchSize, b.Seq, len(b.Tokens), len(b.Targets))
+	w, g := e.w, e.ranks[0].model
+	if err := b.Check(g.Cfg.Vocab, g.MaxSeq); err != nil {
+		return nil, fmt.Errorf("dp: %w", err)
 	}
 	if b.BatchSize%w.R != 0 {
 		return nil, fmt.Errorf("dp: global batch %d not divisible by %d data-parallel groups", b.BatchSize, w.R)
 	}
-	if err := e.ranks[0].model.ValidateSP(w.S, b.Seq); err != nil {
+	if err := g.ValidateSP(w.S, b.Seq); err != nil {
 		return nil, fmt.Errorf("dp: %w", err)
 	}
 	out := make([]data.Batch, 0, w.N)

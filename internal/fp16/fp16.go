@@ -27,11 +27,6 @@ const (
 	NegInf Num = 0xFC00
 	// QuietNaN is a canonical fp16 NaN.
 	QuietNaN Num = 0x7E00
-
-	// MaxValue is the largest finite fp16 magnitude (65504).
-	MaxValue = 65504.0
-	// MinNormal is the smallest positive normal fp16 (2^-14).
-	MinNormal = 6.103515625e-05
 )
 
 // fp32 bit-pattern landmarks for the conversion kernels.
@@ -81,9 +76,10 @@ func fromBits(b uint32) uint16 {
 	return sign | uint16((ax-expRebias+round)>>13)
 }
 
-// FromFloat32 converts with round-to-nearest-even; values above MaxValue
-// overflow to infinity (the behaviour that makes loss-scale overflow checks
-// necessary in mixed-precision training).
+// FromFloat32 converts with round-to-nearest-even; values that round
+// past the largest finite fp16 (65504) overflow to infinity (the
+// behaviour that makes loss-scale overflow checks necessary in
+// mixed-precision training).
 func FromFloat32(f float32) Num {
 	return Num(fromBits(math.Float32bits(f)))
 }

@@ -7,6 +7,11 @@ import (
 	"testing/quick"
 )
 
+const (
+	maxValue  = 65504.0         // the largest finite fp16 magnitude
+	minNormal = 6.103515625e-05 // the smallest positive normal fp16 (2^-14)
+)
+
 func TestKnownValues(t *testing.T) {
 	cases := []struct {
 		f    float32
@@ -77,11 +82,11 @@ func TestConversionMonotonic(t *testing.T) {
 		}
 		// Clamp to finite fp16 range to avoid both mapping to Inf.
 		clamp := func(x float32) float32 {
-			if x > MaxValue {
-				return MaxValue
+			if x > maxValue {
+				return maxValue
 			}
-			if x < -MaxValue {
-				return -MaxValue
+			if x < -maxValue {
+				return -maxValue
 			}
 			return x
 		}
@@ -115,7 +120,7 @@ func TestRelativeErrorBound(t *testing.T) {
 	// Property: for normal-range values, round-off is ≤ 2^-11 relative.
 	f := func(a float32) bool {
 		x := float32(math.Abs(float64(a)))
-		if x < MinNormal || x > MaxValue || math.IsNaN(float64(x)) {
+		if x < minNormal || x > maxValue || math.IsNaN(float64(x)) {
 			return true
 		}
 		rel := math.Abs(float64(x)-float64(FromFloat32(x).Float32())) / float64(x)

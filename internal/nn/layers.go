@@ -119,31 +119,33 @@ func layerNormBackwardDX(ws *workspace, dy *tensor.Tensor, cache *layerNormCache
 
 const geluK = 0.7978845608028654 // sqrt(2/pi)
 
-func geluScalar(x float64) float64 {
-	return 0.5 * x * (1 + math.Tanh(geluK*(x+0.044715*x*x*x)))
+// geluForward returns gelu(x) and gelu′(x) from one tanh. Each result is
+// the expression the two-function form evaluated term for term, so on a
+// build that fuses no multiply-add (amd64) the bits are the same.
+func geluForward(x float64) (y, grad float64) {
+	t := math.Tanh(geluK * (x + 0.044715*x*x*x))
+	return 0.5 * x * (1 + t), 0.5*(1+t) + 0.5*x*(1-t*t)*geluK*(1+3*0.044715*x*x)
 }
 
-func geluGradScalar(x float64) float64 {
-	u := geluK * (x + 0.044715*x*x*x)
-	t := math.Tanh(u)
-	return 0.5*(1+t) + 0.5*x*(1-t*t)*geluK*(1+3*0.044715*x*x)
-}
-
-// gelu applies GELU elementwise, returning output (input retained by the
-// caller for backward).
+// gelu applies GELU elementwise and overwrites x with gelu′(x): the
+// pre-activation itself is never read again, and its derivative is all
+// geluBackward needs.
 func gelu(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
 	y := ws.get(x.Dim(0), x.Dim(1))
 	for i, v := range x.Data {
-		y.Data[i] = float32(geluScalar(float64(v)))
+		yv, g := geluForward(float64(v))
+		y.Data[i] = float32(yv)
+		x.Data[i] = float32(g)
 	}
 	return y
 }
 
-// geluBackward returns dx = dy ⊙ gelu'(x).
-func geluBackward(ws *workspace, dy, x *tensor.Tensor) *tensor.Tensor {
-	dx := ws.get(x.Dim(0), x.Dim(1))
-	for i := range x.Data {
-		dx.Data[i] = dy.Data[i] * float32(geluGradScalar(float64(x.Data[i])))
+// geluBackward returns dx = dy ⊙ grad, grad being the gelu′ the forward
+// left in place of its input.
+func geluBackward(ws *workspace, dy, grad *tensor.Tensor) *tensor.Tensor {
+	dx := ws.get(grad.Dim(0), grad.Dim(1))
+	for i, g := range grad.Data {
+		dx.Data[i] = dy.Data[i] * g
 	}
 	return dx
 }

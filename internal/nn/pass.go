@@ -78,17 +78,17 @@ func (g *GPT) ValidateSP(ranks, globalSeq int) error {
 // layerCache retains one block's forward intermediates plus the
 // backward-pass d-outputs the weight-gradient replay needs.
 type layerCache struct {
-	ln1     layerNormCache
-	ln1y    *tensor.Tensor   // input rows to WQKV
-	q, k, v []*tensor.Tensor // per b·Hl+hi: full-sequence (T, hs) for this rank's heads
-	probs   []*tensor.Tensor // post-softmax scores per b·Hl+hi
-	attnOut *tensor.Tensor   // local rows (B·Tl, C), pre-projection
-	res1    *tensor.Tensor
-	ln2     layerNormCache
-	ln2y    *tensor.Tensor
-	h1      *tensor.Tensor
-	hGelu   *tensor.Tensor
-	bufs    [][]float32 // the activation tap's view of the above (see actBufs)
+	ln1      layerNormCache
+	ln1y     *tensor.Tensor   // input rows to WQKV
+	q, k, v  []*tensor.Tensor // per b·Hl+hi: full-sequence (T, hs) for this rank's heads
+	probs    []*tensor.Tensor // post-softmax scores per b·Hl+hi
+	attnOut  *tensor.Tensor   // local rows (B·Tl, C), pre-projection
+	res1     *tensor.Tensor
+	ln2      layerNormCache
+	ln2y     *tensor.Tensor
+	geluGrad *tensor.Tensor // gelu′ of the W1 output, written by the forward (see gelu)
+	hGelu    *tensor.Tensor
+	bufs     [][]float32 // the activation tap's view of the above (see actBufs)
 
 	// d-outputs retained by BackwardSPStage, paired with the inputs above
 	// for the per-row weight-gradient replay.
@@ -255,8 +255,8 @@ func (g *GPT) ForwardSPStage(tokens, targets []int, batch, localSeq int, sp *SP,
 		tensor.AddInto(lc.res1, x, proj)
 
 		lc.ln2y = layerNorm(ws, lc.res1, blk.LN2G, blk.LN2B, &lc.ln2)
-		lc.h1 = linear(ws, lc.ln2y, blk.W1, blk.B1)
-		lc.hGelu = gelu(ws, lc.h1)
+		lc.geluGrad = linear(ws, lc.ln2y, blk.W1, blk.B1)
+		lc.hGelu = gelu(ws, lc.geluGrad)
 		h2 := linear(ws, lc.hGelu, blk.W2, blk.B2)
 
 		x = ws.get(n, c)
@@ -332,7 +332,7 @@ func (g *GPT) BackwardSPStage(cache *FwdCache, lossScale float64, sp *SP, dOut *
 		lc.dh2 = dx
 		dhg := ws.get(dx.Dim(0), blk.W2.W.Dim(0))
 		tensor.MatMulTInto(dhg, dx, blk.W2.W)
-		lc.dh1 = geluBackward(ws, dhg, lc.h1)
+		lc.dh1 = geluBackward(ws, dhg, lc.geluGrad)
 		lc.dln2y = ws.get(lc.dh1.Dim(0), blk.W1.W.Dim(0))
 		tensor.MatMulTInto(lc.dln2y, lc.dh1, blk.W1.W)
 		dres1FromMLP := layerNormBackwardDX(ws, lc.dln2y, &lc.ln2, blk.LN2G)

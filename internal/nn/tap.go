@@ -31,14 +31,15 @@ func (g *GPT) SetActivationTap(t ActivationTap) { g.sp.Tap = t }
 // actBufs enumerates the block's retained forward buffers for the
 // activation tap: every slice BackwardSPStage and the weight-gradient
 // replay read, each exactly once, in a list the cache reuses pass after
-// pass. The d* gradient slots are pass outputs, not forward activations,
-// so they stay resident.
+// pass. geluGrad is a derivative the forward writes, not a forward
+// activation, but backward reads it like one, so it is stashed with
+// them. The d* gradient slots are pass outputs, so they stay resident.
 func (lc *layerCache) actBufs() [][]float32 {
 	bufs := append(lc.bufs[:0],
 		lc.ln1.x.Data, lc.ln1.invStd, lc.ln1.mean, lc.ln1y.Data,
 		lc.attnOut.Data, lc.res1.Data,
 		lc.ln2.invStd, lc.ln2.mean, lc.ln2y.Data,
-		lc.h1.Data, lc.hGelu.Data,
+		lc.geluGrad.Data, lc.hGelu.Data,
 	)
 	for _, heads := range [...][]*tensor.Tensor{lc.q, lc.k, lc.v, lc.probs} {
 		for _, t := range heads {

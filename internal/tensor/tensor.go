@@ -52,23 +52,6 @@ func (t *Tensor) Size() int { return len(t.Data) }
 // Dim returns the i-th dimension.
 func (t *Tensor) Dim(i int) int { return t.shape[i] }
 
-// Set writes an element by multi-index.
-func (t *Tensor) Set(v float32, idx ...int) { t.Data[t.offset(idx)] = v }
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index rank %d != shape rank %d", len(idx), len(t.shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
-}
-
 // Clone deep-copies the tensor.
 func (t *Tensor) Clone() *Tensor {
 	out := &Tensor{Data: make([]float32, len(t.Data)), shape: append([]int(nil), t.shape...)}
@@ -153,30 +136,6 @@ func (t *Tensor) Scale(s float32) {
 	for i := range t.Data {
 		t.Data[i] *= s
 	}
-}
-
-// ---- reductions ----
-
-// Sum returns the float64 sum of all elements (accumulated in fp64 for
-// stability).
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return s
-}
-
-// GlobalNorm returns sqrt(sum of squared L2 norms) across tensors — the
-// global gradient norm used by clipping (§4.4).
-func GlobalNorm(tensors []*Tensor) float64 {
-	var s float64
-	for _, t := range tensors {
-		for _, v := range t.Data {
-			s += float64(v) * float64(v)
-		}
-	}
-	return math.Sqrt(s)
 }
 
 // ---- 2D helpers ----

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -295,4 +296,42 @@ func TestZeroFill(t *testing.T) {
 	if a.Sum() != 0 {
 		t.Error("zero")
 	}
+}
+
+// Test-only helpers: the package's callers index and reduce through
+// Data directly.
+
+// Set writes an element by multi-index.
+func (t *Tensor) Set(v float32, idx ...int) {
+	if len(idx) != len(t.shape) {
+		panic(fmt.Sprintf("tensor: index rank %d != shape rank %d", len(idx), len(t.shape)))
+	}
+	off := 0
+	for i, x := range idx {
+		if x < 0 || x >= t.shape[i] {
+			panic(fmt.Sprintf("tensor: index %v out of shape %v", idx, t.shape))
+		}
+		off = off*t.shape[i] + x
+	}
+	t.Data[off] = v
+}
+
+// Sum returns the float64 sum of all elements.
+func (t *Tensor) Sum() float64 {
+	var s float64
+	for _, v := range t.Data {
+		s += float64(v)
+	}
+	return s
+}
+
+// GlobalNorm returns sqrt(sum of squared L2 norms) across tensors.
+func GlobalNorm(tensors []*Tensor) float64 {
+	var s float64
+	for _, t := range tensors {
+		for _, v := range t.Data {
+			s += float64(v) * float64(v)
+		}
+	}
+	return math.Sqrt(s)
 }

@@ -444,10 +444,10 @@ type trainer interface {
 // decomposition (S and P are invisible to the numerics), and checkpoints
 // move freely between them.
 type Engine struct {
-	t      trainer
-	guard  *hbmGuard
-	maxSeq int
-	shape  MeshConfig // every axis >= 1
+	t             trainer
+	guard         *hbmGuard
+	vocab, maxSeq int        // what Batch.Check holds every batch to
+	shape         MeshConfig // every axis >= 1
 }
 
 // translate expands an OptimizerConfig into the Adam config, loss scaler,
@@ -507,7 +507,7 @@ func Init(m *Model, cfg OptimizerConfig) (*Engine, error) {
 		Tracer: cfg.Tracer,
 	})
 	return &Engine{
-		t: tr, guard: cfg.newHBMGuard(m, 1, 1), maxSeq: m.gpt.MaxSeq,
+		t: tr, guard: cfg.newHBMGuard(m, 1, 1), vocab: m.gpt.Cfg.Vocab, maxSeq: m.gpt.MaxSeq,
 		shape: MeshConfig{Ranks: 1, SeqRanks: 1, PipeRanks: 1},
 	}, nil
 }
@@ -524,16 +524,12 @@ func (e *Engine) Step(b Batch) (float64, error) { return e.StepAccum([]Batch{b})
 // schedule, shrinking each stage's idle bubble to (P-1)/(M+P-1) of its
 // compute. A batch the model cannot take — no rows, token or target
 // slices that are not BatchSize×Seq long, a sequence past the model's
-// MaxSeq — or that overflows the modeled HBM budget is refused here, in
+// MaxSeq, a token or target outside its vocabulary — or that overflows the modeled HBM budget is refused here, in
 // the caller's goroutine, before any of the window trains.
 func (e *Engine) StepAccum(batches []Batch) (float64, error) {
 	for _, b := range batches {
-		if n := b.BatchSize * b.Seq; b.BatchSize < 1 || b.Seq < 1 || len(b.Tokens) != n || len(b.Targets) != n {
-			return 0, fmt.Errorf("superoffload: batch of %d×%d carries %d tokens and %d targets",
-				b.BatchSize, b.Seq, len(b.Tokens), len(b.Targets))
-		}
-		if b.Seq > e.maxSeq {
-			return 0, fmt.Errorf("superoffload: sequence %d exceeds the model's max %d", b.Seq, e.maxSeq)
+		if err := b.Check(e.vocab, e.maxSeq); err != nil {
+			return 0, fmt.Errorf("superoffload: %w", err)
 		}
 		if err := e.guard.check(b); err != nil {
 			return 0, err
@@ -700,7 +696,7 @@ func InitMesh(m *Model, cfg OptimizerConfig, mc MeshConfig) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{
-		t: e, guard: cfg.newHBMGuard(m, mc.Ranks, mc.SeqRanks), maxSeq: m.gpt.MaxSeq,
+		t: e, guard: cfg.newHBMGuard(m, mc.Ranks, mc.SeqRanks), vocab: m.gpt.Cfg.Vocab, maxSeq: m.gpt.MaxSeq,
 		shape: MeshConfig{Ranks: e.Ranks(), SeqRanks: e.SeqRanks(), PipeRanks: e.PipeRanks()},
 	}, nil
 }

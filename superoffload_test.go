@@ -597,6 +597,46 @@ func TestStepRejectsMalformedBatchOnEveryPreset(t *testing.T) {
 	}
 }
 
+// TestStepRejectsOutOfVocabBatch: a token or target outside [0, Vocab),
+// negative or past the end, comes back from Step as an error naming it on
+// the single-rank trainer (which used to panic in the caller) and on a
+// 2-rank engine (which used to panic inside a rank goroutine and kill the
+// process), and leaves the engine usable.
+func TestStepRejectsOutOfVocabBatch(t *testing.T) {
+	for _, name := range []string{"init", "dp"} {
+		t.Run(name, func(t *testing.T) {
+			p := presets[name]
+			eng, err := p.build(presetModel(t, 1), DefaultOptimizer(), p.shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			corpus := NewCorpus(64, 2)
+			for _, bad := range []struct {
+				targets bool
+				id      int
+			}{{false, -1}, {false, 64}, {true, -1}, {true, 64}} {
+				b := corpus.NextBatch(2, 8)
+				ids := b.Tokens
+				if bad.targets {
+					ids = b.Targets
+				}
+				ids[11] = bad.id
+				_, err := eng.Step(b)
+				if err == nil || !strings.Contains(err.Error(), "at index 11") {
+					t.Errorf("id %d at index 11 (targets %v): got %v, want an error naming it", bad.id, bad.targets, err)
+				}
+			}
+			if _, err := eng.Step(corpus.NextBatch(2, 8)); err != nil {
+				t.Errorf("engine unusable after rejected batches: %v", err)
+			}
+			if err := eng.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestPlacementFacade asserts the end-to-end placement contract through
 // the public surface, across all four engines at the acceptance shapes
 // (single rank, R=2, S=2, R×S=2×2): every placement mode — all-GPU,
