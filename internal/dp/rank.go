@@ -11,9 +11,9 @@ import (
 	"superoffload/internal/tensor"
 )
 
-// ownedBucket is one entry of a rank's ZeRO partition: the fp32 master
-// weights, Adam moments, and rollback snapshot for a bucket this rank
-// owns. Non-owned buckets have no optimizer state on this rank — only the
+// ownedBucket is one entry of a rank's ZeRO partition: both versions of
+// the fp32 master weights and Adam moments (the current one and the
+// rollback point) for a bucket this rank owns. Non-owned buckets have no optimizer state on this rank — only the
 // fp16 replica weights inside the model.
 type ownedBucket struct {
 	idx int // global bucket index

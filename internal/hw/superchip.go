@@ -64,9 +64,9 @@ func (s SuperchipSpec) GPUAdamTime(elems int64) float64 {
 	return KernelLaunchS + AdamStepTime(s.Chip, AdamGPU, elems)
 }
 
-// superchipNVMeBytesPerElem is the flash footprint of one parameter's
-// optimizer state in the windowed store (fp32 master + Adam m + v and
-// their snapshot reservation — stv.NVMeStore's record layout).
+// superchipNVMeBytesPerElem is the flash bytes charged per parameter for
+// one fetch or flush: twice the 12 B (fp32 master + Adam m + v) slot a
+// stv.MLPStore fetch or flush moves, pending ROADMAP.md item 6(c).
 const superchipNVMeBytesPerElem = 24
 
 // NVMeFetchTime is the flash read bringing one NVMe-tier bucket's

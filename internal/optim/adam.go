@@ -5,8 +5,9 @@
 // reproduced with the same optimization hierarchy in Go (one fused pass,
 // per-core parallelism on large shards, register-resident unrolled inner
 // loops, fused bias correction). It also provides the global-norm clipping,
-// NaN/Inf scanning, and exact rollback primitives the
-// speculation-then-validation scheme requires (§4.4).
+// NaN/Inf scanning, and the out-of-place step (GraceAdamTo) whose
+// untouched source is the rollback point speculation-then-validation
+// needs (§4.4).
 package optim
 
 import (
@@ -88,9 +89,11 @@ func NaiveAdam(cfg Config, p, g []float32, s *State, t int) {
 // SIMD algorithm translated element-by-element, which on a non-AVX target
 // runs scalar with per-element double-precision upconversion (the
 // "CPU-Adam" row of Table 3: good, but leaves throughput behind).
-func CPUAdam(cfg Config, p, g []float32, s *State, t int) { acrossCores(cpuAdam, cfg, p, g, s, t) }
+func CPUAdam(cfg Config, p, g []float32, s *State, t int) {
+	acrossCores(cpuAdam, cfg, p, s, p, g, s, t)
+}
 
-func cpuAdam(cfg Config, p, g []float32, s *State, t int) {
+func cpuAdam(cfg Config, dp []float32, ds *State, p, g []float32, s *State, t int) {
 	stepSize, bc2s := biasCorr(cfg, t)
 	wd := cfg.LR * cfg.WeightDecay
 	for i := range p {
@@ -98,15 +101,15 @@ func cpuAdam(cfg Config, p, g []float32, s *State, t int) {
 		// float64, like _mm256 lanes emulated one at a time.
 		m := cfg.Beta1*float64(s.M[i]) + (1-cfg.Beta1)*float64(g[i])
 		v := cfg.Beta2*float64(s.V[i]) + (1-cfg.Beta2)*float64(g[i])*float64(g[i])
-		s.M[i] = float32(m)
-		s.V[i] = float32(v)
+		ds.M[i] = float32(m)
+		ds.V[i] = float32(v)
 		den := math.Sqrt(v)/bc2s + cfg.Eps
 		up := stepSize * m / den
 		x := float64(p[i]) - up
 		if wd != 0 {
 			x -= wd * float64(p[i])
 		}
-		p[i] = float32(x)
+		dp[i] = float32(x)
 	}
 }
 
@@ -114,9 +117,16 @@ func cpuAdam(cfg Config, p, g []float32, s *State, t int) {
 // pass, core-level parallelism on large shards, and a 4-way unrolled inner
 // loop whose accumulators stay in registers — the portable analogue of the
 // SVE svmla/svsqrt vector pipeline. All arithmetic stays in fp32.
-func GraceAdam(cfg Config, p, g []float32, s *State, t int) { acrossCores(graceAdam, cfg, p, g, s, t) }
+func GraceAdam(cfg Config, p, g []float32, s *State, t int) { GraceAdamTo(cfg, p, s, p, g, s, t) }
 
-func graceAdam(cfg Config, p, g []float32, s *State, t int) {
+// GraceAdamTo is GraceAdam out of place: it reads params p and moments s
+// and writes the stepped ones to dp and ds, which must be p and s or not
+// overlap them. Each element sees the same operations either way.
+func GraceAdamTo(cfg Config, dp []float32, ds *State, p, g []float32, s *State, t int) {
+	acrossCores(graceAdam, cfg, dp, ds, p, g, s, t)
+}
+
+func graceAdam(cfg Config, dp []float32, ds *State, p, g []float32, s *State, t int) {
 	stepSize64, bc2s := biasCorr(cfg, t)
 	b1 := float32(cfg.Beta1)
 	ob1 := float32(1 - cfg.Beta1)
@@ -127,30 +137,34 @@ func graceAdam(cfg Config, p, g []float32, s *State, t int) {
 	eps := float32(cfg.Eps)
 	wd := float32(cfg.LR * cfg.WeightDecay)
 
+	// Every operand cut to one length lets the compiler drop most of the
+	// per-element bounds checks.
+	n := len(p)
+	dp, g, sm, sv, dm, dv := dp[:n], g[:n], s.M[:n], s.V[:n], ds.M[:n], ds.V[:n]
 	i := 0
-	for ; i+4 <= len(p); i += 4 {
+	for ; i+4 <= n; i += 4 {
 		g0, g1, g2, g3 := g[i], g[i+1], g[i+2], g[i+3]
-		m0 := b1*s.M[i] + ob1*g0
-		m1 := b1*s.M[i+1] + ob1*g1
-		m2 := b1*s.M[i+2] + ob1*g2
-		m3 := b1*s.M[i+3] + ob1*g3
-		v0 := b2*s.V[i] + ob2*g0*g0
-		v1 := b2*s.V[i+1] + ob2*g1*g1
-		v2 := b2*s.V[i+2] + ob2*g2*g2
-		v3 := b2*s.V[i+3] + ob2*g3*g3
-		s.M[i], s.M[i+1], s.M[i+2], s.M[i+3] = m0, m1, m2, m3
-		s.V[i], s.V[i+1], s.V[i+2], s.V[i+3] = v0, v1, v2, v3
-		p[i] -= stepSize*m0/(sqrt32(v0)*invBc2s+eps) + wd*p[i]
-		p[i+1] -= stepSize*m1/(sqrt32(v1)*invBc2s+eps) + wd*p[i+1]
-		p[i+2] -= stepSize*m2/(sqrt32(v2)*invBc2s+eps) + wd*p[i+2]
-		p[i+3] -= stepSize*m3/(sqrt32(v3)*invBc2s+eps) + wd*p[i+3]
+		m0 := b1*sm[i] + ob1*g0
+		m1 := b1*sm[i+1] + ob1*g1
+		m2 := b1*sm[i+2] + ob1*g2
+		m3 := b1*sm[i+3] + ob1*g3
+		v0 := b2*sv[i] + ob2*g0*g0
+		v1 := b2*sv[i+1] + ob2*g1*g1
+		v2 := b2*sv[i+2] + ob2*g2*g2
+		v3 := b2*sv[i+3] + ob2*g3*g3
+		dm[i], dm[i+1], dm[i+2], dm[i+3] = m0, m1, m2, m3
+		dv[i], dv[i+1], dv[i+2], dv[i+3] = v0, v1, v2, v3
+		dp[i] = p[i] - (stepSize*m0/(sqrt32(v0)*invBc2s+eps) + wd*p[i])
+		dp[i+1] = p[i+1] - (stepSize*m1/(sqrt32(v1)*invBc2s+eps) + wd*p[i+1])
+		dp[i+2] = p[i+2] - (stepSize*m2/(sqrt32(v2)*invBc2s+eps) + wd*p[i+2])
+		dp[i+3] = p[i+3] - (stepSize*m3/(sqrt32(v3)*invBc2s+eps) + wd*p[i+3])
 	}
-	for ; i < len(p); i++ {
+	for ; i < n; i++ {
 		gg := g[i]
-		m := b1*s.M[i] + ob1*gg
-		v := b2*s.V[i] + ob2*gg*gg
-		s.M[i], s.V[i] = m, v
-		p[i] -= stepSize*m/(sqrt32(v)*invBc2s+eps) + wd*p[i]
+		m := b1*sm[i] + ob1*gg
+		v := b2*sv[i] + ob2*gg*gg
+		dm[i], dv[i] = m, v
+		dp[i] = p[i] - (stepSize*m/(sqrt32(v)*invBc2s+eps) + wd*p[i])
 	}
 }
 
@@ -170,14 +184,18 @@ func sqrt32(x float32) float32 { return float32(math.Sqrt(float64(x))) }
 // bought nothing.
 const fanOutElems = 1 << 20
 
+// kernel is a serial Adam body reading p/s and writing dp/ds.
+type kernel func(cfg Config, dp []float32, ds *State, p, g []float32, s *State, t int)
+
 // acrossCores runs a serial kernel over the shard: on its caller below
 // fanOutElems, otherwise as one goroutine per core over contiguous
-// sub-shards cut at multiples of 4, so the unrolled kernels group the
-// same elements and every element sees the same arithmetic either way.
-func acrossCores(kernel Impl, cfg Config, p, g []float32, s *State, t int) {
+// sub-shards cut at multiples of 4 (destination and source at the same
+// offsets), so the unrolled kernels group the same elements and every
+// element sees the same arithmetic either way.
+func acrossCores(k kernel, cfg Config, dp []float32, ds *State, p, g []float32, s *State, t int) {
 	n, workers := len(p), runtime.GOMAXPROCS(0)
 	if n < fanOutElems || workers == 1 {
-		kernel(cfg, p, g, s, t)
+		k(cfg, dp, ds, p, g, s, t)
 		return
 	}
 	chunk := (n/workers + 3) &^ 3
@@ -187,7 +205,8 @@ func acrossCores(kernel Impl, cfg Config, p, g []float32, s *State, t int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			kernel(cfg, p[lo:hi], g[lo:hi], &State{M: s.M[lo:hi], V: s.V[lo:hi]}, t)
+			k(cfg, dp[lo:hi], &State{M: ds.M[lo:hi], V: ds.V[lo:hi]},
+				p[lo:hi], g[lo:hi], &State{M: s.M[lo:hi], V: s.V[lo:hi]}, t)
 		}()
 	}
 	wg.Wait()

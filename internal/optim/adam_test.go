@@ -3,6 +3,7 @@ package optim
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -88,6 +89,45 @@ func TestGraceAdamBucketStepAllocatesNothing(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if a := after.Mallocs - before.Mallocs; a != 0 {
 		t.Errorf("GraceAdam on %d elements: %d allocations over %d steps, want 0", n, a, steps)
+	}
+}
+
+// TestGraceAdamOutOfPlaceMatchesInPlace: GraceAdamTo into fresh
+// destination buffers gives the bits the in-place GraceAdam gives on p, m
+// and v, and leaves its source alone — over the 4-way body and its tail,
+// with and without weight decay, and at a size that fans out across two
+// cores, where destination and source must be cut at the same offsets.
+func TestGraceAdamOutOfPlaceMatchesInPlace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, n := range []int{1, 3, 4, 5, 4099, fanOutElems + 7} {
+		for _, wd := range []float64{0, 0.01} {
+			cfg := DefaultConfig()
+			cfg.WeightDecay = wd
+			p, g := randVecs(uint64(n), n)
+			s := NewState(n)
+			for i := range g {
+				s.M[i], s.V[i] = 0.5*g[i], g[i]*g[i]
+			}
+			clone := func() ([]float32, *State) {
+				return slices.Clone(p), &State{M: slices.Clone(s.M), V: slices.Clone(s.V)}
+			}
+			inP, inS := clone()
+			GraceAdam(cfg, inP, g, inS, 3)
+			srcP, srcS := clone()
+			dstP, dstS := make([]float32, n), NewState(n)
+			GraceAdamTo(cfg, dstP, dstS, srcP, g, srcS, 3)
+			for i := range p {
+				if math.Float32bits(dstP[i]) != math.Float32bits(inP[i]) ||
+					math.Float32bits(dstS.M[i]) != math.Float32bits(inS.M[i]) ||
+					math.Float32bits(dstS.V[i]) != math.Float32bits(inS.V[i]) {
+					t.Fatalf("n=%d wd=%v: element %d out of place (%v, %v, %v), in place (%v, %v, %v)",
+						n, wd, i, dstP[i], dstS.M[i], dstS.V[i], inP[i], inS.M[i], inS.V[i])
+				}
+			}
+			if !slices.Equal(srcP, p) || !slices.Equal(srcS.M, s.M) || !slices.Equal(srcS.V, s.V) {
+				t.Fatalf("n=%d wd=%v: stepping out of place wrote its source", n, wd)
+			}
+		}
 	}
 }
 
@@ -194,7 +234,7 @@ func TestMixedShardStepUpdatesHalf(t *testing.T) {
 	g := []float32{1, 1, 1, 1}
 	cfg := DefaultConfig()
 	cfg.LR = 0.1
-	sh.Step(cfg, g)
+	sh.StepFrom(sh, cfg, g)
 	if sh.State.Step != 1 {
 		t.Errorf("step = %d", sh.State.Step)
 	}
@@ -241,7 +281,7 @@ func TestSnapshotRestoreBitExact(t *testing.T) {
 	sh := NewMixedShard(p)
 	cfg := DefaultConfig()
 	snap := TakeSnapshot(nil, sh)
-	sh.Step(cfg, g)
+	sh.StepFrom(sh, cfg, g)
 	snap.Restore(sh)
 	for i := range p {
 		if sh.Master[i] != p[i] {
@@ -275,7 +315,7 @@ func TestReExecuteClipped(t *testing.T) {
 	p, g := randVecs(3, n)
 	sh := NewMixedShard(p)
 	snap := TakeSnapshot(nil, sh)
-	sh.Step(cfg, g) // speculative, unclipped
+	sh.StepFrom(sh, cfg, g) // speculative, unclipped
 
 	// Reference: fresh shard stepped with clipped gradients directly.
 	ref := NewMixedShard(p)
@@ -284,10 +324,10 @@ func TestReExecuteClipped(t *testing.T) {
 	for i := range g {
 		scaled[i] = g[i] * float32(clip)
 	}
-	ref.Step(cfg, scaled)
+	ref.StepFrom(ref, cfg, scaled)
 
 	snap.Restore(sh)
-	sh.Step(cfg, scaled)
+	sh.StepFrom(sh, cfg, scaled)
 	for i := range p {
 		if sh.Master[i] != ref.Master[i] {
 			t.Fatalf("re-executed step differs from direct clipped step at %d", i)

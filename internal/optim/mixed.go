@@ -71,13 +71,14 @@ func NewMixedShard(params []float32) *MixedShard {
 	return m
 }
 
-// Step applies one fused mixed-precision update: GraceAdam (§4.6) on the
-// fp32 master weights followed by the fp16 re-cast of the updated values.
+// StepFrom applies one fused mixed-precision update: m's fp32 masters and
+// moments become src's advanced by one GraceAdam step (§4.6), then m's
+// fp16 copy is re-cast from them; src is m itself for an in-place step.
 // grad is fp32 (the Cast_gpu→Move_fp32 path of §4.5 delivers fp32
 // gradients to the CPU).
-func (m *MixedShard) Step(cfg Config, grad []float32) {
-	m.State.Step++
-	GraceAdam(cfg, m.Master, grad, m.State, m.State.Step)
+func (m *MixedShard) StepFrom(src *MixedShard, cfg Config, grad []float32) {
+	m.State.Step = src.State.Step + 1
+	GraceAdamTo(cfg, m.Master, m.State, src.Master, grad, src.State, m.State.Step)
 	m.Half = fp16.Cast(m.Half, m.Master)
 }
 

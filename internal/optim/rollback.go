@@ -2,16 +2,13 @@ package optim
 
 import "superoffload/internal/fp16"
 
-// Rollback support for speculation-then-validation (§4.4). The CPU applies
-// optimizer steps speculatively per bucket while gradients are still
-// arriving; if validation later detects NaN/Inf (skip the whole step) or a
-// gradient-clipping violation (re-execute with scaled gradients), the
-// already-applied updates must be undone exactly.
-//
-// The mechanism is Snapshot/Restore: bit-exact, at the cost of one
-// bucket's worth of state copies per speculative step, held only until
-// validation finishes. internal/stv composes it with MixedShard.Step into
-// the skip and clip re-execution paths (stv.Bucket.Apply).
+// Snapshot/Restore is the copy-based form of rollback for
+// speculation-then-validation (§4.4): a bit-exact copy of one shard's
+// state taken before a speculative step, copied back if validation
+// rejects it. No engine uses it: internal/stv keeps two versions of each
+// bucket and steps from one into the other (MixedShard.StepFrom). The
+// benchmark's optim.snapshot_restore_ms probe is the only non-test
+// caller; ROADMAP.md item 5(b) retires it, and these with it.
 
 // Snapshot is a bit-exact copy of one shard's state before a speculative
 // step.

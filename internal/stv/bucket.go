@@ -26,8 +26,9 @@ import (
 // Bucket is one contiguous shard of the parameter space: the unit of
 // gradient offload, speculative stepping, and rollback. The gradient
 // staging buffer (the D2H transfer target) stays DRAM-resident on the
-// bucket; the fp32 master copy, Adam moments, and rollback snapshot live
-// behind the bucket's store and are acquired only while being touched.
+// bucket; the two versions of its fp32 masters and Adam moments (the
+// current one and the rollback point) live behind the bucket's store and
+// are acquired only while being touched.
 type Bucket struct {
 	group nn.Params // model tensors covered by this bucket, in order
 	grad  []float32 // staged fp32 gradients (Cast_gpu → Move_fp32 path)
@@ -143,47 +144,59 @@ func PublishHalf(group nn.Params, half []fp16.Num) {
 	}
 }
 
-// snapshot and restore are what a step may do to the bucket's rollback
-// snapshot before Adam runs. The snapshot lives on the state, so it
-// survives eviction until the deferred validation resolves.
-func snapshot(st *BucketState) { st.Snap = optim.TakeSnapshot(st.Snap, st.Shard) }
-func restore(st *BucketState)  { st.Snap.Restore(st.Shard) }
-
-// step is the one per-bucket update of §4.4: acquire the state, prepare
-// the snapshot (nil: leave it alone), scale the staged gradients, apply
-// GraceAdam with its fp16 re-cast, publish the new weights, release. The
-// scaling is in place: every caller that scales has already joined the
-// validator reading the buffer, and the buffer's next use is an overwrite
-// (the next window's first AccumGrad / AccumInto).
-func (b *Bucket) step(cfg optim.Config, scale float64, prepare func(*BucketState)) {
-	st := b.store.Acquire(b.idx)
-	if prepare != nil {
-		prepare(st)
+// The version a step reads; it writes the current one. inPlace (STE)
+// reads the current version; ahead (a speculative step) flips first, so
+// the old current version stays behind as the rollback point; again (a
+// clip) re-steps from that rollback point.
+func inPlace(st *BucketState) *optim.MixedShard { return st.Shard }
+func again(st *BucketState) *optim.MixedShard   { return st.prev }
+func ahead(st *BucketState) *optim.MixedShard {
+	if st.prev == nil {
+		n := len(st.Shard.Master)
+		st.prev = &optim.MixedShard{Master: make([]float32, n), State: optim.NewState(n)}
 	}
+	st.flip()
+	return st.prev
+}
+
+// step is the one per-bucket update of §4.4: acquire the state, pick the
+// version Adam reads, scale the staged gradients, apply GraceAdam with
+// its fp16 re-cast, publish the new weights, release. The scaling is in
+// place: every caller that scales has already joined the validator
+// reading the buffer, and the buffer's next use is an overwrite (the next
+// window's first AccumGrad / AccumInto).
+func (b *Bucket) step(cfg optim.Config, scale float64, from func(*BucketState) *optim.MixedShard) {
+	st := b.store.Acquire(b.idx)
+	src := from(st)
 	if scale != 1.0 {
 		b.ScaleGrad(float32(scale))
 	}
-	st.Shard.Step(cfg, b.grad)
+	st.Shard.StepFrom(src, cfg, b.grad)
 	PublishHalf(b.group, st.Shard.Half)
 	b.store.Release(b.idx, ReleaseStep)
 }
 
-// SpeculativeStep snapshots the bucket's state and steps it with the
-// staged (unclipped) gradients, ahead of validation.
+// SpeculativeStep steps the bucket's state with the staged (unclipped)
+// gradients, ahead of validation. It overwrites the previous version, so
+// on a bucket whose last verdict is not yet applied (Apply) it panics
+// rather than destroy that verdict's rollback point.
 func (b *Bucket) SpeculativeStep(cfg optim.Config) {
-	b.step(cfg, 1, snapshot)
+	if b.dirty {
+		panic(fmt.Sprintf("stv: speculative step on bucket %d before its last verdict was applied", b.idx))
+	}
+	b.step(cfg, 1, ahead)
 	b.dirty = true
 }
 
 // DirectStep applies a validated step with the staged gradients scaled by
-// scale — the STE path: no snapshot, nothing to roll back.
-func (b *Bucket) DirectStep(cfg optim.Config, scale float64) { b.step(cfg, scale, nil) }
+// scale — the STE path: in place, nothing to roll back.
+func (b *Bucket) DirectStep(cfg optim.Config, scale float64) { b.step(cfg, scale, inPlace) }
 
 // Apply executes the verdict on the bucket's speculative step (§4.4).
 // Commit keeps it — no store access, the speculative state already is the
-// committed state; Skip restores the pre-step snapshot bit-exactly and
-// republishes the weights; Clip restores it and re-applies the step with
-// the gradients scaled by r.ClipScale, under the hyperparameters the
+// committed state; Skip flips back to the version the step read and
+// republishes its weights; Clip re-applies the step from that version
+// with the gradients scaled by r.ClipScale, under the hyperparameters the
 // speculative step used. A bucket with no speculative step outstanding is
 // left alone.
 func (b *Bucket) Apply(r Resolution) {
@@ -193,10 +206,11 @@ func (b *Bucket) Apply(r Resolution) {
 	b.dirty = false
 	switch r.Action {
 	case Clip:
-		b.step(r.Adam, r.ClipScale, restore)
+		b.step(r.Adam, r.ClipScale, again)
 	case Skip:
 		st := b.store.Acquire(b.idx)
-		restore(st)
+		st.flip()
+		st.Shard.Half = fp16.Cast(st.Shard.Half, st.Shard.Master)
 		PublishHalf(b.group, st.Shard.Half)
 		b.store.Release(b.idx, ReleaseFlush)
 	}

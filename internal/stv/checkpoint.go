@@ -51,9 +51,9 @@ func WriteCheckpoint(w io.Writer, stepIndex int, scaler *optim.LossScaler, bucke
 
 // writeRecord streams one bucket's state (acquired from its store, so a
 // windowed NVMe store pages the bucket in just for the write). The layout
-// carries only shard state, never rollback snapshots — checkpoints are
-// taken flushed, with no speculation outstanding — so the bytes are
-// identical across store backends.
+// carries only the current version, never the rollback point —
+// checkpoints are taken flushed, with no speculation outstanding — so the
+// bytes are identical across store backends.
 func (b *Bucket) writeRecord(w io.Writer) error {
 	st := b.store.Acquire(b.idx)
 	defer b.store.Release(b.idx, ReleaseClean)
@@ -121,9 +121,11 @@ func ReadCheckpoint(r io.Reader, scaler *optim.LossScaler, buckets []*Bucket) (s
 	return stepIndex, nil
 }
 
-// readRecord restores one bucket's state through its store, discarding any
-// stale rollback snapshot, re-deriving the fp16 working copy, and
-// republishing the rounded weights to the bucket's model tensors.
+// readRecord restores one bucket's current version through its store,
+// dropping the stale previous version (the next speculative step
+// allocates it again) with any outstanding speculation, re-deriving the
+// fp16 working copy, and republishing the rounded weights to the
+// bucket's model tensors.
 func (b *Bucket) readRecord(r io.Reader) error {
 	st := b.store.Acquire(b.idx)
 	defer b.store.Release(b.idx, ReleaseFlush)
@@ -146,8 +148,7 @@ func (b *Bucket) readRecord(r io.Reader) error {
 			return err
 		}
 	}
-	st.Snap = nil
-	b.dirty = false
+	st.prev, b.dirty = nil, false
 	st.Shard.Half = fp16.Cast(st.Shard.Half[:0], st.Shard.Master)
 	PublishHalf(b.group, st.Shard.Half)
 	return nil

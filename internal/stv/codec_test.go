@@ -3,33 +3,22 @@ package stv
 import (
 	"encoding/binary"
 	"math"
+
+	"superoffload/internal/optim"
 )
 
-// refEncodeRecord is encodeRecord as it stood while the float32 loop was
-// a closure of its own: the byte layout every existing backing file and
-// the fuzz corpus under testdata/ was written with. It stays as the
-// reference FuzzRecordRoundTrip holds the shared iolane loop to.
-func refEncodeRecord(buf []byte, st *BucketState) []byte {
+// refEncodeSlot is encodeSlot written as a plain per-element loop: the
+// slot layout spelled out independently of the shared iolane loop, which
+// FuzzRecordRoundTrip holds to it byte for byte.
+func refEncodeSlot(buf []byte, sh *optim.MixedShard) []byte {
 	le := binary.LittleEndian
-	le.PutUint64(buf[0:], uint64(st.Shard.State.Step))
-	le.PutUint64(buf[8:], 0)
-	buf[16] = 0
-	off := recordHeaderBytes
-	put := func(xs []float32) {
+	le.PutUint64(buf[0:], uint64(sh.State.Step))
+	off := 8
+	for _, xs := range [][]float32{sh.Master, sh.State.M, sh.State.V} {
 		for _, x := range xs {
 			le.PutUint32(buf[off:], math.Float32bits(x))
 			off += 4
 		}
-	}
-	put(st.Shard.Master)
-	put(st.Shard.State.M)
-	put(st.Shard.State.V)
-	if st.Snap != nil {
-		le.PutUint64(buf[8:], uint64(st.Snap.Step))
-		buf[16] = 1
-		put(st.Snap.Master)
-		put(st.Snap.M)
-		put(st.Snap.V)
 	}
 	return buf
 }

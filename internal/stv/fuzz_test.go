@@ -12,8 +12,8 @@ import (
 )
 
 // fuzzState builds a bucket state from fuzz-chosen scalars: n elements
-// seeded from a, b, with an optional snapshot at snapStep.
-func fuzzState(n int, a, b float32, step int, snap bool, snapStep int) *BucketState {
+// seeded from a, b, at Adam step step.
+func fuzzState(n int, a, b float32, step int) *BucketState {
 	master := make([]float32, n)
 	for i := range master {
 		master[i] = a + float32(i)*b
@@ -24,20 +24,18 @@ func fuzzState(n int, a, b float32, step int, snap bool, snapStep int) *BucketSt
 		st.Shard.State.M[i] = b - float32(i)*a
 		st.Shard.State.V[i] = float32(i) * a * b
 	}
-	if snap {
-		st.Snap = &optim.Snapshot{
-			Step:   snapStep,
-			Master: make([]float32, n),
-			M:      make([]float32, n),
-			V:      make([]float32, n),
-		}
-		for i := range st.Snap.Master {
-			st.Snap.Master[i] = a * float32(i+1)
-			st.Snap.M[i] = b * float32(i+1)
-			st.Snap.V[i] = a + b
-		}
-	}
 	return st
+}
+
+// versions encodes both of st's versions and its slot: everything a
+// decode may or may not touch.
+func versions(st *BucketState) []byte {
+	n := len(st.Shard.Master)
+	out := encodeSlot(make([]byte, slotBytes(n)), st.Shard)
+	if st.prev != nil {
+		out = append(out, encodeSlot(make([]byte, slotBytes(n)), st.prev)...)
+	}
+	return append(out, byte(st.slot))
 }
 
 func sameF32(t *testing.T, label string, a, b []float32) {
@@ -52,129 +50,89 @@ func sameF32(t *testing.T, label string, a, b []float32) {
 	}
 }
 
-// FuzzRecordRoundTrip: encodeRecord → decodeRecord is the identity on
-// every field (bit patterns, not float equality — NaN payloads and
-// signed zeros must survive), with and without a snapshot, into both a
-// fresh state and a reused spare — and the encoded bytes are the
-// reference encoder's (refEncodeRecord).
+// FuzzRecordRoundTrip: encodeSlot → decodeSlot is the identity on every
+// field (bit patterns, not float equality — NaN payloads and signed zeros
+// must survive), into a fresh state and into one holding two dissimilar
+// versions, whose other version and slot it must leave alone — and the
+// encoded bytes are the reference encoder's (refEncodeSlot).
 func FuzzRecordRoundTrip(f *testing.F) {
-	f.Add(uint8(4), float32(1.5), float32(-0.25), 7, true, 3)
-	f.Add(uint8(1), float32(0), float32(0), 0, false, 0)
-	f.Add(uint8(16), float32(math.Inf(1)), float32(math.NaN()), 123456, true, 99)
-	f.Fuzz(func(t *testing.T, nRaw uint8, a, b float32, step int, snap bool, snapStep int) {
+	f.Add(uint8(4), float32(1.5), float32(-0.25), 7)
+	f.Add(uint8(1), float32(0), float32(0), 0)
+	f.Add(uint8(16), float32(math.Inf(1)), float32(math.NaN()), 123456)
+	f.Fuzz(func(t *testing.T, nRaw uint8, a, b float32, step int) {
 		n := int(nRaw%32) + 1
-		st := fuzzState(n, a, b, step, snap, snapStep)
-		buf := encodeRecord(make([]byte, recordBytes(n)), st)
+		st := fuzzState(n, a, b, step)
+		buf := encodeSlot(make([]byte, slotBytes(n)), st.Shard)
 
 		// Byte for byte the reference encoder's output, over a buffer that
 		// carries a previous encoding.
 		stale := bytes.Repeat([]byte{0xAA}, len(buf))
-		if !bytes.Equal(encodeRecord(bytes.Clone(stale), st), refEncodeRecord(stale, st)) {
-			t.Fatal("record bytes differ from the reference encoder's")
+		if !bytes.Equal(encodeSlot(bytes.Clone(stale), st.Shard), refEncodeSlot(stale, st.Shard)) {
+			t.Fatal("slot bytes differ from the reference encoder's")
 		}
 
 		check := func(label string, got *BucketState) {
 			t.Helper()
+			if err := decodeSlot(got, n, buf); err != nil {
+				t.Fatalf("%s: decode of a valid slot failed: %v", label, err)
+			}
 			sameF32(t, label+" master", st.Shard.Master, got.Shard.Master)
 			sameF32(t, label+" m", st.Shard.State.M, got.Shard.State.M)
 			sameF32(t, label+" v", st.Shard.State.V, got.Shard.State.V)
 			if got.Shard.State.Step != step {
 				t.Fatalf("%s: step %d, want %d", label, got.Shard.State.Step, step)
 			}
-			if snap != (got.Snap != nil) {
-				t.Fatalf("%s: snapshot presence %v, want %v", label, got.Snap != nil, snap)
-			}
-			if snap {
-				sameF32(t, label+" snap master", st.Snap.Master, got.Snap.Master)
-				sameF32(t, label+" snap m", st.Snap.M, got.Snap.M)
-				sameF32(t, label+" snap v", st.Snap.V, got.Snap.V)
-				if got.Snap.Step != snapStep {
-					t.Fatalf("%s: snap step %d, want %d", label, got.Snap.Step, snapStep)
-				}
-			}
 			// The working half is re-derived from the decoded masters, so
 			// re-encoding must reproduce the exact bytes.
-			if !bytes.Equal(buf, encodeRecord(make([]byte, recordBytes(n)), got)) {
+			if !bytes.Equal(buf, encodeSlot(make([]byte, slotBytes(n)), got.Shard)) {
 				t.Fatalf("%s: re-encoding diverges", label)
 			}
 		}
+		check("fresh", &BucketState{Shard: optim.NewMixedShard(make([]float32, n))})
 
-		fresh, err := decodeRecord(nil, n, buf)
-		if err != nil {
-			t.Fatalf("decode of a valid record failed: %v", err)
+		// A state on its second version: decode overwrites the current
+		// one and leaves the previous version and the slot as they were.
+		two := fuzzState(n, b, a, step+1)
+		ahead(two)
+		prev := versions(two)[slotBytes(n):]
+		check("two versions", two)
+		if !bytes.Equal(prev, versions(two)[slotBytes(n):]) {
+			t.Fatal("decode touched the previous version or the slot")
 		}
-		check("fresh", fresh)
-
-		// Reuse a dissimilar spare (opposite snapshot presence) — decode
-		// must fully overwrite it.
-		spare := fuzzState(n, b, a, step+1, !snap, snapStep+1)
-		reused, err := decodeRecord(spare, n, buf)
-		if err != nil {
-			t.Fatalf("decode into spare failed: %v", err)
-		}
-		check("spare", reused)
 	})
 }
 
-// FuzzDecodeRecordRejects: decodeRecord over arbitrary bytes and element
-// counts never panics; invalid input (truncation, corrupt flag) returns
-// an error and leaves the caller's spare untouched.
+// FuzzDecodeRecordRejects: decodeSlot over arbitrary bytes and element
+// counts never panics; invalid input (a negative or mismatched count,
+// truncation) returns an error and leaves both of the caller's versions
+// untouched.
 func FuzzDecodeRecordRejects(f *testing.F) {
 	f.Add(4, []byte{})
 	f.Add(4, make([]byte, 17))
 	f.Add(-1, make([]byte, 200))
 	f.Add(2, bytes.Repeat([]byte{0xff}, 65))
-	// A valid 1-elem record with the snapshot flag set but the snapshot
-	// arrays truncated.
-	short := make([]byte, 17+12)
-	short[16] = 1
-	f.Add(1, short)
+	// A 3-elem slot one byte short.
+	f.Add(3, make([]byte, slotBytes(3)-1))
 	f.Fuzz(func(t *testing.T, elems int, buf []byte) {
-		if elems > 1<<16 {
-			elems = 1 << 16 // bound allocation, not validity
-		}
-		spare := fuzzState(3, 1, 2, 5, true, 4)
-		want := encodeRecord(make([]byte, recordBytes(3)), spare)
-		st, err := decodeRecord(spare, elems, buf)
-		if err != nil {
-			// Rejected: spare must be byte-for-byte intact.
-			if !bytes.Equal(want, encodeRecord(make([]byte, recordBytes(3)), spare)) {
-				t.Fatal("rejected decode mutated the spare state")
+		st := fuzzState(3, 1, 2, 5)
+		ahead(st)
+		want := versions(st)
+		if err := decodeSlot(st, elems, buf); err != nil {
+			if !bytes.Equal(want, versions(st)) {
+				t.Fatal("rejected decode mutated the state")
 			}
 			return
 		}
 		if elems != 3 {
-			t.Fatalf("decode accepted a %d-elem record into a 3-elem spare", elems)
+			t.Fatalf("decode accepted a %d-elem slot into a 3-elem state", elems)
 		}
-		if st != spare {
-			t.Fatal("successful decode into a spare returned a different state")
+		if int64(len(buf)) < slotBytes(3) {
+			t.Fatalf("decode accepted a %d-byte 3-elem slot", len(buf))
 		}
-		// Accepted: the flag byte must have been valid.
-		if len(buf) > 16 && buf[16] > 1 {
-			t.Fatalf("decode accepted corrupt flag %#x", buf[16])
+		if !bytes.Equal(want[slotBytes(3):], versions(st)[slotBytes(3):]) {
+			t.Fatal("accepted decode touched the previous version or the slot")
 		}
 	})
-}
-
-// TestDecodeRecordRejectsCorruptFlag pins the non-fuzz regression: a
-// record whose snapshot flag byte is neither 0 nor 1 is rejected before
-// any state is written.
-func TestDecodeRecordRejectsCorruptFlag(t *testing.T) {
-	st := fuzzState(2, 1, 2, 3, false, 0)
-	buf := encodeRecord(make([]byte, recordBytes(2)), st)
-	buf[16] = 7
-	if _, err := decodeRecord(nil, 2, buf); err == nil {
-		t.Fatal("corrupt snapshot flag accepted")
-	}
-	// Truncation below the live floor is rejected too.
-	if _, err := decodeRecord(nil, 2, buf[:recordLiveBytes(2, false)-1]); err == nil {
-		t.Fatal("truncated record accepted")
-	}
-	// And a header claiming a snapshot without the bytes for one.
-	buf[16] = 1
-	if _, err := decodeRecord(nil, 2, buf[:recordLiveBytes(2, false)]); err == nil {
-		t.Fatal("snapshot-flagged record without snapshot bytes accepted")
-	}
 }
 
 // fuzzBuckets builds the 2-bucket (3 + 5 element) layout FuzzReadCheckpoint

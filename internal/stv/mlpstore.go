@@ -32,8 +32,12 @@ import (
 // compute (ReleaseStep) and by stalls; Telemetry contrasts the pipelined
 // time with the serialized fetch+step+flush time.
 //
-// I/O failure never panics, at any path count. Every record keeps a
-// crc32 of its last encoding, so a dropped or corrupted write is detected
+// A record is two slots, one per version of the bucket's state; fetches
+// and modified evictions move only the current version's slot, so the
+// rollback point never crosses flash (it stays parked in DRAM).
+//
+// I/O failure never panics, at any path count. Every slot keeps a crc32
+// of its last encoding, so a dropped or corrupted write is detected
 // at read time; a path whose op errors (or, with SlowOpWall, stalls) is
 // quarantined — its in-flight ops drain, no new ops are dispatched to it
 // — and the affected bucket recovers bit-exactly from its DRAM replica
@@ -119,17 +123,18 @@ type MLPTelemetry struct {
 	Events []PathEvent
 }
 
-// mlpRecord is a bucket's fixed slot, present at the same offset in
+// mlpRecord is a bucket's two fixed slots, present at the same offset in
 // every path's backing file so the record can land on (or move to) any
 // path without space management.
 type mlpRecord struct {
 	elems int
-	off   int64
-	bytes int64
-	path  int        // path holding the record's current bytes
-	sum   uint32     // crc32 of the last encoding written
+	off   int64      // slot 0's offset; slot 1 follows it
+	bytes int64      // one slot: slotBytes(elems)
+	slot  int        // slot holding the bucket's current version
+	sums  [2]uint32  // crc32 of each slot's last encoding
+	path  int        // path holding the current slot's bytes
 	read  *iolane.Op // in-flight fetch, if any
-	// buf is the record's reusable IO buffer. It is NOT unconditionally
+	// buf is the record's reusable one-slot IO buffer. It is NOT unconditionally
 	// safe to re-fill: with one worker per path there is no single FIFO
 	// serializing the record's ops, and a DRAM cache
 	// hit skips the read that would have waited out the previous
@@ -141,9 +146,9 @@ type mlpRecord struct {
 	// pending is the record's most recently enqueued op; nil or done
 	// means buf is free to reuse.
 	pending *iolane.Op
-	// spare parks the bucket's latest DRAM state whenever the record is
-	// neither resident nor cached: the decode target on the next fetch,
-	// and the bit-exact recovery replica when that fetch fails.
+	// spare parks the bucket's whole DRAM state whenever the record is
+	// neither resident nor cached: the next fetch's decode target, the
+	// recovery replica, and where a verdict finds the previous version.
 	spare *BucketState
 }
 
@@ -360,7 +365,7 @@ func (s *MLPStore) pickPathLocked(avoid int) (int, bool) {
 // steady-state traffic, so they must not inflate the per-step telemetry
 // the reporters divide by step count).
 func (s *MLPStore) enqueueLocked(write bool, rec *mlpRecord, idx int, buf []byte, path int, modeled bool) *iolane.Op {
-	op := &iolane.Op{Off: rec.off, Buf: buf, Write: write, Tag: int32(idx), Sum: rec.sum}
+	op := &iolane.Op{Off: rec.off + int64(rec.slot)*rec.bytes, Buf: buf, Write: write, Tag: int32(idx), Sum: rec.sums[rec.slot]}
 	var now, dur float64
 	if modeled {
 		spec := s.cfg.Paths[path]
@@ -384,7 +389,8 @@ func (s *MLPStore) enqueueLocked(write bool, rec *mlpRecord, idx int, buf []byte
 	return op
 }
 
-// flushLocked encodes the state, refreshes the record's checksum, and
+// flushLocked encodes the state's current version into its slot, makes
+// that slot the record's current one, refreshes its checksum, and
 // enqueues the write to the given path, recording a reroute event when
 // the record is moving off a quarantined path.
 func (s *MLPStore) flushLocked(rec *mlpRecord, idx int, st *BucketState, path int, modeled bool) {
@@ -400,8 +406,9 @@ func (s *MLPStore) flushLocked(rec *mlpRecord, idx int, st *BucketState, path in
 		}
 		rec.pending = nil
 	}
-	buf := encodeRecord(rec.ioBuf(), st)
-	rec.sum = crc32.ChecksumIEEE(buf)
+	buf := encodeSlot(rec.ioBuf(), st.Shard)
+	rec.slot = st.slot
+	rec.sums[rec.slot] = crc32.ChecksumIEEE(buf)
 	if path != rec.path && s.pathDead(rec.path) {
 		s.event(PathEvent{Path: rec.path, Kind: "reroute", Bucket: idx,
 			Detail: fmt.Sprintf("record moved to path %d", path)})
@@ -413,9 +420,9 @@ func (s *MLPStore) flushLocked(rec *mlpRecord, idx int, st *BucketState, path in
 	s.enqueueLocked(true, rec, idx, buf, path, modeled)
 }
 
-// Seed writes the bucket's initial record (round-robin path placement);
-// nothing becomes resident, and the seed state parks as the record's
-// DRAM replica until the first successful fetch.
+// Seed writes the bucket's initial state to slot 0 of its record
+// (round-robin path placement); nothing becomes resident, and the seed
+// state parks as the record's DRAM replica.
 func (s *MLPStore) Seed(idx int, master []float32) {
 	st := &BucketState{Shard: optim.NewMixedShard(master)}
 	s.mu.Lock()
@@ -423,15 +430,15 @@ func (s *MLPStore) Seed(idx int, master []float32) {
 	if _, ok := s.recs[idx]; ok {
 		panic(fmt.Sprintf("stv: bucket %d seeded twice", idx))
 	}
-	rec := &mlpRecord{elems: len(master), off: s.end, bytes: recordBytes(len(master))}
+	rec := &mlpRecord{elems: len(master), off: s.end, bytes: slotBytes(len(master))}
 	s.recs[idx] = rec
-	s.end += rec.bytes
+	s.end += 2 * rec.bytes
 	i := sort.SearchInts(s.order, idx)
 	s.order = append(s.order, 0)
 	copy(s.order[i+1:], s.order[i:])
 	s.order[i] = idx
-	buf := encodeRecord(rec.ioBuf(), st)
-	rec.sum = crc32.ChecksumIEEE(buf)
+	buf := encodeSlot(rec.ioBuf(), st.Shard)
+	rec.sums[0] = crc32.ChecksumIEEE(buf)
 	rec.path = idx % len(s.cfg.Paths)
 	s.enqueueLocked(true, rec, idx, buf, rec.path, false)
 	rec.spare = st
@@ -557,17 +564,22 @@ func (s *MLPStore) insertLocked(idx int, st *BucketState, modified bool) {
 // recovered state enters the window modified, so the next eviction
 // re-flushes (and thereby re-routes) the record to a surviving path.
 func (s *MLPStore) recoverLocked(idx int, rec *mlpRecord, detail string) *BucketState {
-	st := rec.spare
-	if st == nil {
-		// Cannot happen — every record that is neither resident nor
-		// cached parks its latest state — but fail loudly rather than
-		// train on stale bytes.
-		s.mu.Unlock()
-		panic(fmt.Sprintf("stv: bucket %d unrecoverable after path failure: %s", idx, detail))
-	}
+	st := s.parkedLocked(idx, rec)
 	rec.spare = nil
 	s.event(PathEvent{Path: rec.path, Kind: "recover", Bucket: idx, Detail: detail})
 	s.insertLocked(idx, st, true)
+	return st
+}
+
+// parkedLocked returns the state parked on a record neither resident nor
+// cached, whose current version is the record's current slot. There
+// always is one; fail loudly rather than lose a rollback point.
+func (s *MLPStore) parkedLocked(idx int, rec *mlpRecord) *BucketState {
+	st := rec.spare
+	if st == nil || st.slot != rec.slot {
+		s.mu.Unlock()
+		panic(fmt.Sprintf("stv: bucket %d has no parked state for slot %d", idx, rec.slot))
+	}
 	return st
 }
 
@@ -630,6 +642,7 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 		s.track.InstantInt("stall", "bucket", idx)
 	}
 	path := rec.path // the fetch's lane: a record with a read in flight is not re-routed
+	st := s.parkedLocked(idx, rec)
 	s.mu.Unlock()
 
 	if s.cfg.SlowOpWall > 0 {
@@ -651,7 +664,7 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 			rec.read = nil
 			s.inflight--
 			rec.buf = nil
-			st := s.recoverLocked(idx, rec, "fetch abandoned after stall")
+			s.recoverLocked(idx, rec, "fetch abandoned after stall")
 			s.mu.Unlock()
 			return st
 		}
@@ -663,20 +676,20 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 		s.mu.Lock()
 		rec.read = nil
 		s.inflight--
-		st := s.recoverLocked(idx, rec, op.Err.Error())
+		s.recoverLocked(idx, rec, op.Err.Error())
 		s.mu.Unlock()
 		return st
 	}
-	st, derr := decodeRecord(rec.spare, rec.elems, op.Buf)
+	derr := decodeSlot(st, rec.elems, op.Buf)
 	s.mu.Lock()
 	rec.read = nil
 	s.inflight--
 	if derr != nil {
 		// Checksum passed but the codec rejected the bytes — treat the
-		// path as corrupting data and recover (decodeRecord validated
-		// before touching spare, so the replica is intact).
+		// path as corrupting data and recover (decodeSlot validated
+		// before touching the state, so the replica is intact).
 		s.quarantine(path, idx, derr.Error())
-		st := s.recoverLocked(idx, rec, derr.Error())
+		s.recoverLocked(idx, rec, derr.Error())
 		s.mu.Unlock()
 		return st
 	}
@@ -689,7 +702,7 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 // Release ends a hold. A mutating release (Flush or Step) marks the
 // bucket for write-back on eviction; a Step release also advances the
 // consumer clock by the bucket's modeled Adam step — the compute the
-// device timelines get to hide. Checkpoint IO and rollback restores use
+// device timelines get to hide. Checkpoint loads and skip rollbacks use
 // Flush, so they never charge phantom optimizer compute.
 func (s *MLPStore) Release(idx int, mode ReleaseMode) {
 	s.mu.Lock()

@@ -17,7 +17,7 @@ import (
 // touches numerics: every tier applies the same Adam kernel, so
 // trajectories, rollbacks, and checkpoints stay bit-identical to the
 // homogeneous trainer (GPU-resident buckets' speculative step simply IS
-// their synchronous in-step update, with the rollback snapshot retained
+// their synchronous in-step update, with the version it read retained
 // until the global verdict lands).
 
 // PlacementTier is one tier's cumulative share of the executor's modeled

@@ -12,18 +12,31 @@ import "superoffload/internal/optim"
 // stream the rest through backing storage, overlapping the next bucket's
 // fetch with the current bucket's Adam step.
 //
-// The rollback snapshot rides the store alongside the shard: between a
-// speculative step and its (deferred) validation a bucket may be evicted,
-// and the snapshot must survive the round trip so a Skip or Clip verdict
-// (Bucket.Apply) stays bit-exact on windowed state.
+// A speculative step's rollback point (§4.4) is the version of the state
+// it read: Adam steps from the current version into the other and flips,
+// and stores keep both versions together until the verdict lands (the
+// flash store as two slots of the bucket's record), so a Skip or Clip
+// verdict (Bucket.Apply) stays bit-exact on windowed state.
 
-// BucketState is the optimizer-tier payload for one bucket: the
-// mixed-precision shard (fp32 masters, Adam moments, fp16 working copy)
-// plus the rollback snapshot taken by the last speculative step (nil when
-// no speculation is outstanding).
+// BucketState is the optimizer-tier payload for one bucket: two versions
+// of its fp32 masters and Adam moments. Shard is the current one, with
+// the bucket's one fp16 working copy; prev is the other, allocated by the
+// first speculative step, so a bucket only ever stepped in place never
+// holds it. slot is the version Shard holds: the flash store keeps
+// version i in slot i of the bucket's record.
 type BucketState struct {
 	Shard *optim.MixedShard
-	Snap  *optim.Snapshot
+	prev  *optim.MixedShard
+	slot  int
+}
+
+// flip swaps the current version with the previous one; the fp16 working
+// copy stays on Shard.
+func (st *BucketState) flip() {
+	sh, o := st.Shard, st.prev
+	sh.Master, o.Master = o.Master, sh.Master
+	sh.State, o.State = o.State, sh.State
+	st.slot ^= 1
 }
 
 // ReleaseMode tells the store what happened to a bucket's state during
@@ -35,8 +48,8 @@ const (
 	// ReleaseClean: the holder only read the state; eviction may drop it
 	// without a flush.
 	ReleaseClean ReleaseMode = iota
-	// ReleaseFlush: the state changed (checkpoint load, rollback
-	// restore) and must be written back on eviction; no optimizer
+	// ReleaseFlush: the state changed (checkpoint load, skip
+	// rollback) and must be written back on eviction; no optimizer
 	// compute is modeled.
 	ReleaseFlush
 	// ReleaseStep: the state changed by one Adam step — write back on

@@ -53,8 +53,8 @@ type Config struct {
 	// the given 1-based step (warm-up, cosine decay, ...). Rollback
 	// re-execution uses the same step's rate, preserving exactness.
 	Schedule func(step int) float64
-	// Store selects where bucket optimizer state (fp32 masters, Adam
-	// moments, rollback snapshots) lives between touches. Nil keeps
+	// Store selects where bucket optimizer state (both versions of the
+	// fp32 masters and Adam moments) lives between touches. Nil keeps
 	// everything resident in DRAM; an MLPStore spills to backing files
 	// with a small resident window; a PlacedStore routes residency by
 	// the placement plan's tiers. The trainer owns the store: Close
@@ -270,7 +270,7 @@ func (t *Trainer) Step(b data.Batch) (float64, error) {
 // figure. The speculative per-bucket step then fires once, over the
 // normalised sum, and its own validation is launched into the background.
 // STE (Fig. 3) resolves that validation at once, on the critical path, and
-// steps from the verdict with Bucket.DirectStep: no snapshot, no rollback,
+// steps from the verdict with Bucket.DirectStep: in place, no rollback,
 // and a skipped step does no optimizer work at all.
 func (t *Trainer) StepAccum(batches []data.Batch) (float64, error) {
 	if t.Cfg.Mode != STE && t.Cfg.Mode != STV {
@@ -345,7 +345,7 @@ func (t *Trainer) forward(b data.Batch) (float64, *nn.FwdCache) {
 
 // resolve consumes the outstanding validation, if any, and applies its
 // verdict to every bucket: commit, roll back, or re-execute clipped.
-// Under STE no bucket is ever dirty (DirectStep takes no snapshot), so
+// Under STE no bucket is ever dirty (DirectStep steps in place), so
 // Apply finds nothing to do and StepAccum steps from the returned verdict.
 func (t *Trainer) resolve() Resolution {
 	sp := t.track.Begin("resolve")

@@ -258,7 +258,7 @@ func TestClipRollbackAllocatesNothing(t *testing.T) {
 			}
 		}
 		for i := 0; i < 3; i++ {
-			step() // warm: snapshots and the forward cache are allocated once
+			step() // warm: second versions and the forward cache are allocated once
 		}
 		before := tr.Stats().ClipRolls
 		allocs := testing.AllocsPerRun(10, step) // one warm-up call + 10 measured
@@ -270,5 +270,47 @@ func TestClipRollbackAllocatesNothing(t *testing.T) {
 	commit, clip := stepAllocs(0), stepAllocs(1e-3)
 	if clip > 2*commit {
 		t.Errorf("a clip-rollback step allocates %v times, a commit step %v: the rollback allocates beyond the step body", clip, commit)
+	}
+}
+
+// TestSpeculativeStepOnDirtyBucketPanics: a speculative step reads the
+// version its predecessor's verdict may roll back to, so a step on a
+// bucket whose verdict has not been applied panics rather than overwrite
+// that rollback point; once the verdict is applied, the next step runs.
+func TestSpeculativeStepOnDirtyBucketPanics(t *testing.T) {
+	bk := fuzzBuckets()[0]
+	cfg := optim.DefaultConfig()
+	bk.SpeculativeStep(cfg)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("speculative step before the last verdict was applied did not panic")
+			}
+		}()
+		bk.SpeculativeStep(cfg)
+	}()
+	bk.Apply(Resolution{Action: Commit})
+	bk.SpeculativeStep(cfg)
+}
+
+// TestSTETrainerHoldsOneVersion: STE steps every bucket in place, so an
+// STE trainer — clipping and skipping an overflow included — never
+// allocates a bucket's second version, while STV allocates it at its
+// first speculative step.
+func TestSTETrainerHoldsOneVersion(t *testing.T) {
+	for _, mode := range []Mode{STE, STV} {
+		tr, _ := runTraining(t, mode, 6, func(step int) bool { return step == 3 }, optim.NewLossScaler())
+		if st := tr.Stats(); st.SkipRolls == 0 || st.ClipRolls == 0 {
+			t.Fatalf("%v: run neither skipped nor clipped: %+v", mode, st)
+		}
+		for _, bk := range tr.buckets {
+			st := bk.store.Acquire(bk.idx)
+			two := st.prev != nil
+			bk.store.Release(bk.idx, ReleaseClean)
+			if two != (mode == STV) {
+				t.Fatalf("%v: bucket %d holds a second version: %v", mode, bk.idx, two)
+			}
+		}
+		tr.Close()
 	}
 }

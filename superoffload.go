@@ -95,7 +95,8 @@ type OptimizerConfig struct {
 	Beta2       float64
 	Eps         float64
 	WeightDecay float64
-	// ClipNorm enables global-norm gradient clipping (0 disables).
+	// ClipNorm enables global-norm gradient clipping (0 disables;
+	// negative or NaN is rejected).
 	ClipNorm float64
 	// BucketElems overrides the per-bucket parameter budget (default:
 	// 32M elements = one 64 MB fp16 bucket, §4.3).
@@ -350,13 +351,17 @@ func (cfg OptimizerConfig) placementPlan(m *Model) (*place.Plan, error) {
 	return &plan, nil
 }
 
-// trainSetup resolves the optimizer config's placement plan, bucket
-// store factory, and activation store factory for the model — one place
-// shared by every InitX, so the engines can never diverge on
-// placement/offload wiring. Without a placement the legacy offload path
-// applies unchanged; with one, the GPU/CPU tiers stay resident and only
-// an nvme backend's body buckets spill (through a per-rank PlacedStore).
+// trainSetup validates the clip threshold and resolves the optimizer
+// config's placement plan, bucket store factory, and activation store
+// factory for the model — one place shared by every InitX, so the
+// engines can never diverge on validation or placement/offload wiring.
+// Without a placement the legacy offload path applies unchanged; with
+// one, the GPU/CPU tiers stay resident and only an nvme backend's body
+// buckets spill (through a per-rank PlacedStore).
 func (cfg OptimizerConfig) trainSetup(m *Model) (*place.Plan, func(rank int) (stv.BucketStore, error), func(rank int) (*act.Store, error), error) {
+	if !(cfg.ClipNorm >= 0) { // the negated test also catches NaN
+		return nil, nil, nil, fmt.Errorf("superoffload: ClipNorm %v must be 0 (clipping off) or positive", cfg.ClipNorm)
+	}
 	actFactory, err := cfg.Activation.storeFactory(m, cfg.Tracer)
 	if err != nil {
 		return nil, nil, nil, err

@@ -548,6 +548,24 @@ func TestInitDPValidation(t *testing.T)   { rejectsBadBuilds(t, "dp") }
 func TestInitSPValidation(t *testing.T)   { rejectsBadBuilds(t, "sp") }
 func TestInitMeshValidation(t *testing.T) { rejectsBadBuilds(t, "mesh") }
 
+// TestInitRejectsBadClipNorm: a NaN or negative ClipNorm is refused by
+// Init and by a 2-rank InitMesh, with the value in the error: a NaN would
+// scale every step's gradients by NaN, and a negative one would turn
+// clipping off although only 0 means off.
+func TestInitRejectsBadClipNorm(t *testing.T) {
+	for _, clip := range []float64{math.NaN(), -1} {
+		cfg := DefaultOptimizer()
+		cfg.ClipNorm = clip
+		_, single := Init(presetModel(t, 1), cfg)
+		_, mesh := InitMesh(presetModel(t, 1), cfg, MeshConfig{Ranks: 2})
+		for name, err := range map[string]error{"Init": single, "InitMesh": mesh} {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprint(clip)) {
+				t.Errorf("%s with ClipNorm %v: error %v, want one naming the value", name, clip, err)
+			}
+		}
+	}
+}
+
 // TestStepRejectsMalformedBatchOnEveryPreset: a batch the model cannot
 // take — sequence past MaxSeq, token/target slices shorter than
 // BatchSize×Seq, no rows, rows not divisible by R, a sequence not
