@@ -2,7 +2,6 @@ package dp
 
 import (
 	"fmt"
-	"io"
 
 	"superoffload/internal/data"
 	"superoffload/internal/nn"
@@ -15,9 +14,8 @@ import (
 // plumbing, pending-validation bookkeeping and verdict policy the
 // single-rank trainer runs on — and drives the ranks from it.
 type coordinator struct {
-	cfg    Config
-	ctl    stv.Verdict
-	closed bool
+	cfg Config
+	ctl stv.Verdict
 }
 
 // Stats returns the engine's validation counters. Safe to call from
@@ -26,40 +24,6 @@ func (c *coordinator) Stats() stv.Stats { return c.ctl.Stats() }
 
 // StepIndex reports how many optimizer steps the engine has attempted.
 func (c *coordinator) StepIndex() int { return c.ctl.StepIndex() }
-
-// save serializes the training state in the stv checkpoint format over
-// the global bucket order — byte-identical across shapes (and to the
-// single-rank trainer) on the same trajectory.
-func (c *coordinator) save(w io.Writer, buckets []*stv.Bucket) error {
-	if c.closed {
-		return fmt.Errorf("dp: engine closed")
-	}
-	return c.ctl.Save(w, buckets)
-}
-
-// load restores state written by save (from any shape, or the
-// single-rank trainer), scattering each bucket to its owner and
-// republishing the fp16-rounded weights to every non-owner replica.
-func (c *coordinator) load(r io.Reader, buckets []*stv.Bucket, ranks []*rank) error {
-	if c.closed {
-		return fmt.Errorf("dp: engine closed")
-	}
-	if err := c.ctl.Load(r, buckets); err != nil {
-		return err
-	}
-	// Load republished into owner replicas; propagate to the
-	// others (the ranks are quiescent between commands). One store
-	// acquire per bucket, shared across all receiving ranks.
-	for bi, bk := range buckets {
-		half := bk.Half()
-		for id, rk := range ranks {
-			if id != bucketOwner(bi, len(ranks)) {
-				stv.PublishHalf(rk.groups[bi], half)
-			}
-		}
-	}
-	return nil
-}
 
 // newRankExecutor builds rank executors for a placement plan: the
 // virtual-clock superchip model over this rank's owned shard (the
@@ -98,8 +62,8 @@ func closeStores(stores []stv.BucketStore, err error) error {
 // reports in rank order. The caller folds the reported losses in
 // canonical order.
 func (c *coordinator) runStep(w *world, micross [][]data.Batch) ([]stepResult, error) {
-	if c.closed {
-		return nil, fmt.Errorf("dp: engine closed")
+	if err := c.ctl.Live(); err != nil {
+		return nil, err
 	}
 	adam := c.ctl.BeginStep()
 	var sp obs.Span
@@ -142,8 +106,8 @@ func (c *coordinator) runStep(w *world, micross [][]data.Batch) ([]stepResult, e
 // end of training so the final step is validated). Returns whether the
 // final step was rolled back or re-executed.
 func (c *coordinator) flush(w *world) (bool, error) {
-	if c.closed {
-		return false, fmt.Errorf("dp: engine closed")
+	if err := c.ctl.Live(); err != nil {
+		return false, err
 	}
 	res := c.ctl.Resolve(w.val)
 	if res.Action == stv.None {
@@ -162,7 +126,7 @@ func (c *coordinator) flush(w *world) (bool, error) {
 // and the validation aggregator, and closes every rank's bucket store
 // and activation store. Idempotent; the engine is unusable afterwards.
 func (c *coordinator) closeWorld(w *world, ranks []*rank) error {
-	if c.closed {
+	if c.ctl.Live() != nil {
 		return nil
 	}
 	_, err := c.flush(w)
@@ -170,7 +134,7 @@ func (c *coordinator) closeWorld(w *world, ranks []*rank) error {
 		w.cmd[r] <- command{kind: cmdStop}
 	}
 	close(w.partial)
-	c.closed = true
+	c.ctl.Close()
 	for _, rk := range ranks {
 		if cerr := rk.store.Close(); err == nil {
 			err = cerr

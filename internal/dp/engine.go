@@ -276,28 +276,35 @@ func (e *Engine) Flush() (bool, error) { return e.flush(e.w) }
 // Save serializes the training state in the stv checkpoint format, over
 // the global bucket order — byte-identical to a single-rank trainer on
 // the same trajectory, so checkpoints move freely across (R,S,P) shapes.
-// It fails if a validation is in flight.
-func (e *Engine) Save(w io.Writer) error { return e.save(w, e.buckets) }
+// It fails once the engine is closed or while a validation is in flight.
+func (e *Engine) Save(w io.Writer) error { return e.ctl.Save(w, e.buckets) }
 
 // Load restores state saved by Save (from any shape, or the single-rank
-// trainer) into this engine, scattering each bucket to its owner and
-// republishing the fp16-rounded weights to every replica.
-func (e *Engine) Load(r io.Reader) error { return e.load(r, e.buckets, e.ranks) }
+// trainer) into this engine, scattering each bucket to its owner and,
+// once the Load has succeeded, republishing the fp16-rounded weights to
+// every non-owner replica. A failed Load changes nothing.
+func (e *Engine) Load(r io.Reader) error {
+	if err := e.ctl.Load(r, e.buckets); err != nil {
+		return err
+	}
+	// Load republished into owner replicas; propagate to the others (the
+	// ranks are quiescent between commands). One store acquire per
+	// bucket, shared across all receiving ranks.
+	for bi, bk := range e.buckets {
+		half := bk.Half()
+		for id, rk := range e.ranks {
+			if id != bucketOwner(bi, len(e.ranks)) {
+				stv.PublishHalf(rk.groups[bi], half)
+			}
+		}
+	}
+	return nil
+}
 
 // MasterWeights returns the fp32 master parameters gathered from their
 // owners, concatenated in bucket order — the ground truth for exactness
 // comparisons against the single-rank engine.
-func (e *Engine) MasterWeights() []float32 {
-	n := 0
-	for _, bk := range e.buckets {
-		n += bk.Size()
-	}
-	out := make([]float32, 0, n)
-	for _, bk := range e.buckets {
-		out = bk.AppendMaster(out)
-	}
-	return out
-}
+func (e *Engine) MasterWeights() []float32 { return stv.MasterWeights(e.buckets) }
 
 // Close resolves any pending validation, stops the rank goroutines and
 // the validation aggregator, and closes every rank's bucket and

@@ -91,6 +91,7 @@ func TestPipeWithNVMeStores(t *testing.T)                     { runStratum(t) }
 func TestPipeCheckpointCrossShape(t *testing.T)               { runStratum(t) }
 func TestPipeRaceStress(t *testing.T)                         { runStratum(t) }
 func TestPipeTrainingLearns(t *testing.T)                     { runStratum(t) }
+func TestFailedLoadChangesNothing(t *testing.T)               { runStratum(t) }
 
 var (
 	s111, s211, s411, s121, s141, s221, s241 = shape{1, 1, 1}, shape{2, 1, 1}, shape{4, 1, 1}, shape{1, 2, 1}, shape{1, 4, 1}, shape{2, 2, 1}, shape{2, 4, 1}
@@ -155,6 +156,15 @@ var strata = map[string][]genCase{
 	"TestPipeCheckpointCrossShape":            each(resumes(s111, s112, s122, s212, s222, s114), s212, s222),
 	"TestPipeRaceStress":                      one(s222, all(flash, accum, stress)),
 	"TestPipeTrainingLearns":                  one(s122, learns),
+
+	// Every resumed configuration first refuses a corrupt copy of its
+	// checkpoint; these pin both corruptions on flash and DRAM restores.
+	"TestFailedLoadChangesNothing": {
+		{"flip/R2-nvme", all(moves(s211, storeDRAM, s211, storeFlash1), corrupts(false))},
+		{"cut/R2-dram", all(moves(s211, storeFlash2, s211, storeDRAM), corrupts(true))},
+		{"flip/trainer-cache", all(moves(s221, storeDRAM, trainerShape, storeFlash2Cache), corrupts(false))},
+		{"cut/R2xS2xP2-nvme", all(moves(s111, storeDRAM, s222, storeFlash2), corrupts(true))},
+	},
 }
 
 // shape is an (R,S,P) engine shape; the zero shape is the single-rank
@@ -233,7 +243,9 @@ type genConfig struct {
 	Restore      shape
 	RestoreStore storeKind
 	Learn        bool // the loss must fall over the run
-	Data         uint64
+	// Data seeds the corpus, and the corruption Restore refuses before
+	// the good Load: even flips a bit, odd cuts the checkpoint short.
+	Data uint64
 }
 
 // GoString renders the configuration as a literal for regressions.
@@ -442,9 +454,10 @@ func (d divergence) Error() string { return fmt.Sprintf("step %d: %s", d.step, d
 // reference on the same global batches and returns the first difference:
 // in a loss, the master weights, Stats, checkpoint bytes, the attached
 // tiers' telemetry, the comm counters, or the Close error. A checkpoint
-// taken mid-run is restored into the configuration's second shape, which
-// resumes against the uninterrupted reference when its R matches, and
-// against a reference restored from the same bytes when it does not.
+// taken mid-run is restored into the configuration's second shape — after
+// a failed Load of a corrupt copy, which must change nothing — and that
+// shape resumes against the uninterrupted reference when its R matches,
+// and against a reference restored from the same bytes when it does not.
 func (c genConfig) check(dir string) error {
 	var flash []*stv.MLPStore
 	eng, err := c.build(c.Shape, c.Store, 42, dir, c.Fault, &flash)
@@ -475,6 +488,9 @@ func (c genConfig) check(dir string) error {
 				return err
 			}
 			eng = next
+			if err := c.refuse(eng, ckpt, i); err != nil {
+				return err
+			}
 			if err := eng.Load(bytes.NewReader(ckpt)); err != nil {
 				return err
 			}
@@ -517,6 +533,53 @@ func (c genConfig) check(dir string) error {
 		return err
 	}
 	return c.finish(eng, sh, sk, c.Steps-c.Ckpt, fault, flash)
+}
+
+// refuse gives tr a copy of ckpt with one bit flipped or cut short, at an
+// offset drawn from Data, and requires the Load to fail and to leave the
+// step index, the master weights and every replica's weights as they were.
+func (c genConfig) refuse(tr trainer, ckpt []byte, step int) error {
+	rng := rand.New(rand.NewPCG(c.Data, 1))
+	bad, how := bytes.Clone(ckpt), ""
+	if c.Data%2 == 0 {
+		bit := rng.IntN(8 * len(bad))
+		bad[bit/8] ^= 1 << (bit % 8)
+		how = fmt.Sprintf("bit %d flipped", bit)
+	} else {
+		bad = bad[:rng.IntN(len(bad))]
+		how = fmt.Sprintf("%d of %d bytes", len(bad), len(ckpt))
+	}
+	idx, before := tr.StepIndex(), weights(tr)
+	if tr.Load(bytes.NewReader(bad)) == nil {
+		return divergence{step, "checkpoint with " + how + " loaded"}
+	}
+	if tr.StepIndex() != idx || !slices.EqualFunc(before, weights(tr), slices.Equal) {
+		return divergence{step, "failed Load of the checkpoint with " + how + " changed the engine"}
+	}
+	return nil
+}
+
+// weights is tr's master weights, then each replica's model weights: the
+// trainer's one model, or every rank's.
+func weights(tr trainer) [][]float32 {
+	var models []*nn.GPT
+	switch tr := tr.(type) {
+	case *stv.Trainer:
+		models = append(models, tr.Model)
+	case *Engine:
+		for _, rk := range tr.ranks {
+			models = append(models, rk.model)
+		}
+	}
+	out := [][]float32{tr.MasterWeights()}
+	for _, m := range models {
+		var w []float32
+		for _, p := range m.Params() {
+			w = append(w, p.W.Data...)
+		}
+		out = append(out, w)
+	}
+	return out
 }
 
 // decompose splits every micro-batch's rows r ways, in (micro-batch,
@@ -837,6 +900,17 @@ func resumes(into ...shape) pin {
 	}
 }
 
+// corrupts picks the corruption a restore refuses first: a cut checkpoint
+// or a flipped bit.
+func corrupts(cut bool) pin {
+	return func(c *genConfig, _ *rand.Rand) {
+		c.Data &^= 1
+		if cut {
+			c.Data |= 1
+		}
+	}
+}
+
 // midStreak checkpoints under loss scaling inside the overflow-free streak
 // that doubles the scale at step 8 (an overflow at step 3, a doubling
 // every 5 clean steps), so an exact resume needs the saved streak.
@@ -893,8 +967,9 @@ func drawnSet() []genConfig {
 // stratum has a test, and the drawn set holds every shape and axis value,
 // each non-default tier on a shape of every parallel axis (activations
 // spilling on pipeline stages), bench/'s workload combinations, a stress
-// run, the rollback kinds, a resume under loss scaling, and a long
-// learning run per parallel axis.
+// run, the rollback kinds, a resume under loss scaling, a long learning
+// run per parallel axis, and failed Loads of both corruptions into every
+// store and a shape of every parallel axis.
 func TestDrawnSetCoversEveryAxis(t *testing.T) {
 	src, _ := os.ReadFile("gen_test.go")
 	for name := range strata {
@@ -938,6 +1013,7 @@ func TestDrawnSetCoversEveryAxis(t *testing.T) {
 			has(fmt.Sprintf("activation tier %q on %s", k, ax), func(c genConfig) bool { return on(c.Shape) && c.Act == k })
 		}
 		has("a 120-step learning run on "+ax, func(c genConfig) bool { return on(c.Shape) && c.Learn && c.Steps >= 120 })
+		has("a failed Load on "+ax, func(c genConfig) bool { return c.Ckpt > 0 && on(c.Restore) })
 	}
 	for name, w := range benchWorkloads {
 		has("bench workload "+name, func(c genConfig) bool { d := c; asBench(w)(&d, nil); return d == c })
@@ -946,6 +1022,13 @@ func TestDrawnSetCoversEveryAxis(t *testing.T) {
 		return c.Bucket <= 600 && c.Clip == clipTight && c.Overflow && c.Shape.world() > 1
 	})
 	has("a skip rollback with a redo", func(c genConfig) bool { return c.Overflow && !c.STE && c.Ckpt == 0 })
+	for _, k := range stores {
+		for cut := range uint64(2) {
+			has(fmt.Sprintf("a failed Load into store %q, cut=%d", k, cut), func(c genConfig) bool {
+				return c.Ckpt > 0 && c.RestoreStore == k && c.Data%2 == cut
+			})
+		}
+	}
 	has("a checkpoint resumed in another shape", func(c genConfig) bool { return c.Ckpt > 0 && c.Restore != c.Shape })
 	has("a checkpoint mid-streak before a scale doubling", func(c genConfig) bool { return c.Overflow && c.Ckpt > 4 && c.Ckpt < 9 && c.Steps > 8 })
 	has("an activation tier spilling on every stage of a P>1 shape", func(c genConfig) bool {

@@ -66,18 +66,23 @@ func (b *Bucket) Index() int { return b.idx }
 // the bucket owner reduces rank contributions into it before stepping.
 func (b *Bucket) Grad() []float32 { return b.grad }
 
-// Master returns a copy of the bucket's fp32 master weights (a copy, not
-// a view: the state may be evicted by the store after this returns).
-func (b *Bucket) Master() []float32 {
-	return b.AppendMaster(make([]float32, 0, b.Size()))
-}
-
-// AppendMaster appends the bucket's fp32 master weights to dst.
+// AppendMaster appends a copy of the bucket's fp32 master weights to dst
+// (a copy, not a view: the state may be evicted once this returns).
 func (b *Bucket) AppendMaster(dst []float32) []float32 {
 	st := b.store.Acquire(b.idx)
 	dst = append(dst, st.Shard.Master...)
 	b.store.Release(b.idx, ReleaseClean)
 	return dst
+}
+
+// MasterWeights returns the buckets' fp32 master weights concatenated in
+// the given order — the ground truth for exactness comparisons.
+func MasterWeights(buckets []*Bucket) []float32 {
+	var out []float32
+	for _, bk := range buckets {
+		out = bk.AppendMaster(out)
+	}
+	return out
 }
 
 // Half exposes the bucket's fp16 working copy — the payload the post-step
@@ -151,10 +156,7 @@ func PublishHalf(group nn.Params, half []fp16.Num) {
 func inPlace(st *BucketState) *optim.MixedShard { return st.Shard }
 func again(st *BucketState) *optim.MixedShard   { return st.prev }
 func ahead(st *BucketState) *optim.MixedShard {
-	if st.prev == nil {
-		n := len(st.Shard.Master)
-		st.prev = &optim.MixedShard{Master: make([]float32, n), State: optim.NewState(n)}
-	}
+	st.other()
 	st.flip()
 	return st.prev
 }
@@ -208,12 +210,22 @@ func (b *Bucket) Apply(r Resolution) {
 	case Clip:
 		b.step(r.Adam, r.ClipScale, again)
 	case Skip:
-		st := b.store.Acquire(b.idx)
-		st.flip()
-		st.Shard.Half = fp16.Cast(st.Shard.Half, st.Shard.Master)
-		PublishHalf(b.group, st.Shard.Half)
-		b.store.Release(b.idx, ReleaseFlush)
+		b.turn(false)
 	}
+}
+
+// turn flips the bucket to its other version (a skip's rollback point, a
+// Load's staged one), dropping the one it leaves if drop, and republishes
+// the re-derived fp16 weights.
+func (b *Bucket) turn(drop bool) {
+	st := b.store.Acquire(b.idx)
+	st.flip()
+	if drop {
+		st.prev = nil
+	}
+	st.Shard.Half = fp16.Cast(st.Shard.Half, st.Shard.Master)
+	PublishHalf(b.group, st.Shard.Half)
+	b.store.Release(b.idx, ReleaseFlush)
 }
 
 // PartitionGroups splits params into ordered groups of at most targetElems

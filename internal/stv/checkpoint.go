@@ -3,188 +3,197 @@ package stv
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
-
-	"superoffload/internal/fp16"
-	"superoffload/internal/optim"
 )
 
 // Checkpointing: serialize the CPU-resident training state (fp32 master
 // weights, Adam moments, step counters, loss scale) so training can resume
-// exactly. The in-flight validation must be resolved first (Flush); a
-// checkpoint of a speculative, unvalidated step would not be exact.
+// exactly, once the in-flight validation is resolved (Flush). The format
+// is defined over the global bucket order, independent of which rank owns
+// each bucket, so every engine shape on the same trajectory writes the
+// same bytes and can restore any other's. Integers are little-endian, and
+// every byte sits under the magic or the crc32 (IEEE) closing its header
+// or record:
 //
-// The format is defined over the global bucket order, independent of which
-// rank owns each bucket, so a single-rank engine and an R-rank
-// data-parallel engine on the same trajectory write byte-identical
-// checkpoints and can restore each other's.
+//	header  magic u32 "SOC3", buckets i64, step index i64,
+//	        overflow-free streak i64, loss scale f64, crc32 u32    40 bytes
+//	record  elements i64, the bucket's current version as the
+//	        flash store's slot (encodeSlot), crc32 u32       20 + 12n bytes
+//
+// with one record per bucket in global order and no trailer: a truncated
+// checkpoint fails a read, and Load installs nothing before the last
+// record has verified.
 
 // checkpointMagic identifies the format; bump on layout changes.
-const checkpointMagic uint32 = 0x53_4F_43_32 // "SOC2"
+const checkpointMagic uint32 = 0x53_4F_43_33 // "SOC3"
 
-// WriteCheckpoint serializes training state over buckets in the given
-// (global) order. The scaler (nil when loss scaling is off) contributes
-// the scale and the overflow-free streak, both needed for exact resume.
-func WriteCheckpoint(w io.Writer, stepIndex int, scaler *optim.LossScaler, buckets []*Bucket) error {
-	if err := binary.Write(w, binary.LittleEndian, checkpointMagic); err != nil {
+// headerBytes is the header's size, recordBytes an n-element bucket's
+// record's.
+const headerBytes = 40
+
+func recordBytes(n int) int { return 12 + int(slotBytes(n)) }
+
+var le = binary.LittleEndian
+
+// seal writes the crc32 of b's bytes before its last four into them;
+// sealed reports whether they hold it.
+func seal(b []byte) []byte {
+	le.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+	return b
+}
+
+func sealed(b []byte) bool { return le.Uint32(b[len(b)-4:]) == crc32.ChecksumIEEE(b[:len(b)-4]) }
+
+// ioBuffer returns a buffer for the header and any bucket's record.
+func ioBuffer(buckets []*Bucket) []byte {
+	n := 0
+	for _, bk := range buckets {
+		n = max(n, bk.Size())
+	}
+	return make([]byte, max(headerBytes, recordBytes(n)))
+}
+
+// ready refuses op while a validation is in flight or once the run is
+// closed.
+func (v *Verdict) ready(op string) error {
+	if v.pending {
+		return fmt.Errorf("stv: Flush before %s (validation in flight)", op)
+	}
+	return v.Live()
+}
+
+// Save writes the run's state over buckets in the given (global) order:
+// each bucket's current version, acquired just for its record, so the
+// bytes are identical across stores. It fails once the run is closed or
+// while a validation is in flight.
+func (v *Verdict) Save(w io.Writer, buckets []*Bucket) error {
+	if err := v.ready("Save"); err != nil {
 		return err
 	}
 	scale, goodSteps := 0.0, 0
-	if scaler != nil {
-		scale, goodSteps = scaler.Scale, scaler.GoodSteps
+	if v.Scaler != nil {
+		scale, goodSteps = v.Scaler.Scale, v.Scaler.GoodSteps
 	}
-	header := []int64{int64(len(buckets)), int64(stepIndex), int64(goodSteps)}
-	if err := binary.Write(w, binary.LittleEndian, header); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, scale); err != nil {
+	buf := ioBuffer(buckets)
+	hdr := buf[:headerBytes]
+	le.PutUint32(hdr, checkpointMagic)
+	le.PutUint64(hdr[4:], uint64(len(buckets)))
+	le.PutUint64(hdr[12:], uint64(v.step))
+	le.PutUint64(hdr[20:], uint64(goodSteps))
+	le.PutUint64(hdr[28:], math.Float64bits(scale))
+	if _, err := w.Write(seal(hdr)); err != nil {
 		return err
 	}
 	for _, bk := range buckets {
-		if err := bk.writeRecord(w); err != nil {
+		rec := buf[:recordBytes(bk.Size())]
+		le.PutUint64(rec, uint64(bk.Size()))
+		st := bk.store.Acquire(bk.idx)
+		encodeSlot(rec[8:], st.Shard)
+		bk.store.Release(bk.idx, ReleaseClean)
+		if _, err := w.Write(seal(rec)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeRecord streams one bucket's state (acquired from its store, so a
-// windowed NVMe store pages the bucket in just for the write). The layout
-// carries only the current version, never the rollback point —
-// checkpoints are taken flushed, with no speculation outstanding — so the
-// bytes are identical across store backends.
-func (b *Bucket) writeRecord(w io.Writer) error {
-	st := b.store.Acquire(b.idx)
-	defer b.store.Release(b.idx, ReleaseClean)
-	if err := binary.Write(w, binary.LittleEndian, int64(b.Size())); err != nil {
+// Load restores state written by Save into buckets of the same layout,
+// republishing the fp16-rounded weights to their model tensors, and
+// restores everything or changes nothing: every record is staged into its
+// bucket's non-current version, and only once the last has verified do
+// the buckets flip and the step counter and a non-nil Scaler's scale and
+// streak (unless the checkpoint trained unscaled) change. Besides a
+// failed read or crc32 it rejects counters no run writes: a negative step
+// index, streak or bucket step, or a loss scale that is negative, NaN,
+// infinite or outside the scaler's [MinScale, MaxScale]. The buckets'
+// owners must be quiescent. It fails once the run is closed or while a
+// validation is in flight.
+func (v *Verdict) Load(r io.Reader, buckets []*Bucket) error {
+	if err := v.ready("Load"); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, int64(st.Shard.State.Step)); err != nil {
-		return err
+	buf := ioBuffer(buckets)
+	hdr := buf[:headerBytes]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return fmt.Errorf("stv: checkpoint header: %w", err)
 	}
-	for _, arr := range [][]float32{st.Shard.Master, st.Shard.State.M, st.Shard.State.V} {
-		if err := binary.Write(w, binary.LittleEndian, arr); err != nil {
-			return err
-		}
+	if m := le.Uint32(hdr); m != checkpointMagic {
+		return fmt.Errorf("stv: checkpoint magic %#x is not SOC3 (%#x)", m, checkpointMagic)
 	}
-	return nil
-}
-
-// ReadCheckpoint restores state written by WriteCheckpoint into buckets
-// (which must match the checkpoint's layout), republishing the
-// fp16-rounded weights to each bucket's model tensors. A non-nil scaler
-// receives the checkpointed scale and overflow-free streak (skipped when
-// the checkpoint trained unscaled). Counters that no run can have written
-// — a negative step index, streak or bucket step; a loss scale that is
-// negative, NaN, infinite or outside the scaler's [MinScale, MaxScale] —
-// are rejected before the state they describe is overwritten. Returns the
-// restored step index.
-func ReadCheckpoint(r io.Reader, scaler *optim.LossScaler, buckets []*Bucket) (stepIndex int, err error) {
-	var magic uint32
-	if err = binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return 0, err
+	if !sealed(hdr) {
+		return fmt.Errorf("stv: checkpoint header fails its crc32")
 	}
-	if magic != checkpointMagic {
-		return 0, fmt.Errorf("stv: bad checkpoint magic %#x", magic)
+	n, step, goodSteps := int64(le.Uint64(hdr[4:])), int64(le.Uint64(hdr[12:])), int64(le.Uint64(hdr[20:]))
+	scale := math.Float64frombits(le.Uint64(hdr[28:]))
+	if n != int64(len(buckets)) {
+		return fmt.Errorf("stv: checkpoint has %d buckets, engine has %d", n, len(buckets))
 	}
-	header := make([]int64, 3)
-	if err = binary.Read(r, binary.LittleEndian, header); err != nil {
-		return 0, err
-	}
-	if int(header[0]) != len(buckets) {
-		return 0, fmt.Errorf("stv: checkpoint has %d buckets, engine has %d", header[0], len(buckets))
-	}
-	if header[1] < 0 || header[2] < 0 {
-		return 0, fmt.Errorf("stv: checkpoint has negative counters: step %d, overflow-free streak %d", header[1], header[2])
-	}
-	stepIndex = int(header[1])
-	var scale float64
-	if err = binary.Read(r, binary.LittleEndian, &scale); err != nil {
-		return 0, err
+	if step < 0 || goodSteps < 0 {
+		return fmt.Errorf("stv: checkpoint has negative counters: step %d, overflow-free streak %d", step, goodSteps)
 	}
 	// 0 means the checkpoint trained unscaled; anything else must be a
 	// scale a LossScaler can hold (the negated test also catches NaN).
 	if !(scale >= 0) || math.IsInf(scale, 1) ||
-		(scale > 0 && scaler != nil && (scale < scaler.MinScale || scale > scaler.MaxScale)) {
-		return 0, fmt.Errorf("stv: checkpoint has unusable loss scale %v", scale)
+		(scale > 0 && v.Scaler != nil && (scale < v.Scaler.MinScale || scale > v.Scaler.MaxScale)) {
+		return fmt.Errorf("stv: checkpoint has unusable loss scale %v", scale)
 	}
-	if scaler != nil && scale > 0 {
-		scaler.Scale = scale
-		scaler.GoodSteps = int(header[2])
-	}
-	for _, bk := range buckets {
-		if err = bk.readRecord(r); err != nil {
-			return 0, err
-		}
-	}
-	return stepIndex, nil
-}
-
-// readRecord restores one bucket's current version through its store,
-// dropping the stale previous version (the next speculative step
-// allocates it again) with any outstanding speculation, re-deriving the
-// fp16 working copy, and republishing the rounded weights to the
-// bucket's model tensors.
-func (b *Bucket) readRecord(r io.Reader) error {
-	st := b.store.Acquire(b.idx)
-	defer b.store.Release(b.idx, ReleaseFlush)
-	var n, step int64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return err
-	}
-	if int(n) != b.Size() {
-		return fmt.Errorf("stv: bucket size mismatch: checkpoint %d, engine %d", n, b.Size())
-	}
-	if err := binary.Read(r, binary.LittleEndian, &step); err != nil {
-		return err
-	}
-	if step < 0 {
-		return fmt.Errorf("stv: bucket %d has negative Adam step %d", b.idx, step)
-	}
-	st.Shard.State.Step = int(step)
-	for _, arr := range [][]float32{st.Shard.Master, st.Shard.State.M, st.Shard.State.V} {
-		if err := binary.Read(r, binary.LittleEndian, arr); err != nil {
+	// A failed Load drops the versions it staged into, a committed one
+	// those it flipped away from: with no verdict pending a bucket's
+	// other version is stale, and its next speculative step allocates it.
+	for i, bk := range buckets {
+		if err := bk.stage(r, buf); err != nil {
+			for _, bk := range buckets[:i+1] {
+				st := bk.store.Acquire(bk.idx)
+				st.prev = nil
+				bk.store.Release(bk.idx, ReleaseClean)
+			}
 			return err
 		}
 	}
-	st.prev, b.dirty = nil, false
-	st.Shard.Half = fp16.Cast(st.Shard.Half[:0], st.Shard.Master)
-	PublishHalf(b.group, st.Shard.Half)
+	for _, bk := range buckets {
+		bk.dirty = false
+		bk.turn(true)
+	}
+	if v.Scaler != nil && scale > 0 {
+		v.Scaler.Scale, v.Scaler.GoodSteps = scale, int(goodSteps)
+	}
+	v.step = int(step)
 	return nil
 }
 
-// Save writes the run's state over buckets in the given (global) order.
-// It fails if a validation is in flight.
-func (v *Verdict) Save(w io.Writer, buckets []*Bucket) error {
-	if v.pending {
-		return fmt.Errorf("stv: Flush before Save (validation in flight)")
+// stage reads the bucket's record through buf, verifies it, and decodes
+// it into the bucket's non-current version, allocating that version if
+// the bucket has only ever stepped in place. A record of another element
+// count cannot verify: its count is checked first, for the better error.
+// The staged version must outlive the release: DRAMStore keeps every
+// state, and MLPStore parks or caches a released record's whole state,
+// both versions (mlpRecord.spare).
+func (b *Bucket) stage(r io.Reader, buf []byte) error {
+	rec := buf[:recordBytes(b.Size())]
+	if _, err := io.ReadFull(r, rec); err != nil {
+		return fmt.Errorf("stv: checkpoint record of bucket %d: %w", b.idx, err)
 	}
-	return WriteCheckpoint(w, v.step, v.Scaler, buckets)
+	if n := int64(le.Uint64(rec)); n != int64(b.Size()) {
+		return fmt.Errorf("stv: bucket %d size mismatch: checkpoint %d, engine %d", b.idx, n, b.Size())
+	}
+	if !sealed(rec) {
+		return fmt.Errorf("stv: checkpoint record of bucket %d fails its crc32", b.idx)
+	}
+	if step := int64(le.Uint64(rec[8:])); step < 0 {
+		return fmt.Errorf("stv: bucket %d has negative Adam step %d", b.idx, step)
+	}
+	st := b.store.Acquire(b.idx)
+	defer b.store.Release(b.idx, ReleaseClean)
+	return decodeSlot(st.other(), b.Size(), rec[8:])
 }
 
-// Load restores state written by Save into buckets of the same layout,
-// republishing the fp16-rounded weights to their model tensors. It fails
-// if a validation is in flight. A Load that fails part-way leaves the
-// engine partially restored: buckets before the bad record hold the
-// checkpoint's state, the rest (and the step counter) the old run's. Load
-// a good checkpoint, or discard the engine.
-func (v *Verdict) Load(r io.Reader, buckets []*Bucket) error {
-	if v.pending {
-		return fmt.Errorf("stv: Flush before Load (validation in flight)")
-	}
-	step, err := ReadCheckpoint(r, v.Scaler, buckets)
-	if err != nil {
-		return err
-	}
-	v.step = step
-	return nil
-}
-
-// Save writes the trainer state. It fails if a validation is in flight.
+// Save writes the trainer state. It fails once the trainer is closed or
+// while a validation is in flight.
 func (t *Trainer) Save(w io.Writer) error { return t.ctl.Save(w, t.buckets) }
 
 // Load restores trainer state saved by Save into a trainer built over the
 // same model architecture and bucket configuration, then republishes the
-// fp16-rounded weights to the model.
+// fp16-rounded weights to the model. A failed Load changes nothing.
 func (t *Trainer) Load(r io.Reader) error { return t.ctl.Load(r, t.buckets) }

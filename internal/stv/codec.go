@@ -4,17 +4,17 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"superoffload/internal/fp16"
 	"superoffload/internal/iolane"
 	"superoffload/internal/optim"
 )
 
-// Slot codec of the file-backed store (MLPStore, at every path count). A
-// bucket's record is two fixed slots, one per version of its state
-// (BucketState); a slot holds one version: Adam step u64, then the fp32
-// master/m/v arrays. float32 round-trips through the raw bit pattern, so
-// storage is bit-exact; the fp16 working copy is never stored — decode
-// re-derives it from the masters (the paper's recombine).
+// Slot codec: the one byte layout of a version of a bucket's state, Adam
+// step u64 then the fp32 master/m/v arrays. The file-backed store
+// (MLPStore, at every path count) keeps a bucket's record as two slots,
+// one per version (BucketState); a checkpoint frames one slot per bucket
+// (checkpoint.go). float32 round-trips through the raw bit pattern, so
+// storage is bit-exact; the fp16 working copy is never stored — its
+// holder re-derives it from the masters (the paper's recombine).
 
 // slotBytes is the file footprint of one version of an n-element bucket.
 func slotBytes(n int) int64 { return 8 + 12*int64(n) }
@@ -29,17 +29,15 @@ func encodeSlot(buf []byte, sh *optim.MixedShard) []byte {
 	return buf
 }
 
-// decodeSlot decodes an elems-element slot from buf into st's current
-// version and re-derives its fp16 working copy. The buffer and st's
-// geometry are validated before st is touched, so a rejected decode
-// leaves st intact: truncated input, or a state whose arrays do not hold
-// exactly elems entries (a negative count included), returns an error
-// instead of panicking or partially overwriting the caller's state.
-func decodeSlot(st *BucketState, elems int, buf []byte) error {
+// decodeSlot decodes an elems-element slot from buf into sh, one version
+// of a bucket's state (its holder re-derives any fp16 working copy).
+// Truncated input, or a version whose arrays do not hold exactly elems
+// entries (a negative count included), is an error found before sh is
+// touched, so a rejected decode leaves it intact.
+func decodeSlot(sh *optim.MixedShard, elems int, buf []byte) error {
 	if int64(len(buf)) < slotBytes(elems) {
 		return fmt.Errorf("stv: %d-elem slot truncated: %d bytes < %d", elems, len(buf), slotBytes(elems))
 	}
-	sh := st.Shard
 	if sh == nil || sh.State == nil ||
 		len(sh.Master) != elems || len(sh.State.M) != elems || len(sh.State.V) != elems {
 		return fmt.Errorf("stv: %d-elem slot decoded into a mismatched state", elems)
@@ -48,6 +46,5 @@ func decodeSlot(st *BucketState, elems int, buf []byte) error {
 	rest := iolane.Float32s(sh.Master, buf[8:])
 	rest = iolane.Float32s(sh.State.M, rest)
 	iolane.Float32s(sh.State.V, rest)
-	sh.Half = fp16.Cast(sh.Half, sh.Master)
 	return nil
 }

@@ -2,7 +2,9 @@ package stv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"superoffload/internal/data"
@@ -280,10 +282,12 @@ func TestCheckpointErrors(t *testing.T) {
 	if err := tr.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt magic.
-	bad := append([]byte{0, 0, 0, 0}, buf.Bytes()[4:]...)
-	if err := tr.Load(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic accepted")
+	// The previous format's magic: refused, naming both magics.
+	bad := bytes.Clone(buf.Bytes())
+	binary.LittleEndian.PutUint32(bad, 0x53_4F_43_32) // "SOC2"
+	if err := tr.Load(bytes.NewReader(bad)); err == nil ||
+		!strings.Contains(err.Error(), "0x534f4332") || !strings.Contains(err.Error(), "0x534f4333") {
+		t.Errorf("SOC2 checkpoint: error %v, want one naming both magics", err)
 	}
 	// Mismatched architecture.
 	other := NewTrainer(tinyGPT(1), Config{Adam: optim.DefaultConfig(), BucketElems: 1 << 30})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"superoffload/internal/nn"
@@ -52,9 +53,10 @@ func sameF32(t *testing.T, label string, a, b []float32) {
 
 // FuzzRecordRoundTrip: encodeSlot → decodeSlot is the identity on every
 // field (bit patterns, not float equality — NaN payloads and signed zeros
-// must survive), into a fresh state and into one holding two dissimilar
-// versions, whose other version and slot it must leave alone — and the
-// encoded bytes are the reference encoder's (refEncodeSlot).
+// must survive), into a fresh state and into the current version of one
+// holding two dissimilar versions, whose other version and slot it must
+// leave alone — and the encoded bytes are the reference encoder's
+// (refEncodeSlot).
 func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add(uint8(4), float32(1.5), float32(-0.25), 7)
 	f.Add(uint8(1), float32(0), float32(0), 0)
@@ -73,7 +75,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 
 		check := func(label string, got *BucketState) {
 			t.Helper()
-			if err := decodeSlot(got, n, buf); err != nil {
+			if err := decodeSlot(got.Shard, n, buf); err != nil {
 				t.Fatalf("%s: decode of a valid slot failed: %v", label, err)
 			}
 			sameF32(t, label+" master", st.Shard.Master, got.Shard.Master)
@@ -82,8 +84,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			if got.Shard.State.Step != step {
 				t.Fatalf("%s: step %d, want %d", label, got.Shard.State.Step, step)
 			}
-			// The working half is re-derived from the decoded masters, so
-			// re-encoding must reproduce the exact bytes.
+			// Re-encoding must reproduce the exact bytes.
 			if !bytes.Equal(buf, encodeSlot(make([]byte, slotBytes(n)), got.Shard)) {
 				t.Fatalf("%s: re-encoding diverges", label)
 			}
@@ -117,7 +118,7 @@ func FuzzDecodeRecordRejects(f *testing.F) {
 		st := fuzzState(3, 1, 2, 5)
 		ahead(st)
 		want := versions(st)
-		if err := decodeSlot(st, elems, buf); err != nil {
+		if err := decodeSlot(st.Shard, elems, buf); err != nil {
 			if !bytes.Equal(want, versions(st)) {
 				t.Fatal("rejected decode mutated the state")
 			}
@@ -135,8 +136,8 @@ func FuzzDecodeRecordRejects(f *testing.F) {
 	})
 }
 
-// fuzzBuckets builds the 2-bucket (3 + 5 element) layout FuzzReadCheckpoint
-// loads into, over a fresh DRAM store.
+// fuzzBuckets builds the 2-bucket (3 + 5 element) layout the checkpoint
+// fuzzers load into, over a fresh DRAM store.
 func fuzzBuckets() []*Bucket {
 	store := NewDRAMStore()
 	var out []*Bucket
@@ -150,14 +151,10 @@ func fuzzBuckets() []*Bucket {
 	return out
 }
 
-// FuzzReadCheckpoint: ReadCheckpoint over arbitrary bytes never panics,
-// and whatever it accepts leaves counters a run could have written — a
-// finite loss scale inside the scaler's range, a non-negative step index,
-// streak and per-bucket Adam step. The seeds are a real checkpoint and the
-// single-word corruptions of it that used to load: a bucket step of -3
-// (the next step's bias correction is NaN), a scale of +Inf (every later
-// step skips), and negative run counters.
-func FuzzReadCheckpoint(f *testing.F) {
+// fuzzCheckpoint is the checkpoint the checkpoint fuzzers corrupt: the
+// fuzzBuckets layout stepped once, saved at step index 7 under a loss
+// scaler 3 steps into an overflow-free streak.
+func fuzzCheckpoint(f *testing.F) []byte {
 	src := fuzzBuckets()
 	for _, bk := range src {
 		for i := range bk.grad {
@@ -165,17 +162,36 @@ func FuzzReadCheckpoint(f *testing.F) {
 		}
 		bk.DirectStep(optim.DefaultConfig(), 1)
 	}
-	scaler := optim.NewLossScaler()
-	scaler.GoodSteps = 3
+	v := &Verdict{Scaler: optim.NewLossScaler(), step: 7}
+	v.Scaler.GoodSteps = 3
 	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, 7, scaler, src); err != nil {
+	if err := v.Save(&buf, src); err != nil {
 		f.Fatal(err)
 	}
-	good := buf.Bytes()
+	return buf.Bytes()
+}
+
+// Offsets into fuzzCheckpoint: the header's counters, then its two
+// records — elems i64, the slot (Adam step u64, master, m, v) and a
+// crc32, 20 + 12n bytes for n elements.
+const (
+	stepIndexOff, goodStepsOff, scaleOff = 12, 20, 28
+	record0Off, record1Off               = headerBytes, headerBytes + 20 + 12*3
+)
+
+// FuzzReadCheckpoint: Load over arbitrary bytes never panics, and
+// whatever it accepts leaves counters a run could have written — a
+// finite loss scale inside the scaler's range, a non-negative step index,
+// streak and per-bucket Adam step. The seeds are a real checkpoint and
+// the single-word corruptions of it that once loaded, each re-sealed
+// with the crc32 that covers it so that the check behind the crc is what
+// rejects it: a bucket step of -3 (the next step's bias correction is
+// NaN), a scale of +Inf (every later step skips), and negative run
+// counters.
+func FuzzReadCheckpoint(f *testing.F) {
+	good := fuzzCheckpoint(f)
 	f.Add(good)
-	// Offsets: magic 4, then int64 {buckets, stepIndex, goodSteps}, the
-	// float64 scale, then per bucket int64 {elems, step} and the arrays.
-	const stepIndexOff, goodStepsOff, scaleOff, bucketStepOff = 12, 20, 28, 44
+	const bucketStepOff = record0Off + 8
 	for _, m := range []struct {
 		off   int
 		word  uint64
@@ -193,11 +209,16 @@ func FuzzReadCheckpoint(f *testing.F) {
 		{scaleOff, 0, true}, // trained unscaled: the scaler keeps its own state
 		{bucketStepOff, 2, true},
 	} {
-		ckpt := append([]byte(nil), good...)
+		ckpt := bytes.Clone(good)
 		binary.LittleEndian.PutUint64(ckpt[m.off:], m.word)
-		_, err := ReadCheckpoint(bytes.NewReader(ckpt), optim.NewLossScaler(), fuzzBuckets())
-		if (err == nil) != m.loads {
-			f.Fatalf("word %#x at offset %d: loads = %v (err %v), want %v", m.word, m.off, err == nil, err, m.loads)
+		if m.off < record0Off {
+			seal(ckpt[:record0Off])
+		} else {
+			seal(ckpt[record0Off:record1Off])
+		}
+		err := (&Verdict{Scaler: optim.NewLossScaler()}).Load(bytes.NewReader(ckpt), fuzzBuckets())
+		if (err == nil) != m.loads || !m.loads && strings.Contains(err.Error(), "crc32") {
+			f.Fatalf("word %#x at offset %d: loads = %v (err %v), want %v past the crc32", m.word, m.off, err == nil, err, m.loads)
 		}
 		f.Add(ckpt)
 	}
@@ -205,13 +226,13 @@ func FuzzReadCheckpoint(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, ckpt []byte) {
 		dst := fuzzBuckets()
-		sc := optim.NewLossScaler()
-		step, err := ReadCheckpoint(bytes.NewReader(ckpt), sc, dst)
-		if err != nil {
+		v := &Verdict{Scaler: optim.NewLossScaler()}
+		if v.Load(bytes.NewReader(ckpt), dst) != nil {
 			return
 		}
-		if step < 0 || sc.GoodSteps < 0 {
-			t.Fatalf("accepted negative counters: step %d, streak %d", step, sc.GoodSteps)
+		sc := v.Scaler
+		if v.StepIndex() < 0 || sc.GoodSteps < 0 {
+			t.Fatalf("accepted negative counters: step %d, streak %d", v.StepIndex(), sc.GoodSteps)
 		}
 		if !(sc.Scale >= sc.MinScale && sc.Scale <= sc.MaxScale) {
 			t.Fatalf("accepted loss scale %v outside [%v, %v]", sc.Scale, sc.MinScale, sc.MaxScale)
@@ -223,6 +244,53 @@ func FuzzReadCheckpoint(f *testing.F) {
 			if adamStep < 0 {
 				t.Fatalf("accepted bucket %d with Adam step %d", bk.idx, adamStep)
 			}
+		}
+	})
+}
+
+// FuzzCheckpointBitFlip: a checkpoint with any one bit flipped fails to
+// Load, and the failed Load changes nothing — the engine saves the same
+// bytes as before, keeps its step index, loss scale and streak, and holds
+// no version the Load allocated.
+func FuzzCheckpointBitFlip(f *testing.F) {
+	good := fuzzCheckpoint(f)
+	for _, bit := range []int{
+		8 * stepIndexOff,         // the header
+		8*(record0Off+16) + 3,    // bucket 0's first master
+		8*(record1Off+16+4) + 30, // bucket 1's second master's sign
+		8*len(good) - 1,          // bucket 1's crc32
+	} {
+		f.Add(uint(bit))
+	}
+	f.Fuzz(func(t *testing.T, pos uint) {
+		ckpt := bytes.Clone(good)
+		bit := pos % uint(8*len(ckpt))
+		ckpt[bit/8] ^= 1 << (bit % 8)
+
+		dst := fuzzBuckets()
+		v := &Verdict{Scaler: optim.NewLossScaler(), step: 2}
+		v.Scaler.Scale, v.Scaler.GoodSteps = 512, 1
+		var before, after bytes.Buffer
+		if err := v.Save(&before, dst); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Load(bytes.NewReader(ckpt), dst); err == nil {
+			t.Fatalf("checkpoint with bit %d flipped loaded", bit)
+		}
+		if err := v.Save(&after, dst); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Fatalf("failed Load (bit %d flipped) changed the engine's state", bit)
+		}
+		if v.StepIndex() != 2 || v.Scaler.Scale != 512 || v.Scaler.GoodSteps != 1 {
+			t.Fatalf("failed Load (bit %d flipped) left step %d, scale %v, streak %d", bit, v.StepIndex(), v.Scaler.Scale, v.Scaler.GoodSteps)
+		}
+		for _, bk := range dst {
+			if st := bk.store.Acquire(bk.idx); st.prev != nil {
+				t.Fatalf("failed Load (bit %d flipped) left bucket %d a staged version", bit, bk.idx)
+			}
+			bk.store.Release(bk.idx, ReleaseClean)
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"superoffload/internal/fp16"
 	"superoffload/internal/hw"
 	"superoffload/internal/iolane"
 	"superoffload/internal/obs"
@@ -680,7 +681,8 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 		s.mu.Unlock()
 		return st
 	}
-	derr := decodeSlot(st, rec.elems, op.Buf)
+	derr := decodeSlot(st.Shard, rec.elems, op.Buf) // a rejected decode leaves st as it was
+	st.Shard.Half = fp16.Cast(st.Shard.Half, st.Shard.Master)
 	s.mu.Lock()
 	rec.read = nil
 	s.inflight--

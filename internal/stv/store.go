@@ -39,6 +39,15 @@ func (st *BucketState) flip() {
 	st.slot ^= 1
 }
 
+// other returns the non-current version, allocating it on first use.
+func (st *BucketState) other() *optim.MixedShard {
+	if st.prev == nil {
+		n := len(st.Shard.Master)
+		st.prev = &optim.MixedShard{Master: make([]float32, n), State: optim.NewState(n)}
+	}
+	return st.prev
+}
+
 // ReleaseMode tells the store what happened to a bucket's state during
 // the hold, separating "needs write-back" from "an Adam step ran" so
 // modeled-time accounting stays honest.

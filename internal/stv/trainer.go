@@ -93,14 +93,10 @@ func WarmupCosine(warmup, total int, minFrac float64) func(int) float64 {
 			return minFrac
 		}
 		progress := float64(step-warmup) / float64(total-warmup)
-		cos := 0.5 * (1 + cosApprox(progress))
+		cos := 0.5 * (1 + math.Cos(math.Pi*progress))
 		return minFrac + (1-minFrac)*cos
 	}
 }
-
-// cosApprox computes cos(pi*x) for x in [0,1] via math.Cos; kept as a
-// helper so the schedule stays testable.
-func cosApprox(x float64) float64 { return math.Cos(math.Pi * x) }
 
 // Trainer drives mixed-precision training of a real GPT with either
 // schedule.
@@ -119,21 +115,7 @@ type Trainer struct {
 	ctl     Verdict
 	validCh chan Validation
 
-	// valShards caches the per-bucket gradient slice headers the
-	// validator scans; bucket staging buffers never move, so it is built
-	// once instead of per step.
-	valShards [][]float32
-}
-
-// gradShards returns the stable per-bucket gradient views for validation.
-func (t *Trainer) gradShards() [][]float32 {
-	if t.valShards == nil {
-		t.valShards = make([][]float32, len(t.buckets))
-		for i, bk := range t.buckets {
-			t.valShards[i] = bk.grad
-		}
-	}
-	return t.valShards
+	valShards [][]float32 // the buckets' gradient buffers, which the validator scans
 }
 
 // DefaultBucketElems is the per-bucket element budget when Config leaves
@@ -160,6 +142,9 @@ func NewTrainer(m *nn.GPT, cfg Config) *Trainer {
 		ctl:     Verdict{Adam: cfg.Adam, ClipNorm: cfg.ClipNorm, Scaler: cfg.Scaler, Schedule: cfg.Schedule},
 		validCh: make(chan Validation, 1),
 		track:   cfg.Tracer.Track("trainer"),
+	}
+	for _, bk := range t.buckets {
+		t.valShards = append(t.valShards, bk.grad)
 	}
 	if cfg.Placement != nil {
 		if err := cfg.Placement.Validate(len(t.buckets)); err != nil {
@@ -199,9 +184,13 @@ func ActShapeFor(m *nn.GPT, s *act.Store) place.ActShape {
 func (t *Trainer) NumBuckets() int { return len(t.buckets) }
 
 // Close releases the bucket store's (and activation store's) backing
-// resources. The trainer is unusable afterwards; resolve any in-flight
-// validation (Flush) first.
+// resources. Idempotent; Step, Flush, Save and Load fail afterwards.
+// Resolve any in-flight validation (Flush) first.
 func (t *Trainer) Close() error {
+	if t.ctl.Live() != nil {
+		return nil
+	}
+	t.ctl.Close()
 	err := t.store.Close()
 	if t.Cfg.Act != nil {
 		if aerr := t.Cfg.Act.Close(); err == nil {
@@ -276,6 +265,9 @@ func (t *Trainer) StepAccum(batches []data.Batch) (float64, error) {
 	if t.Cfg.Mode != STE && t.Cfg.Mode != STV {
 		return 0, fmt.Errorf("stv: unknown mode %d", t.Cfg.Mode)
 	}
+	if err := t.ctl.Live(); err != nil {
+		return 0, err
+	}
 	if len(t.buckets) == 0 || len(batches) == 0 {
 		return 0, nil
 	}
@@ -322,7 +314,7 @@ func (t *Trainer) StepAccum(batches []data.Batch) (float64, error) {
 	t.ctl.Launched(adam)
 	go func(v chan<- Validation, shards [][]float32) {
 		v <- Validation{Bad: optim.HasBad(shards), Norm: optim.GlobalNorm(shards)}
-	}(t.validCh, t.gradShards())
+	}(t.validCh, t.valShards)
 	if !speculative {
 		res := t.resolve() // its span nests inside speculate
 		if res.Action == Skip {
@@ -360,18 +352,13 @@ func (t *Trainer) resolve() Resolution {
 // Flush resolves any in-flight validation (call at end of training so the
 // final step is validated). Returns whether the final step was rolled
 // back or re-executed.
-func (t *Trainer) Flush() (bool, error) { return t.resolve().WeightsChanged(), nil }
+func (t *Trainer) Flush() (bool, error) {
+	if err := t.ctl.Live(); err != nil {
+		return false, err
+	}
+	return t.resolve().WeightsChanged(), nil
+}
 
 // MasterWeights exposes the CPU-side fp32 master parameters, concatenated
 // in bucket order — the ground truth for exactness comparisons.
-func (t *Trainer) MasterWeights() []float32 {
-	n := 0
-	for _, bk := range t.buckets {
-		n += bk.Size()
-	}
-	out := make([]float32, 0, n)
-	for _, bk := range t.buckets {
-		out = bk.AppendMaster(out)
-	}
-	return out
-}
+func (t *Trainer) MasterWeights() []float32 { return MasterWeights(t.buckets) }

@@ -1,6 +1,7 @@
 package stv
 
 import (
+	"errors"
 	"sync"
 
 	"superoffload/internal/optim"
@@ -72,6 +73,7 @@ type Verdict struct {
 	step        int
 	pending     bool
 	pendingAdam optim.Config
+	closed      error // non-nil once Close has run
 
 	mu    sync.Mutex
 	stats Stats
@@ -88,6 +90,12 @@ func (v *Verdict) BeginStep() optim.Config {
 	}
 	return a
 }
+
+// Close marks the run closed: Live, Save and Load fail from then on.
+func (v *Verdict) Close() { v.closed = errors.New("stv: engine closed") }
+
+// Live returns an error once the run is closed.
+func (v *Verdict) Live() error { return v.closed }
 
 // StepIndex reports how many optimizer steps have been attempted (saved
 // in checkpoints, and restored by Load).

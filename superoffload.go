@@ -550,10 +550,10 @@ func (e *Engine) StepAccum(batches []Batch) (float64, error) {
 func (e *Engine) Save(w io.Writer) error { return e.t.Save(w) }
 
 // Load restores state saved by any engine's Save into an engine over the
-// same model architecture and bucket configuration. A checkpoint with
-// counters no run writes (negative steps, a non-finite or out-of-range
-// loss scale) is rejected; a Load that fails part-way leaves the engine
-// partially restored — load a good checkpoint or discard the engine.
+// same model architecture and bucket configuration. A checkpoint that
+// fails its crc32 checksums, is cut short, or has counters no run writes
+// (negative steps, a non-finite or out-of-range loss scale) is rejected,
+// and a rejected Load changes nothing.
 func (e *Engine) Load(r io.Reader) error { return e.t.Load(r) }
 
 // Flush resolves the final in-flight validation; call once after the last
@@ -610,9 +610,9 @@ func (e *Engine) PlacementTelemetry() (PlacementTelemetry, bool) {
 func (e *Engine) ActTelemetry() (ActTelemetry, bool) { return e.t.ActTelemetry() }
 
 // Close stops the rank goroutines of a multi-rank engine (resolving any
-// pending validation first; idempotent there) and closes every bucket
-// and activation store — the nvme backends hold backing files and IO
-// workers. Call Flush first; the engine is unusable afterwards.
+// pending validation first) and closes every bucket and activation store
+// — the nvme backends hold backing files and IO workers. Call Flush
+// first. Idempotent; Step, StepAccum, Flush, Save and Load fail after it.
 func (e *Engine) Close() error { return e.t.Close() }
 
 // ---- multi-superchip engine ----

@@ -128,6 +128,50 @@ func TestOffloadFacade(t *testing.T) {
 	}
 }
 
+// TestClosedEngineRefusesWork: after Close, the single-rank engine's
+// Step, StepAccum, Flush, Save and Load each return an error on either
+// offload backend — the nvme one used to panic in its store, the dram
+// one to keep training — and Close stays idempotent.
+func TestClosedEngineRefusesWork(t *testing.T) {
+	for _, backend := range []string{"dram", "nvme"} {
+		t.Run(backend, func(t *testing.T) {
+			cfg := DefaultOptimizer()
+			cfg.BucketElems = 4000
+			cfg.Offload = OffloadConfig{Backend: backend, Dir: t.TempDir()}
+			eng, err := Init(presetModel(t, 1), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corpus := NewCorpus(64, 2)
+			if _, err := eng.Step(corpus.NextBatch(2, 8)); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			var ckpt bytes.Buffer
+			if err := eng.Save(&ckpt); err != nil {
+				t.Fatal(err)
+			}
+			for range 2 {
+				if err := eng.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+			}
+			_, stepErr := eng.Step(corpus.NextBatch(2, 8))
+			_, accumErr := eng.StepAccum([]Batch{corpus.NextBatch(2, 8)})
+			for what, err := range map[string]error{
+				"Step": stepErr, "StepAccum": accumErr, "Flush": eng.Flush(),
+				"Save": eng.Save(&bytes.Buffer{}), "Load": eng.Load(bytes.NewReader(ckpt.Bytes())),
+			} {
+				if err == nil {
+					t.Errorf("%s after Close accepted", what)
+				}
+			}
+		})
+	}
+}
+
 // TestInitClosesBucketStoreWhenActivationStoreFails: an activation tier
 // that cannot open its backing file fails Init after the bucket store is
 // already up; the error must not strand the store's lane goroutines or
