@@ -40,6 +40,7 @@ import (
 
 	"superoffload"
 	"superoffload/internal/hw"
+	"superoffload/internal/stv"
 )
 
 // engine is the surface of superoffload.Engine the command drives (an
@@ -146,8 +147,8 @@ func (f trainFlags) validate() error {
 	if f.gpuBuckets > 0 && f.placement != "auto" {
 		return usageError("-gpu-buckets requires -placement auto (got -placement %q)", f.placement)
 	}
-	if f.resident < 1 {
-		return usageError("-resident-buckets must be >= 1, got %d", f.resident)
+	if f.resident < stv.MinResidentBuckets {
+		return usageError("-resident-buckets must be >= %d (the flash store's minimum window), got %d", stv.MinResidentBuckets, f.resident)
 	}
 	if f.ioPaths < 1 {
 		return usageError("-io-paths must be >= 1, got %d", f.ioPaths)
@@ -236,7 +237,7 @@ func run() (err error) {
 	seed := flag.Uint64("seed", 42, "initialization seed")
 	offload := flag.String("offload", "dram", "optimizer-state tier: dram (resident) or nvme (file-backed window)")
 	offloadDir := flag.String("offload-dir", "", "directory for nvme backing files (default: system temp)")
-	resident := flag.Int("resident-buckets", 2, "nvme store resident-bucket window")
+	resident := flag.Int("resident-buckets", stv.MinResidentBuckets, "nvme store resident-bucket window (the default is the floor)")
 	ioPaths := flag.Int("io-paths", 1, "independently scheduled nvme flash paths: >1 stripes bucket records across per-path files (multi-path store; requires -offload nvme)")
 	dramCache := flag.Int("dram-cache-buckets", 0, "DRAM cache tier in front of the nvme store, in buckets (0 disables; requires -offload nvme)")
 	actOffload := flag.String("act-offload", "", "activation spill tier: dram (host cache over C2C), nvme (file-backed), or empty (activations stay resident)")

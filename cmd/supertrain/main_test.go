@@ -45,7 +45,8 @@ func TestValidateRejections(t *testing.T) {
 		{"bad placement", func(f *trainFlags) { f.placement = "magic" }, "-placement"},
 		{"negative gpu buckets", func(f *trainFlags) { f.gpuBuckets = -1 }, "-gpu-buckets"},
 		{"gpu buckets without auto", func(f *trainFlags) { f.gpuBuckets = 2; f.placement = "cpu" }, "-gpu-buckets requires -placement auto"},
-		{"zero resident window", func(f *trainFlags) { f.resident = 0 }, "-resident-buckets"},
+		{"resident window below store floor", func(f *trainFlags) { f.resident = 1 }, "-resident-buckets must be >= 2"},
+		{"zero resident window", func(f *trainFlags) { f.resident = 0 }, "-resident-buckets must be >= 2"},
 		{"negative bucket elems", func(f *trainFlags) { f.bucketElems = -1 }, "-bucket-elems"},
 		{"zero io paths", func(f *trainFlags) { f.ioPaths = 0 }, "-io-paths must be >= 1"},
 		{"negative dram cache", func(f *trainFlags) { f.dramCache = -1 }, "-dram-cache-buckets must be >= 0"},

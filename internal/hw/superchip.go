@@ -65,9 +65,9 @@ func (s SuperchipSpec) GPUAdamTime(elems int64) float64 {
 }
 
 // superchipNVMeBytesPerElem is the flash bytes charged per parameter for
-// one fetch or flush: twice the 12 B (fp32 master + Adam m + v) slot a
-// stv.MLPStore fetch or flush moves, pending ROADMAP.md item 6(c).
-const superchipNVMeBytesPerElem = 24
+// one fetch or flush: the 12 B (fp32 master + Adam m + v) of the one slot
+// a stv.MLPStore fetch or flush moves (its 8-byte step header aside).
+const superchipNVMeBytesPerElem = 12
 
 // NVMeFetchTime is the flash read bringing one NVMe-tier bucket's
 // optimizer state into the resident window.

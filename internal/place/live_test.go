@@ -46,16 +46,16 @@ func TestStepTimesLiveTerms(t *testing.T) {
 			0, 0, 0, 0, 0,
 		}},
 		{"gpu-tail+nvme", tail.WithNVMeBody().Work(elems), toyShape(), []uint64{
-			0x3ef7f5ef5a9c2085, 0, 0, 0, 0, 0x3f649c8453a56308, 0x3f6f68abd88968b0,
+			0x3ef7f5ef5a9c2085, 0, 0, 0, 0, 0x3f649864cbab1c46, 0x3f6f1c6484f34b9a,
 			0x4000000000000000, 0, 0x3ef0dfe3ba2cee99, 0, 0,
 			0, 0, 0, 0, 0,
-			0x4018000000000000, 0x3f0f90774138a587, 0x3f63ad8bb0cf1d92, 0x3f0f83b94d40c3ac, 0x3f54da477eada6b5,
+			0x4018000000000000, 0x3f0f90774138a587, 0x3f63ad8bb0cf1d92, 0x3f0f83b94d40c3ac, 0x3f5441b8d7816c8b,
 		}},
 		{"nvme+nvme-act", tail.WithNVMeBody().Work(elems), nvmeAct, []uint64{
-			0x3ef7f5ef5a9c2085, 0x3ee7f5ef5a9c2085, 0x3f402920935108ba, 0x3f3d254d970a91b5, 0x3f4dec1e99c5087d, 0x3f64e4ed8682d9ee, 0x3f7397c9cfcccc9b,
+			0x3ef7f5ef5a9c2085, 0x3ee7f5ef5a9c2085, 0x3f402920935108ba, 0x3f3d254d970a91b5, 0x3f4dec1e99c5087d, 0x3f64e4ed8682d9ee, 0x3f7371a62601be10,
 			0x4000000000000000, 0, 0x3ef0dfe3ba2cee99, 0, 0,
 			0, 0, 0, 0, 0,
-			0x4018000000000000, 0x3f0f90774138a587, 0x3f63ad8bb0cf1d92, 0x3f0f83b94d40c3ac, 0x3f54da477eada6b5,
+			0x4018000000000000, 0x3f0f90774138a587, 0x3f63ad8bb0cf1d92, 0x3f0f83b94d40c3ac, 0x3f5441b8d7816c8b,
 		}},
 		{"dram-act", tail.Work(elems), dramAct, []uint64{
 			0x3ef7f5ef5a9c2085, 0x3ee7f5ef5a9c2085, 0x3f0630689f1f9542, 0x3f06463a47146f66, 0x3f0f7c16951f730b, 0x3f64054a9cff4164, 0x3f65c55894260188,

@@ -168,8 +168,8 @@ func (v *Verdict) Load(r io.Reader, buckets []*Bucket) error {
 // the bucket has only ever stepped in place. A record of another element
 // count cannot verify: its count is checked first, for the better error.
 // The staged version must outlive the release: DRAMStore keeps every
-// state, and MLPStore parks or caches a released record's whole state,
-// both versions (mlpRecord.spare).
+// state, and each MLPStore record owns its bucket's whole state, both
+// versions, wherever it lives (mlpRecord.st).
 func (b *Bucket) stage(r io.Reader, buf []byte) error {
 	rec := buf[:recordBytes(b.Size())]
 	if _, err := io.ReadFull(r, rec); err != nil {

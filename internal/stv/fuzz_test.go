@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"superoffload/internal/hw"
 	"superoffload/internal/nn"
 	"superoffload/internal/optim"
 	"superoffload/internal/tensor"
@@ -291,6 +292,98 @@ func FuzzCheckpointBitFlip(f *testing.F) {
 				t.Fatalf("failed Load (bit %d flipped) left bucket %d a staged version", bit, bk.idx)
 			}
 			bk.store.Release(bk.idx, ReleaseClean)
+		}
+	})
+}
+
+// FuzzMLPStoreOps drives the flash store's state machine — window,
+// cache, flash, prefetch — with a random sequence of holds, against a
+// DRAMStore fed the same operations. The input picks the window (2–4),
+// the cache (0–6), 1 or 2 paths and up to 8 small buckets; each op byte
+// picks a bucket and what the hold does, within the BucketStore
+// contract (one hold at a time, the current version changed only under
+// ReleaseFlush or ReleaseStep):
+//
+//	0: read only (ReleaseClean)
+//	1: a speculative step into the other version (ReleaseStep)
+//	2: a clip, re-stepping from the other version (ReleaseStep)
+//	3: a skip, flipping back to the other version (ReleaseFlush)
+//	4: a checkpoint Load's staging into the other version (ReleaseClean)
+//
+// Every acquired state must equal the reference bit for bit, both
+// versions, and the residency invariants hold after every acquire and
+// every release.
+func FuzzMLPStoreOps(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(7), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add(uint8(1), uint8(2), uint8(1), uint8(5), []byte{8, 17, 26, 3, 12, 21, 30, 7, 16, 25, 34, 1, 10, 19, 28})
+	f.Add(uint8(2), uint8(6), uint8(1), uint8(3), []byte{0x00, 0x09, 0x12, 0x1b, 0x24, 0x08, 0x11, 0x1a, 0x23, 0x04})
+	cfg := optim.DefaultConfig()
+	f.Fuzz(func(t *testing.T, window, cache, paths, buckets uint8, ops []byte) {
+		store, err := NewMLPStore(MLPStoreConfig{
+			Dir:             t.TempDir(),
+			Paths:           hw.NodeIOPaths(1 + int(paths%2)),
+			ResidentBuckets: 2 + int(window%3),
+			CacheBuckets:    int(cache % 7),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		ref := NewDRAMStore()
+		nb := 1 + int(buckets%8)
+		for i := 0; i < nb; i++ {
+			master := make([]float32, 2+i)
+			for j := range master {
+				master[j] = float32(i+1) - float32(j)/8
+			}
+			store.Seed(i, master)
+			ref.Seed(i, master)
+		}
+		grad := make([]float32, 2+nb)
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		for k, b := range ops {
+			idx := int(b) % nb
+			got, want := store.Acquire(idx), ref.Acquire(idx)
+			checkResidency(t, store, idx)
+			if !bytes.Equal(versions(got), versions(want)) {
+				t.Fatalf("op %d: bucket %d differs from the DRAM reference", k, idx)
+			}
+			mode := ReleaseClean
+			for _, st := range []*BucketState{got, want} {
+				g := grad[:len(st.Shard.Master)]
+				for j := range g {
+					g[j] = 0.01 * float32((j+k)%7-3)
+				}
+				switch (b >> 3) % 5 {
+				case 1:
+					st.Shard.StepFrom(ahead(st), cfg, g)
+					mode = ReleaseStep
+				case 2:
+					if st.prev != nil {
+						st.Shard.StepFrom(st.prev, cfg, g)
+						mode = ReleaseStep
+					}
+				case 3:
+					if st.prev != nil {
+						st.flip()
+						mode = ReleaseFlush
+					}
+				case 4:
+					o := st.other()
+					for j := range o.Master {
+						o.Master[j] = st.Shard.Master[j] + g[j]
+					}
+					o.State.Step = st.Shard.State.Step + k
+				}
+			}
+			store.Release(idx, mode)
+			ref.Release(idx, mode)
+			checkResidency(t, store, -1)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

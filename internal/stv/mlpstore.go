@@ -33,20 +33,23 @@ import (
 // compute (ReleaseStep) and by stalls; Telemetry contrasts the pipelined
 // time with the serialized fetch+step+flush time.
 //
-// A record is two slots, one per version of the bucket's state; fetches
-// and modified evictions move only the current version's slot, so the
-// rollback point never crosses flash (it stays parked in DRAM).
+// Each bucket is one record, which owns the bucket's state for the
+// store's lifetime and says where that state lives: in the window, in
+// the DRAM cache, or on flash. A record is also two flash slots, one per
+// version of the state; fetches and modified evictions move only the
+// current version's slot, so the rollback point never crosses flash (it
+// stays in the record's state in DRAM).
 //
 // I/O failure never panics, at any path count. Every slot keeps a crc32
 // of its last encoding, so a dropped or corrupted write is detected
 // at read time; a path whose op errors (or, with SlowOpWall, stalls) is
 // quarantined — its in-flight ops drain, no new ops are dispatched to it
-// — and the affected bucket recovers bit-exactly from its DRAM replica
-// (the parked spare/cache state every non-resident record retains). The
-// recovered bucket re-enters the window modified, so its next eviction
-// re-routes the record to a surviving path; with every path dead,
-// modified buckets pin to the DRAM tier instead. All of it is logged as
-// PathEvents, and the first path error stays latched for Err and Close.
+// — and the affected bucket recovers bit-exactly from its DRAM replica,
+// the state its record keeps outside the window. The recovered bucket
+// re-enters the window modified, so its next eviction re-routes the
+// record to a surviving path; with every path dead, modified buckets
+// pin to the DRAM tier instead. All of it is logged as PathEvents, and
+// the first path error stays latched for Err and Close.
 //
 // Locking: lane workers never take mu (the consumer can block issuing
 // onto a full lane while holding mu, and that lane's worker is the
@@ -58,6 +61,10 @@ import (
 // stall, drop, or error a chosen path at a chosen op count.
 type PathFile = iolane.File
 
+// MinResidentBuckets is the flash store's window floor: the bucket being
+// stepped plus the one being prefetched.
+const MinResidentBuckets = 2
+
 // MLPStoreConfig parameterizes an MLPStore.
 type MLPStoreConfig struct {
 	// Dir is where the per-path backing files are created (default
@@ -66,8 +73,8 @@ type MLPStoreConfig struct {
 	// Paths is the per-path transfer-time model; len(Paths) is the path
 	// count (default hw.NodeIOPaths(2)).
 	Paths hw.IOPaths
-	// ResidentBuckets caps the resident window (default and minimum 2:
-	// the bucket being stepped plus the one being prefetched).
+	// ResidentBuckets caps the resident window (default and minimum
+	// MinResidentBuckets).
 	ResidentBuckets int
 	// CacheBuckets caps the DRAM cache tier in front of flash (0
 	// disables the cache).
@@ -124,10 +131,32 @@ type MLPTelemetry struct {
 	Events []PathEvent
 }
 
-// mlpRecord is a bucket's two fixed slots, present at the same offset in
-// every path's backing file so the record can land on (or move to) any
-// path without space management.
+// tier is where a record's state lives.
+type tier uint8
+
+const (
+	onFlash  tier = iota // neither window nor cache: flash has the current version
+	inWindow             // the resident window
+	inCache              // the DRAM cache tier
+)
+
+// mlpRecord is one bucket in the store: its state, where that state
+// lives, and its two fixed slots, present at the same offset in every
+// path's backing file so the record can land on (or move to) any path
+// without space management.
 type mlpRecord struct {
+	// st is the bucket's state, set by Seed and kept for the store's
+	// lifetime. In the window it is what Acquire hands out; anywhere else
+	// it is the next fetch's decode target, the recovery replica, and
+	// where a verdict finds the previous version, and its current version
+	// is the record's current slot (st.slot == slot).
+	st       *BucketState
+	tier     tier
+	held     bool  // acquired and not yet released (window only)
+	modified bool  // changed since it entered the window: flush on eviction
+	pinned   bool  // no live path can hold it; never leaves the window
+	use      int64 // LRU tick: the last window acquire or cache entry
+
 	elems int
 	off   int64      // slot 0's offset; slot 1 follows it
 	bytes int64      // one slot: slotBytes(elems)
@@ -141,16 +170,12 @@ type mlpRecord struct {
 	// hit skips the read that would have waited out the previous
 	// write-behind — so flushLocked surrenders the buffer to a still
 	// in-flight op (tracked in pending) instead of encoding underneath
-	// the worker. It is likewise dropped when an op is abandoned to a
-	// stalled path: the zombie op still owns it.
+	// the worker. It is likewise dropped after a failed fetch: an op
+	// abandoned to a stalled path still owns it.
 	buf []byte
 	// pending is the record's most recently enqueued op; nil or done
 	// means buf is free to reuse.
 	pending *iolane.Op
-	// spare parks the bucket's whole DRAM state whenever the record is
-	// neither resident nor cached: the next fetch's decode target, the
-	// recovery replica, and where a verdict finds the previous version.
-	spare *BucketState
 }
 
 // ioBuf returns the record's lazily allocated IO buffer.
@@ -159,15 +184,6 @@ func (rec *mlpRecord) ioBuf() []byte {
 		rec.buf = make([]byte, rec.bytes)
 	}
 	return rec.buf
-}
-
-// mlpResident is a bucket currently held in the DRAM window.
-type mlpResident struct {
-	st       *BucketState
-	held     bool
-	modified bool
-	pinned   bool // no live path can hold it; never evict
-	lastUse  int64
 }
 
 // MLPStore implements BucketStore over N path files plus a DRAM cache
@@ -188,14 +204,12 @@ type MLPStore struct {
 	// mu guards everything below; path workers never take it.
 	mu       sync.Mutex
 	recs     map[int]*mlpRecord
-	order    []int // seeded indices, ascending: the prefetch cycle
-	end      int64 // next free record offset (same layout on every path)
-	resident map[int]*mlpResident
-	inflight int
-	tick     int64
-	cache    map[int]*BucketState // DRAM cache tier
-	cacheUse map[int]int64        // cache LRU ticks
-	cpu      float64              // virtual consumer clock
+	order    []int   // seeded indices, ascending: the prefetch cycle
+	end      int64   // next free record offset (same layout on every path)
+	count    [3]int  // records per tier
+	inflight int     // fetches in flight, counted against the window
+	tick     int64   // LRU clock
+	cpu      float64 // virtual consumer clock
 	tel      MLPTelemetry
 	closed   bool
 }
@@ -206,9 +220,7 @@ func NewMLPStore(cfg MLPStoreConfig) (*MLPStore, error) {
 	if len(cfg.Paths) == 0 {
 		cfg.Paths = hw.NodeIOPaths(2)
 	}
-	if cfg.ResidentBuckets < 2 {
-		cfg.ResidentBuckets = 2
-	}
+	cfg.ResidentBuckets = max(cfg.ResidentBuckets, MinResidentBuckets)
 	if cfg.ComputeTime == nil {
 		chip := hw.GH200()
 		cfg.ComputeTime = func(elems int) float64 {
@@ -217,12 +229,9 @@ func NewMLPStore(cfg MLPStoreConfig) (*MLPStore, error) {
 	}
 	n := len(cfg.Paths)
 	s := &MLPStore{
-		cfg:      cfg,
-		dead:     make([]bool, n),
-		recs:     map[int]*mlpRecord{},
-		resident: map[int]*mlpResident{},
-		cache:    map[int]*BucketState{},
-		cacheUse: map[int]int64{},
+		cfg:  cfg,
+		dead: make([]bool, n),
+		recs: map[int]*mlpRecord{},
 	}
 	s.tel.PathReadSeconds = make([]float64, n)
 	s.tel.PathWriteSeconds = make([]float64, n)
@@ -390,11 +399,11 @@ func (s *MLPStore) enqueueLocked(write bool, rec *mlpRecord, idx int, buf []byte
 	return op
 }
 
-// flushLocked encodes the state's current version into its slot, makes
-// that slot the record's current one, refreshes its checksum, and
+// flushLocked encodes the record's state's current version into its slot,
+// makes that slot the record's current one, refreshes its checksum, and
 // enqueues the write to the given path, recording a reroute event when
 // the record is moving off a quarantined path.
-func (s *MLPStore) flushLocked(rec *mlpRecord, idx int, st *BucketState, path int, modeled bool) {
+func (s *MLPStore) flushLocked(rec *mlpRecord, idx int, path int, modeled bool) {
 	// The record's previous op may still be in flight on another path's
 	// worker (a cache hit skips the read that would have waited it out),
 	// and write-behinds are never waited on — surrender the buffer to it
@@ -407,8 +416,8 @@ func (s *MLPStore) flushLocked(rec *mlpRecord, idx int, st *BucketState, path in
 		}
 		rec.pending = nil
 	}
-	buf := encodeSlot(rec.ioBuf(), st.Shard)
-	rec.slot = st.slot
+	buf := encodeSlot(rec.ioBuf(), rec.st.Shard)
+	rec.slot = rec.st.slot
 	rec.sums[rec.slot] = crc32.ChecksumIEEE(buf)
 	if path != rec.path && s.pathDead(rec.path) {
 		s.event(PathEvent{Path: rec.path, Kind: "reroute", Bucket: idx,
@@ -421,9 +430,9 @@ func (s *MLPStore) flushLocked(rec *mlpRecord, idx int, st *BucketState, path in
 	s.enqueueLocked(true, rec, idx, buf, path, modeled)
 }
 
-// Seed writes the bucket's initial state to slot 0 of its record
-// (round-robin path placement); nothing becomes resident, and the seed
-// state parks as the record's DRAM replica.
+// Seed gives bucket idx a record that owns its initial state and writes
+// that state to slot 0 (round-robin path placement); the record starts
+// on flash, outside the window.
 func (s *MLPStore) Seed(idx int, master []float32) {
 	st := &BucketState{Shard: optim.NewMixedShard(master)}
 	s.mu.Lock()
@@ -431,8 +440,9 @@ func (s *MLPStore) Seed(idx int, master []float32) {
 	if _, ok := s.recs[idx]; ok {
 		panic(fmt.Sprintf("stv: bucket %d seeded twice", idx))
 	}
-	rec := &mlpRecord{elems: len(master), off: s.end, bytes: slotBytes(len(master))}
+	rec := &mlpRecord{st: st, elems: len(master), off: s.end, bytes: slotBytes(len(master))}
 	s.recs[idx] = rec
+	s.count[onFlash]++
 	s.end += 2 * rec.bytes
 	i := sort.SearchInts(s.order, idx)
 	s.order = append(s.order, 0)
@@ -442,7 +452,6 @@ func (s *MLPStore) Seed(idx int, master []float32) {
 	rec.sums[0] = crc32.ChecksumIEEE(buf)
 	rec.path = idx % len(s.cfg.Paths)
 	s.enqueueLocked(true, rec, idx, buf, rec.path, false)
-	rec.spare = st
 }
 
 // next returns the index after idx in the seeded cycle.
@@ -454,87 +463,75 @@ func (s *MLPStore) next(idx int) int {
 	return s.order[i]
 }
 
-// parkLocked hands an evicted bucket's state to the next tier down:
-// into the DRAM cache when one is configured (evicting the cache's LRU
-// entry to its record's spare slot), else directly onto the record as
-// the decode spare / recovery replica.
-func (s *MLPStore) parkLocked(idx int, rec *mlpRecord, st *BucketState) {
-	if s.cfg.CacheBuckets <= 0 {
-		rec.spare = st
-		return
-	}
-	for len(s.cache) >= s.cfg.CacheBuckets {
-		victim := -1
-		var oldest int64 = math.MaxInt64
-		for i, use := range s.cacheUse {
-			if use < oldest {
-				victim, oldest = i, use
-			}
+// moveLocked puts rec's state in tier t.
+func (s *MLPStore) moveLocked(rec *mlpRecord, t tier) {
+	s.count[rec.tier]--
+	s.count[t]++
+	rec.tier = t
+}
+
+// lruLocked returns the least-recently-used record in tier t that is
+// neither held nor pinned, or -1 when there is none. Ticks are unique,
+// so the victim does not depend on the walk.
+func (s *MLPStore) lruLocked(t tier) int {
+	victim, oldest := -1, int64(math.MaxInt64)
+	for _, idx := range s.order {
+		if r := s.recs[idx]; r.tier == t && !r.held && !r.pinned && r.use < oldest {
+			victim, oldest = idx, r.use
 		}
-		s.recs[victim].spare = s.cache[victim]
-		delete(s.cache, victim)
-		delete(s.cacheUse, victim)
 	}
-	s.cache[idx] = st
-	s.tick++
-	s.cacheUse[idx] = s.tick
+	return victim
 }
 
 // evictLocked frees one window slot: the least-recently-used unheld,
 // unpinned resident bucket. Modified state write-behind flushes to the
 // least-loaded live path that is not avoid (the imminent fetch's home
-// lane — see pickPathLocked); the state then drops to the cache tier
-// (or parks as the record's spare). When every path is dead a modified
-// bucket has nowhere durable to go — it is pinned to the DRAM tier
-// instead and the search continues. Reports whether a slot was freed.
+// lane — see pickPathLocked); the record then drops to the DRAM cache
+// tier, evicting the cache's LRU record to flash when it is full, or
+// straight to flash when there is no cache. When every path is dead a
+// modified bucket has nowhere durable to go — it is pinned to the DRAM
+// tier instead and the search continues. Reports whether a slot was
+// freed.
 func (s *MLPStore) evictLocked(avoid int) bool {
 	for {
-		victim := -1
-		var oldest int64 = math.MaxInt64
-		for idx, r := range s.resident {
-			if !r.held && !r.pinned && r.lastUse < oldest {
-				victim, oldest = idx, r.lastUse
-			}
-		}
+		victim := s.lruLocked(inWindow)
 		if victim < 0 {
 			return false
 		}
-		r := s.resident[victim]
 		rec := s.recs[victim]
-		if r.modified {
+		if rec.modified {
 			path, ok := s.pickPathLocked(avoid)
 			if !ok {
-				r.pinned = true
+				rec.pinned = true
 				s.event(PathEvent{Path: -1, Kind: "pin", Bucket: victim,
 					Detail: "all paths quarantined; bucket pinned to DRAM tier"})
 				continue
 			}
-			s.flushLocked(rec, victim, r.st, path, true)
+			s.flushLocked(rec, victim, path, true)
 		}
-		delete(s.resident, victim)
-		s.parkLocked(victim, rec, r.st)
+		to := onFlash
+		if s.cfg.CacheBuckets > 0 {
+			for s.count[inCache] >= s.cfg.CacheBuckets {
+				s.moveLocked(s.recs[s.lruLocked(inCache)], onFlash)
+			}
+			to = inCache
+		}
+		s.moveLocked(rec, to)
+		s.tick++
+		rec.use = s.tick
 		return true
 	}
 }
 
 // prefetchLocked starts an async fetch of idx if a window slot is free.
-// Cached and dead-path records are skipped: the former are a guaranteed
-// DRAM hit, the latter recover from DRAM at Acquire.
+// Only records on flash are fetched, and not from a dead path: those
+// recover from DRAM at Acquire.
 func (s *MLPStore) prefetchLocked(idx int) {
-	rec, ok := s.recs[idx]
-	if !ok || rec.read != nil {
+	rec := s.recs[idx]
+	if rec.tier != onFlash || rec.read != nil || s.pathDead(rec.path) {
 		return
 	}
-	if _, ok := s.resident[idx]; ok {
-		return
-	}
-	if _, ok := s.cache[idx]; ok {
-		return
-	}
-	if s.pathDead(rec.path) {
-		return
-	}
-	if len(s.resident)+s.inflight >= s.cfg.ResidentBuckets && !s.evictLocked(rec.path) {
+	if s.count[inWindow]+s.inflight >= s.cfg.ResidentBuckets && !s.evictLocked(rec.path) {
 		return
 	}
 	s.track.InstantInt("prefetch", "bucket", idx)
@@ -542,19 +539,26 @@ func (s *MLPStore) prefetchLocked(idx int) {
 	s.inflight++
 }
 
-// insertLocked makes st bucket idx's held resident entry and prefetches
-// the next bucket in the cycle.
-func (s *MLPStore) insertLocked(idx int, st *BucketState, modified bool) {
+// insertLocked brings bucket idx into the window, evicting to make room,
+// and holds it.
+func (s *MLPStore) insertLocked(idx int, rec *mlpRecord, modified bool) {
 	avoid := -1
 	if len(s.order) > 1 {
-		if rec, ok := s.recs[s.next(idx)]; ok {
-			avoid = rec.path
-		}
+		avoid = s.recs[s.next(idx)].path
 	}
-	for len(s.resident) >= s.cfg.ResidentBuckets && s.evictLocked(avoid) {
+	for s.count[inWindow] >= s.cfg.ResidentBuckets && s.evictLocked(avoid) {
 	}
+	s.moveLocked(rec, inWindow)
+	rec.modified = modified
+	s.holdLocked(idx, rec)
+}
+
+// holdLocked marks window bucket idx held and most recently used, and
+// prefetches the next bucket in the cycle.
+func (s *MLPStore) holdLocked(idx int, rec *mlpRecord) {
+	rec.held = true
 	s.tick++
-	s.resident[idx] = &mlpResident{st: st, held: true, modified: modified, lastUse: s.tick}
+	rec.use = s.tick
 	if len(s.order) > 1 {
 		s.prefetchLocked(s.next(idx))
 	}
@@ -564,24 +568,9 @@ func (s *MLPStore) insertLocked(idx int, st *BucketState, modified bool) {
 // failed or abandoned fetch — the graceful-degradation path. The
 // recovered state enters the window modified, so the next eviction
 // re-flushes (and thereby re-routes) the record to a surviving path.
-func (s *MLPStore) recoverLocked(idx int, rec *mlpRecord, detail string) *BucketState {
-	st := s.parkedLocked(idx, rec)
-	rec.spare = nil
+func (s *MLPStore) recoverLocked(idx int, rec *mlpRecord, detail string) {
 	s.event(PathEvent{Path: rec.path, Kind: "recover", Bucket: idx, Detail: detail})
-	s.insertLocked(idx, st, true)
-	return st
-}
-
-// parkedLocked returns the state parked on a record neither resident nor
-// cached, whose current version is the record's current slot. There
-// always is one; fail loudly rather than lose a rollback point.
-func (s *MLPStore) parkedLocked(idx int, rec *mlpRecord) *BucketState {
-	st := rec.spare
-	if st == nil || st.slot != rec.slot {
-		s.mu.Unlock()
-		panic(fmt.Sprintf("stv: bucket %d has no parked state for slot %d", idx, rec.slot))
-	}
-	return st
+	s.insertLocked(idx, rec, true)
 }
 
 // Acquire makes bucket idx resident and returns its state: from the
@@ -598,25 +587,21 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 		s.mu.Unlock()
 		panic(fmt.Sprintf("stv: acquire of unseeded bucket %d", idx))
 	}
-	if r, ok := s.resident[idx]; ok {
-		r.held = true
-		s.tick++
-		r.lastUse = s.tick
-		if len(s.order) > 1 {
-			s.prefetchLocked(s.next(idx))
-		}
+	st := rec.st
+	switch rec.tier {
+	case inWindow:
+		s.holdLocked(idx, rec)
 		s.mu.Unlock()
-		return r.st
-	}
-	if st, ok := s.cache[idx]; ok {
+		return st
+	case inCache:
 		// DRAM cache hit: promote to the window with no flash traffic
 		// and no stall. The flash copy still matches (the state was
-		// flushed on window eviction), so the entry re-enters clean.
-		delete(s.cache, idx)
-		delete(s.cacheUse, idx)
+		// flushed on window eviction), so the entry re-enters clean. It
+		// leaves the cache first, so the window's eviction finds room.
+		s.moveLocked(rec, onFlash)
 		s.tel.CacheHits++
 		s.track.InstantInt("cacheHit", "bucket", idx)
-		s.insertLocked(idx, st, false)
+		s.insertLocked(idx, rec, false)
 		s.mu.Unlock()
 		return st
 	}
@@ -625,13 +610,13 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 		if s.pathDead(rec.path) {
 			// The record's bytes live on a quarantined path: skip flash
 			// and restore from the DRAM replica.
-			st := s.recoverLocked(idx, rec, "record on quarantined path")
+			s.recoverLocked(idx, rec, "record on quarantined path")
 			s.mu.Unlock()
 			return st
 		}
 		// Cold fetch: make room first so the read doesn't overshoot the
 		// window, then enqueue.
-		for len(s.resident)+s.inflight >= s.cfg.ResidentBuckets && s.evictLocked(rec.path) {
+		for s.count[inWindow]+s.inflight >= s.cfg.ResidentBuckets && s.evictLocked(rec.path) {
 		}
 		op = s.enqueueLocked(false, rec, idx, rec.ioBuf(), rec.path, true)
 		rec.read = op
@@ -643,9 +628,9 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 		s.track.InstantInt("stall", "bucket", idx)
 	}
 	path := rec.path // the fetch's lane: a record with a read in flight is not re-routed
-	st := s.parkedLocked(idx, rec)
 	s.mu.Unlock()
 
+	failed := "" // why the fetch failed, if it did
 	if s.cfg.SlowOpWall > 0 {
 		if s.wall == nil {
 			s.wall = time.NewTimer(s.cfg.SlowOpWall)
@@ -657,47 +642,36 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 			s.wall.Stop()
 		case <-s.wall.C:
 			// The path is stalled (throttled or hung). Quarantine it and
-			// abandon the op: the zombie keeps the old IO buffer (the
-			// record allocates a fresh one) and its eventual completion
-			// is ignored.
+			// abandon the op; its eventual completion is ignored.
 			s.quarantine(path, idx, fmt.Sprintf("fetch exceeded SlowOpWall %s", s.cfg.SlowOpWall))
-			s.mu.Lock()
-			rec.read = nil
-			s.inflight--
-			rec.buf = nil
-			s.recoverLocked(idx, rec, "fetch abandoned after stall")
-			s.mu.Unlock()
-			return st
+			failed = "fetch abandoned after stall"
 		}
 	} else {
 		<-op.Done
 	}
-	if op.Err != nil {
-		// The worker already quarantined the path; restore from DRAM.
-		s.mu.Lock()
-		rec.read = nil
-		s.inflight--
-		s.recoverLocked(idx, rec, op.Err.Error())
-		s.mu.Unlock()
-		return st
+	if failed == "" && op.Err != nil {
+		failed = op.Err.Error() // the worker already quarantined the path
 	}
-	derr := decodeSlot(st.Shard, rec.elems, op.Buf) // a rejected decode leaves st as it was
-	st.Shard.Half = fp16.Cast(st.Shard.Half, st.Shard.Master)
+	if failed == "" {
+		derr := decodeSlot(st.Shard, rec.elems, op.Buf) // a rejected decode leaves st as it was
+		st.Shard.Half = fp16.Cast(st.Shard.Half, st.Shard.Master)
+		if derr != nil {
+			// Checksum passed but the codec rejected the bytes — treat
+			// the path as corrupting data.
+			s.quarantine(path, idx, derr.Error())
+			failed = derr.Error()
+		}
+	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	rec.read = nil
 	s.inflight--
-	if derr != nil {
-		// Checksum passed but the codec rejected the bytes — treat the
-		// path as corrupting data and recover (decodeSlot validated
-		// before touching the state, so the replica is intact).
-		s.quarantine(path, idx, derr.Error())
-		s.recoverLocked(idx, rec, derr.Error())
-		s.mu.Unlock()
+	if failed == "" {
+		s.insertLocked(idx, rec, false)
 		return st
 	}
-	rec.spare = nil
-	s.insertLocked(idx, st, false)
-	s.mu.Unlock()
+	rec.buf = nil
+	s.recoverLocked(idx, rec, failed)
 	return st
 }
 
@@ -709,16 +683,16 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 func (s *MLPStore) Release(idx int, mode ReleaseMode) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.resident[idx]
-	if !ok || !r.held {
+	rec, ok := s.recs[idx]
+	if !ok || !rec.held {
 		panic(fmt.Sprintf("stv: release of unheld bucket %d", idx))
 	}
-	r.held = false
+	rec.held = false
 	if mode != ReleaseClean {
-		r.modified = true
+		rec.modified = true
 	}
 	if mode == ReleaseStep {
-		c := s.cfg.ComputeTime(s.recs[idx].elems)
+		c := s.cfg.ComputeTime(rec.elems)
 		s.cpu += c
 		s.tel.ComputeSeconds += c
 	}

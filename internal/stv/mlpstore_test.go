@@ -54,40 +54,44 @@ func TestMLPStoreClipRollbackExact(t *testing.T) {
 	}
 }
 
-// TestMLPStoreCacheTier: with a DRAM cache tier in front of flash, some
-// Acquires hit the cache (no flash read, no stall), so the cached run
-// does strictly less flash reading than the cache-less one — while
-// TestMLPStoreSTVMatchesDRAMBitExact pins the trajectory.
+// TestMLPStoreCacheTier pins how the DRAM cache tier in front of flash
+// meets the trainer's bucket cycle: every step walks the 12 buckets in
+// order, twice, so an LRU cache that cannot hold all 10 buckets outside
+// the 2-bucket window evicts each before its next use and hits nothing,
+// and one that can turns every fetch into a hit (no flash read, no
+// stall) — while TestMLPStoreSTVMatchesDRAMBitExact pins the
+// trajectory. Counts are per steady-state step: (reads, writes, cache
+// hits).
 func TestMLPStoreCacheTier(t *testing.T) {
-	run := func(cache int) MLPTelemetry {
-		store := mlpTestStore(t, 2, cache)
+	for _, c := range []struct{ cache, reads, writes, hits int }{
+		{0, 24, 24, 0},
+		{9, 24, 24, 0},
+		{10, 0, 24, 24},
+	} {
+		store := mlpTestStore(t, 2, c.cache)
 		cfg := trainerConfig(STV)
 		cfg.BucketElems = 4000
 		cfg.Store = store
 		tr := NewTrainer(tinyGPT(11), cfg)
 		t.Cleanup(func() { tr.Close() })
+		if tr.NumBuckets() != 12 {
+			t.Fatalf("%d buckets, want 12", tr.NumBuckets())
+		}
 		corpus := data.NewCorpus(64, 31)
-		for i := 0; i < 10; i++ {
+		var last MLPTelemetry
+		for i := 0; i < 6; i++ {
 			if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
 				t.Fatal(err)
 			}
+			tel := store.Telemetry()
+			if i >= 2 {
+				got := [3]int{tel.Reads - last.Reads, tel.Writes - last.Writes, tel.CacheHits - last.CacheHits}
+				if want := [3]int{c.reads, c.writes, c.hits}; got != want {
+					t.Errorf("cache %d, step %d: (reads, writes, hits) = %v, want %v", c.cache, i, got, want)
+				}
+			}
+			last = tel
 		}
-		if _, err := tr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return store.Telemetry()
-	}
-	// The cache must cover the non-resident span of the cyclic bucket
-	// walk, or LRU evicts every entry before its re-acquire comes around.
-	plain, cached := run(0), run(32)
-	if plain.CacheHits != 0 {
-		t.Fatalf("cache-less store reported %d cache hits", plain.CacheHits)
-	}
-	if cached.CacheHits == 0 {
-		t.Fatal("cache tier never hit")
-	}
-	if cached.Reads >= plain.Reads {
-		t.Errorf("cache did not reduce flash reads: %d with cache vs %d without", cached.Reads, plain.Reads)
 	}
 }
 
@@ -164,24 +168,7 @@ func TestMLPWindowStaysBounded(t *testing.T) {
 		if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
 			t.Fatal(err)
 		}
-		store.mu.Lock()
-		res, held := len(store.resident), 0
-		for _, r := range store.resident {
-			if r.held {
-				held++
-			}
-		}
-		cached := len(store.cache)
-		store.mu.Unlock()
-		if res > store.cfg.ResidentBuckets {
-			t.Fatalf("window overflow: %d resident > %d", res, store.cfg.ResidentBuckets)
-		}
-		if held != 0 {
-			t.Fatalf("%d buckets still held between steps", held)
-		}
-		if cached != 0 {
-			t.Fatalf("cache-less store cached %d buckets", cached)
-		}
+		checkResidency(t, store, -1)
 	}
 	if _, err := tr.Flush(); err != nil {
 		t.Fatal(err)
@@ -207,7 +194,7 @@ func TestMLPWindowStaysBounded(t *testing.T) {
 // eviction writes, one version of a bucket — its Adam step and fp32
 // master/m/v, 8 + 12n bytes — through committed speculative steps and a
 // skip rollback alike. A record's two slots hold the two versions; the
-// rollback point is never read back from flash: it stays with the parked
+// rollback point is never read back from flash: it stays in the record's
 // state in DRAM, and the skip finds it there.
 func TestMLPStoreMovesOneSlot(t *testing.T) {
 	const n = 1000
@@ -257,10 +244,10 @@ func TestMLPStoreMovesOneSlot(t *testing.T) {
 	// Each evicted record holds both versions on flash: the current one
 	// in its current slot, the rollback point in the other.
 	store.mu.Lock()
-	parked := 0
+	checked := 0
 	for idx, rec := range store.recs {
-		if st := rec.spare; st != nil {
-			parked++
+		if st := rec.st; rec.tier == onFlash {
+			checked++
 			if rec.pending != nil {
 				<-rec.pending.Done
 			}
@@ -276,8 +263,8 @@ func TestMLPStoreMovesOneSlot(t *testing.T) {
 		}
 	}
 	store.mu.Unlock()
-	if parked == 0 {
-		t.Fatal("no record was parked to check")
+	if checked == 0 {
+		t.Fatal("no record was on flash to check")
 	}
 	var after []float32
 	for _, bk := range bks {
@@ -290,5 +277,40 @@ func TestMLPStoreMovesOneSlot(t *testing.T) {
 	}
 	if tel := store.Telemetry(); tel.Reads == 0 || tel.Writes == 0 {
 		t.Fatalf("state never streamed through the file: %+v", tel.StoreTelemetry)
+	}
+}
+
+// checkResidency asserts the store's residency invariants: the window
+// holds at most ResidentBuckets records plus the pinned ones, the cache
+// at most CacheBuckets, only bucket held (-1 for none) is held, the tier
+// counts match the records, and every record outside the window has its
+// state's current version in its current slot — the version a fetch
+// decodes into and recovery restores.
+func checkResidency(t testing.TB, s *MLPStore, held int) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var count [3]int
+	pinned := 0
+	for idx, rec := range s.recs {
+		count[rec.tier]++
+		if rec.pinned {
+			pinned++
+		}
+		if rec.held != (idx == held) {
+			t.Fatalf("bucket %d: held %v, want %v", idx, rec.held, idx == held)
+		}
+		if rec.tier != inWindow && rec.st.slot != rec.slot {
+			t.Fatalf("bucket %d outside the window: state on version %d, record on slot %d", idx, rec.st.slot, rec.slot)
+		}
+	}
+	if count != s.count {
+		t.Fatalf("records per tier %v, store counts %v", count, s.count)
+	}
+	if count[inWindow] > s.cfg.ResidentBuckets+pinned {
+		t.Fatalf("window overflow: %d resident > %d + %d pinned", count[inWindow], s.cfg.ResidentBuckets, pinned)
+	}
+	if count[inCache] > max(s.cfg.CacheBuckets, 0) {
+		t.Fatalf("cache overflow: %d cached > %d", count[inCache], s.cfg.CacheBuckets)
 	}
 }

@@ -220,20 +220,7 @@ func TestNVMeWindowStaysBounded(t *testing.T) {
 		if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
 			t.Fatal(err)
 		}
-		store.mu.Lock()
-		res, held := len(store.resident), 0
-		for _, r := range store.resident {
-			if r.held {
-				held++
-			}
-		}
-		store.mu.Unlock()
-		if res > store.cfg.ResidentBuckets {
-			t.Fatalf("window overflow: %d resident > %d", res, store.cfg.ResidentBuckets)
-		}
-		if held != 0 {
-			t.Fatalf("%d buckets still held between steps", held)
-		}
+		checkResidency(t, store.MLPStore, -1)
 	}
 	if _, err := tr.Flush(); err != nil {
 		t.Fatal(err)
