@@ -48,21 +48,9 @@ import (
 type engine interface {
 	Step(b superoffload.Batch) (float64, error)
 	Flush() error
-	Stats() superoffload.Stats
 	NumBuckets() int
-	CommStats() superoffload.SPCommStats
-	StoreTelemetry() (superoffload.StoreTelemetry, bool)
-	PlacementTelemetry() (superoffload.PlacementTelemetry, bool)
-	ActTelemetry() (superoffload.ActTelemetry, bool)
 	Close() error
-}
-
-// linkTraffic returns the engine's link counters; ok is false when none
-// carried anything (a single-rank or pure data-parallel run), so
-// link-less shapes report nothing.
-func linkTraffic(eng engine) (cs superoffload.SPCommStats, ok bool) {
-	cs = eng.CommStats()
-	return cs, cs != superoffload.SPCommStats{}
+	superoffload.TelemetrySource
 }
 
 func main() {
@@ -367,7 +355,9 @@ func run() (err error) {
 		}
 	}
 	if *jsonOut {
-		return emitJSON(eng, reg, model.NumParams(), *mode, parallelism, *steps, loss)
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(buildReport(eng, reg, model.NumParams(), *mode, parallelism, *steps, loss))
 	}
 	st := eng.Stats()
 	fmt.Printf("done: %d steps, %d commits, %d clip-rollbacks, %d skip-rollbacks, %d forward redos\n",
@@ -433,8 +423,8 @@ func writeTrace(tracer *superoffload.Tracer, path string) error {
 	return nil
 }
 
-// buildReport assembles the machine-readable run summary (split from
-// emitJSON so tests can lock the marshaled shape).
+// buildReport assembles the machine-readable -json run summary (a
+// function of its own so tests can lock the marshaled shape).
 func buildReport(eng engine, reg *superoffload.MetricsRegistry, params int, mode, parallelism string, steps int, finalLoss float64) jsonReport {
 	rep := jsonReport{
 		Params:      params,
@@ -445,7 +435,9 @@ func buildReport(eng engine, reg *superoffload.MetricsRegistry, params int, mode
 		FinalLoss:   finalLoss,
 		Stats:       eng.Stats(),
 	}
-	if cs, ok := linkTraffic(eng); ok {
+	// A link-less shape (single rank, pure data parallel) reports no
+	// comm block.
+	if cs := eng.CommStats(); cs != (superoffload.SPCommStats{}) {
 		rep.Comm = &cs
 	}
 	if tel, ok := eng.StoreTelemetry(); ok {
@@ -465,11 +457,4 @@ func buildReport(eng engine, reg *superoffload.MetricsRegistry, params int, mode
 		}
 	}
 	return rep
-}
-
-// emitJSON writes the machine-readable run summary to stdout.
-func emitJSON(eng engine, reg *superoffload.MetricsRegistry, params int, mode, parallelism string, steps int, finalLoss float64) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(buildReport(eng, reg, params, mode, parallelism, steps, finalLoss))
 }

@@ -2,12 +2,9 @@ package act
 
 import "superoffload/internal/obs"
 
-var _ obs.Source = Telemetry{}
-
 // Samples publishes the activation tier's counters as superoffload_act_*
-// metrics, implementing obs.Source. A Telemetry value is a point-in-time
-// snapshot; register a live reading through an obs.Provider closure over
-// Store.Telemetry.
+// metrics. A Telemetry value is a point-in-time snapshot; the facade's
+// provider re-reads Store.Telemetry at every Gather.
 func (t Telemetry) Samples() []obs.Sample {
 	c := func(name string, v float64) obs.Sample {
 		return obs.Sample{Name: "superoffload_act_" + name, Kind: obs.KindCounter, Value: v}

@@ -2,12 +2,10 @@ package dp
 
 import "superoffload/internal/obs"
 
-var _ obs.Source = SPCommStats{}
-
 // Samples publishes the engine's cumulative link traffic as
-// superoffload_comm_* metrics, implementing obs.Source. An SPCommStats
-// value is a point-in-time snapshot; register a live reading through an
-// obs.Provider closure over the engine's CommStats.
+// superoffload_comm_* metrics. An SPCommStats value is a point-in-time
+// snapshot; the facade's provider re-reads the engine's CommStats at
+// every Gather.
 func (s SPCommStats) Samples() []obs.Sample {
 	c := func(name string, v int64) obs.Sample {
 		return obs.Sample{Name: "superoffload_comm_" + name, Kind: obs.KindCounter, Value: float64(v)}

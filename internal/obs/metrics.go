@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 )
 
 // Naming scheme: every metric is superoffload_<subsystem>_<metric>,
@@ -47,122 +46,44 @@ type Sample struct {
 	Value float64
 }
 
-// Source is the shared surface the engines' telemetry structs publish
-// through: a snapshot of named samples. Implementations must be usable
-// on a value copy (the telemetry structs are snapshot-by-value types).
-type Source interface {
-	// Samples returns the source's current metric samples.
-	Samples() []Sample
-}
-
-// Provider yields a live Source on demand — the registry calls it at
-// every Gather, so metrics track a running engine. ok is false when
-// the source currently has nothing to report (e.g. no NVMe tier).
-type Provider func() (Source, bool)
-
-// Registry aggregates metric instruments (counters, gauges,
-// histograms) and live providers into one pollable, named sample
-// space. All methods are safe for concurrent use.
+// Registry is a list of live metric providers polled into one named
+// sample space. Each provider is called at every Gather, so metrics
+// track a running engine; a provider with nothing to report returns no
+// samples. All methods are safe for concurrent use.
 type Registry struct {
-	mu          sync.Mutex
-	instruments map[string]Source
-	order       []string
-	providers   []Provider
+	mu        sync.Mutex
+	providers []func() []Sample
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{instruments: map[string]Source{}}
-}
-
-// Counter returns the registry's counter named name, creating it on
-// first use. It panics if the name is already bound to a different
-// instrument kind (a programming error, like a duplicate flag).
-func (r *Registry) Counter(name string) *Counter {
-	c, ok := r.instrument(name, func() Source { return &Counter{name: name} }).(*Counter)
-	if !ok {
-		panic(fmt.Sprintf("obs: metric %q is not a counter", name))
-	}
-	return c
-}
-
-// Gauge returns the registry's gauge named name, creating it on first
-// use. It panics on an instrument-kind conflict.
-func (r *Registry) Gauge(name string) *Gauge {
-	g, ok := r.instrument(name, func() Source { return &Gauge{name: name} }).(*Gauge)
-	if !ok {
-		panic(fmt.Sprintf("obs: metric %q is not a gauge", name))
-	}
-	return g
-}
-
-// Histogram returns the registry's histogram named name with the given
-// upper bucket bounds (ascending), creating it on first use. It panics
-// on an instrument-kind conflict.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	h, ok := r.instrument(name, func() Source {
-		return &Histogram{name: name, bounds: bounds, counts: make([]int64, len(bounds)+1)}
-	}).(*Histogram)
-	if !ok {
-		panic(fmt.Sprintf("obs: metric %q is not a histogram", name))
-	}
-	return h
-}
-
-// instrument looks up or creates a named instrument under the lock.
-func (r *Registry) instrument(name string, build func() Source) Source {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.instruments[name]; ok {
-		return s
-	}
-	s := build()
-	r.instruments[name] = s
-	r.order = append(r.order, name)
-	return s
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Register adds a live metrics provider; its samples join every
 // subsequent Gather.
-func (r *Registry) Register(p Provider) {
+func (r *Registry) Register(p func() []Sample) {
 	r.mu.Lock()
 	r.providers = append(r.providers, p)
 	r.mu.Unlock()
 }
 
-// Gather snapshots every instrument and provider into one sample list,
-// sorted by name. Samples sharing a name are summed (several ranks or
-// stores reporting the same subsystem fold into one series).
+// Gather polls every provider into one sample list, sorted by name.
+// Samples sharing a name are summed (several ranks or stores reporting
+// the same subsystem fold into one series).
 func (r *Registry) Gather() []Sample {
 	r.mu.Lock()
-	sources := make([]Source, 0, len(r.order))
-	for _, name := range r.order {
-		sources = append(sources, r.instruments[name])
-	}
-	providers := make([]Provider, len(r.providers))
-	copy(providers, r.providers)
+	providers := append([]func() []Sample(nil), r.providers...)
 	r.mu.Unlock()
 
 	byName := map[string]int{}
 	var out []Sample
-	add := func(s Sample) {
-		if i, ok := byName[s.Name]; ok {
-			out[i].Value += s.Value
-			return
-		}
-		byName[s.Name] = len(out)
-		out = append(out, s)
-	}
-	for _, src := range sources {
-		for _, s := range src.Samples() {
-			add(s)
-		}
-	}
 	for _, p := range providers {
-		if src, ok := p(); ok {
-			for _, s := range src.Samples() {
-				add(s)
+		for _, s := range p() {
+			if i, ok := byName[s.Name]; ok {
+				out[i].Value += s.Value
+				continue
 			}
+			byName[s.Name] = len(out)
+			out = append(out, s)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -188,86 +109,4 @@ func formatValue(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Counter is a monotonically nondecreasing total, safe for concurrent
-// use.
-type Counter struct {
-	name string
-	v    atomic.Int64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current total.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Samples satisfies Source.
-func (c *Counter) Samples() []Sample {
-	return []Sample{{Name: c.name, Kind: KindCounter, Value: float64(c.v.Load())}}
-}
-
-// Gauge is a point-in-time value, safe for concurrent use.
-type Gauge struct {
-	name string
-	bits atomic.Uint64
-}
-
-// Set stores the gauge's current value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the gauge's current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Samples satisfies Source.
-func (g *Gauge) Samples() []Sample {
-	return []Sample{{Name: g.name, Kind: KindGauge, Value: g.Value()}}
-}
-
-// Histogram is a fixed-bound distribution, safe for concurrent use.
-// Its samples expose the observation count, the sum, and cumulative
-// per-bound counts (name_le_<bound>), Prometheus-style.
-type Histogram struct {
-	name   string
-	bounds []float64
-
-	mu     sync.Mutex
-	counts []int64
-	sum    float64
-	n      int64
-}
-
-// Observe records one value into the distribution.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.mu.Lock()
-	h.counts[i]++
-	h.sum += v
-	h.n++
-	h.mu.Unlock()
-}
-
-// Samples satisfies Source.
-func (h *Histogram) Samples() []Sample {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]Sample, 0, len(h.bounds)+3)
-	out = append(out,
-		Sample{Name: h.name + "_count", Kind: KindCounter, Value: float64(h.n)},
-		Sample{Name: h.name + "_sum", Kind: KindCounter, Value: h.sum},
-	)
-	cum := int64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i]
-		out = append(out, Sample{
-			Name: h.name + "_le_" + strconv.FormatFloat(b, 'g', -1, 64),
-			Kind: KindCounter, Value: float64(cum),
-		})
-	}
-	out = append(out, Sample{Name: h.name + "_le_inf", Kind: KindCounter, Value: float64(h.n)})
-	return out
 }

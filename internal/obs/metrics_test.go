@@ -5,76 +5,20 @@ import (
 	"testing"
 )
 
-// TestInstruments covers counter/gauge/histogram basics and the
-// idempotent named lookup.
-func TestInstruments(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("superoffload_test_ops_total")
-	c.Inc()
-	c.Add(2)
-	if r.Counter("superoffload_test_ops_total") != c {
-		t.Fatal("second Counter lookup returned a different instrument")
-	}
-	if c.Value() != 3 {
-		t.Fatalf("counter = %d, want 3", c.Value())
-	}
-	g := r.Gauge("superoffload_test_depth")
-	g.Set(2.5)
-	if g.Value() != 2.5 {
-		t.Fatalf("gauge = %v, want 2.5", g.Value())
-	}
-	h := r.Histogram("superoffload_test_step_seconds", []float64{0.1, 1})
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
-	samples := h.Samples()
-	want := map[string]float64{
-		"superoffload_test_step_seconds_count":  3,
-		"superoffload_test_step_seconds_le_0.1": 1,
-		"superoffload_test_step_seconds_le_1":   2,
-		"superoffload_test_step_seconds_le_inf": 3,
-	}
-	got := map[string]float64{}
-	for _, s := range samples {
-		got[s.Name] = s.Value
-	}
-	for name, v := range want {
-		if got[name] != v {
-			t.Fatalf("histogram sample %s = %v, want %v (all: %v)", name, got[name], v, got)
-		}
-	}
-}
+// samples returns a provider that reports a fixed sample list.
+func samples(s ...Sample) func() []Sample { return func() []Sample { return s } }
 
-// TestInstrumentKindConflict: rebinding a name to another instrument
-// kind is a programming error and must panic.
-func TestInstrumentKindConflict(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("kind conflict did not panic")
-		}
-	}()
-	r := NewRegistry()
-	r.Counter("superoffload_test_x")
-	r.Gauge("superoffload_test_x")
-}
-
-// sliceSource adapts a fixed sample list to Source for tests.
-type sliceSource []Sample
-
-func (s sliceSource) Samples() []Sample { return s }
-
-// TestGatherMergesAndSorts: providers join instruments, same-named
-// samples sum, and the output is name-sorted.
+// TestGatherMergesAndSorts: every provider's samples join, same-named
+// samples sum, a provider with nothing to report adds nothing, and the
+// output is name-sorted.
 func TestGatherMergesAndSorts(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("superoffload_test_b_total").Add(1)
-	r.Register(func() (Source, bool) {
-		return sliceSource{
-			{Name: "superoffload_test_a_total", Kind: KindCounter, Value: 2},
-			{Name: "superoffload_test_b_total", Kind: KindCounter, Value: 4},
-		}, true
-	})
-	r.Register(func() (Source, bool) { return nil, false }) // dormant source
+	r.Register(samples(Sample{Name: "superoffload_test_b_total", Kind: KindCounter, Value: 1}))
+	r.Register(samples(
+		Sample{Name: "superoffload_test_a_total", Kind: KindCounter, Value: 2},
+		Sample{Name: "superoffload_test_b_total", Kind: KindCounter, Value: 4},
+	))
+	r.Register(samples()) // dormant provider
 	got := r.Gather()
 	if len(got) != 2 {
 		t.Fatalf("got %d samples, want 2: %v", len(got), got)
@@ -90,19 +34,17 @@ func TestGatherMergesAndSorts(t *testing.T) {
 // TestWriteText checks the text exposition format.
 func TestWriteText(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("superoffload_test_ops_total").Add(7)
-	r.Gauge("superoffload_test_frac").Set(0.25)
+	r.Register(samples(
+		Sample{Name: "superoffload_test_ops_total", Kind: KindCounter, Value: 7},
+		Sample{Name: "superoffload_test_frac", Kind: KindGauge, Value: 0.25},
+	))
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE superoffload_test_frac gauge\nsuperoffload_test_frac 0.25\n",
-		"# TYPE superoffload_test_ops_total counter\nsuperoffload_test_ops_total 7\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
+	want := "# TYPE superoffload_test_frac gauge\nsuperoffload_test_frac 0.25\n" +
+		"# TYPE superoffload_test_ops_total counter\nsuperoffload_test_ops_total 7\n"
+	if got := sb.String(); got != want {
+		t.Fatalf("exposition = %q, want %q", got, want)
 	}
 }

@@ -1,8 +1,8 @@
 // Package obs is the unified observability layer: a tracing tap that
 // records per-op schedule spans and store/comm events as Chrome
 // trace-event JSON (loadable in Perfetto or chrome://tracing), plus a
-// streaming metrics registry the engines' telemetry structs publish
-// into behind the Source interface, and an HTTP handler serving both.
+// metrics registry polling live providers (the facade registers one per
+// engine, over its telemetry structs), and an HTTP handler serving both.
 //
 // The package is deliberately dependency-free (standard library only)
 // so every layer of the stack — internal/stv, internal/act,
@@ -205,14 +205,6 @@ func (sp Span) finish(args map[string]any) {
 		Name: sp.name, Ph: "X", Ts: sp.t0, Dur: t1 - sp.t0,
 		Pid: tracePid, Tid: sp.tk.tid, Args: args,
 	})
-}
-
-// Instant records a point event on the track.
-func (k *Track) Instant(name string) {
-	if k == nil {
-		return
-	}
-	k.t.add(Event{Name: name, Ph: "i", Ts: k.now(), Pid: tracePid, Tid: k.tid, S: "t"})
 }
 
 // InstantInt records a point event tagged with one integer attribute

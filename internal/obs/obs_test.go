@@ -20,7 +20,6 @@ func TestNilTracerIsDisabled(t *testing.T) {
 		sp.End()
 		sp.EndMicro(3)
 		sp.EndInt("bucket", 1)
-		tk.Instant("stall")
 		tk.InstantInt("prefetch", "bucket", 2)
 	}
 	if n := testing.AllocsPerRun(10, calls); n != 0 {
@@ -39,7 +38,7 @@ func TestSpansAndInstants(t *testing.T) {
 	sp := tk.Begin("forward")
 	sp.EndMicro(2)
 	tk.InstantInt("prefetch", "bucket", 5)
-	tk.Instant("stall")
+	tk.InstantInt("stall", "layer", 1)
 
 	ev := tr.Events()
 	if len(ev) != 4 {
@@ -67,8 +66,8 @@ func TestSpansAndInstants(t *testing.T) {
 func TestTracksGetDistinctTids(t *testing.T) {
 	tr := NewTracer()
 	a, b := tr.Track("a"), tr.Track("b")
-	a.Instant("x")
-	b.Instant("y")
+	a.InstantInt("x", "bucket", 0)
+	b.InstantInt("y", "bucket", 0)
 	ev := tr.Events()
 	if ev[2].Tid == ev[3].Tid {
 		t.Fatalf("tracks share tid %d", ev[2].Tid)
@@ -79,12 +78,12 @@ func TestTracksGetDistinctTids(t *testing.T) {
 func TestEventsSince(t *testing.T) {
 	tr := NewTracer()
 	tk := tr.Track("t")
-	tk.Instant("a")
+	tk.InstantInt("a", "bucket", 0)
 	n := tr.Len()
 	if got := tr.EventsSince(n); got != nil {
 		t.Fatalf("EventsSince(Len) = %v, want nil", got)
 	}
-	tk.Instant("b")
+	tk.InstantInt("b", "bucket", 0)
 	got := tr.EventsSince(n)
 	if len(got) != 1 || got[0].Name != "b" {
 		t.Fatalf("EventsSince(%d) = %+v, want just b", n, got)

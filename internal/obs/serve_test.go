@@ -14,7 +14,7 @@ import (
 // TestHandlerMetrics: /metrics serves the registry's text exposition.
 func TestHandlerMetrics(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("superoffload_test_ops_total").Add(3)
+	reg.Register(samples(Sample{Name: "superoffload_test_ops_total", Kind: KindCounter, Value: 3}))
 	srv := httptest.NewServer(Handler(reg, nil))
 	defer srv.Close()
 
@@ -75,7 +75,7 @@ func TestHandlerTraceFollow(t *testing.T) {
 	}
 	defer resp.Body.Close()
 
-	tr.Track("late").Instant("ping")
+	tr.Track("late").InstantInt("ping", "bucket", 0)
 	buf := make([]byte, 4096)
 	var got strings.Builder
 	for !strings.Contains(got.String(), `"ping"`) {

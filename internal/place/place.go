@@ -49,7 +49,9 @@ const (
 	NumTiers = 3
 )
 
-// String names the tier for logs and telemetry tables.
+// String names the tier for logs, telemetry tables and metric names
+// (superoffload_placement_<tier>_*): lowercase, no separators, stable
+// across releases.
 func (t Tier) String() string {
 	switch t {
 	case GPUResident:
@@ -61,11 +63,6 @@ func (t Tier) String() string {
 	}
 	return "unknown"
 }
-
-// MetricLabel names the tier for embedding in metric identifiers
-// (superoffload_placement_<label>_*): lowercase, no separators, stable
-// across releases.
-func (t Tier) MetricLabel() string { return t.String() }
 
 // Plan assigns a tier to every bucket of a partition, indexed by global
 // bucket index (internal/stv's bucket order).

@@ -1,6 +1,7 @@
 package stv_test
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -165,6 +166,58 @@ func TestFaultAllPathsDead(t *testing.T) {
 	}
 	if err := tr.Close(); err == nil {
 		t.Fatal("Close swallowed the latched path errors")
+	}
+}
+
+// TestFaultRecoveredBucketReroutesOnce: a bucket recovered from DRAM on
+// an acquire that would otherwise be clean — a checkpoint Save touches
+// every bucket without stepping it — must still re-enter the window
+// modified, so its next eviction re-routes the record off the dead path
+// and no later acquire recovers it again. Path 1 fails after 5 IOs, at
+// bucket 11's seed write, which quarantines it and so loses every odd
+// bucket's record before the Save.
+func TestFaultRecoveredBucketReroutesOnce(t *testing.T) {
+	inj := stvtest.NewInjector(stvtest.Fault{Path: 1, Kind: stvtest.FaultError, AfterOps: 5})
+	store, err := stv.NewMLPStore(stv.MLPStoreConfig{
+		Dir:             t.TempDir(),
+		Paths:           hw.NodeIOPaths(2),
+		ResidentBuckets: 2,
+		WrapPath:        inj.WrapPath,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := faultTrainer(store)
+	t.Cleanup(func() { tr.Close() })
+	if err := tr.Save(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	corpus := data.NewCorpus(64, 123)
+	for i := 0; i < 2; i++ {
+		if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events := store.Telemetry().Events
+	recovered, rerouted := map[int]bool{}, map[int]bool{}
+	for _, e := range events {
+		switch e.Kind {
+		case "recover":
+			if recovered[e.Bucket] {
+				t.Errorf("bucket %d recovered twice: %+v", e.Bucket, events)
+			}
+			recovered[e.Bucket] = true
+		case "reroute":
+			rerouted[e.Bucket] = recovered[e.Bucket]
+		}
+	}
+	if len(recovered) == 0 {
+		t.Fatalf("no bucket recovered; the fault did not trip: %+v", events)
+	}
+	for b := range recovered {
+		if !rerouted[b] {
+			t.Errorf("bucket %d recovered but never re-routed off the dead path: %+v", b, events)
+		}
 	}
 }
 

@@ -1,20 +1,13 @@
 package stv
 
-// Metrics bridge: every telemetry snapshot type in the package
-// implements obs.Source, publishing its counters under the unified
-// superoffload_<subsystem>_<metric> naming scheme. Snapshots are value
-// types, so a Source captured here is a point-in-time reading; engines
-// register live readings through obs.Provider closures instead.
+// Metrics bridge: each telemetry snapshot type in the package names its
+// counters under the unified superoffload_<subsystem>_<metric> scheme.
+// A snapshot is a point-in-time value; the facade's one provider per
+// engine re-reads the snapshots at every Gather.
 
 import (
 	"superoffload/internal/obs"
 	"superoffload/internal/place"
-)
-
-var (
-	_ obs.Source = StoreTelemetry{}
-	_ obs.Source = PlacementTelemetry{}
-	_ obs.Source = Stats{}
 )
 
 // Samples publishes the store counters as superoffload_nvme_* metrics.
@@ -37,7 +30,7 @@ func (t StoreTelemetry) Samples() []obs.Sample {
 // Samples publishes the superchip executor's modeled accounting as
 // superoffload_placement_* metrics, with per-tier phase breakdowns
 // under superoffload_placement_<tier>_* (tier labels from
-// place.Tier.MetricLabel).
+// place.Tier.String).
 func (t PlacementTelemetry) Samples() []obs.Sample {
 	c := func(name string, v float64) obs.Sample {
 		return obs.Sample{Name: "superoffload_placement_" + name, Kind: obs.KindCounter, Value: v}
@@ -53,7 +46,7 @@ func (t PlacementTelemetry) Samples() []obs.Sample {
 		c("act_stall_seconds_total", t.ActStallSeconds),
 	}
 	for i, tier := range t.Tiers {
-		label := place.Tier(i).MetricLabel()
+		label := place.Tier(i).String()
 		out = append(out,
 			obs.Sample{Name: "superoffload_placement_" + label + "_buckets", Kind: obs.KindGauge, Value: float64(tier.Buckets)},
 			c(label+"_d2h_seconds_total", tier.D2HSeconds),

@@ -9,21 +9,21 @@ import (
 	"superoffload/internal/place"
 )
 
-// populatedSources returns every telemetry struct the engines publish
-// through the obs.Source interface, with enough fields set that
+// populatedSamples returns the samples of every telemetry struct the
+// engines publish, by subsystem, with enough fields set that
 // conditional samples (per-path occupancy, per-tier breakdowns) emit.
-func populatedSources() map[string]MetricSource {
+func populatedSamples() map[string][]MetricSample {
 	var pt PlacementTelemetry
 	pt.Steps = 3
 	for i := range pt.Tiers {
 		pt.Tiers[i].Buckets = i + 1
 	}
-	return map[string]MetricSource{
-		"nvme":      StoreTelemetry{Reads: 1, Writes: 2, ReadSeconds: 0.5},
-		"act":       ActTelemetry{Passes: 2, Spills: 5, Fetches: 5},
-		"placement": pt,
-		"comm":      SPCommStats{A2APayloads: 7, RingHops: 3},
-		"stv":       Stats{Steps: 9, Commits: 8, ClipRolls: 1},
+	return map[string][]MetricSample{
+		"nvme":      StoreTelemetry{Reads: 1, Writes: 2, ReadSeconds: 0.5}.Samples(),
+		"act":       ActTelemetry{Passes: 2, Spills: 5, Fetches: 5}.Samples(),
+		"placement": pt.Samples(),
+		"comm":      SPCommStats{A2APayloads: 7, RingHops: 3}.Samples(),
+		"stv":       Stats{Steps: 9, Commits: 8, ClipRolls: 1}.Samples(),
 	}
 }
 
@@ -34,8 +34,7 @@ func populatedSources() map[string]MetricSource {
 func TestMetricSourceConformance(t *testing.T) {
 	nameRe := regexp.MustCompile(`^superoffload_[a-z0-9_]+$`)
 	owner := map[string]string{}
-	for subsystem, src := range populatedSources() {
-		samples := src.Samples()
+	for subsystem, samples := range populatedSamples() {
 		if len(samples) == 0 {
 			t.Errorf("%s: no samples", subsystem)
 		}
@@ -66,11 +65,11 @@ func TestMetricSourceConformance(t *testing.T) {
 }
 
 // TestPlacementTierMetricLabels locks the tier labels the placement
-// samples embed in their names.
+// samples embed in their names (place.Tier.String).
 func TestPlacementTierMetricLabels(t *testing.T) {
 	want := []string{"gpu", "cpu", "nvme"}
 	for i, w := range want {
-		if got := place.Tier(i).MetricLabel(); got != w {
+		if got := place.Tier(i).String(); got != w {
 			t.Errorf("tier %d label = %q, want %q", i, got, w)
 		}
 	}

@@ -264,10 +264,11 @@ type OffloadConfig struct {
 	// scheduled flash paths (MLP-Offload's multi-path layer): bucket
 	// records stripe across per-path backing files with one IO worker
 	// each, and a failed path quarantines while its records re-route to
-	// survivors. Values <= 1 mean one path (the whole array as one lane).
+	// survivors. 0 or 1 means one path (the whole array as one lane);
+	// more than one needs the nvme backend.
 	IOPaths int
 	// CacheBuckets caps the DRAM cache tier the store keeps in front of
-	// flash (0 disables the cache tier).
+	// flash (0 disables the cache tier; more needs the nvme backend).
 	CacheBuckets int
 }
 
@@ -276,8 +277,23 @@ type OffloadConfig struct {
 // is the flash store). The tracer, when non-nil, gives each rank's store
 // its own trace tracks.
 func (o OffloadConfig) storeFactory(tracer *Tracer) (func(rank int) (stv.BucketStore, error), error) {
+	if o.ResidentBuckets < 0 {
+		return nil, fmt.Errorf("superoffload: Offload.ResidentBuckets must be >= 0, got %d", o.ResidentBuckets)
+	}
+	if o.IOPaths < 0 {
+		return nil, fmt.Errorf("superoffload: Offload.IOPaths must be >= 0, got %d", o.IOPaths)
+	}
+	if o.CacheBuckets < 0 {
+		return nil, fmt.Errorf("superoffload: Offload.CacheBuckets must be >= 0, got %d", o.CacheBuckets)
+	}
 	switch o.Backend {
 	case "", "dram":
+		if o.IOPaths > 1 {
+			return nil, fmt.Errorf("superoffload: Offload.IOPaths %d configures the flash tier and needs Backend \"nvme\" (got %q)", o.IOPaths, o.Backend)
+		}
+		if o.CacheBuckets > 0 {
+			return nil, fmt.Errorf("superoffload: Offload.CacheBuckets %d configures the flash tier and needs Backend \"nvme\" (got %q)", o.CacheBuckets, o.Backend)
+		}
 		return nil, nil
 	case "nvme":
 		return func(rank int) (stv.BucketStore, error) {
@@ -300,6 +316,12 @@ func (o OffloadConfig) storeFactory(tracer *Tracer) (func(rank int) (stv.BucketS
 // through the windowed flash store (CPUAdam tiers become NVMeWindow).
 func (cfg OptimizerConfig) placementPlan(m *Model) (*place.Plan, error) {
 	pc := cfg.Placement
+	if pc.GPUBuckets < 0 {
+		return nil, fmt.Errorf("superoffload: Placement.GPUBuckets must be >= 0, got %d", pc.GPUBuckets)
+	}
+	if pc.GPUBuckets > 0 && pc.Mode != "auto" {
+		return nil, fmt.Errorf("superoffload: Placement.GPUBuckets %d needs Mode \"auto\" (got %q)", pc.GPUBuckets, pc.Mode)
+	}
 	if pc.Mode == "" {
 		return nil, nil
 	}
@@ -351,10 +373,11 @@ func (cfg OptimizerConfig) placementPlan(m *Model) (*place.Plan, error) {
 	return &plan, nil
 }
 
-// trainSetup validates the clip threshold and resolves the optimizer
-// config's placement plan, bucket store factory, and activation store
-// factory for the model — one place shared by every InitX, so the
-// engines can never diverge on validation or placement/offload wiring.
+// trainSetup validates the optimizer config (clip threshold, offload and
+// placement settings) and resolves its placement plan, bucket store
+// factory, and activation store factory for the model — one place shared
+// by every InitX, so the engines can never diverge on validation or
+// placement/offload wiring.
 // Without a placement the legacy offload path applies unchanged; with
 // one, the GPU/CPU tiers stay resident and only an nvme backend's body
 // buckets spill (through a per-rank PlacedStore).
@@ -402,7 +425,8 @@ type PlacementConfig struct {
 	// GPU-resident).
 	Mode string
 	// GPUBuckets pins the GPU-retained tail size in auto mode (0
-	// derives it; values beyond the bucket count clamp).
+	// derives it; values beyond the bucket count clamp). Other modes
+	// take no tail and reject a positive value.
 	GPUBuckets int
 	// Batch and Seq hint the per-step shape the auto grid search times
 	// against (defaults: 1 row × the model's max sequence length).
@@ -529,8 +553,9 @@ func (e *Engine) Step(b Batch) (float64, error) { return e.StepAccum([]Batch{b})
 // schedule, shrinking each stage's idle bubble to (P-1)/(M+P-1) of its
 // compute. A batch the model cannot take — no rows, token or target
 // slices that are not BatchSize×Seq long, a sequence past the model's
-// MaxSeq, a token or target outside its vocabulary — or that overflows the modeled HBM budget is refused here, in
-// the caller's goroutine, before any of the window trains.
+// MaxSeq, a token or target outside its vocabulary — or that overflows
+// the modeled HBM budget is refused here, in the caller's goroutine,
+// before any of the window trains.
 func (e *Engine) StepAccum(batches []Batch) (float64, error) {
 	for _, b := range batches {
 		if err := b.Check(e.vocab, e.maxSeq); err != nil {
@@ -586,7 +611,7 @@ func (e *Engine) PipeRanks() int { return e.shape.PipeRanks }
 // and ring links plus the stage-boundary tensor sends. All-zero on the
 // single-rank engine, which has no links.
 func (e *Engine) CommStats() SPCommStats {
-	if c, ok := e.t.(commSource); ok {
+	if c, ok := e.t.(interface{ CommStats() SPCommStats }); ok {
 		return c.CommStats()
 	}
 	return SPCommStats{}

@@ -610,6 +610,45 @@ func TestInitRejectsBadClipNorm(t *testing.T) {
 	}
 }
 
+// TestInitRejectsBadOffloadAndPlacement: offload and placement settings
+// that contradict each other or fall out of range are refused by Init and
+// by a 2-rank InitMesh, with the field named in the error, instead of
+// being silently ignored.
+func TestInitRejectsBadOffloadAndPlacement(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		off   OffloadConfig
+		pl    PlacementConfig
+	}{
+		{"Offload.IOPaths", OffloadConfig{Backend: "dram", IOPaths: 4}, PlacementConfig{}},
+		{"Offload.CacheBuckets", OffloadConfig{Backend: "dram", CacheBuckets: 3}, PlacementConfig{}},
+		{"Offload.CacheBuckets", OffloadConfig{Backend: "nvme", CacheBuckets: -1}, PlacementConfig{}},
+		{"Offload.IOPaths", OffloadConfig{Backend: "nvme", IOPaths: -1}, PlacementConfig{}},
+		{"Offload.ResidentBuckets", OffloadConfig{Backend: "nvme", ResidentBuckets: -1}, PlacementConfig{}},
+		{"Placement.GPUBuckets", OffloadConfig{}, PlacementConfig{Mode: "cpu", GPUBuckets: 3}},
+		{"Placement.GPUBuckets", OffloadConfig{}, PlacementConfig{GPUBuckets: 3}},
+		{"Placement.GPUBuckets", OffloadConfig{}, PlacementConfig{Mode: "auto", GPUBuckets: -2}},
+	} {
+		cfg := DefaultOptimizer()
+		cfg.Offload, cfg.Placement = c.off, c.pl
+		if c.off.Backend == "nvme" {
+			cfg.Offload.Dir = t.TempDir()
+		}
+		check := func(name string, eng *Engine, err error) {
+			if err == nil {
+				eng.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s with %+v %+v: error %v, want one naming %s", name, c.off, c.pl, err, c.field)
+			}
+		}
+		eng, err := Init(presetModel(t, 1), cfg)
+		check("Init", eng, err)
+		eng, err = InitMesh(presetModel(t, 1), cfg, MeshConfig{Ranks: 2})
+		check("InitMesh", eng, err)
+	}
+}
+
 // TestStepRejectsMalformedBatchOnEveryPreset: a batch the model cannot
 // take — sequence past MaxSeq, token/target slices shorter than
 // BatchSize×Seq, no rows, rows not divisible by R, a sequence not
