@@ -6,7 +6,7 @@ import (
 	"sync"
 
 	"superoffload/internal/data"
-	"superoffload/internal/fp16"
+	"superoffload/internal/nn"
 	"superoffload/internal/obs"
 	"superoffload/internal/stv"
 	"superoffload/internal/tensor"
@@ -17,7 +17,7 @@ import (
 // scheduling the way NVLink transfers compose with compute streams —
 // sends overlap whatever the peer is doing until the data is actually
 // needed. It carries the coordinator protocol (cmd / resolution / go /
-// results), the post-step fp16 weight all-gather links, the
+// results), the post-step weight all-gather links, the
 // background-validation plane, and the per-axis link families: one set
 // of sequence-parallel links per (group, stage) cell, the cross-cell
 // gradient reduce-scatter, and the stage-boundary FIFOs. Cells are
@@ -37,9 +37,11 @@ type world struct {
 	// cmdResolve).
 	results []chan stepResult
 
-	// gather[b][dst] carries the owner's post-step fp16 weights for
-	// bucket b to rank dst — the all-gather links.
-	gather [][]chan []fp16.Num
+	// gather[b][dst] carries the owner's replica tensors for bucket b,
+	// holding its published fp16-rounded weights, to rank dst — the
+	// all-gather links. The receiver copies them out (rank.allGather says
+	// why the owner cannot overwrite them first).
+	gather [][]chan nn.Params
 
 	// Background validation: owners stream per-bucket partials; the
 	// aggregator combines them in bucket order and delivers one global
@@ -129,11 +131,11 @@ func newWorld(r, s, p, b int) *world {
 		w.goCh[i] = make(chan goMsg, 1)
 		w.results[i] = make(chan stepResult, 1)
 	}
-	w.gather = make([][]chan []fp16.Num, b)
+	w.gather = make([][]chan nn.Params, b)
 	for bi := 0; bi < b; bi++ {
-		w.gather[bi] = make([]chan []fp16.Num, n)
+		w.gather[bi] = make([]chan nn.Params, n)
 		for ri := 0; ri < n; ri++ {
-			w.gather[bi][ri] = make(chan []fp16.Num, 1)
+			w.gather[bi][ri] = make(chan nn.Params, 1)
 		}
 	}
 	w.partial = make(chan partialMsg, b)

@@ -131,7 +131,7 @@ func (c Config) withDefaults() Config {
 		c.PipeRanks = 1
 	}
 	if c.BucketElems <= 0 {
-		c.BucketElems = 32 << 20 // 64 MB of fp16, §4.3
+		c.BucketElems = stv.DefaultBucketElems
 	}
 	return c
 }

@@ -288,13 +288,12 @@ func (e *Engine) Load(r io.Reader) error {
 		return err
 	}
 	// Load republished into owner replicas; propagate to the others (the
-	// ranks are quiescent between commands). One store acquire per
-	// bucket, shared across all receiving ranks.
-	for bi, bk := range e.buckets {
-		half := bk.Half()
+	// ranks are quiescent between commands).
+	for bi := range e.buckets {
+		owner := bucketOwner(bi, len(e.ranks))
 		for id, rk := range e.ranks {
-			if id != bucketOwner(bi, len(e.ranks)) {
-				stv.PublishHalf(rk.groups[bi], half)
+			if id != owner {
+				copyWeights(rk.groups[bi], e.ranks[owner].groups[bi])
 			}
 		}
 	}

@@ -596,8 +596,11 @@ func decompose(window []data.Batch, r int) []data.Batch {
 	return out
 }
 
-// same flushes both sides and compares master weights, Stats (the
-// reference's counted from base) and checkpoint bytes, which it returns.
+// same flushes both sides and compares, bit for bit, master weights and
+// every replica's model weights with the reference model's (a replica
+// can be wrong in blocks its stage never reads, where no loss shows it),
+// then Stats (the reference's counted from base) and checkpoint bytes,
+// which it returns.
 func same(eng, ref trainer, base stv.Stats, step int) ([]byte, error) {
 	if _, err := eng.Flush(); err != nil {
 		return nil, err
@@ -605,8 +608,15 @@ func same(eng, ref trainer, base stv.Stats, step int) ([]byte, error) {
 	if _, err := ref.Flush(); err != nil {
 		return nil, err
 	}
-	if !slices.Equal(eng.MasterWeights(), ref.MasterWeights()) {
+	ew, rw := weights(eng), weights(ref)
+	bits := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+	if !slices.EqualFunc(ew[0], rw[0], bits) {
 		return nil, divergence{step, "master weights differ"}
+	}
+	for i, w := range ew[1:] {
+		if !slices.EqualFunc(w, rw[1], bits) {
+			return nil, divergence{step, fmt.Sprintf("replica %d's model weights differ from the reference's", i)}
+		}
 	}
 	if got, want := eng.Stats(), sub(ref.Stats(), base); got != want {
 		return nil, divergence{step, fmt.Sprintf("stats %+v, reference %+v", got, want)}

@@ -13,8 +13,8 @@ import (
 
 // ownedBucket is one entry of a rank's ZeRO partition: both versions of
 // the fp32 master weights and Adam moments (the current one and the
-// rollback point) for a bucket this rank owns. Non-owned buckets have no optimizer state on this rank — only the
-// fp16 replica weights inside the model.
+// rollback point) for a bucket this rank owns. Non-owned buckets have no
+// optimizer state on this rank — only the fp16 weights inside the model.
 type ownedBucket struct {
 	idx int // global bucket index
 	b   *stv.Bucket
@@ -294,13 +294,14 @@ func (r *rank) reduce(m int) {
 
 // speculate runs the post-reduction phase on the owned partition:
 // corrupt bucket 0 when fault injection asks, normalize the reduced sum,
-// apply the per-bucket speculative Adam step, republish fp16 weights via
-// allGather, and stream this partition's per-bucket validation partials
-// off the critical path (the next step's forward overlaps with that
-// background goroutine). Each cell produced its whole row slice's span
-// gradient and the cross-cell reduce summed R of them per micro (stages
-// contribute disjoint spans), so the divisor is micros·R — the
-// single-rank trainer's count for the same R-way decomposition.
+// apply the per-bucket speculative Adam step, which publishes the fp16
+// weights, share them via allGather, and stream this partition's
+// per-bucket validation partials off the critical path (the next step's
+// forward overlaps with that background goroutine). Each cell produced
+// its whole row slice's span gradient and the cross-cell reduce summed R
+// of them per micro (stages contribute disjoint spans), so the divisor is
+// micros·R — the single-rank trainer's count for the same R-way
+// decomposition.
 func (r *rank) speculate(g goMsg) {
 	inv := float32(1 / (g.scale * float64(len(r.micros)*r.w.R)))
 	for _, ob := range r.owned {
@@ -336,23 +337,36 @@ func (r *rank) report() stepResult {
 	return stepResult{rows: r.rows[:len(r.micros)]}
 }
 
-// allGather publishes every owned bucket's fp16 weights to the other
-// N-1 ranks and installs the payloads this rank receives into its
-// replica. Owned buckets are skipped on the receive side: the
-// speculative step, rollback, and clip re-execution already wrote them
-// back locally.
+// allGather sends every owned bucket's replica tensors, just published
+// by a step, rollback or clip, to the other N-1 ranks, and copies the
+// ones it receives into this replica (owned buckets are already there).
+//
+// A receiver copies the owner's tensors, so it must do so before the
+// owner's next write, in its next Apply or SpeculativeStep. After
+// speculate, receivers copy before they report, and the coordinator has
+// every report before it sends the next command. After resolve, a
+// receiver copies before its backward, and the owner steps only after
+// its own backward and reduce, which wait on every rank's backward
+// through reduce contributions, all-to-all and ring hops, and pipeline
+// boundary sends.
 func (r *rank) allGather() {
 	for _, ob := range r.owned {
-		half := ob.b.Half()
 		for dst := 0; dst < r.w.N; dst++ {
 			if dst != r.id {
-				r.w.gather[ob.idx][dst] <- half
+				r.w.gather[ob.idx][dst] <- r.groups[ob.idx]
 			}
 		}
 	}
 	for bi, g := range r.groups {
 		if bucketOwner(bi, r.w.N) != r.id {
-			stv.PublishHalf(g, <-r.w.gather[bi][r.id])
+			copyWeights(g, <-r.w.gather[bi][r.id])
 		}
+	}
+}
+
+// copyWeights copies one bucket's weight tensors between two replicas.
+func copyWeights(dst, src nn.Params) {
+	for i, p := range dst {
+		copy(p.W.Data, src[i].W.Data)
 	}
 }

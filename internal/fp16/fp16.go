@@ -1,15 +1,15 @@
 // Package fp16 implements IEEE 754 binary16 in software. Mixed-precision
-// training (§4.5 of the paper) stores working weights and gradients in fp16
+// training (§4.5 of the paper) keeps the GPU's working weights in fp16
 // while the optimizer runs in fp32; this package provides the conversions,
-// the batch casting kernels whose placement the Superchip-aware casting
-// policy decides, and the NaN/Inf scans the speculation-then-validation
-// scheme performs during validation (§4.4).
+// the rounding pass that publishes an fp32 master as its fp16 value
+// (Round), and the NaN/Inf scans the speculation-then-validation scheme
+// performs during validation (§4.4).
 //
 // The conversion kernels are built for throughput: fp32→fp16 is a
 // branch-light bit-arithmetic round (one well-predicted range test per
-// element in the batch kernel), and fp16→fp32 is a 65536-entry lookup
-// table, so Cast and Uncast stream slices instead of paying a per-scalar
-// call with data-dependent branches.
+// element in the batch kernels), and fp16→fp32 is a 65536-entry lookup
+// table, so Cast, Uncast and Round stream slices instead of paying a
+// per-scalar call with data-dependent branches.
 package fp16
 
 import "math"
@@ -34,6 +34,7 @@ const (
 	f16NormMin  = 0x38800000 // 2^-14, the smallest fp16 normal
 	f16NormSpan = 0x0F000000 // width of the fp16 normal range in fp32 bits
 	f16Overflow = 0x47800000 // 2^16: at or above, magnitudes round to Inf
+	f16RoundTop = 0x477FF000 // 65520, the overflow tie: at or above, Round leaves the fast path
 	f32Inf      = 0x7F800000
 	subMagic    = 0x3F000000 // 0.5f, the subnormal rounding shifter
 	expRebias   = (127 - 15) << 23
@@ -134,10 +135,10 @@ func (n Num) IsNaN() bool { return n&expMask == expMask && n&fracMask != 0 }
 func (n Num) IsInf() bool { return n&expMask == expMask && n&fracMask == 0 }
 
 // Cast converts a fp32 slice to fp16, writing into dst (allocating when dst
-// is too small) and returning it. This is the Move_fp16 payload producer:
-// the loop inlines the branch-free normal-range round (one range test per
-// element, taken for every finite training value) and falls back to
-// fromBits only for subnormals, overflows, Infs, and NaNs.
+// is too small) and returning it. With Uncast it is Round's reference; it
+// is also the benchmark's cast probe. The loop inlines the branch-free
+// normal-range round (one range test per element, taken for every finite
+// training value) and falls back to fromBits for the rest.
 func Cast(dst []Num, src []float32) []Num {
 	if cap(dst) < len(src) {
 		dst = make([]Num, len(src))
@@ -154,6 +155,23 @@ func Cast(dst []Num, src []float32) []Num {
 		}
 	}
 	return dst
+}
+
+// Round writes float32(fp16(x)) for each x of src into dst, bit for bit
+// Uncast(Cast(src)) with no fp16 array between: the pass that publishes
+// fp32 masters as fp16 working weights. Below the overflow tie 65520 it
+// inlines Cast's normal-range round, kept in fp32 bits.
+func Round(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		b := math.Float32bits(x)
+		ax := b & 0x7FFFFFFF
+		if ax-f16NormMin < f16RoundTop-f16NormMin { // [2^-14, 65520)
+			dst[i] = math.Float32frombits(b&0x80000000 | (ax+0xFFF+(b>>13)&1)&^0x1FFF)
+		} else {
+			dst[i] = math.Float32frombits(uncastTable[fromBits(b)])
+		}
+	}
 }
 
 // Uncast converts fp16 back to fp32 into dst: one table load per element.

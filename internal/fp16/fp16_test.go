@@ -239,3 +239,18 @@ func BenchmarkFP16ScanBad(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkFP16Round(b *testing.B) {
+	const n = 1 << 22
+	src := make([]float32, n)
+	rng := rand.New(rand.NewSource(9))
+	for i := range src {
+		src[i] = float32(rng.NormFloat64())
+	}
+	dst := make([]float32, n)
+	b.SetBytes(n * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Round(dst, src)
+	}
+}

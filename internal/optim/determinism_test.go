@@ -85,16 +85,3 @@ func TestGlobalNormEmptyAndSingle(t *testing.T) {
 		t.Errorf("single-element norm: %v", g)
 	}
 }
-
-func TestMixedShardHalfRoundsThroughFP16(t *testing.T) {
-	// The published working copy must be the fp16 rounding of the
-	// master, never the raw fp32.
-	sh := NewMixedShard([]float32{1.0 / 3.0})
-	got := sh.Half[0].Float32()
-	if got == float32(1.0/3.0) {
-		t.Skip("1/3 happens to be representable? impossible, but guard")
-	}
-	if math.Abs(float64(got)-1.0/3.0) > 1e-3 {
-		t.Errorf("half copy too far from master: %v", got)
-	}
-}

@@ -51,35 +51,29 @@ func HasBad(shards [][]float32) bool {
 }
 
 // MixedShard is one bucket of mixed-precision training state: fp32 master
-// weights and Adam moments (CPU-resident in the paper), plus the fp16
-// working copy that flows back to the GPU after each step.
+// weights and Adam moments (CPU-resident in the paper). The fp16 working
+// weights are the masters rounded through fp16, which the holder
+// publishes into the model (fp16.Round).
 type MixedShard struct {
-	Master []float32  // fp32 master parameters
-	Half   []fp16.Num // fp16 working copy
+	Master []float32 // fp32 master parameters
 	State  *State
 }
 
 // NewMixedShard initializes a shard from fp32 parameters.
 func NewMixedShard(params []float32) *MixedShard {
-	m := &MixedShard{
+	return &MixedShard{
 		Master: append([]float32(nil), params...),
 		State:  NewState(len(params)),
 	}
-	// One exact-size allocation at construction; Step re-casts into the
-	// same buffer thereafter (fp16.Cast reuses dst when it fits).
-	m.Half = fp16.Cast(make([]fp16.Num, len(params)), m.Master)
-	return m
 }
 
 // StepFrom applies one fused mixed-precision update: m's fp32 masters and
-// moments become src's advanced by one GraceAdam step (§4.6), then m's
-// fp16 copy is re-cast from them; src is m itself for an in-place step.
-// grad is fp32 (the Cast_gpu→Move_fp32 path of §4.5 delivers fp32
-// gradients to the CPU).
+// moments become src's advanced by one GraceAdam step (§4.6); src is m
+// itself for an in-place step. grad is fp32 (the Cast_gpu→Move_fp32 path
+// of §4.5 delivers fp32 gradients to the CPU).
 func (m *MixedShard) StepFrom(src *MixedShard, cfg Config, grad []float32) {
 	m.State.Step = src.State.Step + 1
 	GraceAdamTo(cfg, m.Master, m.State, src.Master, grad, src.State, m.State.Step)
-	m.Half = fp16.Cast(m.Half, m.Master)
 }
 
 // LossScaler implements static-threshold dynamic loss scaling: the scale

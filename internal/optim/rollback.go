@@ -1,7 +1,5 @@
 package optim
 
-import "superoffload/internal/fp16"
-
 // Snapshot/Restore is the copy-based form of rollback for
 // speculation-then-validation (§4.4): a bit-exact copy of one shard's
 // state taken before a speculative step, copied back if validation
@@ -33,11 +31,10 @@ func TakeSnapshot(prev *Snapshot, sh *MixedShard) *Snapshot {
 	return s
 }
 
-// Restore rewinds the shard to the snapshot and refreshes the fp16 copy.
+// Restore rewinds the shard to the snapshot.
 func (s *Snapshot) Restore(sh *MixedShard) {
 	copy(sh.Master, s.Master)
 	copy(sh.State.M, s.M)
 	copy(sh.State.V, s.V)
 	sh.State.Step = s.Step
-	sh.Half = fp16.Cast(sh.Half, sh.Master)
 }

@@ -28,7 +28,9 @@ import (
 // staging buffer (the D2H transfer target) stays DRAM-resident on the
 // bucket; the two versions of its fp32 masters and Adam moments (the
 // current one and the rollback point) live behind the bucket's store and
-// are acquired only while being touched.
+// are acquired only while being touched. The group's model tensors hold
+// the fp16 working weights: every step, turn and Load publishes the
+// current masters into them rounded through fp16.
 type Bucket struct {
 	group nn.Params // model tensors covered by this bucket, in order
 	grad  []float32 // staged fp32 gradients (Cast_gpu → Move_fp32 path)
@@ -85,16 +87,6 @@ func MasterWeights(buckets []*Bucket) []float32 {
 	return out
 }
 
-// Half exposes the bucket's fp16 working copy — the payload the post-step
-// all-gather broadcasts to every rank's replica. The slice is valid until
-// the bucket's next mutating access (which re-derives it).
-func (b *Bucket) Half() []fp16.Num {
-	st := b.store.Acquire(b.idx)
-	half := st.Shard.Half
-	b.store.Release(b.idx, ReleaseClean)
-	return half
-}
-
 // AccumGrad stages the model's raw (still loss-scaled) gradients into the
 // buffer, overwriting on the first contribution and adding element-wise
 // afterwards. Gradient accumulation and the data-parallel reduce both sum
@@ -136,15 +128,14 @@ func AccumInto(dst, src []float32, first bool) {
 	}
 }
 
-// PublishHalf writes the fp16 payload into the group's model tensors,
-// rounding through fp16 exactly as the H2D parameter return does in mixed
-// precision (GPU working weights are fp16). One batch Uncast per tensor —
-// the table-driven kernel — instead of a per-scalar decode.
-func PublishHalf(group nn.Params, half []fp16.Num) {
+// publish writes the masters into the group's model tensors rounded
+// through fp16, as the H2D parameter return does in mixed precision (GPU
+// working weights are fp16): one fp16.Round pass per tensor.
+func publish(group nn.Params, master []float32) {
 	off := 0
 	for _, p := range group {
 		dst := p.W.Data
-		fp16.Uncast(dst, half[off:off+len(dst)])
+		fp16.Round(dst, master[off:off+len(dst)])
 		off += len(dst)
 	}
 }
@@ -162,8 +153,8 @@ func ahead(st *BucketState) *optim.MixedShard {
 }
 
 // step is the one per-bucket update of §4.4: acquire the state, pick the
-// version Adam reads, scale the staged gradients, apply GraceAdam with
-// its fp16 re-cast, publish the new weights, release. The scaling is in
+// version Adam reads, scale the staged gradients, apply GraceAdam,
+// publish the new masters as fp16 weights, release. The scaling is in
 // place: every caller that scales has already joined the validator
 // reading the buffer, and the buffer's next use is an overwrite (the next
 // window's first AccumGrad / AccumInto).
@@ -174,7 +165,7 @@ func (b *Bucket) step(cfg optim.Config, scale float64, from func(*BucketState) *
 		b.ScaleGrad(float32(scale))
 	}
 	st.Shard.StepFrom(src, cfg, b.grad)
-	PublishHalf(b.group, st.Shard.Half)
+	publish(b.group, st.Shard.Master)
 	b.store.Release(b.idx, ReleaseStep)
 }
 
@@ -215,16 +206,15 @@ func (b *Bucket) Apply(r Resolution) {
 }
 
 // turn flips the bucket to its other version (a skip's rollback point, a
-// Load's staged one), dropping the one it leaves if drop, and republishes
-// the re-derived fp16 weights.
+// Load's staged one), dropping the one it leaves if drop, and publishes
+// its masters as fp16 weights.
 func (b *Bucket) turn(drop bool) {
 	st := b.store.Acquire(b.idx)
 	st.flip()
 	if drop {
 		st.prev = nil
 	}
-	st.Shard.Half = fp16.Cast(st.Shard.Half, st.Shard.Master)
-	PublishHalf(b.group, st.Shard.Half)
+	publish(b.group, st.Shard.Master)
 	b.store.Release(b.idx, ReleaseFlush)
 }
 

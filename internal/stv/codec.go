@@ -13,8 +13,8 @@ import (
 // (MLPStore, at every path count) keeps a bucket's record as two slots,
 // one per version (BucketState); a checkpoint frames one slot per bucket
 // (checkpoint.go). float32 round-trips through the raw bit pattern, so
-// storage is bit-exact; the fp16 working copy is never stored — its
-// holder re-derives it from the masters (the paper's recombine).
+// storage is bit-exact; the fp16 working weights are never stored — the
+// bucket republishes them from the masters (the paper's recombine).
 
 // slotBytes is the file footprint of one version of an n-element bucket.
 func slotBytes(n int) int64 { return 8 + 12*int64(n) }
@@ -30,7 +30,7 @@ func encodeSlot(buf []byte, sh *optim.MixedShard) []byte {
 }
 
 // decodeSlot decodes an elems-element slot from buf into sh, one version
-// of a bucket's state (its holder re-derives any fp16 working copy).
+// of a bucket's state.
 // Truncated input, or a version whose arrays do not hold exactly elems
 // entries (a negative count included), is an error found before sh is
 // touched, so a rejected decode leaves it intact.

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"superoffload/internal/fp16"
 	"superoffload/internal/hw"
 	"superoffload/internal/iolane"
 	"superoffload/internal/obs"
@@ -654,7 +653,6 @@ func (s *MLPStore) Acquire(idx int) *BucketState {
 	}
 	if failed == "" {
 		derr := decodeSlot(st.Shard, rec.elems, op.Buf) // a rejected decode leaves st as it was
-		st.Shard.Half = fp16.Cast(st.Shard.Half, st.Shard.Master)
 		if derr != nil {
 			// Checksum passed but the codec rejected the bytes — treat
 			// the path as corrupting data.

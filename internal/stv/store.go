@@ -19,19 +19,19 @@ import "superoffload/internal/optim"
 // verdict (Bucket.Apply) stays bit-exact on windowed state.
 
 // BucketState is the optimizer-tier payload for one bucket: two versions
-// of its fp32 masters and Adam moments. Shard is the current one, with
-// the bucket's one fp16 working copy; prev is the other, allocated by the
-// first speculative step, so a bucket only ever stepped in place never
-// holds it. slot is the version Shard holds: the flash store keeps
-// version i in slot i of the bucket's record.
+// of its fp32 masters and Adam moments. Shard is the current one, whose
+// masters the bucket's model tensors hold rounded through fp16; prev is
+// the other, allocated by the first speculative step, so a bucket only
+// ever stepped in place never holds it. slot is the version Shard holds:
+// the flash store keeps version i in slot i of the bucket's record.
 type BucketState struct {
 	Shard *optim.MixedShard
 	prev  *optim.MixedShard
 	slot  int
 }
 
-// flip swaps the current version with the previous one; the fp16 working
-// copy stays on Shard.
+// flip swaps the current version with the previous one; the caller
+// republishes the model tensors.
 func (st *BucketState) flip() {
 	sh, o := st.Shard, st.prev
 	sh.Master, o.Master = o.Master, sh.Master

@@ -2,12 +2,15 @@ package stv
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"testing"
 
 	"superoffload/internal/data"
+	"superoffload/internal/fp16"
 	"superoffload/internal/nn"
 	"superoffload/internal/optim"
+	"superoffload/internal/tensor"
 )
 
 // nvmeTestStore builds a tightly-windowed NVMe store backed by the test's
@@ -334,5 +337,73 @@ func TestNVMeAccumAndStressSchedules(t *testing.T) {
 	}
 	if tr.Stats().Rollbacks() == 0 {
 		t.Error("stress run produced no rollbacks")
+	}
+}
+
+// TestBucketTensorsArePublishedMasters: a bucket's model tensors are its
+// current masters rounded through fp16 — Uncast(Cast(master)), bit for
+// bit — after a commit, a Skip, a Clip and a Load, on DRAM and on a
+// flash store whose 2-bucket window evicts most of the 5 buckets between
+// the verdict and the check.
+func TestBucketTensorsArePublishedMasters(t *testing.T) {
+	for _, name := range []string{"dram", "flash"} {
+		t.Run(name, func(t *testing.T) {
+			var store BucketStore = NewDRAMStore()
+			if name == "flash" {
+				store = mlpTestStore(t, 1, 0)
+			}
+			defer store.Close()
+			var bks []*Bucket
+			for i := range 5 {
+				var group nn.Params
+				for _, n := range []int{70, 130} {
+					w := tensor.New(n)
+					for j := range w.Data {
+						w.Data[j] = float32(i+1) * (float32(j)/7 - 9) / 3
+					}
+					group = append(group, &nn.Param{Name: "p", W: w, G: tensor.New(n)})
+				}
+				bks = append(bks, NewBucket(group, store, i))
+			}
+			cfg := optim.DefaultConfig()
+			published := func(what string) {
+				t.Helper()
+				for _, bk := range bks {
+					want := fp16.Uncast(nil, fp16.Cast(nil, bk.AppendMaster(nil)))
+					var got []float32
+					for _, p := range bk.group {
+						got = append(got, p.W.Data...)
+					}
+					if !slices.EqualFunc(got, want, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+						t.Fatalf("after %s: bucket %d's tensors are not its masters rounded through fp16", what, bk.idx)
+					}
+				}
+			}
+			verdict := func(r Resolution) {
+				for _, bk := range bks {
+					for j := range bk.grad {
+						bk.grad[j] = 0.01 * float32(j%7-3)
+					}
+					bk.SpeculativeStep(cfg)
+				}
+				for _, bk := range bks {
+					bk.Apply(r)
+				}
+			}
+			verdict(Resolution{Action: Commit})
+			published("a commit")
+			var ckpt bytes.Buffer
+			if err := (&Verdict{}).Save(&ckpt, bks); err != nil {
+				t.Fatal(err)
+			}
+			verdict(Resolution{Action: Skip})
+			published("a Skip")
+			verdict(Resolution{Action: Clip, ClipScale: 0.5, Adam: cfg})
+			published("a Clip")
+			if err := (&Verdict{}).Load(&ckpt, bks); err != nil {
+				t.Fatal(err)
+			}
+			published("a Load")
+		})
 	}
 }

@@ -31,6 +31,7 @@ package superoffload
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"superoffload/internal/act"
 	"superoffload/internal/core"
@@ -88,7 +89,9 @@ func NewModel(cfg ModelConfig, seed uint64) (*Model, error) {
 func (m *Model) NumParams() int { return m.gpt.NumParams() }
 
 // OptimizerConfig is the Adam hyperparameter set plus SuperOffload's
-// scheduling knobs.
+// scheduling knobs. LR 0 selects the default Adam recipe, and then Beta1,
+// Beta2, Eps and WeightDecay must be 0 too; otherwise both betas lie in
+// [0, 1), Eps is finite and positive and WeightDecay finite and ≥ 0.
 type OptimizerConfig struct {
 	LR          float64
 	Beta1       float64
@@ -373,17 +376,31 @@ func (cfg OptimizerConfig) placementPlan(m *Model) (*place.Plan, error) {
 	return &plan, nil
 }
 
-// trainSetup validates the optimizer config (clip threshold, offload and
-// placement settings) and resolves its placement plan, bucket store
-// factory, and activation store factory for the model — one place shared
-// by every InitX, so the engines can never diverge on validation or
-// placement/offload wiring.
+// trainSetup validates the optimizer config (clip threshold, Adam
+// hyperparameters, offload and placement settings) and resolves its
+// placement plan, bucket store factory, and activation store factory for
+// the model — one place shared by every InitX, so the engines can never
+// diverge on validation or placement/offload wiring.
 // Without a placement the legacy offload path applies unchanged; with
 // one, the GPU/CPU tiers stay resident and only an nvme backend's body
 // buckets spill (through a per-rank PlacedStore).
 func (cfg OptimizerConfig) trainSetup(m *Model) (*place.Plan, func(rank int) (stv.BucketStore, error), func(rank int) (*act.Store, error), error) {
 	if !(cfg.ClipNorm >= 0) { // the negated test also catches NaN
 		return nil, nil, nil, fmt.Errorf("superoffload: ClipNorm %v must be 0 (clipping off) or positive", cfg.ClipNorm)
+	}
+	if !(cfg.LR >= 0 && cfg.LR <= math.MaxFloat64) {
+		return nil, nil, nil, fmt.Errorf("superoffload: LR %v must be finite and 0 (the default recipe) or positive", cfg.LR)
+	}
+	for _, f := range []struct {
+		name      string
+		v, lo, hi float64 // with LR > 0, v must lie in [lo, hi)
+	}{
+		{"Beta1", cfg.Beta1, 0, 1}, {"Beta2", cfg.Beta2, 0, 1},
+		{"Eps", cfg.Eps, math.SmallestNonzeroFloat64, math.Inf(1)}, {"WeightDecay", cfg.WeightDecay, 0, math.Inf(1)},
+	} {
+		if cfg.LR == 0 && f.v != 0 || cfg.LR > 0 && !(f.v >= f.lo && f.v < f.hi) {
+			return nil, nil, nil, fmt.Errorf("superoffload: %s %v is out of range with LR %v (see OptimizerConfig)", f.name, f.v, cfg.LR)
+		}
 	}
 	actFactory, err := cfg.Activation.storeFactory(m, cfg.Tracer)
 	if err != nil {

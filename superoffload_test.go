@@ -610,6 +610,51 @@ func TestInitRejectsBadClipNorm(t *testing.T) {
 	}
 }
 
+// TestInitRejectsBadAdamHyperparameters: Adam settings that would train
+// NaN, or that LR 0's default recipe would silently drop, are refused by
+// Init and by a 2-rank InitMesh with the field named in the error; LR 0
+// with the other four 0 still selects the default recipe.
+func TestInitRejectsBadAdamHyperparameters(t *testing.T) {
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		field string
+		cfg   OptimizerConfig // over DefaultOptimizer's ClipNorm
+	}{
+		{"Eps", OptimizerConfig{LR: 1e-3}},
+		{"Eps", OptimizerConfig{LR: 1e-3, Beta1: 0.9, Beta2: 0.999}},
+		{"Eps", OptimizerConfig{LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Eps: -1}},
+		{"Eps", OptimizerConfig{LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Eps: inf}},
+		{"LR", OptimizerConfig{LR: math.NaN(), Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}},
+		{"LR", OptimizerConfig{LR: -1e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}},
+		{"LR", OptimizerConfig{LR: inf, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}},
+		{"Beta1", OptimizerConfig{LR: 1e-3, Beta1: 1.5, Beta2: 0.999, Eps: 1e-8}},
+		{"Beta2", OptimizerConfig{LR: 1e-3, Beta1: 0.9, Beta2: 1, Eps: 1e-8}},
+		{"WeightDecay", OptimizerConfig{LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: -0.1}},
+		{"WeightDecay", OptimizerConfig{LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: math.NaN()}},
+		{"Beta1", OptimizerConfig{Beta1: 0.5, WeightDecay: 0.1}},
+		{"WeightDecay", OptimizerConfig{WeightDecay: 0.1}},
+		{"", OptimizerConfig{}},
+	} {
+		cfg := c.cfg
+		cfg.ClipNorm = DefaultOptimizer().ClipNorm
+		check := func(name string, eng *Engine, err error) {
+			if err == nil {
+				eng.Close()
+			}
+			if c.field == "" && err != nil {
+				t.Errorf("%s with %+v: %v, want the default recipe", name, c.cfg, err)
+			}
+			if c.field != "" && (err == nil || !strings.Contains(err.Error(), c.field)) {
+				t.Errorf("%s with %+v: error %v, want one naming %s", name, c.cfg, err, c.field)
+			}
+		}
+		eng, err := Init(presetModel(t, 1), cfg)
+		check("Init", eng, err)
+		eng, err = InitMesh(presetModel(t, 1), cfg, MeshConfig{Ranks: 2})
+		check("InitMesh", eng, err)
+	}
+}
+
 // TestInitRejectsBadOffloadAndPlacement: offload and placement settings
 // that contradict each other or fall out of range are refused by Init and
 // by a 2-rank InitMesh, with the field named in the error, instead of
