@@ -53,8 +53,9 @@ func buildEngines(t *testing.T) map[string]closeable {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := shapeConfig(1, 1, 1)
-	tr := stv.NewTrainer(tinyGPT(3), stv.Config{Adam: cfg.Adam, ClipNorm: cfg.ClipNorm, BucketElems: cfg.BucketElems, Mode: stv.STV, Store: store})
+	cfg := shapeConfig(1, 1, 1).Config
+	cfg.Store = store
+	tr := stv.NewTrainer(tinyGPT(3), cfg)
 	if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
 		t.Fatalf("stv: step: %v", err)
 	}

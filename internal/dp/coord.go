@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"superoffload/internal/data"
-	"superoffload/internal/nn"
 	"superoffload/internal/obs"
 	"superoffload/internal/stv"
 )
@@ -15,7 +14,7 @@ import (
 // single-rank trainer runs on — and drives the ranks from it.
 type coordinator struct {
 	cfg Config
-	ctl stv.Verdict
+	ctl *stv.Verdict
 }
 
 // Stats returns the engine's validation counters. Safe to call from
@@ -24,23 +23,6 @@ func (c *coordinator) Stats() stv.Stats { return c.ctl.Stats() }
 
 // StepIndex reports how many optimizer steps the engine has attempted.
 func (c *coordinator) StepIndex() int { return c.ctl.StepIndex() }
-
-// newRankExecutor builds rank executors for a placement plan: the
-// virtual-clock superchip model over this rank's owned shard (the
-// per-rank placement), with gradient-ready times spaced across the full
-// replica backward. Returns nil when the engine has no plan.
-func newRankExecutor(cfg Config, model *nn.GPT, owned []ownedBucket, nGlobal int) *stv.PlacementExecutor {
-	if cfg.Placement == nil {
-		return nil
-	}
-	idx := make([]int, len(owned))
-	elems := make([]int, len(owned))
-	for i, ob := range owned {
-		idx[i], elems[i] = ob.idx, ob.b.Size()
-	}
-	return stv.NewPlacementExecutor(*cfg.Placement, idx, elems,
-		nGlobal, model.Cfg.Hidden, int64(model.NumParams()))
-}
 
 // closeStores closes every store, folding the first failure into err.
 func closeStores(stores []stv.BucketStore, err error) error {

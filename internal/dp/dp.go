@@ -32,17 +32,17 @@ package dp
 
 import (
 	"superoffload/internal/act"
-	"superoffload/internal/obs"
 	"superoffload/internal/optim"
-	"superoffload/internal/place"
 	"superoffload/internal/stv"
 )
 
-// Config parameterizes the engine. The optimizer fields mirror stv.Config
-// so every shape stays trajectory-compatible with the single-rank
-// trainer. Ranks, SeqRanks and PipeRanks are the (R,S,P) shape; 0 means 1
-// on every axis.
+// Config parameterizes the engine: the trainer's option set, so every
+// shape stays trajectory-compatible with the single-rank trainer, plus
+// the (R,S,P) shape (0 means 1 on every axis) and the per-rank store
+// factories that stand in for the embedded Store and Act, which must be
+// nil.
 type Config struct {
+	stv.Config
 	// Ranks is the data-parallel degree R: the number of replica groups
 	// a global batch's rows split across (the paper evaluates 1, 2, 4,
 	// and 16 superchips).
@@ -54,43 +54,11 @@ type Config struct {
 	// ranks each (group, sequence) column splits the transformer depth
 	// over. The model must have at least P transformer blocks.
 	PipeRanks int
-	// Adam is the optimizer hyperparameter set.
-	Adam optim.Config
-	// ClipNorm is the global gradient-norm clipping threshold (0
-	// disables clipping).
-	ClipNorm float64
-	// BucketElems is the per-bucket element budget shared with stv.
-	BucketElems int
-	// Synchronous resolves every validation before Step returns (the
-	// synchronize-then-execute baseline); the default overlaps
-	// validation with the next step's forward (STV).
-	Synchronous bool
-	// Scaler enables mixed-precision loss scaling; nil trains unscaled.
-	Scaler *optim.LossScaler
-	// Schedule, when non-nil, returns a learning-rate multiplier for the
-	// given 1-based step.
-	Schedule func(step int) float64
-	// InjectBad, when non-nil, is consulted per step; returning true
-	// corrupts the reduced gradient of bucket 0 with +Inf (fault
-	// injection for overflow/rollback tests).
-	InjectBad func(step int) bool
 	// NewStore, when non-nil, builds the bucket store holding each
 	// rank's ZeRO shard of optimizer state (each rank gets its own store
 	// keyed by global bucket index). Nil keeps every shard DRAM-resident.
 	// The engine owns the stores: Close closes them.
 	NewStore func(rank int) (stv.BucketStore, error)
-	// Placement assigns every global bucket an update tier (GPU-resident
-	// tail, CPU Adam, or the NVMe window). Each rank runs a virtual-clock
-	// superchip executor over its owned shard of the plan — the per-rank
-	// placement — and the engine sums their telemetry. Nil disables
-	// placement modeling. Tiers never change numerics, so any plan keeps
-	// the engine bit-identical to the homogeneous single-rank trainer.
-	Placement *place.Plan
-	// Tracer, when non-nil, records per-op schedule spans (one track per
-	// rank), coordinator step spans, and collective instants for export
-	// as Chrome trace-event JSON. Nil disables tracing at zero cost —
-	// the interpreter's hot path takes one predictable branch per op.
-	Tracer *obs.Tracer
 	// NewActStore, when non-nil, builds the activation offloading tier
 	// (internal/act) of every final-stage rank: per-layer forward
 	// activations spill out of the rank's replica behind the store's
@@ -130,8 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.PipeRanks == 0 {
 		c.PipeRanks = 1
 	}
-	if c.BucketElems <= 0 {
-		c.BucketElems = stv.DefaultBucketElems
-	}
+	c.BucketElems = c.BucketBudget()
 	return c
 }

@@ -35,6 +35,15 @@ func New(model *nn.GPT, cfg Config) (*Engine, error) {
 	if model == nil {
 		return nil, fmt.Errorf("dp: nil model")
 	}
+	if cfg.Store != nil {
+		return nil, fmt.Errorf("dp: Config.Store is one store; every rank builds its own through NewStore")
+	}
+	if cfg.Act != nil {
+		return nil, fmt.Errorf("dp: Config.Act is one activation store; every final-stage rank builds its own through NewActStore")
+	}
+	if cfg.Mode != stv.STV && cfg.Mode != stv.STE {
+		return nil, fmt.Errorf("dp: unknown mode %d", cfg.Mode)
+	}
 	cfg = cfg.withDefaults()
 	r, s, p := cfg.Ranks, cfg.SeqRanks, cfg.PipeRanks
 	if r < 1 || s < 1 || p < 1 {
@@ -54,10 +63,7 @@ func New(model *nn.GPT, cfg Config) (*Engine, error) {
 	}
 	w := newWorld(r, s, p, nBuckets)
 	w.attachTracer(cfg.Tracer)
-	e := &Engine{w: w, buckets: make([]*stv.Bucket, nBuckets), coordinator: coordinator{
-		cfg: cfg,
-		ctl: stv.Verdict{Adam: cfg.Adam, ClipNorm: cfg.ClipNorm, Scaler: cfg.Scaler, Schedule: cfg.Schedule},
-	}}
+	e := &Engine{w: w, buckets: make([]*stv.Bucket, nBuckets), coordinator: coordinator{cfg: cfg, ctl: stv.NewVerdict(cfg.Config)}}
 	newStore := cfg.NewStore
 	if newStore == nil {
 		newStore = func(int) (stv.BucketStore, error) { return stv.NewDRAMStore(), nil }
@@ -85,11 +91,9 @@ func New(model *nn.GPT, cfg Config) (*Engine, error) {
 				if id > 0 {
 					replica = model.Clone()
 				}
-				rk := newRank(g, sl, st, w, replica, cfg.BucketElems, stores[id])
-				rk.exec = newRankExecutor(cfg, replica, rk.owned, nBuckets)
-				rk.attachAct(acts[id])
-				for _, ob := range rk.owned {
-					e.buckets[ob.idx] = ob.b
+				rk := newRank(g, sl, st, w, replica, cfg, stores[id], acts[id])
+				for _, b := range rk.owned {
+					e.buckets[b.Index()] = b
 				}
 				e.ranks = append(e.ranks, rk)
 				go rk.run()
@@ -229,7 +233,7 @@ func (e *Engine) StepAccum(batches []data.Batch) (float64, error) {
 		return 0, err
 	}
 	loss := e.foldLoss(perRank, micross[0])
-	if e.cfg.Synchronous {
+	if e.cfg.Mode == stv.STE {
 		// Synchronize-then-execute: resolve before returning, putting
 		// validation back on the critical path (the ZeRO-Offload
 		// schedule, for comparisons).

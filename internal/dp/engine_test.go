@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
+	"superoffload/internal/act"
 	"superoffload/internal/data"
 	"superoffload/internal/model"
 	"superoffload/internal/nn"
 	"superoffload/internal/optim"
 	"superoffload/internal/place"
+	"superoffload/internal/stv"
 	"superoffload/internal/tensor"
 )
 
@@ -31,7 +34,32 @@ func deepGPT(seed uint64) *nn.GPT {
 func shapeConfig(r, s, p int) Config {
 	a := optim.DefaultConfig()
 	a.LR = 3e-3
-	return Config{Ranks: r, SeqRanks: s, PipeRanks: p, Adam: a, ClipNorm: 1.0, BucketElems: 20000}
+	return Config{Config: stv.Config{Adam: a, ClipNorm: 1.0, BucketElems: 20000}, Ranks: r, SeqRanks: s, PipeRanks: p}
+}
+
+// TestNewRejectsSingleStores: the embedded Store and Act hold one
+// instance, which R·S·P ranks cannot share, so New refuses either with an
+// error naming the per-rank factory to use instead, and closes nothing
+// it was handed.
+func TestNewRejectsSingleStores(t *testing.T) {
+	st, err := act.NewStore(act.Config{Tier: act.DRAM, ResidentLayers: 2, Hidden: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for factory, set := range map[string]func(*Config){
+		"NewStore":    func(c *Config) { c.Store = stv.NewDRAMStore() },
+		"NewActStore": func(c *Config) { c.Act = st },
+	} {
+		cfg := shapeConfig(2, 1, 1)
+		set(&cfg)
+		if e, err := New(tinyGPT(1), cfg); err == nil || !strings.Contains(err.Error(), factory) {
+			if e != nil {
+				e.Close()
+			}
+			t.Errorf("New with the single-instance field of %s: error %v, want one naming %s", factory, err, factory)
+		}
+	}
 }
 
 // The construction- and step-time guards, one shape per test.
@@ -41,7 +69,8 @@ func TestMeshValidation(t *testing.T)   { checkGuards(t, s221) }
 func TestPipeValidation(t *testing.T)   { checkGuards(t, s222) }
 
 // checkGuards: in shape sh, New rejects a nil model, every shape the
-// model cannot take and a plan sized for another partition, and the zero
+// model cannot take, a plan sized for another partition and an unknown
+// mode, and the zero
 // shape is (1,1,1); Step rejects every malformed batch as an error in the
 // caller's goroutine, not a rank-goroutine panic, and leaves the engine
 // usable; after Close, Close is a no-op and every other entry point errors.
@@ -79,6 +108,12 @@ func checkGuards(t *testing.T, sh shape) {
 	if e, err := New(deepGPT(1), misfit); err == nil {
 		e.Close()
 		t.Error("placement plan for another partition accepted")
+	}
+	unknown := shapeConfig(sh.R, sh.S, sh.P)
+	unknown.Mode = stv.Mode(99)
+	if e, err := New(deepGPT(1), unknown); err == nil {
+		e.Close()
+		t.Error("unknown mode accepted")
 	}
 	corpus := data.NewCorpus(64, 1)
 	short := corpus.NextBatch(sh.R, 8)

@@ -326,7 +326,7 @@ func (c genConfig) buckets() int { return len(stv.PartitionGroups(c.model(1).Par
 func (c genConfig) stvConfig() stv.Config {
 	a := optim.DefaultConfig()
 	a.LR = 3e-3
-	cfg := stv.Config{Adam: a, ClipNorm: c.Clip, BucketElems: c.Bucket, Mode: stv.STV}
+	cfg := stv.Config{Adam: a, ClipNorm: c.Clip, BucketElems: c.Bucket}
 	if c.STE {
 		cfg.Mode = stv.STE
 	}
@@ -397,12 +397,13 @@ func (c genConfig) build(sh shape, sk storeKind, seed uint64, dir string, fault 
 		return act.NewStore(act.Config{Tier: tier, Dir: dir, ResidentLayers: 2, Hidden: 32, Params: int64(m.NumParams())})
 	}
 	sc := c.stvConfig()
+	sc.Placement = plan
 	if sh == trainerShape {
 		store, err := newStore(0)
 		if err != nil {
 			return nil, err
 		}
-		sc.Store, sc.Placement = store, plan
+		sc.Store = store
 		if c.Act != actNone {
 			if sc.Act, err = newAct(0); err != nil {
 				store.Close()
@@ -411,12 +412,7 @@ func (c genConfig) build(sh shape, sk storeKind, seed uint64, dir string, fault 
 		}
 		return stv.NewTrainer(m, sc), nil
 	}
-	cfg := Config{
-		Ranks: sh.R, SeqRanks: sh.S, PipeRanks: sh.P,
-		Adam: sc.Adam, ClipNorm: sc.ClipNorm, BucketElems: sc.BucketElems, Synchronous: c.STE,
-		Scaler: sc.Scaler, Schedule: sc.Schedule, InjectBad: sc.InjectBad,
-		NewStore: newStore, Placement: plan,
-	}
+	cfg := Config{Config: sc, Ranks: sh.R, SeqRanks: sh.S, PipeRanks: sh.P, NewStore: newStore}
 	if c.Act != actNone {
 		cfg.NewActStore = newAct
 	}

@@ -11,15 +11,6 @@ import (
 	"superoffload/internal/tensor"
 )
 
-// ownedBucket is one entry of a rank's ZeRO partition: both versions of
-// the fp32 master weights and Adam moments (the current one and the
-// rollback point) for a bucket this rank owns. Non-owned buckets have no
-// optimizer state on this rank — only the fp16 weights inside the model.
-type ownedBucket struct {
-	idx int // global bucket index
-	b   *stv.Bucket
-}
-
 // rank is one simulated superchip: rank (g, s, p) — global id
 // (g·S + s)·P + p — holds a full fp16 model replica but computes only
 // pipeline stage p's contiguous block range, over sequence shard s of
@@ -48,7 +39,11 @@ type rank struct {
 	exec   *stv.PlacementExecutor // nil without a placement plan
 	ast    *act.Store             // nil without an activation tier
 	groups []nn.Params            // global bucket layout over this replica
-	owned  []ownedBucket          // this rank's partition, ascending bucket index
+	// owned is this rank's ZeRO partition, ascending bucket index: both
+	// versions of the fp32 master weights and Adam moments of each bucket
+	// it owns. Other buckets have no optimizer state here — only the fp16
+	// weights inside the model.
+	owned []*stv.Bucket
 	// offsets[b] is bucket b's start in the flat Params() layout — the
 	// layout the ring reduces over.
 	offsets []int
@@ -86,9 +81,10 @@ type rank struct {
 // newRank partitions the replica under the global (R·S·P-way) ownership
 // policy, seeding the rank's store with the buckets it owns (keyed by
 // global bucket index, so the store's prefetch cycle walks the rank's
-// ZeRO shard in reduction order), and wires the rank into its cell's
-// links.
-func newRank(group, local, stage int, w *world, model *nn.GPT, bucketElems int, store stv.BucketStore) *rank {
+// ZeRO shard in reduction order), wires the rank into its cell's links
+// and its activation store, when non-nil, into its replica pass, and
+// builds its placement executor over the owned shard.
+func newRank(group, local, stage int, w *world, model *nn.GPT, cfg Config, store stv.BucketStore, ast *act.Store) *rank {
 	r := &rank{
 		id:    (group*w.S+local)*w.P + stage,
 		group: group, local: local, stage: stage,
@@ -98,14 +94,17 @@ func newRank(group, local, stage int, w *world, model *nn.GPT, bucketElems int, 
 		r.cell.allToAll(local, send, recv)
 	}}
 	r.seeder.bufs = make([][]float32, min(w.S, 2))
-	r.groups = stv.PartitionGroups(model.Params(), bucketElems)
+	if ast != nil {
+		r.ast, r.sp.Tap = ast, ast
+	}
+	r.groups = stv.PartitionGroups(model.Params(), cfg.BucketElems)
 	r.offsets = make([]int, len(r.groups))
 	off := 0
 	for bi, g := range r.groups {
 		r.offsets[bi] = off
 		off += g.TotalSize()
 		if bucketOwner(bi, w.N) == r.id {
-			r.owned = append(r.owned, ownedBucket{idx: bi, b: stv.NewBucket(g, store, bi)})
+			r.owned = append(r.owned, stv.NewBucket(g, store, bi))
 		}
 	}
 	r.spans = make([][2]int, w.P)
@@ -113,18 +112,8 @@ func newRank(group, local, stage int, w *world, model *nn.GPT, bucketElems int, 
 		lo, hi := model.StageParamSpan(p, w.P)
 		r.spans[p] = [2]int{lo, hi}
 	}
+	r.exec = stv.NewPlacementExecutor(cfg.Placement, model, ast, r.owned, len(r.groups))
 	return r
-}
-
-// attachAct wires this rank's activation store into its replica pass
-// (nn.SP.Tap) and into its placement executor's step model. Nil-safe.
-func (r *rank) attachAct(st *act.Store) {
-	if st == nil {
-		return
-	}
-	r.ast = st
-	r.sp.Tap = st
-	r.exec.SetAct(stv.ActShapeFor(r.model, st))
 }
 
 // run is the rank's top-level loop over the control links: interpret
@@ -160,8 +149,8 @@ func (r *rank) begin(micros []data.Batch) {
 // to their partition, and if weights changed every rank republishes via
 // all-gather.
 func (r *rank) apply(v stv.Resolution) {
-	for _, ob := range r.owned {
-		ob.b.Apply(v)
+	for _, b := range r.owned {
+		b.Apply(v)
 	}
 	if v.WeightsChanged() {
 		r.allGather()
@@ -276,16 +265,16 @@ func (r *rank) reduce(m int) {
 		copy(payload, flat[lo-span[0]:hi-span[0]])
 		r.w.reduce[bi][cell] <- payload
 	}
-	for _, ob := range r.owned {
-		dst := ob.b.Grad()
-		bo := r.offsets[ob.idx]
+	for _, b := range r.owned {
+		dst := b.Grad()
+		bo := r.offsets[b.Index()]
 		for p := 0; p < r.w.P; p++ {
-			lo, hi := intersectRange(bo, bo+ob.b.Size(), r.spans[p][0], r.spans[p][1])
+			lo, hi := intersectRange(bo, bo+b.Size(), r.spans[p][0], r.spans[p][1])
 			if lo >= hi {
 				continue
 			}
 			for g := 0; g < r.w.R; g++ {
-				c := <-r.w.reduce[ob.idx][g*r.w.P+p]
+				c := <-r.w.reduce[b.Index()][g*r.w.P+p]
 				stv.AccumInto(dst[lo-bo:hi-bo], c, m == 0 && g == 0)
 			}
 		}
@@ -304,19 +293,19 @@ func (r *rank) reduce(m int) {
 // decomposition.
 func (r *rank) speculate(g goMsg) {
 	inv := float32(1 / (g.scale * float64(len(r.micros)*r.w.R)))
-	for _, ob := range r.owned {
-		if ob.idx == 0 && g.inject {
-			ob.b.Grad()[0] = float32(math.Inf(1))
+	for _, b := range r.owned {
+		if b.Index() == 0 && g.inject {
+			b.Grad()[0] = float32(math.Inf(1))
 		}
-		ob.b.ScaleGrad(inv)
-		ob.b.SpeculativeStep(g.adam)
+		b.ScaleGrad(inv)
+		b.SpeculativeStep(g.adam)
 	}
 	r.allGather()
-	go func(owned []ownedBucket) {
-		for _, ob := range owned {
-			grad := ob.b.Grad()
+	go func(owned []*stv.Bucket) {
+		for _, b := range owned {
+			grad := b.Grad()
 			r.w.partial <- partialMsg{
-				idx:   ob.idx,
+				idx:   b.Index(),
 				sumsq: optim.SumSquares(grad),
 				bad:   optim.HasBad([][]float32{grad}),
 			}
@@ -350,10 +339,10 @@ func (r *rank) report() stepResult {
 // through reduce contributions, all-to-all and ring hops, and pipeline
 // boundary sends.
 func (r *rank) allGather() {
-	for _, ob := range r.owned {
+	for _, b := range r.owned {
 		for dst := 0; dst < r.w.N; dst++ {
 			if dst != r.id {
-				r.w.gather[ob.idx][dst] <- r.groups[ob.idx]
+				r.w.gather[b.Index()][dst] <- r.groups[b.Index()]
 			}
 		}
 	}

@@ -77,7 +77,7 @@ const (
 // the rest of the config.
 func extRun(cfg model.Config, tier stv.Config) ([]float64, stv.Stats, stv.PlacementTelemetry) {
 	tier.Adam = shapeAdam()
-	tier.ClipNorm, tier.BucketElems, tier.Mode = 4.0, extBucketElems, stv.STV
+	tier.ClipNorm, tier.BucketElems = 4.0, extBucketElems
 	tr := stv.NewTrainer(nn.NewGPT(cfg, 16, tensor.NewRNG(21)), tier)
 	defer tr.Close()
 	losses := trainSteps(tr, extSteps, windows(data.NewCorpus(cfg.Vocab, 23), 4, 16, 1, 1))
@@ -155,6 +155,12 @@ func shapeAdam() optim.Config {
 	return a
 }
 
+// shapeConfig is the STV option set the shape experiments' engines and
+// their single-rank references share.
+func shapeConfig() stv.Config {
+	return stv.Config{Adam: shapeAdam(), ClipNorm: shapeClipNorm, BucketElems: shapeBucketElems}
+}
+
 // reference is the single-rank trajectory for data-parallel degree r (and
 // the experiment's micro-batch count): the trainer accumulates each
 // step's micros×r row slices in (micro-batch, group) order — the fold the
@@ -162,10 +168,7 @@ func shapeAdam() optim.Config {
 func (x *shapeRuns) reference(r int) trajectory {
 	ref, ok := x.refs[r]
 	if !ok {
-		ref = runTrajectory(stv.NewTrainer(x.model(), stv.Config{
-			Adam: shapeAdam(), ClipNorm: shapeClipNorm,
-			BucketElems: shapeBucketElems, Mode: stv.STV,
-		}), x.steps, x.feed(r))
+		ref = runTrajectory(stv.NewTrainer(x.model(), shapeConfig()), x.steps, x.feed(r))
 		if x.refs == nil {
 			x.refs = map[int]trajectory{}
 		}
@@ -184,8 +187,7 @@ func (x *shapeRuns) run(r, s, p int, nvme bool) (trajectory, dp.SPCommStats) {
 		}
 	}
 	eng, err := dp.New(x.model(), dp.Config{
-		Ranks: r, SeqRanks: s, PipeRanks: p, Adam: shapeAdam(),
-		ClipNorm: shapeClipNorm, BucketElems: shapeBucketElems, NewStore: newStore,
+		Config: shapeConfig(), Ranks: r, SeqRanks: s, PipeRanks: p, NewStore: newStore,
 	})
 	if err != nil {
 		panic(err)

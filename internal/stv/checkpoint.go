@@ -73,8 +73,8 @@ func (v *Verdict) Save(w io.Writer, buckets []*Bucket) error {
 		return err
 	}
 	scale, goodSteps := 0.0, 0
-	if v.Scaler != nil {
-		scale, goodSteps = v.Scaler.Scale, v.Scaler.GoodSteps
+	if v.cfg.Scaler != nil {
+		scale, goodSteps = v.cfg.Scaler.Scale, v.cfg.Scaler.GoodSteps
 	}
 	buf := ioBuffer(buckets)
 	hdr := buf[:headerBytes]
@@ -136,7 +136,7 @@ func (v *Verdict) Load(r io.Reader, buckets []*Bucket) error {
 	// 0 means the checkpoint trained unscaled; anything else must be a
 	// scale a LossScaler can hold (the negated test also catches NaN).
 	if !(scale >= 0) || math.IsInf(scale, 1) ||
-		(scale > 0 && v.Scaler != nil && (scale < v.Scaler.MinScale || scale > v.Scaler.MaxScale)) {
+		(scale > 0 && v.cfg.Scaler != nil && (scale < v.cfg.Scaler.MinScale || scale > v.cfg.Scaler.MaxScale)) {
 		return fmt.Errorf("stv: checkpoint has unusable loss scale %v", scale)
 	}
 	// A failed Load drops the versions it staged into, a committed one
@@ -156,8 +156,8 @@ func (v *Verdict) Load(r io.Reader, buckets []*Bucket) error {
 		bk.dirty = false
 		bk.turn(true)
 	}
-	if v.Scaler != nil && scale > 0 {
-		v.Scaler.Scale, v.Scaler.GoodSteps = scale, int(goodSteps)
+	if v.cfg.Scaler != nil && scale > 0 {
+		v.cfg.Scaler.Scale, v.cfg.Scaler.GoodSteps = scale, int(goodSteps)
 	}
 	v.step = int(step)
 	return nil

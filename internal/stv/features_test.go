@@ -290,7 +290,7 @@ func TestCheckpointErrors(t *testing.T) {
 		t.Errorf("SOC2 checkpoint: error %v, want one naming both magics", err)
 	}
 	// Mismatched architecture.
-	other := NewTrainer(tinyGPT(1), Config{Adam: optim.DefaultConfig(), BucketElems: 1 << 30})
+	other := NewTrainer(tinyGPT(1), Config{Adam: optim.DefaultConfig(), BucketElems: 1 << 30, Mode: STE})
 	if err := other.Load(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("bucket-count mismatch accepted")
 	}

@@ -163,8 +163,8 @@ func fuzzCheckpoint(f *testing.F) []byte {
 		}
 		bk.DirectStep(optim.DefaultConfig(), 1)
 	}
-	v := &Verdict{Scaler: optim.NewLossScaler(), step: 7}
-	v.Scaler.GoodSteps = 3
+	v := &Verdict{cfg: Config{Scaler: optim.NewLossScaler()}, step: 7}
+	v.cfg.Scaler.GoodSteps = 3
 	var buf bytes.Buffer
 	if err := v.Save(&buf, src); err != nil {
 		f.Fatal(err)
@@ -217,7 +217,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		} else {
 			seal(ckpt[record0Off:record1Off])
 		}
-		err := (&Verdict{Scaler: optim.NewLossScaler()}).Load(bytes.NewReader(ckpt), fuzzBuckets())
+		err := (&Verdict{cfg: Config{Scaler: optim.NewLossScaler()}}).Load(bytes.NewReader(ckpt), fuzzBuckets())
 		if (err == nil) != m.loads || !m.loads && strings.Contains(err.Error(), "crc32") {
 			f.Fatalf("word %#x at offset %d: loads = %v (err %v), want %v past the crc32", m.word, m.off, err == nil, err, m.loads)
 		}
@@ -227,11 +227,11 @@ func FuzzReadCheckpoint(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, ckpt []byte) {
 		dst := fuzzBuckets()
-		v := &Verdict{Scaler: optim.NewLossScaler()}
+		v := &Verdict{cfg: Config{Scaler: optim.NewLossScaler()}}
 		if v.Load(bytes.NewReader(ckpt), dst) != nil {
 			return
 		}
-		sc := v.Scaler
+		sc := v.cfg.Scaler
 		if v.StepIndex() < 0 || sc.GoodSteps < 0 {
 			t.Fatalf("accepted negative counters: step %d, streak %d", v.StepIndex(), sc.GoodSteps)
 		}
@@ -269,8 +269,8 @@ func FuzzCheckpointBitFlip(f *testing.F) {
 		ckpt[bit/8] ^= 1 << (bit % 8)
 
 		dst := fuzzBuckets()
-		v := &Verdict{Scaler: optim.NewLossScaler(), step: 2}
-		v.Scaler.Scale, v.Scaler.GoodSteps = 512, 1
+		v := &Verdict{cfg: Config{Scaler: optim.NewLossScaler()}, step: 2}
+		v.cfg.Scaler.Scale, v.cfg.Scaler.GoodSteps = 512, 1
 		var before, after bytes.Buffer
 		if err := v.Save(&before, dst); err != nil {
 			t.Fatal(err)
@@ -284,8 +284,8 @@ func FuzzCheckpointBitFlip(f *testing.F) {
 		if !bytes.Equal(before.Bytes(), after.Bytes()) {
 			t.Fatalf("failed Load (bit %d flipped) changed the engine's state", bit)
 		}
-		if v.StepIndex() != 2 || v.Scaler.Scale != 512 || v.Scaler.GoodSteps != 1 {
-			t.Fatalf("failed Load (bit %d flipped) left step %d, scale %v, streak %d", bit, v.StepIndex(), v.Scaler.Scale, v.Scaler.GoodSteps)
+		if v.StepIndex() != 2 || v.cfg.Scaler.Scale != 512 || v.cfg.Scaler.GoodSteps != 1 {
+			t.Fatalf("failed Load (bit %d flipped) left step %d, scale %v, streak %d", bit, v.StepIndex(), v.cfg.Scaler.Scale, v.cfg.Scaler.GoodSteps)
 		}
 		for _, bk := range dst {
 			if st := bk.store.Acquire(bk.idx); st.prev != nil {

@@ -1,10 +1,11 @@
 package stv
 
 import (
-	"fmt"
 	"sync"
 
+	"superoffload/internal/act"
 	"superoffload/internal/hw"
+	"superoffload/internal/nn"
 	"superoffload/internal/place"
 )
 
@@ -119,35 +120,28 @@ type PlacementExecutor struct {
 	tel PlacementTelemetry
 }
 
-// SetAct attaches an activation-offload shape, so recorded steps model
-// the spill/prefetch schedule around the optimizer phases. Nil-safe;
-// call before the first Record.
-func (e *PlacementExecutor) SetAct(a place.ActShape) {
-	if e == nil {
-		return
-	}
-	e.act = a
-}
-
-// NewPlacementExecutor builds an executor over the holder's bucket
-// subset: idx and elems list the modeled buckets' global indices and
-// sizes in ascending index order, nGlobal is the full partition size, and
-// hidden/params describe the replica whose backward feeds the clocks. The
-// clocks are those of the paper's platform, hw.DefaultSuperchip.
-func NewPlacementExecutor(plan place.Plan, idx, elems []int, nGlobal, hidden int, params int64) *PlacementExecutor {
-	if len(idx) != len(elems) {
-		panic(fmt.Sprintf("stv: placement executor got %d indices for %d sizes", len(idx), len(elems)))
-	}
-	work := make([]place.BucketWork, len(idx))
-	for i := range idx {
-		work[i] = place.BucketWork{Index: idx[i], Elems: elems[i], Tier: plan.Tier(idx[i])}
+// NewPlacementExecutor builds the executor over a holder's buckets — all
+// of a trainer's, or a rank's owned shard, in ascending index order — of
+// a partition of nGlobal buckets. m is the replica whose backward feeds
+// the clocks, and st, when non-nil, its activation store, whose
+// spill/prefetch schedule the recorded steps then model around the
+// optimizer phases. The clocks are those of the paper's platform,
+// hw.DefaultSuperchip. Nil without a plan; every method is nil-safe.
+func NewPlacementExecutor(plan *place.Plan, m *nn.GPT, st *act.Store, buckets []*Bucket, nGlobal int) *PlacementExecutor {
+	if plan == nil {
+		return nil
 	}
 	e := &PlacementExecutor{
-		spec: hw.DefaultSuperchip(), work: work, nGlobal: nGlobal,
-		hidden: hidden, params: params,
+		spec: hw.DefaultSuperchip(), nGlobal: nGlobal,
+		hidden: m.Cfg.Hidden, params: int64(m.NumParams()),
 	}
-	for _, wk := range work {
+	for _, bk := range buckets {
+		wk := place.BucketWork{Index: bk.idx, Elems: bk.Size(), Tier: plan.Tier(bk.idx)}
+		e.work = append(e.work, wk)
 		e.tel.Tiers[wk.Tier].Buckets++
+	}
+	if st != nil {
+		e.act = place.ActShape{Layers: m.Cfg.Layers, Resident: st.Resident(), Heads: m.Cfg.Heads, NVMe: st.OnNVMe()}
 	}
 	return e
 }

@@ -109,7 +109,7 @@ func TestPlacementTelemetry(t *testing.T) {
 
 	// Homogeneous trainers report no placement telemetry.
 	plain := NewTrainer(nn.NewGPT(cfg, 16, tensor.NewRNG(11)), Config{
-		Adam: optim.DefaultConfig(), BucketElems: 4096,
+		Adam: optim.DefaultConfig(), BucketElems: 4096, Mode: STE,
 	})
 	defer plain.Close()
 	if _, ok := plain.PlacementTelemetry(); ok {

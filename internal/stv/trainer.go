@@ -16,12 +16,13 @@ import (
 type Mode int
 
 const (
+	// STV is speculation-then-validation: step speculatively per bucket,
+	// validate in the background, roll back on failure (Fig. 8). It is
+	// the zero Mode.
+	STV Mode = iota
 	// STE is synchronize-then-execute: wait for all gradients, validate,
 	// clip, then step (ZeRO-Offload's schedule, Fig. 3).
-	STE Mode = iota
-	// STV is speculation-then-validation: step speculatively per bucket,
-	// validate in the background, roll back on failure (Fig. 8).
-	STV
+	STE
 )
 
 // String names the schedule for logs and experiment tables.
@@ -32,22 +33,24 @@ func (m Mode) String() string {
 	return "STV"
 }
 
-// Config parameterizes a Trainer.
+// Config is the option set of both engines: a Trainer takes it as is,
+// and internal/dp's engine embeds it beside its (R,S,P) shape.
 type Config struct {
 	Adam optim.Config
 	// ClipNorm is the global gradient-norm clipping threshold (0
 	// disables clipping).
 	ClipNorm float64
-	// BucketElems is the per-bucket element budget (the 64 MB fp16
-	// bucket is 32M elements; tests use small values).
+	// BucketElems is the per-bucket element budget; 0 or less means
+	// DefaultBucketElems (see BucketBudget).
 	BucketElems int
-	Mode        Mode
+	// Mode is the schedule; the zero value is STV.
+	Mode Mode
 	// Scaler enables mixed-precision loss scaling; nil trains unscaled.
 	Scaler *optim.LossScaler
 	// InjectBad, when non-nil, is consulted once per optimizer step with
-	// the step index; returning true corrupts the staged gradient of
-	// bucket 0 with +Inf — the fault-injection hook overflow tests and
-	// the Fig. 14 experiment use.
+	// the step index; returning true corrupts the staged (under dp, the
+	// reduced) gradient of bucket 0 with +Inf — the fault-injection hook
+	// overflow tests use.
 	InjectBad func(step int) bool
 	// Schedule, when non-nil, returns a learning-rate multiplier for
 	// the given 1-based step (warm-up, cosine decay, ...). Rollback
@@ -58,11 +61,13 @@ type Config struct {
 	// everything resident in DRAM; an MLPStore spills to backing files
 	// with a small resident window; a PlacedStore routes residency by
 	// the placement plan's tiers. The trainer owns the store: Close
-	// closes it.
+	// closes it. The multi-rank engine builds one per rank instead
+	// (dp.Config.NewStore) and rejects this field.
 	Store BucketStore
 	// Placement assigns each bucket an update tier (GPU-resident tail,
 	// CPU Adam, or the NVMe window) for the virtual-clock superchip
-	// executor. Nil trains homogeneously with no placement modeling.
+	// executor; under dp each rank models its owned shard of the plan.
+	// Nil trains homogeneously with no placement modeling.
 	// Tiers change only where modeled time is charged and (through the
 	// store) where state resides — numerics are tier-invariant, so any
 	// plan trains bit-identically to the homogeneous trainer.
@@ -71,14 +76,17 @@ type Config struct {
 	// forward activations spill out of the replica behind the store's
 	// resident window and prefetch back ahead of backward. Numerically
 	// invisible (restores are bit-exact); the trainer owns the store and
-	// attaches it to the model — Close closes it.
+	// attaches it to the model — Close closes it. The multi-rank engine
+	// builds one per final-stage rank instead (dp.Config.NewActStore)
+	// and rejects this field.
 	Act *act.Store
 	// Tracer, when non-nil, gives the trainer a "trainer" trace track:
 	// per micro-batch a forward and a backward span (the latter includes
 	// staging the gradients), a resolve span where a verdict is awaited
 	// and applied, and one speculate span for normalise + optimizer step
-	// (STE's synchronous resolve nests inside it). Nil disables tracing
-	// at zero cost.
+	// (STE's synchronous resolve nests inside it). The multi-rank engine
+	// records one track per rank instead, plus coordinator and comm
+	// tracks. Nil disables tracing at zero cost.
 	Tracer *obs.Tracer
 }
 
@@ -112,7 +120,7 @@ type Trainer struct {
 	// ctl is the step-control state (step counter, loss scale, pending
 	// validation, counters); validCh delivers the one validation it may
 	// have in flight.
-	ctl     Verdict
+	ctl     *Verdict
 	validCh chan Validation
 
 	valShards [][]float32 // the buckets' gradient buffers, which the validator scans
@@ -122,14 +130,23 @@ type Trainer struct {
 // BucketElems unset: 32M elements, the paper's 64 MB fp16 bucket (§4.3).
 const DefaultBucketElems = 32 << 20
 
+// BucketBudget is the per-bucket element budget the config partitions
+// under: BucketElems, or DefaultBucketElems when that is 0 or less. Every
+// engine and the facade's placement planner partition through it, so they
+// agree on the bucket count.
+func (c Config) BucketBudget() int {
+	if c.BucketElems <= 0 {
+		return DefaultBucketElems
+	}
+	return c.BucketElems
+}
+
 // NewTrainer buckets the model and prepares the optimizer state. A
 // placement plan, when present, must cover the resulting bucket count
 // exactly (NewTrainer panics otherwise — the partition is deterministic,
 // so a mismatch is a construction bug, not a runtime condition).
 func NewTrainer(m *nn.GPT, cfg Config) *Trainer {
-	if cfg.BucketElems <= 0 {
-		cfg.BucketElems = DefaultBucketElems
-	}
+	cfg.BucketElems = cfg.BucketBudget()
 	store := cfg.Store
 	if store == nil {
 		store = NewDRAMStore()
@@ -139,7 +156,7 @@ func NewTrainer(m *nn.GPT, cfg Config) *Trainer {
 		Cfg:     cfg,
 		store:   store,
 		buckets: partitionParams(m.Params(), cfg.BucketElems, store),
-		ctl:     Verdict{Adam: cfg.Adam, ClipNorm: cfg.ClipNorm, Scaler: cfg.Scaler, Schedule: cfg.Schedule},
+		ctl:     NewVerdict(cfg),
 		validCh: make(chan Validation, 1),
 		track:   cfg.Tracer.Track("trainer"),
 	}
@@ -150,34 +167,12 @@ func NewTrainer(m *nn.GPT, cfg Config) *Trainer {
 		if err := cfg.Placement.Validate(len(t.buckets)); err != nil {
 			panic(fmt.Sprintf("stv: %v", err))
 		}
-		idx := make([]int, len(t.buckets))
-		elems := make([]int, len(t.buckets))
-		for i, bk := range t.buckets {
-			idx[i], elems[i] = i, bk.Size()
-		}
-		t.exec = NewPlacementExecutor(*cfg.Placement, idx, elems,
-			len(t.buckets), m.Cfg.Hidden, int64(m.NumParams()))
 	}
 	if cfg.Act != nil {
 		m.SetActivationTap(cfg.Act)
-		t.exec.SetAct(ActShapeFor(m, cfg.Act))
 	}
+	t.exec = NewPlacementExecutor(cfg.Placement, m, cfg.Act, t.buckets, len(t.buckets))
 	return t
-}
-
-// ActShapeFor describes a model's activation store to the virtual-clock
-// step model — the bridge every engine uses to put spill/prefetch time
-// on its placement executor's clocks. Zero when the store is nil.
-func ActShapeFor(m *nn.GPT, s *act.Store) place.ActShape {
-	if s == nil {
-		return place.ActShape{}
-	}
-	return place.ActShape{
-		Layers:   m.Cfg.Layers,
-		Resident: s.Resident(),
-		Heads:    m.Cfg.Heads,
-		NVMe:     s.OnNVMe(),
-	}
 }
 
 // NumBuckets reports the partition size (diagnostics).

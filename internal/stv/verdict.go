@@ -61,14 +61,12 @@ func (r Resolution) WeightsChanged() bool { return r.Action == Skip || r.Action 
 // in flight with the Adam config its step was taken under, and the
 // outcome counters. Resolve is the only place a validation result becomes
 // an action, a scaler update and a counter, which is what keeps every
-// engine shape on the same rollback decisions. The exported fields are
-// configuration, fixed before the first step; one goroutine drives the
-// methods, except Stats, which may be polled from any.
+// engine shape on the same rollback decisions. Its policy — Adam,
+// ClipNorm, Scaler and Schedule — is the Config it was built from. One
+// goroutine drives the methods, except Stats, which may be polled from
+// any.
 type Verdict struct {
-	Adam     optim.Config
-	ClipNorm float64                // 0 disables clipping
-	Scaler   *optim.LossScaler      // nil trains unscaled
-	Schedule func(step int) float64 // nil keeps Adam.LR; else its multiplier for the 1-based step
+	cfg Config
 
 	step        int
 	pending     bool
@@ -79,14 +77,17 @@ type Verdict struct {
 	stats Stats
 }
 
+// NewVerdict starts the step control of a run under cfg's policy.
+func NewVerdict(cfg Config) *Verdict { return &Verdict{cfg: cfg} }
+
 // BeginStep opens the next optimizer step and returns its Adam config,
 // the learning-rate schedule applied. A rollback re-executes with the
 // config of the step it rolls back, not this one (Resolution.Adam).
 func (v *Verdict) BeginStep() optim.Config {
 	v.step++
-	a := v.Adam
-	if v.Schedule != nil {
-		a.LR *= v.Schedule(v.step)
+	a := v.cfg.Adam
+	if v.cfg.Schedule != nil {
+		a.LR *= v.cfg.Schedule(v.step)
 	}
 	return a
 }
@@ -104,10 +105,10 @@ func (v *Verdict) StepIndex() int { return v.step }
 // Scale returns the current loss scale (1 when scaling is disabled). It
 // changes only inside Resolve.
 func (v *Verdict) Scale() float64 {
-	if v.Scaler == nil {
+	if v.cfg.Scaler == nil {
 		return 1
 	}
-	return v.Scaler.Scale
+	return v.cfg.Scaler.Scale
 }
 
 // Launched records that the step opened by BeginStep was applied under
@@ -131,14 +132,14 @@ func (v *Verdict) Resolve(val <-chan Validation) Resolution {
 	}
 	got := <-val
 	v.pending = false
-	if v.Scaler != nil {
-		v.Scaler.Update(got.Bad)
+	if v.cfg.Scaler != nil {
+		v.cfg.Scaler.Update(got.Bad)
 	}
 	if got.Bad {
 		v.bump(func(s *Stats) { s.SkipRolls++ })
 		return Resolution{Action: Skip}
 	}
-	clip := optim.ClipScale(got.Norm, v.ClipNorm)
+	clip := optim.ClipScale(got.Norm, v.cfg.ClipNorm)
 	if clip != 1.0 {
 		v.bump(func(s *Stats) { s.ClipRolls++ })
 		return Resolution{Action: Clip, ClipScale: clip, Adam: v.pendingAdam}

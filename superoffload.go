@@ -16,9 +16,9 @@
 //     and post-step weight all-gather; S sequence-parallel ranks per
 //     cell — SuperOffload-Ulysses, §4.7 — with per-layer attention
 //     all-to-alls and a deterministic weight-gradient ring; P 1F1B
-//     pipeline stages per column), with InitDP, InitSP and InitPipe as
-//     shape presets over it — all on loss trajectories bit-identical to
-//     the single-rank engine.
+//     pipeline stages per column), with InitDP and InitPipe as shape
+//     presets over it — all on loss trajectories bit-identical to the
+//     single-rank engine.
 //
 //   - A planner (Plan/Describe) that sizes workloads against modeled
 //     GH200 clusters and predicts throughput for SuperOffload and the
@@ -101,8 +101,9 @@ type OptimizerConfig struct {
 	// ClipNorm enables global-norm gradient clipping (0 disables;
 	// negative or NaN is rejected).
 	ClipNorm float64
-	// BucketElems overrides the per-bucket parameter budget (default:
-	// 32M elements = one 64 MB fp16 bucket, §4.3).
+	// BucketElems overrides the per-bucket parameter budget (0: the
+	// default of 32M elements = one 64 MB fp16 bucket, §4.3; negative is
+	// rejected).
 	BucketElems int
 	// Synchronous falls back to the synchronize-then-execute schedule
 	// (for comparisons); the default is speculation-then-validation.
@@ -150,11 +151,13 @@ type ActivationConfig struct {
 	// directory). Each rank gets its own file.
 	Dir string
 	// ResidentLayers is the write-behind window W: the W most recent
-	// forward layers stay resident, everything older spills. The floor is
-	// 2 (the layer being differentiated plus the fetch in flight).
+	// forward layers stay resident, everything older spills. 0 selects
+	// the floor, 2 (the layer being differentiated plus the fetch in
+	// flight); 1 or negative is rejected.
 	ResidentLayers int
 	// HBMBudgetBytes overrides the modeled per-superchip HBM capacity the
-	// facade guards step shapes against (0: the modeled GH200's 96 GiB).
+	// facade guards step shapes against (0: the modeled GH200's 96 GiB;
+	// negative is rejected).
 	// A step whose fp16 replica plus resident activation window exceeds
 	// the budget is rejected before training touches it — enabling
 	// offload shrinks the window from all layers to ResidentLayers, which
@@ -178,6 +181,9 @@ func (a ActivationConfig) shape(m *Model) place.ActShape {
 // constructor (nil means resident activations, the engines' default).
 // The tracer, when non-nil, gives each rank's store its own trace track.
 func (a ActivationConfig) storeFactory(m *Model, tracer *Tracer) (func(rank int) (*act.Store, error), error) {
+	if a.ResidentLayers != 0 && a.ResidentLayers < hw.ActMinResidentLayers {
+		return nil, fmt.Errorf("superoffload: Activation.ResidentLayers must be 0 (the default) or >= %d (the activation store's minimum write-behind window), got %d", hw.ActMinResidentLayers, a.ResidentLayers)
+	}
 	var tier act.Tier
 	switch a.Offload {
 	case "":
@@ -223,7 +229,7 @@ type hbmGuard struct {
 // rows/rowsDiv × seq/seqDiv tokens of the batch.
 func (cfg OptimizerConfig) newHBMGuard(m *Model, rowsDiv, seqDiv int) *hbmGuard {
 	budget := cfg.Activation.HBMBudgetBytes
-	if budget <= 0 {
+	if budget == 0 {
 		budget = hw.DefaultSuperchip().Chip.GPU.MemBytes
 	}
 	return &hbmGuard{
@@ -260,8 +266,9 @@ type OffloadConfig struct {
 	// Dir is the directory for nvme backing files (default: the system
 	// temp directory). Each rank gets its own file.
 	Dir string
-	// ResidentBuckets caps the nvme store's resident window (default 2:
-	// the bucket being stepped plus the one being prefetched).
+	// ResidentBuckets caps the nvme store's resident window (0: the
+	// floor, 2 — the bucket being stepped plus the one being prefetched;
+	// 1 or negative is rejected).
 	ResidentBuckets int
 	// IOPaths splits the modeled NVMe array into this many independently
 	// scheduled flash paths (MLP-Offload's multi-path layer): bucket
@@ -280,8 +287,8 @@ type OffloadConfig struct {
 // is the flash store). The tracer, when non-nil, gives each rank's store
 // its own trace tracks.
 func (o OffloadConfig) storeFactory(tracer *Tracer) (func(rank int) (stv.BucketStore, error), error) {
-	if o.ResidentBuckets < 0 {
-		return nil, fmt.Errorf("superoffload: Offload.ResidentBuckets must be >= 0, got %d", o.ResidentBuckets)
+	if o.ResidentBuckets != 0 && o.ResidentBuckets < stv.MinResidentBuckets {
+		return nil, fmt.Errorf("superoffload: Offload.ResidentBuckets must be 0 (the default) or >= %d (the flash store's minimum window), got %d", stv.MinResidentBuckets, o.ResidentBuckets)
 	}
 	if o.IOPaths < 0 {
 		return nil, fmt.Errorf("superoffload: Offload.IOPaths must be >= 0, got %d", o.IOPaths)
@@ -314,10 +321,11 @@ func (o OffloadConfig) storeFactory(tracer *Tracer) (func(rank int) (stv.BucketS
 }
 
 // placementPlan translates the placement selection into a per-bucket tier
-// plan over the model's bucket partition (nil when Mode is empty). With
-// the nvme offload backend, the offloaded body additionally spills
-// through the windowed flash store (CPUAdam tiers become NVMeWindow).
-func (cfg OptimizerConfig) placementPlan(m *Model) (*place.Plan, error) {
+// plan over the model's partition under sc's bucket budget (nil when Mode
+// is empty). With the nvme offload backend, the offloaded body
+// additionally spills through the windowed flash store (CPUAdam tiers
+// become NVMeWindow).
+func (cfg OptimizerConfig) placementPlan(m *Model, sc stv.Config) (*place.Plan, error) {
 	pc := cfg.Placement
 	if pc.GPUBuckets < 0 {
 		return nil, fmt.Errorf("superoffload: Placement.GPUBuckets must be >= 0, got %d", pc.GPUBuckets)
@@ -328,11 +336,7 @@ func (cfg OptimizerConfig) placementPlan(m *Model) (*place.Plan, error) {
 	if pc.Mode == "" {
 		return nil, nil
 	}
-	be := cfg.BucketElems
-	if be <= 0 {
-		be = stv.DefaultBucketElems
-	}
-	groups := stv.PartitionGroups(m.gpt.Params(), be)
+	groups := stv.PartitionGroups(m.gpt.Params(), sc.BucketBudget())
 	elems := make([]int, len(groups))
 	for i, g := range groups {
 		elems[i] = g.TotalSize()
@@ -377,19 +381,20 @@ func (cfg OptimizerConfig) placementPlan(m *Model) (*place.Plan, error) {
 }
 
 // trainSetup validates the optimizer config (clip threshold, Adam
-// hyperparameters, offload and placement settings) and resolves its
-// placement plan, bucket store factory, and activation store factory for
-// the model — one place shared by every InitX, so the engines can never
-// diverge on validation or placement/offload wiring.
-// Without a placement the legacy offload path applies unchanged; with
-// one, the GPU/CPU tiers stay resident and only an nvme backend's body
-// buckets spill (through a per-rank PlacedStore).
-func (cfg OptimizerConfig) trainSetup(m *Model) (*place.Plan, func(rank int) (stv.BucketStore, error), func(rank int) (*act.Store, error), error) {
+// hyperparameters, bucket budget, offload, activation and placement
+// settings) and builds the one engine config both engines take: the
+// stv.Config with its placement plan, plus the per-rank bucket and
+// activation store factories — one place shared by every InitX, so the
+// engines can never diverge on validation, hyperparameters or
+// placement/offload wiring. Without a placement the legacy offload path
+// applies unchanged; with one, the GPU/CPU tiers stay resident and only
+// an nvme backend's body buckets spill (through a per-rank PlacedStore).
+func (cfg OptimizerConfig) trainSetup(m *Model) (dp.Config, error) {
 	if !(cfg.ClipNorm >= 0) { // the negated test also catches NaN
-		return nil, nil, nil, fmt.Errorf("superoffload: ClipNorm %v must be 0 (clipping off) or positive", cfg.ClipNorm)
+		return dp.Config{}, fmt.Errorf("superoffload: ClipNorm %v must be 0 (clipping off) or positive", cfg.ClipNorm)
 	}
 	if !(cfg.LR >= 0 && cfg.LR <= math.MaxFloat64) {
-		return nil, nil, nil, fmt.Errorf("superoffload: LR %v must be finite and 0 (the default recipe) or positive", cfg.LR)
+		return dp.Config{}, fmt.Errorf("superoffload: LR %v must be finite and 0 (the default recipe) or positive", cfg.LR)
 	}
 	for _, f := range []struct {
 		name      string
@@ -399,28 +404,52 @@ func (cfg OptimizerConfig) trainSetup(m *Model) (*place.Plan, func(rank int) (st
 		{"Eps", cfg.Eps, math.SmallestNonzeroFloat64, math.Inf(1)}, {"WeightDecay", cfg.WeightDecay, 0, math.Inf(1)},
 	} {
 		if cfg.LR == 0 && f.v != 0 || cfg.LR > 0 && !(f.v >= f.lo && f.v < f.hi) {
-			return nil, nil, nil, fmt.Errorf("superoffload: %s %v is out of range with LR %v (see OptimizerConfig)", f.name, f.v, cfg.LR)
+			return dp.Config{}, fmt.Errorf("superoffload: %s %v is out of range with LR %v (see OptimizerConfig)", f.name, f.v, cfg.LR)
 		}
+	}
+	if cfg.BucketElems < 0 {
+		return dp.Config{}, fmt.Errorf("superoffload: BucketElems must be 0 (the default) or >= 1, got %d", cfg.BucketElems)
+	}
+	if cfg.Activation.HBMBudgetBytes < 0 {
+		return dp.Config{}, fmt.Errorf("superoffload: Activation.HBMBudgetBytes must be 0 (the modeled GH200's HBM) or >= 1, got %d", cfg.Activation.HBMBudgetBytes)
+	}
+	sc := stv.Config{
+		Adam:     optim.Config{LR: cfg.LR, Beta1: cfg.Beta1, Beta2: cfg.Beta2, Eps: cfg.Eps, WeightDecay: cfg.WeightDecay},
+		ClipNorm: cfg.ClipNorm, BucketElems: cfg.BucketElems, Tracer: cfg.Tracer,
+	}
+	if sc.Adam.LR == 0 {
+		sc.Adam = optim.DefaultConfig()
+	}
+	if cfg.Synchronous {
+		sc.Mode = stv.STE
+	}
+	if cfg.LossScaling {
+		sc.Scaler = optim.NewLossScaler()
+	}
+	if cfg.TotalSteps > 0 {
+		sc.Schedule = stv.WarmupCosine(cfg.WarmupSteps, cfg.TotalSteps, cfg.MinLRFrac)
 	}
 	actFactory, err := cfg.Activation.storeFactory(m, cfg.Tracer)
 	if err != nil {
-		return nil, nil, nil, err
+		return dp.Config{}, err
 	}
-	plan, err := cfg.placementPlan(m)
-	if err != nil {
-		return nil, nil, nil, err
+	if sc.Placement, err = cfg.placementPlan(m, sc); err != nil {
+		return dp.Config{}, err
 	}
 	factory, err := cfg.Offload.storeFactory(cfg.Tracer)
-	if err != nil || plan == nil || factory == nil {
-		return plan, factory, actFactory, err
+	if err != nil {
+		return dp.Config{}, err
 	}
-	// A non-nil factory means the nvme backend, which the placement
-	// re-routes through a tier-aware PlacedStore so only the plan's
-	// NVMe-tier body spills.
-	p := *plan
-	return plan, func(rank int) (stv.BucketStore, error) {
-		return stv.NewPlacedStoreFlash(p, func() (stv.BucketStore, error) { return factory(rank) })
-	}, actFactory, nil
+	dc := dp.Config{Config: sc, NewStore: factory, NewActStore: actFactory}
+	if p := sc.Placement; p != nil && factory != nil {
+		// A non-nil factory means the nvme backend, which the placement
+		// re-routes through a tier-aware PlacedStore so only the plan's
+		// NVMe-tier body spills.
+		dc.NewStore = func(rank int) (stv.BucketStore, error) {
+			return stv.NewPlacedStoreFlash(*p, func() (stv.BucketStore, error) { return factory(rank) })
+		}
+	}
+	return dc, nil
 }
 
 // StoreTelemetry is the flash store's modeled-time accounting (reads,
@@ -496,64 +525,32 @@ type Engine struct {
 	shape         MeshConfig // every axis >= 1
 }
 
-// translate expands an OptimizerConfig into the Adam config, loss scaler,
-// and learning-rate schedule both engines share — one place, so the
-// single-rank and multi-rank engines can never diverge on
-// hyperparameter wiring.
-func (cfg OptimizerConfig) translate() (optim.Config, *optim.LossScaler, func(int) float64) {
-	a := optim.Config{LR: cfg.LR, Beta1: cfg.Beta1, Beta2: cfg.Beta2, Eps: cfg.Eps, WeightDecay: cfg.WeightDecay}
-	if a.LR == 0 {
-		a = optim.DefaultConfig()
-	}
-	var scaler *optim.LossScaler
-	if cfg.LossScaling {
-		scaler = optim.NewLossScaler()
-	}
-	var schedule func(int) float64
-	if cfg.TotalSteps > 0 {
-		schedule = stv.WarmupCosine(cfg.WarmupSteps, cfg.TotalSteps, cfg.MinLRFrac)
-	}
-	return a, scaler, schedule
-}
-
 // Init wraps a model and optimizer into a SuperOffload engine — the
 // counterpart of the paper's `SuperOffload.init(model, optimizer)`.
 func Init(m *Model, cfg OptimizerConfig) (*Engine, error) {
 	if m == nil {
 		return nil, fmt.Errorf("superoffload: nil model")
 	}
-	mode := stv.STV
-	if cfg.Synchronous {
-		mode = stv.STE
-	}
-	plan, factory, actFactory, err := cfg.trainSetup(m)
+	dc, err := cfg.trainSetup(m)
 	if err != nil {
 		return nil, err
 	}
-	var store stv.BucketStore
-	if factory != nil {
-		if store, err = factory(0); err != nil {
+	sc := dc.Config
+	if dc.NewStore != nil {
+		if sc.Store, err = dc.NewStore(0); err != nil {
 			return nil, err
 		}
 	}
-	var actStore *act.Store
-	if actFactory != nil {
-		if actStore, err = actFactory(0); err != nil {
-			if store != nil {
-				store.Close() // the open failure is the error to report
+	if dc.NewActStore != nil {
+		if sc.Act, err = dc.NewActStore(0); err != nil {
+			if sc.Store != nil {
+				sc.Store.Close() // the open failure is the error to report
 			}
 			return nil, err
 		}
 	}
-	a, scaler, schedule := cfg.translate()
-	tr := stv.NewTrainer(m.gpt, stv.Config{
-		Adam: a, ClipNorm: cfg.ClipNorm,
-		BucketElems: cfg.BucketElems, Mode: mode, Scaler: scaler,
-		Schedule: schedule, Store: store, Placement: plan, Act: actStore,
-		Tracer: cfg.Tracer,
-	})
 	return &Engine{
-		t: tr, guard: cfg.newHBMGuard(m, 1, 1), vocab: m.gpt.Cfg.Vocab, maxSeq: m.gpt.MaxSeq,
+		t: stv.NewTrainer(m.gpt, sc), guard: cfg.newHBMGuard(m, 1, 1), vocab: m.gpt.Cfg.Vocab, maxSeq: m.gpt.MaxSeq,
 		shape: MeshConfig{Ranks: 1, SeqRanks: 1, PipeRanks: 1},
 	}, nil
 }
@@ -684,16 +681,6 @@ type DPConfig struct {
 	Ranks int
 }
 
-// SPConfig configures sequence parallelism (§4.7): the paper's
-// long-sequence scenario, where S superchips each hold a contiguous
-// sequence shard and attention head-parallelizes via two all-to-alls per
-// layer per pass.
-type SPConfig struct {
-	// SeqRanks is the sequence-parallel degree S. The model's head count
-	// must divide by S, and every batch's sequence length must too.
-	SeqRanks int
-}
-
 // SPCommStats counts the engine's link traffic (all-to-all
 // payloads/floats, weight-gradient ring hops/floats, stage-boundary
 // sends/floats) — what crosses a link, so a size-1 axis counts nothing
@@ -719,26 +706,12 @@ func InitMesh(m *Model, cfg OptimizerConfig, mc MeshConfig) (*Engine, error) {
 	if m == nil {
 		return nil, fmt.Errorf("superoffload: nil model")
 	}
-	plan, factory, actFactory, err := cfg.trainSetup(m)
+	dc, err := cfg.trainSetup(m)
 	if err != nil {
 		return nil, err
 	}
-	a, scaler, schedule := cfg.translate()
-	e, err := dp.New(m.gpt, dp.Config{
-		Ranks:       mc.Ranks,
-		SeqRanks:    mc.SeqRanks,
-		PipeRanks:   mc.PipeRanks,
-		Adam:        a,
-		ClipNorm:    cfg.ClipNorm,
-		BucketElems: cfg.BucketElems,
-		Synchronous: cfg.Synchronous,
-		Scaler:      scaler,
-		Schedule:    schedule,
-		NewStore:    factory,
-		NewActStore: actFactory,
-		Placement:   plan,
-		Tracer:      cfg.Tracer,
-	})
+	dc.Ranks, dc.SeqRanks, dc.PipeRanks = mc.Ranks, mc.SeqRanks, mc.PipeRanks
+	e, err := dp.New(m.gpt, dc)
 	if err != nil {
 		return nil, err
 	}
@@ -753,12 +726,6 @@ func InitMesh(m *Model, cfg OptimizerConfig, mc MeshConfig) (*Engine, error) {
 // replica (the paper's 2× and 4× GH200 ZeRO-3-style configurations).
 func InitDP(m *Model, cfg OptimizerConfig, dpc DPConfig) (*Engine, error) {
 	return InitMesh(m, cfg, MeshConfig{Ranks: dpc.Ranks})
-}
-
-// InitSP is the sequence-parallel shape preset (SuperOffload-Ulysses,
-// §4.7): S ranks each holding a contiguous sequence shard of every row.
-func InitSP(m *Model, cfg OptimizerConfig, spc SPConfig) (*Engine, error) {
-	return InitMesh(m, cfg, MeshConfig{SeqRanks: spc.SeqRanks})
 }
 
 // InitPipe is InitMesh under the name the 3-D R×S×P callers use.

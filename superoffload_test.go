@@ -464,7 +464,7 @@ var presets = map[string]struct {
 		return InitDP(m, cfg, DPConfig{Ranks: mc.Ranks})
 	}, MeshConfig{Ranks: 2, SeqRanks: 1, PipeRanks: 1}, []MeshConfig{{Ranks: -1}}},
 	"sp": {func(m *Model, cfg OptimizerConfig, mc MeshConfig) (*Engine, error) {
-		return InitSP(m, cfg, SPConfig{SeqRanks: mc.SeqRanks})
+		return InitMesh(m, cfg, MeshConfig{SeqRanks: mc.SeqRanks})
 	}, MeshConfig{Ranks: 1, SeqRanks: 2, PipeRanks: 1}, []MeshConfig{{SeqRanks: -1}, {SeqRanks: 3}}},
 	"mesh": {InitMesh, MeshConfig{Ranks: 2, SeqRanks: 2, PipeRanks: 1},
 		[]MeshConfig{{Ranks: -1, SeqRanks: 2}, {Ranks: 2, SeqRanks: -1}, {Ranks: 2, SeqRanks: 3}}},
@@ -655,28 +655,33 @@ func TestInitRejectsBadAdamHyperparameters(t *testing.T) {
 	}
 }
 
-// TestInitRejectsBadOffloadAndPlacement: offload and placement settings
-// that contradict each other or fall out of range are refused by Init and
-// by a 2-rank InitMesh, with the field named in the error, instead of
-// being silently ignored.
+// TestInitRejectsBadOffloadAndPlacement: offload, activation, placement
+// and bucket settings that contradict each other or fall below their
+// floor are refused by Init and by a 2-rank InitMesh, with the field
+// named in the error, instead of being silently ignored, clamped or
+// defaulted.
 func TestInitRejectsBadOffloadAndPlacement(t *testing.T) {
 	for _, c := range []struct {
 		field string
-		off   OffloadConfig
-		pl    PlacementConfig
+		cfg   OptimizerConfig // over DefaultOptimizer's hyperparameters
 	}{
-		{"Offload.IOPaths", OffloadConfig{Backend: "dram", IOPaths: 4}, PlacementConfig{}},
-		{"Offload.CacheBuckets", OffloadConfig{Backend: "dram", CacheBuckets: 3}, PlacementConfig{}},
-		{"Offload.CacheBuckets", OffloadConfig{Backend: "nvme", CacheBuckets: -1}, PlacementConfig{}},
-		{"Offload.IOPaths", OffloadConfig{Backend: "nvme", IOPaths: -1}, PlacementConfig{}},
-		{"Offload.ResidentBuckets", OffloadConfig{Backend: "nvme", ResidentBuckets: -1}, PlacementConfig{}},
-		{"Placement.GPUBuckets", OffloadConfig{}, PlacementConfig{Mode: "cpu", GPUBuckets: 3}},
-		{"Placement.GPUBuckets", OffloadConfig{}, PlacementConfig{GPUBuckets: 3}},
-		{"Placement.GPUBuckets", OffloadConfig{}, PlacementConfig{Mode: "auto", GPUBuckets: -2}},
+		{"Offload.IOPaths", OptimizerConfig{Offload: OffloadConfig{Backend: "dram", IOPaths: 4}}},
+		{"Offload.CacheBuckets", OptimizerConfig{Offload: OffloadConfig{Backend: "dram", CacheBuckets: 3}}},
+		{"Offload.CacheBuckets", OptimizerConfig{Offload: OffloadConfig{Backend: "nvme", CacheBuckets: -1}}},
+		{"Offload.IOPaths", OptimizerConfig{Offload: OffloadConfig{Backend: "nvme", IOPaths: -1}}},
+		{"Offload.ResidentBuckets", OptimizerConfig{Offload: OffloadConfig{Backend: "nvme", ResidentBuckets: -1}}},
+		{"Offload.ResidentBuckets", OptimizerConfig{Offload: OffloadConfig{Backend: "nvme", ResidentBuckets: 1}}},
+		{"Placement.GPUBuckets", OptimizerConfig{Placement: PlacementConfig{Mode: "cpu", GPUBuckets: 3}}},
+		{"Placement.GPUBuckets", OptimizerConfig{Placement: PlacementConfig{GPUBuckets: 3}}},
+		{"Placement.GPUBuckets", OptimizerConfig{Placement: PlacementConfig{Mode: "auto", GPUBuckets: -2}}},
+		{"BucketElems", OptimizerConfig{BucketElems: -5}},
+		{"Activation.ResidentLayers", OptimizerConfig{Activation: ActivationConfig{Offload: "dram", ResidentLayers: 1}}},
+		{"Activation.ResidentLayers", OptimizerConfig{Activation: ActivationConfig{Offload: "dram", ResidentLayers: -3}}},
+		{"Activation.HBMBudgetBytes", OptimizerConfig{Activation: ActivationConfig{HBMBudgetBytes: -1}}},
 	} {
-		cfg := DefaultOptimizer()
-		cfg.Offload, cfg.Placement = c.off, c.pl
-		if c.off.Backend == "nvme" {
+		cfg, d := c.cfg, DefaultOptimizer()
+		cfg.LR, cfg.Beta1, cfg.Beta2, cfg.Eps, cfg.ClipNorm = d.LR, d.Beta1, d.Beta2, d.Eps, d.ClipNorm
+		if cfg.Offload.Backend == "nvme" {
 			cfg.Offload.Dir = t.TempDir()
 		}
 		check := func(name string, eng *Engine, err error) {
@@ -684,7 +689,7 @@ func TestInitRejectsBadOffloadAndPlacement(t *testing.T) {
 				eng.Close()
 			}
 			if err == nil || !strings.Contains(err.Error(), c.field) {
-				t.Errorf("%s with %+v %+v: error %v, want one naming %s", name, c.off, c.pl, err, c.field)
+				t.Errorf("%s with %+v: error %v, want one naming %s", name, c.cfg, err, c.field)
 			}
 		}
 		eng, err := Init(presetModel(t, 1), cfg)
