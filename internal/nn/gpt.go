@@ -32,12 +32,12 @@ type GPT struct {
 
 	params Params
 
-	// sp is Forward/Backward's single-rank context (its Tap is what
-	// SetActivationTap sets) and cache the one cache they recycle: every
-	// Forward takes over the previous one's arena, so steady-state
-	// training steps allocate almost nothing.
-	sp    SP
-	cache *FwdCache
+	// tap is what SetActivationTap attaches to Forward/Backward, and
+	// lanes their pass: one cache per lane, each taken over by the next
+	// Forward's lane in place, so steady-state training steps allocate
+	// almost nothing.
+	tap   ActivationTap
+	lanes lanes
 }
 
 // NewGPT builds a model with N(0, 0.02) initialization (residual
@@ -59,7 +59,7 @@ func newGPT(cfg model.Config, maxSeq int, randn func(std float32, shape ...int) 
 			cfg.Hidden, cfg.Heads, cfg.Hidden/cfg.Heads))
 	}
 	c := cfg.Hidden
-	g := &GPT{Cfg: cfg, MaxSeq: maxSeq, sp: SP{Ranks: 1}}
+	g := &GPT{Cfg: cfg, MaxSeq: maxSeq}
 	add := func(p *Param) *Param {
 		g.params = append(g.params, p)
 		return p
@@ -120,27 +120,43 @@ func (g *GPT) NumParams() int { return g.params.TotalSize() }
 
 // Forward runs the model over a (batch, seq) token matrix flattened
 // row-major into tokens, computing mean cross-entropy loss against targets
-// (same layout): the S=1, stage 0 of 1 case of ForwardSPStage. Returns the
-// loss; call Backward to populate gradients. The returned cache is the
-// model's one recycled cache — valid until the next Forward.
+// (same layout): the S=1, stage 0 of 1 case of ForwardSPStage, run over
+// min(GOMAXPROCS, batch) lanes of contiguous batch rows at once (one
+// lane with an activation tap attached) with the bits of one (lanes.go).
+// Returns the loss; call Backward to populate gradients. The returned
+// cache is the handle of the model's one recycled pass — valid until the
+// next Forward, and the only cache Backward takes.
 func (g *GPT) Forward(tokens []int, targets []int, batch, seq int) (float64, *FwdCache) {
-	rows, cache := g.ForwardSPStage(tokens, targets, batch, seq, &g.sp, 0, 1, nil, g.cache)
-	g.cache = cache
-	var loss float64
-	for _, l := range rows {
-		loss += l
+	if len(tokens) != batch*seq || len(targets) != batch*seq {
+		panic("nn: token/target shape mismatch")
 	}
-	return loss / float64(len(rows)), cache
+	ls := &g.lanes
+	g.split(batch)
+	ls.tokens, ls.targets, ls.seq = tokens, targets, seq
+	ls.run(laneForward)
+	var loss float64
+	for _, l := range ls.all[:ls.n] {
+		for _, r := range l.losses {
+			loss += r
+		}
+	}
+	return loss / float64(batch*seq), ls.all[0].cache
 }
 
-// Backward accumulates gradients for the iteration captured in cache:
-// BackwardSPStage, then the weight-gradient replay over every row folded
-// straight onto Params().G — so gradient accumulation across micro-batches
-// works by not zeroing between calls, and from zeroed gradients the result
-// is the one-add-at-a-time fold every engine shape reproduces. lossScale
-// multiplies the loss (mixed-precision loss scaling); gradients come out
-// scaled.
+// Backward accumulates gradients for the pass Forward returned cache for:
+// BackwardSPStage on every lane, then the weight-gradient replay over
+// every row folded straight onto Params().G, each parameter over the
+// lanes in row order — so gradient accumulation across micro-batches
+// works by not zeroing between calls, and from zeroed gradients the
+// result is the one-add-at-a-time fold every engine shape reproduces.
+// lossScale multiplies the loss (mixed-precision loss scaling); gradients
+// come out scaled.
 func (g *GPT) Backward(cache *FwdCache, lossScale float64) {
-	g.BackwardSPStage(cache, lossScale, &g.sp, nil)
-	cache.accumRows(func(p *Param) []float32 { return p.G.Data }, 0, cache.batch)
+	ls := &g.lanes
+	if ls.n == 0 || cache != ls.all[0].cache {
+		panic("nn: Backward takes the cache of the model's last Forward")
+	}
+	ls.lossScale = lossScale
+	ls.run(laneBackward)
+	ls.run(laneReplay)
 }

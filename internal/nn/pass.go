@@ -7,7 +7,8 @@ package nn
 // parallelism via two all-to-alls per layer per pass — one turning
 // sequence-sharded Q/K/V projections into head-sharded full-sequence
 // tensors, one turning the head outputs back into sequence shards.
-// GPT.Forward/Backward (gpt.go) are its S=1, stage 0 of 1 case.
+// GPT.Forward/Backward (gpt.go) are its S=1, stage 0 of 1 case, run
+// over lanes of batch rows (lanes.go).
 //
 // Everything outside attention is row-wise (embedding lookup, layernorm,
 // linear, GELU, softmax cross-entropy), so a rank's local activations are
@@ -53,6 +54,10 @@ type SP struct {
 	// one read-only GPT. The fetched buffers stay restored through the
 	// AccumBatchRows weight-gradient replay.
 	Tap ActivationTap
+	// batch, when non-zero, is the row count of the whole batch this pass
+	// runs one lane of (GPT.Forward's lanes, gpt.go): the loss gradient
+	// is normalised by every lane's rows, not by this pass's.
+	batch int
 }
 
 // ValidateSP checks the sequence-parallel sharding arithmetic for this
@@ -104,8 +109,9 @@ type layerCache struct {
 // the AccumBatchRows replay, and owns everything they live in: the
 // workspace arena, the per-layer structs and the per-head pointer
 // slices. Handing a cache back to ForwardSPStage refills all of it in
-// place, so a slot that is forwarded again and again — a model's
-// Forward, a rank's micro-batch m — allocates nothing in steady state.
+// place, so a slot that is forwarded again and again — a lane of a
+// model's Forward, a rank's micro-batch m — allocates nothing in steady
+// state.
 // The arena is per cache, not per model, because sequence ranks may
 // share one GPT's weights across goroutines and a pipeline stage keeps
 // several micro-batches in flight.
@@ -272,7 +278,11 @@ func (g *GPT) ForwardSPStage(tokens, targets []int, batch, localSeq int, sp *SP,
 	}
 	cache.lnfy = layerNorm(ws, x, g.LNFG, g.LNFB, &cache.lnf)
 	logits := linear(ws, cache.lnfy, g.Head, nil)
-	losses, dlogits := crossEntropyRows(ws, logits, targets, batch*globalSeq)
+	globalBatch := batch
+	if sp.batch > 0 {
+		globalBatch = sp.batch
+	}
+	losses, dlogits := crossEntropyRows(ws, logits, targets, globalBatch*globalSeq)
 	cache.dlogit = dlogits
 	return losses, cache
 }
@@ -390,10 +400,36 @@ func (cache *FwdCache) AccumBatchRows(flat []float32, bLo, bHi int) {
 // contributions into the destination next hands out for it — data rows
 // in ascending order, one add at a time.
 func (cache *FwdCache) accumRows(next func(*Param) []float32, bLo, bHi int) {
+	for u := range cache.replayUnits() {
+		cache.accumUnit(next, u, bLo, bHi)
+	}
+}
+
+// replayUnits counts the replay's units — groups of parameters whose
+// folds share no destination, in registration order: the embeddings on
+// stage 0, one per transformer block, and the final layernorm and head
+// on the last stage. Units fold independently of each other, so
+// GPT.Backward hands them to its lanes.
+func (cache *FwdCache) replayUnits() int {
+	n := len(cache.layers)
+	if cache.stage == 0 {
+		n++
+	}
+	if cache.stage == cache.stages-1 {
+		n++
+	}
+	return n
+}
+
+// accumUnit is accumRows for replay unit u alone.
+func (cache *FwdCache) accumUnit(next func(*Param) []float32, u, bLo, bHi int) {
 	g := cache.g
 	lo, hi := bLo*cache.localSeq, bHi*cache.localSeq
-
-	if cache.stage == 0 {
+	if cache.stage > 0 {
+		u++ // unit 0, the embeddings, is stage 0's
+	}
+	switch {
+	case u == 0:
 		// Embeddings (the registration order opens with TokEmb, PosEmb).
 		tok, pos := next(g.TokEmb), next(g.PosEmb)
 		c := g.Cfg.Hidden
@@ -407,12 +443,10 @@ func (cache *FwdCache) accumRows(next func(*Param) []float32, bLo, bHi int) {
 				pe[j] += src[j]
 			}
 		}
-	}
-
-	blo, _ := StageLayers(len(g.Blocks), cache.stage, cache.stages)
-	for i := range cache.layers {
-		blk := g.Blocks[blo+i]
-		lc := &cache.layers[i]
+	case u <= len(cache.layers):
+		blo, _ := StageLayers(len(g.Blocks), cache.stage, cache.stages)
+		blk := g.Blocks[blo+u-1]
+		lc := &cache.layers[u-1]
 		accumLayerNormRows(next(blk.LN1G), next(blk.LN1B), &lc.ln1, lc.dln1y, lo, hi)
 		tensor.TMatMulAccum(next(blk.WQKV), lc.ln1y, lc.dqkv, lo, hi)
 		accumBiasRows(next(blk.BQKV), lc.dqkv, lo, hi)
@@ -423,8 +457,7 @@ func (cache *FwdCache) accumRows(next func(*Param) []float32, bLo, bHi int) {
 		accumBiasRows(next(blk.B1), lc.dh1, lo, hi)
 		tensor.TMatMulAccum(next(blk.W2), lc.hGelu, lc.dh2, lo, hi)
 		accumBiasRows(next(blk.B2), lc.dh2, lo, hi)
-	}
-	if cache.stage == cache.stages-1 {
+	default:
 		accumLayerNormRows(next(g.LNFG), next(g.LNFB), &cache.lnf, cache.dlnfy, lo, hi)
 		tensor.TMatMulAccum(next(g.Head), cache.lnfy, cache.dlogitScaled, lo, hi)
 	}

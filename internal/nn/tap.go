@@ -24,9 +24,9 @@ type ActivationTap interface {
 	FetchLayer(layer int)
 }
 
-// SetActivationTap attaches a tap to Forward/Backward — it is SP.Tap of
-// the model's own single-rank context. Nil detaches.
-func (g *GPT) SetActivationTap(t ActivationTap) { g.sp.Tap = t }
+// SetActivationTap attaches a tap to Forward/Backward — SP.Tap of their
+// one lane, since a tap observes one pass. Nil detaches.
+func (g *GPT) SetActivationTap(t ActivationTap) { g.tap = t }
 
 // actBufs enumerates the block's retained forward buffers for the
 // activation tap: every slice BackwardSPStage and the weight-gradient

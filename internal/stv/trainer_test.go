@@ -2,12 +2,14 @@ package stv
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"superoffload/internal/data"
 	"superoffload/internal/model"
 	"superoffload/internal/nn"
 	"superoffload/internal/optim"
+	"superoffload/internal/stv/stvtest"
 	"superoffload/internal/tensor"
 )
 
@@ -271,6 +273,29 @@ func TestClipRollbackAllocatesNothing(t *testing.T) {
 	if clip > 2*commit {
 		t.Errorf("a clip-rollback step allocates %v times, a commit step %v: the rollback allocates beyond the step body", clip, commit)
 	}
+}
+
+// TestLanedTrainerLeavesNoGoroutine: at two Ps a two-row micro-batch
+// runs the model's forward and backward over two lanes, whose goroutines
+// live only inside each call, so after several accumulated steps, Flush
+// and Close the trainer has left no goroutine behind.
+func TestLanedTrainerLeavesNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	before := runtime.NumGoroutine()
+	tr := NewTrainer(tinyGPT(8), trainerConfig(STV))
+	corpus := data.NewCorpus(64, 77)
+	for i := 0; i < 4; i++ {
+		if _, err := tr.StepAccum([]data.Batch{corpus.NextBatch(2, 8), corpus.NextBatch(2, 8)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stvtest.NoLeakedGoroutines(t, before)
 }
 
 // TestSpeculativeStepOnDirtyBucketPanics: a speculative step reads the
