@@ -145,8 +145,10 @@ type record struct {
 
 // Store spills per-layer forward activations behind a resident window
 // and prefetches them ahead of backward. It implements nn.ActivationTap.
-// All methods are called from the holder's training goroutine; the only
-// concurrency is the lane's IO worker, which never takes the mutex.
+// Its methods are called one call at a time, in protocol order, from
+// whichever of the holder's pass lanes completes the layer (nn's
+// tapMux); the only other concurrency is the IO lane's worker, which
+// never takes the mutex.
 type Store struct {
 	cfg Config
 	// spec is the hardware model charging the virtual clocks: the paper's

@@ -121,8 +121,10 @@ func (g *GPT) NumParams() int { return g.params.TotalSize() }
 // Forward runs the model over a (batch, seq) token matrix flattened
 // row-major into tokens, computing mean cross-entropy loss against targets
 // (same layout): the S=1, stage 0 of 1 case of ForwardSPStage, run over
-// min(GOMAXPROCS, batch) lanes of contiguous batch rows at once (one
-// lane with an activation tap attached) with the bits of one (lanes.go).
+// min(GOMAXPROCS, batch) lanes of contiguous batch rows at once with the
+// bits of one (lanes.go). An attached activation tap sees the lanes as
+// one pass: one BeginPass for the whole batch, then each layer's stash
+// and fetch once, in order, with every lane's buffers (tapMux).
 // Returns the loss; call Backward to populate gradients. The returned
 // cache is the handle of the model's one recycled pass — valid until the
 // next Forward, and the only cache Backward takes.
@@ -132,6 +134,9 @@ func (g *GPT) Forward(tokens []int, targets []int, batch, seq int) (float64, *Fw
 	}
 	ls := &g.lanes
 	g.split(batch)
+	if g.tap != nil {
+		ls.mux.begin(g.tap, ls.all[:ls.n], len(g.Blocks), batch*seq, seq)
+	}
 	ls.tokens, ls.targets, ls.seq = tokens, targets, seq
 	ls.run(laneForward)
 	var loss float64
@@ -157,6 +162,7 @@ func (g *GPT) Backward(cache *FwdCache, lossScale float64) {
 		panic("nn: Backward takes the cache of the model's last Forward")
 	}
 	ls.lossScale = lossScale
+	ls.mux.beginBackward()
 	ls.run(laneBackward)
 	ls.run(laneReplay)
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // GPT.Forward/Backward's lanes. The single-rank pass splits the batch
-// into L = min(GOMAXPROCS, batch) lanes of contiguous batch rows, one
-// activation tap permitting only L = 1, and runs them side by side
-// against the shared read-only weights. The bits are those of one lane:
+// into L = min(GOMAXPROCS, batch) lanes of contiguous batch rows and runs
+// them side by side against the shared read-only weights. The bits are
+// those of one lane:
 //
 //   - forward and the dx backward are row-wise, or per (batch row,
 //     head), so each lane runs ForwardSPStage/BackwardSPStage over its
@@ -20,6 +20,9 @@ import (
 //     chaining every lane's cache in row order, so each gradient element
 //     sees the same one-add-at-a-time fold over ascending rows;
 //   - Forward sums the lanes' row losses in row order.
+//
+// Each lane is its own SP.Tap, through which tapMux shows the model's
+// activation tap the L lanes as the one pass it expects.
 //
 // Lane 0 runs on the caller; lanes 1..L-1 each run one goroutine per
 // phase, started as `go l.fn()` from a body built once (a go statement
@@ -40,6 +43,10 @@ type lane struct {
 	losses   []float64
 	fn       func() // the goroutine body: work, then report to the pass
 	failed   any    // a panic recovered on the lane's goroutine
+
+	// stashed holds, per layer, the buffers the lane stashed this pass —
+	// its part of what tapMux hands the model's tap.
+	stashed [][][]float32
 }
 
 type lanePhase uint8
@@ -61,6 +68,8 @@ type lanes struct {
 	seq             int
 	lossScale       float64
 
+	mux tapMux
+
 	// want, when > 0, replaces GOMAXPROCS as the lane count — a seam for
 	// tests that drive every count on any host.
 	want int
@@ -74,9 +83,6 @@ func (g *GPT) split(batch int) {
 	n := runtime.GOMAXPROCS(0)
 	if ls.want > 0 {
 		n = ls.want
-	}
-	if g.tap != nil {
-		n = 1 // the tap observes one pass
 	}
 	n = max(1, min(n, batch))
 	for len(ls.all) < n {
@@ -97,6 +103,9 @@ func (g *GPT) split(batch int) {
 	u, cum := 0, 0
 	for i, l := range ls.all[:n] {
 		l.sp = SP{Ranks: 1, batch: batch}
+		if g.tap != nil {
+			l.sp.Tap = l
+		}
 		l.bLo, l.bHi = i*batch/n, (i+1)*batch/n
 		// A unit goes to the lane whose 1/n share of the work holds the
 		// unit's midpoint.
@@ -105,7 +114,6 @@ func (g *GPT) split(batch int) {
 		}
 		l.uHi = u
 	}
-	ls.all[0].sp.Tap = g.tap
 }
 
 // replayCost is the one-stage replay unit u's work per data row: the
@@ -174,3 +182,131 @@ func (l *lane) work() {
 // paramGrad is the replay destination of GPT.Backward: the parameter's
 // own gradient.
 func paramGrad(p *Param) []float32 { return p.G.Data }
+
+// tapMux presents a pass's lanes to the model's ActivationTap as one
+// pass, making exactly the calls a one-lane pass makes:
+//
+//   - Forward opens the pass (begin) before the lanes start; a lane's own
+//     BeginPass does nothing;
+//   - the last lane to stash layer l hands the tap every lane's buffers
+//     for it, in lane order. That lane reaches layer l+1 only after the
+//     call returns, so layers arrive in ascending order, and no lane ever
+//     waits: when the tap spills layer l-W, every lane is past layer l;
+//   - the first lane to reach FetchLayer(l) makes the call and the others
+//     wait for it to return. Every buffer is in exactly one layer's list
+//     (actBufs), so restoring layer l touches nothing a lane still on
+//     layer l+1 reads, and the fetch of l-1 follows that of l.
+//
+// The real calls run outside mu, one at a time: each is ordered after the
+// previous one through mu, so the tap needs no locking of its own. A
+// panic in one of them is latched and raised, with the same value, on
+// every lane that calls in after it or waits on it, so no lane hangs and
+// lanes.join reports the root cause whichever lane it picks.
+type tapMux struct {
+	tap     ActivationTap
+	mu      sync.Mutex
+	fetched sync.Cond     // broadcast whenever a call into the tap returns
+	stashes []int         // per layer: lanes that have stashed it this pass
+	bufs    [][][]float32 // per layer: every lane's buffers, in lane order
+
+	// Backward fetches the layers top down: every layer above fetchNext
+	// is restored, and fetching says a lane is in its FetchLayer.
+	fetchNext int
+	fetching  bool
+	failed    any // the panic of a call into the tap this pass
+}
+
+// begin opens a pass of the given depth over the lanes on the tap.
+func (m *tapMux) begin(tap ActivationTap, lanes []*lane, layers, tokens, seq int) {
+	m.tap, m.failed = tap, nil
+	m.fetched.L = &m.mu
+	if len(m.stashes) != layers {
+		m.stashes = make([]int, layers)
+		m.bufs = make([][][]float32, layers)
+	}
+	clear(m.stashes)
+	for _, l := range lanes {
+		if len(l.stashed) != layers {
+			l.stashed = make([][][]float32, layers)
+		}
+	}
+	tap.BeginPass(layers, tokens, seq)
+}
+
+// beginBackward readies the fetches of a Backward of the pass.
+func (m *tapMux) beginBackward() {
+	m.fetchNext, m.fetching, m.failed = len(m.stashes)-1, false, nil
+}
+
+// settle ends a call into the tap: it latches the panic unwinding through
+// the call, if any, moves a fetch on and wakes the lanes waiting on it.
+func (m *tapMux) settle(fetch bool) {
+	r := recover()
+	m.mu.Lock()
+	if r != nil {
+		m.failed = r
+	} else if fetch {
+		m.fetchNext--
+	}
+	m.fetching = false
+	m.fetched.Broadcast()
+	m.mu.Unlock()
+	if r != nil {
+		panic(r)
+	}
+}
+
+// raiseLocked unlocks mu and, if a call into the tap has failed this
+// pass, raises its panic on the calling lane.
+func (m *tapMux) raiseLocked() {
+	failed := m.failed
+	m.mu.Unlock()
+	if failed != nil {
+		panic(failed)
+	}
+}
+
+// BeginPass is the lane's part of the pass tapMux.begin opened: nothing.
+func (l *lane) BeginPass(layers, tokens, seq int) {}
+
+// StashLayer records the lane's buffers for the layer; the last lane to
+// stash it hands the tap every lane's.
+func (l *lane) StashLayer(layer int, bufs [][]float32) {
+	ls := &l.g.lanes
+	m := &ls.mux
+	l.stashed[layer] = bufs
+	m.mu.Lock()
+	m.stashes[layer]++
+	last := m.stashes[layer] == ls.n
+	m.raiseLocked()
+	if !last {
+		return
+	}
+	all := m.bufs[layer][:0]
+	for _, o := range ls.all[:ls.n] {
+		all = append(all, o.stashed[layer]...)
+	}
+	m.bufs[layer] = all
+	defer m.settle(false)
+	m.tap.StashLayer(layer, all)
+}
+
+// FetchLayer returns once the tap has restored the layer: the first lane
+// to reach it makes the call, the others wait for it.
+func (l *lane) FetchLayer(layer int) {
+	m := &l.g.lanes.mux
+	m.mu.Lock()
+	for m.fetching && layer == m.fetchNext {
+		m.fetched.Wait()
+	}
+	first := layer == m.fetchNext && m.failed == nil
+	if first {
+		m.fetching = true
+	}
+	m.raiseLocked()
+	if !first {
+		return
+	}
+	defer m.settle(true)
+	m.tap.FetchLayer(layer)
+}

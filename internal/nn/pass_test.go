@@ -290,8 +290,13 @@ func TestPassAllocatesNothingPerLayerOrHead(t *testing.T) {
 		if got := testing.AllocsPerRun(5, single); got > want {
 			t.Errorf("%s: tapped single-rank pass allocates %v, want <= %v", cfg.Name, got, want)
 		}
-		if tap.fetched == 0 || tap.stashed != tap.fetched*(11+4*batch*cfg.Heads) {
-			t.Errorf("%s: tap saw %d buffers over %d layer fetches", cfg.Name, tap.stashed, tap.fetched)
+		// AllocsPerRun runs at one P, so count the buffers of a pass at
+		// this P's lane count: 11 per layer and lane, plus q, k, v and
+		// probs per batch row and head.
+		*tap = countingTap{}
+		single()
+		if lanes := g.lanes.n; tap.fetched != cfg.Layers || tap.stashed != tap.fetched*(11*lanes+4*batch*cfg.Heads) {
+			t.Errorf("%s: tap saw %d buffers over %d layer fetches of a %d-lane pass", cfg.Name, tap.stashed, tap.fetched, lanes)
 		}
 		g.SetActivationTap(nil)
 

@@ -24,8 +24,8 @@ type ActivationTap interface {
 	FetchLayer(layer int)
 }
 
-// SetActivationTap attaches a tap to Forward/Backward — SP.Tap of their
-// one lane, since a tap observes one pass. Nil detaches.
+// SetActivationTap attaches a tap to Forward/Backward, which present
+// their lanes to it as one pass (tapMux, lanes.go). Nil detaches.
 func (g *GPT) SetActivationTap(t ActivationTap) { g.tap = t }
 
 // actBufs enumerates the block's retained forward buffers for the

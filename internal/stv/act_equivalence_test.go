@@ -1,6 +1,7 @@
 package stv
 
 import (
+	"runtime"
 	"testing"
 
 	"superoffload/internal/act"
@@ -22,7 +23,10 @@ func actGPT(seed uint64) *nn.GPT {
 // tier reproduces the resident trainer bit for bit — across the clip
 // rollback, the NaN skip and the redo-forwards that abandon a
 // half-spilled pass — with real spill traffic the double buffer hides.
+// At two Ps the model's two-row passes run two lanes under the tap on any
+// host.
 func TestTrainerActBitExact(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, tier := range []act.Tier{act.DRAM, act.NVMe} {
 		t.Run(tier.String(), func(t *testing.T) {
 			st, err := act.NewStore(act.Config{

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"superoffload/internal/act"
 	"superoffload/internal/data"
 	"superoffload/internal/model"
 	"superoffload/internal/nn"
@@ -277,25 +278,46 @@ func TestClipRollbackAllocatesNothing(t *testing.T) {
 
 // TestLanedTrainerLeavesNoGoroutine: at two Ps a two-row micro-batch
 // runs the model's forward and backward over two lanes, whose goroutines
-// live only inside each call, so after several accumulated steps, Flush
-// and Close the trainer has left no goroutine behind.
+// live only inside each call — with activations resident, and spilling
+// to the NVMe tier under the lanes' tap multiplexer — so after several
+// accumulated steps, Flush and Close the trainer has left no goroutine
+// behind, the store's IO worker included.
 func TestLanedTrainerLeavesNoGoroutine(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	before := runtime.NumGoroutine()
-	tr := NewTrainer(tinyGPT(8), trainerConfig(STV))
-	corpus := data.NewCorpus(64, 77)
-	for i := 0; i < 4; i++ {
-		if _, err := tr.StepAccum([]data.Batch{corpus.NextBatch(2, 8), corpus.NextBatch(2, 8)}); err != nil {
+	for _, spill := range []bool{false, true} {
+		before := runtime.NumGoroutine()
+		m, cfg := tinyGPT(8), trainerConfig(STV)
+		if spill {
+			m = actGPT(8)
+			st, err := act.NewStore(act.Config{
+				Tier: act.NVMe, Dir: t.TempDir(), ResidentLayers: 2,
+				Hidden: 32, Params: int64(m.NumParams()),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Act = st
+		}
+		tr := NewTrainer(m, cfg)
+		corpus := data.NewCorpus(64, 77)
+		for i := 0; i < 4; i++ {
+			if _, err := tr.StepAccum([]data.Batch{corpus.NextBatch(2, 8), corpus.NextBatch(2, 8)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tr.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		if spill {
+			if tel := cfg.Act.Telemetry(); tel.Spills == 0 || tel.Fetches == 0 {
+				t.Fatalf("the act tier spilled nothing: %+v", tel)
+			}
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		stvtest.NoLeakedGoroutines(t, before)
 	}
-	if _, err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	stvtest.NoLeakedGoroutines(t, before)
 }
 
 // TestSpeculativeStepOnDirtyBucketPanics: a speculative step reads the
