@@ -82,12 +82,16 @@ func checkFlags() []string {
 		if !ok || pkg.Name != "flag" {
 			return true
 		}
-		switch sel.Sel.Name {
+		kind, arg := sel.Sel.Name, 0 // flag.Int("name", …)
+		if k, ok := strings.CutSuffix(kind, "Var"); ok && len(call.Args) > 1 {
+			kind, arg = k, 1 // flag.IntVar(&v, "name", …)
+		}
+		switch kind {
 		case "Bool", "Duration", "Float64", "Int", "Int64", "String", "Uint", "Uint64":
 		default:
 			return true
 		}
-		lit, ok := call.Args[0].(*ast.BasicLit)
+		lit, ok := call.Args[arg].(*ast.BasicLit)
 		if !ok || lit.Kind != token.STRING {
 			return true
 		}

@@ -37,6 +37,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
+	"strings"
 
 	"superoffload"
 	"superoffload/internal/hw"
@@ -75,118 +77,132 @@ type usageErr struct{ msg string }
 
 func (e usageErr) Error() string { return "supertrain: " + e.msg }
 
-// usageError builds a usageErr from a format string.
-func usageError(format string, args ...any) error {
-	return usageErr{msg: fmt.Sprintf(format, args...)}
+// flagUsage is the usageErr for a flag holding value, which should be want.
+func flagUsage(flag string, value any, want string) error {
+	return usageErr{msg: fmt.Sprintf("%s %#v: want %s", flag, value, want)}
 }
 
-// trainFlags carries the parsed flag values by name, so every
-// validation check reads the field it means (a positional int list
-// would make argument swaps invisible to the compiler).
+// trainFlags holds the parsed flags; run binds each flag to its field.
 type trainFlags struct {
 	steps, layers, hidden, heads, vocab   int
 	batch, seq, ranks, seqRanks, pipeRank int
 	resident, bucketElems, gpuBuckets     int
 	actResident                           int
 	ioPaths, dramCache                    int
+	clip                                  float64
+	seed                                  uint64
 	mode, offload, placement              string
-	actOffload                            string
+	actOffload, offloadDir, actDir        string
 }
 
-// validate rejects incompatible flag combinations before any engine
-// construction. Divisibility rules: -batch must divide by -ranks (rows
-// split across data-parallel groups), -seq by -seq-ranks (positions
-// split within a group), -hidden by the effective head count, and the
-// head count by -seq-ranks (heads shard across sequence ranks);
-// -pipe-ranks needs at least that many -layers (each pipeline stage
-// owns at least one transformer block).
+// validate rejects what only the flags can get wrong: the enumerated
+// string flags, a -steps below 1 (no facade type holds it), and a 0 in a
+// count flag that the facade would read as "pick the default". Every
+// other rule is the facade's, and start turns its *ConfigError into a
+// usage message naming the flag.
 func (f trainFlags) validate() error {
-	if f.steps < 1 {
-		return usageError("-steps must be >= 1, got %d", f.steps)
-	}
-	if f.layers < 1 || f.hidden < 8 || f.vocab < 2 {
-		return usageError("model too small: need -layers >= 1, -hidden >= 8, -vocab >= 2 (got %d, %d, %d)", f.layers, f.hidden, f.vocab)
-	}
-	if f.batch < 1 || f.seq < 1 {
-		return usageError("-batch and -seq must be >= 1, got %d and %d", f.batch, f.seq)
-	}
-	if f.mode != "stv" && f.mode != "ste" {
-		return usageError("unknown -mode %q (want stv or ste)", f.mode)
-	}
-	if f.offload != "dram" && f.offload != "nvme" {
-		return usageError("unknown -offload %q (want dram or nvme)", f.offload)
-	}
-	switch f.actOffload {
-	case "", "dram", "nvme":
-	default:
-		return usageError("unknown -act-offload %q (want dram or nvme)", f.actOffload)
-	}
-	if f.actResident < hw.ActMinResidentLayers {
-		return usageError("-act-resident-layers must be >= %d (the activation store's minimum write-behind window), got %d", hw.ActMinResidentLayers, f.actResident)
-	}
-	switch f.placement {
-	case "", "auto", "cpu", "gpu":
-	default:
-		return usageError("unknown -placement %q (want auto, cpu, or gpu)", f.placement)
-	}
-	if f.gpuBuckets < 0 {
-		return usageError("-gpu-buckets must be >= 0, got %d", f.gpuBuckets)
-	}
-	if f.gpuBuckets > 0 && f.placement != "auto" {
-		return usageError("-gpu-buckets requires -placement auto (got -placement %q)", f.placement)
-	}
-	if f.resident < stv.MinResidentBuckets {
-		return usageError("-resident-buckets must be >= %d (the flash store's minimum window), got %d", stv.MinResidentBuckets, f.resident)
-	}
-	if f.ioPaths < 1 {
-		return usageError("-io-paths must be >= 1, got %d", f.ioPaths)
-	}
-	if f.dramCache < 0 {
-		return usageError("-dram-cache-buckets must be >= 0, got %d", f.dramCache)
-	}
-	if (f.ioPaths > 1 || f.dramCache > 0) && f.offload != "nvme" {
-		return usageError("-io-paths/-dram-cache-buckets configure the flash tier and require -offload nvme (got -offload %q)", f.offload)
-	}
-	if f.bucketElems < 0 {
-		return usageError("-bucket-elems must be >= 0, got %d", f.bucketElems)
-	}
-	if f.ranks < 1 {
-		return usageError("-ranks must be >= 1, got %d", f.ranks)
-	}
-	if f.seqRanks < 1 {
-		return usageError("-seq-ranks must be >= 1, got %d", f.seqRanks)
-	}
-	if f.pipeRank < 1 {
-		return usageError("-pipe-ranks must be >= 1, got %d", f.pipeRank)
-	}
-	if f.layers < f.pipeRank {
-		return usageError("-layers %d fewer than -pipe-ranks %d (each pipeline stage needs at least one transformer block)", f.layers, f.pipeRank)
-	}
-	if f.heads < 0 {
-		return usageError("-heads must be >= 0, got %d", f.heads)
-	}
-	// Mirror NewModel's defaulting so the divisibility checks see the
-	// head count the engine will actually use.
-	effHeads := f.heads
-	if effHeads == 0 {
-		effHeads = f.hidden / 64
-		if effHeads < 1 {
-			effHeads = 1
+	for _, e := range []struct {
+		flag, value string
+		want        []string
+	}{
+		{"-mode", f.mode, []string{"stv", "ste"}},
+		{"-offload", f.offload, []string{"dram", "nvme"}},
+		{"-act-offload", f.actOffload, []string{"", "dram", "nvme"}},
+		{"-placement", f.placement, []string{"", "auto", "cpu", "gpu"}},
+	} {
+		if !slices.Contains(e.want, e.value) {
+			return flagUsage(e.flag, e.value, fmt.Sprintf("one of %q", e.want))
 		}
 	}
-	if f.hidden%effHeads != 0 {
-		return usageError("-hidden %d not divisible by %d heads", f.hidden, effHeads)
-	}
-	if effHeads%f.seqRanks != 0 {
-		return usageError("%d attention heads not divisible by -seq-ranks %d", effHeads, f.seqRanks)
-	}
-	if f.batch%f.ranks != 0 {
-		return usageError("-batch %d not divisible by -ranks %d", f.batch, f.ranks)
-	}
-	if f.seq%f.seqRanks != 0 {
-		return usageError("-seq %d not divisible by -seq-ranks %d", f.seq, f.seqRanks)
+	for _, c := range []struct {
+		flag  string
+		value int
+	}{
+		{"-steps", f.steps}, {"-batch", f.batch}, {"-seq", f.seq}, {"-ranks", f.ranks}, {"-seq-ranks", f.seqRanks},
+		{"-pipe-ranks", f.pipeRank}, {"-io-paths", f.ioPaths}, {"-resident-buckets", f.resident},
+		{"-act-resident-layers", f.actResident},
+	} {
+		if c.value < 1 {
+			return flagUsage(c.flag, c.value, ">= 1")
+		}
 	}
 	return nil
+}
+
+// fieldFlags names the flag behind each facade field the command sets.
+var fieldFlags = map[string]string{
+	"ModelConfig.Layers": "-layers", "ModelConfig.Hidden": "-hidden", "ModelConfig.Heads": "-heads",
+	"ModelConfig.Vocab": "-vocab", "ModelConfig.MaxSeq": "-seq",
+	"OptimizerConfig.ClipNorm": "-clip", "OptimizerConfig.BucketElems": "-bucket-elems",
+	"OptimizerConfig.Offload.Backend": "-offload", "OptimizerConfig.Offload.ResidentBuckets": "-resident-buckets",
+	"OptimizerConfig.Offload.IOPaths": "-io-paths", "OptimizerConfig.Offload.CacheBuckets": "-dram-cache-buckets",
+	"OptimizerConfig.Placement.Mode": "-placement", "OptimizerConfig.Placement.GPUBuckets": "-gpu-buckets",
+	"OptimizerConfig.Placement.Batch": "-batch", "OptimizerConfig.Placement.Seq": "-seq",
+	"OptimizerConfig.Activation.Offload": "-act-offload", "OptimizerConfig.Activation.ResidentLayers": "-act-resident-layers",
+	"MeshConfig.Ranks": "-ranks", "MeshConfig.SeqRanks": "-seq-ranks", "MeshConfig.PipeRanks": "-pipe-ranks",
+	"Batch.BatchSize": "-batch", "Batch.Seq": "-seq",
+}
+
+// fieldsToFlags rewrites the field paths in a ConfigError's Want as flags.
+var fieldsToFlags = func() *strings.Replacer {
+	var pairs []string
+	for field, flag := range fieldFlags {
+		pairs = append(pairs, field, flag)
+	}
+	return strings.NewReplacer(pairs...)
+}()
+
+// flagError turns a *superoffload.ConfigError on a field a flag sets
+// into that flag's usageErr; any other error passes through.
+func flagError(err error) error {
+	var ce *superoffload.ConfigError
+	if errors.As(err, &ce) {
+		if flag, ok := fieldFlags[ce.Field]; ok {
+			return flagUsage(flag, ce.Value, fieldsToFlags.Replace(ce.Want))
+		}
+	}
+	return err
+}
+
+// start validates the flags and builds the model and the engine they
+// describe, the single-rank one for a 1×1×1 shape; a configuration the
+// facade refuses comes back as a usageErr naming the flag.
+func (f trainFlags) start(tracer *superoffload.Tracer) (*superoffload.Model, *superoffload.Engine, error) {
+	if err := f.validate(); err != nil {
+		return nil, nil, err
+	}
+	cfg := superoffload.DefaultOptimizer()
+	cfg.ClipNorm = f.clip
+	cfg.Synchronous = f.mode == "ste"
+	cfg.LossScaling = true
+	cfg.BucketElems = f.bucketElems
+	cfg.Offload = superoffload.OffloadConfig{
+		Backend: f.offload, Dir: f.offloadDir, ResidentBuckets: f.resident,
+		IOPaths: f.ioPaths, CacheBuckets: f.dramCache,
+	}
+	cfg.Placement = superoffload.PlacementConfig{
+		Mode: f.placement, GPUBuckets: f.gpuBuckets, Batch: f.batch, Seq: f.seq,
+	}
+	cfg.Activation = superoffload.ActivationConfig{
+		Offload: f.actOffload, Dir: f.actDir, ResidentLayers: f.actResident,
+	}
+	cfg.Tracer = tracer
+	model, err := superoffload.NewModel(superoffload.ModelConfig{
+		Layers: f.layers, Hidden: f.hidden, Heads: f.heads, Vocab: f.vocab, MaxSeq: f.seq,
+	}, f.seed)
+	if err != nil {
+		return nil, nil, flagError(err)
+	}
+	var eng *superoffload.Engine
+	if f.ranks == 1 && f.seqRanks == 1 && f.pipeRank == 1 {
+		eng, err = superoffload.Init(model, cfg)
+	} else {
+		eng, err = superoffload.InitMesh(model, cfg, superoffload.MeshConfig{Ranks: f.ranks, SeqRanks: f.seqRanks, PipeRanks: f.pipeRank})
+	}
+	if err != nil {
+		return nil, nil, flagError(err)
+	}
+	return model, eng, nil
 }
 
 // jsonReport is the machine-readable run summary -json emits on stdout:
@@ -210,98 +226,57 @@ type jsonReport struct {
 }
 
 func run() (err error) {
-	steps := flag.Int("steps", 300, "training iterations")
-	layers := flag.Int("layers", 2, "transformer layers")
-	hidden := flag.Int("hidden", 64, "hidden size")
-	heads := flag.Int("heads", 0, "attention heads (0: hidden/64, min 1; must divide hidden and -seq-ranks must divide it)")
-	vocab := flag.Int("vocab", 128, "vocabulary size")
-	batch := flag.Int("batch", 4, "global batch size (must divide by -ranks)")
-	seq := flag.Int("seq", 16, "sequence length (must divide by -seq-ranks)")
-	mode := flag.String("mode", "stv", "schedule: stv (speculative) or ste (synchronous)")
-	clip := flag.Float64("clip", 4.0, "global gradient-norm clip (0 disables)")
-	ranks := flag.Int("ranks", 1, "simulated superchip ranks (data parallelism; with -seq-ranks > 1, the mesh's group count)")
-	seqRanks := flag.Int("seq-ranks", 1, "simulated superchip ranks (Ulysses sequence parallelism; with -ranks > 1, per-group)")
-	pipeRanks := flag.Int("pipe-ranks", 1, "simulated superchip ranks (pipeline parallelism: 1F1B stages per column; -layers must be >= this)")
-	seed := flag.Uint64("seed", 42, "initialization seed")
-	offload := flag.String("offload", "dram", "optimizer-state tier: dram (resident) or nvme (file-backed window)")
-	offloadDir := flag.String("offload-dir", "", "directory for nvme backing files (default: system temp)")
-	resident := flag.Int("resident-buckets", stv.MinResidentBuckets, "nvme store resident-bucket window (the default is the floor)")
-	ioPaths := flag.Int("io-paths", 1, "independently scheduled nvme flash paths: >1 stripes bucket records across per-path files (multi-path store; requires -offload nvme)")
-	dramCache := flag.Int("dram-cache-buckets", 0, "DRAM cache tier in front of the nvme store, in buckets (0 disables; requires -offload nvme)")
-	actOffload := flag.String("act-offload", "", "activation spill tier: dram (host cache over C2C), nvme (file-backed), or empty (activations stay resident)")
-	actDir := flag.String("act-dir", "", "directory for nvme activation backing files (default: system temp)")
-	actResident := flag.Int("act-resident-layers", hw.ActMinResidentLayers, "activation write-behind window: layers kept resident with -act-offload (the default is the floor)")
-	bucketElems := flag.Int("bucket-elems", 0, "per-bucket element budget (0: the 64 MB default; shrink so toy models split into several buckets)")
-	placement := flag.String("placement", "", "bucket placement: auto (GPU-retained tail, §4.3), cpu, gpu, or empty (homogeneous)")
-	gpuBuckets := flag.Int("gpu-buckets", 0, "pin the GPU-retained bucket tail in -placement auto (0: derive by grid search)")
+	var f trainFlags
+	flag.IntVar(&f.steps, "steps", 300, "training iterations")
+	flag.IntVar(&f.layers, "layers", 2, "transformer layers")
+	flag.IntVar(&f.hidden, "hidden", 64, "hidden size")
+	flag.IntVar(&f.heads, "heads", 0, "attention heads (0: hidden/64, min 1; must divide hidden and -seq-ranks must divide it)")
+	flag.IntVar(&f.vocab, "vocab", 128, "vocabulary size")
+	flag.IntVar(&f.batch, "batch", 4, "global batch size (must divide by -ranks)")
+	flag.IntVar(&f.seq, "seq", 16, "sequence length (must divide by -seq-ranks)")
+	flag.StringVar(&f.mode, "mode", "stv", "schedule: stv (speculative) or ste (synchronous)")
+	flag.Float64Var(&f.clip, "clip", 4.0, "global gradient-norm clip (0 disables)")
+	flag.IntVar(&f.ranks, "ranks", 1, "simulated superchip ranks (data parallelism; with -seq-ranks > 1, the mesh's group count)")
+	flag.IntVar(&f.seqRanks, "seq-ranks", 1, "simulated superchip ranks (Ulysses sequence parallelism; with -ranks > 1, per-group)")
+	flag.IntVar(&f.pipeRank, "pipe-ranks", 1, "simulated superchip ranks (pipeline parallelism: 1F1B stages per column; -layers must be >= this)")
+	flag.Uint64Var(&f.seed, "seed", 42, "initialization seed")
+	flag.StringVar(&f.offload, "offload", "dram", "optimizer-state tier: dram (resident) or nvme (file-backed window)")
+	flag.StringVar(&f.offloadDir, "offload-dir", "", "directory for nvme backing files (default: system temp)")
+	flag.IntVar(&f.resident, "resident-buckets", stv.MinResidentBuckets, "nvme store resident-bucket window (the default is the floor)")
+	flag.IntVar(&f.ioPaths, "io-paths", 1, "independently scheduled nvme flash paths: >1 stripes bucket records across per-path files (multi-path store; requires -offload nvme)")
+	flag.IntVar(&f.dramCache, "dram-cache-buckets", 0, "DRAM cache tier in front of the nvme store, in buckets (0 disables; requires -offload nvme)")
+	flag.StringVar(&f.actOffload, "act-offload", "", "activation spill tier: dram (host cache over C2C), nvme (file-backed), or empty (activations stay resident)")
+	flag.StringVar(&f.actDir, "act-dir", "", "directory for nvme activation backing files (default: system temp)")
+	flag.IntVar(&f.actResident, "act-resident-layers", hw.ActMinResidentLayers, "activation write-behind window: layers kept resident with -act-offload (the default is the floor)")
+	flag.IntVar(&f.bucketElems, "bucket-elems", 0, "per-bucket element budget (0: the 64 MB default; shrink so toy models split into several buckets)")
+	flag.StringVar(&f.placement, "placement", "", "bucket placement: auto (GPU-retained tail, §4.3), cpu, gpu, or empty (homogeneous)")
+	flag.IntVar(&f.gpuBuckets, "gpu-buckets", 0, "pin the GPU-retained bucket tail in -placement auto (0: derive by grid search)")
 	jsonOut := flag.Bool("json", false, "emit final stats and telemetry as JSON on stdout (suppresses the human progress log)")
 	traceOut := flag.String("trace", "", "write the run's Chrome trace-event JSON to this file (open in Perfetto or chrome://tracing; one track per rank, store worker, and comm plane)")
 	obsAddr := flag.String("obs-addr", "", "serve /metrics, /trace, and /debug/pprof on this address during the run (e.g. localhost:6060; the bound address is logged)")
 	flag.Parse()
 
-	if err := (trainFlags{
-		steps: *steps, layers: *layers, hidden: *hidden, heads: *heads, vocab: *vocab,
-		batch: *batch, seq: *seq, ranks: *ranks, seqRanks: *seqRanks, pipeRank: *pipeRanks,
-		resident: *resident, bucketElems: *bucketElems, gpuBuckets: *gpuBuckets,
-		actResident: *actResident,
-		ioPaths:     *ioPaths, dramCache: *dramCache,
-		mode: *mode, offload: *offload, placement: *placement,
-		actOffload: *actOffload,
-	}).validate(); err != nil {
-		return err
-	}
-
-	model, err := superoffload.NewModel(superoffload.ModelConfig{
-		Layers: *layers, Hidden: *hidden, Heads: *heads, Vocab: *vocab, MaxSeq: *seq,
-	}, *seed)
-	if err != nil {
-		return err
-	}
-	cfg := superoffload.DefaultOptimizer()
-	cfg.ClipNorm = *clip
-	cfg.Synchronous = *mode == "ste"
-	cfg.LossScaling = true
-	cfg.BucketElems = *bucketElems
-	cfg.Offload = superoffload.OffloadConfig{
-		Backend: *offload, Dir: *offloadDir, ResidentBuckets: *resident,
-		IOPaths: *ioPaths, CacheBuckets: *dramCache,
-	}
-	cfg.Placement = superoffload.PlacementConfig{
-		Mode: *placement, GPUBuckets: *gpuBuckets, Batch: *batch, Seq: *seq,
-	}
-	cfg.Activation = superoffload.ActivationConfig{
-		Offload: *actOffload, Dir: *actDir, ResidentLayers: *actResident,
-	}
 	// Tracing turns on when anything consumes it: a trace file or the
 	// live /trace endpoint. Nil otherwise — the engines' zero-cost mode.
 	var tracer *superoffload.Tracer
 	if *traceOut != "" || *obsAddr != "" {
 		tracer = superoffload.NewTracer()
 	}
-	cfg.Tracer = tracer
-
-	var eng *superoffload.Engine
-	parallelism := "1 rank"
-	if *ranks == 1 && *seqRanks == 1 && *pipeRanks == 1 {
-		eng, err = superoffload.Init(model, cfg)
-	} else {
-		eng, err = superoffload.InitMesh(model, cfg, superoffload.MeshConfig{
-			Ranks: *ranks, SeqRanks: *seqRanks, PipeRanks: *pipeRanks,
-		})
-		switch {
-		case *pipeRanks > 1:
-			parallelism = fmt.Sprintf("%d×%d×%d 3-D engine (%d DP groups × %d SP ranks × %d pipeline stages)",
-				*ranks, *seqRanks, *pipeRanks, *ranks, *seqRanks, *pipeRanks)
-		case *ranks > 1 && *seqRanks > 1:
-			parallelism = fmt.Sprintf("%d×%d mesh (%d DP groups × %d SP ranks)", *ranks, *seqRanks, *ranks, *seqRanks)
-		case *ranks > 1:
-			parallelism = fmt.Sprintf("%d DP rank(s)", *ranks)
-		default:
-			parallelism = fmt.Sprintf("%d SP rank(s)", *seqRanks)
-		}
-	}
+	model, eng, err := f.start(tracer)
 	if err != nil {
 		return err
+	}
+	parallelism := "1 rank"
+	switch {
+	case f.pipeRank > 1:
+		parallelism = fmt.Sprintf("%d×%d×%d 3-D engine (%d DP groups × %d SP ranks × %d pipeline stages)",
+			f.ranks, f.seqRanks, f.pipeRank, f.ranks, f.seqRanks, f.pipeRank)
+	case f.ranks > 1 && f.seqRanks > 1:
+		parallelism = fmt.Sprintf("%d×%d mesh (%d DP groups × %d SP ranks)", f.ranks, f.seqRanks, f.ranks, f.seqRanks)
+	case f.ranks > 1:
+		parallelism = fmt.Sprintf("%d DP rank(s)", f.ranks)
+	case f.seqRanks > 1:
+		parallelism = fmt.Sprintf("%d SP rank(s)", f.seqRanks)
 	}
 	// Close surfaces latched NVMe background-IO failures; dropping its
 	// error would let a corrupted-run signal vanish silently, so it joins
@@ -329,17 +304,17 @@ func run() (err error) {
 
 	if !*jsonOut {
 		fmt.Printf("supertrain: %d params in %d buckets, %s schedule, %s, %s offload\n",
-			model.NumParams(), eng.NumBuckets(), *mode, parallelism, *offload)
+			model.NumParams(), eng.NumBuckets(), f.mode, parallelism, f.offload)
 	}
 
-	corpus := superoffload.NewCorpus(*vocab, *seed+1)
+	corpus := superoffload.NewCorpus(f.vocab, f.seed+1)
 	var loss float64
-	for i := 1; i <= *steps; i++ {
-		loss, err = eng.Step(corpus.NextBatch(*batch, *seq))
+	for i := 1; i <= f.steps; i++ {
+		loss, err = eng.Step(corpus.NextBatch(f.batch, f.seq))
 		if err != nil {
-			return err
+			return flagError(err)
 		}
-		if !*jsonOut && i%(max(1, *steps/20)) == 0 {
+		if !*jsonOut && i%(max(1, f.steps/20)) == 0 {
 			fmt.Printf("step %4d  loss %.4f\n", i, loss)
 		}
 	}
@@ -357,14 +332,14 @@ func run() (err error) {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(buildReport(eng, reg, model.NumParams(), *mode, parallelism, *steps, loss))
+		return enc.Encode(buildReport(eng, reg, model.NumParams(), f.mode, parallelism, f.steps, loss))
 	}
 	st := eng.Stats()
 	fmt.Printf("done: %d steps, %d commits, %d clip-rollbacks, %d skip-rollbacks, %d forward redos\n",
 		st.Steps, st.Commits, st.ClipRolls, st.SkipRolls, st.Redos)
-	printLinks(os.Stdout, eng.CommStats(), *steps)
+	printLinks(os.Stdout, eng.CommStats(), f.steps)
 	if tel, ok := eng.StoreTelemetry(); ok {
-		n := float64(*steps)
+		n := float64(f.steps)
 		fmt.Printf("nvme tier: %d reads (%.1f MB), %d writes (%.1f MB)\n",
 			tel.Reads, float64(tel.BytesRead)/1e6, tel.Writes, float64(tel.BytesWritten)/1e6)
 		fmt.Printf("modeled step time: %.3f ms pipelined vs %.3f ms serialized (prefetch overlap hides %.0f%%)\n",

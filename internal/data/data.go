@@ -93,26 +93,43 @@ type Batch struct {
 	BatchSize, Seq  int
 }
 
+// ConfigError is superoffload.ConfigError, a rejected piece of caller
+// input named by its path in the facade's types, declared here below
+// every package that raises one.
+type ConfigError struct {
+	Field string
+	Value any
+	Want  string
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("superoffload: %s %#v: want %s", e.Field, e.Value, e.Want)
+}
+
 // Check reports why a model of vocabulary vocab and maximum sequence
-// maxSeq cannot train on b: no rows, token or target slices that are not
-// BatchSize×Seq long, a sequence past maxSeq, or a token or target
-// outside [0, vocab), named by its flat index. Engines call it in the
-// caller's goroutine, so a bad batch is an error there rather than a
-// panic deep in a forward pass.
+// maxSeq cannot train on b, as a *ConfigError naming the Batch field: no
+// rows, token or target slices that are not BatchSize×Seq long, a
+// sequence past maxSeq, or a token or target outside [0, vocab), named by
+// its flat index. Engines call it in the caller's goroutine, so a bad
+// batch is an error there rather than a panic deep in a forward pass.
 func (b Batch) Check(vocab, maxSeq int) error {
-	if n := b.BatchSize * b.Seq; b.BatchSize < 1 || b.Seq < 1 || len(b.Tokens) != n || len(b.Targets) != n {
-		return fmt.Errorf("batch of %d×%d carries %d tokens and %d targets",
-			b.BatchSize, b.Seq, len(b.Tokens), len(b.Targets))
-	}
-	if b.Seq > maxSeq {
-		return fmt.Errorf("sequence %d exceeds the model's max %d", b.Seq, maxSeq)
+	n := b.BatchSize * b.Seq
+	switch {
+	case b.BatchSize < 1:
+		return &ConfigError{"Batch.BatchSize", b.BatchSize, ">= 1"}
+	case b.Seq < 1 || b.Seq > maxSeq:
+		return &ConfigError{"Batch.Seq", b.Seq, fmt.Sprintf("in [1, ModelConfig.MaxSeq = %d]", maxSeq)}
+	case len(b.Tokens) != n:
+		return &ConfigError{"Batch.Tokens", len(b.Tokens), fmt.Sprintf("BatchSize×Seq = %d ids (the value is the length)", n)}
+	case len(b.Targets) != n:
+		return &ConfigError{"Batch.Targets", len(b.Targets), fmt.Sprintf("BatchSize×Seq = %d ids (the value is the length)", n)}
 	}
 	for i, tok := range b.Tokens {
 		if tok < 0 || tok >= vocab {
-			return fmt.Errorf("token %d at index %d is outside the vocabulary [0, %d)", tok, i, vocab)
+			return &ConfigError{"Batch.Tokens", tok, fmt.Sprintf("ids in [0, %d); the one at index %d is not", vocab, i)}
 		}
 		if tgt := b.Targets[i]; tgt < 0 || tgt >= vocab {
-			return fmt.Errorf("target %d at index %d is outside the vocabulary [0, %d)", tgt, i, vocab)
+			return &ConfigError{"Batch.Targets", tgt, fmt.Sprintf("ids in [0, %d); the one at index %d is not", vocab, i)}
 		}
 	}
 	return nil

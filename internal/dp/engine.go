@@ -46,14 +46,19 @@ func New(model *nn.GPT, cfg Config) (*Engine, error) {
 	}
 	cfg = cfg.withDefaults()
 	r, s, p := cfg.Ranks, cfg.SeqRanks, cfg.PipeRanks
-	if r < 1 || s < 1 || p < 1 {
-		return nil, fmt.Errorf("dp: shape (Ranks=%d, SeqRanks=%d, PipeRanks=%d) has an axis < 1", r, s, p)
-	}
-	if model.Cfg.Heads%s != 0 {
-		return nil, fmt.Errorf("dp: %d attention heads not divisible by %d sequence ranks", model.Cfg.Heads, s)
-	}
-	if err := model.ValidateStages(p); err != nil {
-		return nil, fmt.Errorf("dp: %w", err)
+	switch { // the shape's rules, named by the facade's MeshConfig fields
+	case r < 1:
+		return nil, &data.ConfigError{Field: "MeshConfig.Ranks", Value: r, Want: ">= 1 (0 means 1)"}
+	case s < 1:
+		return nil, &data.ConfigError{Field: "MeshConfig.SeqRanks", Value: s, Want: ">= 1 (0 means 1)"}
+	case p < 1:
+		return nil, &data.ConfigError{Field: "MeshConfig.PipeRanks", Value: p, Want: ">= 1 (0 means 1)"}
+	case model.Cfg.Heads%s != 0:
+		return nil, &data.ConfigError{Field: "MeshConfig.SeqRanks", Value: s,
+			Want: fmt.Sprintf("a divisor of ModelConfig.Heads (%d): attention heads shard across sequence ranks", model.Cfg.Heads)}
+	case len(model.Blocks) < p:
+		return nil, &data.ConfigError{Field: "MeshConfig.PipeRanks", Value: p,
+			Want: fmt.Sprintf("<= ModelConfig.Layers (%d): every pipeline stage needs a transformer block", len(model.Blocks))}
 	}
 	nBuckets := len(stv.PartitionGroups(model.Params(), cfg.BucketElems))
 	if cfg.Placement != nil {
@@ -177,11 +182,17 @@ func (e *Engine) NumBuckets() int { return len(e.buckets) }
 func (e *Engine) split(b data.Batch) ([]data.Batch, error) {
 	w, g := e.w, e.ranks[0].model
 	if err := b.Check(g.Cfg.Vocab, g.MaxSeq); err != nil {
-		return nil, fmt.Errorf("dp: %w", err)
+		return nil, err
 	}
 	if b.BatchSize%w.R != 0 {
-		return nil, fmt.Errorf("dp: global batch %d not divisible by %d data-parallel groups", b.BatchSize, w.R)
+		return nil, &data.ConfigError{Field: "Batch.BatchSize", Value: b.BatchSize,
+			Want: fmt.Sprintf("a multiple of MeshConfig.Ranks (%d): rows split across data-parallel groups", w.R)}
 	}
+	if b.Seq%w.S != 0 {
+		return nil, &data.ConfigError{Field: "Batch.Seq", Value: b.Seq,
+			Want: fmt.Sprintf("a multiple of MeshConfig.SeqRanks (%d): positions split across sequence ranks", w.S)}
+	}
+	// The pass's own guard: after New's checks and the ones above, inert.
 	if err := g.ValidateSP(w.S, b.Seq); err != nil {
 		return nil, fmt.Errorf("dp: %w", err)
 	}

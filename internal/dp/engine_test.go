@@ -2,6 +2,7 @@ package dp
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -79,10 +80,15 @@ func checkGuards(t *testing.T, sh shape) {
 		t.Error("nil model accepted")
 	}
 	// deepGPT's 4 heads cannot split 3 ways, nor its 4 blocks 5 ways.
+	// Both are *data.ConfigErrors naming the MeshConfig axis, as a bad
+	// batch below names its Batch field.
 	for _, bad := range []shape{{-1, sh.S, sh.P}, {sh.R, -1, sh.P}, {sh.R, sh.S, -1}, {sh.R, 3, sh.P}, {sh.R, sh.S, 5}} {
-		if e, err := New(deepGPT(1), shapeConfig(bad.R, bad.S, bad.P)); err == nil {
+		e, err := New(deepGPT(1), shapeConfig(bad.R, bad.S, bad.P))
+		if err == nil {
 			e.Close()
-			t.Errorf("shape %v accepted", bad)
+		}
+		if !namesField(err, "MeshConfig.") {
+			t.Errorf("shape %v: %v, want a *data.ConfigError naming a MeshConfig axis", bad, err)
 		}
 	}
 	one, err := New(deepGPT(1), Config{})
@@ -126,8 +132,8 @@ func checkGuards(t *testing.T, sh shape) {
 		bad["sequence not divisible by S"] = corpus.NextBatch(sh.R, 7)
 	}
 	for what, b := range bad {
-		if _, err := eng.Step(b); err == nil {
-			t.Errorf("%s accepted", what)
+		if _, err := eng.Step(b); !namesField(err, "Batch.") {
+			t.Errorf("%s: %v, want a *data.ConfigError naming a Batch field", what, err)
 		}
 	}
 	if _, err := eng.StepAccum([]data.Batch{corpus.NextBatch(sh.R, 8), short}); err == nil {
@@ -193,4 +199,11 @@ func TestShapesAllocateAlike(t *testing.T) {
 	if lo, hi := min(dpB, spB), max(dpB, spB); hi > 2*lo {
 		t.Errorf("steady-state bytes/step: (2,1,1) %.0f vs (1,2,1) %.0f — more than 2× apart", dpB, spB)
 	}
+}
+
+// namesField reports whether err is a *data.ConfigError whose Field
+// starts with prefix.
+func namesField(err error, prefix string) bool {
+	var ce *data.ConfigError
+	return errors.As(err, &ce) && strings.HasPrefix(ce.Field, prefix)
 }

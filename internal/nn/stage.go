@@ -32,20 +32,6 @@ func StageLayers(layers, stage, stages int) (lo, hi int) {
 	return lo, hi
 }
 
-// ValidateStages checks the pipeline-stage arithmetic for this model:
-// every stage must own at least one transformer block (the stage-split
-// analogue of ValidateSP's divisibility checks).
-func (g *GPT) ValidateStages(stages int) error {
-	if stages < 1 {
-		return fmt.Errorf("nn: pipeline stages must be >= 1, got %d", stages)
-	}
-	if len(g.Blocks) < stages {
-		return fmt.Errorf("nn: %d layers cannot split across %d pipeline stages (every stage needs a block)",
-			len(g.Blocks), stages)
-	}
-	return nil
-}
-
 // StageParamSpan returns the flat Params() offset range [lo, hi) covering
 // stage's parameters: stage 0 opens with the embeddings, the last stage
 // closes with the final layernorm and head, and every stage carries its

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"superoffload/internal/act"
 	"superoffload/internal/core"
@@ -50,7 +51,37 @@ import (
 
 // ---- real training engine (Fig. 1 facade) ----
 
-// ModelConfig describes a transformer to train for real.
+// ConfigError is how NewModel and every InitX refuse a configuration, and
+// Step and StepAccum a batch: Field is the path in the facade's types
+// ("ModelConfig.Heads", "OptimizerConfig.Offload.IOPaths",
+// "MeshConfig.SeqRanks", "Batch.Seq"; "Model" for a nil model), Value
+// what was given and Want what would be accepted. A failure of the
+// machine, such as an unwritable Offload.Dir, stays a plain error.
+type ConfigError = data.ConfigError
+
+// rule is one rule on a field of caller input: broken reports that
+// field, which holds value, is not want.
+type rule struct {
+	field  string
+	value  any
+	broken bool
+	want   string
+}
+
+// check returns the *ConfigError for the first broken rule, its field
+// under the config type named by prefix, or nil.
+func check(prefix string, rules ...rule) error {
+	for _, r := range rules {
+		if r.broken {
+			return &ConfigError{Field: prefix + r.field, Value: r.value, Want: r.want}
+		}
+	}
+	return nil
+}
+
+// ModelConfig describes a transformer to train for real. Heads 0 selects
+// Hidden/64 (at least 1) and MaxSeq 0 selects 128; negative values are
+// rejected.
 type ModelConfig struct {
 	Layers int
 	Hidden int
@@ -66,19 +97,22 @@ type Model struct {
 
 // NewModel builds a model with deterministic initialization from seed.
 func NewModel(cfg ModelConfig, seed uint64) (*Model, error) {
-	if cfg.Layers < 1 || cfg.Hidden < 8 || cfg.Vocab < 2 {
-		return nil, fmt.Errorf("superoffload: invalid model config %+v", cfg)
+	heads := cfg.Heads
+	if heads == 0 {
+		heads = max(cfg.Hidden/64, 1)
 	}
-	if cfg.Heads < 1 {
-		cfg.Heads = cfg.Hidden / 64
-		if cfg.Heads < 1 {
-			cfg.Heads = 1
-		}
+	if err := check("ModelConfig.",
+		rule{"Layers", cfg.Layers, cfg.Layers < 1, ">= 1"},
+		rule{"Hidden", cfg.Hidden, cfg.Hidden < 8, ">= 8"},
+		rule{"Vocab", cfg.Vocab, cfg.Vocab < 2, ">= 2"},
+		rule{"Heads", cfg.Heads, cfg.Heads < 0, ">= 0 (0 means ModelConfig.Hidden/64, at least 1)"},
+		rule{"MaxSeq", cfg.MaxSeq, cfg.MaxSeq < 0, ">= 0 (0 means 128)"},
+		rule{"Heads", heads, cfg.Hidden%heads != 0, fmt.Sprintf("a divisor of ModelConfig.Hidden (%d)", cfg.Hidden)},
+	); err != nil {
+		return nil, err
 	}
-	if cfg.Hidden%cfg.Heads != 0 {
-		return nil, fmt.Errorf("superoffload: hidden %d not divisible by heads %d", cfg.Hidden, cfg.Heads)
-	}
-	if cfg.MaxSeq < 1 {
+	cfg.Heads = heads
+	if cfg.MaxSeq == 0 {
 		cfg.MaxSeq = 128
 	}
 	mc := model.Config{Name: "user", Layers: cfg.Layers, Hidden: cfg.Hidden, Heads: cfg.Heads, Vocab: cfg.Vocab}
@@ -112,8 +146,9 @@ type OptimizerConfig struct {
 	LossScaling bool
 	// WarmupSteps/TotalSteps enable the warm-up + cosine-decay learning
 	// rate schedule when TotalSteps > 0; MinLRFrac is the decay floor
-	// (fraction of LR). Rollback re-execution uses the rolled-back
-	// step's own rate, preserving exactness.
+	// (fraction of LR, in [0, 1]); 0 ≤ WarmupSteps ≤ TotalSteps, and
+	// both others are 0 without a schedule. Rollback re-execution uses
+	// the rolled-back step's own rate, preserving exactness.
 	WarmupSteps int
 	TotalSteps  int
 	MinLRFrac   float64
@@ -180,20 +215,13 @@ func (a ActivationConfig) shape(m *Model) place.ActShape {
 // storeFactory translates the activation selection into a per-rank store
 // constructor (nil means resident activations, the engines' default).
 // The tracer, when non-nil, gives each rank's store its own trace track.
-func (a ActivationConfig) storeFactory(m *Model, tracer *Tracer) (func(rank int) (*act.Store, error), error) {
-	if a.ResidentLayers != 0 && a.ResidentLayers < hw.ActMinResidentLayers {
-		return nil, fmt.Errorf("superoffload: Activation.ResidentLayers must be 0 (the default) or >= %d (the activation store's minimum write-behind window), got %d", hw.ActMinResidentLayers, a.ResidentLayers)
+func (a ActivationConfig) storeFactory(m *Model, tracer *Tracer) func(rank int) (*act.Store, error) {
+	if a.Offload == "" {
+		return nil
 	}
-	var tier act.Tier
-	switch a.Offload {
-	case "":
-		return nil, nil
-	case "dram":
+	tier := act.NVMe
+	if a.Offload == "dram" {
 		tier = act.DRAM
-	case "nvme":
-		tier = act.NVMe
-	default:
-		return nil, fmt.Errorf("superoffload: unknown activation offload %q (want dram or nvme)", a.Offload)
 	}
 	hidden, params := m.gpt.Cfg.Hidden, int64(m.NumParams())
 	return func(rank int) (*act.Store, error) {
@@ -202,7 +230,7 @@ func (a ActivationConfig) storeFactory(m *Model, tracer *Tracer) (func(rank int)
 			Hidden: hidden, Params: params,
 			Tracer: tracer, TrackLabel: fmt.Sprintf("rank %d act", rank),
 		})
-	}, nil
+	}
 }
 
 // ActTelemetry is the activation store's traffic and modeled-time
@@ -247,12 +275,13 @@ func (g *hbmGuard) check(b Batch) error {
 	if need <= g.budget {
 		return nil
 	}
-	hint := "shrink the batch or sequence"
+	hint := "shrink Batch.BatchSize or Batch.Seq"
 	if g.offloadAvailable {
-		hint = "enable activation offloading (Activation.Offload / -act-offload) or shrink the batch"
+		hint = "set OptimizerConfig.Activation.Offload or shrink Batch.BatchSize"
 	}
-	return fmt.Errorf("superoffload: step shape %d×%d needs ~%d MiB of modeled HBM (%d resident layers) against a %d MiB budget; %s",
-		b.BatchSize, b.Seq, need>>20, g.act.Resident, g.budget>>20, hint)
+	return &ConfigError{Field: "Batch.BatchSize", Value: b.BatchSize, Want: fmt.Sprintf(
+		"a %d×%d step within the %d MiB modeled HBM budget, not ~%d MiB with %d resident layers; %s",
+		b.BatchSize, b.Seq, g.budget>>20, need>>20, g.act.Resident, hint)}
 }
 
 // OffloadConfig selects where the fp32 master weights and Adam moments
@@ -286,38 +315,20 @@ type OffloadConfig struct {
 // store constructor (nil means DRAM-resident, the engines' default; nvme
 // is the flash store). The tracer, when non-nil, gives each rank's store
 // its own trace tracks.
-func (o OffloadConfig) storeFactory(tracer *Tracer) (func(rank int) (stv.BucketStore, error), error) {
-	if o.ResidentBuckets != 0 && o.ResidentBuckets < stv.MinResidentBuckets {
-		return nil, fmt.Errorf("superoffload: Offload.ResidentBuckets must be 0 (the default) or >= %d (the flash store's minimum window), got %d", stv.MinResidentBuckets, o.ResidentBuckets)
+func (o OffloadConfig) storeFactory(tracer *Tracer) func(rank int) (stv.BucketStore, error) {
+	if o.Backend != "nvme" {
+		return nil
 	}
-	if o.IOPaths < 0 {
-		return nil, fmt.Errorf("superoffload: Offload.IOPaths must be >= 0, got %d", o.IOPaths)
+	return func(rank int) (stv.BucketStore, error) {
+		return stv.NewMLPStore(stv.MLPStoreConfig{
+			Dir:             o.Dir,
+			Paths:           hw.NodeIOPaths(max(o.IOPaths, 1)),
+			ResidentBuckets: o.ResidentBuckets,
+			CacheBuckets:    o.CacheBuckets,
+			Tracer:          tracer,
+			TrackLabel:      fmt.Sprintf("rank %d nvme", rank),
+		})
 	}
-	if o.CacheBuckets < 0 {
-		return nil, fmt.Errorf("superoffload: Offload.CacheBuckets must be >= 0, got %d", o.CacheBuckets)
-	}
-	switch o.Backend {
-	case "", "dram":
-		if o.IOPaths > 1 {
-			return nil, fmt.Errorf("superoffload: Offload.IOPaths %d configures the flash tier and needs Backend \"nvme\" (got %q)", o.IOPaths, o.Backend)
-		}
-		if o.CacheBuckets > 0 {
-			return nil, fmt.Errorf("superoffload: Offload.CacheBuckets %d configures the flash tier and needs Backend \"nvme\" (got %q)", o.CacheBuckets, o.Backend)
-		}
-		return nil, nil
-	case "nvme":
-		return func(rank int) (stv.BucketStore, error) {
-			return stv.NewMLPStore(stv.MLPStoreConfig{
-				Dir:             o.Dir,
-				Paths:           hw.NodeIOPaths(max(o.IOPaths, 1)),
-				ResidentBuckets: o.ResidentBuckets,
-				CacheBuckets:    o.CacheBuckets,
-				Tracer:          tracer,
-				TrackLabel:      fmt.Sprintf("rank %d nvme", rank),
-			})
-		}, nil
-	}
-	return nil, fmt.Errorf("superoffload: unknown offload backend %q (want dram or nvme)", o.Backend)
 }
 
 // placementPlan translates the placement selection into a per-bucket tier
@@ -325,16 +336,10 @@ func (o OffloadConfig) storeFactory(tracer *Tracer) (func(rank int) (stv.BucketS
 // is empty). With the nvme offload backend, the offloaded body
 // additionally spills through the windowed flash store (CPUAdam tiers
 // become NVMeWindow).
-func (cfg OptimizerConfig) placementPlan(m *Model, sc stv.Config) (*place.Plan, error) {
+func (cfg OptimizerConfig) placementPlan(m *Model, sc stv.Config) *place.Plan {
 	pc := cfg.Placement
-	if pc.GPUBuckets < 0 {
-		return nil, fmt.Errorf("superoffload: Placement.GPUBuckets must be >= 0, got %d", pc.GPUBuckets)
-	}
-	if pc.GPUBuckets > 0 && pc.Mode != "auto" {
-		return nil, fmt.Errorf("superoffload: Placement.GPUBuckets %d needs Mode \"auto\" (got %q)", pc.GPUBuckets, pc.Mode)
-	}
 	if pc.Mode == "" {
-		return nil, nil
+		return nil
 	}
 	groups := stv.PartitionGroups(m.gpt.Params(), sc.BucketBudget())
 	elems := make([]int, len(groups))
@@ -348,15 +353,12 @@ func (cfg OptimizerConfig) placementPlan(m *Model, sc stv.Config) (*place.Plan, 
 		plan = place.Uniform(nb, place.CPUAdam)
 	case "gpu":
 		plan = place.Uniform(nb, place.GPUResident)
-	case "auto":
+	default: // "auto"
 		if pc.GPUBuckets > 0 {
 			plan = place.GPUTail(nb, pc.GPUBuckets)
 		} else {
-			batch, seq := pc.Batch, pc.Seq
-			if batch < 1 {
-				batch = 1
-			}
-			if seq < 1 {
+			batch, seq := max(pc.Batch, 1), pc.Seq
+			if seq == 0 {
 				seq = m.gpt.MaxSeq
 			}
 			shape := place.Shape{
@@ -371,47 +373,65 @@ func (cfg OptimizerConfig) placementPlan(m *Model, sc stv.Config) (*place.Plan, 
 			}
 			plan = place.Auto(hw.DefaultSuperchip(), elems, shape, 0)
 		}
-	default:
-		return nil, fmt.Errorf("superoffload: unknown placement mode %q (want auto, cpu, or gpu)", pc.Mode)
 	}
 	if cfg.Offload.Backend == "nvme" {
 		plan = plan.WithNVMeBody()
 	}
-	return &plan, nil
+	return &plan
 }
 
-// trainSetup validates the optimizer config (clip threshold, Adam
-// hyperparameters, bucket budget, offload, activation and placement
-// settings) and builds the one engine config both engines take: the
-// stv.Config with its placement plan, plus the per-rank bucket and
-// activation store factories — one place shared by every InitX, so the
-// engines can never diverge on validation, hyperparameters or
-// placement/offload wiring. Without a placement the legacy offload path
-// applies unchanged; with one, the GPU/CPU tiers stay resident and only
+// check holds the config to every rule OptimizerConfig and its three
+// tier configs document, in the order they are reported.
+func (cfg OptimizerConfig) check() error {
+	adam := func(v, lo, hi float64) bool { // LR 0, the default recipe, sets them all
+		return cfg.LR == 0 && v == 0 || cfg.LR > 0 && v >= lo && v < hi
+	}
+	const recipe = ", or 0 while OptimizerConfig.LR is 0 (the default recipe)"
+	o, p, a := cfg.Offload, cfg.Placement, cfg.Activation
+	flash := o.Backend == "nvme"
+	return check("OptimizerConfig.",
+		rule{"ClipNorm", cfg.ClipNorm, !(cfg.ClipNorm >= 0), "0 (clipping off) or positive"}, // !(>=) catches NaN
+		rule{"LR", cfg.LR, !(cfg.LR >= 0 && cfg.LR <= math.MaxFloat64), "finite, and 0 (the default recipe) or positive"},
+		rule{"Beta1", cfg.Beta1, !adam(cfg.Beta1, 0, 1), "in [0, 1)" + recipe},
+		rule{"Beta2", cfg.Beta2, !adam(cfg.Beta2, 0, 1), "in [0, 1)" + recipe},
+		rule{"Eps", cfg.Eps, !adam(cfg.Eps, math.SmallestNonzeroFloat64, math.Inf(1)), "finite and positive" + recipe},
+		rule{"WeightDecay", cfg.WeightDecay, !adam(cfg.WeightDecay, 0, math.Inf(1)), "finite and >= 0" + recipe},
+		rule{"WarmupSteps", cfg.WarmupSteps, cfg.WarmupSteps < 0, ">= 0"},
+		rule{"TotalSteps", cfg.TotalSteps, cfg.TotalSteps < 0, ">= 0 (0 means no schedule)"},
+		rule{"WarmupSteps", cfg.WarmupSteps, cfg.WarmupSteps > cfg.TotalSteps, fmt.Sprintf("<= OptimizerConfig.TotalSteps (%d)", cfg.TotalSteps)},
+		rule{"MinLRFrac", cfg.MinLRFrac, !(cfg.MinLRFrac >= 0 && cfg.MinLRFrac <= 1), "in [0, 1]"},
+		rule{"MinLRFrac", cfg.MinLRFrac, cfg.TotalSteps == 0 && cfg.MinLRFrac != 0, "0 while OptimizerConfig.TotalSteps is 0 (no schedule)"},
+		rule{"BucketElems", cfg.BucketElems, cfg.BucketElems < 0, ">= 0 (0 means the 32M-element default)"},
+		rule{"Offload.Backend", o.Backend, !slices.Contains([]string{"", "dram", "nvme"}, o.Backend), `"", "dram" or "nvme"`},
+		rule{"Offload.ResidentBuckets", o.ResidentBuckets, o.ResidentBuckets != 0 && o.ResidentBuckets < stv.MinResidentBuckets,
+			fmt.Sprintf(">= %d (the flash store's minimum window)", stv.MinResidentBuckets)},
+		rule{"Offload.IOPaths", o.IOPaths, o.IOPaths < 0, ">= 0"},
+		rule{"Offload.IOPaths", o.IOPaths, !flash && o.IOPaths > 1, `at most 1 unless OptimizerConfig.Offload.Backend is "nvme": paths belong to the flash tier`},
+		rule{"Offload.CacheBuckets", o.CacheBuckets, o.CacheBuckets < 0, ">= 0"},
+		rule{"Offload.CacheBuckets", o.CacheBuckets, !flash && o.CacheBuckets > 0, `0 unless OptimizerConfig.Offload.Backend is "nvme": the cache fronts the flash tier`},
+		rule{"Placement.Mode", p.Mode, !slices.Contains([]string{"", "auto", "cpu", "gpu"}, p.Mode), `"", "auto", "cpu" or "gpu"`},
+		rule{"Placement.GPUBuckets", p.GPUBuckets, p.GPUBuckets < 0, ">= 0"},
+		rule{"Placement.GPUBuckets", p.GPUBuckets, p.GPUBuckets > 0 && p.Mode != "auto", `0 unless OptimizerConfig.Placement.Mode is "auto"`},
+		rule{"Placement.Batch", p.Batch, p.Batch < 0, ">= 0 (0 means 1)"},
+		rule{"Placement.Seq", p.Seq, p.Seq < 0, ">= 0 (0 means ModelConfig.MaxSeq)"},
+		rule{"Activation.Offload", a.Offload, !slices.Contains([]string{"", "dram", "nvme"}, a.Offload), `"", "dram" or "nvme"`},
+		rule{"Activation.ResidentLayers", a.ResidentLayers, a.ResidentLayers != 0 && a.ResidentLayers < hw.ActMinResidentLayers,
+			fmt.Sprintf(">= %d (the activation store's minimum write-behind window)", hw.ActMinResidentLayers)},
+		rule{"Activation.HBMBudgetBytes", a.HBMBudgetBytes, a.HBMBudgetBytes < 0, ">= 0 (0 means the modeled GH200's HBM)"},
+	)
+}
+
+// trainSetup checks the model and optimizer config and builds the one
+// engine config every InitX takes — the stv.Config with its placement
+// plan, plus the per-rank bucket and activation store factories — so the
+// engines never diverge on validation or wiring. With a placement, only
 // an nvme backend's body buckets spill (through a per-rank PlacedStore).
 func (cfg OptimizerConfig) trainSetup(m *Model) (dp.Config, error) {
-	if !(cfg.ClipNorm >= 0) { // the negated test also catches NaN
-		return dp.Config{}, fmt.Errorf("superoffload: ClipNorm %v must be 0 (clipping off) or positive", cfg.ClipNorm)
+	if m == nil {
+		return dp.Config{}, &ConfigError{Field: "Model", Want: "a model built by NewModel"}
 	}
-	if !(cfg.LR >= 0 && cfg.LR <= math.MaxFloat64) {
-		return dp.Config{}, fmt.Errorf("superoffload: LR %v must be finite and 0 (the default recipe) or positive", cfg.LR)
-	}
-	for _, f := range []struct {
-		name      string
-		v, lo, hi float64 // with LR > 0, v must lie in [lo, hi)
-	}{
-		{"Beta1", cfg.Beta1, 0, 1}, {"Beta2", cfg.Beta2, 0, 1},
-		{"Eps", cfg.Eps, math.SmallestNonzeroFloat64, math.Inf(1)}, {"WeightDecay", cfg.WeightDecay, 0, math.Inf(1)},
-	} {
-		if cfg.LR == 0 && f.v != 0 || cfg.LR > 0 && !(f.v >= f.lo && f.v < f.hi) {
-			return dp.Config{}, fmt.Errorf("superoffload: %s %v is out of range with LR %v (see OptimizerConfig)", f.name, f.v, cfg.LR)
-		}
-	}
-	if cfg.BucketElems < 0 {
-		return dp.Config{}, fmt.Errorf("superoffload: BucketElems must be 0 (the default) or >= 1, got %d", cfg.BucketElems)
-	}
-	if cfg.Activation.HBMBudgetBytes < 0 {
-		return dp.Config{}, fmt.Errorf("superoffload: Activation.HBMBudgetBytes must be 0 (the modeled GH200's HBM) or >= 1, got %d", cfg.Activation.HBMBudgetBytes)
+	if err := cfg.check(); err != nil {
+		return dp.Config{}, err
 	}
 	sc := stv.Config{
 		Adam:     optim.Config{LR: cfg.LR, Beta1: cfg.Beta1, Beta2: cfg.Beta2, Eps: cfg.Eps, WeightDecay: cfg.WeightDecay},
@@ -429,18 +449,9 @@ func (cfg OptimizerConfig) trainSetup(m *Model) (dp.Config, error) {
 	if cfg.TotalSteps > 0 {
 		sc.Schedule = stv.WarmupCosine(cfg.WarmupSteps, cfg.TotalSteps, cfg.MinLRFrac)
 	}
-	actFactory, err := cfg.Activation.storeFactory(m, cfg.Tracer)
-	if err != nil {
-		return dp.Config{}, err
-	}
-	if sc.Placement, err = cfg.placementPlan(m, sc); err != nil {
-		return dp.Config{}, err
-	}
-	factory, err := cfg.Offload.storeFactory(cfg.Tracer)
-	if err != nil {
-		return dp.Config{}, err
-	}
-	dc := dp.Config{Config: sc, NewStore: factory, NewActStore: actFactory}
+	sc.Placement = cfg.placementPlan(m, sc)
+	factory := cfg.Offload.storeFactory(cfg.Tracer)
+	dc := dp.Config{Config: sc, NewStore: factory, NewActStore: cfg.Activation.storeFactory(m, cfg.Tracer)}
 	if p := sc.Placement; p != nil && factory != nil {
 		// A non-nil factory means the nvme backend, which the placement
 		// re-routes through a tier-aware PlacedStore so only the plan's
@@ -528,9 +539,6 @@ type Engine struct {
 // Init wraps a model and optimizer into a SuperOffload engine — the
 // counterpart of the paper's `SuperOffload.init(model, optimizer)`.
 func Init(m *Model, cfg OptimizerConfig) (*Engine, error) {
-	if m == nil {
-		return nil, fmt.Errorf("superoffload: nil model")
-	}
 	dc, err := cfg.trainSetup(m)
 	if err != nil {
 		return nil, err
@@ -567,13 +575,14 @@ func (e *Engine) Step(b Batch) (float64, error) { return e.StepAccum([]Batch{b})
 // schedule, shrinking each stage's idle bubble to (P-1)/(M+P-1) of its
 // compute. A batch the model cannot take — no rows, token or target
 // slices that are not BatchSize×Seq long, a sequence past the model's
-// MaxSeq, a token or target outside its vocabulary — or that overflows
-// the modeled HBM budget is refused here, in the caller's goroutine,
-// before any of the window trains.
+// MaxSeq, a token or target outside its vocabulary, rows or a sequence
+// the mesh cannot split — or that overflows the modeled HBM budget is
+// refused as a *ConfigError naming its Batch field, in the caller's
+// goroutine, before any of the window trains.
 func (e *Engine) StepAccum(batches []Batch) (float64, error) {
 	for _, b := range batches {
 		if err := b.Check(e.vocab, e.maxSeq); err != nil {
-			return 0, fmt.Errorf("superoffload: %w", err)
+			return 0, err
 		}
 		if err := e.guard.check(b); err != nil {
 			return 0, err
@@ -703,9 +712,6 @@ type SPCommStats = dp.SPCommStats
 // overlap the stages — one micro-batch degenerates to sequential stages.
 // Call Close when done to stop the rank goroutines.
 func InitMesh(m *Model, cfg OptimizerConfig, mc MeshConfig) (*Engine, error) {
-	if m == nil {
-		return nil, fmt.Errorf("superoffload: nil model")
-	}
 	dc, err := cfg.trainSetup(m)
 	if err != nil {
 		return nil, err

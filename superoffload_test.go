@@ -2,6 +2,7 @@ package superoffload
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -236,8 +237,9 @@ func TestActivationFacade(t *testing.T) {
 		if err == nil {
 			t.Fatal("overflowing shape trained without activation offload")
 		}
-		if !strings.Contains(err.Error(), "act-offload") {
-			t.Errorf("guard error does not hint at offloading: %v", err)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != "Batch.BatchSize" || !strings.Contains(ce.Want, "OptimizerConfig.Activation.Offload") {
+			t.Errorf("guard error is not a *ConfigError naming Batch.BatchSize and hinting at offloading: %v", err)
 		}
 	})
 
@@ -282,22 +284,16 @@ func TestActivationFacade(t *testing.T) {
 	})
 }
 
+// TestNewModelValidation: a config with its defaults left at 0 builds a
+// model of plausible size, and configRejections' model rows are refused.
 func TestNewModelValidation(t *testing.T) {
-	if _, err := NewModel(ModelConfig{Layers: 0, Hidden: 32, Vocab: 64}, 1); err == nil {
-		t.Error("zero layers accepted")
-	}
-	if _, err := NewModel(ModelConfig{Layers: 1, Hidden: 30, Heads: 4, Vocab: 64}, 1); err == nil {
-		t.Error("indivisible heads accepted")
-	}
+	rejects(t, "model")
 	m, err := NewModel(ModelConfig{Layers: 1, Hidden: 64, Vocab: 64}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.NumParams() < 1000 {
 		t.Error("param count implausible")
-	}
-	if _, err := Init(nil, DefaultOptimizer()); err == nil {
-		t.Error("nil model accepted")
 	}
 }
 
@@ -451,25 +447,22 @@ func TestEngineAccumScheduleCheckpoint(t *testing.T) {
 	}
 }
 
-// presets are the facade's shape presets: the shape each builds, and the
-// shapes it must reject on presetModel (whose 4 heads cannot split 3 ways).
+// presets are the facade's shape presets and the shape each builds.
 var presets = map[string]struct {
 	build func(*Model, OptimizerConfig, MeshConfig) (*Engine, error)
 	shape MeshConfig
-	bad   []MeshConfig
 }{
 	"init": {func(m *Model, cfg OptimizerConfig, _ MeshConfig) (*Engine, error) { return Init(m, cfg) },
-		MeshConfig{Ranks: 1, SeqRanks: 1, PipeRanks: 1}, nil},
+		MeshConfig{Ranks: 1, SeqRanks: 1, PipeRanks: 1}},
 	"dp": {func(m *Model, cfg OptimizerConfig, mc MeshConfig) (*Engine, error) {
 		return InitDP(m, cfg, DPConfig{Ranks: mc.Ranks})
-	}, MeshConfig{Ranks: 2, SeqRanks: 1, PipeRanks: 1}, []MeshConfig{{Ranks: -1}}},
+	}, MeshConfig{Ranks: 2, SeqRanks: 1, PipeRanks: 1}},
 	"sp": {func(m *Model, cfg OptimizerConfig, mc MeshConfig) (*Engine, error) {
 		return InitMesh(m, cfg, MeshConfig{SeqRanks: mc.SeqRanks})
-	}, MeshConfig{Ranks: 1, SeqRanks: 2, PipeRanks: 1}, []MeshConfig{{SeqRanks: -1}, {SeqRanks: 3}}},
-	"mesh": {InitMesh, MeshConfig{Ranks: 2, SeqRanks: 2, PipeRanks: 1},
-		[]MeshConfig{{Ranks: -1, SeqRanks: 2}, {Ranks: 2, SeqRanks: -1}, {Ranks: 2, SeqRanks: 3}}},
-	"pipe":                 {InitPipe, MeshConfig{Ranks: 2, SeqRanks: 1, PipeRanks: 2}, []MeshConfig{{Ranks: 2, PipeRanks: 3}}},
-	"mesh-with-pipe-ranks": {InitMesh, MeshConfig{Ranks: 2, SeqRanks: 1, PipeRanks: 2}, nil},
+	}, MeshConfig{Ranks: 1, SeqRanks: 2, PipeRanks: 1}},
+	"mesh":                 {InitMesh, MeshConfig{Ranks: 2, SeqRanks: 2, PipeRanks: 1}},
+	"pipe":                 {InitPipe, MeshConfig{Ranks: 2, SeqRanks: 1, PipeRanks: 2}},
+	"mesh-with-pipe-ranks": {InitMesh, MeshConfig{Ranks: 2, SeqRanks: 1, PipeRanks: 2}},
 }
 
 func presetModel(t *testing.T, seed uint64) *Model {
@@ -509,12 +502,7 @@ func matchesInit(t *testing.T, name string, cfg OptimizerConfig, steps int) Stat
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, per := refCorpus.NextBatch(4, 8), 4/r*8
-		var parts []Batch
-		for g := 0; g < r; g++ {
-			parts = append(parts, Batch{Tokens: b.Tokens[g*per : (g+1)*per], Targets: b.Targets[g*per : (g+1)*per], BatchSize: 4 / r, Seq: 8})
-		}
-		sl, err := single.StepAccum(parts)
+		sl, err := single.StepAccum(rowParts(refCorpus.NextBatch(4, 8), r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -566,138 +554,9 @@ func facadeMatchesInit(t *testing.T, name string) {
 	}
 }
 
-// rejectsBadBuilds: preset name refuses a nil model, an unknown offload
-// backend and every shape it lists as bad.
-func rejectsBadBuilds(t *testing.T, name string) {
-	p := presets[name]
-	bad := DefaultOptimizer()
-	bad.Offload.Backend = "tape"
-	builds := map[string]error{}
-	_, builds["nil model"] = p.build(nil, DefaultOptimizer(), p.shape)
-	_, builds["unknown offload backend"] = p.build(presetModel(t, 1), bad, p.shape)
-	for _, mc := range p.bad {
-		_, builds[fmt.Sprintf("shape %+v", mc)] = p.build(presetModel(t, 1), DefaultOptimizer(), mc)
-	}
-	for what, err := range builds {
-		if err == nil {
-			t.Errorf("%s: %s accepted", name, what)
-		}
-	}
-}
-
-func TestInitDPFacade(t *testing.T)       { facadeMatchesInit(t, "dp") }
-func TestInitSPFacade(t *testing.T)       { facadeMatchesInit(t, "sp") }
-func TestInitMeshFacade(t *testing.T)     { facadeMatchesInit(t, "mesh") }
-func TestInitDPValidation(t *testing.T)   { rejectsBadBuilds(t, "dp") }
-func TestInitSPValidation(t *testing.T)   { rejectsBadBuilds(t, "sp") }
-func TestInitMeshValidation(t *testing.T) { rejectsBadBuilds(t, "mesh") }
-
-// TestInitRejectsBadClipNorm: a NaN or negative ClipNorm is refused by
-// Init and by a 2-rank InitMesh, with the value in the error: a NaN would
-// scale every step's gradients by NaN, and a negative one would turn
-// clipping off although only 0 means off.
-func TestInitRejectsBadClipNorm(t *testing.T) {
-	for _, clip := range []float64{math.NaN(), -1} {
-		cfg := DefaultOptimizer()
-		cfg.ClipNorm = clip
-		_, single := Init(presetModel(t, 1), cfg)
-		_, mesh := InitMesh(presetModel(t, 1), cfg, MeshConfig{Ranks: 2})
-		for name, err := range map[string]error{"Init": single, "InitMesh": mesh} {
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprint(clip)) {
-				t.Errorf("%s with ClipNorm %v: error %v, want one naming the value", name, clip, err)
-			}
-		}
-	}
-}
-
-// TestInitRejectsBadAdamHyperparameters: Adam settings that would train
-// NaN, or that LR 0's default recipe would silently drop, are refused by
-// Init and by a 2-rank InitMesh with the field named in the error; LR 0
-// with the other four 0 still selects the default recipe.
-func TestInitRejectsBadAdamHyperparameters(t *testing.T) {
-	inf := math.Inf(1)
-	for _, c := range []struct {
-		field string
-		cfg   OptimizerConfig // over DefaultOptimizer's ClipNorm
-	}{
-		{"Eps", OptimizerConfig{LR: 1e-3}},
-		{"Eps", OptimizerConfig{LR: 1e-3, Beta1: 0.9, Beta2: 0.999}},
-		{"Eps", OptimizerConfig{LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Eps: -1}},
-		{"Eps", OptimizerConfig{LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Eps: inf}},
-		{"LR", OptimizerConfig{LR: math.NaN(), Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}},
-		{"LR", OptimizerConfig{LR: -1e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}},
-		{"LR", OptimizerConfig{LR: inf, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}},
-		{"Beta1", OptimizerConfig{LR: 1e-3, Beta1: 1.5, Beta2: 0.999, Eps: 1e-8}},
-		{"Beta2", OptimizerConfig{LR: 1e-3, Beta1: 0.9, Beta2: 1, Eps: 1e-8}},
-		{"WeightDecay", OptimizerConfig{LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: -0.1}},
-		{"WeightDecay", OptimizerConfig{LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: math.NaN()}},
-		{"Beta1", OptimizerConfig{Beta1: 0.5, WeightDecay: 0.1}},
-		{"WeightDecay", OptimizerConfig{WeightDecay: 0.1}},
-		{"", OptimizerConfig{}},
-	} {
-		cfg := c.cfg
-		cfg.ClipNorm = DefaultOptimizer().ClipNorm
-		check := func(name string, eng *Engine, err error) {
-			if err == nil {
-				eng.Close()
-			}
-			if c.field == "" && err != nil {
-				t.Errorf("%s with %+v: %v, want the default recipe", name, c.cfg, err)
-			}
-			if c.field != "" && (err == nil || !strings.Contains(err.Error(), c.field)) {
-				t.Errorf("%s with %+v: error %v, want one naming %s", name, c.cfg, err, c.field)
-			}
-		}
-		eng, err := Init(presetModel(t, 1), cfg)
-		check("Init", eng, err)
-		eng, err = InitMesh(presetModel(t, 1), cfg, MeshConfig{Ranks: 2})
-		check("InitMesh", eng, err)
-	}
-}
-
-// TestInitRejectsBadOffloadAndPlacement: offload, activation, placement
-// and bucket settings that contradict each other or fall below their
-// floor are refused by Init and by a 2-rank InitMesh, with the field
-// named in the error, instead of being silently ignored, clamped or
-// defaulted.
-func TestInitRejectsBadOffloadAndPlacement(t *testing.T) {
-	for _, c := range []struct {
-		field string
-		cfg   OptimizerConfig // over DefaultOptimizer's hyperparameters
-	}{
-		{"Offload.IOPaths", OptimizerConfig{Offload: OffloadConfig{Backend: "dram", IOPaths: 4}}},
-		{"Offload.CacheBuckets", OptimizerConfig{Offload: OffloadConfig{Backend: "dram", CacheBuckets: 3}}},
-		{"Offload.CacheBuckets", OptimizerConfig{Offload: OffloadConfig{Backend: "nvme", CacheBuckets: -1}}},
-		{"Offload.IOPaths", OptimizerConfig{Offload: OffloadConfig{Backend: "nvme", IOPaths: -1}}},
-		{"Offload.ResidentBuckets", OptimizerConfig{Offload: OffloadConfig{Backend: "nvme", ResidentBuckets: -1}}},
-		{"Offload.ResidentBuckets", OptimizerConfig{Offload: OffloadConfig{Backend: "nvme", ResidentBuckets: 1}}},
-		{"Placement.GPUBuckets", OptimizerConfig{Placement: PlacementConfig{Mode: "cpu", GPUBuckets: 3}}},
-		{"Placement.GPUBuckets", OptimizerConfig{Placement: PlacementConfig{GPUBuckets: 3}}},
-		{"Placement.GPUBuckets", OptimizerConfig{Placement: PlacementConfig{Mode: "auto", GPUBuckets: -2}}},
-		{"BucketElems", OptimizerConfig{BucketElems: -5}},
-		{"Activation.ResidentLayers", OptimizerConfig{Activation: ActivationConfig{Offload: "dram", ResidentLayers: 1}}},
-		{"Activation.ResidentLayers", OptimizerConfig{Activation: ActivationConfig{Offload: "dram", ResidentLayers: -3}}},
-		{"Activation.HBMBudgetBytes", OptimizerConfig{Activation: ActivationConfig{HBMBudgetBytes: -1}}},
-	} {
-		cfg, d := c.cfg, DefaultOptimizer()
-		cfg.LR, cfg.Beta1, cfg.Beta2, cfg.Eps, cfg.ClipNorm = d.LR, d.Beta1, d.Beta2, d.Eps, d.ClipNorm
-		if cfg.Offload.Backend == "nvme" {
-			cfg.Offload.Dir = t.TempDir()
-		}
-		check := func(name string, eng *Engine, err error) {
-			if err == nil {
-				eng.Close()
-			}
-			if err == nil || !strings.Contains(err.Error(), c.field) {
-				t.Errorf("%s with %+v: error %v, want one naming %s", name, c.cfg, err, c.field)
-			}
-		}
-		eng, err := Init(presetModel(t, 1), cfg)
-		check("Init", eng, err)
-		eng, err = InitMesh(presetModel(t, 1), cfg, MeshConfig{Ranks: 2})
-		check("InitMesh", eng, err)
-	}
-}
+func TestInitDPFacade(t *testing.T)   { facadeMatchesInit(t, "dp") }
+func TestInitSPFacade(t *testing.T)   { facadeMatchesInit(t, "sp") }
+func TestInitMeshFacade(t *testing.T) { facadeMatchesInit(t, "mesh") }
 
 // TestStepRejectsMalformedBatchOnEveryPreset: a batch the model cannot
 // take — sequence past MaxSeq, token/target slices shorter than
