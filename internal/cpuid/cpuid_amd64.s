@@ -1,0 +1,40 @@
+#include "textflag.h"
+
+// func probe() (avx2, f16c bool)
+//
+// Both need CPUID leaf 1 ECX bits 27 (OSXSAVE) and 28 (AVX) and XCR0
+// bits 1-2 (the OS saves XMM and YMM state). Then AVX2 is CPUID leaf 7 EBX
+// bit 5, and F16C is CPUID leaf 1 ECX bit 29.
+TEXT ·probe(SB), NOSPLIT, $0-2
+	MOVB $0, avx2+0(FP)
+	MOVB $0, f16c+1(FP)
+	MOVL $0, AX
+	MOVL $0, CX
+	CPUID
+	MOVL AX, R8 // highest standard leaf
+	MOVL $1, AX
+	MOVL $0, CX
+	CPUID
+	MOVL CX, R9 // leaf 1 ECX
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  done
+	MOVL $0, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  done
+	TESTL $0x20000000, R9
+	JZ   leaf7
+	MOVB $1, f16c+1(FP)
+leaf7:
+	CMPL R8, $7
+	JLT  done
+	MOVL $7, AX
+	MOVL $0, CX
+	CPUID
+	TESTL $0x20, BX
+	JZ   done
+	MOVB $1, avx2+0(FP)
+done:
+	RET

@@ -297,8 +297,7 @@ func (r *rank) speculate(g goMsg) {
 		if b.Index() == 0 && g.inject {
 			b.Grad()[0] = float32(math.Inf(1))
 		}
-		b.ScaleGrad(inv)
-		b.SpeculativeStep(g.adam)
+		b.SpeculativeStep(g.adam, inv)
 	}
 	r.allGather()
 	go func(owned []*stv.Bucket) {

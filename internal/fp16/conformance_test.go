@@ -176,11 +176,12 @@ func TestUncastMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestRoundMatchesCastUncast pins Round to Uncast(Cast(x)) where a
-// rounding kernel goes wrong: every fp16 value, the midpoint to its upper
-// neighbour (65520 for the largest finite, the overflow tie) and the fp32
-// values one ulp either side, both signs; plus fp32 subnormals, the fp32
-// extremes, ±Inf and NaN payloads that do and do not fit in fp16.
+// TestRoundMatchesCastUncast pins Round, and each of its paths called
+// directly, to Uncast(Cast(x)) where a rounding kernel goes wrong: every
+// fp16 value, the midpoint to its upper neighbour (65520 for the largest
+// finite, the overflow tie) and the fp32 values one ulp either side, both
+// signs; plus fp32 subnormals, the fp32 extremes, ±Inf and NaN payloads
+// that do and do not fit in fp16.
 func TestRoundMatchesCastUncast(t *testing.T) {
 	src := []float32{}
 	add := func(bits ...uint32) {
@@ -198,13 +199,15 @@ func TestRoundMatchesCastUncast(t *testing.T) {
 	}
 	add(1, 0x400000, 0x7FFFFF, 0x7F7FFFFF, f32Inf,
 		0x7F800001, 0x7F801FFF, 0x7F802000, 0x7FA00000, 0x7FC00000, 0x7FFFFFFF)
-	got := make([]float32, len(src))
-	Round(got, src)
 	want := Uncast(nil, Cast(nil, src))
-	for i, x := range src {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("Round(%v) (bits %#08x) = %#08x, Uncast(Cast(x)) = %#08x",
-				x, math.Float32bits(x), math.Float32bits(got[i]), math.Float32bits(want[i]))
+	for _, path := range append(roundPaths(), roundPath{"Round", Round}) {
+		got := make([]float32, len(src))
+		path.round(got, src)
+		for i, x := range src {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s(%v) (bits %#08x) = %#08x, Uncast(Cast(x)) = %#08x",
+					path.name, x, math.Float32bits(x), math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
 		}
 	}
 }

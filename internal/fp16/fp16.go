@@ -9,7 +9,11 @@
 // branch-light bit-arithmetic round (one well-predicted range test per
 // element in the batch kernels), and fp16→fp32 is a 65536-entry lookup
 // table, so Cast, Uncast and Round stream slices instead of paying a
-// per-scalar call with data-dependent branches.
+// per-scalar call with data-dependent branches. On amd64 CPUs with F16C,
+// Round runs 8 elements at a time through the hardware conversions
+// (VCVTPS2PH, VCVTPH2PS), which give the Go loop's bits for every input
+// but a signalling NaN; blocks holding a NaN take the Go loop, which
+// defines what a NaN becomes.
 package fp16
 
 import "math"
@@ -159,9 +163,18 @@ func Cast(dst []Num, src []float32) []Num {
 
 // Round writes float32(fp16(x)) for each x of src into dst, bit for bit
 // Uncast(Cast(src)) with no fp16 array between: the pass that publishes
-// fp32 masters as fp16 working weights. Below the overflow tie 65520 it
-// inlines Cast's normal-range round, kept in fp32 bits.
+// fp32 masters as fp16 working weights. dst must be src or not overlap it.
+// On amd64 with F16C, whole 8-element blocks take the hardware round trip
+// (fp16_amd64.s); roundGo takes the rest.
 func Round(dst, src []float32) {
+	dst = dst[:len(src)]
+	i := roundLeaf(dst, src)
+	roundGo(dst[i:], src[i:])
+}
+
+// roundGo is Round's contract and its portable kernel. Below the overflow
+// tie 65520 it inlines Cast's normal-range round, kept in fp32 bits.
+func roundGo(dst, src []float32) {
 	dst = dst[:len(src)]
 	for i, x := range src {
 		b := math.Float32bits(x)

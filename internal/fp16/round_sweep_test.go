@@ -16,7 +16,8 @@ import (
 // step; race builds leave it out.
 var sweep = flag.Bool("sweep", false, "run the exhaustive 2³² Round sweep")
 
-// TestRoundExhaustiveSweep checks Round against Uncast(Cast(x)) on all 2³²
+// TestRoundExhaustiveSweep checks each Round path — the Go loop, and the
+// F16C leaf where the CPU has it — against Uncast(Cast(x)) on all 2³²
 // float32 inputs, split across GOMAXPROCS workers. Run it with
 // `go test ./internal/fp16 -run Sweep -sweep -v`.
 func TestRoundExhaustiveSweep(t *testing.T) {
@@ -24,11 +25,13 @@ func TestRoundExhaustiveSweep(t *testing.T) {
 		t.Skip("exhaustive 2³² sweep runs only with -sweep")
 	}
 	start := time.Now()
+	paths := roundPaths()
 	workers := runtime.GOMAXPROCS(0)
 	const total, chunk = uint64(1) << 32, 1 << 12
-	bad := make([]uint64, workers)
+	bad := make([][]uint64, workers) // per worker, per path
 	var wg sync.WaitGroup
 	for w := range workers {
+		bad[w] = make([]uint64, len(paths))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -39,12 +42,14 @@ func TestRoundExhaustiveSweep(t *testing.T) {
 				for i := range src {
 					src[i] = math.Float32frombits(uint32(c) + uint32(i))
 				}
-				Round(got, src)
 				Uncast(want, Cast(half, src))
-				for i := range src {
-					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						if bad[w]++; bad[w] == 1 {
-							t.Errorf("first differing input in worker %d: %#08x", w, math.Float32bits(src[i]))
+				for p, path := range paths {
+					path.round(got, src)
+					for i := range src {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							if bad[w][p]++; bad[w][p] == 1 {
+								t.Errorf("%s: first differing input in worker %d: %#08x", path.name, w, math.Float32bits(src[i]))
+							}
 						}
 					}
 				}
@@ -52,10 +57,12 @@ func TestRoundExhaustiveSweep(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	var n uint64
-	for _, b := range bad {
-		n += b
+	for p, path := range paths {
+		var n uint64
+		for w := range bad {
+			n += bad[w][p]
+		}
+		t.Logf("%s: %d of 2³² float32 inputs differ from Uncast(Cast(x))", path.name, n)
 	}
-	t.Logf("%d of 2³² float32 inputs differ from Uncast(Cast(x)) (%v on %d workers)",
-		n, time.Since(start).Round(time.Second), workers)
+	t.Logf("%d paths in %v on %d workers", len(paths), time.Since(start).Round(time.Second), workers)
 }

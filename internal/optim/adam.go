@@ -2,12 +2,14 @@
 // compares (§4.6, Table 3): a naive per-element Adam standing in for
 // PyTorch's native CPU optimizer, a blocked-parallel CPU-Adam mirroring
 // DeepSpeed's x86 design, and GraceAdam — the paper's ARM-tuned kernel —
-// reproduced with the same optimization hierarchy in Go (one fused pass,
-// per-core parallelism on large shards, register-resident unrolled inner
-// loops, fused bias correction). It also provides the global-norm clipping,
-// NaN/Inf scanning, and the out-of-place step (GraceAdamTo) whose
-// untouched source is the rollback point speculation-then-validation
-// needs (§4.4).
+// reproduced with the same optimization hierarchy (one fused pass that
+// also applies the gradient scale, per-core parallelism on large shards,
+// a vector inner loop, fused bias correction): an 8-wide AVX2 leaf on
+// amd64, the counterpart of the paper's SVE kernel, and a
+// register-resident unrolled Go loop elsewhere, the two bit-identical.
+// It also provides the global-norm clipping, NaN/Inf scanning, and the
+// out-of-place step (GraceAdamTo) whose untouched source is the rollback
+// point speculation-then-validation needs (§4.4).
 package optim
 
 import (
@@ -90,10 +92,11 @@ func NaiveAdam(cfg Config, p, g []float32, s *State, t int) {
 // runs scalar with per-element double-precision upconversion (the
 // "CPU-Adam" row of Table 3: good, but leaves throughput behind).
 func CPUAdam(cfg Config, p, g []float32, s *State, t int) {
-	acrossCores(cpuAdam, cfg, p, s, p, g, s, t)
+	acrossCores(cpuAdam, cfg, p, s, p, g, 1, s, t)
 }
 
-func cpuAdam(cfg Config, dp []float32, ds *State, p, g []float32, s *State, t int) {
+// cpuAdam has no fused gradient scale: CPUAdam passes 1.
+func cpuAdam(cfg Config, dp []float32, ds *State, p, g []float32, _ float32, s *State, t int) {
 	stepSize, bc2s := biasCorr(cfg, t)
 	wd := cfg.LR * cfg.WeightDecay
 	for i := range p {
@@ -113,34 +116,70 @@ func cpuAdam(cfg Config, dp []float32, ds *State, p, g []float32, s *State, t in
 	}
 }
 
-// GraceAdam is the paper's optimized kernel reproduced in Go: one fused
-// pass, core-level parallelism on large shards, and a 4-way unrolled inner
-// loop whose accumulators stay in registers — the portable analogue of the
-// SVE svmla/svsqrt vector pipeline. All arithmetic stays in fp32.
-func GraceAdam(cfg Config, p, g []float32, s *State, t int) { GraceAdamTo(cfg, p, s, p, g, s, t) }
+// GraceAdam is the paper's optimized kernel: one fused pass, core-level
+// parallelism on large shards, and a vector inner loop —
+// on amd64 an 8-wide AVX2 leaf (adam_amd64.s), the counterpart of the
+// SVE svmla/svsqrt pipeline, and elsewhere a 4-way unrolled Go loop whose
+// accumulators stay in registers. All arithmetic stays in fp32, and both
+// paths run the same IEEE operations in the same order, so they give the
+// same bits.
+func GraceAdam(cfg Config, p, g []float32, s *State, t int) { GraceAdamTo(cfg, p, s, p, g, 1, s, t) }
 
 // GraceAdamTo is GraceAdam out of place: it reads params p and moments s
 // and writes the stepped ones to dp and ds, which must be p and s or not
-// overlap them. Each element sees the same operations either way.
-func GraceAdamTo(cfg Config, dp []float32, ds *State, p, g []float32, s *State, t int) {
-	acrossCores(graceAdam, cfg, dp, ds, p, g, s, t)
+// overlap them. Each element sees the same operations either way. Unless
+// gs is 1, the gradients are first scaled in place, g[i] = g[i]·gs
+// rounded to fp32 (the product stv's Bucket.ScaleGrad writes), and the
+// step reads the scaled values; the AVX2 leaf does this in the step's own
+// pass over g.
+func GraceAdamTo(cfg Config, dp []float32, ds *State, p, g []float32, gs float32, s *State, t int) {
+	acrossCores(graceAdam, cfg, dp, ds, p, g, gs, s, t)
 }
 
-func graceAdam(cfg Config, dp []float32, ds *State, p, g []float32, s *State, t int) {
-	stepSize64, bc2s := biasCorr(cfg, t)
-	b1 := float32(cfg.Beta1)
-	ob1 := float32(1 - cfg.Beta1)
-	b2 := float32(cfg.Beta2)
-	ob2 := float32(1 - cfg.Beta2)
-	stepSize := float32(stepSize64)
-	invBc2s := float32(1 / bc2s)
-	eps := float32(cfg.Eps)
-	wd := float32(cfg.LR * cfg.WeightDecay)
+// adamScalars are the fp32 factors of one GraceAdam step, shared by every
+// element.
+type adamScalars struct {
+	b1, ob1, b2, ob2, stepSize, invBc2s, eps, wd float32
+}
+
+func newAdamScalars(cfg Config, t int) adamScalars {
+	stepSize, bc2s := biasCorr(cfg, t)
+	return adamScalars{
+		b1:       float32(cfg.Beta1),
+		ob1:      float32(1 - cfg.Beta1),
+		b2:       float32(cfg.Beta2),
+		ob2:      float32(1 - cfg.Beta2),
+		stepSize: float32(stepSize),
+		invBc2s:  float32(1 / bc2s),
+		eps:      float32(cfg.Eps),
+		wd:       float32(cfg.LR * cfg.WeightDecay),
+	}
+}
+
+func graceAdam(cfg Config, dp []float32, ds *State, p, g []float32, gs float32, s *State, t int) {
+	k := newAdamScalars(cfg, t)
+	n := len(p)
+	dp, g, sm, sv, dm, dv := dp[:n], g[:n], s.M[:n], s.V[:n], ds.M[:n], ds.V[:n]
+	i := graceAdamLeaf(&k, dp, dm, dv, p, g, gs, sm, sv)
+	graceAdamGo(&k, dp[i:], dm[i:], dv[i:], p[i:], g[i:], gs, sm[i:], sv[i:])
+}
+
+// graceAdamGo is GraceAdam's contract: the gradient scale as its own pass,
+// then the step as a 4-way unrolled loop. It is the kernel where there is
+// no leaf and the leaf's ragged tail where there is one.
+func graceAdamGo(k *adamScalars, dp, dm, dv, p, g []float32, gs float32, sm, sv []float32) {
+	b1, ob1, b2, ob2 := k.b1, k.ob1, k.b2, k.ob2
+	stepSize, invBc2s, eps, wd := k.stepSize, k.invBc2s, k.eps, k.wd
 
 	// Every operand cut to one length lets the compiler drop most of the
 	// per-element bounds checks.
 	n := len(p)
-	dp, g, sm, sv, dm, dv := dp[:n], g[:n], s.M[:n], s.V[:n], ds.M[:n], ds.V[:n]
+	dp, g, sm, sv, dm, dv = dp[:n], g[:n], sm[:n], sv[:n], dm[:n], dv[:n]
+	if gs != 1 {
+		for i := range g {
+			g[i] *= gs
+		}
+	}
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		g0, g1, g2, g3 := g[i], g[i+1], g[i+2], g[i+3]
@@ -184,21 +223,22 @@ func sqrt32(x float32) float32 { return float32(math.Sqrt(float64(x))) }
 // bought nothing.
 const fanOutElems = 1 << 20
 
-// kernel is a serial Adam body reading p/s and writing dp/ds.
-type kernel func(cfg Config, dp []float32, ds *State, p, g []float32, s *State, t int)
+// kernel is a serial Adam body reading p/s and g scaled by gs, and
+// writing dp/ds.
+type kernel func(cfg Config, dp []float32, ds *State, p, g []float32, gs float32, s *State, t int)
 
 // acrossCores runs a serial kernel over the shard: on its caller below
 // fanOutElems, otherwise as one goroutine per core over contiguous
-// sub-shards cut at multiples of 4 (destination and source at the same
-// offsets), so the unrolled kernels group the same elements and every
-// element sees the same arithmetic either way.
-func acrossCores(k kernel, cfg Config, dp []float32, ds *State, p, g []float32, s *State, t int) {
+// sub-shards (destination and source at the same offsets). Every element's
+// arithmetic is its own, so the cut changes no bits; it falls at multiples
+// of 8 only so that every chunk but the last is whole vector blocks.
+func acrossCores(k kernel, cfg Config, dp []float32, ds *State, p, g []float32, gs float32, s *State, t int) {
 	n, workers := len(p), runtime.GOMAXPROCS(0)
 	if n < fanOutElems || workers == 1 {
-		k(cfg, dp, ds, p, g, s, t)
+		k(cfg, dp, ds, p, g, gs, s, t)
 		return
 	}
-	chunk := (n/workers + 3) &^ 3
+	chunk := (n/workers + 7) &^ 7
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
@@ -206,7 +246,7 @@ func acrossCores(k kernel, cfg Config, dp []float32, ds *State, p, g []float32, 
 		go func() {
 			defer wg.Done()
 			k(cfg, dp[lo:hi], &State{M: ds.M[lo:hi], V: ds.V[lo:hi]},
-				p[lo:hi], g[lo:hi], &State{M: s.M[lo:hi], V: s.V[lo:hi]}, t)
+				p[lo:hi], g[lo:hi], gs, &State{M: s.M[lo:hi], V: s.V[lo:hi]}, t)
 		}()
 	}
 	wg.Wait()

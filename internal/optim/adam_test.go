@@ -115,7 +115,7 @@ func TestGraceAdamOutOfPlaceMatchesInPlace(t *testing.T) {
 			GraceAdam(cfg, inP, g, inS, 3)
 			srcP, srcS := clone()
 			dstP, dstS := make([]float32, n), NewState(n)
-			GraceAdamTo(cfg, dstP, dstS, srcP, g, srcS, 3)
+			GraceAdamTo(cfg, dstP, dstS, srcP, g, 1, srcS, 3)
 			for i := range p {
 				if math.Float32bits(dstP[i]) != math.Float32bits(inP[i]) ||
 					math.Float32bits(dstS.M[i]) != math.Float32bits(inS.M[i]) ||
@@ -234,7 +234,7 @@ func TestMixedShardStepFromAdvancesMaster(t *testing.T) {
 	g := []float32{1, 1, 1, 1}
 	cfg := DefaultConfig()
 	cfg.LR = 0.1
-	sh.StepFrom(sh, cfg, g)
+	sh.StepFrom(sh, cfg, g, 1)
 	if sh.State.Step != 1 {
 		t.Errorf("step = %d", sh.State.Step)
 	}
@@ -278,7 +278,7 @@ func TestSnapshotRestoreBitExact(t *testing.T) {
 	sh := NewMixedShard(p)
 	cfg := DefaultConfig()
 	snap := TakeSnapshot(nil, sh)
-	sh.StepFrom(sh, cfg, g)
+	sh.StepFrom(sh, cfg, g, 1)
 	snap.Restore(sh)
 	for i := range p {
 		if sh.Master[i] != p[i] {
@@ -304,15 +304,16 @@ func TestSnapshotReuseNoRealloc(t *testing.T) {
 }
 
 // TestReExecuteClipped pins what stv.Bucket's clip path composes: restore
-// the snapshot, then step with the scaled gradients — bit-identical to a
-// fresh shard stepped with them directly.
+// the snapshot, then step with the gradients scaled inside the step —
+// bit-identical to a fresh shard stepped with them scaled beforehand, and
+// the step leaves the scaled gradients behind.
 func TestReExecuteClipped(t *testing.T) {
 	cfg := DefaultConfig()
 	n := 64
 	p, g := randVecs(3, n)
 	sh := NewMixedShard(p)
 	snap := TakeSnapshot(nil, sh)
-	sh.StepFrom(sh, cfg, g) // speculative, unclipped
+	sh.StepFrom(sh, cfg, g, 1) // speculative, unclipped
 
 	// Reference: fresh shard stepped with clipped gradients directly.
 	ref := NewMixedShard(p)
@@ -321,13 +322,16 @@ func TestReExecuteClipped(t *testing.T) {
 	for i := range g {
 		scaled[i] = g[i] * float32(clip)
 	}
-	ref.StepFrom(ref, cfg, scaled)
+	ref.StepFrom(ref, cfg, scaled, 1)
 
 	snap.Restore(sh)
-	sh.StepFrom(sh, cfg, scaled)
+	sh.StepFrom(sh, cfg, g, float32(clip))
 	for i := range p {
 		if sh.Master[i] != ref.Master[i] {
 			t.Fatalf("re-executed step differs from direct clipped step at %d", i)
+		}
+		if g[i] != scaled[i] {
+			t.Fatalf("gradient %d after the scaled step = %v, want %v", i, g[i], scaled[i])
 		}
 	}
 	if sh.State.Step != 1 {

@@ -70,10 +70,11 @@ func NewMixedShard(params []float32) *MixedShard {
 // StepFrom applies one fused mixed-precision update: m's fp32 masters and
 // moments become src's advanced by one GraceAdam step (§4.6); src is m
 // itself for an in-place step. grad is fp32 (the Cast_gpu→Move_fp32 path
-// of §4.5 delivers fp32 gradients to the CPU).
-func (m *MixedShard) StepFrom(src *MixedShard, cfg Config, grad []float32) {
+// of §4.5 delivers fp32 gradients to the CPU); unless gs is 1 the step
+// first scales it in place by gs (GraceAdamTo).
+func (m *MixedShard) StepFrom(src *MixedShard, cfg Config, grad []float32, gs float32) {
 	m.State.Step = src.State.Step + 1
-	GraceAdamTo(cfg, m.Master, m.State, src.Master, grad, src.State, m.State.Step)
+	GraceAdamTo(cfg, m.Master, m.State, src.Master, grad, gs, src.State, m.State.Step)
 }
 
 // LossScaler implements static-threshold dynamic loss scaling: the scale

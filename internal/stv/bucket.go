@@ -153,37 +153,37 @@ func ahead(st *BucketState) *optim.MixedShard {
 }
 
 // step is the one per-bucket update of §4.4: acquire the state, pick the
-// version Adam reads, scale the staged gradients, apply GraceAdam,
-// publish the new masters as fp16 weights, release. The scaling is in
-// place: every caller that scales has already joined the validator
-// reading the buffer, and the buffer's next use is an overwrite (the next
-// window's first AccumGrad / AccumInto).
-func (b *Bucket) step(cfg optim.Config, scale float64, from func(*BucketState) *optim.MixedShard) {
+// version Adam reads, apply GraceAdam to the staged gradients scaled by
+// gs, publish the new masters as fp16 weights, release. GraceAdam scales
+// the buffer in place, writing what ScaleGrad would (nothing at gs = 1):
+// a speculative step's validator starts after the step and reads the
+// scaled buffer, every other caller has already joined its validator, and
+// the buffer's next use is an overwrite (the next window's first
+// AccumGrad / AccumInto).
+func (b *Bucket) step(cfg optim.Config, gs float32, from func(*BucketState) *optim.MixedShard) {
 	st := b.store.Acquire(b.idx)
-	src := from(st)
-	if scale != 1.0 {
-		b.ScaleGrad(float32(scale))
-	}
-	st.Shard.StepFrom(src, cfg, b.grad)
+	st.Shard.StepFrom(from(st), cfg, b.grad, gs)
 	publish(b.group, st.Shard.Master)
 	b.store.Release(b.idx, ReleaseStep)
 }
 
 // SpeculativeStep steps the bucket's state with the staged (unclipped)
-// gradients, ahead of validation. It overwrites the previous version, so
-// on a bucket whose last verdict is not yet applied (Apply) it panics
-// rather than destroy that verdict's rollback point.
-func (b *Bucket) SpeculativeStep(cfg optim.Config) {
+// gradients scaled by inv — the 1/(lossScale·contributions) normalisation,
+// which stays in the buffer for the validator — ahead of validation. It
+// overwrites the previous version, so on a bucket whose last verdict is not
+// yet applied (Apply) it panics rather than destroy that verdict's
+// rollback point.
+func (b *Bucket) SpeculativeStep(cfg optim.Config, inv float32) {
 	if b.dirty {
 		panic(fmt.Sprintf("stv: speculative step on bucket %d before its last verdict was applied", b.idx))
 	}
-	b.step(cfg, 1, ahead)
+	b.step(cfg, inv, ahead)
 	b.dirty = true
 }
 
 // DirectStep applies a validated step with the staged gradients scaled by
 // scale — the STE path: in place, nothing to roll back.
-func (b *Bucket) DirectStep(cfg optim.Config, scale float64) { b.step(cfg, scale, inPlace) }
+func (b *Bucket) DirectStep(cfg optim.Config, scale float64) { b.step(cfg, float32(scale), inPlace) }
 
 // Apply executes the verdict on the bucket's speculative step (§4.4).
 // Commit keeps it — no store access, the speculative state already is the
@@ -199,7 +199,7 @@ func (b *Bucket) Apply(r Resolution) {
 	b.dirty = false
 	switch r.Action {
 	case Clip:
-		b.step(r.Adam, r.ClipScale, again)
+		b.step(r.Adam, float32(r.ClipScale), again)
 	case Skip:
 		b.turn(false)
 	}

@@ -358,11 +358,11 @@ func FuzzMLPStoreOps(f *testing.F) {
 				}
 				switch (b >> 3) % 5 {
 				case 1:
-					st.Shard.StepFrom(ahead(st), cfg, g)
+					st.Shard.StepFrom(ahead(st), cfg, g, 1)
 					mode = ReleaseStep
 				case 2:
 					if st.prev != nil {
-						st.Shard.StepFrom(st.prev, cfg, g)
+						st.Shard.StepFrom(st.prev, cfg, g, 1)
 						mode = ReleaseStep
 					}
 				case 3:

@@ -225,7 +225,7 @@ func TestMLPStoreMovesOneSlot(t *testing.T) {
 			for j := range bk.grad {
 				bk.grad[j] = 0.01 * float32(j%7-3)
 			}
-			bk.SpeculativeStep(cfg)
+			bk.SpeculativeStep(cfg, 1)
 			slotOnly("speculative step")
 		}
 	}

@@ -384,7 +384,7 @@ func TestBucketTensorsArePublishedMasters(t *testing.T) {
 					for j := range bk.grad {
 						bk.grad[j] = 0.01 * float32(j%7-3)
 					}
-					bk.SpeculativeStep(cfg)
+					bk.SpeculativeStep(cfg, 1)
 				}
 				for _, bk := range bks {
 					bk.Apply(r)

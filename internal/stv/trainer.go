@@ -295,11 +295,12 @@ func (t *Trainer) StepAccum(batches []data.Batch) (float64, error) {
 	inv := float32(1 / (t.ctl.Scale() * float64(len(batches))))
 	speculative := t.Cfg.Mode == STV
 	for _, bk := range t.buckets {
-		bk.ScaleGrad(inv)
 		if speculative {
 			// In the real system this overlaps the remaining backward on
 			// the GPU.
-			bk.SpeculativeStep(adam)
+			bk.SpeculativeStep(adam, inv)
+		} else {
+			bk.ScaleGrad(inv)
 		}
 	}
 	// The background validator (the Python-multiprocessing worker of

@@ -327,17 +327,17 @@ func TestLanedTrainerLeavesNoGoroutine(t *testing.T) {
 func TestSpeculativeStepOnDirtyBucketPanics(t *testing.T) {
 	bk := fuzzBuckets()[0]
 	cfg := optim.DefaultConfig()
-	bk.SpeculativeStep(cfg)
+	bk.SpeculativeStep(cfg, 1)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("speculative step before the last verdict was applied did not panic")
 			}
 		}()
-		bk.SpeculativeStep(cfg)
+		bk.SpeculativeStep(cfg, 1)
 	}()
 	bk.Apply(Resolution{Action: Commit})
-	bk.SpeculativeStep(cfg)
+	bk.SpeculativeStep(cfg, 1)
 }
 
 // TestSTETrainerHoldsOneVersion: STE steps every bucket in place, so an

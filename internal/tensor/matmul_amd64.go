@@ -1,11 +1,11 @@
 package tensor
 
+import "superoffload/internal/cpuid"
+
 // useAVX2 selects the assembly leaves in matmul_amd64.s. The CPU decides,
 // once, and nothing else can: both paths produce the same bits, so there
 // is nothing to choose between.
-var useAVX2 = cpuHasAVX2()
-
-func cpuHasAVX2() bool
+var useAVX2 = cpuid.AVX2()
 
 //go:noescape
 func accumTile4x16(out *float32, ldo int, a *float32, ars, aks int, b *float32, ldb, k int)

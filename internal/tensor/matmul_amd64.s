@@ -6,38 +6,6 @@
 // multiply-add, which the amd64 Go compiler does not emit either. A leaf is
 // one register tile; the loops over tiles stay in Go.
 
-// func cpuHasAVX2() bool
-//
-// CPUID leaf 1 ECX bits 27 (OSXSAVE) and 28 (AVX), XCR0 bits 1-2 (the OS
-// saves XMM and YMM state), CPUID leaf 7 EBX bit 5 (AVX2).
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVL $0, AX
-	MOVL $0, CX
-	CPUID
-	CMPL AX, $7
-	JLT  no
-	MOVL $1, AX
-	MOVL $0, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  no
-	MOVL $0, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-	MOVL $7, AX
-	MOVL $0, CX
-	CPUID
-	TESTL $0x20, BX
-	JZ   no
-	MOVB $1, ret+0(FP)
-	RET
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // One k step of one tile row: acc0, acc1 += broadcast(a) * (Y8, Y9).
 #define ACCUM_ROW(aaddr, acc0, acc1) \
 	VBROADCASTSS aaddr, Y10; \
