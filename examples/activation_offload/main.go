@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"strings"
@@ -92,8 +93,9 @@ func main() {
 	if err == nil {
 		log.Fatal("overflowing shape trained without activation offload")
 	}
-	if !strings.Contains(err.Error(), "act-offload") {
-		log.Fatalf("guard error does not hint at offloading: %v", err)
+	var cfgErr *superoffload.ConfigError
+	if !errors.As(err, &cfgErr) || cfgErr.Field != "Batch.BatchSize" || !strings.Contains(cfgErr.Error(), "Activation.Offload") {
+		log.Fatalf("guard error does not name the batch and hint at offloading: %v", err)
 	}
 	if cerr := engine.Close(); cerr != nil {
 		log.Fatal(cerr)

@@ -122,5 +122,5 @@ func main() {
 
 	fmt.Println("\nall three axes — replica groups, sequence shards, pipeline stages — and")
 	fmt.Println("optimizer-state residency are invisible to the numerics; only traffic")
-	fmt.Println("changes. (Two-axis runs: examples/hybrid_mesh.)")
+	fmt.Println("changes.")
 }

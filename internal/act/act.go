@@ -390,10 +390,12 @@ func (s *Store) topUpLocked() {
 	}
 }
 
-// issueReadLocked enqueues layer l's fetch. The worker's FIFO order
-// guarantees the layer's spill write lands before the read; the read
-// decodes from the record's own buffer, so it cannot race a later
-// spill either (those fence on rec.last).
+// issueReadLocked enqueues layer l's fetch. The read covers the region
+// the layer's spill wrote, and the lane runs a read only after every
+// overlapping write issued before it, so the spill lands first; the read
+// fills the record's own buffer, which no later spill re-encodes before
+// fencing on rec.last — and rec.last done means every earlier op on the
+// record is done, since the read waited for the spill.
 func (s *Store) issueReadLocked(l int) {
 	ls := s.layers[l]
 	rec := s.recs[l]

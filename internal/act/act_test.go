@@ -145,12 +145,14 @@ func TestStoreCloseWithPrefetchInFlight(t *testing.T) {
 // the file never held, nothing may hang, and Close must report the
 // error and leave no goroutine behind.
 func TestStoreBackingIOFailure(t *testing.T) {
-	// An 8-layer pass at window 2 issues 6 spill writes (ops 0-5) before
-	// its first fetch read.
+	// An 8-layer pass at window 2 issues 6 spill writes (ops 0-5), then
+	// the fetches of layers 5 and 4. Each fetch waits only for its own
+	// layer's spill, so the lane may run layer 4's ahead of layer 5's
+	// spill: op 6 is either kind, and op 7 is always a fetch read.
 	for _, c := range []struct {
 		name     string
 		afterOps int
-	}{{"spill-write", 0}, {"fetch-read", 6}} {
+	}{{"spill-write", 0}, {"fetch-read", 7}} {
 		t.Run(c.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			inj := stvtest.NewInjector(stvtest.Fault{Kind: stvtest.FaultError, AfterOps: c.afterOps})

@@ -173,11 +173,12 @@ func TestFaultAllPathsDead(t *testing.T) {
 // an acquire that would otherwise be clean — a checkpoint Save touches
 // every bucket without stepping it — must still re-enter the window
 // modified, so its next eviction re-routes the record off the dead path
-// and no later acquire recovers it again. Path 1 fails after 5 IOs, at
-// bucket 11's seed write, which quarantines it and so loses every odd
-// bucket's record before the Save.
+// and no later acquire recovers it again. Path 1 fails at its first IO.
+// That is always bucket 1's seed write: the path's first read is bucket
+// 1's fetch, which waits for that write. The failure quarantines the
+// path and so loses every odd bucket's record before the Save.
 func TestFaultRecoveredBucketReroutesOnce(t *testing.T) {
-	inj := stvtest.NewInjector(stvtest.Fault{Path: 1, Kind: stvtest.FaultError, AfterOps: 5})
+	inj := stvtest.NewInjector(stvtest.Fault{Path: 1, Kind: stvtest.FaultError, AfterOps: 0})
 	store, err := stv.NewMLPStore(stv.MLPStoreConfig{
 		Dir:             t.TempDir(),
 		Paths:           hw.NodeIOPaths(2),

@@ -16,11 +16,12 @@ import (
 
 // MLPStore is the flash tier's one bucket store (MLP-Offload): bucket
 // records stripe across N flash paths — each an iolane.Lane: a backing
-// file, a FIFO worker and a modeled device clock — behind an optional
-// DRAM cache tier. One path and no cache is the classic single-lane NVMe
-// store (the NewNVMeStore preset). Acquire auto-prefetches the next
-// bucket's read while the consumer steps the current one (double
-// buffering); evictions enqueue write-behind flushes nobody waits for.
+// file, a reads-first worker and a modeled device clock — behind an
+// optional DRAM cache tier. One path and no cache is the classic
+// single-lane NVMe store (the NewNVMeStore preset). Acquire
+// auto-prefetches the next bucket's read while the consumer steps the
+// current one (double buffering); evictions enqueue write-behind flushes
+// nobody waits for, and the lane lets the fetch overtake them.
 // Writes dispatch whole records to the least-loaded live path by virtual
 // clock, reads follow the record to wherever it last landed, and a
 // window eviction drops the state into the DRAM cache (LRU) before
@@ -163,17 +164,21 @@ type mlpRecord struct {
 	sums  [2]uint32  // crc32 of each slot's last encoding
 	path  int        // path holding the current slot's bytes
 	read  *iolane.Op // in-flight fetch, if any
-	// buf is the record's reusable one-slot IO buffer. It is NOT unconditionally
-	// safe to re-fill: with one worker per path there is no single FIFO
-	// serializing the record's ops, and a DRAM cache
-	// hit skips the read that would have waited out the previous
+	// buf is the record's reusable one-slot IO buffer. It is NOT
+	// unconditionally safe to re-fill: write-behinds are never waited on,
+	// the record's ops may sit on different paths' workers, and a DRAM
+	// cache hit skips the read that would have waited out the previous
 	// write-behind — so flushLocked surrenders the buffer to a still
 	// in-flight op (tracked in pending) instead of encoding underneath
 	// the worker. It is likewise dropped after a failed fetch: an op
-	// abandoned to a stalled path still owns it.
+	// abandoned to a stalled path still owns it. A fetch takes buf
+	// without that check: it reads the slot and path the record's last
+	// write went to, so its lane runs it only after that write, the
+	// buffer's previous user.
 	buf []byte
 	// pending is the record's most recently enqueued op; nil or done
-	// means buf is free to reuse.
+	// means buf is free to reuse (a done fetch implies its write is
+	// done, by the lane's region rule).
 	pending *iolane.Op
 }
 
@@ -256,15 +261,6 @@ func NewMLPStore(cfg MLPStoreConfig) (*MLPStore, error) {
 		s.lanes = append(s.lanes, lane)
 	}
 	return s, nil
-}
-
-// BackingPaths returns the per-path backing file locations (diagnostics).
-func (s *MLPStore) BackingPaths() []string {
-	names := make([]string, len(s.lanes))
-	for i, l := range s.lanes {
-		names[i] = l.Path()
-	}
-	return names
 }
 
 // Telemetry returns a snapshot of the modeled-time, cache, and

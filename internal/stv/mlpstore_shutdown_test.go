@@ -52,7 +52,10 @@ func TestMLPStoreCloseWithOpsInFlight(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				before := runtime.NumGoroutine()
 				s := seededMLPStore(t, sh.paths, 9, 512, 2, sh.cache)
-				paths := s.BackingPaths()
+				var paths []string
+				for _, l := range s.lanes {
+					paths = append(paths, l.Path())
+				}
 				if len(paths) != sh.paths {
 					t.Fatalf("expected %d backing files, got %v", sh.paths, paths)
 				}
