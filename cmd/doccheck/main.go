@@ -17,7 +17,10 @@
 //     (as `id`), so the registry and its documentation cannot drift.
 //  4. Example surface: every examples/<dir> program must be mentioned in
 //     README.md (as examples/<dir>), so a new example cannot ship
-//     outside the examples table.
+//     outside the examples table; and every examples/<x> that README.md,
+//     ARCHITECTURE.md, DESIGN.md or a string literal in an example
+//     program names must exist, so a deleted example cannot leave a
+//     pointer to itself behind.
 //
 // Run from the repository root: go run ./cmd/doccheck
 package main
@@ -203,6 +206,58 @@ func checkExamples() []string {
 	}
 	if found == 0 {
 		out = append(out, "no example directories found under examples/ (layout drift?)")
+	}
+	return append(out, checkExampleRefs(entries)...)
+}
+
+// exampleRef matches a path naming one example directory.
+var exampleRef = regexp.MustCompile(`examples/([A-Za-z0-9_-]+)`)
+
+// checkExampleRefs reports every examples/<x> named by the top-level docs
+// or by a string literal in an example program (text it prints) for which
+// examples/ has no directory <x>.
+func checkExampleRefs(entries []os.DirEntry) []string {
+	have := map[string]bool{}
+	for _, e := range entries {
+		have[e.Name()] = e.IsDir()
+	}
+	var out []string
+	refs := func(where, text string) {
+		for _, m := range exampleRef.FindAllStringSubmatch(text, -1) {
+			if !have[m[1]] {
+				out = append(out, fmt.Sprintf("%s names examples/%s, which does not exist", where, m[1]))
+			}
+		}
+	}
+	for _, doc := range []string{"README.md", "ARCHITECTURE.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			out = append(out, fmt.Sprintf("reading %s: %v", doc, err))
+			continue
+		}
+		refs(doc, string(text))
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("examples", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if v, err := strconv.Unquote(lit.Value); err == nil {
+					refs(fset.Position(lit.Pos()).String(), v)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		out = append(out, fmt.Sprintf("scanning examples/: %v", err))
 	}
 	return out
 }

@@ -1,6 +1,8 @@
+//go:build !purego
+
 package cpuid
 
-var avx2, f16c = probe()
+var avx2, f16c, avx512f = probe()
 
 // probe is in cpuid_amd64.s.
-func probe() (avx2, f16c bool)
+func probe() (avx2, f16c, avx512f bool)

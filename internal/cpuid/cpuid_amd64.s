@@ -1,13 +1,17 @@
+//go:build !purego
+
 #include "textflag.h"
 
-// func probe() (avx2, f16c bool)
+// func probe() (avx2, f16c, avx512f bool)
 //
-// Both need CPUID leaf 1 ECX bits 27 (OSXSAVE) and 28 (AVX) and XCR0
-// bits 1-2 (the OS saves XMM and YMM state). Then AVX2 is CPUID leaf 7 EBX
-// bit 5, and F16C is CPUID leaf 1 ECX bit 29.
-TEXT ·probe(SB), NOSPLIT, $0-2
+// All three need CPUID leaf 1 ECX bits 27 (OSXSAVE) and 28 (AVX) and XCR0
+// bits 1-2 (the OS saves XMM and YMM state). Then F16C is CPUID leaf 1
+// ECX bit 29 and AVX2 CPUID leaf 7 EBX bit 5. AVX-512F is leaf 7 EBX bit
+// 16 with AVX2, and XCR0 bits 5-7 (opmask, ZMM0-15 upper halves, ZMM16-31).
+TEXT ·probe(SB), NOSPLIT, $0-3
 	MOVB $0, avx2+0(FP)
 	MOVB $0, f16c+1(FP)
+	MOVB $0, avx512f+2(FP)
 	MOVL $0, AX
 	MOVL $0, CX
 	CPUID
@@ -21,6 +25,7 @@ TEXT ·probe(SB), NOSPLIT, $0-2
 	JNE  done
 	MOVL $0, CX
 	XGETBV
+	MOVL AX, R10 // XCR0 low half
 	ANDL $6, AX
 	CMPL AX, $6
 	JNE  done
@@ -36,5 +41,11 @@ leaf7:
 	TESTL $0x20, BX
 	JZ   done
 	MOVB $1, avx2+0(FP)
+	TESTL $0x10000, BX
+	JZ   done
+	ANDL $0xE6, R10
+	CMPL R10, $0xE6
+	JNE  done
+	MOVB $1, avx512f+2(FP)
 done:
 	RET

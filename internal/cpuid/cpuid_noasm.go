@@ -1,6 +1,7 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package cpuid
 
-// No assembly leaves on this architecture: every kernel runs its Go loop.
-const avx2, f16c = false, false
+// No assembly leaves on this architecture, or none wanted (the purego tag):
+// every kernel runs its Go loop.
+const avx2, f16c, avx512f = false, false, false

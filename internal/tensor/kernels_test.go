@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -338,5 +339,43 @@ func BenchmarkMatMul256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulInto(out, x, y)
+	}
+}
+
+// BenchmarkLaneShapes runs the matmul entries at the products one lane of
+// the bench's model issues (4 layers, hidden 128, seq 32, 2 rows a lane:
+// 64 token rows): forward through the 128→384 and 512→128 projections,
+// their dX through MatMulT, and one weight-gradient replay over 64 rows.
+func BenchmarkLaneShapes(b *testing.B) {
+	rng := NewRNG(3)
+	for _, c := range []struct {
+		op      string
+		m, k, n int
+	}{
+		{"MatMul", 64, 128, 384}, {"MatMul", 64, 512, 128},
+		{"MatMulT", 64, 384, 128}, {"MatMulT", 64, 128, 512},
+		{"TMatMulAccum", 128, 64, 384},
+	} {
+		b.Run(fmt.Sprintf("%s/%dx%dx%d", c.op, c.m, c.k, c.n), func(b *testing.B) {
+			out := New(c.m, c.n)
+			var run func()
+			switch c.op {
+			case "MatMul":
+				x, y := Randn(rng, 1, c.m, c.k), Randn(rng, 1, c.k, c.n)
+				run = func() { MatMulInto(out, x, y) }
+			case "MatMulT":
+				x, y := Randn(rng, 1, c.m, c.k), Randn(rng, 1, c.n, c.k)
+				run = func() { MatMulTInto(out, x, y) }
+			default: // dW (m,n) += xᵀ·dy over k data rows
+				x, dy := Randn(rng, 1, c.k, c.m), Randn(rng, 1, c.k, c.n)
+				run = func() { TMatMulAccum(out.Data, x, dy, 0, c.k) }
+			}
+			run()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(float64(2*c.m*c.k*c.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }

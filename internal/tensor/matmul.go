@@ -6,21 +6,23 @@ package tensor
 //
 // The Go loops in this file (accumRowsGeneric, dotRowsGeneric) are the
 // numerics contract, the whole implementation wherever there is no
-// assembly (every GOARCH but amd64, and amd64 CPUs without AVX2), and the
-// edge path everywhere else. MatMul and TMatMul accumulate every output
-// element in the left-to-right kk-ascending order of the naive loop, one
-// rounded multiply then one rounded add per term; MatMulT folds each dot
-// product as four stride-4 partial sums, ((s0+s1)+s2)+s3, then its k%4
-// tail one term at a time. The register tile only reorders *loads*, never
-// the floating-point fold, so results are bit-identical across band
-// splits.
+// assembly (every GOARCH but amd64, amd64 CPUs without AVX2, and any build
+// with the purego tag), and the edge path everywhere else. MatMul and
+// TMatMul accumulate every output element in the left-to-right
+// kk-ascending order of the naive loop, one rounded multiply then one
+// rounded add per term; MatMulT folds each dot product as four stride-4
+// partial sums, ((s0+s1)+s2)+s3, then its k%4 tail one term at a time.
+// The register tile only reorders *loads*, never the floating-point fold,
+// so results are bit-identical across band splits.
 //
-// On amd64 with AVX2 (matmul_amd64.go/.s) whole tiles go to two assembly
-// leaves that run the same fold in vector lanes: a lane is one output
+// Three leaf widths share that contract. On amd64 with AVX2
+// (matmul_amd64.go/.s) whole tiles go to assembly leaves — 4×16 accumulate
+// and 4×4 dot tiles, and with AVX-512F 4×32 and 4×8 tiles in front of
+// them — that run the same fold in vector lanes: a lane is one output
 // element (or one of a dot's four partials), each term is one VMULPS then
 // one VADDPS — never a fused multiply-add, which the amd64 Go compiler
 // does not emit either — so per lane a leaf performs the operations of the
-// Go loop on the same operands, and every golden holds on both paths. The
+// Go loop on the same operands, and every golden holds on every path. The
 // one latitude is the payload of a NaN produced from two NaN operands (x86
 // keeps the first source's, and the compiler may order them either way);
 // whether an element is NaN never differs. A leaf is one tile — at most k
