@@ -2,7 +2,7 @@
 
 package cpuid
 
-var avx2, f16c, avx512f = probe()
+var avx2, f16c, avx512f, fma = probe()
 
 // probe is in cpuid_amd64.s.
-func probe() (avx2, f16c, avx512f bool)
+func probe() (avx2, f16c, avx512f, fma bool)

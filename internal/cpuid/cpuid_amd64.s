@@ -2,16 +2,18 @@
 
 #include "textflag.h"
 
-// func probe() (avx2, f16c, avx512f bool)
+// func probe() (avx2, f16c, avx512f, fma bool)
 //
-// All three need CPUID leaf 1 ECX bits 27 (OSXSAVE) and 28 (AVX) and XCR0
+// All four need CPUID leaf 1 ECX bits 27 (OSXSAVE) and 28 (AVX) and XCR0
 // bits 1-2 (the OS saves XMM and YMM state). Then F16C is CPUID leaf 1
-// ECX bit 29 and AVX2 CPUID leaf 7 EBX bit 5. AVX-512F is leaf 7 EBX bit
-// 16 with AVX2, and XCR0 bits 5-7 (opmask, ZMM0-15 upper halves, ZMM16-31).
-TEXT ·probe(SB), NOSPLIT, $0-3
+// ECX bit 29, FMA leaf 1 ECX bit 12 and AVX2 CPUID leaf 7 EBX bit 5.
+// AVX-512F is leaf 7 EBX bit 16 with AVX2, and XCR0 bits 5-7 (opmask,
+// ZMM0-15 upper halves, ZMM16-31).
+TEXT ·probe(SB), NOSPLIT, $0-4
 	MOVB $0, avx2+0(FP)
 	MOVB $0, f16c+1(FP)
 	MOVB $0, avx512f+2(FP)
+	MOVB $0, fma+3(FP)
 	MOVL $0, AX
 	MOVL $0, CX
 	CPUID
@@ -29,6 +31,10 @@ TEXT ·probe(SB), NOSPLIT, $0-3
 	ANDL $6, AX
 	CMPL AX, $6
 	JNE  done
+	TESTL $0x1000, R9
+	JZ   f16cbit
+	MOVB $1, fma+3(FP)
+f16cbit:
 	TESTL $0x20000000, R9
 	JZ   leaf7
 	MOVB $1, f16c+1(FP)

@@ -41,7 +41,7 @@ func TestProbeMatchesCPUInfo(t *testing.T) {
 	for _, f := range []struct {
 		name string
 		got  bool
-	}{{"avx2", AVX2()}, {"f16c", F16C()}, {"avx512f", AVX512F()}} {
+	}{{"avx2", AVX2()}, {"f16c", F16C()}, {"avx512f", AVX512F()}, {"fma", FMA()}} {
 		if want := leaves && flags[f.name]; f.got != want {
 			t.Errorf("%s: probe says %v, /proc/cpuinfo (leaves built: %v) says %v", f.name, f.got, leaves, want)
 		}

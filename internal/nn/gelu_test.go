@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 )
@@ -115,5 +116,73 @@ func TestGeluMatchesTwoFunctionForm(t *testing.T) {
 	}
 	if bad > 0 {
 		t.Errorf("%d of %d inputs differ from the two-function GELU", bad, len(xs))
+	}
+}
+
+// TestGeluLeafMatchesGoLoop requires the leaf to give geluGo's y and
+// gelu′ bit for bit, NaN payloads included. Each edge input and special
+// value (quiet and signalling NaNs with payload bits, ±Inf, ±0,
+// subnormals) sits at every lane of two 4-element blocks and a tail among
+// ordinary values; random draws from σ = 0.01 to 1e10 run at lengths 0–9
+// and 32 771 from odd offsets. Every case runs in place (g over x, as gelu
+// calls it) and out of place.
+func TestGeluLeafMatchesGoLoop(t *testing.T) {
+	leaf := leafGelu()
+	if leaf == nil {
+		t.Skip("no GELU leaf on this CPU or build")
+	}
+	check := func(name string, xs []float32) {
+		t.Helper()
+		for _, inPlace := range []bool{false, true} {
+			wantY, wantG := make([]float32, len(xs)), make([]float32, len(xs))
+			geluGo(wantY, wantG, xs)
+			y, g := make([]float32, len(xs)), make([]float32, len(xs))
+			x := append([]float32(nil), xs...)
+			if inPlace {
+				g = x
+			}
+			leaf(y, g, x)
+			for i, v := range xs {
+				if math.Float32bits(y[i]) != math.Float32bits(wantY[i]) || math.Float32bits(g[i]) != math.Float32bits(wantG[i]) {
+					t.Fatalf("%s (in place %v), element %d of %d, x = %#08x: leaf y %#08x gelu′ %#08x, Go loop %#08x %#08x",
+						name, inPlace, i, len(xs), math.Float32bits(v), math.Float32bits(y[i]), math.Float32bits(g[i]),
+						math.Float32bits(wantY[i]), math.Float32bits(wantG[i]))
+				}
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewPCG(48, 4))
+	specials := geluEdgeInputs()
+	for _, b := range []uint32{
+		0x7FC00001, 0x7FD55555, 0x7FFFFFFF, 0xFFC12345, // quiet NaNs with payloads
+		0x7F800001, 0x7FA00000, 0x7FBFFFFF, 0xFF812345, // signalling NaNs
+		0x00000001, 0x00400000, 0x807FFFFF, 0x80000001, // subnormals
+	} {
+		specials = append(specials, math.Float32frombits(b))
+	}
+	const n = 2*4 + 3
+	for _, v := range specials {
+		for pos := range n {
+			xs := make([]float32, n)
+			for i := range xs {
+				xs[i] = float32(rng.NormFloat64())
+			}
+			xs[pos] = v
+			check("special", xs)
+		}
+	}
+
+	for _, sigma := range []float64{0.01, 0.1, 0.5, 1, 3, 10, 1e3, 1e5, 1e10} {
+		buf := make([]float32, 32771+3)
+		for i := range buf {
+			buf[i] = float32(sigma * rng.NormFloat64())
+		}
+		for _, off := range []int{1, 3} {
+			for length := range 10 {
+				check("random", buf[off:off+length])
+			}
+			check("random", buf[off:off+32771])
+		}
 	}
 }

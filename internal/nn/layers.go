@@ -121,7 +121,9 @@ const geluK = 0.7978845608028654 // sqrt(2/pi)
 
 // geluForward returns gelu(x) and gelu′(x) from one tanh. Each result is
 // the expression the two-function form evaluated term for term, so on a
-// build that fuses no multiply-add (amd64) the bits are the same.
+// build that fuses no multiply-add (amd64) the bits are the same. The
+// amd64 leaf (gelu_amd64.s) replays this sequence, math.Tanh and
+// math.Exp included, operation for operation.
 func geluForward(x float64) (y, grad float64) {
 	t := math.Tanh(geluK * (x + 0.044715*x*x*x))
 	return 0.5 * x * (1 + t), 0.5*(1+t) + 0.5*x*(1-t*t)*geluK*(1+3*0.044715*x*x)
@@ -129,15 +131,25 @@ func geluForward(x float64) (y, grad float64) {
 
 // gelu applies GELU elementwise and overwrites x with gelu′(x): the
 // pre-activation itself is never read again, and its derivative is all
-// geluBackward needs.
+// geluBackward needs. Where the CPU has AVX2 and FMA, whole 4-element
+// blocks run through the assembly leaf (gelu_amd64.s); geluGo takes the
+// rest, and the two give the same bits.
 func gelu(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
 	y := ws.get(x.Dim(0), x.Dim(1))
-	for i, v := range x.Data {
-		yv, g := geluForward(float64(v))
-		y.Data[i] = float32(yv)
-		x.Data[i] = float32(g)
-	}
+	i := geluLeaf(y.Data, x.Data, x.Data)
+	geluGo(y.Data[i:], x.Data[i:], x.Data[i:])
 	return y
+}
+
+// geluGo is gelu's contract and its portable kernel: y = gelu(x) and
+// g = gelu′(x), each geluForward rounded to float32. g may be x.
+func geluGo(y, g, x []float32) {
+	y, g = y[:len(x)], g[:len(x)]
+	for i, v := range x {
+		yv, gv := geluForward(float64(v))
+		y[i] = float32(yv)
+		g[i] = float32(gv)
+	}
 }
 
 // geluBackward returns dx = dy ⊙ grad, grad being the gelu′ the forward
