@@ -13,7 +13,9 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"superoffload"
 )
@@ -27,12 +29,21 @@ const (
 	vocab  = 128
 )
 
-func train(ranks, seqRanks, pipeRanks int, backend string) ([]float64, superoffload.Stats, superoffload.SPCommStats, []byte) {
+// result is one training run's record: per-step losses, validation
+// stats, link traffic and the final checkpoint's bytes.
+type result struct {
+	losses []float64
+	stats  superoffload.Stats
+	comm   superoffload.SPCommStats
+	ckpt   []byte
+}
+
+func train(ranks, seqRanks, pipeRanks int, backend string) (out result, err error) {
 	model, err := superoffload.NewModel(superoffload.ModelConfig{
 		Layers: layers, Hidden: 64, Heads: 4, Vocab: vocab, MaxSeq: seq,
 	}, 7)
 	if err != nil {
-		log.Fatal(err)
+		return out, err
 	}
 	cfg := superoffload.DefaultOptimizer()
 	cfg.ClipNorm = 4.0
@@ -42,15 +53,14 @@ func train(ranks, seqRanks, pipeRanks int, backend string) ([]float64, superoffl
 		Ranks: ranks, SeqRanks: seqRanks, PipeRanks: pipeRanks,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return out, err
 	}
 	defer func() {
-		if cerr := engine.Close(); cerr != nil {
-			log.Fatal(cerr)
+		if cerr := engine.Close(); err == nil {
+			err = cerr
 		}
 	}()
 	corpus := superoffload.NewCorpus(vocab, 11)
-	var losses []float64
 	for step := 1; step <= steps; step++ {
 		micros := make([]superoffload.Batch, accum)
 		for m := range micros {
@@ -58,69 +68,90 @@ func train(ranks, seqRanks, pipeRanks int, backend string) ([]float64, superoffl
 		}
 		loss, err := engine.StepAccum(micros)
 		if err != nil {
-			log.Fatal(err)
+			return out, err
 		}
-		losses = append(losses, loss)
+		out.losses = append(out.losses, loss)
 	}
 	if err := engine.Flush(); err != nil {
-		log.Fatal(err)
+		return out, err
 	}
 	var ckpt bytes.Buffer
 	if err := engine.Save(&ckpt); err != nil {
-		log.Fatal(err)
+		return out, err
 	}
-	return losses, engine.Stats(), engine.CommStats(), ckpt.Bytes()
+	out.stats, out.comm, out.ckpt = engine.Stats(), engine.CommStats(), ckpt.Bytes()
+	return out, nil
+}
+
+// sameRun reports how got departs from the reference run, or nil.
+func sameRun(got, ref result) error {
+	for i := range ref.losses {
+		if got.losses[i] != ref.losses[i] {
+			return fmt.Errorf("diverged from the R=2 reference at step %d", i)
+		}
+	}
+	if got.stats != ref.stats {
+		return fmt.Errorf("stats diverged (%+v vs %+v)", got.stats, ref.stats)
+	}
+	if !bytes.Equal(got.ckpt, ref.ckpt) {
+		return fmt.Errorf("checkpoint differs from the reference's bytes")
+	}
+	return nil
 }
 
 func main() {
-	fmt.Printf("training one GPT (batch %d × %d micro-batches, seq %d, %d layers) across R×S×P engines:\n",
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run trains every shape, prints each against the reference to w, and
+// returns the first check that fails.
+func run(w io.Writer) error {
+	fmt.Fprintf(w, "training one GPT (batch %d × %d micro-batches, seq %d, %d layers) across R×S×P engines:\n",
 		batch, accum, seq, layers)
 	// The reference carries degenerate sequence and pipeline axes:
 	// bit-identical to the DP engine — and to a single-rank trainer
 	// accumulating the same row slices.
-	ref, refStats, _, refCkpt := train(2, 1, 1, "dram")
+	ref, err := train(2, 1, 1, "dram")
+	if err != nil {
+		return err
+	}
 	for _, shape := range [][3]int{{2, 1, 2}, {2, 2, 2}, {1, 1, 4}} {
 		r, s, p := shape[0], shape[1], shape[2]
-		losses, stats, comm, ckpt := train(r, s, p, "dram")
-		if r == 2 {
-			for i := range ref {
-				if losses[i] != ref[i] {
-					log.Fatalf("R=%d,S=%d,P=%d diverged from the R=2 reference at step %d", r, s, p, i)
-				}
-			}
-			if stats != refStats {
-				log.Fatalf("R=%d,S=%d,P=%d stats diverged (%+v vs %+v)", r, s, p, stats, refStats)
-			}
-			if !bytes.Equal(ckpt, refCkpt) {
-				log.Fatalf("R=%d,S=%d,P=%d checkpoint differs from the reference's bytes", r, s, p)
-			}
+		got, err := train(r, s, p, "dram")
+		if err != nil {
+			return err
 		}
 		note := "bit-identical to R=2×S=1×P=1, byte-identical checkpoint"
-		if r != 2 {
+		if r == 2 {
+			if err := sameRun(got, ref); err != nil {
+				return fmt.Errorf("R=%d,S=%d,P=%d %w", r, s, p, err)
+			}
+		} else {
 			note = "R=1 trajectory (its own single-rank reference)"
 		}
-		fmt.Printf("  R=%d×S=%d×P=%d (%d ranks): loss %.4f → %.4f, %d commits, %d rollbacks — %s\n",
-			r, s, p, r*s*p, losses[0], losses[steps-1], stats.Commits, stats.Rollbacks(), note)
-		fmt.Printf("          links: %.0f stage-boundary sends/step (%.2f MB/step), %.0f all-to-all payloads/step\n",
-			float64(comm.StageSends)/steps, float64(comm.StageFloats)*4/1e6/steps,
-			float64(comm.A2APayloads)/steps)
+		fmt.Fprintf(w, "  R=%d×S=%d×P=%d (%d ranks): loss %.4f → %.4f, %d commits, %d rollbacks — %s\n",
+			r, s, p, r*s*p, got.losses[0], got.losses[steps-1], got.stats.Commits, got.stats.Rollbacks(), note)
+		fmt.Fprintf(w, "          links: %.0f stage-boundary sends/step (%.2f MB/step), %.0f all-to-all payloads/step\n",
+			float64(got.comm.StageSends)/steps, float64(got.comm.StageFloats)*4/1e6/steps,
+			float64(got.comm.A2APayloads)/steps)
 	}
 
 	// The full composition: eight ranks, every ZeRO shard behind its own
 	// file-backed NVMe store window, stages still overlapping 1F1B.
-	nvme, nvmeStats, _, nvmeCkpt := train(2, 2, 2, "nvme")
-	for i := range ref {
-		if nvme[i] != ref[i] {
-			log.Fatal("nvme-backed pipeline run diverged: the store broke bit-exactness")
-		}
+	nvme, err := train(2, 2, 2, "nvme")
+	if err != nil {
+		return err
 	}
-	if !bytes.Equal(nvmeCkpt, refCkpt) {
-		log.Fatal("nvme-backed pipeline checkpoint differs from the reference's bytes")
+	if err := sameRun(nvme, ref); err != nil {
+		return fmt.Errorf("nvme-backed pipeline run: the store broke bit-exactness: %w", err)
 	}
-	fmt.Printf("  R=2×S=2×P=2 + nvme bucket stores: still bit-identical (%d commits, %d rollbacks)\n",
-		nvmeStats.Commits, nvmeStats.Rollbacks())
+	fmt.Fprintf(w, "  R=2×S=2×P=2 + nvme bucket stores: still bit-identical (%d commits, %d rollbacks)\n",
+		nvme.stats.Commits, nvme.stats.Rollbacks())
 
-	fmt.Println("\nall three axes — replica groups, sequence shards, pipeline stages — and")
-	fmt.Println("optimizer-state residency are invisible to the numerics; only traffic")
-	fmt.Println("changes.")
+	fmt.Fprintln(w, "\nall three axes — replica groups, sequence shards, pipeline stages — and")
+	fmt.Fprintln(w, "optimizer-state residency are invisible to the numerics; only traffic")
+	fmt.Fprintln(w, "changes.")
+	return nil
 }

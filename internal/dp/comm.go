@@ -13,14 +13,14 @@ import (
 )
 
 // world is the engine's simulated interconnect over all N = R·S·P ranks:
-// each link is a Go channel, so communication composes with goroutine
-// scheduling the way NVLink transfers compose with compute streams —
-// sends overlap whatever the peer is doing until the data is actually
-// needed. It carries the coordinator protocol (cmd / resolution / go /
-// results), the post-step weight all-gather links, the
-// background-validation plane, and the per-axis link families: one set
-// of sequence-parallel links per (group, stage) cell, the cross-cell
-// gradient reduce-scatter, and the stage-boundary FIFOs. Cells are
+// each link is a Go channel or an unbounded FIFO, so communication
+// composes with goroutine scheduling the way NVLink transfers compose
+// with compute streams — sends overlap whatever the peer is doing until
+// the data is actually needed. It carries the coordinator protocol (cmd
+// / resolution / go / results), the post-step weight all-gather links,
+// the background-validation plane, and the per-axis link families: one
+// set of sequence-parallel links per (group, stage) cell, and the
+// cross-cell gradient reduce-scatter and stage-boundary FIFOs. Cells are
 // indexed g·P + p; global rank ids are (g·S + s)·P + p. A size-1 axis
 // holds no links: S=1 cells carry no all-to-all or ring channels, and
 // P=1 has no boundaries.
@@ -52,14 +52,18 @@ type world struct {
 	// cells[g·P+p] is cell (g, p)'s in-cell sequence-parallel links; the
 	// ring there reduces over the stage's contiguous parameter span.
 	cells []*spLinks
-	// reduce[b][g·P+p] carries cell (g, p)'s contribution for bucket b —
-	// the intersection of the cell's stage span with bucket b's range —
-	// to the bucket's global owner.
-	reduce reduceLinks
+	// reduce[b][g·P+p] carries cell (g, p)'s per-micro contributions for
+	// bucket b — the intersection of the cell's stage span with bucket
+	// b's range — to the bucket's global owner, which folds them as they
+	// arrive (rank.fold).
+	reduce [][]*fifo[[]float32]
 	// acts[p][g·S+s] carries stage p → p+1 boundary activations for
 	// column (g, s); grads[p][g·S+s] the p+1 → p boundary gradients.
-	acts  [][]*pipeLink
-	grads [][]*pipeLink
+	// Tensors pass by reference: they live in the sender's per-micro
+	// cache arena, which it next writes in the following step (see
+	// rank.caches), so the receiver reads them in place.
+	acts  [][]*fifo[*tensor.Tensor]
+	grads [][]*fifo[*tensor.Tensor]
 	tel   *linkTelemetry
 
 	// Tracing (nil when disabled): one track per rank interpreter plus
@@ -144,15 +148,21 @@ func newWorld(r, s, p, b int) *world {
 	for i := range w.cells {
 		w.cells[i] = newSPLinks(s, w.tel)
 	}
-	w.reduce = newReduceLinks(b, r*p)
-	w.acts = make([][]*pipeLink, p-1)
-	w.grads = make([][]*pipeLink, p-1)
+	w.reduce = make([][]*fifo[[]float32], b)
+	for bi := range w.reduce {
+		w.reduce[bi] = make([]*fifo[[]float32], r*p)
+		for src := range w.reduce[bi] {
+			w.reduce[bi][src] = newFIFO[[]float32]()
+		}
+	}
+	w.acts = make([][]*fifo[*tensor.Tensor], p-1)
+	w.grads = make([][]*fifo[*tensor.Tensor], p-1)
 	for bi := 0; bi < p-1; bi++ {
-		w.acts[bi] = make([]*pipeLink, r*s)
-		w.grads[bi] = make([]*pipeLink, r*s)
+		w.acts[bi] = make([]*fifo[*tensor.Tensor], r*s)
+		w.grads[bi] = make([]*fifo[*tensor.Tensor], r*s)
 		for col := 0; col < r*s; col++ {
-			w.acts[bi][col] = newPipeLink()
-			w.grads[bi][col] = newPipeLink()
+			w.acts[bi][col] = newFIFO[*tensor.Tensor]()
+			w.grads[bi][col] = newFIFO[*tensor.Tensor]()
 		}
 	}
 	return w
@@ -186,24 +196,6 @@ func (w *world) aggregate() {
 		}
 		w.val <- stv.Validation{Bad: bad, Norm: math.Sqrt(s)}
 	}
-}
-
-// reduceLinks carries raw gradient contributions to bucket owners:
-// entry [b][src] delivers source cell src's contribution for bucket b to
-// the bucket's owner.
-type reduceLinks [][]chan []float32
-
-// newReduceLinks wires the reduce-scatter links for b buckets fed by
-// nSrc sources each.
-func newReduceLinks(b, nSrc int) reduceLinks {
-	r := make(reduceLinks, b)
-	for bi := 0; bi < b; bi++ {
-		r[bi] = make([]chan []float32, nSrc)
-		for si := 0; si < nSrc; si++ {
-			r[bi][si] = make(chan []float32, 1)
-		}
-	}
-	return r
 }
 
 // splitRows slices a batch into n per-group row slices along the batch
@@ -247,47 +239,64 @@ func splitSeq(b data.Batch, n int) []data.Batch {
 	return out
 }
 
-// pipeLink is one stage-boundary link of the pipeline axis: an
-// unbounded FIFO of boundary tensors between vertically adjacent ranks
-// of one (group, sequence) column. Sends never block — under 1F1B an
-// upstream stage may run several micro-batches ahead of its consumer,
-// and a bounded link there could deadlock against the cap-1 collective
-// channels the rest of the world uses — while receives block until a
-// tensor arrives. Tensors pass by reference: they live in the sender's
-// per-micro cache arena, which the sender next writes in the following
-// step (see rank.caches), so the receiver reads them in place and the
-// happens-before edge comes from the mutex.
-type pipeLink struct {
+// fifo is one link of the reduce-scatter or pipeline axis: an unbounded
+// FIFO, so sends never block, while recv blocks until a value arrives
+// and tryRecv does not wait. Sends never blocking is what keeps 1F1B
+// live: an upstream stage may run several micro-batches ahead of its
+// consumer, and a bucket owner folds contributions only as they arrive
+// (rank.fold). Values pass by reference; the happens-before edge comes
+// from the mutex. Pops advance a head index and the queue rewinds to
+// q[:0] once empty, so a steady-state step reuses one backing array.
+type fifo[T any] struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	q    []*tensor.Tensor
+	q    []T
+	head int // q[head:] is queued
 }
 
-// newPipeLink wires one boundary FIFO.
-func newPipeLink() *pipeLink {
-	l := &pipeLink{}
+// newFIFO wires one unbounded link.
+func newFIFO[T any]() *fifo[T] {
+	l := &fifo[T]{}
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
 
-// send enqueues a boundary tensor; never blocks.
-func (l *pipeLink) send(t *tensor.Tensor) {
+// send enqueues v; never blocks.
+func (l *fifo[T]) send(v T) {
 	l.mu.Lock()
-	l.q = append(l.q, t)
+	l.q = append(l.q, v)
 	l.mu.Unlock()
 	l.cond.Signal()
 }
 
-// recv dequeues the oldest boundary tensor, blocking until one exists.
-// Micro-batch order is preserved because each boundary's sender emits in
-// schedule order.
-func (l *pipeLink) recv() *tensor.Tensor {
+// recv dequeues the oldest value, blocking until one exists. Order is
+// the sender's: each link has one sender, which emits in schedule order.
+func (l *fifo[T]) recv() T {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for len(l.q) == 0 {
+	for l.head == len(l.q) {
 		l.cond.Wait()
 	}
-	t := l.q[0]
-	l.q = l.q[1:]
-	return t
+	return l.pop()
+}
+
+// tryRecv dequeues the oldest value if one is queued.
+func (l *fifo[T]) tryRecv() (v T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.head == len(l.q) {
+		return v, false
+	}
+	return l.pop(), true
+}
+
+// pop takes q[head] under the lock, clearing its slot.
+func (l *fifo[T]) pop() T {
+	var zero T
+	v := l.q[l.head]
+	l.q[l.head] = zero
+	if l.head++; l.head == len(l.q) {
+		l.q, l.head = l.q[:0], 0
+	}
+	return v
 }

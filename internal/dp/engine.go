@@ -315,11 +315,6 @@ func (e *Engine) Load(r io.Reader) error {
 	return nil
 }
 
-// MasterWeights returns the fp32 master parameters gathered from their
-// owners, concatenated in bucket order — the ground truth for exactness
-// comparisons against the single-rank engine.
-func (e *Engine) MasterWeights() []float32 { return stv.MasterWeights(e.buckets) }
-
 // Close resolves any pending validation, stops the rank goroutines and
 // the validation aggregator, and closes every rank's bucket and
 // activation stores. Idempotent; the engine is unusable afterwards.

@@ -30,6 +30,11 @@ func deepGPT(seed uint64) *nn.GPT {
 	return nn.NewGPT(cfg, 16, tensor.NewRNG(seed))
 }
 
+// MasterWeights returns the fp32 master parameters gathered from their
+// owners, concatenated in bucket order — the ground truth for exactness
+// comparisons against the single-rank engine.
+func (e *Engine) MasterWeights() []float32 { return stv.MasterWeights(e.buckets) }
+
 // shapeConfig is an (R,S,P) engine config with several buckets for the
 // tiny models.
 func shapeConfig(r, s, p int) Config {

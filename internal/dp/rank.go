@@ -55,11 +55,16 @@ type rank struct {
 	seeder flatSeeder
 	// sendBufs[m][b] stages this cell's contribution for micro-batch m
 	// and bucket b. Buffers are distinct per micro-batch within a step
-	// (the owner may still be reading micro m while this rank computes
-	// m+1) and reused across steps: the coordinator collects every
-	// rank's results before releasing the next step, so all owner reads
+	// (a queued contribution is folded whenever its owner next reaches a
+	// reduce, possibly after this rank has computed later micros) and
+	// reused across steps: every owner finishes its folds in its last
+	// reduce, before its report, and the coordinator collects every
+	// rank's report before releasing the next step, so all owner reads
 	// of step N happen before any step-N+1 write.
 	sendBufs [][][]float32
+	// cursors[i] is owned[i]'s position in the (micro, stage, group)
+	// order its contributions fold in (see fold); zero between steps.
+	cursors []foldCursor
 
 	// Per-micro interpreter state, indexed by micro-batch slot m: the
 	// forward cache, the final stage's per-row losses, and the boundary
@@ -107,6 +112,7 @@ func newRank(group, local, stage int, w *world, model *nn.GPT, cfg Config, store
 			r.owned = append(r.owned, stv.NewBucket(g, store, bi))
 		}
 	}
+	r.cursors = make([]foldCursor, len(r.owned))
 	r.spans = make([][2]int, w.P)
 	for p := 0; p < w.P; p++ {
 		lo, hi := model.StageParamSpan(p, w.P)
@@ -237,11 +243,13 @@ func delegateLocal(bucket, seqRanks int) int { return bucketOwner(bucket, seqRan
 // single-rank backward over the same rows. Level two is the cross-cell
 // bucketized reduce-scatter: for each bucket intersecting the span, the
 // cell's delegate stages a copy of the intersection slice and sends it
-// to the bucket's global owner; owners fold contributions per stage in
-// ascending stage order and per group in ascending group order. Stage
-// spans are disjoint, so each bucket ELEMENT folds in exactly (micro,
-// group) order — the order a single-rank trainer's gradient accumulation
-// stages the R row slices — keeping the reduced sum bit-identical.
+// to the bucket's global owner. Then this rank, as an owner, folds
+// whatever its buckets have received (fold): without waiting, except in
+// the step's last reduce, which blocks until every contribution of
+// every micro is folded — so an early stage's replay never holds up a
+// later stage's next forward, and speculate still sees whole sums.
+// Every rank sends before it folds and has sent every boundary gradient
+// before its last reduce, so no wait cycle runs through a fold.
 func (r *rank) reduce(m int) {
 	span := r.spans[r.stage]
 	// flat is the cell's ring-reduced span gradient.
@@ -263,20 +271,53 @@ func (r *rank) reduce(m int) {
 			r.sendBufs[m][bi] = payload
 		}
 		copy(payload, flat[lo-span[0]:hi-span[0]])
-		r.w.reduce[bi][cell] <- payload
+		r.w.reduce[bi][cell].send(payload)
 	}
-	for _, b := range r.owned {
-		dst := b.Grad()
-		bo := r.offsets[b.Index()]
-		for p := 0; p < r.w.P; p++ {
-			lo, hi := intersectRange(bo, bo+b.Size(), r.spans[p][0], r.spans[p][1])
-			if lo >= hi {
-				continue
+	r.fold(m == len(r.micros)-1)
+}
+
+// foldCursor is the next (micro, stage, group) contribution an owned
+// bucket folds.
+type foldCursor struct{ m, p, g int }
+
+// fold folds the owned buckets' queued contributions into their
+// gradients, each bucket from its cursor in (micro, stage, group) order,
+// skipping stages whose span misses the bucket. Stage spans are
+// disjoint, so each bucket ELEMENT folds in exactly (micro, group) order
+// — the order a single-rank trainer's gradient accumulation stages the
+// R row slices — keeping the reduced sum bit-identical however the
+// contributions interleave in time. Without wait, a bucket stops at its
+// first contribution that has not arrived; with wait, fold blocks until
+// all of the step's micros are folded and rewinds the cursors.
+func (r *rank) fold(wait bool) {
+	w, micros := r.w, len(r.micros)
+	for i, b := range r.owned {
+		c := &r.cursors[i]
+		dst, bo := b.Grad(), r.offsets[b.Index()]
+		for c.m < micros {
+			lo, hi := intersectRange(bo, bo+b.Size(), r.spans[c.p][0], r.spans[c.p][1])
+			if lo < hi {
+				link := w.reduce[b.Index()][c.g*w.P+c.p]
+				v, ok := link.tryRecv()
+				if !ok && !wait {
+					break
+				}
+				if !ok {
+					v = link.recv()
+				}
+				stv.AccumInto(dst[lo-bo:hi-bo], v, c.m == 0 && c.g == 0)
+			} else {
+				c.g = w.R - 1 // no stage-p contribution to this bucket
 			}
-			for g := 0; g < r.w.R; g++ {
-				c := <-r.w.reduce[b.Index()][g*r.w.P+p]
-				stv.AccumInto(dst[lo-bo:hi-bo], c, m == 0 && g == 0)
+			if c.g++; c.g == w.R {
+				c.g = 0
+				if c.p++; c.p == w.P {
+					c.p, c.m = 0, c.m+1
+				}
 			}
+		}
+		if wait {
+			*c = foldCursor{}
 		}
 	}
 }

@@ -17,8 +17,10 @@ const (
 	// opBackward runs the backward pass of micro-batch `micro`, scaled by
 	// the goMsg's loss scale (so it must come after opGo).
 	opBackward
-	// opReduce folds micro `micro`'s gradients into the owned buckets
-	// through the engine's reduction topology.
+	// opReduce sends micro `micro`'s gradient contributions to their
+	// bucket owners, then folds what has arrived at this rank's owned
+	// buckets; only the step's last opReduce (micro M−1) waits for every
+	// contribution.
 	opReduce
 	// opResolve receives the previous step's validation verdict from the
 	// coordinator and applies it to the owned partition. If the weights
