@@ -1,6 +1,6 @@
 // Command supertrain trains a real (small) GPT with the SuperOffload
 // engine: speculative per-bucket Adam steps on CPU-resident fp32 master
-// weights, background validation, and exact rollback. It demonstrates the
+// weights, validation deferred to the next step, and exact rollback. It demonstrates the
 // paper's Fig. 1 enablement and Fig. 14 behaviour on real numerics; with
 // -ranks > 1 the multi-superchip data-parallel engine with ZeRO-sharded
 // optimizer state (the 2× and 4× GH200 configurations); with

@@ -11,14 +11,27 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"superoffload"
 )
 
+// steps is the training run's length at every rank count.
+const steps = 60
+
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run sizes both scale points, trains at 1, 2 and 4 ranks, prints each
+// to w, and returns the first failure.
+func run(w io.Writer) error {
 	// ---- analytical: the 2× and 4× workloads on modeled hardware ----
-	for _, w := range []struct {
+	for _, sp := range []struct {
 		model string
 		chips int
 		batch int
@@ -27,16 +40,16 @@ func main() {
 		{"50B", 4, 32}, // the 4× GH200 scale point (Llama-70B class)
 	} {
 		plan, err := superoffload.Plan(superoffload.PlanRequest{
-			Model: w.model, Chips: w.chips, GlobalBatch: w.batch, Seq: 4096,
+			Model: sp.model, Chips: sp.chips, GlobalBatch: sp.batch, Seq: 4096,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if !plan.Fits {
-			log.Fatalf("%s on %d chips should fit: %s", w.model, w.chips, plan.OOMReason)
+			return fmt.Errorf("%s on %d chips should fit: %s", sp.model, sp.chips, plan.OOMReason)
 		}
-		fmt.Printf("%s on %d Superchips: %.0f TFLOPS/GPU (MFU %.2f), micro-batch %d, accum %d\n",
-			w.model, w.chips, plan.TFLOPS, plan.MFU, plan.MicroBatch, plan.GradAccum)
+		fmt.Fprintf(w, "%s on %d Superchips: %.0f TFLOPS/GPU (MFU %.2f), micro-batch %d, accum %d\n",
+			sp.model, sp.chips, plan.TFLOPS, plan.MFU, plan.MicroBatch, plan.GradAccum)
 	}
 
 	// ---- real numerics: the same sharded schedule at toy scale ----
@@ -47,40 +60,39 @@ func main() {
 	// the default 64 MB buckets give hundreds per rank).
 	cfg.BucketElems = 16384
 
-	fmt.Println("\ntraining one GPT across 1, 2 and 4 simulated ranks (same global batch):")
+	fmt.Fprintln(w, "\ntraining one GPT across 1, 2 and 4 simulated ranks (same global batch):")
 	finalLoss := map[int]float64{}
 	for _, ranks := range []int{1, 2, 4} {
 		model, err := superoffload.NewModel(superoffload.ModelConfig{
 			Layers: 2, Hidden: 64, Vocab: 128, MaxSeq: 16,
 		}, 7)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		engine, err := superoffload.InitDP(model, cfg, superoffload.DPConfig{Ranks: ranks})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		corpus := superoffload.NewCorpus(128, 11)
 		var losses []float64
-		for step := 1; step <= 60; step++ {
+		for step := 1; step <= steps; step++ {
 			// Each rank takes batch/ranks rows; gradients reduce in
-			// rank order; the owners' speculative Adam steps and the
-			// background validation overlap the channel traffic.
+			// rank order; the owners step their shards speculatively.
 			loss, err := engine.Step(corpus.NextBatch(4, 16))
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			losses = append(losses, loss)
 		}
 		if err := engine.Flush(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		st := engine.Stats()
-		fmt.Printf("  %d rank(s): loss %.4f → %.4f over %d buckets (%d commits, %d rollbacks)\n",
+		fmt.Fprintf(w, "  %d rank(s): loss %.4f → %.4f over %d buckets (%d commits, %d rollbacks)\n",
 			ranks, losses[0], losses[len(losses)-1], engine.NumBuckets(), st.Commits, st.Rollbacks())
 		finalLoss[ranks] = losses[len(losses)-1]
 		if err := engine.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -89,8 +101,9 @@ func main() {
 	// floating-point reduction order. (The bit-exact claim — an R-rank
 	// engine reproduces the single-rank engine on the *same*
 	// decomposition — is asserted by the internal/dp tests.)
-	fmt.Printf("\nfinal-loss gaps: 1 vs 2 ranks %.2e, 2 vs 4 ranks %.2e (reduction-order noise only)\n",
+	fmt.Fprintf(w, "\nfinal-loss gaps: 1 vs 2 ranks %.2e, 2 vs 4 ranks %.2e (reduction-order noise only)\n",
 		finalLoss[1]-finalLoss[2], finalLoss[2]-finalLoss[4])
-	fmt.Println("ZeRO-style sharding: each rank holds 1/R of the fp32 masters and")
-	fmt.Println("Adam moments; fp16 replicas stay full so forward/backward is local.")
+	fmt.Fprintln(w, "ZeRO-style sharding: each rank holds 1/R of the fp32 masters and")
+	fmt.Fprintln(w, "Adam moments; fp16 replicas stay full so forward/backward is local.")
+	return nil
 }

@@ -28,10 +28,11 @@ type closeable interface {
 
 // buildEngines constructs four engine shapes and the single-rank
 // trainer over NVMe-backed stores (the backend with real resources to
-// double-release) and steps each one WITHOUT flushing, so a speculative step's validation is
-// still in flight when Close arrives. Run under -race, this covers the
-// close-while-validation-pending path: closeWorld must drain the
-// background aggregator before tearing the world down.
+// double-release) and steps each one WITHOUT flushing, so a speculative
+// step's verdict is still pending when Close arrives. Run under -race,
+// this covers the close-while-pending path: closeWorld must resolve the
+// verdict on every rank before it stops the rank goroutines and closes
+// their stores.
 func buildEngines(t *testing.T) map[string]closeable {
 	t.Helper()
 	engines := map[string]closeable{}
@@ -63,8 +64,8 @@ func buildEngines(t *testing.T) map[string]closeable {
 	return engines
 }
 
-// TestCloseIdempotent: Close on every engine — with a validation still
-// in flight from an unflushed step — must succeed, and a second Close
+// TestCloseIdempotent: Close on every engine — with a verdict still
+// pending from an unflushed step — must succeed, and a second Close
 // must be a harmless no-op (nil error, no panic, no double-release of
 // the NVMe stores' worker channels and files).
 func TestCloseIdempotent(t *testing.T) {

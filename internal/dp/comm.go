@@ -2,7 +2,6 @@ package dp
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"superoffload/internal/data"
@@ -18,12 +17,12 @@ import (
 // with compute streams — sends overlap whatever the peer is doing until
 // the data is actually needed. It carries the coordinator protocol (cmd
 // / resolution / go / results), the post-step weight all-gather links,
-// the background-validation plane, and the per-axis link families: one
-// set of sequence-parallel links per (group, stage) cell, and the
-// cross-cell gradient reduce-scatter and stage-boundary FIFOs. Cells are
-// indexed g·P + p; global rank ids are (g·S + s)·P + p. A size-1 axis
-// holds no links: S=1 cells carry no all-to-all or ring channels, and
-// P=1 has no boundaries.
+// the owners' per-bucket sums of squares, and the per-axis link
+// families: one set of sequence-parallel links per (group, stage) cell,
+// and the cross-cell gradient reduce-scatter and stage-boundary FIFOs.
+// Cells are indexed g·P + p; global rank ids are (g·S + s)·P + p. A
+// size-1 axis holds no links: S=1 cells carry no all-to-all or ring
+// channels, and P=1 has no boundaries.
 type world struct {
 	N       int // total ranks
 	B       int // buckets
@@ -43,11 +42,12 @@ type world struct {
 	// why the owner cannot overwrite them first).
 	gather [][]chan nn.Params
 
-	// Background validation: owners stream per-bucket partials; the
-	// aggregator combines them in bucket order and delivers one global
-	// verdict per step.
-	partial chan partialMsg
-	val     chan stv.Validation
+	// sumsq[b] is bucket b's Σ g² over its normalised reduced gradient,
+	// written by the owner in speculate before it reports and summed by
+	// the coordinator in bucket order once it holds every report — the
+	// results receive is the happens-before edge both ways, since the
+	// coordinator sends the next command only after that sum.
+	sumsq []float64
 
 	// cells[g·P+p] is cell (g, p)'s in-cell sequence-parallel links; the
 	// ring there reduces over the stage's contiguous parameter span.
@@ -113,13 +113,6 @@ type stepResult struct {
 	rows [][]float64
 }
 
-// partialMsg is one bucket's validation contribution.
-type partialMsg struct {
-	idx   int     // bucket index
-	sumsq float64 // Σ g² over the reduced bucket gradient
-	bad   bool    // NaN/Inf present
-}
-
 // newWorld wires the interconnect for r groups, s sequence ranks per
 // cell, p pipeline stages, and b buckets.
 func newWorld(r, s, p, b int) *world {
@@ -142,8 +135,7 @@ func newWorld(r, s, p, b int) *world {
 			w.gather[bi][ri] = make(chan nn.Params, 1)
 		}
 	}
-	w.partial = make(chan partialMsg, b)
-	w.val = make(chan stv.Validation, 1)
+	w.sumsq = make([]float64, b)
 	w.cells = make([]*spLinks, r*p)
 	for i := range w.cells {
 		w.cells[i] = newSPLinks(s, w.tel)
@@ -172,31 +164,6 @@ func newWorld(r, s, p, b int) *world {
 // global bucket order, the ZeRO-style partition, ignoring topology) — the
 // single ownership policy every engine component consults.
 func bucketOwner(bucket, ranks int) int { return bucket % ranks }
-
-// aggregate is the validation reducer: each step it collects exactly one
-// partial per bucket (arrival order is scheduling-dependent; combination
-// order is not — partials sum in bucket index order, matching
-// optim.GlobalNorm's per-shard grouping bit for bit) and publishes the
-// global verdict input. It exits when the partial link closes.
-func (w *world) aggregate() {
-	sums := make([]float64, w.B)
-	for {
-		bad := false
-		for i := 0; i < w.B; i++ {
-			p, ok := <-w.partial
-			if !ok {
-				return
-			}
-			sums[p.idx] = p.sumsq
-			bad = bad || p.bad
-		}
-		var s float64
-		for _, q := range sums {
-			s += q
-		}
-		w.val <- stv.Validation{Bad: bad, Norm: math.Sqrt(s)}
-	}
-}
 
 // splitRows slices a batch into n per-group row slices along the batch
 // dimension: slice g takes rows [g·B/n, (g+1)·B/n). The caller has

@@ -10,7 +10,7 @@ import (
 
 // coordinator is the engine's control plane: it owns the run's
 // stv.Verdict — the same step counter, loss-scale and learning-rate
-// plumbing, pending-validation bookkeeping and verdict policy the
+// plumbing, pending-verdict bookkeeping and verdict policy the
 // single-rank trainer runs on — and drives the ranks from it.
 type coordinator struct {
 	cfg Config
@@ -39,10 +39,10 @@ func closeStores(stores []stv.BucketStore, err error) error {
 // stageSchedule emits for its stage and this step's micro count, and the
 // rank-side interpreter (runSchedule) executes it. The coordinator only
 // keeps the control plane — dispatch the schedules, resolve the previous
-// step's validation while the early forwards run (the §4.4 overlap),
-// release the ranks into backward via goMsg, and collect their step
-// reports in rank order. The caller folds the reported losses in
-// canonical order.
+// step's verdict while the early forwards run, release the ranks into
+// backward via goMsg, collect their step reports in rank order, and sum
+// the owners' per-bucket sums of squares into this step's pending
+// verdict. The caller folds the reported losses in canonical order.
 func (c *coordinator) runStep(w *world, micross [][]data.Batch) ([]stepResult, error) {
 	if err := c.ctl.Live(); err != nil {
 		return nil, err
@@ -56,9 +56,8 @@ func (c *coordinator) runStep(w *world, micross [][]data.Batch) ([]stepResult, e
 		w.cmd[r] <- command{kind: cmdStep, micros: micross[r], ops: stageSchedule(r%w.P, w.P, len(micross[r]))}
 	}
 	// Ranks are now forwarding; the pending verdict resolves in parallel
-	// with that compute, exactly like the single-rank background
-	// validator.
-	res := c.ctl.Resolve(w.val)
+	// with that compute.
+	res := c.ctl.Resolve()
 	for r := 0; r < w.N; r++ {
 		w.resolution[r] <- res
 	}
@@ -77,21 +76,27 @@ func (c *coordinator) runStep(w *world, micross [][]data.Batch) ([]stepResult, e
 	for r := 0; r < w.N; r++ {
 		out[r] = <-w.results[r]
 	}
+	// The receives above order every owner's w.sumsq writes before this
+	// read (see world.sumsq).
+	var sumsq float64
+	for _, s := range w.sumsq {
+		sumsq += s
+	}
 	if w.ctrack != nil {
 		sp.EndInt("step", c.ctl.StepIndex())
 	}
-	c.ctl.Launched(adam)
+	c.ctl.Launched(adam, sumsq)
 	return out, nil
 }
 
-// flush resolves any in-flight validation over the world (call at
-// end of training so the final step is validated). Returns whether the
+// flush resolves any pending verdict over the world (call at end of
+// training so the final step is validated). Returns whether the
 // final step was rolled back or re-executed.
 func (c *coordinator) flush(w *world) (bool, error) {
 	if err := c.ctl.Live(); err != nil {
 		return false, err
 	}
-	res := c.ctl.Resolve(w.val)
+	res := c.ctl.Resolve()
 	if res.Action == stv.None {
 		return false, nil
 	}
@@ -104,9 +109,9 @@ func (c *coordinator) flush(w *world) (bool, error) {
 	return res.WeightsChanged(), nil
 }
 
-// closeWorld resolves any pending validation, stops the rank goroutines
-// and the validation aggregator, and closes every rank's bucket store
-// and activation store. Idempotent; the engine is unusable afterwards.
+// closeWorld resolves any pending verdict, stops the rank goroutines,
+// and closes every rank's bucket store and activation store. Idempotent;
+// the engine is unusable afterwards.
 func (c *coordinator) closeWorld(w *world, ranks []*rank) error {
 	if c.ctl.Live() != nil {
 		return nil
@@ -115,7 +120,6 @@ func (c *coordinator) closeWorld(w *world, ranks []*rank) error {
 	for r := 0; r < w.N; r++ {
 		w.cmd[r] <- command{kind: cmdStop}
 	}
-	close(w.partial)
 	c.ctl.Close()
 	for _, rk := range ranks {
 		if cerr := rk.store.Close(); err == nil {

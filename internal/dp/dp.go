@@ -15,18 +15,18 @@
 // gradient for the group's row slice, the cells reduce-scatter bucket
 // slices to the global bucket owners, owners step speculatively, and a
 // post-step fp16 weight all-gather republishes every replica. Rank links
-// are modeled as goroutine channels; STV's speculative per-bucket step and
-// background validation overlap with communication exactly as §4.4
-// prescribes, and rollback stays exact across ranks: a clip or NaN
-// verdict rolls back the globally reduced step on every rank.
+// are modeled as goroutine channels; the owners step speculatively ahead
+// of validation as §4.4 prescribes, and rollback stays exact across
+// ranks: a clip or NaN verdict rolls back the globally reduced step on
+// every rank.
 //
 // Determinism contract: for the same global batch, every (R,S,P) shape
 // reproduces — bit for bit — the loss trajectory, rollback decisions,
 // stats and checkpoints of a single-rank stv.Trainer that processes the
 // same R-way row decomposition via gradient accumulation. S and P are
 // invisible to the numerics. All cross-rank reductions happen in a fixed
-// order: gradient contributions sum in (micro-batch, group) order, global
-// gradient-norm partials sum in bucket order, and losses sum in
+// order: gradient contributions sum in (micro-batch, group) order, the
+// owners' per-bucket sums of squares sum in bucket order, and losses sum in
 // (micro-batch, group) order.
 package dp
 

@@ -105,7 +105,6 @@ func New(model *nn.GPT, cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	go w.aggregate()
 	return e, nil
 }
 
@@ -208,8 +207,8 @@ func (e *Engine) split(b data.Batch) ([]data.Batch, error) {
 }
 
 // Step runs one training iteration over the global batch: each rank
-// takes its shard, gradients reduce across cells, the owners step
-// speculatively, and validation runs in the background. With P > 1 a
+// takes its shard, gradients reduce across cells, and the owners step
+// speculatively, leaving the step's verdict pending. With P > 1 a
 // single micro-batch degenerates to sequential stages; use StepAccum
 // with M >= 2 micro-batches to overlap them 1F1B. Returns the mean loss
 // — bit-identical to the single-rank trainer's loss for the same R-way
@@ -283,7 +282,7 @@ func (e *Engine) foldLoss(perRank []stepResult, shards []data.Batch) float64 {
 	return loss / float64(len(shards)*w.R)
 }
 
-// Flush resolves any in-flight validation (call at end of training so the
+// Flush resolves any pending verdict (call at end of training so the
 // final step is validated). Returns whether the final step was rolled back
 // or re-executed.
 func (e *Engine) Flush() (bool, error) { return e.flush(e.w) }
@@ -291,7 +290,7 @@ func (e *Engine) Flush() (bool, error) { return e.flush(e.w) }
 // Save serializes the training state in the stv checkpoint format, over
 // the global bucket order — byte-identical to a single-rank trainer on
 // the same trajectory, so checkpoints move freely across (R,S,P) shapes.
-// It fails once the engine is closed or while a validation is in flight.
+// It fails once the engine is closed or while a verdict is pending.
 func (e *Engine) Save(w io.Writer) error { return e.ctl.Save(w, e.buckets) }
 
 // Load restores state saved by Save (from any shape, or the single-rank
@@ -315,7 +314,7 @@ func (e *Engine) Load(r io.Reader) error {
 	return nil
 }
 
-// Close resolves any pending validation, stops the rank goroutines and
-// the validation aggregator, and closes every rank's bucket and
-// activation stores. Idempotent; the engine is unusable afterwards.
+// Close resolves any pending verdict, stops the rank goroutines, and
+// closes every rank's bucket and activation stores. Idempotent; the
+// engine is unusable afterwards.
 func (e *Engine) Close() error { return e.closeWorld(e.w, e.ranks) }

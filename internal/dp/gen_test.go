@@ -470,7 +470,7 @@ func (c genConfig) check(dir string) error {
 	for i := 0; i < c.Steps; i++ {
 		if i == c.Ckpt && i > 0 {
 			if !c.STE && eng.Save(io.Discard) == nil {
-				return divergence{i, "Save accepted with a validation in flight"}
+				return divergence{i, "Save accepted with a verdict pending"}
 			}
 			ckpt, err := same(eng, ref, base, i)
 			if err != nil {

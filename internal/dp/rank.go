@@ -325,13 +325,12 @@ func (r *rank) fold(wait bool) {
 // speculate runs the post-reduction phase on the owned partition:
 // corrupt bucket 0 when fault injection asks, normalize the reduced sum,
 // apply the per-bucket speculative Adam step, which publishes the fp16
-// weights, share them via allGather, and stream this partition's
-// per-bucket validation partials off the critical path (the next step's
-// forward overlaps with that background goroutine). Each cell produced
-// its whole row slice's span gradient and the cross-cell reduce summed R
-// of them per micro (stages contribute disjoint spans), so the divisor is
-// micros·R — the single-rank trainer's count for the same R-way
-// decomposition.
+// weights, record each bucket's sum of squares for the coordinator's
+// verdict (world.sumsq), and share the weights via allGather. Each cell
+// produced its whole row slice's span gradient and the cross-cell reduce
+// summed R of them per micro (stages contribute disjoint spans), so the
+// divisor is micros·R — the single-rank trainer's count for the same
+// R-way decomposition.
 func (r *rank) speculate(g goMsg) {
 	inv := float32(1 / (g.scale * float64(len(r.micros)*r.w.R)))
 	for _, b := range r.owned {
@@ -339,18 +338,9 @@ func (r *rank) speculate(g goMsg) {
 			b.Grad()[0] = float32(math.Inf(1))
 		}
 		b.SpeculativeStep(g.adam, inv)
+		r.w.sumsq[b.Index()] = optim.SumSquares(b.Grad())
 	}
 	r.allGather()
-	go func(owned []*stv.Bucket) {
-		for _, b := range owned {
-			grad := b.Grad()
-			r.w.partial <- partialMsg{
-				idx:   b.Index(),
-				sumsq: optim.SumSquares(grad),
-				bad:   optim.HasBad([][]float32{grad}),
-			}
-		}
-	}(r.owned)
 }
 
 // report closes the step out: record placement telemetry (the backward

@@ -39,7 +39,8 @@ const (
 	opSendGrad
 	opRecvGrad
 	// opSpeculate runs the speculative optimizer step on the owned
-	// partition and streams validation partials to the coordinator.
+	// partition and records each owned bucket's sum of squares for the
+	// coordinator's verdict.
 	opSpeculate
 	// opReport sends the rank's stepResult to the coordinator.
 	opReport
@@ -80,9 +81,9 @@ type scheduleOp struct {
 // 0) and sendAct (stages below the last); each backward by
 // recvGrad/sendGrad symmetrically, followed by that micro's reduce.
 //
-// Where the previous step's validation resolves depends on the depth.
-// With one stage, forward 0 runs BEFORE resolve — that ordering is the
-// §4.4 overlap of validation with the next step's forward, and a
+// Where the previous step's verdict is applied depends on the depth.
+// With one stage, forward 0 runs BEFORE resolve — Fig. 8's order, in
+// which the next step's first forward runs on speculative weights and a
 // weight-changing verdict redoes exactly that one forward. With several
 // stages it resolves first (numerically identical — forwards read
 // post-resolution weights either way), which keeps the redo machinery

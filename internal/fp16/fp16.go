@@ -210,14 +210,3 @@ func ScanBad(xs []Num) bool {
 	}
 	return false
 }
-
-// ScanBad32 is the fp32 variant used on master gradients.
-func ScanBad32(xs []float32) bool {
-	for _, x := range xs {
-		// NaN or |x| = Inf ⇔ exponent all-ones.
-		if math.Float32bits(x)&f32Inf == f32Inf {
-			return true
-		}
-	}
-	return false
-}

@@ -164,15 +164,6 @@ func TestScanBad(t *testing.T) {
 	if !ScanBad([]Num{QuietNaN}) {
 		t.Error("NaN not flagged")
 	}
-	if ScanBad32([]float32{1, 2, 3}) {
-		t.Error("clean fp32 flagged")
-	}
-	if !ScanBad32([]float32{1, float32(math.Inf(1))}) {
-		t.Error("fp32 Inf not flagged")
-	}
-	if !ScanBad32([]float32{float32(math.NaN())}) {
-		t.Error("fp32 NaN not flagged")
-	}
 }
 
 func TestOverflowToInfSemantics(t *testing.T) {

@@ -215,19 +215,6 @@ func TestClipScaleProperty(t *testing.T) {
 	}
 }
 
-func TestHasBad(t *testing.T) {
-	if HasBad([][]float32{{1, 2}, {3}}) {
-		t.Error("clean flagged")
-	}
-	inf := float32(math.Inf(1))
-	if !HasBad([][]float32{{1, 2}, {inf}}) {
-		t.Error("inf missed")
-	}
-	if !HasBad([][]float32{{float32(math.NaN())}}) {
-		t.Error("nan missed")
-	}
-}
-
 func TestMixedShardStepFromAdvancesMaster(t *testing.T) {
 	p := []float32{1, 2, 3, 4}
 	sh := NewMixedShard(p)

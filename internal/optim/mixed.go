@@ -1,10 +1,6 @@
 package optim
 
-import (
-	"math"
-
-	"superoffload/internal/fp16"
-)
+import "math"
 
 // SumSquares returns the float64 sum of squares of one gradient shard —
 // the per-bucket partial a distributed global-norm reduction exchanges.
@@ -37,17 +33,6 @@ func ClipScale(globalNorm, maxNorm float64) float64 {
 		return 1.0
 	}
 	return maxNorm / globalNorm
-}
-
-// HasBad reports whether any shard contains NaN or Inf — the mixed
-// precision validity check STV defers to the validation phase.
-func HasBad(shards [][]float32) bool {
-	for _, g := range shards {
-		if fp16.ScanBad32(g) {
-			return true
-		}
-	}
-	return false
 }
 
 // MixedShard is one bucket of mixed-precision training state: fp32 master

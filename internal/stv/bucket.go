@@ -1,8 +1,9 @@
 // Package stv implements speculation-then-validation training (§4.4) on
 // real numerics: the CPU-resident optimizer applies per-bucket Adam steps
-// speculatively while validation (global-norm clipping check, NaN/Inf
-// scan) runs in the background, and rolls back exactly when validation
-// fails. The package also provides the synchronize-then-execute (STE)
+// speculatively, validates them (global-norm clipping check, NaN/Inf
+// check, both read off one sum of squares taken as the buckets step) only
+// after the next window's first forward, and rolls back exactly when
+// validation fails. The package also provides the synchronize-then-execute (STE)
 // baseline schedule so exactness can be asserted: STV training must
 // produce bit-identical weights to STE training on the same data.
 //
@@ -156,9 +157,9 @@ func ahead(st *BucketState) *optim.MixedShard {
 // version Adam reads, apply GraceAdam to the staged gradients scaled by
 // gs, publish the new masters as fp16 weights, release. GraceAdam scales
 // the buffer in place, writing what ScaleGrad would (nothing at gs = 1):
-// a speculative step's validator starts after the step and reads the
-// scaled buffer, every other caller has already joined its validator, and
-// the buffer's next use is an overwrite (the next window's first
+// a speculative step's sum of squares is taken after the step and reads
+// the scaled buffer, every other caller has already resolved its verdict,
+// and the buffer's next use is an overwrite (the next window's first
 // AccumGrad / AccumInto).
 func (b *Bucket) step(cfg optim.Config, gs float32, from func(*BucketState) *optim.MixedShard) {
 	st := b.store.Acquire(b.idx)
@@ -169,7 +170,8 @@ func (b *Bucket) step(cfg optim.Config, gs float32, from func(*BucketState) *opt
 
 // SpeculativeStep steps the bucket's state with the staged (unclipped)
 // gradients scaled by inv — the 1/(lossScale·contributions) normalisation,
-// which stays in the buffer for the validator — ahead of validation. It
+// which stays in the buffer for the caller's sum of squares — ahead of
+// validation. It
 // overwrites the previous version, so on a bucket whose last verdict is not
 // yet applied (Apply) it panics rather than destroy that verdict's
 // rollback point.

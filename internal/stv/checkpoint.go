@@ -10,7 +10,7 @@ import (
 
 // Checkpointing: serialize the CPU-resident training state (fp32 master
 // weights, Adam moments, step counters, loss scale) so training can resume
-// exactly, once the in-flight validation is resolved (Flush). The format
+// exactly, once the pending verdict is resolved (Flush). The format
 // is defined over the global bucket order, independent of which rank owns
 // each bucket, so every engine shape on the same trajectory writes the
 // same bytes and can restore any other's. Integers are little-endian, and
@@ -55,11 +55,11 @@ func ioBuffer(buckets []*Bucket) []byte {
 	return make([]byte, max(headerBytes, recordBytes(n)))
 }
 
-// ready refuses op while a validation is in flight or once the run is
+// ready refuses op while a verdict is pending or once the run is
 // closed.
 func (v *Verdict) ready(op string) error {
 	if v.pending {
-		return fmt.Errorf("stv: Flush before %s (validation in flight)", op)
+		return fmt.Errorf("stv: Flush before %s (verdict pending)", op)
 	}
 	return v.Live()
 }
@@ -67,7 +67,7 @@ func (v *Verdict) ready(op string) error {
 // Save writes the run's state over buckets in the given (global) order:
 // each bucket's current version, acquired just for its record, so the
 // bytes are identical across stores. It fails once the run is closed or
-// while a validation is in flight.
+// while a verdict is pending.
 func (v *Verdict) Save(w io.Writer, buckets []*Bucket) error {
 	if err := v.ready("Save"); err != nil {
 		return err
@@ -109,7 +109,7 @@ func (v *Verdict) Save(w io.Writer, buckets []*Bucket) error {
 // index, streak or bucket step, or a loss scale that is negative, NaN,
 // infinite or outside the scaler's [MinScale, MaxScale]. The buckets'
 // owners must be quiescent. It fails once the run is closed or while a
-// validation is in flight.
+// verdict is pending.
 func (v *Verdict) Load(r io.Reader, buckets []*Bucket) error {
 	if err := v.ready("Load"); err != nil {
 		return err
@@ -190,7 +190,7 @@ func (b *Bucket) stage(r io.Reader, buf []byte) error {
 }
 
 // Save writes the trainer state. It fails once the trainer is closed or
-// while a validation is in flight.
+// while a verdict is pending.
 func (t *Trainer) Save(w io.Writer) error { return t.ctl.Save(w, t.buckets) }
 
 // Load restores trainer state saved by Save into a trainer built over the

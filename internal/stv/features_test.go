@@ -123,7 +123,7 @@ func TestStepAccumSpans(t *testing.T) {
 			}
 			return w
 		}
-		// The first window leaves a validation in flight under STV, so
+		// The first window leaves a verdict pending under STV, so
 		// the measured one resolves a real verdict.
 		if _, err := tr.StepAccum(window()); err != nil {
 			t.Fatal(err)
@@ -273,7 +273,7 @@ func TestCheckpointErrors(t *testing.T) {
 	if _, err := tr.Step(corpus.NextBatch(1, 8)); err != nil {
 		t.Fatal(err)
 	}
-	// In-flight validation blocks Save.
+	// A pending verdict blocks Save.
 	var buf bytes.Buffer
 	if err := tr.Save(&buf); err == nil {
 		t.Error("Save with pending validation should fail")

@@ -10,16 +10,16 @@ import (
 	"superoffload/internal/place"
 )
 
-// TestBackgroundValidationStress hammers the Step/StepAccum/Flush/Save
-// interleavings that keep a background validation in flight, over many
-// tiny buckets so the validator goroutine's scan is long enough to overlap
-// the next step's forward, backward, and gradient staging. Run under
-// -race in CI, this is the harness that proves the §4.4 background
-// validator (StepAccum's launch / resolve) shares no unsynchronized
-// state with the training loop.
-func TestBackgroundValidationStress(t *testing.T) {
+// TestPendingVerdictStress hammers the Step/StepAccum/Flush/Save/Load
+// interleavings that leave a step's verdict pending, over dozens of tiny
+// buckets with rollbacks nearly every step and injected overflows: a
+// verdict pending across the next window's first forward must resolve
+// once, before that window stages gradients; Save must be refused while
+// one is pending; Flush must resolve it; and a Load must leave the
+// trainer able to step and resolve again. The counters must add up.
+func TestPendingVerdictStress(t *testing.T) {
 	cfg := trainerConfig(STV)
-	cfg.BucketElems = 400 // dozens of buckets → long validator scans
+	cfg.BucketElems = 400 // dozens of buckets
 	cfg.ClipNorm = 0.4    // rollbacks nearly every step
 	cfg.Scaler = optim.NewLossScaler()
 	cfg.InjectBad = func(step int) bool { return step%11 == 7 }
@@ -37,19 +37,18 @@ func TestBackgroundValidationStress(t *testing.T) {
 				t.Fatal(err)
 			}
 		case 4:
-			// Accumulation window with the previous validation still
-			// in flight: the resolve happens at the window's first
-			// forward while the validator may still be scanning.
+			// Accumulation window with the previous verdict still
+			// pending: it resolves after the window's first forward,
+			// before any micro-batch stages its gradients.
 			w := []data.Batch{corpus.NextBatch(1, 8), corpus.NextBatch(1, 8)}
 			if _, err := tr.StepAccum(w); err != nil {
 				t.Fatal(err)
 			}
 		case 5:
-			// Save must be refused while the validation is pending,
-			// then succeed after Flush — interleaving checkpoint I/O
-			// with the validator's lifecycle.
+			// Save must be refused while the verdict is pending,
+			// then succeed after Flush.
 			if err := tr.Save(&checkpoint); err == nil {
-				t.Fatal("Save with validation in flight should be refused")
+				t.Fatal("Save with a verdict pending should be refused")
 			}
 			if _, err := tr.Flush(); err != nil {
 				t.Fatal(err)
@@ -69,7 +68,7 @@ func TestBackgroundValidationStress(t *testing.T) {
 	}
 
 	// Load back the last checkpoint and keep training: the restored
-	// state must accept new speculative steps and validations.
+	// state must accept new speculative steps and verdicts.
 	if err := tr.Load(bytes.NewReader(checkpoint.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +82,7 @@ func TestBackgroundValidationStress(t *testing.T) {
 	}
 	st := tr.Stats()
 	if st.Rollbacks() == 0 {
-		t.Error("stress run produced no rollbacks; the validator path was idle")
+		t.Error("stress run produced no rollbacks; the rollback path was idle")
 	}
 	if st.Commits+st.Rollbacks() != st.Steps {
 		t.Errorf("stats don't add up: %+v", st)

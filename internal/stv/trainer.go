@@ -17,8 +17,8 @@ type Mode int
 
 const (
 	// STV is speculation-then-validation: step speculatively per bucket,
-	// validate in the background, roll back on failure (Fig. 8). It is
-	// the zero Mode.
+	// apply the verdict after the next window's first forward, roll back
+	// on failure (Fig. 8). It is the zero Mode.
 	STV Mode = iota
 	// STE is synchronize-then-execute: wait for all gradients, validate,
 	// clip, then step (ZeRO-Offload's schedule, Fig. 3).
@@ -82,11 +82,11 @@ type Config struct {
 	Act *act.Store
 	// Tracer, when non-nil, gives the trainer a "trainer" trace track:
 	// per micro-batch a forward and a backward span (the latter includes
-	// staging the gradients), a resolve span where a verdict is awaited
-	// and applied, and one speculate span for normalise + optimizer step
-	// (STE's synchronous resolve nests inside it). The multi-rank engine
-	// records one track per rank instead, plus coordinator and comm
-	// tracks. Nil disables tracing at zero cost.
+	// staging the gradients), a resolve span where a verdict is applied,
+	// and one speculate span for normalise + optimizer step + sum of
+	// squares (STE's synchronous resolve nests inside it). The multi-rank
+	// engine records one track per rank instead, plus coordinator and
+	// comm tracks. Nil disables tracing at zero cost.
 	Tracer *obs.Tracer
 }
 
@@ -118,12 +118,8 @@ type Trainer struct {
 	track   *obs.Track         // step-phase spans; nil when tracing is off
 
 	// ctl is the step-control state (step counter, loss scale, pending
-	// validation, counters); validCh delivers the one validation it may
-	// have in flight.
-	ctl     *Verdict
-	validCh chan Validation
-
-	valShards [][]float32 // the buckets' gradient buffers, which the validator scans
+	// verdict, counters).
+	ctl *Verdict
 }
 
 // DefaultBucketElems is the per-bucket element budget when Config leaves
@@ -157,11 +153,7 @@ func NewTrainer(m *nn.GPT, cfg Config) *Trainer {
 		store:   store,
 		buckets: partitionParams(m.Params(), cfg.BucketElems, store),
 		ctl:     NewVerdict(cfg),
-		validCh: make(chan Validation, 1),
 		track:   cfg.Tracer.Track("trainer"),
-	}
-	for _, bk := range t.buckets {
-		t.valShards = append(t.valShards, bk.grad)
 	}
 	if cfg.Placement != nil {
 		if err := cfg.Placement.Validate(len(t.buckets)); err != nil {
@@ -180,7 +172,7 @@ func (t *Trainer) NumBuckets() int { return len(t.buckets) }
 
 // Close releases the bucket store's (and activation store's) backing
 // resources. Idempotent; Step, Flush, Save and Load fail afterwards.
-// Resolve any in-flight validation (Flush) first.
+// Resolve any pending verdict (Flush) first.
 func (t *Trainer) Close() error {
 	if t.ctl.Live() != nil {
 		return nil
@@ -247,15 +239,15 @@ func (t *Trainer) Step(b data.Batch) (float64, error) {
 // data-parallel engine that reduces per-rank contributions in rank order
 // reproduces the accumulated update bit for bit.
 //
-// Under STV the sequencing mirrors Fig. 8: the previous step's validation,
-// running in the background since that step returned, is resolved only
-// after the window's first forward pass; if it demands a rollback the
-// weights change and that forward is redone — the "RB → F1" arrow in the
-// figure. The speculative per-bucket step then fires once, over the
-// normalised sum, and its own validation is launched into the background.
-// STE (Fig. 3) resolves that validation at once, on the critical path, and
-// steps from the verdict with Bucket.DirectStep: in place, no rollback,
-// and a skipped step does no optimizer work at all.
+// Under STV the sequencing mirrors Fig. 8: the previous step's verdict is
+// applied only after the window's first forward pass; if it demands a
+// rollback the weights change and that forward is redone — the "RB → F1"
+// arrow in the figure. The speculative per-bucket step then fires once,
+// over the normalised sum, and each bucket's sum of squares is taken as
+// it steps: the step's validation is that one number, left pending for
+// the next window. STE (Fig. 3) resolves it at once, on the critical path,
+// and steps from the verdict with Bucket.DirectStep: in place, no
+// rollback, and a skipped step does no optimizer work at all.
 func (t *Trainer) StepAccum(batches []data.Batch) (float64, error) {
 	if t.Cfg.Mode != STE && t.Cfg.Mode != STV {
 		return 0, fmt.Errorf("stv: unknown mode %d", t.Cfg.Mode)
@@ -294,6 +286,7 @@ func (t *Trainer) StepAccum(batches []data.Batch) (float64, error) {
 	}
 	inv := float32(1 / (t.ctl.Scale() * float64(len(batches))))
 	speculative := t.Cfg.Mode == STV
+	var sumsq float64 // in bucket order from 0: optim.GlobalNorm's grouping
 	for _, bk := range t.buckets {
 		if speculative {
 			// In the real system this overlaps the remaining backward on
@@ -302,15 +295,9 @@ func (t *Trainer) StepAccum(batches []data.Batch) (float64, error) {
 		} else {
 			bk.ScaleGrad(inv)
 		}
+		sumsq += optim.SumSquares(bk.grad)
 	}
-	// The background validator (the Python-multiprocessing worker of
-	// §4.4): global norm and NaN/Inf scan off the critical path. The staged
-	// gradients stay untouched until resolve consumes the result (the next
-	// window stages after its resolve), so the scan reads stable data.
-	t.ctl.Launched(adam)
-	go func(v chan<- Validation, shards [][]float32) {
-		v <- Validation{Bad: optim.HasBad(shards), Norm: optim.GlobalNorm(shards)}
-	}(t.validCh, t.valShards)
+	t.ctl.Launched(adam, sumsq)
 	if !speculative {
 		res := t.resolve() // its span nests inside speculate
 		if res.Action == Skip {
@@ -331,21 +318,21 @@ func (t *Trainer) forward(b data.Batch) (float64, *nn.FwdCache) {
 	return t.Model.Forward(b.Tokens, b.Targets, b.BatchSize, b.Seq)
 }
 
-// resolve consumes the outstanding validation, if any, and applies its
-// verdict to every bucket: commit, roll back, or re-execute clipped.
+// resolve turns the pending verdict, if any, into a resolution and applies
+// it to every bucket: commit, roll back, or re-execute clipped.
 // Under STE no bucket is ever dirty (DirectStep steps in place), so
 // Apply finds nothing to do and StepAccum steps from the returned verdict.
 func (t *Trainer) resolve() Resolution {
 	sp := t.track.Begin("resolve")
 	defer sp.End()
-	res := t.ctl.Resolve(t.validCh)
+	res := t.ctl.Resolve()
 	for _, bk := range t.buckets {
 		bk.Apply(res)
 	}
 	return res
 }
 
-// Flush resolves any in-flight validation (call at end of training so the
+// Flush resolves any pending verdict (call at end of training so the
 // final step is validated). Returns whether the final step was rolled
 // back or re-executed.
 func (t *Trainer) Flush() (bool, error) {

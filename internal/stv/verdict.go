@@ -2,6 +2,7 @@ package stv
 
 import (
 	"errors"
+	"math"
 	"sync"
 
 	"superoffload/internal/optim"
@@ -18,14 +19,6 @@ type Stats struct {
 
 // Rollbacks returns total rollback events.
 func (s Stats) Rollbacks() int { return s.ClipRolls + s.SkipRolls }
-
-// Validation is the deferred global state of §4.4 that a background
-// validator reports for one speculative step: whether any reduced
-// gradient is NaN/Inf, and the global gradient norm.
-type Validation struct {
-	Bad  bool
-	Norm float64
-}
 
 // Action is what a resolved validation demands of every bucket.
 type Action int
@@ -57,10 +50,10 @@ func (r Resolution) WeightsChanged() bool { return r.Action == Skip || r.Action 
 
 // Verdict is the step-control state of one training run, shared by the
 // single-rank Trainer and internal/dp's coordinator: the step counter and
-// learning-rate schedule, the loss scale, the one validation that may be
-// in flight with the Adam config its step was taken under, and the
-// outcome counters. Resolve is the only place a validation result becomes
-// an action, a scaler update and a counter, which is what keeps every
+// learning-rate schedule, the loss scale, the one step whose verdict is
+// pending with its Adam config and gradient sum of squares, and the
+// outcome counters. Resolve is the only place that sum becomes an
+// action, a scaler update and a counter, which is what keeps every
 // engine shape on the same rollback decisions. Its policy — Adam,
 // ClipNorm, Scaler and Schedule — is the Config it was built from. One
 // goroutine drives the methods, except Stats, which may be polled from
@@ -71,7 +64,8 @@ type Verdict struct {
 	step        int
 	pending     bool
 	pendingAdam optim.Config
-	closed      error // non-nil once Close has run
+	sumsq       float64 // the pending step's Σ g², in bucket order
+	closed      error   // non-nil once Close has run
 
 	mu    sync.Mutex
 	stats Stats
@@ -112,9 +106,12 @@ func (v *Verdict) Scale() float64 {
 }
 
 // Launched records that the step opened by BeginStep was applied under
-// adam and that its validation is now in flight.
-func (v *Verdict) Launched(adam optim.Config) {
-	v.pending, v.pendingAdam = true, adam
+// adam and that its verdict is pending: sumsq is the float64 sum of
+// squares of its normalised gradients, each bucket's optim.SumSquares
+// added in bucket order (optim.GlobalNorm's grouping, so the norm is the
+// same bits).
+func (v *Verdict) Launched(adam optim.Config, sumsq float64) {
+	v.pending, v.pendingAdam, v.sumsq = true, adam, sumsq
 	v.bump(func(s *Stats) { s.Steps++ })
 }
 
@@ -122,24 +119,29 @@ func (v *Verdict) Launched(adam optim.Config) {
 // weights under it.
 func (v *Verdict) Redo() { v.bump(func(s *Stats) { s.Redos++ }) }
 
-// Resolve consumes the in-flight validation — blocking on val if the
-// validator is still running — and turns it into the resolution every
-// bucket must apply, updating the loss scaler and the counters. With
-// nothing in flight it returns None without touching val.
-func (v *Verdict) Resolve(val <-chan Validation) Resolution {
+// Resolve turns the pending step's sum of squares into the resolution
+// every bucket must apply, updating the loss scaler and the counters.
+// With nothing pending it returns None.
+//
+// The NaN/Inf check is read off the sum. A finite float32 squared in
+// float64 is at most ≈ 1.2e77, so fewer than 10²³⁰ such terms cannot
+// overflow; a NaN or ±Inf element squares to NaN or +Inf, and a float64
+// sum never returns to finite after either. So the sum is finite exactly
+// when every element is.
+func (v *Verdict) Resolve() Resolution {
 	if !v.pending {
 		return Resolution{}
 	}
-	got := <-val
 	v.pending = false
+	bad := !(v.sumsq <= math.MaxFloat64)
 	if v.cfg.Scaler != nil {
-		v.cfg.Scaler.Update(got.Bad)
+		v.cfg.Scaler.Update(bad)
 	}
-	if got.Bad {
+	if bad {
 		v.bump(func(s *Stats) { s.SkipRolls++ })
 		return Resolution{Action: Skip}
 	}
-	clip := optim.ClipScale(got.Norm, v.cfg.ClipNorm)
+	clip := optim.ClipScale(math.Sqrt(v.sumsq), v.cfg.ClipNorm)
 	if clip != 1.0 {
 		v.bump(func(s *Stats) { s.ClipRolls++ })
 		return Resolution{Action: Clip, ClipScale: clip, Adam: v.pendingAdam}

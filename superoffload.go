@@ -9,8 +9,8 @@
 //
 //   - A real training engine (Init/Step, mirroring the paper's Fig. 1
 //     two-line enablement) that trains an actual GPT on real numerics with
-//     speculative per-bucket Adam steps, background validation, and exact
-//     rollback — plus its multi-superchip form: InitMesh runs one
+//     speculative per-bucket Adam steps, validation deferred to the next
+//     step, and exact rollback — plus its multi-superchip form: InitMesh runs one
 //     engine over an R×S×P shape (R data-parallel groups with
 //     ZeRO-sharded optimizer state, bucketized gradient reduce-scatter
 //     and post-step weight all-gather; S sequence-parallel ranks per
@@ -522,7 +522,7 @@ type trainer interface {
 
 // Engine trains a Model with SuperOffload's schedule: CPU-resident fp32
 // master weights and Adam moments, bucketized speculative updates,
-// background validation, and exact rollback (§4.4) — on one simulated
+// validation deferred to the next step, and exact rollback (§4.4) — on one simulated
 // superchip (Init) or across an R×S×P shape of them (InitMesh and its
 // presets). For the same global batch the loss trajectory — rollbacks,
 // checkpoints and all — is bit-identical across shapes: a multi-rank
@@ -564,7 +564,7 @@ func Init(m *Model, cfg OptimizerConfig) (*Engine, error) {
 }
 
 // Step runs one training iteration (forward, backward, speculative
-// optimizer step, background validation) over the global batch and
+// optimizer step and its sum of squares) over the global batch and
 // returns its loss: a StepAccum window of one.
 func (e *Engine) Step(b Batch) (float64, error) { return e.StepAccum([]Batch{b}) }
 
@@ -593,7 +593,7 @@ func (e *Engine) StepAccum(batches []Batch) (float64, error) {
 
 // Save serializes the training state (fp32 masters, Adam moments, step
 // counters, loss scale) over the global bucket order, so the bytes do not
-// depend on the engine's shape. Call Flush first; an in-flight validation
+// depend on the engine's shape. Call Flush first; a pending verdict
 // blocks checkpointing.
 func (e *Engine) Save(w io.Writer) error { return e.t.Save(w) }
 
@@ -604,8 +604,8 @@ func (e *Engine) Save(w io.Writer) error { return e.t.Save(w) }
 // and a rejected Load changes nothing.
 func (e *Engine) Load(r io.Reader) error { return e.t.Load(r) }
 
-// Flush resolves the final in-flight validation; call once after the last
-// Step.
+// Flush resolves the final step's pending verdict; call once after the
+// last Step.
 func (e *Engine) Flush() error {
 	_, err := e.t.Flush()
 	return err
@@ -705,9 +705,9 @@ type SPCommStats = dp.SPCommStats
 // block range and run 1F1B over the step's micro-batches. The fp32
 // masters and Adam moments are ZeRO-partitioned over all R·S·P ranks
 // along bucket boundaries behind pluggable bucket stores; gradients
-// reduce-scatter and post-step fp16 weights all-gather, overlapping with
-// STV's speculative step and background validation, and a clip or NaN
-// rollback rolls back the globally reduced step on every rank. With
+// reduce-scatter and post-step fp16 weights all-gather around STV's
+// speculative step, and a clip or NaN rollback rolls back the globally
+// reduced step on every rank. With
 // PipeRanks > 1, use StepAccum with several micro-batches to actually
 // overlap the stages — one micro-batch degenerates to sequential stages.
 // Call Close when done to stop the rank goroutines.
