@@ -33,6 +33,7 @@ import (
 	"superoffload/internal/optim"
 	"superoffload/internal/place"
 	"superoffload/internal/stv"
+	"superoffload/internal/stv/stvref"
 	"superoffload/internal/stv/stvtest"
 	"superoffload/internal/tensor"
 )
@@ -461,6 +462,7 @@ func (c genConfig) check(dir string) error {
 		return err
 	}
 	ref := stv.NewTrainer(c.model(42), c.stvConfig())
+	sref := stvref.New(c.model(42), c.stvConfig())
 	defer func() { eng.Close(); ref.Close() }()
 
 	corpus := data.NewCorpus(64, c.Data)
@@ -475,6 +477,9 @@ func (c genConfig) check(dir string) error {
 			ckpt, err := same(eng, ref, base, i)
 			if err != nil {
 				return err
+			}
+			if _, err := same(sref, ref, stv.Stats{}, i); err != nil {
+				return fmt.Errorf("serial reference: %w", err)
 			}
 			if err := c.finish(eng, sh, sk, i, false, nil); err != nil {
 				return err
@@ -502,6 +507,10 @@ func (c genConfig) check(dir string) error {
 				}
 				ref.Close()
 				ref, base = next, stv.Stats{}
+				sref = stvref.New(c.model(7), c.stvConfig())
+				if err := sref.Load(bytes.NewReader(ckpt)); err != nil {
+					return err
+				}
 			}
 			sh, sk, fault = c.Restore, c.RestoreStore, false
 		}
@@ -520,10 +529,16 @@ func (c genConfig) check(dir string) error {
 		if l != rl {
 			return divergence{i, fmt.Sprintf("loss %v, reference %v", l, rl)}
 		}
+		if sl, err := sref.StepAccum(decompose(window, sh.ranks())); err != nil || sl != rl {
+			return fmt.Errorf("step %d: serial reference loss %v (%v), trainer %v", i, sl, err, rl)
+		}
 		losses = append(losses, l)
 	}
 	if _, err := same(eng, ref, base, c.Steps-1); err != nil {
 		return err
+	}
+	if _, err := same(sref, ref, stv.Stats{}, c.Steps-1); err != nil {
+		return fmt.Errorf("serial reference: %w", err)
 	}
 	if err := c.expect(eng.Stats(), losses); err != nil {
 		return err
@@ -555,12 +570,22 @@ func (c genConfig) refuse(tr trainer, ckpt []byte, step int) error {
 	return nil
 }
 
+// run is what same compares on either side.
+type run interface {
+	Flush() (bool, error)
+	Save(io.Writer) error
+	MasterWeights() []float32
+	Stats() stv.Stats
+}
+
 // weights is tr's master weights, then each replica's model weights: the
 // trainer's one model, or every rank's.
-func weights(tr trainer) [][]float32 {
+func weights(tr run) [][]float32 {
 	var models []*nn.GPT
 	switch tr := tr.(type) {
 	case *stv.Trainer:
+		models = append(models, tr.Model)
+	case *stvref.Trainer:
 		models = append(models, tr.Model)
 	case *Engine:
 		for _, rk := range tr.ranks {
@@ -597,7 +622,7 @@ func decompose(window []data.Batch, r int) []data.Batch {
 // can be wrong in blocks its stage never reads, where no loss shows it),
 // then Stats (the reference's counted from base) and checkpoint bytes,
 // which it returns.
-func same(eng, ref trainer, base stv.Stats, step int) ([]byte, error) {
+func same(eng, ref run, base stv.Stats, step int) ([]byte, error) {
 	if _, err := eng.Flush(); err != nil {
 		return nil, err
 	}
