@@ -71,3 +71,37 @@ func TestStepAllocations(t *testing.T) {
 		})
 	}
 }
+
+// TestSteadyStepAllocations: a steady-state Step through the facade at
+// 1×1×1 (Init) and 2×1×1 allocates nothing. The coordinator reuses its
+// per-rank micro-batch lists, shard buffers, report slice and op lists,
+// and a delegate that owns a bucket folds its contribution straight from
+// the replayed gradient instead of staging a copy.
+func TestSteadyStepAllocations(t *testing.T) {
+	for _, mesh := range []MeshConfig{{}, {Ranks: 2}} {
+		m, err := NewModel(ModelConfig{Layers: 2, Hidden: 64, Heads: 4, Vocab: 128, MaxSeq: 16}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultOptimizer()
+		cfg.ClipNorm, cfg.BucketElems = 10, 20000
+		eng, err := InitMesh(m, cfg, mesh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := NewCorpus(128, 2).NextBatch(2, 16)
+		step := func() {
+			if _, err := eng.Step(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step()
+		step()
+		if got := testing.AllocsPerRun(20, step); got > 0 {
+			t.Errorf("%d×%d×%d: %v allocs/step, want 0", eng.Ranks(), eng.SeqRanks(), eng.PipeRanks(), got)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

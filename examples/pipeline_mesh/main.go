@@ -111,7 +111,7 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "training one GPT (batch %d × %d micro-batches, seq %d, %d layers) across R×S×P engines:\n",
 		batch, accum, seq, layers)
 	// The reference carries degenerate sequence and pipeline axes:
-	// bit-identical to the DP engine — and to a single-rank trainer
+	// bit-identical to the DP engine — and to one superchip
 	// accumulating the same row slices.
 	ref, err := train(2, 1, 1, "dram")
 	if err != nil {

@@ -38,7 +38,7 @@ func buildEngines(t *testing.T) map[string]closeable {
 	engines := map[string]closeable{}
 	corpus := data.NewCorpus(64, 11)
 
-	for name, sh := range map[string]shape{"dp": s211, "sp": s121, "mesh": s221, "pipe": s212} {
+	for name, sh := range map[string]shape{"init": s111, "dp": s211, "sp": s121, "mesh": s221, "pipe": s212} {
 		cfg := shapeConfig(sh.R, sh.S, sh.P)
 		cfg.NewStore = nvmeFactory(t)
 		e, err := New(deepGPT(3), cfg)
@@ -50,17 +50,6 @@ func buildEngines(t *testing.T) map[string]closeable {
 		}
 		engines[name] = e
 	}
-	store, err := nvmeFactory(t)(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := shapeConfig(1, 1, 1).Config
-	cfg.Store = store
-	tr := stv.NewTrainer(tinyGPT(3), cfg)
-	if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
-		t.Fatalf("stv: step: %v", err)
-	}
-	engines["stv"] = tr
 	return engines
 }
 

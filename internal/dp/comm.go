@@ -66,33 +66,30 @@ type world struct {
 	grads [][]*fifo[*tensor.Tensor]
 	tel   *linkTelemetry
 
-	// Tracing (nil when disabled): one track per rank interpreter plus
-	// the coordinator's control-plane track. attachTracer fills them.
+	// Tracing (nil tracks when disabled): one track per rank interpreter
+	// plus the coordinator's control-plane track. attachTracer fills them.
 	tracks []*obs.Track
 	ctrack *obs.Track
 }
 
 // attachTracer allocates this world's trace tracks: "rank r" per rank,
 // one coordinator track, and the "comm" track of collective instants. A
-// nil tracer leaves every track nil — the zero-overhead disabled mode.
+// world of one rank has no links and nothing to coordinate: its one
+// track is "trainer", the single-superchip timeline. A nil tracer leaves
+// every track nil — the zero-overhead disabled mode.
 func (w *world) attachTracer(tr *obs.Tracer) {
 	if tr == nil {
 		return
 	}
+	if w.N == 1 {
+		w.tracks[0] = tr.Track("trainer")
+		return
+	}
 	w.ctrack = tr.Track("coordinator")
-	w.tracks = make([]*obs.Track, w.N)
 	for i := range w.tracks {
 		w.tracks[i] = tr.Track(fmt.Sprintf("rank %d", i))
 	}
 	w.tel.track = tr.Track("comm")
-}
-
-// track returns rank id's trace track (nil when tracing is disabled).
-func (w *world) track(id int) *obs.Track {
-	if w.tracks == nil {
-		return nil
-	}
-	return w.tracks[id]
 }
 
 // command drives a rank's top-level loop.
@@ -117,7 +114,7 @@ type stepResult struct {
 // cell, p pipeline stages, and b buckets.
 func newWorld(r, s, p, b int) *world {
 	n := r * s * p
-	w := &world{N: n, B: b, R: r, S: s, P: p, tel: &linkTelemetry{}}
+	w := &world{N: n, B: b, R: r, S: s, P: p, tel: &linkTelemetry{}, tracks: make([]*obs.Track, n)}
 	w.cmd = make([]chan command, n)
 	w.resolution = make([]chan stv.Resolution, n)
 	w.goCh = make([]chan goMsg, n)
@@ -164,47 +161,6 @@ func newWorld(r, s, p, b int) *world {
 // global bucket order, the ZeRO-style partition, ignoring topology) — the
 // single ownership policy every engine component consults.
 func bucketOwner(bucket, ranks int) int { return bucket % ranks }
-
-// splitRows slices a batch into n per-group row slices along the batch
-// dimension: slice g takes rows [g·B/n, (g+1)·B/n). The caller has
-// validated divisibility.
-func splitRows(b data.Batch, n int) []data.Batch {
-	per := b.BatchSize / n
-	out := make([]data.Batch, n)
-	for g := 0; g < n; g++ {
-		lo, hi := g*per*b.Seq, (g+1)*per*b.Seq
-		out[g] = data.Batch{
-			Tokens:    b.Tokens[lo:hi],
-			Targets:   b.Targets[lo:hi],
-			BatchSize: per,
-			Seq:       b.Seq,
-		}
-	}
-	return out
-}
-
-// splitSeq shards a batch into n sequence shards: shard s takes
-// positions [s·T/n, (s+1)·T/n) of every batch row (n == 1 is the batch
-// itself, uncopied). The caller has validated divisibility
-// (nn.GPT.ValidateSP).
-func splitSeq(b data.Batch, n int) []data.Batch {
-	if n == 1 {
-		return []data.Batch{b}
-	}
-	tl := b.Seq / n
-	out := make([]data.Batch, n)
-	for s := 0; s < n; s++ {
-		toks := make([]int, 0, b.BatchSize*tl)
-		tgts := make([]int, 0, b.BatchSize*tl)
-		for r := 0; r < b.BatchSize; r++ {
-			lo := r*b.Seq + s*tl
-			toks = append(toks, b.Tokens[lo:lo+tl]...)
-			tgts = append(tgts, b.Targets[lo:lo+tl]...)
-		}
-		out[s] = data.Batch{Tokens: toks, Targets: tgts, BatchSize: b.BatchSize, Seq: tl}
-	}
-	return out
-}
 
 // fifo is one link of the reduce-scatter or pipeline axis: an unbounded
 // FIFO, so sends never block, while recv blocks until a value arrives

@@ -9,12 +9,17 @@ import (
 )
 
 // coordinator is the engine's control plane: it owns the run's
-// stv.Verdict — the same step counter, loss-scale and learning-rate
-// plumbing, pending-verdict bookkeeping and verdict policy the
-// single-rank trainer runs on — and drives the ranks from it.
+// stv.Verdict — the step counter, loss-scale and learning-rate plumbing,
+// pending-verdict bookkeeping and verdict policy — and drives the ranks
+// from it.
 type coordinator struct {
 	cfg Config
 	ctl *stv.Verdict
+	// results holds the ranks' reports of the current step, and
+	// schedules one op list per (stage, stages, micros), built once and
+	// read by every rank of that stage.
+	results   []stepResult
+	schedules map[[3]int][]scheduleOp
 }
 
 // Stats returns the engine's validation counters. Safe to call from
@@ -53,7 +58,7 @@ func (c *coordinator) runStep(w *world, micross [][]data.Batch) ([]stepResult, e
 		sp = w.ctrack.Begin("step")
 	}
 	for r := 0; r < w.N; r++ {
-		w.cmd[r] <- command{kind: cmdStep, micros: micross[r], ops: stageSchedule(r%w.P, w.P, len(micross[r]))}
+		w.cmd[r] <- command{kind: cmdStep, micros: micross[r], ops: c.schedule(r%w.P, w.P, len(micross[r]))}
 	}
 	// Ranks are now forwarding; the pending verdict resolves in parallel
 	// with that compute.
@@ -72,7 +77,7 @@ func (c *coordinator) runStep(w *world, micross [][]data.Batch) ([]stepResult, e
 	for r := 0; r < w.N; r++ {
 		w.goCh[r] <- g
 	}
-	out := make([]stepResult, w.N)
+	out := c.results
 	for r := 0; r < w.N; r++ {
 		out[r] = <-w.results[r]
 	}
@@ -87,6 +92,21 @@ func (c *coordinator) runStep(w *world, micross [][]data.Batch) ([]stepResult, e
 	}
 	c.ctl.Launched(adam, sumsq)
 	return out, nil
+}
+
+// schedule returns stage's op list for a step of micros micro-batches
+// over stages stages (stageSchedule's, built on first use).
+func (c *coordinator) schedule(stage, stages, micros int) []scheduleOp {
+	k := [3]int{stage, stages, micros}
+	ops, ok := c.schedules[k]
+	if !ok {
+		ops = stageSchedule(stage, stages, micros)
+		if c.schedules == nil {
+			c.schedules = map[[3]int][]scheduleOp{}
+		}
+		c.schedules[k] = ops
+	}
+	return ops
 }
 
 // flush resolves any pending verdict over the world (call at end of

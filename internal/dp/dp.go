@@ -22,8 +22,9 @@
 //
 // Determinism contract: for the same global batch, every (R,S,P) shape
 // reproduces — bit for bit — the loss trajectory, rollback decisions,
-// stats and checkpoints of a single-rank stv.Trainer that processes the
-// same R-way row decomposition via gradient accumulation. S and P are
+// stats and checkpoints of the (1,1,1) engine, and of the serial
+// reference internal/stv/stvref, processing the same R-way row
+// decomposition via gradient accumulation. S and P are
 // invisible to the numerics. All cross-rank reductions happen in a fixed
 // order: gradient contributions sum in (micro-batch, group) order, the
 // owners' per-bucket sums of squares sum in bucket order, and losses sum in
@@ -36,11 +37,9 @@ import (
 	"superoffload/internal/stv"
 )
 
-// Config parameterizes the engine: the trainer's option set, so every
-// shape stays trajectory-compatible with the single-rank trainer, plus
+// Config parameterizes the engine: the optimizer and schedule options,
 // the (R,S,P) shape (0 means 1 on every axis) and the per-rank store
-// factories that stand in for the embedded Store and Act, which must be
-// nil.
+// factories.
 type Config struct {
 	stv.Config
 	// Ranks is the data-parallel degree R: the number of replica groups

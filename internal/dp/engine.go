@@ -11,11 +11,9 @@ import (
 )
 
 // Engine coordinates the R·S·P rank goroutines of one (R,S,P) shape
-// through the STV schedule. Its API mirrors stv.Trainer (Step, StepAccum,
-// Flush, Save, Load, Stats) so the facade can surface either behind the
-// same surface. Methods are not safe for concurrent use — like the
-// single-rank trainer, one goroutine drives training — except the
-// telemetry getters, which may be polled while a step runs.
+// through the STV schedule; (1,1,1) is the single superchip. Methods are
+// not safe for concurrent use — one goroutine drives training — except
+// the telemetry getters, which may be polled while a step runs.
 type Engine struct {
 	coordinator
 	w     *world
@@ -23,6 +21,13 @@ type Engine struct {
 	// buckets is the global bucket order; entry b points at the owning
 	// rank's optimizer state (used for checkpointing and diagnostics).
 	buckets []*stv.Bucket
+	// micross[id] is rank id's micro-batches of the current step, and
+	// seqBuf holds the token and target copies of its sequence shards.
+	// Both are reused step to step: a rank reads them only inside the
+	// step, before its report, and a shard outlives a growth of seqBuf
+	// in the array it was copied into.
+	micross [][]data.Batch
+	seqBuf  []int
 }
 
 // New builds an engine of shape (cfg.Ranks, cfg.SeqRanks, cfg.PipeRanks)
@@ -34,12 +39,6 @@ type Engine struct {
 func New(model *nn.GPT, cfg Config) (*Engine, error) {
 	if model == nil {
 		return nil, fmt.Errorf("dp: nil model")
-	}
-	if cfg.Store != nil {
-		return nil, fmt.Errorf("dp: Config.Store is one store; every rank builds its own through NewStore")
-	}
-	if cfg.Act != nil {
-		return nil, fmt.Errorf("dp: Config.Act is one activation store; every final-stage rank builds its own through NewActStore")
 	}
 	if cfg.Mode != stv.STV && cfg.Mode != stv.STE {
 		return nil, fmt.Errorf("dp: unknown mode %d", cfg.Mode)
@@ -68,7 +67,8 @@ func New(model *nn.GPT, cfg Config) (*Engine, error) {
 	}
 	w := newWorld(r, s, p, nBuckets)
 	w.attachTracer(cfg.Tracer)
-	e := &Engine{w: w, buckets: make([]*stv.Bucket, nBuckets), coordinator: coordinator{cfg: cfg, ctl: stv.NewVerdict(cfg.Config)}}
+	e := &Engine{w: w, buckets: make([]*stv.Bucket, nBuckets), micross: make([][]data.Batch, w.N),
+		coordinator: coordinator{cfg: cfg, ctl: stv.NewVerdict(cfg.Config), results: make([]stepResult, w.N)}}
 	newStore := cfg.NewStore
 	if newStore == nil {
 		newStore = func(int) (stv.BucketStore, error) { return stv.NewDRAMStore(), nil }
@@ -116,46 +116,46 @@ func (e *Engine) CommStats() SPCommStats { return e.w.tel.snapshot() }
 // ok is false when no rank carries a flash tier (NVMeStore, or
 // PlacedStore with NVMe-tier buckets).
 func (e *Engine) StoreTelemetry() (stv.StoreTelemetry, bool) {
-	var sum stv.StoreTelemetry
-	any := false
-	for _, rk := range e.ranks {
+	return sumRanks(e.ranks, func(rk *rank) (stv.StoreTelemetry, bool) {
 		if src, ok := rk.store.(stv.TelemetrySource); ok {
-			if tel, has := src.NVMeTelemetry(); has {
-				sum = sum.Add(tel)
-				any = true
-			}
+			return src.NVMeTelemetry()
 		}
-	}
-	return sum, any
+		return stv.StoreTelemetry{}, false
+	})
 }
 
 // PlacementTelemetry sums the virtual-clock superchip executors' modeled
 // accounting over every rank; ok is false without a placement plan.
 func (e *Engine) PlacementTelemetry() (stv.PlacementTelemetry, bool) {
-	var sum stv.PlacementTelemetry
-	any := false
-	for _, rk := range e.ranks {
-		if rk.exec != nil {
-			sum = sum.Add(rk.exec.Telemetry())
-			any = true
+	return sumRanks(e.ranks, func(rk *rank) (stv.PlacementTelemetry, bool) {
+		if rk.exec == nil {
+			return stv.PlacementTelemetry{}, false
 		}
-	}
-	return sum, any
+		return rk.exec.Telemetry(), true
+	})
 }
 
 // ActTelemetry sums the activation stores' traffic and modeled-time
 // accounting over the final-stage ranks; ok is false without an
 // activation tier.
 func (e *Engine) ActTelemetry() (act.Telemetry, bool) {
-	var sum act.Telemetry
-	any := false
-	for _, rk := range e.ranks {
-		if rk.ast != nil {
-			sum = sum.Add(rk.ast.Telemetry())
-			any = true
+	return sumRanks(e.ranks, func(rk *rank) (act.Telemetry, bool) {
+		if rk.ast == nil {
+			return act.Telemetry{}, false
+		}
+		return rk.ast.Telemetry(), true
+	})
+}
+
+// sumRanks adds up the telemetry of every rank that has some; ok is
+// false when none has.
+func sumRanks[T interface{ Add(T) T }](ranks []*rank, of func(*rank) (T, bool)) (sum T, ok bool) {
+	for _, rk := range ranks {
+		if tel, has := of(rk); has {
+			sum, ok = sum.Add(tel), true
 		}
 	}
-	return sum, any
+	return sum, ok
 }
 
 // Ranks reports the data-parallel degree R (the number of replica
@@ -168,42 +168,70 @@ func (e *Engine) SeqRanks() int { return e.w.S }
 // PipeRanks reports the pipeline-parallel degree P (stages per column).
 func (e *Engine) PipeRanks() int { return e.w.P }
 
+// MasterWeights returns the fp32 master parameters gathered from their
+// owners, concatenated in bucket order — the ground truth for exactness
+// comparisons against the reference (internal/stv/stvref).
+func (e *Engine) MasterWeights() []float32 { return stv.MasterWeights(e.buckets) }
+
 // NumBuckets reports how many offload buckets the parameter space uses.
 func (e *Engine) NumBuckets() int { return len(e.buckets) }
 
-// split shards a global batch over the engine: rows split R ways across
-// groups, each group slice's sequence splits S ways across the cell's
-// ranks, and every stage rank of a column receives the same (rows,
-// sequence) shard — stage 0 reads its tokens, the final stage its
-// targets, and every stage its shape. The batch is validated here, in
-// the caller's goroutine, so a malformed one surfaces as an error
-// instead of a rank-goroutine panic.
-func (e *Engine) split(b data.Batch) ([]data.Batch, error) {
+// split shards a global batch over the engine, appending rank id's
+// shard to micross[id]: rows split R ways across groups, each group
+// slice's sequence splits S ways across the cell's ranks, and every stage
+// rank of a column receives the same (rows, sequence) shard — stage 0
+// reads its tokens, the final stage its targets, and every stage its
+// shape. The batch is validated here, in the caller's goroutine, so a
+// malformed one surfaces as an error instead of a rank-goroutine panic.
+func (e *Engine) split(b data.Batch) error {
 	w, g := e.w, e.ranks[0].model
 	if err := b.Check(g.Cfg.Vocab, g.MaxSeq); err != nil {
-		return nil, err
+		return err
 	}
 	if b.BatchSize%w.R != 0 {
-		return nil, &data.ConfigError{Field: "Batch.BatchSize", Value: b.BatchSize,
+		return &data.ConfigError{Field: "Batch.BatchSize", Value: b.BatchSize,
 			Want: fmt.Sprintf("a multiple of MeshConfig.Ranks (%d): rows split across data-parallel groups", w.R)}
 	}
 	if b.Seq%w.S != 0 {
-		return nil, &data.ConfigError{Field: "Batch.Seq", Value: b.Seq,
+		return &data.ConfigError{Field: "Batch.Seq", Value: b.Seq,
 			Want: fmt.Sprintf("a multiple of MeshConfig.SeqRanks (%d): positions split across sequence ranks", w.S)}
 	}
 	// The pass's own guard: after New's checks and the ones above, inert.
 	if err := g.ValidateSP(w.S, b.Seq); err != nil {
-		return nil, fmt.Errorf("dp: %w", err)
+		return fmt.Errorf("dp: %w", err)
 	}
-	out := make([]data.Batch, 0, w.N)
-	for _, slice := range splitRows(b, w.R) {
-		for _, shard := range splitSeq(slice, w.S) {
+	per := b.BatchSize / w.R
+	for gr := 0; gr < w.R; gr++ {
+		lo, hi := gr*per*b.Seq, (gr+1)*per*b.Seq
+		rows := data.Batch{Tokens: b.Tokens[lo:hi], Targets: b.Targets[lo:hi], BatchSize: per, Seq: b.Seq}
+		for s := 0; s < w.S; s++ {
+			shard := rows
+			if w.S > 1 {
+				shard = e.seqShard(rows, s)
+			}
 			for p := 0; p < w.P; p++ {
-				out = append(out, shard)
+				id := (gr*w.S+s)*w.P + p
+				e.micross[id] = append(e.micross[id], shard)
 			}
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// seqShard is sequence shard s of the engine's S of a batch: positions
+// [s·T/S, (s+1)·T/S) of every batch row, copied onto seqBuf. The caller
+// has validated divisibility (nn.GPT.ValidateSP).
+func (e *Engine) seqShard(b data.Batch, s int) data.Batch {
+	tl := b.Seq / e.w.S
+	shard := func(xs []int) []int {
+		start := len(e.seqBuf)
+		for r := 0; r < b.BatchSize; r++ {
+			lo := r*b.Seq + s*tl
+			e.seqBuf = append(e.seqBuf, xs[lo:lo+tl]...)
+		}
+		return e.seqBuf[start:]
+	}
+	return data.Batch{Tokens: shard(b.Tokens), Targets: shard(b.Targets), BatchSize: b.BatchSize, Seq: tl}
 }
 
 // Step runs one training iteration over the global batch: each rank
@@ -211,8 +239,8 @@ func (e *Engine) split(b data.Batch) ([]data.Batch, error) {
 // speculatively, leaving the step's verdict pending. With P > 1 a
 // single micro-batch degenerates to sequential stages; use StepAccum
 // with M >= 2 micro-batches to overlap them 1F1B. Returns the mean loss
-// — bit-identical to the single-rank trainer's loss for the same R-way
-// row decomposition.
+// — bit-identical to the (1,1,1) engine's loss for the same R-way row
+// decomposition.
 func (e *Engine) Step(b data.Batch) (float64, error) {
 	return e.StepAccum([]data.Batch{b})
 }
@@ -228,21 +256,20 @@ func (e *Engine) StepAccum(batches []data.Batch) (float64, error) {
 	if len(batches) == 0 {
 		return 0, nil
 	}
-	micross := make([][]data.Batch, e.w.N)
+	for id := range e.micross {
+		e.micross[id] = e.micross[id][:0]
+	}
+	e.seqBuf = e.seqBuf[:0]
 	for _, b := range batches {
-		shards, err := e.split(b)
-		if err != nil {
+		if err := e.split(b); err != nil {
 			return 0, err
 		}
-		for id, sh := range shards {
-			micross[id] = append(micross[id], sh)
-		}
 	}
-	perRank, err := e.runStep(e.w, micross)
+	perRank, err := e.runStep(e.w, e.micross)
 	if err != nil {
 		return 0, err
 	}
-	loss := e.foldLoss(perRank, micross[0])
+	loss := e.foldLoss(perRank, e.micross[0])
 	if e.cfg.Mode == stv.STE {
 		// Synchronize-then-execute: resolve before returning, putting
 		// validation back on the critical path (the ZeRO-Offload
@@ -258,8 +285,8 @@ func (e *Engine) StepAccum(batches []data.Batch) (float64, error) {
 // (micro, group), the group's slice loss is the loss rows of its
 // final-stage ranks (g, s, P-1) folded in (batch row, shard, position)
 // order — ascending global row order within the slice. The R·m slice
-// losses then sum in (micro, group) order and divide once, matching the
-// single-rank trainer accumulating the same R-way decomposition. shards
+// losses then sum in (micro, group) order and divide once, matching one
+// rank accumulating the same R-way decomposition. shards
 // is any one rank's micro-batches (every rank's have the same shape).
 func (e *Engine) foldLoss(perRank []stepResult, shards []data.Batch) float64 {
 	w := e.w
@@ -288,8 +315,8 @@ func (e *Engine) foldLoss(perRank []stepResult, shards []data.Batch) float64 {
 func (e *Engine) Flush() (bool, error) { return e.flush(e.w) }
 
 // Save serializes the training state in the stv checkpoint format, over
-// the global bucket order — byte-identical to a single-rank trainer on
-// the same trajectory, so checkpoints move freely across (R,S,P) shapes.
+// the global bucket order — byte-identical across (R,S,P) shapes on the
+// same trajectory, so checkpoints move freely between them.
 // It fails once the engine is closed or while a verdict is pending.
 func (e *Engine) Save(w io.Writer) error { return e.ctl.Save(w, e.buckets) }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"superoffload/internal/act"
 	"superoffload/internal/data"
 	"superoffload/internal/model"
 	"superoffload/internal/nn"
@@ -30,42 +29,12 @@ func deepGPT(seed uint64) *nn.GPT {
 	return nn.NewGPT(cfg, 16, tensor.NewRNG(seed))
 }
 
-// MasterWeights returns the fp32 master parameters gathered from their
-// owners, concatenated in bucket order — the ground truth for exactness
-// comparisons against the single-rank engine.
-func (e *Engine) MasterWeights() []float32 { return stv.MasterWeights(e.buckets) }
-
 // shapeConfig is an (R,S,P) engine config with several buckets for the
 // tiny models.
 func shapeConfig(r, s, p int) Config {
 	a := optim.DefaultConfig()
 	a.LR = 3e-3
 	return Config{Config: stv.Config{Adam: a, ClipNorm: 1.0, BucketElems: 20000}, Ranks: r, SeqRanks: s, PipeRanks: p}
-}
-
-// TestNewRejectsSingleStores: the embedded Store and Act hold one
-// instance, which R·S·P ranks cannot share, so New refuses either with an
-// error naming the per-rank factory to use instead, and closes nothing
-// it was handed.
-func TestNewRejectsSingleStores(t *testing.T) {
-	st, err := act.NewStore(act.Config{Tier: act.DRAM, ResidentLayers: 2, Hidden: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for factory, set := range map[string]func(*Config){
-		"NewStore":    func(c *Config) { c.Store = stv.NewDRAMStore() },
-		"NewActStore": func(c *Config) { c.Act = st },
-	} {
-		cfg := shapeConfig(2, 1, 1)
-		set(&cfg)
-		if e, err := New(tinyGPT(1), cfg); err == nil || !strings.Contains(err.Error(), factory) {
-			if e != nil {
-				e.Close()
-			}
-			t.Errorf("New with the single-instance field of %s: error %v, want one naming %s", factory, err, factory)
-		}
-	}
 }
 
 // The construction- and step-time guards, one shape per test.

@@ -3,8 +3,9 @@ package dp
 // The generated differential suite: every (R,S,P) shape, store,
 // placement, activation tier and step option composes without changing
 // the optimizer's math, so on the same global batches a drawn
-// configuration reproduces, bit for bit, the plain single-rank DRAM
-// stv.Trainer consuming the R-way row decomposition. Each test below runs
+// configuration reproduces, bit for bit, the serial reference
+// (internal/stv/stvref) consuming the R-way row decomposition. Each test
+// below runs
 // one stratum of the draw: its cases pin the axes the test is about and
 // draw the rest from a seed its name hashes to. A failing configuration
 // is shrunk and printed as a Go literal for regressions.
@@ -111,7 +112,7 @@ var strata = map[string][]genCase{
 	"TestSynchronousMatchesSTV":               one(s211, ste),
 	"TestTrainingLearnsAcrossRanks":           one(s411, learns),
 	"TestCheckpointRoundTripProperty":         each(all(resumes(), midStreak), s111, s211, s411),
-	"TestCheckpointPortableAcrossRankCounts":  one(s211, resumes(s411, trainerShape)),
+	"TestCheckpointPortableAcrossRankCounts":  one(s211, resumes(s411, initShape)),
 	"TestStressManyBucketsTightClip":          one(s411, stress),
 	"TestEquivalenceAcrossRanksNVMe":          each(flash, s111, s211, s411),
 	"TestEquivalenceWithInjectedOverflowNVMe": each(all(flash, overflow), s211, s411),
@@ -120,7 +121,7 @@ var strata = map[string][]genCase{
 		{"R2dram->R2nvme", moves(s211, storeDRAM, s211, storeFlash2)},
 		{"R4nvme->R4nvme", moves(s411, storeFlash2Cache, s411, storeFlash1)},
 		{"R2nvme->R4dram", moves(s211, storeFlash2, s411, storeDRAM)},
-		{"R4nvme->R1dram", moves(s411, storeFlash1, trainerShape, storeDRAM)},
+		{"R4nvme->R1dram", moves(s411, storeFlash1, initShape, storeDRAM)},
 	},
 	"TestDPFaultInjectionGracefulDegradation":   one(s211, fault),
 	"TestMeshFaultInjectionGracefulDegradation": one(s221, fault),
@@ -138,7 +139,7 @@ var strata = map[string][]genCase{
 	"TestSPEquivalenceWithSchedule":         one(s121, schedule),
 	"TestSPStepAccumEquivalence":            one(s121, accum),
 	"TestSPWithNVMeStores":                  each(flash, s121, s141),
-	"TestSPCheckpointPortability":           one(s141, resumes(s121, trainerShape)),
+	"TestSPCheckpointPortability":           one(s141, resumes(s121, initShape)),
 	"TestSPSynchronousMatchesSTV":           one(s121, ste),
 	"TestSPTrainingLearns":                  one(s141, learns),
 
@@ -163,20 +164,20 @@ var strata = map[string][]genCase{
 	"TestFailedLoadChangesNothing": {
 		{"flip/R2-nvme", all(moves(s211, storeDRAM, s211, storeFlash1), corrupts(false))},
 		{"cut/R2-dram", all(moves(s211, storeFlash2, s211, storeDRAM), corrupts(true))},
-		{"flip/trainer-cache", all(moves(s221, storeDRAM, trainerShape, storeFlash2Cache), corrupts(false))},
+		{"flip/init-cache", all(moves(s221, storeDRAM, initShape, storeFlash2Cache), corrupts(false))},
 		{"cut/R2xS2xP2-nvme", all(moves(s111, storeDRAM, s222, storeFlash2), corrupts(true))},
 	},
 }
 
-// shape is an (R,S,P) engine shape; the zero shape is the single-rank
-// stv.Trainer.
+// shape is an (R,S,P) engine shape; the zero shape, every axis left 0,
+// is the engine as superoffload.Init builds it.
 type shape struct{ R, S, P int }
 
-var trainerShape shape
+var initShape shape
 
-// allShapes are the single-rank trainer and the 13 engine shapes: R and S
-// in {1,2,4} alone, the R×S mesh, and the pipeline grid {1,2}³ ∪ {(1,1,4)}.
-var allShapes = []shape{trainerShape, s111, s211, s411, s121, s141, s221, s241, s421, s112, s122, s212, s222, s114}
+// allShapes are the zero shape and the 13 explicit ones: R and S in
+// {1,2,4} alone, the R×S mesh, and the pipeline grid {1,2}³ ∪ {(1,1,4)}.
+var allShapes = []shape{initShape, s111, s211, s411, s121, s141, s221, s241, s421, s112, s122, s212, s222, s114}
 
 // ranks is the data-parallel degree the reference decomposes rows by.
 func (s shape) ranks() int { return max(s.R, 1) }
@@ -185,8 +186,8 @@ func (s shape) ranks() int { return max(s.R, 1) }
 func (s shape) world() int { return max(s.R, 1) * max(s.S, 1) * max(s.P, 1) }
 
 func (s shape) String() string {
-	if s == trainerShape {
-		return "trainer"
+	if s == initShape {
+		return "init"
 	}
 	return fmt.Sprintf("R%dxS%dxP%d", s.R, s.S, s.P)
 }
@@ -244,6 +245,7 @@ type genConfig struct {
 	Restore      shape
 	RestoreStore storeKind
 	Learn        bool // the loss must fall over the run
+	Lanes        int  // a solo cell's lane count; 0 derives it from GOMAXPROCS
 	// Data seeds the corpus, and the corruption Restore refuses before
 	// the good Load: even flips a bit, odd cuts the checkpoint short.
 	Data uint64
@@ -294,7 +296,7 @@ func (c *genConfig) normalize() {
 		c.Store, c.RestoreStore = cmp.Or(c.Store, storeFlash1), cmp.Or(c.RestoreStore, storeFlash1)
 	}
 	if c.Fault || c.Ckpt < 2 || c.Ckpt > c.Steps-2 {
-		c.Ckpt, c.Restore, c.RestoreStore = 0, trainerShape, storeDRAM
+		c.Ckpt, c.Restore, c.RestoreStore = 0, initShape, storeDRAM
 	}
 	if c.Store != storeDRAM || c.RestoreStore != storeDRAM {
 		c.Bucket = min(c.Bucket, 4000)
@@ -344,26 +346,10 @@ func (c genConfig) stvConfig() stv.Config {
 	return cfg
 }
 
-// trainer is the surface the engine and the single-rank trainer share.
-type trainer interface {
-	StepAccum([]data.Batch) (float64, error)
-	Flush() (bool, error)
-	Save(io.Writer) error
-	Load(io.Reader) error
-	MasterWeights() []float32
-	NumBuckets() int
-	Stats() stv.Stats
-	StepIndex() int
-	StoreTelemetry() (stv.StoreTelemetry, bool)
-	PlacementTelemetry() (stv.PlacementTelemetry, bool)
-	ActTelemetry() (act.Telemetry, bool)
-	Close() error
-}
-
-// build constructs the configuration in shape sh over store kind sk from
-// init seed: the single-rank trainer for the zero shape, else an engine.
-// The flash stores it builds are appended to *flash.
-func (c genConfig) build(sh shape, sk storeKind, seed uint64, dir string, fault bool, flash *[]*stv.MLPStore) (trainer, error) {
+// build constructs the engine of the configuration in shape sh over store
+// kind sk from init seed. The flash stores it builds are appended to
+// *flash.
+func (c genConfig) build(sh shape, sk storeKind, seed uint64, dir string, fault bool, flash *[]*stv.MLPStore) (*Engine, error) {
 	m := c.model(seed)
 	nb := len(stv.PartitionGroups(m.Params(), c.Bucket))
 	var plan *place.Plan
@@ -399,25 +385,17 @@ func (c genConfig) build(sh shape, sk storeKind, seed uint64, dir string, fault 
 	}
 	sc := c.stvConfig()
 	sc.Placement = plan
-	if sh == trainerShape {
-		store, err := newStore(0)
-		if err != nil {
-			return nil, err
-		}
-		sc.Store = store
-		if c.Act != actNone {
-			if sc.Act, err = newAct(0); err != nil {
-				store.Close()
-				return nil, err
-			}
-		}
-		return stv.NewTrainer(m, sc), nil
-	}
 	cfg := Config{Config: sc, Ranks: sh.R, SeqRanks: sh.S, PipeRanks: sh.P, NewStore: newStore}
 	if c.Act != actNone {
 		cfg.NewActStore = newAct
 	}
-	return New(m, cfg)
+	e, err := New(m, cfg)
+	if err == nil {
+		for _, rk := range e.ranks {
+			rk.want = c.Lanes
+		}
+	}
+	return e, err
 }
 
 // newFlashStore builds one rank's flash store of kind sk with a 2-bucket
@@ -447,8 +425,8 @@ type divergence struct {
 
 func (d divergence) Error() string { return fmt.Sprintf("step %d: %s", d.step, d.what) }
 
-// check trains the configuration and the plain single-rank DRAM
-// reference on the same global batches and returns the first difference:
+// check trains the configuration and the serial reference on the same
+// global batches and returns the first difference:
 // in a loss, the master weights, Stats, checkpoint bytes, the attached
 // tiers' telemetry, the comm counters, or the Close error. A checkpoint
 // taken mid-run is restored into the configuration's second shape — after
@@ -461,9 +439,8 @@ func (c genConfig) check(dir string) error {
 	if err != nil {
 		return err
 	}
-	ref := stv.NewTrainer(c.model(42), c.stvConfig())
-	sref := stvref.New(c.model(42), c.stvConfig())
-	defer func() { eng.Close(); ref.Close() }()
+	ref := stvref.New(c.model(42), c.stvConfig())
+	defer func() { eng.Close() }()
 
 	corpus := data.NewCorpus(64, c.Data)
 	sh, sk, fault := c.Shape, c.Store, c.Fault
@@ -477,9 +454,6 @@ func (c genConfig) check(dir string) error {
 			ckpt, err := same(eng, ref, base, i)
 			if err != nil {
 				return err
-			}
-			if _, err := same(sref, ref, stv.Stats{}, i); err != nil {
-				return fmt.Errorf("serial reference: %w", err)
 			}
 			if err := c.finish(eng, sh, sk, i, false, nil); err != nil {
 				return err
@@ -501,16 +475,11 @@ func (c genConfig) check(dir string) error {
 			base = ref.Stats()
 			if c.Restore.ranks() != sh.ranks() {
 				// Another R folds the resumed reductions in another grouping.
-				next := stv.NewTrainer(c.model(7), c.stvConfig())
+				next := stvref.New(c.model(7), c.stvConfig())
 				if err := next.Load(bytes.NewReader(ckpt)); err != nil {
 					return err
 				}
-				ref.Close()
 				ref, base = next, stv.Stats{}
-				sref = stvref.New(c.model(7), c.stvConfig())
-				if err := sref.Load(bytes.NewReader(ckpt)); err != nil {
-					return err
-				}
 			}
 			sh, sk, fault = c.Restore, c.RestoreStore, false
 		}
@@ -529,16 +498,10 @@ func (c genConfig) check(dir string) error {
 		if l != rl {
 			return divergence{i, fmt.Sprintf("loss %v, reference %v", l, rl)}
 		}
-		if sl, err := sref.StepAccum(decompose(window, sh.ranks())); err != nil || sl != rl {
-			return fmt.Errorf("step %d: serial reference loss %v (%v), trainer %v", i, sl, err, rl)
-		}
 		losses = append(losses, l)
 	}
 	if _, err := same(eng, ref, base, c.Steps-1); err != nil {
 		return err
-	}
-	if _, err := same(sref, ref, stv.Stats{}, c.Steps-1); err != nil {
-		return fmt.Errorf("serial reference: %w", err)
 	}
 	if err := c.expect(eng.Stats(), losses); err != nil {
 		return err
@@ -549,7 +512,7 @@ func (c genConfig) check(dir string) error {
 // refuse gives tr a copy of ckpt with one bit flipped or cut short, at an
 // offset drawn from Data, and requires the Load to fail and to leave the
 // step index, the master weights and every replica's weights as they were.
-func (c genConfig) refuse(tr trainer, ckpt []byte, step int) error {
+func (c genConfig) refuse(tr *Engine, ckpt []byte, step int) error {
 	rng := rand.New(rand.NewPCG(c.Data, 1))
 	bad, how := bytes.Clone(ckpt), ""
 	if c.Data%2 == 0 {
@@ -579,12 +542,10 @@ type run interface {
 }
 
 // weights is tr's master weights, then each replica's model weights: the
-// trainer's one model, or every rank's.
+// reference's one model, or every rank's.
 func weights(tr run) [][]float32 {
 	var models []*nn.GPT
 	switch tr := tr.(type) {
-	case *stv.Trainer:
-		models = append(models, tr.Model)
 	case *stvref.Trainer:
 		models = append(models, tr.Model)
 	case *Engine:
@@ -695,7 +656,7 @@ func avg(xs []float64) float64 {
 // telemetry checks every attached tier of tr, which ran steps steps,
 // reports and no other does, and that an engine's links counted traffic
 // on exactly the axes it has.
-func (c genConfig) telemetry(tr trainer, sh shape, sk storeKind, steps int) error {
+func (c genConfig) telemetry(tr *Engine, sh shape, sk storeKind, steps int) error {
 	if tel, ok := tr.StoreTelemetry(); ok != (sk != storeDRAM) || ok && tel.Reads == 0 {
 		return fmt.Errorf("store %#v: telemetry %+v, ok=%v", sk, tel, ok)
 	}
@@ -719,13 +680,11 @@ func (c genConfig) telemetry(tr trainer, sh shape, sk storeKind, steps int) erro
 		at.BytesSpilled < at.BytesFetched || at.PipelinedSeconds() >= at.SerializedSeconds()) {
 		return fmt.Errorf("activations %#v: telemetry %+v after %d steps, ok=%v", c.Act, at, steps, ok)
 	}
-	if e, isEngine := tr.(*Engine); isEngine {
-		cs := e.CommStats()
-		seq := cs.A2APayloads > 0 && cs.RingHops > 0
-		stage := cs.StageSends > 0 && cs.StageFloats > 0
-		if seq != (sh.S > 1) || stage != (sh.P > 1) || sh.S == 1 && cs.A2AFloats+cs.RingFloats > 0 || sh.P == 1 && cs.StageSends > 0 {
-			return fmt.Errorf("%v: comm counters %+v", sh, cs)
-		}
+	cs := tr.CommStats()
+	seq := cs.A2APayloads > 0 && cs.RingHops > 0
+	stage := cs.StageSends > 0 && cs.StageFloats > 0
+	if seq != (sh.S > 1) || stage != (sh.P > 1) || sh.S <= 1 && cs.A2AFloats+cs.RingFloats > 0 || sh.P <= 1 && cs.StageSends > 0 {
+		return fmt.Errorf("%v: comm counters %+v", sh, cs)
 	}
 	return nil
 }
@@ -734,7 +693,7 @@ func (c genConfig) telemetry(tr trainer, sh shape, sk storeKind, steps int) erro
 // it under the fault contract: a healthy run closes clean; under a fault
 // every rank's store latched an error and logged a quarantine and a
 // recovery or re-route, and Close reports it.
-func (c genConfig) finish(tr trainer, sh shape, sk storeKind, steps int, fault bool, flash []*stv.MLPStore) error {
+func (c genConfig) finish(tr *Engine, sh shape, sk storeKind, steps int, fault bool, flash []*stv.MLPStore) error {
 	if err := c.telemetry(tr, sh, sk, steps); err != nil {
 		return err
 	}
@@ -960,9 +919,9 @@ func moves(src shape, srcStore storeKind, dst shape, dstStore storeKind) pin {
 // benchWorkloads are the feature combinations bench/'s six workloads
 // train, each under a GPU-tail placement.
 var benchWorkloads = map[string]genConfig{
-	"dense-1r":     {Shape: trainerShape, M: 1, Rows: 4, Place: placeTail},
-	"rollback-1r":  {Shape: trainerShape, M: 1, Rows: 4, Place: placeTail, Clip: clipTight},
-	"flash-1r":     {Shape: trainerShape, M: 1, Rows: 4, Store: storeFlash1, Place: placeTailFlash, Act: actNVMe},
+	"dense-1r":     {Shape: initShape, M: 1, Rows: 4, Place: placeTail},
+	"rollback-1r":  {Shape: initShape, M: 1, Rows: 4, Place: placeTail, Clip: clipTight},
+	"flash-1r":     {Shape: initShape, M: 1, Rows: 4, Store: storeFlash1, Place: placeTailFlash, Act: actNVMe},
 	"dp2-mlpcache": {Shape: s211, M: 1, Rows: 4, Store: storeFlash2Cache, Place: placeTailFlash},
 	"mesh-2x2":     {Shape: s221, M: 1, Rows: 4, Place: placeTail},
 	"pipe-1x1x2":   {Shape: s112, M: 4, Rows: 2, Place: placeTail},

@@ -2,6 +2,7 @@ package dp
 
 import (
 	"math"
+	"runtime"
 
 	"superoffload/internal/act"
 	"superoffload/internal/data"
@@ -19,22 +20,31 @@ import (
 // checkpoints are byte-identical across shapes) behind its own bucket
 // store.
 //
-// Every shape runs the one replica pass: nn.ForwardSPStage /
-// BackwardSPStage into a per-micro cache (so several micro-batches can be
-// in flight), then the weight gradients as the per-row replay the in-cell
-// ring folds (nn.FwdCache.AccumBatchRows). At S=1 the exchange and the
-// ring have no peer, at P=1 there are no boundaries; neither is a branch
-// here.
+// Every shape runs the one replica pass, nn.Lanes, into a per-micro slot
+// (so several micro-batches can be in flight), then the weight gradients
+// as the per-row replay the in-cell ring folds. At S=1 the exchange and
+// the ring have no peer, at P=1 there are no boundaries. Where both hold
+// (soloCell) the pass splits its rows over lanes and the replay runs
+// inside backward.
 type rank struct {
 	id    int // global rank: (group·S + local)·P + stage
 	group int // data-parallel group g ∈ [0, R)
 	local int // in-cell sequence rank s ∈ [0, S)
 	stage int // pipeline stage p ∈ [0, P)
 
-	w      *world
-	cell   *spLinks // this rank's (group, stage) cell links
-	model  *nn.GPT
-	sp     *nn.SP // this rank's place in its cell, and its activation tap
+	w     *world
+	cell  *spLinks // this rank's (group, stage) cell links
+	model *nn.GPT
+	sp    nn.SP // this rank's place in its cell, and its activation tap
+	// soloCell is S = P = 1: the rank is its whole cell and column. Its
+	// pass may then split over lanes, and since nothing sits between a
+	// micro's backward and its reduce, the weight-gradient replay runs
+	// inside backward — where the single-rank trace books it — into flat.
+	soloCell bool
+	flat     []float32
+	// want, when > 0, replaces the lane count a solo cell derives from
+	// GOMAXPROCS — a seam for tests that drive every count on any host.
+	want   int
 	store  stv.BucketStore
 	exec   *stv.PlacementExecutor // nil without a placement plan
 	ast    *act.Store             // nil without an activation tier
@@ -54,33 +64,37 @@ type rank struct {
 	// sized to this stage's span (see flatSeeder for reuse discipline).
 	seeder flatSeeder
 	// sendBufs[m][b] stages this cell's contribution for micro-batch m
-	// and bucket b. Buffers are distinct per micro-batch within a step
-	// (a queued contribution is folded whenever its owner next reaches a
-	// reduce, possibly after this rank has computed later micros) and
-	// reused across steps: every owner finishes its folds in its last
-	// reduce, before its report, and the coordinator collects every
-	// rank's report before releasing the next step, so all owner reads
-	// of step N happen before any step-N+1 write.
+	// and bucket b when it cannot fold at once (see reduce). Buffers are
+	// distinct per micro-batch within a step (a queued contribution is
+	// folded whenever its owner next reaches a reduce, possibly after
+	// this rank has computed later micros) and reused across steps: every
+	// owner finishes its folds in its last reduce, before its report, and
+	// the coordinator collects every rank's report before releasing the
+	// next step, so all owner reads of step N happen before any step-N+1
+	// write.
 	sendBufs [][][]float32
 	// cursors[i] is owned[i]'s position in the (micro, stage, group)
 	// order its contributions fold in (see fold); zero between steps.
 	cursors []foldCursor
 
 	// Per-micro interpreter state, indexed by micro-batch slot m: the
-	// forward cache, the final stage's per-row losses, and the boundary
-	// activation/gradient received from the neighbouring stages. caches[m]
+	// pass, the final stage's per-row losses, and the boundary
+	// activation/gradient received from the neighbouring stages. passes[m]
 	// persists across steps — the next forward of slot m takes over its
-	// arena, so a steady-state step allocates nothing here. That is safe
-	// because what another goroutine reads out of an arena (loss rows,
-	// boundary tensors, all-to-all payloads) is read inside the step that
-	// produced it, and the coordinator collects every rank's report
+	// caches' arenas, so a steady-state step allocates nothing here. That
+	// is safe because what another goroutine reads out of an arena (loss
+	// rows, boundary tensors, all-to-all payloads) is read inside the step
+	// that produced it, and the coordinator collects every rank's report
 	// before it releases the next step; nn/workspace.go carries the full
 	// argument, including the STV redo that re-forwards a slot mid-step.
 	micros  []data.Batch
 	rows    [][]float64
-	caches  []*nn.FwdCache
+	passes  []*nn.Lanes
 	bounds  []*tensor.Tensor
 	dBounds []*tensor.Tensor
+	// inFlight lists the micros forwarded and not yet backwarded, in
+	// forward order: what an STV redo forwards again.
+	inFlight []int
 }
 
 // newRank partitions the replica under the global (R·S·P-way) ownership
@@ -94,8 +108,9 @@ func newRank(group, local, stage int, w *world, model *nn.GPT, cfg Config, store
 		id:    (group*w.S+local)*w.P + stage,
 		group: group, local: local, stage: stage,
 		w: w, cell: w.cells[group*w.P+stage], model: model, store: store,
+		soloCell: w.S == 1 && w.P == 1,
 	}
-	r.sp = &nn.SP{Rank: local, Ranks: w.S, AllToAll: func(send, recv [][]float32) {
+	r.sp = nn.SP{Rank: local, Ranks: w.S, AllToAll: func(send, recv [][]float32) {
 		r.cell.allToAll(local, send, recv)
 	}}
 	r.seeder.bufs = make([][]float32, min(w.S, 2))
@@ -143,12 +158,23 @@ func (r *rank) run() {
 // cover them (slots, and their cache arenas, outlive the step).
 func (r *rank) begin(micros []data.Batch) {
 	r.micros = micros
-	for len(r.caches) < len(micros) {
+	for len(r.passes) < len(micros) {
 		r.rows = append(r.rows, nil)
-		r.caches = append(r.caches, nil)
+		r.passes = append(r.passes, &nn.Lanes{})
 		r.bounds = append(r.bounds, nil)
 		r.dBounds = append(r.dBounds, nil)
 	}
+}
+
+// lanes is how many lanes a pass runs: in a solo cell one of the N
+// ranks' share of GOMAXPROCS, at least one (the pass clamps it to the
+// batch rows), so ranks that fill the cores keep one lane each; one
+// everywhere else.
+func (r *rank) lanes() int {
+	if r.want > 0 || !r.soloCell {
+		return max(r.want, 1)
+	}
+	return max(1, runtime.GOMAXPROCS(0)/r.w.N)
 }
 
 // apply executes a validation resolution on this rank: owners apply it
@@ -165,30 +191,43 @@ func (r *rank) apply(v stv.Resolution) {
 
 // forward runs micro m's forward over this stage's block range and this
 // rank's sequence shard, recording its loss (an STV redo overwrites the
-// slot, so the reported loss is the last forward's — mirroring
-// stv.Trainer's post-rollback loss). Stage 0 embeds from the micro's
-// tokens; later stages consume the boundary activation recvAct stored
-// for this micro. Only the final stage produces losses.
+// slot, so the reported loss is the last forward's, the one the
+// corrected weights give). Stage 0 embeds from the micro's tokens; later
+// stages consume the boundary activation recvAct stored for this micro.
+// Only the final stage produces losses.
 func (r *rank) forward(m int) {
 	b := r.micros[m]
 	var xIn *tensor.Tensor
 	if r.stage > 0 {
 		xIn = r.bounds[m]
 	}
-	r.rows[m], r.caches[m] = r.model.ForwardSPStage(b.Tokens, b.Targets, b.BatchSize, b.Seq,
-		r.sp, r.stage, r.w.P, xIn, r.caches[m])
+	r.rows[m] = r.passes[m].Forward(r.model, b.Tokens, b.Targets, b.BatchSize, b.Seq,
+		r.sp, r.stage, r.w.P, xIn, r.lanes())
 }
 
 // backward runs micro m's backward over the stage's block range: the
 // final stage seeds from its loss gradient (lossScale applies there and
 // rides the chain upstream), earlier stages from the boundary gradient
-// recvGrad stored for this micro.
+// recvGrad stored for this micro. A solo cell replays the weight
+// gradients here too.
 func (r *rank) backward(m int, scale float64) {
 	var dOut *tensor.Tensor
 	if r.stage < r.w.P-1 {
 		dOut = r.dBounds[m]
 	}
-	r.model.BackwardSPStage(r.caches[m], scale, r.sp, dOut)
+	r.passes[m].Backward(scale, dOut)
+	if r.soloCell {
+		r.flat = r.replay(m)
+	}
+}
+
+// replay produces micro m's span gradient for the cell's rows: over the
+// in-cell ring (spLinks.ringReduce), from a zeroed flat buffer.
+func (r *rank) replay(m int) []float32 {
+	span := r.spans[r.stage]
+	return r.cell.ringReduce(r.local, r.passes[m], r.micros[m].BatchSize, func() []float32 {
+		return r.seeder.next(span[1] - span[0])
+	})
 }
 
 // col is this rank's (group, sequence) column index into the boundary
@@ -198,7 +237,7 @@ func (r *rank) col() int { return r.group*r.w.S + r.local }
 // sendAct ships micro m's boundary activation to the next stage down
 // the column.
 func (r *rank) sendAct(m int) {
-	t := r.caches[m].StageOut()
+	t := r.passes[m].Cache().StageOut()
 	r.w.tel.countStage("stageAct", len(t.Data))
 	r.w.acts[r.stage][r.col()].send(t)
 }
@@ -212,7 +251,7 @@ func (r *rank) recvAct(m int) {
 // sendGrad ships micro m's boundary gradient to the previous stage up
 // the column.
 func (r *rank) sendGrad(m int) {
-	t := r.caches[m].StageDIn()
+	t := r.passes[m].Cache().StageDIn()
 	r.w.tel.countStage("stageGrad", len(t.Data))
 	r.w.grads[r.stage-1][r.col()].send(t)
 }
@@ -240,10 +279,13 @@ func delegateLocal(bucket, seqRanks int) int { return bucketOwner(bucket, seqRan
 // gradient for its group's row slice over the in-cell ring
 // (spLinks.ringReduce), whose hops visit (batch row, shard) pairs in
 // ascending global row order so the result is bit-identical to a
-// single-rank backward over the same rows. Level two is the cross-cell
-// bucketized reduce-scatter: for each bucket intersecting the span, the
-// cell's delegate stages a copy of the intersection slice and sends it
-// to the bucket's global owner. Then this rank, as an owner, folds
+// single-rank backward over the same rows (a solo cell has it from
+// backward). Level two is the cross-cell bucketized reduce-scatter: for
+// each bucket intersecting the span, the cell's delegate hands the
+// intersection slice to the bucket's global owner. A delegate that owns
+// the bucket and whose cursor is at this contribution folds it straight
+// from the flat buffer; otherwise it stages a copy and sends it. Either
+// way the fold order is the cursor's. Then this rank, as an owner, folds
 // whatever its buckets have received (fold): without waiting, except in
 // the step's last reduce, which blocks until every contribution of
 // every micro is folded — so an early stage's replay never holds up a
@@ -253,11 +295,9 @@ func delegateLocal(bucket, seqRanks int) int { return bucketOwner(bucket, seqRan
 func (r *rank) reduce(m int) {
 	span := r.spans[r.stage]
 	// flat is the cell's ring-reduced span gradient.
-	flat := r.cell.ringReduce(r.local, r.caches[m], r.micros[m].BatchSize, func() []float32 {
-		return r.seeder.next(span[1] - span[0])
-	})
-	for len(r.sendBufs) <= m {
-		r.sendBufs = append(r.sendBufs, make([][]float32, len(r.groups)))
+	flat := r.flat
+	if !r.soloCell {
+		flat = r.replay(m)
 	}
 	cell := r.group*r.w.P + r.stage
 	for bi, g := range r.groups {
@@ -265,12 +305,25 @@ func (r *rank) reduce(m int) {
 		if lo >= hi || delegateLocal(bi, r.w.S) != r.local {
 			continue
 		}
+		src := flat[lo-span[0] : hi-span[0]]
+		if bucketOwner(bi, r.w.N) == r.id {
+			i := (bi - r.id) / r.w.N // owned is every N-th bucket from r.id
+			if c := &r.cursors[i]; *c == (foldCursor{m, r.stage, r.group}) {
+				b, bo := r.owned[i], r.offsets[bi]
+				stv.AccumInto(b.Grad()[lo-bo:hi-bo], src, m == 0 && r.group == 0)
+				c.next(r.w)
+				continue
+			}
+		}
+		for len(r.sendBufs) <= m {
+			r.sendBufs = append(r.sendBufs, make([][]float32, len(r.groups)))
+		}
 		payload := r.sendBufs[m][bi]
 		if len(payload) != hi-lo {
 			payload = make([]float32, hi-lo)
 			r.sendBufs[m][bi] = payload
 		}
-		copy(payload, flat[lo-span[0]:hi-span[0]])
+		copy(payload, src)
 		r.w.reduce[bi][cell].send(payload)
 	}
 	r.fold(m == len(r.micros)-1)
@@ -280,12 +333,23 @@ func (r *rank) reduce(m int) {
 // bucket folds.
 type foldCursor struct{ m, p, g int }
 
+// next moves the cursor past one contribution, in (micro, stage, group)
+// order.
+func (c *foldCursor) next(w *world) {
+	if c.g++; c.g == w.R {
+		c.g = 0
+		if c.p++; c.p == w.P {
+			c.p, c.m = 0, c.m+1
+		}
+	}
+}
+
 // fold folds the owned buckets' queued contributions into their
 // gradients, each bucket from its cursor in (micro, stage, group) order,
 // skipping stages whose span misses the bucket. Stage spans are
 // disjoint, so each bucket ELEMENT folds in exactly (micro, group) order
-// — the order a single-rank trainer's gradient accumulation stages the
-// R row slices — keeping the reduced sum bit-identical however the
+// — the order one rank's gradient accumulation stages the R row slices
+// — keeping the reduced sum bit-identical however the
 // contributions interleave in time. Without wait, a bucket stops at its
 // first contribution that has not arrived; with wait, fold blocks until
 // all of the step's micros are folded and rewinds the cursors.
@@ -309,12 +373,7 @@ func (r *rank) fold(wait bool) {
 			} else {
 				c.g = w.R - 1 // no stage-p contribution to this bucket
 			}
-			if c.g++; c.g == w.R {
-				c.g = 0
-				if c.p++; c.p == w.P {
-					c.p, c.m = 0, c.m+1
-				}
-			}
+			c.next(w)
 		}
 		if wait {
 			*c = foldCursor{}
@@ -329,8 +388,8 @@ func (r *rank) fold(wait bool) {
 // verdict (world.sumsq), and share the weights via allGather. Each cell
 // produced its whole row slice's span gradient and the cross-cell reduce
 // summed R of them per micro (stages contribute disjoint spans), so the
-// divisor is micros·R — the single-rank trainer's count for the same
-// R-way decomposition.
+// divisor is micros·R — one rank's count for the same R-way
+// decomposition.
 func (r *rank) speculate(g goMsg) {
 	inv := float32(1 / (g.scale * float64(len(r.micros)*r.w.R)))
 	for _, b := range r.owned {

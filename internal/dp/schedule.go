@@ -6,7 +6,7 @@ package dp
 // instead of in the rank body — is what lets one interpreter, one STV
 // redo rule, and one coordinator drive every (R,S,P) shape.
 
-import "superoffload/internal/obs"
+import "slices"
 
 // opKind enumerates the schedule ops a rank can execute in one step.
 type opKind int
@@ -152,40 +152,29 @@ func stageSchedule(stage, stages, micros int) []scheduleOp {
 // forwarded but not yet backwarded re-runs its forward — which at P=1 is
 // exactly micro 0. Tracing rides the same loop: when the world carries a
 // tracer, every op becomes one span on the rank's track (named after its
-// opKind, tagged with its micro) — which is what gives every shape a
-// per-rank timeline from a single tap point. With tracing off the track
-// is nil and each op pays exactly one predictable branch.
+// opKind, tagged with its micro), and so does each redo forward — which
+// is what gives every shape a per-rank timeline from a single tap point.
+// With tracing off the track is nil and each span is a no-op.
 func (r *rank) runSchedule(ops []scheduleOp) {
 	var g goMsg
-	var inFlight []int // forwarded, not yet backwarded, in forward order
-	tk := r.w.track(r.id)
+	r.inFlight = r.inFlight[:0]
+	tk := r.w.tracks[r.id]
 	for _, op := range ops {
-		var sp obs.Span
-		if tk != nil {
-			sp = tk.Begin(opSpanNames[op.kind])
-		}
+		sp := tk.Begin(opSpanNames[op.kind])
+		redo := false
 		switch op.kind {
 		case opForward:
 			r.forward(op.micro)
-			inFlight = append(inFlight, op.micro)
+			r.inFlight = append(r.inFlight, op.micro)
 		case opBackward:
 			r.backward(op.micro, g.scale)
-			for i, m := range inFlight {
-				if m == op.micro {
-					inFlight = append(inFlight[:i], inFlight[i+1:]...)
-					break
-				}
-			}
+			r.inFlight = slices.DeleteFunc(r.inFlight, func(m int) bool { return m == op.micro })
 		case opReduce:
 			r.reduce(op.micro)
 		case opResolve:
 			v := <-r.w.resolution[r.id]
 			r.apply(v)
-			if v.WeightsChanged() {
-				for _, m := range inFlight {
-					r.forward(m)
-				}
-			}
+			redo = v.WeightsChanged()
 		case opGo:
 			g = <-r.w.goCh[r.id]
 		case opSendAct:
@@ -201,11 +190,16 @@ func (r *rank) runSchedule(ops []scheduleOp) {
 		case opReport:
 			r.w.results[r.id] <- r.report()
 		}
-		if tk != nil {
-			if opHasMicro(op.kind) {
-				sp.EndMicro(op.micro)
-			} else {
-				sp.End()
+		if opHasMicro(op.kind) {
+			sp.EndMicro(op.micro)
+		} else {
+			sp.End()
+		}
+		if redo {
+			for _, m := range r.inFlight {
+				sp := tk.Begin(opSpanNames[opForward])
+				r.forward(m)
+				sp.EndMicro(m)
 			}
 		}
 	}

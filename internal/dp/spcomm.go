@@ -138,16 +138,16 @@ func (l *spLinks) allToAll(rank int, send, recv [][]float32) {
 // the buffer hops (batch row, shard) pairs in lexicographic order —
 // ascending global row order — with each hop replaying that shard's
 // per-row contributions on top of the received partial
-// (nn.FwdCache.AccumBatchRows). The last hop broadcasts the finished
+// (nn.Lanes.Replay). The last hop broadcasts the finished
 // buffer to every rank in the cell; each caller receives its copy of
 // the broadcast (the same underlying slice — receivers only read it).
 // Rank 0 seeds each micro-batch's ring via seed (see flatSeeder for the
 // buffer-reuse discipline). With S=1 there is no peer and no link to
-// count: the lone rank replays all its rows in one fused pass.
-func (l *spLinks) ringReduce(local int, cache *nn.FwdCache, batchRows int, seed func() []float32) []float32 {
+// count: the lone rank replays all its rows in one pass, over its lanes.
+func (l *spLinks) ringReduce(local int, pass *nn.Lanes, batchRows int, seed func() []float32) []float32 {
 	if l.S == 1 {
 		buf := seed()
-		cache.AccumBatchRows(buf, 0, batchRows)
+		pass.Replay(buf, 0, batchRows)
 		return buf
 	}
 	for b := 0; b < batchRows; b++ {
@@ -157,7 +157,7 @@ func (l *spLinks) ringReduce(local int, cache *nn.FwdCache, batchRows int, seed 
 		} else {
 			buf = <-l.ring[local]
 		}
-		cache.AccumBatchRows(buf, b, b+1)
+		pass.Replay(buf, b, b+1)
 		l.tel.ringHops.Add(1)
 		l.tel.ringFloats.Add(int64(len(buf)))
 		if local == l.S-1 && b == batchRows-1 {

@@ -7,7 +7,6 @@ import (
 	"superoffload/internal/act"
 	"superoffload/internal/model"
 	"superoffload/internal/nn"
-	"superoffload/internal/stv"
 	"superoffload/internal/tensor"
 )
 
@@ -38,14 +37,14 @@ func ExtActSTV() string {
 		return s
 	}
 
-	residentLosses, residentStats, _ := extRun(cfg, stv.Config{})
+	residentLosses, residentStats, _ := extRun(cfg, tiers{})
 
 	dram := actStore(act.DRAM)
-	dramLosses, dramStats, _ := extRun(cfg, stv.Config{Act: dram})
+	dramLosses, dramStats, _ := extRun(cfg, tiers{act: dram})
 	dramTel := dram.Telemetry()
 
 	nvme := actStore(act.NVMe)
-	nvmeLosses, nvmeStats, _ := extRun(cfg, stv.Config{Act: nvme})
+	nvmeLosses, nvmeStats, _ := extRun(cfg, tiers{act: nvme})
 	nvmeTel := nvme.Telemetry()
 
 	exactStr := sameLosses(residentLosses, dramLosses, nvmeLosses)

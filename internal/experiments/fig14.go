@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"superoffload/internal/data"
+	"superoffload/internal/dp"
 	"superoffload/internal/model"
 	"superoffload/internal/nn"
 	"superoffload/internal/optim"
@@ -41,7 +42,7 @@ func Fig14Real(steps int) Fig14RealResult {
 	if steps <= 0 {
 		steps = 150
 	}
-	run := func(mode stv.Mode) (*stv.Trainer, []float64) {
+	run := func(mode stv.Mode) (*dp.Engine, []float64) {
 		cfg := model.Config{Name: "fig14", Layers: 2, Hidden: 32, Heads: 2, Vocab: 64}
 		m := nn.NewGPT(cfg, 16, tensor.NewRNG(99))
 		a := optim.DefaultConfig()
@@ -49,10 +50,13 @@ func Fig14Real(steps int) Fig14RealResult {
 		// Clip threshold just above this workload's typical gradient
 		// norm (~3), so rollbacks happen — and are validated exact —
 		// without firing on every step.
-		tr := stv.NewTrainer(m, stv.Config{
+		tr, err := dp.New(m, dp.Config{Config: stv.Config{
 			Adam: a, ClipNorm: 3.5,
 			BucketElems: 20000, Mode: mode, Scaler: optim.NewLossScaler(),
-		})
+		}})
+		if err != nil {
+			panic(err)
+		}
 		return tr, trainSteps(tr, steps, windows(data.NewCorpus(64, 7), 2, 8, 1, 1))
 	}
 	stvTr, losses := run(stv.STV)
@@ -67,6 +71,8 @@ func Fig14Real(steps int) Fig14RealResult {
 		}
 	}
 	res := Fig14RealResult{Losses: losses, Stats: stvTr.Stats(), ExactSTE: exact}
+	stvTr.Close()
+	steTr.Close()
 	if len(losses) > 10 {
 		res.FirstLoss = mean(losses[:10])
 		res.LastLoss = mean(losses[len(losses)-10:])

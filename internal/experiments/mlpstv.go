@@ -49,18 +49,18 @@ func ExtMlpSTV() string {
 		return s
 	}
 
-	dramLosses, dramStats, _ := extRun(cfg, stv.Config{})
+	dramLosses, dramStats, _ := extRun(cfg, tiers{})
 
 	one := mlpStore(1, 0)
-	oneLosses, oneStats, _ := extRun(cfg, stv.Config{Store: one})
+	oneLosses, oneStats, _ := extRun(cfg, tiers{store: one})
 	oneTel := one.Telemetry()
 
 	two := mlpStore(2, 0)
-	twoLosses, twoStats, _ := extRun(cfg, stv.Config{Store: two})
+	twoLosses, twoStats, _ := extRun(cfg, tiers{store: two})
 	twoTel := two.Telemetry()
 
 	cached := mlpStore(2, cache)
-	cachedLosses, cachedStats, _ := extRun(cfg, stv.Config{Store: cached})
+	cachedLosses, cachedStats, _ := extRun(cfg, tiers{store: cached})
 	cachedTel := cached.Telemetry()
 
 	exactStr := sameLosses(dramLosses, oneLosses, twoLosses, cachedLosses)

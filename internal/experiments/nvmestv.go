@@ -36,16 +36,16 @@ func ExtNVMeSTV() string {
 		return s
 	}
 
-	dramLosses, dramStats, _ := extRun(cfg, stv.Config{})
+	dramLosses, dramStats, _ := extRun(cfg, tiers{})
 
 	grace := nvmeStore(nil) // default: the GH200 Grace Adam model
-	graceLosses, nvmeStats, _ := extRun(cfg, stv.Config{Store: grace})
+	graceLosses, nvmeStats, _ := extRun(cfg, tiers{store: grace})
 	graceTel := grace.Telemetry()
 
 	// A 1 GB/s-effective reference core: Adam compute comparable to the
 	// per-bucket transfer time, the regime prefetching is built for.
 	ref := nvmeStore(func(elems int) float64 { return float64(elems) * 16 / 1e9 })
-	refLosses, _, _ := extRun(cfg, stv.Config{Store: ref})
+	refLosses, _, _ := extRun(cfg, tiers{store: ref})
 	refTel := ref.Telemetry()
 
 	exactStr := sameLosses(dramLosses, graceLosses, refLosses)

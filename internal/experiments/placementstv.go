@@ -52,7 +52,7 @@ func ExtPlacementSTV() string {
 		panic(err)
 	}
 
-	refLosses, refStats, _ := extRun(cfg, stv.Config{})
+	refLosses, refStats, _ := extRun(cfg, tiers{})
 	type row struct {
 		name string
 		tel  stv.PlacementTelemetry
@@ -71,7 +71,7 @@ func ExtPlacementSTV() string {
 		{fmt.Sprintf("auto+nvme (%s)", nvmePlan), nvmePlan, nvmeStore},
 	} {
 		plan := pc.plan
-		losses, stats, tel := extRun(cfg, stv.Config{Store: pc.store, Placement: &plan})
+		losses, stats, tel := extRun(cfg, tiers{store: pc.store, plan: &plan})
 		runs = append(runs, losses)
 		sameStats = sameStats && stats == refStats
 		rows = append(rows, row{pc.name, tel})

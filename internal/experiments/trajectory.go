@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
-	"io"
+
+	"superoffload/internal/act"
+	"superoffload/internal/place"
 
 	"superoffload/internal/data"
 	"superoffload/internal/dp"
@@ -12,16 +14,6 @@ import (
 	"superoffload/internal/stv"
 	"superoffload/internal/tensor"
 )
-
-// stepper is the training surface stv.Trainer and dp.Engine share — all
-// the real-engine experiments need of either.
-type stepper interface {
-	StepAccum(batches []data.Batch) (float64, error)
-	Flush() (bool, error)
-	Save(w io.Writer) error
-	Stats() stv.Stats
-	Close() error
-}
 
 // windows returns a per-step batch source: each call draws micros global
 // batches of rows×seq from c and cuts every one into r row slices, in
@@ -48,7 +40,7 @@ func windows(c *data.Corpus, rows, seq, micros, r int) func() []data.Batch {
 // optimizer steps, each over next()'s micro-batches, then Flush so the
 // last step is validated. Returns the per-step losses; errors panic
 // (experiment-internal).
-func trainSteps(eng stepper, steps int, next func() []data.Batch) []float64 {
+func trainSteps(eng *dp.Engine, steps int, next func() []data.Batch) []float64 {
 	losses := make([]float64, 0, steps)
 	for i := 0; i < steps; i++ {
 		l, err := eng.StepAccum(next())
@@ -69,16 +61,32 @@ const (
 	extBucketElems = 4096
 )
 
+// tiers is what an ext-*-stv run varies: the bucket store, activation
+// store and placement plan of its one rank (nil: DRAM, resident,
+// homogeneous). The run's engine closes the stores.
+type tiers struct {
+	store stv.BucketStore
+	act   *act.Store
+	plan  *place.Plan
+}
+
 // extRun is the run the ext-{nvme,mlp,act,placement}-stv experiments
-// share: an STV trainer over a fresh GPT of the given architecture (LR
-// 3e-3, clip 4.0, extBucketElems-element buckets) trained extSteps steps on
-// corpus seed 23, then closed. tier carries what the experiment varies —
-// the bucket store, activation store or placement plan; the helper owns
-// the rest of the config.
-func extRun(cfg model.Config, tier stv.Config) ([]float64, stv.Stats, stv.PlacementTelemetry) {
-	tier.Adam = shapeAdam()
-	tier.ClipNorm, tier.BucketElems = 4.0, extBucketElems
-	tr := stv.NewTrainer(nn.NewGPT(cfg, 16, tensor.NewRNG(21)), tier)
+// share: the single-superchip STV engine over a fresh GPT of the given
+// architecture (LR 3e-3, clip 4.0, extBucketElems-element buckets)
+// trained extSteps steps on corpus seed 23, then closed; the helper owns
+// the config but the tiers.
+func extRun(cfg model.Config, t tiers) ([]float64, stv.Stats, stv.PlacementTelemetry) {
+	dc := dp.Config{Config: stv.Config{Adam: shapeAdam(), ClipNorm: 4.0, BucketElems: extBucketElems, Placement: t.plan}}
+	if t.store != nil {
+		dc.NewStore = func(int) (stv.BucketStore, error) { return t.store, nil }
+	}
+	if t.act != nil {
+		dc.NewActStore = func(int) (*act.Store, error) { return t.act, nil }
+	}
+	tr, err := dp.New(nn.NewGPT(cfg, 16, tensor.NewRNG(21)), dc)
+	if err != nil {
+		panic(err)
+	}
 	defer tr.Close()
 	losses := trainSteps(tr, extSteps, windows(data.NewCorpus(cfg.Vocab, 23), 4, 16, 1, 1))
 	tel, _ := tr.PlacementTelemetry()
@@ -112,7 +120,7 @@ type trajectory struct {
 // runTrajectory trains eng with trainSteps, checkpoints it and closes it.
 // Close surfaces latched NVMe background-IO failures; dropping its error
 // would render a success table from a corrupted run.
-func runTrajectory(eng stepper, steps int, next func() []data.Batch) trajectory {
+func runTrajectory(eng *dp.Engine, steps int, next func() []data.Batch) trajectory {
 	t := trajectory{losses: trainSteps(eng, steps, next)}
 	var ckpt bytes.Buffer
 	if err := eng.Save(&ckpt); err != nil {
@@ -127,8 +135,8 @@ func runTrajectory(eng stepper, steps int, next func() []data.Batch) trajectory 
 
 // shapeRuns is the setup ext-ulysses-stv, ext-mesh-stv and ext-pipe-stv
 // share: one model and batch geometry trained by the (R,S,P) engine in
-// several shapes, each checked against the single-rank trainer
-// accumulating the same R-way row decomposition.
+// several shapes, each checked against the (1,1,1) engine accumulating
+// the same R-way row decomposition.
 type shapeRuns struct {
 	cfg                  model.Config
 	steps, micros, batch int
@@ -156,19 +164,24 @@ func shapeAdam() optim.Config {
 }
 
 // shapeConfig is the STV option set the shape experiments' engines and
-// their single-rank references share.
+// their (1,1,1) references share.
 func shapeConfig() stv.Config {
 	return stv.Config{Adam: shapeAdam(), ClipNorm: shapeClipNorm, BucketElems: shapeBucketElems}
 }
 
-// reference is the single-rank trajectory for data-parallel degree r (and
-// the experiment's micro-batch count): the trainer accumulates each
-// step's micros×r row slices in (micro-batch, group) order — the fold the
-// engine's cross-cell reduce performs. Trained once per r.
+// reference is the single-superchip trajectory for data-parallel degree
+// r (and the experiment's micro-batch count): the (1,1,1) engine
+// accumulates each step's micros×r row slices in (micro-batch, group)
+// order — the fold the engine's cross-cell reduce performs. Trained once
+// per r.
 func (x *shapeRuns) reference(r int) trajectory {
 	ref, ok := x.refs[r]
 	if !ok {
-		ref = runTrajectory(stv.NewTrainer(x.model(), shapeConfig()), x.steps, x.feed(r))
+		eng, err := dp.New(x.model(), dp.Config{Config: shapeConfig()})
+		if err != nil {
+			panic(err)
+		}
+		ref = runTrajectory(eng, x.steps, x.feed(r))
 		if x.refs == nil {
 			x.refs = map[int]trajectory{}
 		}

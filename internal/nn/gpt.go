@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"runtime"
 
 	"superoffload/internal/model"
 	"superoffload/internal/tensor"
@@ -37,7 +38,7 @@ type GPT struct {
 	// Forward's lane in place, so steady-state training steps allocate
 	// almost nothing.
 	tap   ActivationTap
-	lanes lanes
+	lanes Lanes
 }
 
 // NewGPT builds a model with N(0, 0.02) initialization (residual
@@ -129,23 +130,16 @@ func (g *GPT) NumParams() int { return g.params.TotalSize() }
 // cache is the handle of the model's one recycled pass — valid until the
 // next Forward, and the only cache Backward takes.
 func (g *GPT) Forward(tokens []int, targets []int, batch, seq int) (float64, *FwdCache) {
-	if len(tokens) != batch*seq || len(targets) != batch*seq {
-		panic("nn: token/target shape mismatch")
-	}
 	ls := &g.lanes
-	g.split(batch)
-	if g.tap != nil {
-		ls.mux.begin(g.tap, ls.all[:ls.n], len(g.Blocks), batch*seq, seq)
+	n := ls.want
+	if n == 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
-	ls.tokens, ls.targets, ls.seq = tokens, targets, seq
-	ls.run(laneForward)
 	var loss float64
-	for _, l := range ls.all[:ls.n] {
-		for _, r := range l.losses {
-			loss += r
-		}
+	for _, r := range ls.Forward(g, tokens, targets, batch, seq, SP{Ranks: 1, Tap: g.tap}, 0, 1, nil, n) {
+		loss += r
 	}
-	return loss / float64(batch*seq), ls.all[0].cache
+	return loss / float64(batch*seq), ls.Cache()
 }
 
 // Backward accumulates gradients for the pass Forward returned cache for:
@@ -158,11 +152,9 @@ func (g *GPT) Forward(tokens []int, targets []int, batch, seq int) (float64, *Fw
 // come out scaled.
 func (g *GPT) Backward(cache *FwdCache, lossScale float64) {
 	ls := &g.lanes
-	if ls.n == 0 || cache != ls.all[0].cache {
+	if ls.n == 0 || cache != ls.Cache() {
 		panic("nn: Backward takes the cache of the model's last Forward")
 	}
-	ls.lossScale = lossScale
-	ls.mux.beginBackward()
-	ls.run(laneBackward)
-	ls.run(laneReplay)
+	ls.Backward(lossScale, nil)
+	ls.replay(nil, 0, ls.batch)
 }

@@ -1,14 +1,15 @@
 package nn
 
 import (
-	"runtime"
+	"fmt"
 	"sync"
+
+	"superoffload/internal/tensor"
 )
 
-// GPT.Forward/Backward's lanes. The single-rank pass splits the batch
-// into L = min(GOMAXPROCS, batch) lanes of contiguous batch rows and runs
-// them side by side against the shared read-only weights. The bits are
-// those of one lane:
+// Lanes. A pass splits the batch into L lanes of contiguous batch rows
+// and runs them side by side against the shared read-only weights. The
+// bits are those of one lane:
 //
 //   - forward and the dx backward are row-wise, or per (batch row,
 //     head), so each lane runs ForwardSPStage/BackwardSPStage over its
@@ -19,23 +20,27 @@ import (
 //     lane folds a contiguous share of the replay units (accumUnit),
 //     chaining every lane's cache in row order, so each gradient element
 //     sees the same one-add-at-a-time fold over ascending rows;
-//   - Forward sums the lanes' row losses in row order.
+//   - the row losses come back in row order.
 //
-// Each lane is its own SP.Tap, through which tapMux shows the model's
+// Each lane is its own SP.Tap, through which tapMux shows the holder's
 // activation tap the L lanes as the one pass it expects.
 //
 // Lane 0 runs on the caller; lanes 1..L-1 each run one goroutine per
 // phase, started as `go l.fn()` from a body built once (a go statement
 // with arguments allocates its closure every time), so a steady pass
-// allocates nothing for them and no goroutine outlives the call. The
-// multi-rank engine's ranks keep one lane each: they already fill the
-// cores.
+// allocates nothing for them and no goroutine outlives the call.
+//
+// GPT.Forward/Backward run min(GOMAXPROCS, batch) lanes on the model's
+// own Lanes; internal/dp's ranks hold one Lanes per micro-batch slot and
+// choose the count themselves. More than one lane needs one sequence
+// rank and one stage: a lane-split pass has no all-to-all or pipeline
+// boundary.
 
 // lane is one contiguous block of batch rows [bLo, bHi) of the pass,
 // with the cache it forwards into and the replay units [uLo, uHi) it
 // folds.
 type lane struct {
-	g        *GPT
+	ls       *Lanes
 	sp       SP
 	bLo, bHi int
 	uLo, uHi int
@@ -43,6 +48,11 @@ type lane struct {
 	losses   []float64
 	fn       func() // the goroutine body: work, then report to the pass
 	failed   any    // a panic recovered on the lane's goroutine
+
+	// toFlat hands out the replay destination inside Lanes.flat, from
+	// off on; built once, like fn. flatOff is unit uLo's offset there.
+	toFlat       func(*Param) []float32
+	off, flatOff int
 
 	// stashed holds, per layer, the buffers the lane stashed this pass —
 	// its part of what tapMux hands the model's tap.
@@ -57,53 +67,144 @@ const (
 	laneReplay
 )
 
-// lanes is the single-rank pass state GPT.Forward leaves for Backward.
-type lanes struct {
+// Lanes is one recycled pass slot split over lanes: Forward leaves it
+// for Backward and Replay, and the next Forward takes its caches over in
+// place. One goroutine drives it.
+type Lanes struct {
+	g     *GPT
 	all   []*lane // every lane built so far; a pass runs all[:n]
 	n     int
 	wg    sync.WaitGroup
 	phase lanePhase
 
 	tokens, targets []int
-	seq             int
+	batch, seq      int
+	stage, stages   int
+	xIn, dOut       *tensor.Tensor
 	lossScale       float64
+	rows            []float64 // every lane's row losses, in row order
+
+	// flat is Replay's destination, nil when the replay folds onto
+	// Params().G, and [rLo, rHi) its batch rows.
+	flat     []float32
+	rLo, rHi int
 
 	mux tapMux
 
-	// want, when > 0, replaces GOMAXPROCS as the lane count — a seam for
-	// tests that drive every count on any host.
+	// want, when > 0, replaces GOMAXPROCS as GPT.Forward's lane count — a
+	// seam for tests that drive every count on any host.
 	want int
 }
 
-// split lays the next pass out over the lanes: rows as evenly as
-// possible, and replay units by their per-row cost so that each lane's
-// share of the replay's work holds about 1/L of it.
-func (g *GPT) split(batch int) {
-	ls := &g.lanes
-	n := runtime.GOMAXPROCS(0)
-	if ls.want > 0 {
-		n = ls.want
+// Forward runs pipeline stage `stage` of `stages` of g over the batch
+// (tokens and targets hold batch rows of seq positions of this holder's
+// sequence shard, sp its place in the sequence-parallel world and its
+// activation tap) on min(lanes, batch) lanes. It returns the per-row
+// losses in row order on the final stage, nil on the others; they stay
+// valid until the next Forward. More than one lane needs sp.Ranks and
+// stages of 1.
+func (ls *Lanes) Forward(g *GPT, tokens, targets []int, batch, seq int, sp SP, stage, stages int, xIn *tensor.Tensor, lanes int) []float64 {
+	if len(tokens) != batch*seq || len(targets) != batch*seq {
+		panic("nn: token/target shape mismatch")
 	}
-	n = max(1, min(n, batch))
+	n := max(1, min(lanes, batch))
+	if n > 1 && (sp.Ranks != 1 || stages != 1) {
+		panic(fmt.Sprintf("nn: %d lanes need one sequence rank and one stage, not %d and %d", n, sp.Ranks, stages))
+	}
+	ls.g, ls.stage, ls.stages = g, stage, stages
+	ls.split(batch, n, sp)
+	if sp.Tap != nil {
+		blo, bhi := StageLayers(len(g.Blocks), stage, stages)
+		ls.mux.begin(sp.Tap, ls.all[:n], bhi-blo, batch*seq, seq*sp.Ranks)
+	}
+	ls.tokens, ls.targets, ls.batch, ls.seq, ls.xIn = tokens, targets, batch, seq, xIn
+	ls.run(laneForward)
+	if stage < stages-1 {
+		return nil
+	}
+	ls.rows = ls.rows[:0]
+	for _, l := range ls.all[:n] {
+		ls.rows = append(ls.rows, l.losses...)
+	}
+	return ls.rows
+}
+
+// Cache returns the first lane's forward cache: the whole pass's when it
+// runs one lane, which is where StageOut and StageDIn read it.
+func (ls *Lanes) Cache() *FwdCache { return ls.all[0].cache }
+
+// Backward runs BackwardSPStage on every lane of the last Forward: the
+// final stage seeds from its loss gradient scaled by lossScale, an
+// earlier one from dOut, the downstream stage's StageDIn.
+func (ls *Lanes) Backward(lossScale float64, dOut *tensor.Tensor) {
+	ls.lossScale, ls.dOut = lossScale, dOut
+	ls.mux.beginBackward()
+	ls.run(laneBackward)
+}
+
+// Replay folds batch rows [bLo, bHi)'s weight-gradient contributions
+// into flat — the stage's StageParamSpan in registration order —
+// continuing whatever accumulation it carries, with each replay unit on
+// one lane over every lane's rows in order. Chaining calls in (batch
+// row, sequence shard) order visits rows in ascending global row order,
+// so the completed buffer is the unsharded gradient bit for bit; at S=1
+// the chain is one call over every row.
+func (ls *Lanes) Replay(flat []float32, bLo, bHi int) {
+	lo, hi := ls.g.StageParamSpan(ls.stage, ls.stages)
+	if len(flat) != hi-lo {
+		panic(fmt.Sprintf("nn: flat gradient buffer %d, want %d", len(flat), hi-lo))
+	}
+	ls.replay(flat, bLo, bHi)
+}
+
+// replay runs the replay phase over rows [bLo, bHi) into flat, or onto
+// Params().G when flat is nil.
+func (ls *Lanes) replay(flat []float32, bLo, bHi int) {
+	ls.flat, ls.rLo, ls.rHi = flat, bLo, bHi
+	defer func() { ls.flat = nil }()
+	ls.run(laneReplay)
+}
+
+// split lays the next pass out over n lanes: rows as evenly as possible,
+// and replay units by their per-row cost so that each lane's share of
+// the replay's work holds about 1/n of it.
+func (ls *Lanes) split(batch, n int, sp SP) {
+	g := ls.g
 	for len(ls.all) < n {
-		l := &lane{g: g}
+		l := &lane{ls: ls}
 		l.fn = func() {
 			defer ls.wg.Done()
 			defer func() { l.failed = recover() }()
 			l.work()
 		}
+		l.toFlat = func(p *Param) []float32 {
+			s := ls.flat[l.off : l.off+p.Size()]
+			l.off += p.Size()
+			return s
+		}
 		ls.all = append(ls.all, l)
 	}
 	ls.n = n
 
-	units, total := len(g.Blocks)+2, 0
+	sp.batch = batch
+	// A stage's units are its blocks plus, on the first and last stage,
+	// the embeddings and the head; costs are one-stage, which is all
+	// more than one lane runs.
+	blo, bhi := StageLayers(len(g.Blocks), ls.stage, ls.stages)
+	units, total := bhi-blo, 0
+	if ls.stage == 0 {
+		units++
+	}
+	if ls.stage == ls.stages-1 {
+		units++
+	}
 	for u := range units {
 		total += g.replayCost(u)
 	}
 	u, cum := 0, 0
 	for i, l := range ls.all[:n] {
-		l.sp = SP{Ranks: 1, batch: batch}
-		if g.tap != nil {
+		l.sp = sp
+		if sp.Tap != nil {
 			l.sp.Tap = l
 		}
 		l.bLo, l.bHi = i*batch/n, (i+1)*batch/n
@@ -113,6 +214,18 @@ func (g *GPT) split(batch int) {
 			cum += g.replayCost(u)
 		}
 		l.uHi = u
+		// Unit uLo opens with the embeddings on stage 0, with block
+		// blo+uLo-1 (or the head, past the last block) there and with
+		// block blo+uLo on later stages.
+		first, b := 0, blo+l.uLo
+		if ls.stage == 0 {
+			b--
+		}
+		if b >= 0 {
+			first = embParams + b*blockParams
+		}
+		spanLo, _ := g.StageParamSpan(ls.stage, ls.stages)
+		l.flatOff = g.paramOffsetAt(first) - spanLo
 	}
 }
 
@@ -134,7 +247,7 @@ func (g *GPT) replayCost(u int) int {
 // run executes one phase on every lane of the pass: lane 0 on the caller,
 // the others on one goroutine each. It returns once every lane is done;
 // a panic on a lane's goroutine is raised again here, on the caller.
-func (ls *lanes) run(phase lanePhase) {
+func (ls *Lanes) run(phase lanePhase) {
 	ls.phase = phase
 	active := ls.all[:ls.n]
 	ls.wg.Add(len(active) - 1)
@@ -147,7 +260,7 @@ func (ls *lanes) run(phase lanePhase) {
 
 // join waits for the lanes' goroutines and re-raises the first panic one
 // of them recovered.
-func (ls *lanes) join() {
+func (ls *Lanes) join() {
 	ls.wg.Wait()
 	var failed any
 	for _, l := range ls.all[:ls.n] {
@@ -163,17 +276,24 @@ func (ls *lanes) join() {
 
 // work runs the pass's current phase for this lane.
 func (l *lane) work() {
-	ls := &l.g.lanes
+	ls := l.ls
 	switch ls.phase {
 	case laneForward:
 		lo, hi := l.bLo*ls.seq, l.bHi*ls.seq
-		l.losses, l.cache = l.g.ForwardSPStage(ls.tokens[lo:hi], ls.targets[lo:hi], l.bHi-l.bLo, ls.seq, &l.sp, 0, 1, nil, l.cache)
+		l.losses, l.cache = ls.g.ForwardSPStage(ls.tokens[lo:hi], ls.targets[lo:hi], l.bHi-l.bLo, ls.seq, &l.sp, ls.stage, ls.stages, ls.xIn, l.cache)
 	case laneBackward:
-		l.g.BackwardSPStage(l.cache, ls.lossScale, &l.sp, nil)
+		ls.g.BackwardSPStage(l.cache, ls.lossScale, &l.sp, ls.dOut)
 	case laneReplay:
-		for u := l.uLo; u < l.uHi; u++ {
-			for _, src := range ls.all[:ls.n] {
-				src.cache.accumUnit(paramGrad, u, 0, src.cache.batch)
+		next := paramGrad
+		if ls.flat != nil {
+			next = l.toFlat
+		}
+		// Each element's adds come lane by lane, in row order.
+		for _, src := range ls.all[:ls.n] {
+			lo, hi := max(ls.rLo, src.bLo)-src.bLo, min(ls.rHi, src.bHi)-src.bLo
+			l.off = l.flatOff
+			for u := l.uLo; u < l.uHi && lo < hi; u++ {
+				src.cache.accumUnit(next, u, lo, hi)
 			}
 		}
 	}
@@ -272,7 +392,7 @@ func (l *lane) BeginPass(layers, tokens, seq int) {}
 // StashLayer records the lane's buffers for the layer; the last lane to
 // stash it hands the tap every lane's.
 func (l *lane) StashLayer(layer int, bufs [][]float32) {
-	ls := &l.g.lanes
+	ls := l.ls
 	m := &ls.mux
 	l.stashed[layer] = bufs
 	m.mu.Lock()
@@ -294,7 +414,7 @@ func (l *lane) StashLayer(layer int, bufs [][]float32) {
 // FetchLayer returns once the tap has restored the layer: the first lane
 // to reach it makes the call, the others wait for it.
 func (l *lane) FetchLayer(layer int) {
-	m := &l.g.lanes.mux
+	m := &l.ls.mux
 	m.mu.Lock()
 	for m.fetching && layer == m.fetchNext {
 		m.fetched.Wait()

@@ -201,7 +201,8 @@ func TestLanesSplitTheReplay(t *testing.T) {
 	units := len(g.Blocks) + 2
 	for lanes := 1; lanes <= 6; lanes++ {
 		g.lanes.want = lanes
-		g.split(6)
+		tokens, targets := tinyBatch(g, 6, 6, 8)
+		g.Forward(tokens, targets, 6, 8)
 		next, work := 0, make([]int, lanes)
 		for i, l := range g.lanes.all[:lanes] {
 			if l.uLo != next || l.uHi < l.uLo {

@@ -19,7 +19,7 @@ package nn
 // addition is not associative, so summing per-rank partials would NOT
 // reproduce the unsharded fold. Instead BackwardSPStage only propagates
 // dx (retaining each parameterized op's (input, d-output) pair), and
-// AccumBatchRows replays the gradient accumulation for a batch-row range
+// Lanes.Replay replays the gradient accumulation for a batch-row range
 // on top of whatever partial the destination carries. Chaining the replay
 // through the ranks in (batch row, sequence shard) order visits rows in
 // ascending global row order, so the completed gradient is the same
@@ -52,7 +52,7 @@ type SP struct {
 	// Tap, when set, observes layer boundaries on this rank's passes. It
 	// lives here, not on the model, because several SP ranks may share
 	// one read-only GPT. The fetched buffers stay restored through the
-	// AccumBatchRows weight-gradient replay.
+	// Lanes.Replay weight-gradient replay.
 	Tap ActivationTap
 	// batch, when non-zero, is the row count of the whole batch this pass
 	// runs one lane of (GPT.Forward's lanes, gpt.go): the loss gradient
@@ -106,7 +106,7 @@ type layerCache struct {
 }
 
 // FwdCache retains one iteration's intermediates for BackwardSPStage and
-// the AccumBatchRows replay, and owns everything they live in: the
+// the Lanes.Replay replay, and owns everything they live in: the
 // workspace arena, the per-layer structs and the per-head pointer
 // slices. Handing a cache back to ForwardSPStage refills all of it in
 // place, so a slot that is forwarded again and again — a lane of a
@@ -157,7 +157,7 @@ func (cache *FwdCache) StageOut() *tensor.Tensor { return cache.stageOut }
 // StageDIn returns the boundary gradient BackwardSPStage left behind:
 // the d-input of this stage's first block, which the pipeline engine
 // ships upstream (on stage 0 it is instead the embedding-layer gradient
-// AccumBatchRows folds). Nil until BackwardSPStage runs.
+// Lanes.Replay folds). Nil until BackwardSPStage runs.
 func (cache *FwdCache) StageDIn() *tensor.Tensor { return cache.dIn }
 
 // ForwardSPStage runs pipeline stage `stage` of `stages` — transformer
@@ -291,7 +291,7 @@ func (g *GPT) ForwardSPStage(tokens, targets []int, batch, localSeq int, sp *SP,
 // block range for the iteration captured in cache, running the two
 // reverse all-to-alls per layer. It never touches Params().G: every
 // parameterized op's (input, d-output) pair is retained on the cache for
-// the AccumBatchRows replay. The final stage seeds from its own loss
+// the Lanes.Replay replay. The final stage seeds from its own loss
 // gradient (the lossScale factor applies there and only there — it rides
 // the chain to every earlier stage); other stages seed from dOut, the
 // boundary gradient the downstream stage left in its StageDIn. On return
@@ -370,58 +370,12 @@ func (g *GPT) BackwardSPStage(cache *FwdCache, lossScale float64, sp *SP, dOut *
 	cache.dIn = dx
 }
 
-// AccumBatchRows folds this rank's weight-gradient contributions for
-// batch rows [bLo, bHi) into flat, continuing whatever element-wise
-// accumulation the buffer already carries. flat covers the cache's
-// StageParamSpan in the Params() registration-order layout — the full
-// parameter space at one stage, one stage's contiguous span under the
-// pipeline engine. Chaining calls in (batch row, sequence shard) order
-// visits rows in ascending global row order, so the completed buffer is
-// the unsharded gradient bit for bit; at S=1 that chain is one call over
-// every row.
-func (cache *FwdCache) AccumBatchRows(flat []float32, bLo, bHi int) {
-	spanLo, spanHi := cache.g.StageParamSpan(cache.stage, cache.stages)
-	if len(flat) != spanHi-spanLo {
-		panic(fmt.Sprintf("nn: flat gradient buffer %d, want %d", len(flat), spanHi-spanLo))
-	}
-	off := 0
-	cache.accumRows(func(p *Param) []float32 {
-		s := flat[off : off+p.Size()]
-		off += p.Size()
-		return s
-	}, bLo, bHi)
-	if off != len(flat) {
-		panic("nn: replay did not cover the stage's parameter span")
-	}
-}
-
-// accumRows is the weight-gradient replay: for every parameter of the
-// cache's stage, in registration order, it folds batch rows [bLo, bHi)'s
-// contributions into the destination next hands out for it — data rows
-// in ascending order, one add at a time.
-func (cache *FwdCache) accumRows(next func(*Param) []float32, bLo, bHi int) {
-	for u := range cache.replayUnits() {
-		cache.accumUnit(next, u, bLo, bHi)
-	}
-}
-
-// replayUnits counts the replay's units — groups of parameters whose
-// folds share no destination, in registration order: the embeddings on
-// stage 0, one per transformer block, and the final layernorm and head
-// on the last stage. Units fold independently of each other, so
-// GPT.Backward hands them to its lanes.
-func (cache *FwdCache) replayUnits() int {
-	n := len(cache.layers)
-	if cache.stage == 0 {
-		n++
-	}
-	if cache.stage == cache.stages-1 {
-		n++
-	}
-	return n
-}
-
-// accumUnit is accumRows for replay unit u alone.
+// accumUnit folds batch rows [bLo, bHi)'s weight-gradient
+// contributions to replay unit u — a group of parameters whose folds
+// share no destination: the embeddings on stage 0, one per transformer
+// block, and the final layernorm and head on the last stage — into the
+// destinations next hands out for its parameters in registration order,
+// data rows in ascending order, one add at a time.
 func (cache *FwdCache) accumUnit(next func(*Param) []float32, u, bLo, bHi int) {
 	g := cache.g
 	lo, hi := bLo*cache.localSeq, bHi*cache.localSeq

@@ -79,17 +79,18 @@ func runSP(t *testing.T, g *GPT, tokens, targets []int, batch, seq, ranks int, l
 	world := newTestAllToAll(ranks)
 	tl := seq / ranks
 	rows := make([][]float64, ranks)
-	caches := make([]*FwdCache, ranks)
+	passes := make([]*Lanes, ranks)
 	var wg sync.WaitGroup
 	for s := 0; s < ranks; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			sp := &SP{Rank: s, Ranks: ranks, AllToAll: world.fn(s)}
+			sp := SP{Rank: s, Ranks: ranks, AllToAll: world.fn(s)}
 			toks := shardSeq(tokens, batch, seq, ranks, s)
 			tgts := shardSeq(targets, batch, seq, ranks, s)
-			rows[s], caches[s] = g.ForwardSPStage(toks, tgts, batch, tl, sp, 0, 1, nil, nil)
-			g.BackwardSPStage(caches[s], lossScale, sp, nil)
+			passes[s] = &Lanes{}
+			rows[s] = passes[s].Forward(g, toks, tgts, batch, tl, sp, 0, 1, nil, 1)
+			passes[s].Backward(lossScale, nil)
 		}(s)
 	}
 	wg.Wait()
@@ -110,7 +111,7 @@ func runSP(t *testing.T, g *GPT, tokens, targets []int, batch, seq, ranks int, l
 	flat := make([]float32, g.Params().TotalSize())
 	for b := 0; b < batch; b++ {
 		for s := 0; s < ranks; s++ {
-			caches[s].AccumBatchRows(flat, b, b+1)
+			passes[s].Replay(flat, b, b+1)
 		}
 	}
 	return loss, flat
@@ -304,17 +305,17 @@ func TestPassAllocatesNothingPerLayerOrHead(t *testing.T) {
 		// ring replay runs on the test goroutine once both have reported.
 		const ranks = 2
 		world := newTestAllToAll(ranks)
-		caches := make([]*FwdCache, ranks)
+		passes := []*Lanes{{}, {}}
 		start, done := make([]chan struct{}, ranks), make(chan struct{})
 		for s := 0; s < ranks; s++ {
 			start[s] = make(chan struct{})
 			go func(s int) {
-				sp := &SP{Rank: s, Ranks: ranks, AllToAll: world.fn(s)}
+				sp := SP{Rank: s, Ranks: ranks, AllToAll: world.fn(s)}
 				toks := shardSeq(tokens, batch, seq, ranks, s)
 				tgts := shardSeq(targets, batch, seq, ranks, s)
 				for range start[s] {
-					_, caches[s] = g.ForwardSPStage(toks, tgts, batch, seq/ranks, sp, 0, 1, nil, caches[s])
-					g.BackwardSPStage(caches[s], 1024, sp, nil)
+					passes[s].Forward(g, toks, tgts, batch, seq/ranks, sp, 0, 1, nil, 1)
+					passes[s].Backward(1024, nil)
 					done <- struct{}{}
 				}
 			}(s)
@@ -328,8 +329,8 @@ func TestPassAllocatesNothingPerLayerOrHead(t *testing.T) {
 				<-done
 			}
 			for b := 0; b < batch; b++ {
-				for s := range caches {
-					caches[s].AccumBatchRows(flat, b, b+1)
+				for s := range passes {
+					passes[s].Replay(flat, b, b+1)
 				}
 			}
 		}

@@ -129,7 +129,7 @@ func GraceAdam(cfg Config, p, g []float32, s *State, t int) { GraceAdamTo(cfg, p
 // and writes the stepped ones to dp and ds, which must be p and s or not
 // overlap them. Each element sees the same operations either way. Unless
 // gs is 1, the gradients are first scaled in place, g[i] = g[i]·gs
-// rounded to fp32 (the product stv's Bucket.ScaleGrad writes), and the
+// rounded to fp32, and the
 // step reads the scaled values; the AVX2 leaf does this in the step's own
 // pass over g.
 func GraceAdamTo(cfg Config, dp []float32, ds *State, p, g []float32, gs float32, s *State, t int) {

@@ -67,7 +67,7 @@ func adamLeafPath(k *adamScalars, dst, src adamOperands, gs float32) {
 // TestGraceAdamAVX2MatchesGoLoop calls the Go loop and the AVX2 leaf side
 // by side — directly, no package state flipped — and demands the same bits
 // in params, moments and the written-back gradients, and gradients equal
-// to ScaleGrad's product g·gs (untouched at gs = 1): over lengths 0–17
+// to the product g·gs (untouched at gs = 1): over lengths 0–17
 // (the leaf's ragged edges), a bucket of 2¹⁶ and 2¹⁶+3; unaligned
 // operands; in and out of place; with and without weight decay; at the
 // gradient scales 1, 1/65536 and a clip factor; with ±Inf and NaN

@@ -1,4 +1,4 @@
-package stv
+package stv_test
 
 import (
 	"runtime"
@@ -9,6 +9,7 @@ import (
 	"superoffload/internal/model"
 	"superoffload/internal/nn"
 	"superoffload/internal/place"
+	"superoffload/internal/stv"
 	"superoffload/internal/tensor"
 )
 
@@ -36,7 +37,7 @@ func TestTrainerActBitExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := sameAsDRAM(t, actGPT, overflowConfig(STV), func(cfg *Config) { cfg.Act = st }, 18)
+			run := sameAsDRAM(t, actGPT, overflowConfig(stv.STV), func(cfg *config) { cfg.Act = st }, 18)
 			if run.stats.Rollbacks() == 0 || run.stats.Redos == 0 {
 				t.Fatalf("run exercised no rollbacks or redos: %+v", run.stats)
 			}
@@ -60,7 +61,7 @@ func TestTrainerActBitExact(t *testing.T) {
 // serialized one (the prefetcher overlaps reads under backward compute).
 func TestTrainerActPlacementClock(t *testing.T) {
 	m := actGPT(42)
-	nb := len(PartitionGroups(m.Params(), 20000))
+	nb := len(stv.PartitionGroups(m.Params(), 20000))
 	plan := place.GPUTail(nb, 1)
 	st, err := act.NewStore(act.Config{
 		Tier: act.NVMe, Dir: t.TempDir(), ResidentLayers: 2,
@@ -69,10 +70,10 @@ func TestTrainerActPlacementClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := trainerConfig(STV)
+	cfg := trainerConfig(stv.STV)
 	cfg.Placement = &plan
 	cfg.Act = st
-	tr := NewTrainer(m, cfg)
+	tr := newEngine(m, cfg)
 	defer tr.Close()
 	corpus := data.NewCorpus(64, 5)
 	for i := 0; i < 6; i++ {

@@ -1,11 +1,13 @@
-// Package stv implements speculation-then-validation training (§4.4) on
-// real numerics: the CPU-resident optimizer applies per-bucket Adam steps
-// speculatively, validates them (global-norm clipping check, NaN/Inf
-// check, both read off one sum of squares taken as the buckets step) only
-// after the next window's first forward, and rolls back exactly when
-// validation fails. The package also provides the synchronize-then-execute (STE)
-// baseline schedule so exactness can be asserted: STV training must
-// produce bit-identical weights to STE training on the same data.
+// Package stv holds the parts of speculation-then-validation training
+// (§4.4) on real numerics: the CPU-resident optimizer applies per-bucket
+// Adam steps speculatively, validates them (global-norm clipping check,
+// NaN/Inf check, both read off one sum of squares taken as the buckets
+// step) only after the next window's first forward, and rolls back
+// exactly when validation fails. The synchronize-then-execute (STE)
+// baseline schedule resolves each step at once, so exactness can be
+// asserted: STV training must produce bit-identical weights to STE
+// training on the same data. internal/dp runs the schedule, on one
+// superchip or many; stvref is its serial reference.
 //
 // The bucket partition and its per-bucket gradient/master accessors are
 // exported so internal/dp can shard optimizer state across simulated
@@ -109,14 +111,6 @@ func (b *Bucket) AccumGrad(first bool) {
 	}
 }
 
-// ScaleGrad multiplies the staged gradient buffer by inv in place (the
-// final 1/(lossScale·contributions) normalization of an accumulated sum).
-func (b *Bucket) ScaleGrad(inv float32) {
-	for i := range b.grad {
-		b.grad[i] *= inv
-	}
-}
-
 // AccumInto adds src into dst element-wise (the owner side of the
 // data-parallel reduce; contribution order is the caller's contract).
 func AccumInto(dst, src []float32, first bool) {
@@ -141,12 +135,10 @@ func publish(group nn.Params, master []float32) {
 	}
 }
 
-// The version a step reads; it writes the current one. inPlace (STE)
-// reads the current version; ahead (a speculative step) flips first, so
-// the old current version stays behind as the rollback point; again (a
-// clip) re-steps from that rollback point.
-func inPlace(st *BucketState) *optim.MixedShard { return st.Shard }
-func again(st *BucketState) *optim.MixedShard   { return st.prev }
+// The version a step reads; it writes the current one. ahead (a
+// speculative step) flips first, so the old current version stays behind
+// as the rollback point; again (a clip) re-steps from that rollback point.
+func again(st *BucketState) *optim.MixedShard { return st.prev }
 func ahead(st *BucketState) *optim.MixedShard {
 	st.other()
 	st.flip()
@@ -156,7 +148,7 @@ func ahead(st *BucketState) *optim.MixedShard {
 // step is the one per-bucket update of §4.4: acquire the state, pick the
 // version Adam reads, apply GraceAdam to the staged gradients scaled by
 // gs, publish the new masters as fp16 weights, release. GraceAdam scales
-// the buffer in place, writing what ScaleGrad would (nothing at gs = 1):
+// the buffer in place, g[i]·gs rounded to fp32 (nothing at gs = 1):
 // a speculative step's sum of squares is taken after the step and reads
 // the scaled buffer, every other caller has already resolved its verdict,
 // and the buffer's next use is an overwrite (the next window's first
@@ -182,10 +174,6 @@ func (b *Bucket) SpeculativeStep(cfg optim.Config, inv float32) {
 	b.step(cfg, inv, ahead)
 	b.dirty = true
 }
-
-// DirectStep applies a validated step with the staged gradients scaled by
-// scale — the STE path: in place, nothing to roll back.
-func (b *Bucket) DirectStep(cfg optim.Config, scale float64) { b.step(cfg, float32(scale), inPlace) }
 
 // Apply executes the verdict on the bucket's speculative step (§4.4).
 // Commit keeps it — no store access, the speculative state already is the

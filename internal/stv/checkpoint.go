@@ -188,12 +188,3 @@ func (b *Bucket) stage(r io.Reader, buf []byte) error {
 	defer b.store.Release(b.idx, ReleaseClean)
 	return decodeSlot(st.other(), b.Size(), rec[8:])
 }
-
-// Save writes the trainer state. It fails once the trainer is closed or
-// while a verdict is pending.
-func (t *Trainer) Save(w io.Writer) error { return t.ctl.Save(w, t.buckets) }
-
-// Load restores trainer state saved by Save into a trainer built over the
-// same model architecture and bucket configuration, then republishes the
-// fp16-rounded weights to the model. A failed Load changes nothing.
-func (t *Trainer) Load(r io.Reader) error { return t.ctl.Load(r, t.buckets) }

@@ -19,21 +19,15 @@ import (
 // faultTrainer builds the standard tiny-GPT training setup over the
 // given store (nil = DRAM), mirroring the in-package test helpers from
 // the outside.
-func faultTrainer(store stv.BucketStore) *stv.Trainer {
+func faultTrainer(store stv.BucketStore) *engine {
 	a := optim.DefaultConfig()
 	a.LR = 3e-3
-	cfg := stv.Config{
-		Adam:        a,
-		ClipNorm:    1.0,
-		BucketElems: 4000,
-		Mode:        stv.STV,
-		Store:       store,
-	}
+	cfg := config{Config: stv.Config{Adam: a, ClipNorm: 1.0, BucketElems: 4000, Mode: stv.STV}, Store: store}
 	gpt := nn.NewGPT(model.Config{Name: "t", Layers: 2, Hidden: 32, Heads: 2, Vocab: 64}, 16, tensor.NewRNG(42))
-	return stv.NewTrainer(gpt, cfg)
+	return newEngine(gpt, cfg)
 }
 
-func faultTrain(t *testing.T, tr *stv.Trainer, steps int) {
+func faultTrain(t *testing.T, tr *engine, steps int) {
 	t.Helper()
 	corpus := data.NewCorpus(64, 123)
 	for i := 0; i < steps; i++ {

@@ -161,7 +161,8 @@ func fuzzCheckpoint(f *testing.F) []byte {
 		for i := range bk.grad {
 			bk.grad[i] = 0.25 * float32(i+1)
 		}
-		bk.DirectStep(optim.DefaultConfig(), 1)
+		bk.SpeculativeStep(optim.DefaultConfig(), 1)
+		bk.Apply(Resolution{Action: Commit})
 	}
 	v := &Verdict{cfg: Config{Scaler: optim.NewLossScaler()}, step: 7}
 	v.cfg.Scaler.GoodSteps = 3

@@ -105,9 +105,9 @@ func (t PlacementTelemetry) Add(o PlacementTelemetry) PlacementTelemetry {
 }
 
 // PlacementExecutor times one holder's optimizer steps against a modeled
-// superchip. A single-rank trainer models the whole partition; each rank
-// of a multi-rank engine models its owned ZeRO shard (the per-rank
-// placement), with ready times spaced over the full backward.
+// superchip. Each rank of the engine models its owned ZeRO shard (the
+// per-rank placement; the whole partition on one superchip), with ready
+// times spaced over the full backward.
 type PlacementExecutor struct {
 	spec    hw.SuperchipSpec
 	work    []place.BucketWork

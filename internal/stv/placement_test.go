@@ -1,4 +1,4 @@
-package stv
+package stv_test
 
 import (
 	"testing"
@@ -8,6 +8,7 @@ import (
 	"superoffload/internal/nn"
 	"superoffload/internal/optim"
 	"superoffload/internal/place"
+	"superoffload/internal/stv"
 	"superoffload/internal/tensor"
 )
 
@@ -19,7 +20,7 @@ const placementBuckets = 19
 // tail, and the tail with a flash body through a PlacedStore — trains
 // bit-identically to the homogeneous trainer.
 func TestPlacementBitExact(t *testing.T) {
-	nb := len(PartitionGroups(tinyGPT(42).Params(), 4000))
+	nb := len(stv.PartitionGroups(tinyGPT(42).Params(), 4000))
 	tail := place.GPUTail(nb, 3)
 	for _, c := range []struct {
 		name string
@@ -31,13 +32,13 @@ func TestPlacementBitExact(t *testing.T) {
 		{"gpu-tail+nvme", tail.WithNVMeBody()},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			store, err := NewPlacedStoreFlash(c.plan, func() (BucketStore, error) {
+			store, err := stv.NewPlacedStoreFlash(c.plan, func() (stv.BucketStore, error) {
 				return nvmeTestStore(t, 2), nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameAsDRAM(t, tinyGPT, overflowConfig(STV), func(cfg *Config) { cfg.Store, cfg.Placement = store, &c.plan }, 24)
+			sameAsDRAM(t, tinyGPT, overflowConfig(stv.STV), func(cfg *config) { cfg.Store, cfg.Placement = store, &c.plan }, 24)
 		})
 	}
 }
@@ -50,10 +51,10 @@ func TestPlacementTelemetry(t *testing.T) {
 	plan := place.GPUTail(placementBuckets, 3)
 	cfg := model.Config{Name: "place", Layers: 2, Hidden: 64, Heads: 4, Vocab: 128}
 	m := nn.NewGPT(cfg, 16, tensor.NewRNG(11))
-	tr := NewTrainer(m, Config{
+	tr := newEngine(m, config{Config: stv.Config{
 		Adam: optim.DefaultConfig(), ClipNorm: 4,
-		BucketElems: 4096, Mode: STV, Placement: &plan,
-	})
+		BucketElems: 4096, Mode: stv.STV, Placement: &plan,
+	}})
 	defer tr.Close()
 	if tr.NumBuckets() != placementBuckets {
 		t.Fatalf("partition has %d buckets; update placementBuckets", tr.NumBuckets())
@@ -108,9 +109,9 @@ func TestPlacementTelemetry(t *testing.T) {
 	}
 
 	// Homogeneous trainers report no placement telemetry.
-	plain := NewTrainer(nn.NewGPT(cfg, 16, tensor.NewRNG(11)), Config{
-		Adam: optim.DefaultConfig(), BucketElems: 4096, Mode: STE,
-	})
+	plain := newEngine(nn.NewGPT(cfg, 16, tensor.NewRNG(11)), config{Config: stv.Config{
+		Adam: optim.DefaultConfig(), BucketElems: 4096, Mode: stv.STE,
+	}})
 	defer plain.Close()
 	if _, ok := plain.PlacementTelemetry(); ok {
 		t.Fatal("homogeneous trainer reported placement telemetry")
@@ -123,7 +124,7 @@ func TestPlacementTelemetry(t *testing.T) {
 // buckets.
 func TestPlacedStoreRouting(t *testing.T) {
 	plan := place.Plan{Tiers: []place.Tier{place.GPUResident, place.CPUAdam, place.NVMeWindow}}
-	s, err := NewPlacedStoreFlash(plan, func() (BucketStore, error) { return nvmeTestStore(t, 2), nil })
+	s, err := stv.NewPlacedStoreFlash(plan, func() (stv.BucketStore, error) { return nvmeTestStore(t, 2), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestPlacedStoreRouting(t *testing.T) {
 			t.Fatalf("bucket %d master = %v", idx, st.Shard.Master[0])
 		}
 		st.Shard.Master[1] = 42
-		s.Release(idx, ReleaseFlush)
+		s.Release(idx, stv.ReleaseFlush)
 	}
 	if tel, ok := s.NVMeTelemetry(); !ok || tel.Reads == 0 {
 		t.Fatalf("NVMe-tier bucket produced no flash reads: %+v ok=%v", tel, ok)
@@ -147,14 +148,14 @@ func TestPlacedStoreRouting(t *testing.T) {
 	if st.Shard.Master[1] != 42 {
 		t.Fatalf("NVMe round trip lost the mutation: %v", st.Shard.Master)
 	}
-	s.Release(2, ReleaseClean)
+	s.Release(2, stv.ReleaseClean)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// A plan with no NVMe buckets builds no inner store and reports no
 	// telemetry.
-	resident, err := NewPlacedStoreFlash(place.Uniform(2, place.CPUAdam), func() (BucketStore, error) {
+	resident, err := stv.NewPlacedStoreFlash(place.Uniform(2, place.CPUAdam), func() (stv.BucketStore, error) {
 		t.Fatal("flash tier built for a plan without NVMe buckets")
 		return nil, nil
 	})

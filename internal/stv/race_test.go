@@ -1,4 +1,4 @@
-package stv
+package stv_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 	"superoffload/internal/data"
 	"superoffload/internal/optim"
 	"superoffload/internal/place"
+	"superoffload/internal/stv"
 )
 
 // TestPendingVerdictStress hammers the Step/StepAccum/Flush/Save/Load
@@ -18,12 +19,12 @@ import (
 // one is pending; Flush must resolve it; and a Load must leave the
 // trainer able to step and resolve again. The counters must add up.
 func TestPendingVerdictStress(t *testing.T) {
-	cfg := trainerConfig(STV)
+	cfg := trainerConfig(stv.STV)
 	cfg.BucketElems = 400 // dozens of buckets
 	cfg.ClipNorm = 0.4    // rollbacks nearly every step
 	cfg.Scaler = optim.NewLossScaler()
 	cfg.InjectBad = func(step int) bool { return step%11 == 7 }
-	tr := NewTrainer(tinyGPT(13), cfg)
+	tr := newEngine(tinyGPT(13), cfg)
 	if tr.NumBuckets() < 20 {
 		t.Fatalf("stress needs many buckets, got %d", tr.NumBuckets())
 	}
@@ -100,10 +101,10 @@ func TestPendingVerdictStress(t *testing.T) {
 // the counters outside their lock.
 func TestTelemetryPollDuringTraining(t *testing.T) {
 	m := actGPT(42)
-	cfg := nvmeTrainerConfig(t, STV)
+	cfg := nvmeTrainerConfig(t, stv.STV)
 	cfg.ClipNorm = 0.4
 	cfg.Scaler = optim.NewLossScaler()
-	plan := place.GPUTail(len(PartitionGroups(m.Params(), cfg.BucketElems)), 1)
+	plan := place.GPUTail(len(stv.PartitionGroups(m.Params(), cfg.BucketElems)), 1)
 	cfg.Placement = &plan
 	ast, err := act.NewStore(act.Config{
 		Tier: act.NVMe, Dir: t.TempDir(), ResidentLayers: 2,
@@ -113,7 +114,7 @@ func TestTelemetryPollDuringTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Act = ast
-	tr := NewTrainer(m, cfg)
+	tr := newEngine(m, cfg)
 
 	stop, polled := make(chan struct{}), make(chan int)
 	go func() {

@@ -6,7 +6,7 @@ import "superoffload/internal/optim"
 // weights and Adam moments permanently resident in host DRAM, which caps
 // trainable model size at host memory — exactly the wall the NVMe third
 // tier of ZeRO-Infinity's design breaks. BucketStore makes that residency
-// an explicit, pluggable resource: the trainer acquires a bucket's
+// an explicit, pluggable resource: the engine acquires a bucket's
 // optimizer state immediately before touching it and releases it right
 // after, so a store may keep only a small window of buckets resident and
 // stream the rest through backing storage, overlapping the next bucket's
@@ -68,7 +68,7 @@ const (
 )
 
 // BucketStore manages residency of per-bucket optimizer state. Stores are
-// driven by a single goroutine (the trainer or one dp rank); they are not
+// driven by a single goroutine (one dp rank); they are not
 // safe for concurrent use by multiple holders, and at most one bucket is
 // held (acquired and not yet released) at a time.
 type BucketStore interface {

@@ -1,4 +1,4 @@
-package stv
+package stv_test
 
 import (
 	"bytes"
@@ -10,14 +10,15 @@ import (
 	"superoffload/internal/fp16"
 	"superoffload/internal/nn"
 	"superoffload/internal/optim"
+	"superoffload/internal/stv"
 	"superoffload/internal/tensor"
 )
 
 // nvmeTestStore builds a tightly-windowed NVMe store backed by the test's
 // temp dir, so every test streams buckets through the file for real.
-func nvmeTestStore(t *testing.T, window int) *NVMeStore {
+func nvmeTestStore(t *testing.T, window int) *stv.NVMeStore {
 	t.Helper()
-	s, err := NewNVMeStore(NVMeStoreConfig{Dir: t.TempDir(), ResidentBuckets: window})
+	s, err := stv.NewNVMeStore(stv.NVMeStoreConfig{Dir: t.TempDir(), ResidentBuckets: window})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func nvmeTestStore(t *testing.T, window int) *NVMeStore {
 // nvmeTrainerConfig is trainerConfig with small buckets behind a 2-bucket
 // NVMe window: the tiny model splits into many buckets, so state
 // round-trips through the backing file on every step.
-func nvmeTrainerConfig(t *testing.T, mode Mode) Config {
+func nvmeTrainerConfig(t *testing.T, mode stv.Mode) config {
 	cfg := trainerConfig(mode)
 	cfg.BucketElems = 4000
 	cfg.Store = nvmeTestStore(t, 2)
@@ -38,14 +39,14 @@ func nvmeTrainerConfig(t *testing.T, mode Mode) Config {
 // master weights and checkpoint bytes after a final Flush.
 type trajectory struct {
 	losses  []float64
-	stats   Stats
+	stats   stv.Stats
 	masters []float32
 	ckpt    []byte
 }
 
 // train steps tr over steps 2×8 batches of corpus 123, flushes it, and
 // closes it.
-func train(t *testing.T, tr *Trainer, steps int) trajectory {
+func train(t *testing.T, tr *engine, steps int) trajectory {
 	t.Helper()
 	defer tr.Close()
 	corpus := data.NewCorpus(64, 123)
@@ -73,11 +74,11 @@ func train(t *testing.T, tr *Trainer, steps int) trajectory {
 // two runs identical bit for bit, and returns the configured one. The
 // generated suite in internal/dp checks the same contract over every
 // engine shape; these are the stores' own single-rank cases.
-func sameAsDRAM(t *testing.T, gpt func(uint64) *nn.GPT, mk func() Config, with func(*Config), steps int) trajectory {
+func sameAsDRAM(t *testing.T, gpt func(uint64) *nn.GPT, mk func() config, with func(*config), steps int) trajectory {
 	t.Helper()
 	cfg := mk()
 	with(&cfg)
-	got, want := train(t, NewTrainer(gpt(42), cfg), steps), train(t, NewTrainer(gpt(42), mk()), steps)
+	got, want := train(t, newEngine(gpt(42), cfg), steps), train(t, newEngine(gpt(42), mk()), steps)
 	if !slices.Equal(got.losses, want.losses) || got.stats != want.stats ||
 		!slices.Equal(got.masters, want.masters) || !bytes.Equal(got.ckpt, want.ckpt) {
 		t.Fatalf("diverged from the DRAM trainer: losses %v vs %v, stats %+v vs %+v", got.losses, want.losses, got.stats, want.stats)
@@ -85,12 +86,12 @@ func sameAsDRAM(t *testing.T, gpt func(uint64) *nn.GPT, mk func() Config, with f
 	return got
 }
 
-func withStore(s BucketStore) func(*Config) { return func(c *Config) { c.Store = s } }
+func withStore(s stv.BucketStore) func(*config) { return func(c *config) { c.Store = s } }
 
 // overflowConfig streams 4000-element buckets under loss scaling, with an
 // overflow injected on steps 4 and 11.
-func overflowConfig(mode Mode) func() Config {
-	return func() Config {
+func overflowConfig(mode stv.Mode) func() config {
+	return func() config {
 		cfg := trainerConfig(mode)
 		cfg.BucketElems = 4000
 		cfg.Scaler = optim.NewLossScaler()
@@ -101,11 +102,11 @@ func overflowConfig(mode Mode) func() Config {
 
 // clipConfig clips on nearly every step under a moving learning rate, so
 // the rollbacks restore snapshots that went through the store.
-func clipConfig() Config {
-	cfg := trainerConfig(STV)
+func clipConfig() config {
+	cfg := trainerConfig(stv.STV)
 	cfg.BucketElems = 4000
 	cfg.ClipNorm = 0.35
-	cfg.Schedule = WarmupCosine(5, 30, 0.1)
+	cfg.Schedule = stv.WarmupCosine(5, 30, 0.1)
 	return cfg
 }
 
@@ -114,7 +115,7 @@ func clipConfig() Config {
 // schedules and through injected-overflow rollbacks; the checkpoint bytes
 // are the DRAM trainer's.
 func TestNVMeStoreSTVMatchesDRAMBitExact(t *testing.T) {
-	for _, mode := range []Mode{STV, STE} {
+	for _, mode := range []stv.Mode{stv.STV, stv.STE} {
 		sameAsDRAM(t, tinyGPT, overflowConfig(mode), withStore(nvmeTestStore(t, 2)), 25)
 	}
 }
@@ -131,28 +132,28 @@ func TestNVMeStoreClipRollbackExact(t *testing.T) {
 // TestCheckpointBytesIdenticalAcrossStores: the serialized checkpoint is
 // byte-identical whichever store produced it.
 func TestCheckpointBytesIdenticalAcrossStores(t *testing.T) {
-	sameAsDRAM(t, tinyGPT, overflowConfig(STV), withStore(nvmeTestStore(t, 2)), 10)
+	sameAsDRAM(t, tinyGPT, overflowConfig(stv.STV), withStore(nvmeTestStore(t, 2)), 10)
 }
 
 // resumesAcross is the cross-backend checkpoint property: a checkpoint
 // written over src — mid-schedule, right after a rollback — loads into a
 // differently initialized trainer over dst, and both resume on the same
 // trajectory.
-func resumesAcross(t *testing.T, src, dst BucketStore) {
+func resumesAcross(t *testing.T, src, dst stv.BucketStore) {
 	t.Helper()
 	const warm, cont = 9, 8
-	mk := func(seed uint64, store BucketStore) *Trainer {
-		cfg := overflowConfig(STV)()
-		cfg.Schedule = WarmupCosine(5, warm+cont, 0.1)
+	mk := func(seed uint64, store stv.BucketStore) *engine {
+		cfg := overflowConfig(stv.STV)()
+		cfg.Schedule = stv.WarmupCosine(5, warm+cont, 0.1)
 		// The overflow on the warm-up's last step makes the saved state a
 		// post-rollback one (the skip resolves at Flush, just before Save).
 		cfg.InjectBad = func(step int) bool { return step == warm }
 		cfg.Store = store
-		tr := NewTrainer(tinyGPT(seed), cfg)
+		tr := newEngine(tinyGPT(seed), cfg)
 		t.Cleanup(func() { tr.Close() })
 		return tr
 	}
-	steps := func(tr *Trainer, corpus *data.Corpus, n int) {
+	steps := func(tr *engine, corpus *data.Corpus, n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
@@ -187,11 +188,11 @@ func resumesAcross(t *testing.T, src, dst BucketStore) {
 
 // testStores builds the stores the checkpoint-portability tests move
 // between, by name.
-var testStores = map[string]func(t *testing.T) BucketStore{
-	"dram":      func(*testing.T) BucketStore { return nil },
-	"nvme":      func(t *testing.T) BucketStore { return nvmeTestStore(t, 2) },
-	"mlp":       func(t *testing.T) BucketStore { return mlpTestStore(t, 2, 0) },
-	"mlp+cache": func(t *testing.T) BucketStore { return mlpTestStore(t, 3, 2) },
+var testStores = map[string]func(t *testing.T) stv.BucketStore{
+	"dram":      func(*testing.T) stv.BucketStore { return nil },
+	"nvme":      func(t *testing.T) stv.BucketStore { return nvmeTestStore(t, 2) },
+	"mlp":       func(t *testing.T) stv.BucketStore { return mlpTestStore(t, 2, 0) },
+	"mlp+cache": func(t *testing.T) stv.BucketStore { return mlpTestStore(t, 3, 2) },
 }
 
 // resumesAcrossEach runs resumesAcross once per "src->dst" store pair.
@@ -211,19 +212,18 @@ func TestCheckpointPortableAcrossStores(t *testing.T) {
 // window, and buckets genuinely round-trip through the file (reads and
 // write-behind flushes both happen).
 func TestNVMeWindowStaysBounded(t *testing.T) {
-	cfg := nvmeTrainerConfig(t, STV)
-	store := cfg.Store.(*NVMeStore)
-	tr := NewTrainer(tinyGPT(3), cfg)
-	if tr.NumBuckets() <= store.cfg.ResidentBuckets {
-		t.Fatalf("model must split into more buckets (%d) than the window (%d)",
-			tr.NumBuckets(), store.cfg.ResidentBuckets)
+	cfg := nvmeTrainerConfig(t, stv.STV)
+	store := cfg.Store.(*stv.NVMeStore)
+	tr := newEngine(tinyGPT(3), cfg)
+	if tr.NumBuckets() <= 2 {
+		t.Fatalf("model must split into more buckets (%d) than the window (2)", tr.NumBuckets())
 	}
 	corpus := data.NewCorpus(64, 5)
 	for i := 0; i < 10; i++ {
 		if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
 			t.Fatal(err)
 		}
-		checkResidency(t, store.MLPStore, -1)
+		stv.CheckResidency(t, store.MLPStore, -1)
 	}
 	if _, err := tr.Flush(); err != nil {
 		t.Fatal(err)
@@ -245,9 +245,9 @@ func TestNVMeWindowStaysBounded(t *testing.T) {
 // serialized fetch+step+flush time (the double-buffered prefetch hides
 // compute behind the device), and the accounting identities must hold.
 func TestNVMeOverlapModel(t *testing.T) {
-	cfg := trainerConfig(STV)
+	cfg := trainerConfig(stv.STV)
 	cfg.BucketElems = 4000
-	store, err := NewNVMeStore(NVMeStoreConfig{
+	store, err := stv.NewNVMeStore(stv.NVMeStoreConfig{
 		Dir:             t.TempDir(),
 		ResidentBuckets: 2,
 		// Compute comparable to the transfer time makes the overlap
@@ -258,7 +258,7 @@ func TestNVMeOverlapModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Store = store
-	tr := NewTrainer(tinyGPT(3), cfg)
+	tr := newEngine(tinyGPT(3), cfg)
 	defer tr.Close()
 	corpus := data.NewCorpus(64, 5)
 	before := store.Telemetry()
@@ -292,11 +292,11 @@ func TestNVMeOverlapModel(t *testing.T) {
 // the mixed Step/StepAccum/Save interleavings over the NVMe store (the
 // -race harness for the IO worker).
 func TestNVMeAccumAndStressSchedules(t *testing.T) {
-	cfg := nvmeTrainerConfig(t, STV)
+	cfg := nvmeTrainerConfig(t, stv.STV)
 	cfg.ClipNorm = 0.4
 	cfg.Scaler = optim.NewLossScaler()
 	cfg.InjectBad = func(step int) bool { return step%11 == 7 }
-	tr := NewTrainer(tinyGPT(13), cfg)
+	tr := newEngine(tinyGPT(13), cfg)
 	defer tr.Close()
 	corpus := data.NewCorpus(64, 29)
 	var ckpt bytes.Buffer
@@ -348,12 +348,13 @@ func TestNVMeAccumAndStressSchedules(t *testing.T) {
 func TestBucketTensorsArePublishedMasters(t *testing.T) {
 	for _, name := range []string{"dram", "flash"} {
 		t.Run(name, func(t *testing.T) {
-			var store BucketStore = NewDRAMStore()
+			var store stv.BucketStore = stv.NewDRAMStore()
 			if name == "flash" {
 				store = mlpTestStore(t, 1, 0)
 			}
 			defer store.Close()
-			var bks []*Bucket
+			var bks []*stv.Bucket
+			var groups []nn.Params
 			for i := range 5 {
 				var group nn.Params
 				for _, n := range []int{70, 130} {
@@ -363,26 +364,28 @@ func TestBucketTensorsArePublishedMasters(t *testing.T) {
 					}
 					group = append(group, &nn.Param{Name: "p", W: w, G: tensor.New(n)})
 				}
-				bks = append(bks, NewBucket(group, store, i))
+				bks = append(bks, stv.NewBucket(group, store, i))
+				groups = append(groups, group)
 			}
 			cfg := optim.DefaultConfig()
 			published := func(what string) {
 				t.Helper()
-				for _, bk := range bks {
+				for i, bk := range bks {
 					want := fp16.Uncast(nil, fp16.Cast(nil, bk.AppendMaster(nil)))
 					var got []float32
-					for _, p := range bk.group {
+					for _, p := range groups[i] {
 						got = append(got, p.W.Data...)
 					}
 					if !slices.EqualFunc(got, want, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
-						t.Fatalf("after %s: bucket %d's tensors are not its masters rounded through fp16", what, bk.idx)
+						t.Fatalf("after %s: bucket %d's tensors are not its masters rounded through fp16", what, i)
 					}
 				}
 			}
-			verdict := func(r Resolution) {
+			verdict := func(r stv.Resolution) {
 				for _, bk := range bks {
-					for j := range bk.grad {
-						bk.grad[j] = 0.01 * float32(j%7-3)
+					g := bk.Grad()
+					for j := range g {
+						g[j] = 0.01 * float32(j%7-3)
 					}
 					bk.SpeculativeStep(cfg, 1)
 				}
@@ -390,17 +393,17 @@ func TestBucketTensorsArePublishedMasters(t *testing.T) {
 					bk.Apply(r)
 				}
 			}
-			verdict(Resolution{Action: Commit})
+			verdict(stv.Resolution{Action: stv.Commit})
 			published("a commit")
 			var ckpt bytes.Buffer
-			if err := (&Verdict{}).Save(&ckpt, bks); err != nil {
+			if err := (&stv.Verdict{}).Save(&ckpt, bks); err != nil {
 				t.Fatal(err)
 			}
-			verdict(Resolution{Action: Skip})
+			verdict(stv.Resolution{Action: stv.Skip})
 			published("a Skip")
-			verdict(Resolution{Action: Clip, ClipScale: 0.5, Adam: cfg})
+			verdict(stv.Resolution{Action: stv.Clip, ClipScale: 0.5, Adam: cfg})
 			published("a Clip")
-			if err := (&Verdict{}).Load(&ckpt, bks); err != nil {
+			if err := (&stv.Verdict{}).Load(&ckpt, bks); err != nil {
 				t.Fatal(err)
 			}
 			published("a Load")

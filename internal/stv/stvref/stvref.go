@@ -1,21 +1,13 @@
 // Package stvref is the exactness reference the engine is held to: the
 // speculation-then-validation schedule (§4.4) as one serial loop over
-// one model in DRAM, with nothing else in it — no ranks, lanes, stores,
-// placement, activation tier or tracing. Every (R,S,P) shape of
-// internal/dp, over any store and tier, must reproduce it bit for bit on
-// the R-way row decomposition of its batches: losses, Stats, master
-// weights and checkpoint bytes.
-//
-// A step forwards each micro-batch, applies the previous step's verdict
-// after the first forward (redoing that forward when the weights
-// changed), stages each micro-batch's gradients into the buckets in
-// order, steps every bucket speculatively over the normalised sum and
-// leaves the verdict on its sum of squares pending. STE is that step
-// followed by Flush.
+// one model in DRAM — no ranks, lanes, stores, placement, activation
+// tier or tracing. Every (R,S,P) shape of internal/dp, over any store and
+// tier, reproduces its losses, Stats, master weights and checkpoint bytes
+// bit for bit on the R-way row decomposition of its batches. STE is a
+// step followed by Flush.
 package stvref
 
 import (
-	"fmt"
 	"io"
 	"math"
 
@@ -46,11 +38,12 @@ func New(m *nn.GPT, cfg stv.Config) *Trainer {
 }
 
 // StepAccum runs one optimizer step over the micro-batches and returns
-// their mean loss.
+// their mean loss: each micro-batch forwards, the previous step's
+// verdict applies after the first forward (which is redone when the
+// weights changed), the micro-batches' gradients stage into the buckets
+// in order, and every bucket steps speculatively over the normalised sum,
+// leaving the verdict on its sum of squares pending.
 func (t *Trainer) StepAccum(batches []data.Batch) (float64, error) {
-	if t.cfg.Mode != stv.STE && t.cfg.Mode != stv.STV {
-		return 0, fmt.Errorf("stvref: unknown mode %d", t.cfg.Mode)
-	}
 	if len(batches) == 0 {
 		return 0, nil
 	}

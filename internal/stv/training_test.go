@@ -1,4 +1,4 @@
-package stv
+package stv_test
 
 import (
 	"math"
@@ -7,9 +7,11 @@ import (
 
 	"superoffload/internal/act"
 	"superoffload/internal/data"
+	"superoffload/internal/dp"
 	"superoffload/internal/model"
 	"superoffload/internal/nn"
 	"superoffload/internal/optim"
+	"superoffload/internal/stv"
 	"superoffload/internal/stv/stvtest"
 	"superoffload/internal/tensor"
 )
@@ -19,24 +21,24 @@ func tinyGPT(seed uint64) *nn.GPT {
 	return nn.NewGPT(cfg, 16, tensor.NewRNG(seed))
 }
 
-func trainerConfig(mode Mode) Config {
+func trainerConfig(mode stv.Mode) config {
 	a := optim.DefaultConfig()
 	a.LR = 3e-3
-	return Config{
+	return config{Config: stv.Config{
 		Adam:        a,
 		ClipNorm:    1.0,
 		BucketElems: 20000, // several buckets for the tiny model
 		Mode:        mode,
-	}
+	}}
 }
 
-func runTraining(t *testing.T, mode Mode, steps int, inject func(int) bool, scaler *optim.LossScaler) (*Trainer, []float64) {
+func runTraining(t *testing.T, mode stv.Mode, steps int, inject func(int) bool, scaler *optim.LossScaler) (*engine, []float64) {
 	t.Helper()
 	m := tinyGPT(42)
 	cfg := trainerConfig(mode)
 	cfg.InjectBad = inject
 	cfg.Scaler = scaler
-	tr := NewTrainer(m, cfg)
+	tr := newEngine(m, cfg)
 	corpus := data.NewCorpus(64, 123)
 	var losses []float64
 	for i := 0; i < steps; i++ {
@@ -53,43 +55,15 @@ func runTraining(t *testing.T, mode Mode, steps int, inject func(int) bool, scal
 	return tr, losses
 }
 
-func TestBucketPartition(t *testing.T) {
-	m := tinyGPT(1)
-	tr := NewTrainer(m, trainerConfig(STV))
-	if tr.NumBuckets() < 2 {
-		t.Fatalf("expected multiple buckets, got %d", tr.NumBuckets())
-	}
-	// Every parameter appears in exactly one bucket, in order, and the
-	// flattened sizes add up.
-	total := 0
-	for _, bk := range tr.buckets {
-		total += bk.Size()
-	}
-	if total != m.NumParams() {
-		t.Errorf("bucketed %d elems, model has %d", total, m.NumParams())
-	}
-}
-
-func TestPartitionRespectsBudgetWhenPossible(t *testing.T) {
-	m := tinyGPT(1)
-	buckets := partitionParams(m.Params(), 50000, NewDRAMStore())
-	for i, bk := range buckets {
-		if len(bk.group) > 1 && bk.Size() > 50000 {
-			t.Errorf("bucket %d exceeds budget with %d elems across %d tensors",
-				i, bk.Size(), len(bk.group))
-		}
-	}
-}
-
 // TestSTVMatchesSTEBitExact is the central exactness claim of §4.4: STV is
 // "an exact optimization" — same data, same faults, same final weights as
 // the synchronous schedule.
 func TestSTVMatchesSTEBitExact(t *testing.T) {
 	inject := func(step int) bool { return step == 4 || step == 11 }
-	ste, _ := runTraining(t, STE, 25, inject, optim.NewLossScaler())
-	stv, _ := runTraining(t, STV, 25, inject, optim.NewLossScaler())
+	ste, _ := runTraining(t, stv.STE, 25, inject, optim.NewLossScaler())
+	spec, _ := runTraining(t, stv.STV, 25, inject, optim.NewLossScaler())
 
-	a, b := ste.MasterWeights(), stv.MasterWeights()
+	a, b := ste.MasterWeights(), spec.MasterWeights()
 	if len(a) != len(b) {
 		t.Fatalf("weight counts differ: %d vs %d", len(a), len(b))
 	}
@@ -100,7 +74,7 @@ func TestSTVMatchesSTEBitExact(t *testing.T) {
 	}
 	// The model's published fp16-rounded weights must agree too.
 	for pi, p := range ste.Model.Params() {
-		q := stv.Model.Params()[pi]
+		q := spec.Model.Params()[pi]
 		for i := range p.W.Data {
 			if p.W.Data[i] != q.W.Data[i] {
 				t.Fatalf("model weights diverge: param %s idx %d", p.Name, i)
@@ -111,24 +85,24 @@ func TestSTVMatchesSTEBitExact(t *testing.T) {
 
 func TestSTVRollbackCountsMatchSTE(t *testing.T) {
 	inject := func(step int) bool { return step == 3 }
-	ste, _ := runTraining(t, STE, 20, inject, optim.NewLossScaler())
-	stv, _ := runTraining(t, STV, 20, inject, optim.NewLossScaler())
-	if ste.Stats().SkipRolls != stv.Stats().SkipRolls {
-		t.Errorf("skip counts differ: STE %d, STV %d", ste.Stats().SkipRolls, stv.Stats().SkipRolls)
+	ste, _ := runTraining(t, stv.STE, 20, inject, optim.NewLossScaler())
+	spec, _ := runTraining(t, stv.STV, 20, inject, optim.NewLossScaler())
+	if ste.Stats().SkipRolls != spec.Stats().SkipRolls {
+		t.Errorf("skip counts differ: STE %d, STV %d", ste.Stats().SkipRolls, spec.Stats().SkipRolls)
 	}
-	if ste.Stats().ClipRolls != stv.Stats().ClipRolls {
-		t.Errorf("clip counts differ: STE %d, STV %d", ste.Stats().ClipRolls, stv.Stats().ClipRolls)
+	if ste.Stats().ClipRolls != spec.Stats().ClipRolls {
+		t.Errorf("clip counts differ: STE %d, STV %d", ste.Stats().ClipRolls, spec.Stats().ClipRolls)
 	}
-	if stv.Stats().SkipRolls != 1 {
-		t.Errorf("expected exactly 1 skip, got %d", stv.Stats().SkipRolls)
+	if spec.Stats().SkipRolls != 1 {
+		t.Errorf("expected exactly 1 skip, got %d", spec.Stats().SkipRolls)
 	}
-	if stv.Stats().Redos == 0 {
+	if spec.Stats().Redos == 0 {
 		t.Error("rollbacks should force forward redos under STV")
 	}
 }
 
 func TestTrainingLearnsUnderSTV(t *testing.T) {
-	_, losses := runTraining(t, STV, 120, nil, nil)
+	_, losses := runTraining(t, stv.STV, 120, nil, nil)
 	first := avg(losses[:10])
 	last := avg(losses[len(losses)-10:])
 	if last > first*0.85 {
@@ -148,11 +122,11 @@ func TestClipRollbackFrequencyTracksThreshold(t *testing.T) {
 	// training stays exact and stable either way. (The "frequent during
 	// warm-up, then rare" envelope of Fig. 14 is exercised at paper
 	// scale by the experiments package.)
-	run := func(clip float64) *Trainer {
+	run := func(clip float64) *engine {
 		m := tinyGPT(7)
-		cfg := trainerConfig(STV)
+		cfg := trainerConfig(stv.STV)
 		cfg.ClipNorm = clip
-		tr := NewTrainer(m, cfg)
+		tr := newEngine(m, cfg)
 		corpus := data.NewCorpus(64, 9)
 		for i := 0; i < 40; i++ {
 			if _, err := tr.Step(corpus.NextBatch(2, 8)); err != nil {
@@ -180,7 +154,7 @@ func TestClipRollbackFrequencyTracksThreshold(t *testing.T) {
 func TestSkipOnInjectedOverflow(t *testing.T) {
 	inject := func(step int) bool { return step == 2 }
 	scaler := optim.NewLossScaler()
-	tr, _ := runTraining(t, STV, 6, inject, scaler)
+	tr, _ := runTraining(t, stv.STV, 6, inject, scaler)
 	if tr.Stats().SkipRolls != 1 {
 		t.Fatalf("skips = %d, want 1", tr.Stats().SkipRolls)
 	}
@@ -191,10 +165,10 @@ func TestSkipOnInjectedOverflow(t *testing.T) {
 
 func TestFlushResolvesFinalStep(t *testing.T) {
 	m := tinyGPT(3)
-	cfg := trainerConfig(STV)
+	cfg := trainerConfig(stv.STV)
 	// Inject on the last step: only Flush can catch it.
 	cfg.InjectBad = func(step int) bool { return step == 5 }
-	tr := NewTrainer(m, cfg)
+	tr := newEngine(m, cfg)
 	corpus := data.NewCorpus(64, 5)
 	for i := 0; i < 5; i++ {
 		if _, err := tr.Step(corpus.NextBatch(1, 8)); err != nil {
@@ -213,21 +187,11 @@ func TestFlushResolvesFinalStep(t *testing.T) {
 	}
 }
 
-func TestModeStrings(t *testing.T) {
-	if STE.String() != "STE" || STV.String() != "STV" {
-		t.Error("mode strings")
-	}
-	if (Stats{ClipRolls: 2, SkipRolls: 3}).Rollbacks() != 5 {
-		t.Error("rollback sum")
-	}
-}
-
 func TestUnknownModeErrors(t *testing.T) {
-	m := tinyGPT(1)
-	cfg := trainerConfig(STV)
-	cfg.Mode = Mode(99)
-	tr := NewTrainer(m, cfg)
-	if _, err := tr.Step(data.NewCorpus(64, 1).NextBatch(1, 4)); err == nil {
+	cfg := trainerConfig(stv.STV)
+	cfg.Mode = stv.Mode(99)
+	if e, err := dp.New(tinyGPT(1), dp.Config{Config: cfg.Config}); err == nil {
+		e.Close()
 		t.Fatal("expected error for unknown mode")
 	}
 }
@@ -248,10 +212,10 @@ func avg(xs []float64) float64 {
 func TestClipRollbackAllocatesNothing(t *testing.T) {
 	batches := []data.Batch{data.NewCorpus(64, 9).NextBatch(2, 8)}
 	stepAllocs := func(clipNorm float64) float64 {
-		cfg := trainerConfig(STV)
+		cfg := trainerConfig(stv.STV)
 		cfg.BucketElems = 2000 // many buckets, so a per-bucket allocation shows
 		cfg.ClipNorm = clipNorm
-		tr := NewTrainer(tinyGPT(5), cfg)
+		tr := newEngine(tinyGPT(5), cfg)
 		if tr.NumBuckets() < 8 {
 			t.Fatalf("want many buckets, have %d", tr.NumBuckets())
 		}
@@ -286,7 +250,7 @@ func TestLanedTrainerLeavesNoGoroutine(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, spill := range []bool{false, true} {
 		before := runtime.NumGoroutine()
-		m, cfg := tinyGPT(8), trainerConfig(STV)
+		m, cfg := tinyGPT(8), trainerConfig(stv.STV)
 		if spill {
 			m = actGPT(8)
 			st, err := act.NewStore(act.Config{
@@ -298,7 +262,7 @@ func TestLanedTrainerLeavesNoGoroutine(t *testing.T) {
 			}
 			cfg.Act = st
 		}
-		tr := NewTrainer(m, cfg)
+		tr := newEngine(m, cfg)
 		corpus := data.NewCorpus(64, 77)
 		for i := 0; i < 4; i++ {
 			if _, err := tr.StepAccum([]data.Batch{corpus.NextBatch(2, 8), corpus.NextBatch(2, 8)}); err != nil {
@@ -317,47 +281,5 @@ func TestLanedTrainerLeavesNoGoroutine(t *testing.T) {
 			t.Fatal(err)
 		}
 		stvtest.NoLeakedGoroutines(t, before)
-	}
-}
-
-// TestSpeculativeStepOnDirtyBucketPanics: a speculative step reads the
-// version its predecessor's verdict may roll back to, so a step on a
-// bucket whose verdict has not been applied panics rather than overwrite
-// that rollback point; once the verdict is applied, the next step runs.
-func TestSpeculativeStepOnDirtyBucketPanics(t *testing.T) {
-	bk := fuzzBuckets()[0]
-	cfg := optim.DefaultConfig()
-	bk.SpeculativeStep(cfg, 1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("speculative step before the last verdict was applied did not panic")
-			}
-		}()
-		bk.SpeculativeStep(cfg, 1)
-	}()
-	bk.Apply(Resolution{Action: Commit})
-	bk.SpeculativeStep(cfg, 1)
-}
-
-// TestSTETrainerHoldsOneVersion: STE steps every bucket in place, so an
-// STE trainer — clipping and skipping an overflow included — never
-// allocates a bucket's second version, while STV allocates it at its
-// first speculative step.
-func TestSTETrainerHoldsOneVersion(t *testing.T) {
-	for _, mode := range []Mode{STE, STV} {
-		tr, _ := runTraining(t, mode, 6, func(step int) bool { return step == 3 }, optim.NewLossScaler())
-		if st := tr.Stats(); st.SkipRolls == 0 || st.ClipRolls == 0 {
-			t.Fatalf("%v: run neither skipped nor clipped: %+v", mode, st)
-		}
-		for _, bk := range tr.buckets {
-			st := bk.store.Acquire(bk.idx)
-			two := st.prev != nil
-			bk.store.Release(bk.idx, ReleaseClean)
-			if two != (mode == STV) {
-				t.Fatalf("%v: bucket %d holds a second version: %v", mode, bk.idx, two)
-			}
-		}
-		tr.Close()
 	}
 }

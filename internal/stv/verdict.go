@@ -48,8 +48,8 @@ type Resolution struct {
 // weights, so that a forward pass already run on them must be redone.
 func (r Resolution) WeightsChanged() bool { return r.Action == Skip || r.Action == Clip }
 
-// Verdict is the step-control state of one training run, shared by the
-// single-rank Trainer and internal/dp's coordinator: the step counter and
+// Verdict is the step-control state of one training run, shared by
+// internal/dp's coordinator and the serial reference (stvref): the step counter and
 // learning-rate schedule, the loss scale, the one step whose verdict is
 // pending with its Adam config and gradient sum of squares, and the
 // outcome counters. Resolve is the only place that sum becomes an

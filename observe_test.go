@@ -179,3 +179,60 @@ func TestStoreLaneTrackNames(t *testing.T) {
 		t.Errorf("store track \"rank 0 nvme\" carries worker spans %v; they belong on its path track", spans["rank 0 nvme"])
 	}
 }
+
+// TestTraceTracksTheBenchFolds pins the track and span names the
+// benchmark's trace fold reads (bench/trace.go): a traced Init run
+// records its phases on one "trainer" track — forward, backward,
+// resolve and speculate, the stv.* rows — and no "rank N", coordinator
+// or comm track, while a two-rank run records "rank N" and "coordinator"
+// tracks, the dp.* rows, and no "trainer".
+func TestTraceTracksTheBenchFolds(t *testing.T) {
+	for _, mc := range []MeshConfig{{}, {Ranks: 2}} {
+		m, err := NewModel(ModelConfig{Layers: 2, Hidden: 32, Vocab: 64, MaxSeq: 16}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultOptimizer()
+		cfg.BucketElems = 4096
+		cfg.Tracer = NewTracer()
+		eng, err := InitMesh(m, cfg, mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus := NewCorpus(64, 2)
+		for i := 0; i < 3; i++ {
+			if _, err := eng.Step(corpus.NextBatch(2, 8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		names := map[int]string{}
+		spans := map[string]map[string]bool{} // track name -> span names seen
+		for _, e := range cfg.Tracer.Events() {
+			switch e.Ph {
+			case "M":
+				names[e.Tid], _ = e.Args["name"].(string)
+				spans[names[e.Tid]] = map[string]bool{}
+			case "X":
+				spans[names[e.Tid]][e.Name] = true
+			}
+		}
+		single := mc == MeshConfig{}
+		for _, phase := range []string{"forward", "backward", "resolve", "speculate"} {
+			main := "rank 0"
+			if single {
+				main = "trainer"
+			}
+			if !spans[main][phase] {
+				t.Errorf("%+v: track %q carries spans %v, want a %q span", mc, main, spans[main], phase)
+			}
+		}
+		for track, want := range map[string]bool{"trainer": single, "rank 0": !single, "coordinator": !single, "comm": !single} {
+			if _, ok := spans[track]; ok != want {
+				t.Errorf("%+v: track %q recorded = %v, want %v", mc, track, ok, want)
+			}
+		}
+	}
+}

@@ -16,9 +16,9 @@
 //     and post-step weight all-gather; S sequence-parallel ranks per
 //     cell — SuperOffload-Ulysses, §4.7 — with per-layer attention
 //     all-to-alls and a deterministic weight-gradient ring; P 1F1B
-//     pipeline stages per column), with InitDP and InitPipe as shape
-//     presets over it — all on loss trajectories bit-identical to the
-//     single-rank engine.
+//     pipeline stages per column), with Init, InitDP and InitPipe as
+//     shape presets over it — all on loss trajectories bit-identical to
+//     one superchip's.
 //
 //   - A planner (Plan/Describe) that sizes workloads against modeled
 //     GH200 clusters and predicts throughput for SuperOffload and the
@@ -505,62 +505,27 @@ func DefaultOptimizer() OptimizerConfig {
 // Batch is one training batch in flattened (batch*seq) layout.
 type Batch = data.Batch
 
-// trainer is the surface the single-rank stv.Trainer and the multi-rank
-// dp.Engine share; Engine drives whichever one its InitX built.
-type trainer interface {
-	StepAccum(batches []data.Batch) (float64, error)
-	Flush() (bool, error)
-	Save(w io.Writer) error
-	Load(r io.Reader) error
-	Stats() stv.Stats
-	NumBuckets() int
-	StoreTelemetry() (stv.StoreTelemetry, bool)
-	PlacementTelemetry() (stv.PlacementTelemetry, bool)
-	ActTelemetry() (act.Telemetry, bool)
-	Close() error
-}
-
 // Engine trains a Model with SuperOffload's schedule: CPU-resident fp32
 // master weights and Adam moments, bucketized speculative updates,
 // validation deferred to the next step, and exact rollback (§4.4) — on one simulated
 // superchip (Init) or across an R×S×P shape of them (InitMesh and its
-// presets). For the same global batch the loss trajectory — rollbacks,
-// checkpoints and all — is bit-identical across shapes: a multi-rank
-// engine reproduces the single-rank one processing the same R-way row
-// decomposition (S and P are invisible to the numerics), and checkpoints
-// move freely between them.
+// presets); one superchip is the 1×1×1 shape. For the same global batch
+// the loss trajectory — rollbacks, checkpoints and all — is bit-identical
+// across shapes: an R-group engine reproduces one superchip processing
+// the same R-way row decomposition (S and P are invisible to the
+// numerics), and checkpoints move freely between them.
 type Engine struct {
-	t             trainer
+	t             *dp.Engine
 	guard         *hbmGuard
-	vocab, maxSeq int        // what Batch.Check holds every batch to
-	shape         MeshConfig // every axis >= 1
+	vocab, maxSeq int // what Batch.Check holds every batch to
 }
 
 // Init wraps a model and optimizer into a SuperOffload engine — the
-// counterpart of the paper's `SuperOffload.init(model, optimizer)`.
+// counterpart of the paper's `SuperOffload.init(model, optimizer)`: the
+// 1×1×1 InitMesh, one superchip whose forward and backward split the
+// batch rows over the cores it has. Call Close when done.
 func Init(m *Model, cfg OptimizerConfig) (*Engine, error) {
-	dc, err := cfg.trainSetup(m)
-	if err != nil {
-		return nil, err
-	}
-	sc := dc.Config
-	if dc.NewStore != nil {
-		if sc.Store, err = dc.NewStore(0); err != nil {
-			return nil, err
-		}
-	}
-	if dc.NewActStore != nil {
-		if sc.Act, err = dc.NewActStore(0); err != nil {
-			if sc.Store != nil {
-				sc.Store.Close() // the open failure is the error to report
-			}
-			return nil, err
-		}
-	}
-	return &Engine{
-		t: stv.NewTrainer(m.gpt, sc), guard: cfg.newHBMGuard(m, 1, 1), vocab: m.gpt.Cfg.Vocab, maxSeq: m.gpt.MaxSeq,
-		shape: MeshConfig{Ranks: 1, SeqRanks: 1, PipeRanks: 1},
-	}, nil
+	return InitMesh(m, cfg, MeshConfig{})
 }
 
 // Step runs one training iteration (forward, backward, speculative
@@ -621,24 +586,19 @@ func (e *Engine) Stats() Stats { return e.t.Stats() }
 func (e *Engine) NumBuckets() int { return e.t.NumBuckets() }
 
 // Ranks reports the data-parallel degree R (the number of replica
-// groups); 1 on the single-rank engine, like the other two axes.
-func (e *Engine) Ranks() int { return e.shape.Ranks }
+// groups); 1 on the single superchip, like the other two axes.
+func (e *Engine) Ranks() int { return e.t.Ranks() }
 
 // SeqRanks reports the per-cell sequence-parallel degree S.
-func (e *Engine) SeqRanks() int { return e.shape.SeqRanks }
+func (e *Engine) SeqRanks() int { return e.t.SeqRanks() }
 
 // PipeRanks reports the pipeline-parallel degree P (stages per column).
-func (e *Engine) PipeRanks() int { return e.shape.PipeRanks }
+func (e *Engine) PipeRanks() int { return e.t.PipeRanks() }
 
 // CommStats reports the cumulative link traffic: every cell's all-to-all
-// and ring links plus the stage-boundary tensor sends. All-zero on the
-// single-rank engine, which has no links.
-func (e *Engine) CommStats() SPCommStats {
-	if c, ok := e.t.(interface{ CommStats() SPCommStats }); ok {
-		return c.CommStats()
-	}
-	return SPCommStats{}
-}
+// and ring links plus the stage-boundary tensor sends. All-zero on one
+// superchip, which has no links.
+func (e *Engine) CommStats() SPCommStats { return e.t.CommStats() }
 
 // StoreTelemetry returns the modeled NVMe-tier accounting, summed over
 // every rank's store; ok is false when optimizer state is DRAM-resident
@@ -657,8 +617,8 @@ func (e *Engine) PlacementTelemetry() (PlacementTelemetry, bool) {
 // activation tier.
 func (e *Engine) ActTelemetry() (ActTelemetry, bool) { return e.t.ActTelemetry() }
 
-// Close stops the rank goroutines of a multi-rank engine (resolving any
-// pending validation first) and closes every bucket and activation store
+// Close stops the rank goroutines (resolving any pending validation
+// first) and closes every bucket and activation store
 // — the nvme backends hold backing files and IO workers. Call Flush
 // first. Idempotent; Step, StepAccum, Flush, Save and Load fail after it.
 func (e *Engine) Close() error { return e.t.Close() }
@@ -721,10 +681,7 @@ func InitMesh(m *Model, cfg OptimizerConfig, mc MeshConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{
-		t: e, guard: cfg.newHBMGuard(m, mc.Ranks, mc.SeqRanks), vocab: m.gpt.Cfg.Vocab, maxSeq: m.gpt.MaxSeq,
-		shape: MeshConfig{Ranks: e.Ranks(), SeqRanks: e.SeqRanks(), PipeRanks: e.PipeRanks()},
-	}, nil
+	return &Engine{t: e, guard: cfg.newHBMGuard(m, mc.Ranks, mc.SeqRanks), vocab: m.gpt.Cfg.Vocab, maxSeq: m.gpt.MaxSeq}, nil
 }
 
 // InitDP is the data-parallel shape preset: R ranks each running
