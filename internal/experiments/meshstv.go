@@ -12,8 +12,8 @@ import (
 // data-parallel replica groups, each running S-way Ulysses sequence
 // parallelism and ZeRO-sharded offloaded optimization internally. For
 // each shape it trains a real GPT and checks the exactness contract: the
-// loss trajectory (rollbacks included) is bit-identical to a single-rank
-// trainer consuming the same R-way row decomposition via gradient
+// loss trajectory (rollbacks included) is bit-identical to the (1,1,1)
+// engine consuming the same R-way row decomposition via gradient
 // accumulation (the sequence axis must be invisible, exactly as in
 // ext-ulysses-stv), checkpoints are byte-identical to the reference's,
 // and the NVMe tier composes without disturbing a bit.

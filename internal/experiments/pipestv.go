@@ -13,8 +13,8 @@ import (
 // offloaded optimization spanning all R·S·P ranks. For each shape it
 // trains a real GPT over M micro-batches per step (so the stages
 // genuinely interleave) and checks the exactness contract: the loss
-// trajectory (rollbacks included) is bit-identical to a single-rank
-// trainer consuming the same R-way row decomposition via gradient
+// trajectory (rollbacks included) is bit-identical to the (1,1,1)
+// engine consuming the same R-way row decomposition via gradient
 // accumulation — the sequence AND pipeline axes must be invisible —
 // checkpoints are byte-identical to the reference's, and the NVMe tier
 // composes without disturbing a bit.

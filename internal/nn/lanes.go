@@ -214,6 +214,9 @@ func (ls *Lanes) split(batch, n int, sp SP) {
 			cum += g.replayCost(u)
 		}
 		l.uHi = u
+		if l.uLo == l.uHi {
+			continue // a lane with no unit replays nothing
+		}
 		// Unit uLo opens with the embeddings on stage 0, with block
 		// blo+uLo-1 (or the head, past the last block) there and with
 		// block blo+uLo on later stages.
