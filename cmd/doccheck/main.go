@@ -1,6 +1,6 @@
 // Command doccheck is the docs-consistency gate CI runs alongside the
 // linters. It fails (exit 1) when the documentation has drifted from the
-// code in any of four ways:
+// code in any of five ways:
 //
 //  1. CLI surface: every flag cmd/supertrain registers must be mentioned
 //     in README.md (as "-name"), so a new training knob cannot ship
@@ -21,6 +21,11 @@
 //     ARCHITECTURE.md, DESIGN.md or a string literal in an example
 //     program names must exist, so a deleted example cannot leave a
 //     pointer to itself behind.
+//  5. Name surface: every backticked camelCase or PascalCase Go name in
+//     README.md, ARCHITECTURE.md or DESIGN.md — bare, or qualified like
+//     `pkg.Name` or `Type.Method` — must be an identifier in some .go
+//     file of the module, so a renamed or deleted function, type or field
+//     cannot stay named in the prose.
 //
 // Run from the repository root: go run ./cmd/doccheck
 package main
@@ -29,6 +34,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/scanner"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -48,6 +54,7 @@ func main() {
 	problems = append(problems, checkFlags()...)
 	problems = append(problems, checkExperiments()...)
 	problems = append(problems, checkExamples()...)
+	problems = append(problems, checkDocNames()...)
 	for _, dir := range auditedPackages {
 		problems = append(problems, checkDocs(dir)...)
 	}
@@ -260,6 +267,83 @@ func checkExampleRefs(entries []os.DirEntry) []string {
 		out = append(out, fmt.Sprintf("scanning examples/: %v", err))
 	}
 	return out
+}
+
+// fence matches a fenced code block, codeSpan an inline code span, and
+// goName a Go identifier, bare or dot-qualified.
+var (
+	fence    = regexp.MustCompile("(?ms)^\\s*```.*?^\\s*```[^\\n]*$")
+	codeSpan = regexp.MustCompile("`([^`]+)`")
+	goName   = regexp.MustCompile(`^[A-Za-z_]\w*(\.[A-Za-z_]\w*)*$`)
+)
+
+// checkDocNames reports every backticked name in the top-level docs with
+// a camelCase or PascalCase part (one that mixes upper and lower case)
+// that is not an identifier in any .go file of the module.
+func checkDocNames() []string {
+	idents, err := moduleIdents()
+	if err != nil {
+		return []string{fmt.Sprintf("scanning Go identifiers: %v", err)}
+	}
+	var out []string
+	for _, doc := range []string{"README.md", "ARCHITECTURE.md", "DESIGN.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			out = append(out, fmt.Sprintf("reading %s: %v", doc, err))
+			continue
+		}
+		// Blank the fenced blocks, keeping their newlines, so the spans
+		// pair up and the line numbers stay true.
+		text := fence.ReplaceAllStringFunc(string(raw), func(block string) string {
+			return strings.Repeat("\n", strings.Count(block, "\n"))
+		})
+		for _, m := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
+			name := text[m[2]:m[3]]
+			for _, part := range strings.Split(name, ".") {
+				mixed := strings.ToLower(part) != part && strings.ToUpper(part) != part
+				if goName.MatchString(name) && mixed && !idents[part] {
+					out = append(out, fmt.Sprintf("%s:%d names `%s`, but no .go file has the identifier %s",
+						doc, 1+strings.Count(text[:m[0]], "\n"), name, part))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// moduleIdents collects every identifier token of the module's .go
+// files, test files included. A directory with its own go.mod is another
+// module.
+func moduleIdents() (map[string]bool, error) {
+	idents := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || path == "." {
+			return err
+		}
+		if d.IsDir() {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var s scanner.Scanner
+		s.Init(fset.AddFile(path, -1, len(src)), src, nil, 0)
+		for _, tok, lit := s.Scan(); tok != token.EOF; _, tok, lit = s.Scan() {
+			if tok == token.IDENT {
+				idents[lit] = true
+			}
+		}
+		return nil
+	})
+	return idents, err
 }
 
 // checkDocs verifies the package comment and per-identifier doc comments

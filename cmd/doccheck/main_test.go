@@ -66,3 +66,30 @@ func TestCheckExamplesConsistent(t *testing.T) {
 		t.Fatalf("checkExamples() = %q, want no problem", got)
 	}
 }
+
+// TestCheckDocNames: a backticked camelCase or PascalCase name that no
+// .go file of the module has as an identifier is reported with its doc
+// and line, bare or as a part of a qualified name; a name found in a
+// test file counts, as do all-lower or all-upper words, fenced code
+// blocks and a nested module's files do not.
+func TestCheckDocNames(t *testing.T) {
+	seedTree(t, map[string]string{
+		"go.mod":          "module m\n",
+		"eng/eng.go":      "package eng\n\n// Engine steps.\ntype Engine struct{ goMsg int }\n\nfunc (e *Engine) Flush() {}\n",
+		"eng/eng_test.go": "package eng\n\nfunc tapped() {}\n",
+		"bench/go.mod":    "module bench\n",
+		"bench/b.go":      "package bench\n\nfunc benchOnly() {}\n",
+		"README.md":       "Call `eng.Engine.Flush`, or `tapped`; `stv`, `STV` and `go test ./...` are not names.\n",
+		"ARCHITECTURE.md": "The engine sends a `goMsg`\nand an\n`opGo` over `Engine.goCh`.\n\n```go\nvar codeOnly = `inFence`\n```\nThen `benchOnly`.\n",
+		"DESIGN.md":       "",
+	})
+	got := checkDocNames()
+	want := []string{
+		"ARCHITECTURE.md:3 names `opGo`, but no .go file has the identifier opGo",
+		"ARCHITECTURE.md:3 names `Engine.goCh`, but no .go file has the identifier goCh",
+		"ARCHITECTURE.md:8 names `benchOnly`, but no .go file has the identifier benchOnly",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("checkDocNames() =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

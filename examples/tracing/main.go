@@ -2,9 +2,9 @@
 // schedule spans and store events with a Tracer, publish every engine
 // telemetry surface into a MetricsRegistry, serve both over HTTP, and
 // validate the Chrome trace export. The example polls its own /metrics
-// endpoint mid-run and re-parses the trace JSON, so it doubles as the
-// CI smoke test for the observability stack (it exits nonzero on any
-// failure).
+// endpoint mid-run and re-parses the trace JSON, so it doubles as a
+// smoke test of the observability stack (it exits nonzero on any
+// failure, and its test runs it under go test).
 package main
 
 import (
@@ -15,17 +15,26 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 
 	"superoffload"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run trains with the tracer and the metrics endpoint live, prints what
+// it checked to w, and returns the first failed check.
+func run(w io.Writer) error {
 	model, err := superoffload.NewModel(superoffload.ModelConfig{
 		Layers: 2, Hidden: 64, Vocab: 128, MaxSeq: 32,
 	}, 7)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	optimizer := superoffload.DefaultOptimizer()
 	optimizer.ClipNorm = 5.0
@@ -40,8 +49,9 @@ func main() {
 
 	engine, err := superoffload.InitDP(model, optimizer, superoffload.DPConfig{Ranks: 2})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer engine.Close()
 
 	// Step 2: publish the engine's telemetry into a metrics registry.
 	// Each Gather re-reads the engine, so the registry always serves
@@ -52,41 +62,49 @@ func main() {
 	// Step 3: serve /metrics, /trace, and /debug/pprof while training.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	srv := &http.Server{Handler: superoffload.ObsHandler(registry, tracer)}
 	go srv.Serve(ln)
 	defer srv.Close()
-	fmt.Printf("observability on http://%s\n", ln.Addr())
+	fmt.Fprintf(w, "observability on http://%s\n", ln.Addr())
 
 	corpus := superoffload.NewCorpus(128, 11)
 	for step := 1; step <= 60; step++ {
 		if _, err := engine.Step(corpus.NextBatch(4, 16)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if step == 30 {
 			// Mid-run: the endpoint must serve live counters while rank
 			// goroutines are training and store workers are in flight.
-			body := httpGet(fmt.Sprintf("http://%s/metrics", ln.Addr()))
-			if !strings.Contains(body, "superoffload_stv_steps_total") ||
-				!strings.Contains(body, "superoffload_nvme_reads_total") {
-				log.Fatalf("mid-run /metrics missing expected series:\n%s", body)
+			resp, err := http.Get(fmt.Sprintf("http://%s/metrics", ln.Addr()))
+			if err != nil {
+				return err
 			}
-			fmt.Println("mid-run /metrics serves live superoffload_* counters")
+			b, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				return err
+			}
+			if body := string(b); !strings.Contains(body, "superoffload_stv_steps_total") ||
+				!strings.Contains(body, "superoffload_nvme_reads_total") {
+				return fmt.Errorf("mid-run /metrics missing expected series:\n%s", body)
+			}
+			fmt.Fprintln(w, "mid-run /metrics serves live superoffload_* counters")
 		}
 	}
 	if err := engine.Flush(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := engine.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The export must be valid Chrome trace-event JSON with the per-rank
 	// schedule spans and the store's prefetch/flush instants.
 	var buf bytes.Buffer
 	if err := tracer.WriteJSON(&buf); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var trace struct {
 		TraceEvents []struct {
@@ -95,7 +113,7 @@ func main() {
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
-		log.Fatalf("trace export is not valid JSON: %v", err)
+		return fmt.Errorf("trace export is not valid JSON: %w", err)
 	}
 	seen := map[string]int{}
 	for _, e := range trace.TraceEvents {
@@ -103,26 +121,10 @@ func main() {
 	}
 	for _, want := range []string{"forward", "backward", "speculate", "prefetch", "flush", "step"} {
 		if seen[want] == 0 {
-			log.Fatalf("trace has no %q events (got %v)", want, seen)
+			return fmt.Errorf("trace has no %q events (got %v)", want, seen)
 		}
 	}
-	fmt.Printf("trace: %d events (%d forward spans, %d prefetch instants) — valid Chrome trace JSON\n",
+	fmt.Fprintf(w, "trace: %d events (%d forward spans, %d prefetch instants) — valid Chrome trace JSON\n",
 		len(trace.TraceEvents), seen["forward"], seen["prefetch"])
-}
-
-// httpGet fetches a URL and returns the body, fataling on any error.
-func httpGet(url string) string {
-	resp, err := http.Get(url)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("GET %s: %s", url, resp.Status)
-	}
-	return string(b)
+	return nil
 }

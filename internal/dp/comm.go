@@ -7,6 +7,7 @@ import (
 	"superoffload/internal/data"
 	"superoffload/internal/nn"
 	"superoffload/internal/obs"
+	"superoffload/internal/optim"
 	"superoffload/internal/stv"
 	"superoffload/internal/tensor"
 )
@@ -15,11 +16,12 @@ import (
 // each link is a Go channel or an unbounded FIFO, so communication
 // composes with goroutine scheduling the way NVLink transfers compose
 // with compute streams — sends overlap whatever the peer is doing until
-// the data is actually needed. It carries the coordinator protocol (cmd
-// / resolution / go / results), the post-step weight all-gather links,
-// the owners' per-bucket sums of squares, and the per-axis link
-// families: one set of sequence-parallel links per (group, stage) cell,
-// and the cross-cell gradient reduce-scatter and stage-boundary FIFOs.
+// the data is actually needed. It carries the engine's control links
+// (one command in and one report out per rank), the post-step weight
+// all-gather links, the owners' per-bucket sums of squares, and the
+// per-axis link families: one set of sequence-parallel links per
+// (group, stage) cell, and the cross-cell gradient reduce-scatter and
+// stage-boundary FIFOs.
 // Cells are indexed g·P + p; global rank ids are (g·S + s)·P + p. A
 // size-1 axis holds no links: S=1 cells carry no all-to-all or ring
 // channels, and P=1 has no boundaries.
@@ -28,12 +30,9 @@ type world struct {
 	B       int // buckets
 	R, S, P int // data-parallel groups, sequence ranks per cell, stages per column
 
-	// Coordinator → rank control links.
-	cmd        []chan command
-	resolution []chan stv.Resolution
-	goCh       []chan goMsg
-	// Rank → coordinator: one stepResult per cmdStep (or an ack for
-	// cmdResolve).
+	// Engine → rank: one command per step or Flush; closed to stop the
+	// rank. Rank → engine: one stepResult per command.
+	cmd     []chan command
 	results []chan stepResult
 
 	// gather[b][dst] carries the owner's replica tensors for bucket b,
@@ -44,9 +43,9 @@ type world struct {
 
 	// sumsq[b] is bucket b's Σ g² over its normalised reduced gradient,
 	// written by the owner in speculate before it reports and summed by
-	// the coordinator in bucket order once it holds every report — the
+	// the engine in bucket order once it holds every report — the
 	// results receive is the happens-before edge both ways, since the
-	// coordinator sends the next command only after that sum.
+	// engine sends the next command only after that sum.
 	sumsq []float64
 
 	// cells[g·P+p] is cell (g, p)'s in-cell sequence-parallel links; the
@@ -67,7 +66,8 @@ type world struct {
 	tel   *linkTelemetry
 
 	// Tracing (nil tracks when disabled): one track per rank interpreter
-	// plus the coordinator's control-plane track. attachTracer fills them.
+	// plus the engine's control-plane track, "coordinator". attachTracer
+	// fills them.
 	tracks []*obs.Track
 	ctrack *obs.Track
 }
@@ -92,20 +92,24 @@ func (w *world) attachTracer(tr *obs.Tracer) {
 	w.tel.track = tr.Track("comm")
 }
 
-// command drives a rank's top-level loop.
+// command is one schedule for a rank to interpret, with everything the
+// engine resolved for it before dispatch: a step's, or Flush's resolve
+// and report over no micro-batches. It is sent by value, so a steady
+// step allocates nothing for it.
 type command struct {
-	kind   int            // cmdStep, cmdResolve, cmdStop
-	micros []data.Batch   // cmdStep: this rank's micro-batches, in order
-	ops    []scheduleOp   // cmdStep: the schedule to interpret over them
-	res    stv.Resolution // cmdResolve
+	micros []data.Batch   // this rank's micro-batches, in order
+	ops    []scheduleOp   // the schedule to interpret over them
+	res    stv.Resolution // the previous step's verdict, which opResolve applies
+	adam   optim.Config   // this step's Adam config (opSpeculate)
+	scale  float64        // the loss scale opBackward and opSpeculate use
+	inject bool           // corrupt the reduced gradient of bucket 0 (opSpeculate)
 }
 
-// stepResult is a rank's report for one cmdStep (the zero value acks a
-// cmdResolve): final-stage ranks fill rows — per micro-batch, the per-row
-// token losses in local row order, folded at the coordinator in global
-// row order. The slices live in the rank's per-micro cache arenas, which
-// the rank next writes in the following step's forwards — after the
-// coordinator has folded them.
+// stepResult is a rank's report for one command: final-stage ranks fill
+// rows — per micro-batch, the per-row token losses in local row order,
+// folded by the engine in global row order. The slices live in the rank's
+// per-micro cache arenas, which the rank next writes in the following
+// step's forwards — after the engine has folded them.
 type stepResult struct {
 	rows [][]float64
 }
@@ -116,13 +120,9 @@ func newWorld(r, s, p, b int) *world {
 	n := r * s * p
 	w := &world{N: n, B: b, R: r, S: s, P: p, tel: &linkTelemetry{}, tracks: make([]*obs.Track, n)}
 	w.cmd = make([]chan command, n)
-	w.resolution = make([]chan stv.Resolution, n)
-	w.goCh = make([]chan goMsg, n)
 	w.results = make([]chan stepResult, n)
 	for i := 0; i < n; i++ {
 		w.cmd[i] = make(chan command, 1)
-		w.resolution[i] = make(chan stv.Resolution, 1)
-		w.goCh[i] = make(chan goMsg, 1)
 		w.results[i] = make(chan stepResult, 1)
 	}
 	w.gather = make([][]chan nn.Params, b)

@@ -3,31 +3,15 @@ package dp
 import (
 	"fmt"
 
-	"superoffload/internal/data"
-	"superoffload/internal/obs"
 	"superoffload/internal/stv"
 )
 
-// coordinator is the engine's control plane: it owns the run's
-// stv.Verdict — the step counter, loss-scale and learning-rate plumbing,
-// pending-verdict bookkeeping and verdict policy — and drives the ranks
-// from it.
-type coordinator struct {
-	cfg Config
-	ctl *stv.Verdict
-	// results holds the ranks' reports of the current step, and
-	// schedules one op list per (stage, stages, micros), built once and
-	// read by every rank of that stage.
-	results   []stepResult
-	schedules map[[3]int][]scheduleOp
-}
-
 // Stats returns the engine's validation counters. Safe to call from
 // another goroutine while training runs (live metrics polling).
-func (c *coordinator) Stats() stv.Stats { return c.ctl.Stats() }
+func (e *Engine) Stats() stv.Stats { return e.ctl.Stats() }
 
 // StepIndex reports how many optimizer steps the engine has attempted.
-func (c *coordinator) StepIndex() int { return c.ctl.StepIndex() }
+func (e *Engine) StepIndex() int { return e.ctl.StepIndex() }
 
 // closeStores closes every store, folding the first failure into err.
 func closeStores(stores []stv.BucketStore, err error) error {
@@ -42,44 +26,31 @@ func closeStores(stores []stv.BucketStore, err error) error {
 // runStep drives one iteration over the world. The step structure
 // itself lives in the schedules: each rank receives the op sequence
 // stageSchedule emits for its stage and this step's micro count, and the
-// rank-side interpreter (runSchedule) executes it. The coordinator only
-// keeps the control plane — dispatch the schedules, resolve the previous
-// step's verdict while the early forwards run, release the ranks into
-// backward via goMsg, collect their step reports in rank order, and sum
-// the owners' per-bucket sums of squares into this step's pending
-// verdict. The caller folds the reported losses in canonical order.
-func (c *coordinator) runStep(w *world, micross [][]data.Batch) ([]stepResult, error) {
-	if err := c.ctl.Live(); err != nil {
-		return nil, err
+// rank-side interpreter (runSchedule) executes it. The engine keeps only
+// the control plane: resolve the previous step's verdict, send each rank
+// one command carrying it with this step's Adam config, loss scale and
+// fault bit, collect their step reports in rank order, and sum the
+// owners' per-bucket sums of squares into this step's pending verdict.
+// The caller folds the reported losses (e.results) in canonical order.
+func (e *Engine) runStep() error {
+	if err := e.ctl.Live(); err != nil {
+		return err
 	}
-	adam := c.ctl.BeginStep()
-	var sp obs.Span
-	if w.ctrack != nil {
-		sp = w.ctrack.Begin("step")
-	}
-	for r := 0; r < w.N; r++ {
-		w.cmd[r] <- command{kind: cmdStep, micros: micross[r], ops: c.schedule(r%w.P, w.P, len(micross[r]))}
-	}
-	// Ranks are now forwarding; the pending verdict resolves in parallel
-	// with that compute.
-	res := c.ctl.Resolve()
-	for r := 0; r < w.N; r++ {
-		w.resolution[r] <- res
-	}
+	w := e.w
+	adam := e.ctl.BeginStep()
+	sp := w.ctrack.Begin("step")
+	res := e.ctl.Resolve()
 	if res.WeightsChanged() {
-		c.ctl.Redo()
+		e.ctl.Redo()
 	}
-	g := goMsg{
-		adam:   adam,
-		scale:  c.ctl.Scale(),
-		inject: c.cfg.InjectBad != nil && c.cfg.InjectBad(c.ctl.StepIndex()),
+	c := command{res: res, adam: adam, scale: e.ctl.Scale(),
+		inject: e.cfg.InjectBad != nil && e.cfg.InjectBad(e.ctl.StepIndex())}
+	for r := 0; r < w.N; r++ {
+		c.micros, c.ops = e.micross[r], e.schedule(r%w.P, len(e.micross[r]))
+		w.cmd[r] <- c
 	}
 	for r := 0; r < w.N; r++ {
-		w.goCh[r] <- g
-	}
-	out := c.results
-	for r := 0; r < w.N; r++ {
-		out[r] = <-w.results[r]
+		e.results[r] = <-w.results[r]
 	}
 	// The receives above order every owner's w.sumsq writes before this
 	// read (see world.sumsq).
@@ -87,61 +58,59 @@ func (c *coordinator) runStep(w *world, micross [][]data.Batch) ([]stepResult, e
 	for _, s := range w.sumsq {
 		sumsq += s
 	}
-	if w.ctrack != nil {
-		sp.EndInt("step", c.ctl.StepIndex())
-	}
-	c.ctl.Launched(adam, sumsq)
-	return out, nil
+	sp.EndInt("step", e.ctl.StepIndex())
+	e.ctl.Launched(adam, sumsq)
+	return nil
 }
 
 // schedule returns stage's op list for a step of micros micro-batches
-// over stages stages (stageSchedule's, built on first use).
-func (c *coordinator) schedule(stage, stages, micros int) []scheduleOp {
-	k := [3]int{stage, stages, micros}
-	ops, ok := c.schedules[k]
+// (stageSchedule's over the engine's P stages, built on first use).
+func (e *Engine) schedule(stage, micros int) []scheduleOp {
+	k := [2]int{stage, micros}
+	ops, ok := e.schedules[k]
 	if !ok {
-		ops = stageSchedule(stage, stages, micros)
-		if c.schedules == nil {
-			c.schedules = map[[3]int][]scheduleOp{}
-		}
-		c.schedules[k] = ops
+		ops = stageSchedule(stage, e.w.P, micros)
+		e.schedules[k] = ops
 	}
 	return ops
 }
 
-// flush resolves any pending verdict over the world (call at end of
-// training so the final step is validated). Returns whether the
-// final step was rolled back or re-executed.
-func (c *coordinator) flush(w *world) (bool, error) {
-	if err := c.ctl.Live(); err != nil {
+// flushOps is Flush's schedule: apply the verdict, then report.
+var flushOps = []scheduleOp{{kind: opResolve}, {kind: opReport}}
+
+// Flush resolves any pending verdict (call at end of training so the
+// final step is validated). Returns whether the final step was rolled
+// back or re-executed.
+func (e *Engine) Flush() (bool, error) {
+	if err := e.ctl.Live(); err != nil {
 		return false, err
 	}
-	res := c.ctl.Resolve()
+	res := e.ctl.Resolve()
 	if res.Action == stv.None {
 		return false, nil
 	}
-	for r := 0; r < w.N; r++ {
-		w.cmd[r] <- command{kind: cmdResolve, res: res}
+	for _, c := range e.w.cmd {
+		c <- command{ops: flushOps, res: res}
 	}
-	for r := 0; r < w.N; r++ {
-		<-w.results[r]
+	for _, r := range e.w.results {
+		<-r
 	}
 	return res.WeightsChanged(), nil
 }
 
-// closeWorld resolves any pending verdict, stops the rank goroutines,
-// and closes every rank's bucket store and activation store. Idempotent;
-// the engine is unusable afterwards.
-func (c *coordinator) closeWorld(w *world, ranks []*rank) error {
-	if c.ctl.Live() != nil {
+// Close resolves any pending verdict, stops the rank goroutines, and
+// closes every rank's bucket and activation stores. Idempotent; the
+// engine is unusable afterwards.
+func (e *Engine) Close() error {
+	if e.ctl.Live() != nil {
 		return nil
 	}
-	_, err := c.flush(w)
-	for r := 0; r < w.N; r++ {
-		w.cmd[r] <- command{kind: cmdStop}
+	_, err := e.Flush()
+	for _, c := range e.w.cmd {
+		close(c)
 	}
-	c.ctl.Close()
-	for _, rk := range ranks {
+	e.ctl.Close()
+	for _, rk := range e.ranks {
 		if cerr := rk.store.Close(); err == nil {
 			err = cerr
 		}

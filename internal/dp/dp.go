@@ -33,7 +33,6 @@ package dp
 
 import (
 	"superoffload/internal/act"
-	"superoffload/internal/optim"
 	"superoffload/internal/stv"
 )
 
@@ -69,22 +68,6 @@ type Config struct {
 	// them.
 	NewActStore func(rank int) (*act.Store, error)
 }
-
-// goMsg releases a rank into the backward phase of the current step with
-// the state the coordinator resolved after validation (loss scale may have
-// just changed).
-type goMsg struct {
-	adam   optim.Config
-	scale  float64 // current loss scale
-	inject bool    // corrupt the reduced gradient of bucket 0
-}
-
-// Command kinds for a rank's top-level loop (comm.go's command).
-const (
-	cmdStep    = iota
-	cmdResolve // apply a resolution outside a step (Flush)
-	cmdStop
-)
 
 // withDefaults fills the size-1 axes and the bucket budget.
 func (c Config) withDefaults() Config {

@@ -15,7 +15,8 @@ import (
 // not safe for concurrent use — one goroutine drives training — except
 // the telemetry getters, which may be polled while a step runs.
 type Engine struct {
-	coordinator
+	cfg   Config
+	ctl   *stv.Verdict // the run's step counter, loss scale and verdict policy
 	w     *world
 	ranks []*rank
 	// buckets is the global bucket order; entry b points at the owning
@@ -28,6 +29,11 @@ type Engine struct {
 	// in the array it was copied into.
 	micross [][]data.Batch
 	seqBuf  []int
+	// results holds the ranks' reports of the current step, and
+	// schedules one op list per (stage, micros), built once and read by
+	// every rank of that stage.
+	results   []stepResult
+	schedules map[[2]int][]scheduleOp
 }
 
 // New builds an engine of shape (cfg.Ranks, cfg.SeqRanks, cfg.PipeRanks)
@@ -67,8 +73,8 @@ func New(model *nn.GPT, cfg Config) (*Engine, error) {
 	}
 	w := newWorld(r, s, p, nBuckets)
 	w.attachTracer(cfg.Tracer)
-	e := &Engine{w: w, buckets: make([]*stv.Bucket, nBuckets), micross: make([][]data.Batch, w.N),
-		coordinator: coordinator{cfg: cfg, ctl: stv.NewVerdict(cfg.Config), results: make([]stepResult, w.N)}}
+	e := &Engine{cfg: cfg, ctl: stv.NewVerdict(cfg.Config), w: w, buckets: make([]*stv.Bucket, nBuckets),
+		micross: make([][]data.Batch, w.N), results: make([]stepResult, w.N), schedules: map[[2]int][]scheduleOp{}}
 	newStore := cfg.NewStore
 	if newStore == nil {
 		newStore = func(int) (stv.BucketStore, error) { return stv.NewDRAMStore(), nil }
@@ -265,11 +271,10 @@ func (e *Engine) StepAccum(batches []data.Batch) (float64, error) {
 			return 0, err
 		}
 	}
-	perRank, err := e.runStep(e.w, e.micross)
-	if err != nil {
+	if err := e.runStep(); err != nil {
 		return 0, err
 	}
-	loss := e.foldLoss(perRank, e.micross[0])
+	loss := e.foldLoss(e.micross[0])
 	if e.cfg.Mode == stv.STE {
 		// Synchronize-then-execute: resolve before returning, putting
 		// validation back on the critical path (the ZeRO-Offload
@@ -281,15 +286,16 @@ func (e *Engine) StepAccum(batches []data.Batch) (float64, error) {
 	return loss, nil
 }
 
-// foldLoss folds the ranks' reported losses in canonical order. Per
+// foldLoss folds the ranks' reported losses (e.results) in canonical
+// order. Per
 // (micro, group), the group's slice loss is the loss rows of its
 // final-stage ranks (g, s, P-1) folded in (batch row, shard, position)
 // order — ascending global row order within the slice. The R·m slice
 // losses then sum in (micro, group) order and divide once, matching one
 // rank accumulating the same R-way decomposition. shards
 // is any one rank's micro-batches (every rank's have the same shape).
-func (e *Engine) foldLoss(perRank []stepResult, shards []data.Batch) float64 {
-	w := e.w
+func (e *Engine) foldLoss(shards []data.Batch) float64 {
+	w, perRank := e.w, e.results
 	var loss float64
 	for mi, sh := range shards {
 		rowsB, tl := sh.BatchSize, sh.Seq
@@ -308,11 +314,6 @@ func (e *Engine) foldLoss(perRank []stepResult, shards []data.Batch) float64 {
 	}
 	return loss / float64(len(shards)*w.R)
 }
-
-// Flush resolves any pending verdict (call at end of training so the
-// final step is validated). Returns whether the final step was rolled back
-// or re-executed.
-func (e *Engine) Flush() (bool, error) { return e.flush(e.w) }
 
 // Save serializes the training state in the stv checkpoint format, over
 // the global bucket order — byte-identical across (R,S,P) shapes on the
@@ -340,8 +341,3 @@ func (e *Engine) Load(r io.Reader) error {
 	}
 	return nil
 }
-
-// Close resolves any pending verdict, stops the rank goroutines, and
-// closes every rank's bucket and activation stores. Idempotent; the
-// engine is unusable afterwards.
-func (e *Engine) Close() error { return e.closeWorld(e.w, e.ranks) }

@@ -185,14 +185,10 @@ func TestPipeLastStageBlocksOnlyInLastReduce(t *testing.T) {
 		}
 		return e
 	}
-	// issue sends rank id one command over this step's micro-batches;
-	// the first command of the step also carries its resolution and go.
-	issue := func(e *Engine, id int, ops []scheduleOp, first bool) {
-		if first {
-			e.w.resolution[id] <- stv.Resolution{}
-			e.w.goCh[id] <- goMsg{adam: cfg.Adam, scale: 1}
-		}
-		e.w.cmd[id] <- command{kind: cmdStep, micros: batches, ops: ops}
+	// issue sends rank id one command over this step's micro-batches,
+	// with no verdict to apply and a loss scale of 1.
+	issue := func(e *Engine, id int, ops []scheduleOp) {
+		e.w.cmd[id] <- command{micros: batches, ops: ops, adam: cfg.Adam, scale: 1}
 	}
 	await := func(e *Engine, id int, what string) {
 		select {
@@ -210,7 +206,7 @@ func TestPipeLastStageBlocksOnlyInLastReduce(t *testing.T) {
 	// optimizer step.
 	ref := build()
 	for id := 0; id < 2; id++ {
-		issue(ref, id, without(stageSchedule(id, 2, micros), opSpeculate), true)
+		issue(ref, id, without(stageSchedule(id, 2, micros), opSpeculate))
 	}
 	await(ref, 0, "the reference step")
 	await(ref, 1, "the reference step")
@@ -235,12 +231,12 @@ func TestPipeLastStageBlocksOnlyInLastReduce(t *testing.T) {
 	}
 	// Stage 0 runs its schedule with its reduces held back; the last
 	// stage runs everything before its last reduce. Both must finish.
-	issue(e, 0, without(stageSchedule(0, 2, micros), opReduce, opSpeculate), true)
-	issue(e, 1, append(last[:cut:cut], report), true)
+	issue(e, 0, without(stageSchedule(0, 2, micros), opReduce, opSpeculate))
+	issue(e, 1, append(last[:cut:cut], report))
 	await(e, 1, "its schedule before the last reduce, with stage 0's contributions withheld")
 	await(e, 0, "its backwards")
 	// The last reduce cannot finish without stage 0's contributions.
-	issue(e, 1, []scheduleOp{last[cut], report}, false)
+	issue(e, 1, []scheduleOp{last[cut], report})
 	select {
 	case <-e.w.results[1]:
 		t.Fatal("the last stage's last reduce returned before stage 0 sent its contributions")
@@ -250,7 +246,7 @@ func TestPipeLastStageBlocksOnlyInLastReduce(t *testing.T) {
 	for m := 0; m < micros; m++ {
 		release = append(release, scheduleOp{kind: opReduce, micro: m})
 	}
-	issue(e, 0, append(release, report), false)
+	issue(e, 0, append(release, report))
 	await(e, 0, "its reduces")
 	await(e, 1, "its last reduce once stage 0's contributions arrived")
 	for bi, b := range e.buckets {

@@ -69,7 +69,7 @@ type rank struct {
 	// folded whenever its owner next reaches a reduce, possibly after
 	// this rank has computed later micros) and reused across steps: every
 	// owner finishes its folds in its last reduce, before its report, and
-	// the coordinator collects every rank's report before releasing the
+	// the engine collects every rank's report before releasing the
 	// next step, so all owner reads of step N happen before any step-N+1
 	// write.
 	sendBufs [][][]float32
@@ -84,7 +84,7 @@ type rank struct {
 	// caches' arenas, so a steady-state step allocates nothing here. That
 	// is safe because what another goroutine reads out of an arena (loss
 	// rows, boundary tensors, all-to-all payloads) is read inside the step
-	// that produced it, and the coordinator collects every rank's report
+	// that produced it, and the engine collects every rank's report
 	// before it releases the next step; nn/workspace.go carries the full
 	// argument, including the STV redo that re-forwards a slot mid-step.
 	micros  []data.Batch
@@ -137,32 +137,11 @@ func newRank(group, local, stage int, w *world, model *nn.GPT, cfg Config, store
 	return r
 }
 
-// run is the rank's top-level loop over the control links: interpret
-// step schedules, apply out-of-step resolutions (Flush), stop.
+// run is the rank's top-level loop: interpret each command until Close
+// closes the command link.
 func (r *rank) run() {
 	for c := range r.w.cmd[r.id] {
-		switch c.kind {
-		case cmdStep:
-			r.begin(c.micros)
-			r.runSchedule(c.ops)
-		case cmdResolve:
-			r.apply(c.res)
-			r.w.results[r.id] <- stepResult{}
-		case cmdStop:
-			return
-		}
-	}
-}
-
-// begin opens a new schedule over micros, growing the per-micro slots to
-// cover them (slots, and their cache arenas, outlive the step).
-func (r *rank) begin(micros []data.Batch) {
-	r.micros = micros
-	for len(r.passes) < len(micros) {
-		r.rows = append(r.rows, nil)
-		r.passes = append(r.passes, &nn.Lanes{})
-		r.bounds = append(r.bounds, nil)
-		r.dBounds = append(r.dBounds, nil)
+		r.runSchedule(c)
 	}
 }
 
@@ -382,36 +361,38 @@ func (r *rank) fold(wait bool) {
 }
 
 // speculate runs the post-reduction phase on the owned partition:
-// corrupt bucket 0 when fault injection asks, normalize the reduced sum,
-// apply the per-bucket speculative Adam step, which publishes the fp16
-// weights, record each bucket's sum of squares for the coordinator's
-// verdict (world.sumsq), and share the weights via allGather. Each cell
-// produced its whole row slice's span gradient and the cross-cell reduce
-// summed R of them per micro (stages contribute disjoint spans), so the
-// divisor is micros·R — one rank's count for the same R-way
-// decomposition.
-func (r *rank) speculate(g goMsg) {
-	inv := float32(1 / (g.scale * float64(len(r.micros)*r.w.R)))
+// corrupt bucket 0 when the command's fault bit asks, normalize the
+// reduced sum, apply the per-bucket speculative Adam step, which
+// publishes the fp16 weights, record each bucket's sum of squares for
+// the engine's verdict (world.sumsq), and share the weights via
+// allGather. Each cell produced its whole row slice's span gradient and
+// the cross-cell reduce summed R of them per micro (stages contribute
+// disjoint spans), so the divisor is micros·R — one rank's count for the
+// same R-way decomposition.
+func (r *rank) speculate(c command) {
+	inv := float32(1 / (c.scale * float64(len(r.micros)*r.w.R)))
 	for _, b := range r.owned {
-		if b.Index() == 0 && g.inject {
+		if b.Index() == 0 && c.inject {
 			b.Grad()[0] = float32(math.Inf(1))
 		}
-		b.SpeculativeStep(g.adam, inv)
+		b.SpeculativeStep(c.adam, inv)
 		r.w.sumsq[b.Index()] = optim.SumSquares(b.Grad())
 	}
 	r.allGather()
 }
 
-// report closes the step out: record placement telemetry (the backward
-// volume is this rank's batch rows × positions over the step's
-// micro-batches) and hand the per-micro loss rows (nil except on the
-// final stage) to the coordinator.
+// report closes the command out: after a step, record placement
+// telemetry (the backward volume is this rank's batch rows × positions
+// over the step's micro-batches); then hand the per-micro loss rows (nil
+// except on the final stage; none after Flush) to the engine.
 func (r *rank) report() stepResult {
-	tokens := 0
-	for _, b := range r.micros {
-		tokens += b.BatchSize * b.Seq
+	if len(r.micros) > 0 {
+		tokens := 0
+		for _, b := range r.micros {
+			tokens += b.BatchSize * b.Seq
+		}
+		r.exec.Record(tokens, r.micros[0].Seq)
 	}
-	r.exec.Record(tokens, r.micros[0].Seq)
 	return stepResult{rows: r.rows[:len(r.micros)]}
 }
 
@@ -421,7 +402,7 @@ func (r *rank) report() stepResult {
 //
 // A receiver copies the owner's tensors, so it must do so before the
 // owner's next write, in its next Apply or SpeculativeStep. After
-// speculate, receivers copy before they report, and the coordinator has
+// speculate, receivers copy before they report, and the engine has
 // every report before it sends the next command. After resolve, a
 // receiver copies before its backward, and the owner steps only after
 // its own backward and reduce, which wait on every rank's backward

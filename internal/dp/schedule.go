@@ -4,9 +4,13 @@ package dp
 // schedule ops produced by stageSchedule and executed by one small
 // interpreter over the rank body. Keeping the step structure in data —
 // instead of in the rank body — is what lets one interpreter, one STV
-// redo rule, and one coordinator drive every (R,S,P) shape.
+// redo rule, and one engine control plane drive every (R,S,P) shape.
 
-import "slices"
+import (
+	"slices"
+
+	"superoffload/internal/nn"
+)
 
 // opKind enumerates the schedule ops a rank can execute in one step.
 type opKind int
@@ -15,21 +19,18 @@ const (
 	// opForward runs the forward pass of micro-batch `micro`.
 	opForward opKind = iota
 	// opBackward runs the backward pass of micro-batch `micro`, scaled by
-	// the goMsg's loss scale (so it must come after opGo).
+	// the command's loss scale.
 	opBackward
 	// opReduce sends micro `micro`'s gradient contributions to their
 	// bucket owners, then folds what has arrived at this rank's owned
 	// buckets; only the step's last opReduce (micro M−1) waits for every
 	// contribution.
 	opReduce
-	// opResolve receives the previous step's validation verdict from the
-	// coordinator and applies it to the owned partition. If the weights
-	// changed (rollback/clip), every forwarded-but-not-yet-backwarded
-	// micro re-runs its forward on the corrected weights — the STV redo.
+	// opResolve applies the previous step's verdict, which the command
+	// carries, to the owned partition. If the weights changed
+	// (rollback/clip), every forwarded-but-not-yet-backwarded micro
+	// re-runs its forward on the corrected weights — the STV redo.
 	opResolve
-	// opGo receives the goMsg (Adam step params, loss scale, fault
-	// injection) that releases the rank into its backward phase.
-	opGo
 	// opSendAct ships micro `micro`'s boundary activation downstream to
 	// the next pipeline stage; opRecvAct receives it from upstream.
 	opSendAct
@@ -40,9 +41,9 @@ const (
 	opRecvGrad
 	// opSpeculate runs the speculative optimizer step on the owned
 	// partition and records each owned bucket's sum of squares for the
-	// coordinator's verdict.
+	// engine's verdict.
 	opSpeculate
-	// opReport sends the rank's stepResult to the coordinator.
+	// opReport sends the rank's stepResult to the engine.
 	opReport
 )
 
@@ -51,7 +52,7 @@ const (
 // worth tagging).
 var opSpanNames = [...]string{
 	opForward: "forward", opBackward: "backward", opReduce: "reduce",
-	opResolve: "resolve", opGo: "go", opSendAct: "sendAct",
+	opResolve: "resolve", opSendAct: "sendAct",
 	opRecvAct: "recvAct", opSendGrad: "sendGrad", opRecvGrad: "recvGrad",
 	opSpeculate: "speculate", opReport: "report",
 }
@@ -96,12 +97,10 @@ func stageSchedule(stage, stages, micros int) []scheduleOp {
 	if stage < stages-1 {
 		perMicro += 2 // sendAct, recvGrad
 	}
-	ops := make([]scheduleOp, 0, perMicro*micros+4)
-	open := func() {
-		ops = append(ops, scheduleOp{kind: opResolve}, scheduleOp{kind: opGo})
-	}
+	ops := make([]scheduleOp, 0, perMicro*micros+3)
+	resolve := scheduleOp{kind: opResolve}
 	if stages > 1 {
-		open()
+		ops = append(ops, resolve)
 	}
 	emitF := func(m int) {
 		if stage > 0 {
@@ -112,7 +111,7 @@ func stageSchedule(stage, stages, micros int) []scheduleOp {
 			ops = append(ops, scheduleOp{kind: opSendAct, micro: m})
 		}
 		if stages == 1 && m == 0 {
-			open()
+			ops = append(ops, resolve)
 		}
 	}
 	emitB := func(m int) {
@@ -146,20 +145,29 @@ func stageSchedule(stage, stages, micros int) []scheduleOp {
 	return append(ops, scheduleOp{kind: opSpeculate}, scheduleOp{kind: opReport})
 }
 
-// runSchedule interprets one step's op sequence on rank r. It owns the
-// coordinator handshakes (resolution, goMsg, result report) and the STV
-// redo rule: on a weight-changing resolution, every micro that has
-// forwarded but not yet backwarded re-runs its forward — which at P=1 is
-// exactly micro 0. Tracing rides the same loop: when the world carries a
-// tracer, every op becomes one span on the rank's track (named after its
-// opKind, tagged with its micro), and so does each redo forward — which
-// is what gives every shape a per-rank timeline from a single tap point.
-// With tracing off the track is nil and each span is a no-op.
-func (r *rank) runSchedule(ops []scheduleOp) {
-	var g goMsg
+// runSchedule interprets one command's op sequence on rank r over the
+// command's micro-batches, growing the per-micro slots to cover them
+// (slots, and their cache arenas, outlive the step). The ops read the
+// verdict, loss scale and step parameters the command carries. It owns
+// the STV redo rule: on a weight-changing resolution, every micro that
+// has forwarded but not yet backwarded re-runs its forward — which at
+// P=1 is exactly micro 0. Tracing rides the same loop: when the world
+// carries a tracer, every op becomes one span on the rank's track (named
+// after its opKind, tagged with its micro), and so does each redo
+// forward — which is what gives every shape a per-rank timeline from a
+// single tap point. With tracing off the track is nil and each span is a
+// no-op.
+func (r *rank) runSchedule(c command) {
+	r.micros = c.micros
+	for len(r.passes) < len(c.micros) {
+		r.rows = append(r.rows, nil)
+		r.passes = append(r.passes, &nn.Lanes{})
+		r.bounds = append(r.bounds, nil)
+		r.dBounds = append(r.dBounds, nil)
+	}
 	r.inFlight = r.inFlight[:0]
 	tk := r.w.tracks[r.id]
-	for _, op := range ops {
+	for _, op := range c.ops {
 		sp := tk.Begin(opSpanNames[op.kind])
 		redo := false
 		switch op.kind {
@@ -167,16 +175,13 @@ func (r *rank) runSchedule(ops []scheduleOp) {
 			r.forward(op.micro)
 			r.inFlight = append(r.inFlight, op.micro)
 		case opBackward:
-			r.backward(op.micro, g.scale)
+			r.backward(op.micro, c.scale)
 			r.inFlight = slices.DeleteFunc(r.inFlight, func(m int) bool { return m == op.micro })
 		case opReduce:
 			r.reduce(op.micro)
 		case opResolve:
-			v := <-r.w.resolution[r.id]
-			r.apply(v)
-			redo = v.WeightsChanged()
-		case opGo:
-			g = <-r.w.goCh[r.id]
+			r.apply(c.res)
+			redo = c.res.WeightsChanged()
 		case opSendAct:
 			r.sendAct(op.micro)
 		case opRecvAct:
@@ -186,7 +191,7 @@ func (r *rank) runSchedule(ops []scheduleOp) {
 		case opRecvGrad:
 			r.recvGrad(op.micro)
 		case opSpeculate:
-			r.speculate(g)
+			r.speculate(c)
 		case opReport:
 			r.w.results[r.id] <- r.report()
 		}

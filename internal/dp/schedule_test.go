@@ -9,7 +9,7 @@ import (
 )
 
 // opNames renders a schedule compactly for golden comparison:
-// "F0 resolve go B0 R0 …".
+// "F0 resolve B0 R0 …".
 func opNames(ops []scheduleOp) string {
 	short := map[opKind]string{
 		opForward: "F", opBackward: "B", opReduce: "R",
@@ -20,8 +20,6 @@ func opNames(ops []scheduleOp) string {
 		switch op.kind {
 		case opResolve:
 			parts = append(parts, "resolve")
-		case opGo:
-			parts = append(parts, "go")
 		case opSpeculate:
 			parts = append(parts, "speculate")
 		case opReport:
@@ -35,21 +33,21 @@ func opNames(ops []scheduleOp) string {
 
 // TestLegacyScheduleGolden pins the exact op sequence the imperative
 // driver used to hard-code, which every P=1 shape (DP, SP, mesh) still
-// runs: forward micro 0, resolve (redo point — forward 0 overlaps the
-// previous step's validation, §4.4), go, backward+reduce 0, then
+// runs: forward micro 0, resolve (the redo point — forward 0 ran on the
+// speculative weights, §4.4), backward+reduce 0, then
 // forward/backward/reduce each remaining micro, speculate, report.
 func TestLegacyScheduleGolden(t *testing.T) {
 	goldens := map[int]string{
-		1: "F0 resolve go B0 R0 speculate report",
-		2: "F0 resolve go B0 R0 F1 B1 R1 speculate report",
-		3: "F0 resolve go B0 R0 F1 B1 R1 F2 B2 R2 speculate report",
+		1: "F0 resolve B0 R0 speculate report",
+		2: "F0 resolve B0 R0 F1 B1 R1 speculate report",
+		3: "F0 resolve B0 R0 F1 B1 R1 F2 B2 R2 speculate report",
 	}
 	for micros, want := range goldens {
 		if got := opNames(stageSchedule(0, 1, micros)); got != want {
 			t.Errorf("stageSchedule(0, 1, %d):\n got %s\nwant %s", micros, got, want)
 		}
 	}
-	// At P=1 every rank is stage 0 (the coordinator passes rank%P):
+	// At P=1 every rank is stage 0 (the engine passes rank%P):
 	// every rank of a collective group must emit identical schedules or
 	// the channel collectives deadlock.
 	for rank := 0; rank < 4; rank++ {
@@ -69,16 +67,16 @@ func TestPipeScheduleGolden(t *testing.T) {
 		want                  string
 	}{
 		// P=1 is the legacy shape: forward 0 before resolve.
-		{0, 1, 2, "F0 resolve go B0 R0 F1 B1 R1 speculate report"},
+		{0, 1, 2, "F0 resolve B0 R0 F1 B1 R1 speculate report"},
 		// P=2, M=3: stage 0 warms up one forward, then steady 1F1B.
-		{0, 2, 3, "resolve go F0 sa0 F1 sa1 rg0 B0 R0 F2 sa2 rg1 B1 R1 rg2 B2 R2 speculate report"},
-		{1, 2, 3, "resolve go ra0 F0 B0 sg0 R0 ra1 F1 B1 sg1 R1 ra2 F2 B2 sg2 R2 speculate report"},
+		{0, 2, 3, "resolve F0 sa0 F1 sa1 rg0 B0 R0 F2 sa2 rg1 B1 R1 rg2 B2 R2 speculate report"},
+		{1, 2, 3, "resolve ra0 F0 B0 sg0 R0 ra1 F1 B1 sg1 R1 ra2 F2 B2 sg2 R2 speculate report"},
 		// P=3, M=2: warmup min(stages-1-stage, micros) forwards.
-		{0, 3, 2, "resolve go F0 sa0 F1 sa1 rg0 B0 R0 rg1 B1 R1 speculate report"},
-		{1, 3, 2, "resolve go ra0 F0 sa0 ra1 F1 sa1 rg0 B0 sg0 R0 rg1 B1 sg1 R1 speculate report"},
-		{2, 3, 2, "resolve go ra0 F0 B0 sg0 R0 ra1 F1 B1 sg1 R1 speculate report"},
+		{0, 3, 2, "resolve F0 sa0 F1 sa1 rg0 B0 R0 rg1 B1 R1 speculate report"},
+		{1, 3, 2, "resolve ra0 F0 sa0 ra1 F1 sa1 rg0 B0 sg0 R0 rg1 B1 sg1 R1 speculate report"},
+		{2, 3, 2, "resolve ra0 F0 B0 sg0 R0 ra1 F1 B1 sg1 R1 speculate report"},
 		// More stages above than micros: warmup clamps to M.
-		{0, 4, 1, "resolve go F0 sa0 rg0 B0 R0 speculate report"},
+		{0, 4, 1, "resolve F0 sa0 rg0 B0 R0 speculate report"},
 	}
 	for _, c := range cases {
 		if got := opNames(stageSchedule(c.stage, c.stages, c.micros)); got != c.want {
@@ -95,11 +93,11 @@ func TestPipeScheduleProperties(t *testing.T) {
 			for micros := 1; micros <= 6; micros++ {
 				ops := stageSchedule(stage, stages, micros)
 				name := fmt.Sprintf("stage %d/%d, %d micros", stage, stages, micros)
-				if stages > 1 && (ops[0].kind != opResolve || ops[1].kind != opGo) {
-					t.Fatalf("%s: must open resolve, go; got %s", name, opNames(ops[:2]))
+				if stages > 1 && ops[0].kind != opResolve {
+					t.Fatalf("%s: must open resolve; got %s", name, opNames(ops[:1]))
 				}
-				if stages == 1 && opNames(ops[:3]) != "F0 resolve go" {
-					t.Fatalf("%s: must open F0 resolve go; got %s", name, opNames(ops[:3]))
+				if stages == 1 && opNames(ops[:2]) != "F0 resolve" {
+					t.Fatalf("%s: must open F0 resolve; got %s", name, opNames(ops[:2]))
 				}
 				if ops[len(ops)-2].kind != opSpeculate || ops[len(ops)-1].kind != opReport {
 					t.Fatalf("%s: must close speculate, report", name)
@@ -208,7 +206,7 @@ func TestDegenerateAxesAreFree(t *testing.T) {
 		}
 	}
 	for rank := 0; rank < w.N; rank++ {
-		if got, want := opNames(stageSchedule(rank%w.P, w.P, 2)), "F0 resolve go B0 R0 F1 B1 R1 speculate report"; got != want {
+		if got, want := opNames(stageSchedule(rank%w.P, w.P, 2)), "F0 resolve B0 R0 F1 B1 R1 speculate report"; got != want {
 			t.Errorf("(2,1,1) rank %d schedule:\n got %s\nwant %s", rank, got, want)
 		}
 	}

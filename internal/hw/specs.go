@@ -18,7 +18,6 @@ const (
 	GiB = 1 << 30
 
 	GB = 1e9 // vendor-style decimal gigabyte, used for bandwidths
-	TB = 1e12
 )
 
 // GPUSpec describes one GPU die.

@@ -33,11 +33,9 @@ type GPT struct {
 
 	params Params
 
-	// tap is what SetActivationTap attaches to Forward/Backward, and
-	// lanes their pass: one cache per lane, each taken over by the next
-	// Forward's lane in place, so steady-state training steps allocate
-	// almost nothing.
-	tap   ActivationTap
+	// lanes is Forward/Backward's pass: one cache per lane, each taken
+	// over by the next Forward's lane in place, so steady-state training
+	// steps allocate almost nothing.
 	lanes Lanes
 }
 
@@ -123,10 +121,7 @@ func (g *GPT) NumParams() int { return g.params.TotalSize() }
 // row-major into tokens, computing mean cross-entropy loss against targets
 // (same layout): the S=1, stage 0 of 1 case of ForwardSPStage, run over
 // min(GOMAXPROCS, batch) lanes of contiguous batch rows at once with the
-// bits of one (lanes.go). An attached activation tap sees the lanes as
-// one pass: one BeginPass for the whole batch, then each layer's stash
-// and fetch once, in order, with every lane's buffers (tapMux).
-// Returns the loss; call Backward to populate gradients. The returned
+// bits of one (lanes.go). Returns the loss; call Backward to populate gradients. The returned
 // cache is the handle of the model's one recycled pass — valid until the
 // next Forward, and the only cache Backward takes.
 func (g *GPT) Forward(tokens []int, targets []int, batch, seq int) (float64, *FwdCache) {
@@ -136,7 +131,7 @@ func (g *GPT) Forward(tokens []int, targets []int, batch, seq int) (float64, *Fw
 		n = runtime.GOMAXPROCS(0)
 	}
 	var loss float64
-	for _, r := range ls.Forward(g, tokens, targets, batch, seq, SP{Ranks: 1, Tap: g.tap}, 0, 1, nil, n) {
+	for _, r := range ls.Forward(g, tokens, targets, batch, seq, SP{Ranks: 1}, 0, 1, nil, n) {
 		loss += r
 	}
 	return loss / float64(batch*seq), ls.Cache()

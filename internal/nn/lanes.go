@@ -306,7 +306,7 @@ func (l *lane) work() {
 // own gradient.
 func paramGrad(p *Param) []float32 { return p.G.Data }
 
-// tapMux presents a pass's lanes to the model's ActivationTap as one
+// tapMux presents a pass's lanes to the holder's ActivationTap as one
 // pass, making exactly the calls a one-lane pass makes:
 //
 //   - Forward opens the pass (begin) before the lanes start; a lane's own

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -11,10 +12,28 @@ import (
 	"superoffload/internal/tensor"
 )
 
-// lanePass runs two micro-batches through Forward/Backward at the given
-// lane count, accumulating both into zeroed gradients, and returns the
-// two losses and the flat gradient.
-func lanePass(t *testing.T, g *GPT, lanes int, micro [2][2][]int, batch, seq int, scale float64) ([2]float64, []float32) {
+// forward is g.Forward, or under an activation tap the same pass run as
+// a rank runs it: Lanes.Forward over the model's own lanes with
+// SP{Ranks: 1, Tap: tap}. g.Backward takes the cache either way.
+func forward(g *GPT, tap ActivationTap, tokens, targets []int, batch, seq int) (float64, *FwdCache) {
+	if tap == nil {
+		return g.Forward(tokens, targets, batch, seq)
+	}
+	n := g.lanes.want
+	if n == 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	var loss float64
+	for _, r := range g.lanes.Forward(g, tokens, targets, batch, seq, SP{Ranks: 1, Tap: tap}, 0, 1, nil, n) {
+		loss += r
+	}
+	return loss / float64(batch*seq), g.lanes.Cache()
+}
+
+// lanePass runs two micro-batches through forward (under tap, when not
+// nil) and Backward at the given lane count, accumulating both into
+// zeroed gradients, and returns the two losses and the flat gradient.
+func lanePass(t *testing.T, g *GPT, lanes int, tap ActivationTap, micro [2][2][]int, batch, seq int, scale float64) ([2]float64, []float32) {
 	t.Helper()
 	g.lanes.want = lanes
 	defer func() { g.lanes.want = 0 }()
@@ -22,7 +41,7 @@ func lanePass(t *testing.T, g *GPT, lanes int, micro [2][2][]int, batch, seq int
 	var losses [2]float64
 	for m, mb := range micro {
 		var cache *FwdCache
-		losses[m], cache = g.Forward(mb[0], mb[1], batch, seq)
+		losses[m], cache = forward(g, tap, mb[0], mb[1], batch, seq)
 		if g.lanes.n != lanes {
 			t.Fatalf("the pass ran %d lanes, want %d", g.lanes.n, lanes)
 		}
@@ -68,9 +87,9 @@ func TestLanesMatchOneLane(t *testing.T) {
 				micro[m][0], micro[m][1] = tinyBatch(g, uint64(100+10*batch+m), batch, seq)
 			}
 			for _, scale := range []float64{1, 1024} {
-				refLoss, refGrads := lanePass(t, g, 1, micro, batch, seq, scale)
+				refLoss, refGrads := lanePass(t, g, 1, nil, micro, batch, seq, scale)
 				for lanes := 2; lanes <= batch; lanes++ {
-					loss, grads := lanePass(t, g, lanes, micro, batch, seq, scale)
+					loss, grads := lanePass(t, g, lanes, nil, micro, batch, seq, scale)
 					matchOneLane(t, fmt.Sprintf("%s: batch %d, %d lanes, scale %v", cfg.Name, batch, lanes, scale), loss, refLoss, grads, refGrads)
 				}
 			}
@@ -183,16 +202,14 @@ func TestLanesUnderTapMatchOneLane(t *testing.T) {
 			wantBytes: 4 * (rows*(13*cfg.Hidden+4) + batch*cfg.Heads*seq*(3*hs+seq)),
 		}
 		for _, scale := range []float64{1, 1024} {
-			refLoss, refGrads := lanePass(t, g, 1, micro, batch, seq, scale)
-			g.SetActivationTap(tap)
+			refLoss, refGrads := lanePass(t, g, 1, nil, micro, batch, seq, scale)
 			for lanes := 1; lanes <= batch; lanes++ {
-				loss, grads := lanePass(t, g, lanes, micro, batch, seq, scale)
+				loss, grads := lanePass(t, g, lanes, tap, micro, batch, seq, scale)
 				if tap.nextFetch != -1 {
 					t.Errorf("batch %d, %d lanes: layer %d was never fetched", batch, lanes, tap.nextFetch)
 				}
 				matchOneLane(t, fmt.Sprintf("tapped, batch %d, %d lanes, scale %v", batch, lanes, scale), loss, refLoss, grads, refGrads)
 			}
-			g.SetActivationTap(nil)
 		}
 	}
 }
@@ -239,8 +256,9 @@ func TestLanesAllocateNothing(t *testing.T) {
 	const batch, seq = 4, 8
 	g := NewGPT(cfg, seq, tensor.NewRNG(5))
 	tokens, targets := tinyBatch(g, 6, batch, seq)
+	var tap ActivationTap
 	pass := func() {
-		_, cache := g.Forward(tokens, targets, batch, seq)
+		_, cache := forward(g, tap, tokens, targets, batch, seq)
 		g.Params().ZeroGrads()
 		g.Backward(cache, 1024)
 	}
@@ -255,7 +273,7 @@ func TestLanesAllocateNothing(t *testing.T) {
 			t.Errorf("a %d-lane pass allocates %v, a one-lane pass %v", lanes, got, one)
 		}
 	}
-	g.SetActivationTap(&countingTap{})
+	tap = &countingTap{}
 	for lanes := 1; lanes <= batch; lanes++ {
 		if got := allocs(lanes); got > one {
 			t.Errorf("a tapped %d-lane pass allocates %v, a one-lane pass %v", lanes, got, one)
@@ -277,8 +295,8 @@ func TestLanesShareTheBandPool(t *testing.T) {
 	for m := range micro {
 		micro[m][0], micro[m][1] = tinyBatch(g, uint64(31+m), batch, seq)
 	}
-	refLoss, refGrads := lanePass(t, g, 1, micro, batch, seq, 1024)
-	loss, grads := lanePass(t, g, 2, micro, batch, seq, 1024)
+	refLoss, refGrads := lanePass(t, g, 1, nil, micro, batch, seq, 1024)
+	loss, grads := lanePass(t, g, 2, nil, micro, batch, seq, 1024)
 	matchOneLane(t, "two lanes", loss, refLoss, grads, refGrads)
 }
 
@@ -341,7 +359,6 @@ func TestLanePanicReachesTheCaller(t *testing.T) {
 	fails("a bad token in lane 1", func() { g.Forward(bad, targets, 2, 4) })
 
 	tap := &failingTap{}
-	g.SetActivationTap(tap)
 	for _, stash := range []bool{true, false} {
 		for layer := len(g.Blocks) - 1; layer >= 0; layer-- {
 			*tap = failingTap{layer: layer, stash: stash, armed: true}
@@ -351,7 +368,7 @@ func TestLanePanicReachesTheCaller(t *testing.T) {
 			}
 			what := fmt.Sprintf("a failed %s of layer %d", call, layer)
 			r := fails(what, func() {
-				_, cache := g.Forward(tokens, targets, 2, 4)
+				_, cache := forward(g, tap, tokens, targets, 2, 4)
 				g.Backward(cache, 1)
 			})
 			if want := fmt.Sprintf("tap: %s of layer %d failed", call, layer); r != want {
@@ -372,8 +389,8 @@ func TestLanePanicReachesTheCaller(t *testing.T) {
 		}
 	}
 
-	for _, m := range []*GPT{g, fresh} {
-		_, cache := m.Forward(tokens, targets, 2, 4)
+	for m, mtap := range map[*GPT]ActivationTap{g: tap, fresh: nil} {
+		_, cache := forward(m, mtap, tokens, targets, 2, 4)
 		m.Backward(cache, 1)
 	}
 	want := flatGrads(fresh)

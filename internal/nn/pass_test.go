@@ -275,8 +275,9 @@ func TestPassAllocatesNothingPerLayerOrHead(t *testing.T) {
 		g := NewGPT(cfg, seq, tensor.NewRNG(7))
 		tokens, targets := tinyBatch(g, 8, batch, seq)
 
+		var tap ActivationTap
 		single := func() {
-			_, cache := g.Forward(tokens, targets, batch, seq)
+			_, cache := forward(g, tap, tokens, targets, batch, seq)
 			g.Params().ZeroGrads()
 			g.Backward(cache, 1024)
 		}
@@ -285,8 +286,8 @@ func TestPassAllocatesNothingPerLayerOrHead(t *testing.T) {
 		if got := testing.AllocsPerRun(5, single); got > want {
 			t.Errorf("%s: single-rank pass allocates %v, want <= %v", cfg.Name, got, want)
 		}
-		tap := &countingTap{}
-		g.SetActivationTap(tap)
+		counting := &countingTap{}
+		tap = counting
 		single()
 		if got := testing.AllocsPerRun(5, single); got > want {
 			t.Errorf("%s: tapped single-rank pass allocates %v, want <= %v", cfg.Name, got, want)
@@ -294,12 +295,11 @@ func TestPassAllocatesNothingPerLayerOrHead(t *testing.T) {
 		// AllocsPerRun runs at one P, so count the buffers of a pass at
 		// this P's lane count: 11 per layer and lane, plus q, k, v and
 		// probs per batch row and head.
-		*tap = countingTap{}
+		*counting = countingTap{}
 		single()
-		if lanes := g.lanes.n; tap.fetched != cfg.Layers || tap.stashed != tap.fetched*(11*lanes+4*batch*cfg.Heads) {
-			t.Errorf("%s: tap saw %d buffers over %d layer fetches of a %d-lane pass", cfg.Name, tap.stashed, tap.fetched, lanes)
+		if lanes := g.lanes.n; counting.fetched != cfg.Layers || counting.stashed != counting.fetched*(11*lanes+4*batch*cfg.Heads) {
+			t.Errorf("%s: tap saw %d buffers over %d layer fetches of a %d-lane pass", cfg.Name, counting.stashed, counting.fetched, lanes)
 		}
-		g.SetActivationTap(nil)
 
 		// S=2: two resident goroutines, each recycling its own cache; the
 		// ring replay runs on the test goroutine once both have reported.

@@ -24,10 +24,6 @@ type ActivationTap interface {
 	FetchLayer(layer int)
 }
 
-// SetActivationTap attaches a tap to Forward/Backward, which present
-// their lanes to it as one pass (tapMux, lanes.go). Nil detaches.
-func (g *GPT) SetActivationTap(t ActivationTap) { g.tap = t }
-
 // actBufs enumerates the block's retained forward buffers for the
 // activation tap: every slice BackwardSPStage and the weight-gradient
 // replay read, each exactly once, in a list the cache reuses pass after

@@ -109,7 +109,7 @@ func TestStepAccumSingleBatchEqualsStep(t *testing.T) {
 // backward spans, M forward spans plus one per redo, one speculate span,
 // and at least one resolve — so the per-phase ledger folded from a trace
 // (bench/trace.go sums these spans by name) is as complete for StepAccum
-// as for Step. The rank's other ops (reduce, go, report) are the only
+// as for Step. The rank's other ops (reduce, report) are the only
 // other spans there.
 func TestStepAccumSpans(t *testing.T) {
 	const micros = 3
@@ -149,7 +149,7 @@ func TestStepAccumSpans(t *testing.T) {
 			}
 		}
 		for name := range spans {
-			if !slices.Contains([]string{"forward", "backward", "resolve", "speculate", "reduce", "go", "report"}, name) {
+			if !slices.Contains([]string{"forward", "backward", "resolve", "speculate", "reduce", "report"}, name) {
 				t.Errorf("%v: the trainer track has a %q span", mode, name)
 			}
 		}
