@@ -335,7 +335,7 @@ func run() (err error) {
 		return enc.Encode(buildReport(eng, reg, model.NumParams(), f.mode, parallelism, f.steps, loss))
 	}
 	st := eng.Stats()
-	fmt.Printf("done: %d steps, %d commits, %d clip-rollbacks, %d skip-rollbacks, %d forward redos\n",
+	fmt.Printf("done: %d steps, %d commits, %d clip-rollbacks, %d skip-rollbacks, %d redos (weight-changing verdicts)\n",
 		st.Steps, st.Commits, st.ClipRolls, st.SkipRolls, st.Redos)
 	printLinks(os.Stdout, eng.CommStats(), f.steps)
 	if tel, ok := eng.StoreTelemetry(); ok {

@@ -9,7 +9,7 @@
 //     shrinks the resident window.
 //  2. Spilling is numerically invisible: the DRAM-cache and NVMe-file
 //     tiers train bit-identically to the fully resident engine,
-//     rollbacks and redo-forwards included.
+//     rollbacks included.
 //  3. The double-buffered prefetch keeps activation traffic off the
 //     critical path: the pipelined virtual clock beats the serialized
 //     spill+compute+fetch schedule.

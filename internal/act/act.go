@@ -74,7 +74,7 @@ type Config struct {
 // accounting. Seconds are virtual (hw-throttled), never wall clock;
 // multi-rank engines sum per-rank figures.
 type Telemetry struct {
-	// Passes counts forward passes begun (redo passes included).
+	// Passes counts forward passes begun, abandoned ones included.
 	Passes int
 	// Spills and Fetches count layer writes and reads; BytesSpilled and
 	// BytesFetched their traffic.
@@ -133,8 +133,8 @@ type layerState struct {
 // record is a layer index's backing slot, reused across passes: a file
 // region + IO buffer on the NVMe tier, a host slice on the DRAM tier.
 // last is the newest op touching the slot; spills wait it out before
-// re-encoding so a pass abandoned mid-flight (an STV redo) can never
-// race the worker.
+// re-encoding so a pass abandoned mid-flight (its caller began the next
+// one before the backward) can never race the worker.
 type record struct {
 	off  int64
 	cap  int64
@@ -228,8 +228,9 @@ func (s *Store) Path() string { return s.lane.Path() }
 // BeginPass starts a forward pass over the given depth and local shape
 // (tokens is this holder's batch rows × positions; seq the attention
 // span feeding the GEMM model). Any previous pass's state is dropped —
-// an STV redo abandons its half-spilled pass simply by beginning the
-// next one; in-flight ops from it are fenced by each record's last op.
+// a caller abandons a half-spilled pass simply by beginning the next one
+// (the engine never does: it forwards each micro-batch once); in-flight
+// ops from it are fenced by each record's last op.
 func (s *Store) BeginPass(layers, tokens, seq int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -86,8 +86,9 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreAbandonedPass: an STV redo abandons a half-finished pass by
-// beginning the next one. The new pass must round-trip cleanly even
+// TestStoreAbandonedPass: a caller abandons a half-finished pass by
+// beginning the next one (as Fig. 8's forward redo would; the engine
+// applies a rollback before the forward, so it never does). The new pass must round-trip cleanly even
 // though the abandoned pass's write ops may still be in flight against
 // the same backing records.
 func TestStoreAbandonedPass(t *testing.T) {

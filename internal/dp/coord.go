@@ -32,6 +32,11 @@ func closeStores(stores []stv.BucketStore, err error) error {
 // fault bit, collect their step reports in rank order, and sum the
 // owners' per-bucket sums of squares into this step's pending verdict.
 // The caller folds the reported losses (e.results) in canonical order.
+//
+// Every rank applies the verdict before its first forward, so no forward
+// runs twice. A weight-changing verdict still counts one Redo — the
+// forward Fig. 8's order redoes — which keeps Stats equal to the serial
+// reference's (stvref) on every shape.
 func (e *Engine) runStep() error {
 	if err := e.ctl.Live(); err != nil {
 		return err

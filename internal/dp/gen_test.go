@@ -624,7 +624,7 @@ func sub(a, b stv.Stats) stv.Stats {
 // expect checks the run exercised what it was drawn for: a learning run's
 // loss fell by 15%, and on a run not restarted from a checkpoint (whose
 // Stats restart at the restore) an injected overflow skipped, under STV
-// forcing a redo, and a tight clip rolled back at least 80% of the steps
+// counting a redo, and a tight clip rolled back at least 80% of the steps
 // it did not skip.
 func (c genConfig) expect(st stv.Stats, losses []float64) error {
 	if c.Learn {
@@ -665,18 +665,18 @@ func (c genConfig) telemetry(tr *Engine, sh shape, sk storeKind, steps int) erro
 	for _, tier := range pt.Tiers {
 		census += tier.Buckets
 	}
-	// Every step records once; only an overflow's redo or skip moves that.
+	// Every step records once; only an overflow's skip moves that.
 	if ok != (c.Place != placeNone) || ok && (pt.Steps == 0 || !c.Overflow && pt.Steps != steps ||
 		census != tr.NumBuckets() || pt.PipelinedSeconds <= 0 || pt.PipelinedSeconds > pt.SerializedSeconds) {
 		return fmt.Errorf("placement %#v: telemetry %+v after %d steps, ok=%v", c.Place, pt, steps, ok)
 	}
 	at, ok := tr.ActTelemetry()
-	// Each final-stage rank's store runs a pass per micro-batch (and per
-	// redo), and every pass spills the layers past the 2-layer window; the
-	// double buffer hides some of their fetches. Redo passes are abandoned
-	// mid-pass, so spilled traffic can exceed fetched, never the reverse.
+	// Each final-stage rank's store runs exactly one pass per micro-batch
+	// — a rollback redoes no forward — and every pass spills the layers
+	// past the 2-layer window; the double buffer hides some of their
+	// fetches, so spilled traffic can exceed fetched, never the reverse.
 	stores, spilled := sh.world()/max(sh.P, 1), c.layers()/max(sh.P, 1)-2
-	if ok != (c.Act != actNone) || ok && (at.Passes < steps*c.M || at.Spills != stores*spilled*at.Passes || at.Fetches == 0 ||
+	if ok != (c.Act != actNone) || ok && (at.Passes != steps*c.M || at.Spills != stores*spilled*at.Passes || at.Fetches == 0 ||
 		at.BytesSpilled < at.BytesFetched || at.PipelinedSeconds() >= at.SerializedSeconds()) {
 		return fmt.Errorf("activations %#v: telemetry %+v after %d steps, ok=%v", c.Act, at, steps, ok)
 	}

@@ -8,7 +8,7 @@ import (
 // TestLanesInARank: at (1,1,1) the rank's pass splits its four batch rows
 // over 1, 2, 3 and 4 lanes with the bits of one — under STV and STE, with
 // activations resident and spilling to the NVMe tier through the lanes'
-// tap multiplexer, across overflow skips, clips and their redos — so
+// tap multiplexer, across overflow skips and clips — so
 // every step's loss, and the master weights, Stats and checkpoint bytes,
 // equal the serial reference's. The lane count is set through the
 // rank's seam, so every count runs on any host.

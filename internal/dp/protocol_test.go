@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"superoffload/internal/data"
 	"superoffload/internal/fp16"
@@ -100,31 +99,13 @@ func rankSpans(tr *obs.Tracer, n, ranks int) [][]string {
 	return out
 }
 
-// settledSpans is rankSpans once every rank's list holds reports report
-// spans, or after 10 s: a rank ends its report span after it sends the
-// report, so that span can land after the call that collected it returns.
-func settledSpans(tr *obs.Tracer, n, ranks, reports int) [][]string {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		spans := rankSpans(tr, n, ranks)
-		done := true
-		for _, s := range spans {
-			done = done && strings.Count(strings.Join(s, " "), "report") == reports
-		}
-		if done || time.Now().After(deadline) {
-			return spans
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestRankSpansFollowTheSchedule: with a clip verdict pending, a traced
-// step of two micro-batches runs at P = 1 forward 0, resolve, the redo
-// of forward 0, then the rest of the step, and at P = 2 resolve first
-// with no redo; a Flush after it is a resolve and a report. No rank has
-// any span the schedule does not name.
+// step of two micro-batches resolves first at every depth and runs every
+// forward once, yet counts the one redo Fig. 8's order would run; a
+// Flush after it is a resolve and a report. No rank has any span the
+// schedule does not name.
 func TestRankSpansFollowTheSchedule(t *testing.T) {
-	const p1 = "forward resolve forward backward reduce forward backward reduce speculate report"
+	const p1 = "resolve forward backward reduce forward backward reduce speculate report"
 	const flush = " resolve report"
 	want := map[shape][]string{
 		s111: {p1 + flush},
@@ -152,7 +133,6 @@ func TestRankSpansFollowTheSchedule(t *testing.T) {
 			if _, err := e.StepAccum(window()); err != nil {
 				t.Fatal(err)
 			}
-			settledSpans(tr, 0, len(ranks), 1)
 			n, redos := tr.Len(), e.Stats().Redos
 			if _, err := e.StepAccum(window()); err != nil {
 				t.Fatal(err)
@@ -163,10 +143,51 @@ func TestRankSpansFollowTheSchedule(t *testing.T) {
 			if _, err := e.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			for id, spans := range settledSpans(tr, n, len(ranks), 2) {
+			for id, spans := range rankSpans(tr, n, len(ranks)) {
 				if got := strings.Join(spans, " "); got != ranks[id] {
 					t.Errorf("rank %d spans of a step and a Flush:\n got %s\nwant %s", id, got, ranks[id])
 				}
+			}
+		})
+	}
+}
+
+// TestTraceCompleteOnReturn: every rank ends its report span before it
+// sends the report, so a trace read as soon as StepAccum or Flush
+// returns already holds each rank's report span for that call.
+func TestTraceCompleteOnReturn(t *testing.T) {
+	for _, sh := range []shape{s211, s112} {
+		t.Run(sh.String(), func(t *testing.T) {
+			tr := obs.NewTracer()
+			cfg := shapeConfig(sh.R, sh.S, sh.P)
+			cfg.ClipNorm = 1e-6 // every verdict clips, so every Flush runs
+			cfg.Tracer = tr
+			e, err := New(deepGPT(5), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			corpus := data.NewCorpus(64, 4)
+			check := func(what string, n int) {
+				t.Helper()
+				for id, spans := range rankSpans(tr, n, sh.world()) {
+					if len(spans) == 0 || spans[len(spans)-1] != "report" {
+						t.Fatalf("rank %d's trace when %s returns ends %v, want a report span", id, what, spans)
+					}
+				}
+			}
+			for i := 0; i < 20; i++ {
+				n := tr.Len()
+				window := []data.Batch{corpus.NextBatch(2*sh.R, 8), corpus.NextBatch(2*sh.R, 8)}
+				if _, err := e.StepAccum(window); err != nil {
+					t.Fatal(err)
+				}
+				check("StepAccum", n)
+				n = tr.Len()
+				if changed, err := e.Flush(); err != nil || !changed {
+					t.Fatalf("Flush = %v, %v; want a clip", changed, err)
+				}
+				check("Flush", n)
 			}
 		})
 	}

@@ -86,15 +86,12 @@ type rank struct {
 	// rows, boundary tensors, all-to-all payloads) is read inside the step
 	// that produced it, and the engine collects every rank's report
 	// before it releases the next step; nn/workspace.go carries the full
-	// argument, including the STV redo that re-forwards a slot mid-step.
+	// argument.
 	micros  []data.Batch
 	rows    [][]float64
 	passes  []*nn.Lanes
 	bounds  []*tensor.Tensor
 	dBounds []*tensor.Tensor
-	// inFlight lists the micros forwarded and not yet backwarded, in
-	// forward order: what an STV redo forwards again.
-	inFlight []int
 }
 
 // newRank partitions the replica under the global (R·S·P-way) ownership
@@ -169,11 +166,9 @@ func (r *rank) apply(v stv.Resolution) {
 }
 
 // forward runs micro m's forward over this stage's block range and this
-// rank's sequence shard, recording its loss (an STV redo overwrites the
-// slot, so the reported loss is the last forward's, the one the
-// corrected weights give). Stage 0 embeds from the micro's tokens; later
-// stages consume the boundary activation recvAct stored for this micro.
-// Only the final stage produces losses.
+// rank's sequence shard, recording its loss. Stage 0 embeds from the
+// micro's tokens; later stages consume the boundary activation recvAct
+// stored for this micro. Only the final stage produces losses.
 func (r *rank) forward(m int) {
 	b := r.micros[m]
 	var xIn *tensor.Tensor
@@ -404,10 +399,10 @@ func (r *rank) report() stepResult {
 // owner's next write, in its next Apply or SpeculativeStep. After
 // speculate, receivers copy before they report, and the engine has
 // every report before it sends the next command. After resolve, a
-// receiver copies before its backward, and the owner steps only after
-// its own backward and reduce, which wait on every rank's backward
-// through reduce contributions, all-to-all and ring hops, and pipeline
-// boundary sends.
+// receiver copies before its first forward, and the owner steps only
+// after its own backward and reduce, which wait on every rank's
+// backward through reduce contributions, all-to-all and ring hops, and
+// pipeline boundary sends.
 func (r *rank) allGather() {
 	for _, b := range r.owned {
 		for dst := 0; dst < r.w.N; dst++ {

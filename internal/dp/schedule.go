@@ -3,14 +3,10 @@ package dp
 // The schedule layer: a training step is, per rank, a sequence of
 // schedule ops produced by stageSchedule and executed by one small
 // interpreter over the rank body. Keeping the step structure in data —
-// instead of in the rank body — is what lets one interpreter, one STV
-// redo rule, and one engine control plane drive every (R,S,P) shape.
+// instead of in the rank body — is what lets one interpreter and one
+// engine control plane drive every (R,S,P) shape.
 
-import (
-	"slices"
-
-	"superoffload/internal/nn"
-)
+import "superoffload/internal/nn"
 
 // opKind enumerates the schedule ops a rank can execute in one step.
 type opKind int
@@ -27,9 +23,9 @@ const (
 	// contribution.
 	opReduce
 	// opResolve applies the previous step's verdict, which the command
-	// carries, to the owned partition. If the weights changed
-	// (rollback/clip), every forwarded-but-not-yet-backwarded micro
-	// re-runs its forward on the corrected weights — the STV redo.
+	// carries, to the owned partition, and re-gathers the weights if it
+	// changed them (rollback/clip). It opens every step, so every forward
+	// reads the resolved weights.
 	opResolve
 	// opSendAct ships micro `micro`'s boundary activation downstream to
 	// the next pipeline stage; opRecvAct receives it from upstream.
@@ -82,13 +78,13 @@ type scheduleOp struct {
 // 0) and sendAct (stages below the last); each backward by
 // recvGrad/sendGrad symmetrically, followed by that micro's reduce.
 //
-// Where the previous step's verdict is applied depends on the depth.
-// With one stage, forward 0 runs BEFORE resolve — Fig. 8's order, in
-// which the next step's first forward runs on speculative weights and a
-// weight-changing verdict redoes exactly that one forward. With several
-// stages it resolves first (numerically identical — forwards read
-// post-resolution weights either way), which keeps the redo machinery
-// off the multi-micro-in-flight pipeline.
+// Every stage opens with resolve: the engine knows the previous step's
+// verdict before it sends the command, so no forward runs on weights the
+// verdict is about to change. Fig. 8's order — forward 0 on the
+// speculative weights, then resolve, then a redo of that forward when the
+// weights changed — gives the same bits (internal/stv/stvref keeps it,
+// and the differential suite compares the two) at the price of a second
+// forward on every rollback.
 func stageSchedule(stage, stages, micros int) []scheduleOp {
 	perMicro := 3 // forward, backward, reduce
 	if stage > 0 {
@@ -98,10 +94,7 @@ func stageSchedule(stage, stages, micros int) []scheduleOp {
 		perMicro += 2 // sendAct, recvGrad
 	}
 	ops := make([]scheduleOp, 0, perMicro*micros+3)
-	resolve := scheduleOp{kind: opResolve}
-	if stages > 1 {
-		ops = append(ops, resolve)
-	}
+	ops = append(ops, scheduleOp{kind: opResolve})
 	emitF := func(m int) {
 		if stage > 0 {
 			ops = append(ops, scheduleOp{kind: opRecvAct, micro: m})
@@ -109,9 +102,6 @@ func stageSchedule(stage, stages, micros int) []scheduleOp {
 		ops = append(ops, scheduleOp{kind: opForward, micro: m})
 		if stage < stages-1 {
 			ops = append(ops, scheduleOp{kind: opSendAct, micro: m})
-		}
-		if stages == 1 && m == 0 {
-			ops = append(ops, resolve)
 		}
 	}
 	emitB := func(m int) {
@@ -148,15 +138,13 @@ func stageSchedule(stage, stages, micros int) []scheduleOp {
 // runSchedule interprets one command's op sequence on rank r over the
 // command's micro-batches, growing the per-micro slots to cover them
 // (slots, and their cache arenas, outlive the step). The ops read the
-// verdict, loss scale and step parameters the command carries. It owns
-// the STV redo rule: on a weight-changing resolution, every micro that
-// has forwarded but not yet backwarded re-runs its forward — which at
-// P=1 is exactly micro 0. Tracing rides the same loop: when the world
-// carries a tracer, every op becomes one span on the rank's track (named
-// after its opKind, tagged with its micro), and so does each redo
-// forward — which is what gives every shape a per-rank timeline from a
-// single tap point. With tracing off the track is nil and each span is a
-// no-op.
+// verdict, loss scale and step parameters the command carries. Tracing
+// rides the same loop: when the world carries a tracer, every op becomes
+// one span on the rank's track (named after its opKind, tagged with its
+// micro), which is what gives every shape a per-rank timeline from a
+// single tap point. The report is sent after its span ends, so a step's
+// trace is complete once the engine holds every report. With tracing
+// off the track is nil and each span is a no-op.
 func (r *rank) runSchedule(c command) {
 	r.micros = c.micros
 	for len(r.passes) < len(c.micros) {
@@ -165,23 +153,18 @@ func (r *rank) runSchedule(c command) {
 		r.bounds = append(r.bounds, nil)
 		r.dBounds = append(r.dBounds, nil)
 	}
-	r.inFlight = r.inFlight[:0]
 	tk := r.w.tracks[r.id]
 	for _, op := range c.ops {
 		sp := tk.Begin(opSpanNames[op.kind])
-		redo := false
 		switch op.kind {
 		case opForward:
 			r.forward(op.micro)
-			r.inFlight = append(r.inFlight, op.micro)
 		case opBackward:
 			r.backward(op.micro, c.scale)
-			r.inFlight = slices.DeleteFunc(r.inFlight, func(m int) bool { return m == op.micro })
 		case opReduce:
 			r.reduce(op.micro)
 		case opResolve:
 			r.apply(c.res)
-			redo = c.res.WeightsChanged()
 		case opSendAct:
 			r.sendAct(op.micro)
 		case opRecvAct:
@@ -193,19 +176,15 @@ func (r *rank) runSchedule(c command) {
 		case opSpeculate:
 			r.speculate(c)
 		case opReport:
-			r.w.results[r.id] <- r.report()
+			res := r.report()
+			sp.End()
+			r.w.results[r.id] <- res
+			continue
 		}
 		if opHasMicro(op.kind) {
 			sp.EndMicro(op.micro)
 		} else {
 			sp.End()
-		}
-		if redo {
-			for _, m := range r.inFlight {
-				sp := tk.Begin(opSpanNames[opForward])
-				r.forward(m)
-				sp.EndMicro(m)
-			}
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // opNames renders a schedule compactly for golden comparison:
-// "F0 resolve B0 R0 …".
+// "resolve F0 B0 R0 …".
 func opNames(ops []scheduleOp) string {
 	short := map[opKind]string{
 		opForward: "F", opBackward: "B", opReduce: "R",
@@ -31,16 +31,15 @@ func opNames(ops []scheduleOp) string {
 	return strings.Join(parts, " ")
 }
 
-// TestLegacyScheduleGolden pins the exact op sequence the imperative
-// driver used to hard-code, which every P=1 shape (DP, SP, mesh) still
-// runs: forward micro 0, resolve (the redo point — forward 0 ran on the
-// speculative weights, §4.4), backward+reduce 0, then
-// forward/backward/reduce each remaining micro, speculate, report.
+// TestLegacyScheduleGolden pins the op sequence every P=1 shape (DP,
+// SP, mesh) runs: resolve the previous verdict, so that every forward
+// reads the resolved weights and none is redone, then
+// forward/backward/reduce each micro, speculate, report.
 func TestLegacyScheduleGolden(t *testing.T) {
 	goldens := map[int]string{
-		1: "F0 resolve B0 R0 speculate report",
-		2: "F0 resolve B0 R0 F1 B1 R1 speculate report",
-		3: "F0 resolve B0 R0 F1 B1 R1 F2 B2 R2 speculate report",
+		1: "resolve F0 B0 R0 speculate report",
+		2: "resolve F0 B0 R0 F1 B1 R1 speculate report",
+		3: "resolve F0 B0 R0 F1 B1 R1 F2 B2 R2 speculate report",
 	}
 	for micros, want := range goldens {
 		if got := opNames(stageSchedule(0, 1, micros)); got != want {
@@ -66,8 +65,8 @@ func TestPipeScheduleGolden(t *testing.T) {
 		stage, stages, micros int
 		want                  string
 	}{
-		// P=1 is the legacy shape: forward 0 before resolve.
-		{0, 1, 2, "F0 resolve B0 R0 F1 B1 R1 speculate report"},
+		// P=1 is the legacy shape, resolving first like every depth.
+		{0, 1, 2, "resolve F0 B0 R0 F1 B1 R1 speculate report"},
 		// P=2, M=3: stage 0 warms up one forward, then steady 1F1B.
 		{0, 2, 3, "resolve F0 sa0 F1 sa1 rg0 B0 R0 F2 sa2 rg1 B1 R1 rg2 B2 R2 speculate report"},
 		{1, 2, 3, "resolve ra0 F0 B0 sg0 R0 ra1 F1 B1 sg1 R1 ra2 F2 B2 sg2 R2 speculate report"},
@@ -93,11 +92,10 @@ func TestPipeScheduleProperties(t *testing.T) {
 			for micros := 1; micros <= 6; micros++ {
 				ops := stageSchedule(stage, stages, micros)
 				name := fmt.Sprintf("stage %d/%d, %d micros", stage, stages, micros)
-				if stages > 1 && ops[0].kind != opResolve {
+				// The verdict is applied before any forward, so none is
+				// redone; resolve runs once.
+				if ops[0].kind != opResolve {
 					t.Fatalf("%s: must open resolve; got %s", name, opNames(ops[:1]))
-				}
-				if stages == 1 && opNames(ops[:2]) != "F0 resolve" {
-					t.Fatalf("%s: must open F0 resolve; got %s", name, opNames(ops[:2]))
 				}
 				if ops[len(ops)-2].kind != opSpeculate || ops[len(ops)-1].kind != opReport {
 					t.Fatalf("%s: must close speculate, report", name)
@@ -133,6 +131,7 @@ func TestPipeScheduleProperties(t *testing.T) {
 				ascending(opForward, micros)
 				ascending(opBackward, micros)
 				ascending(opReduce, micros)
+				ascending(opResolve, 1)
 				// Boundary ops exist iff the boundary exists.
 				wantUp, wantDown := 0, 0
 				if stage > 0 {
@@ -206,7 +205,7 @@ func TestDegenerateAxesAreFree(t *testing.T) {
 		}
 	}
 	for rank := 0; rank < w.N; rank++ {
-		if got, want := opNames(stageSchedule(rank%w.P, w.P, 2)), "F0 resolve B0 R0 F1 B1 R1 speculate report"; got != want {
+		if got, want := opNames(stageSchedule(rank%w.P, w.P, 2)), "resolve F0 B0 R0 F1 B1 R1 speculate report"; got != want {
 			t.Errorf("(2,1,1) rank %d schedule:\n got %s\nwant %s", rank, got, want)
 		}
 	}

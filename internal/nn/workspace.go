@@ -20,8 +20,10 @@ import "superoffload/internal/tensor"
 //     produced them, and a cache slot is next forwarded in a later step,
 //     which the coordinator releases only after collecting every rank's
 //     report for this one (internal/dp: rank.caches, stepResult).
-//   - All-to-all payloads can be overwritten inside the same step: an STV
-//     redo re-forwards a slot right after its first forward. Payload k of
+//   - All-to-all payloads: the engine forwards each slot once per step,
+//     so the rule above covers them there. A caller that re-forwards a
+//     slot right after its first forward, inside one step (Fig. 8's redo
+//     order would), overwrites them sooner, and is still safe. Payload k of
 //     a pass is rewritten only by exchange k of the next pass through the
 //     cache. A receiver copies payload k out inside its exchange k, before
 //     it sends anything for exchange k+1; exchanges pair up FIFO per link;

@@ -22,8 +22,8 @@ func actGPT(seed uint64) *nn.GPT {
 
 // TestTrainerActBitExact: a trainer spilling activations through either
 // tier reproduces the resident trainer bit for bit — across the clip
-// rollback, the NaN skip and the redo-forwards that abandon a
-// half-spilled pass — with real spill traffic the double buffer hides.
+// rollback and the NaN skip, whose corrected weights every pass after
+// them reads — with real spill traffic the double buffer hides.
 // At two Ps the model's two-row passes run two lanes under the tap on any
 // host.
 func TestTrainerActBitExact(t *testing.T) {
@@ -41,8 +41,8 @@ func TestTrainerActBitExact(t *testing.T) {
 			if run.stats.Rollbacks() == 0 || run.stats.Redos == 0 {
 				t.Fatalf("run exercised no rollbacks or redos: %+v", run.stats)
 			}
-			// Redo-forwards spill layers whose pass is then abandoned, so
-			// spilled traffic can exceed fetched — never the reverse.
+			// Every fetch reads back a spill, so spilled traffic can
+			// exceed fetched — never the reverse.
 			tel := st.Telemetry()
 			if tel.Spills == 0 || tel.Fetches == 0 || tel.BytesSpilled < tel.BytesFetched {
 				t.Fatalf("store saw no spill traffic: %+v", tel)

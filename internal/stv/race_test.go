@@ -96,9 +96,9 @@ func TestPendingVerdictStress(t *testing.T) {
 // -obs-addr), so a poller hammering all four must be race-free against
 // every way the trainer moves — Step, an accumulation window, Flush and
 // Close — with the flash store, the placement executor and the activation
-// tier all live and the clip tight enough that rollbacks and redos
-// happen. Meaningful under -race; the accumulation window used to bump
-// the counters outside their lock.
+// tier all live and the clip tight enough that rollbacks happen.
+// Meaningful under -race; the accumulation window used to bump the
+// counters outside their lock.
 func TestTelemetryPollDuringTraining(t *testing.T) {
 	m := actGPT(42)
 	cfg := nvmeTrainerConfig(t, stv.STV)

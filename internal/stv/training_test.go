@@ -97,7 +97,7 @@ func TestSTVRollbackCountsMatchSTE(t *testing.T) {
 		t.Errorf("expected exactly 1 skip, got %d", spec.Stats().SkipRolls)
 	}
 	if spec.Stats().Redos == 0 {
-		t.Error("rollbacks should force forward redos under STV")
+		t.Error("rollbacks should count redos under STV")
 	}
 }
 

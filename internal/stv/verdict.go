@@ -14,7 +14,11 @@ type Stats struct {
 	Commits   int // steps that validated clean
 	ClipRolls int // rollback + re-execute with clipped gradients
 	SkipRolls int // rollback + skip (NaN/Inf)
-	Redos     int // forward passes redone after a rollback
+	// Redos counts weight-changing verdicts applied at the start of a
+	// step: the forward that Fig. 8's order (forward, then resolve)
+	// redoes, and that stvref still redoes. internal/dp resolves before
+	// any forward, so there it runs no second forward.
+	Redos int
 }
 
 // Rollbacks returns total rollback events.
@@ -45,7 +49,8 @@ type Resolution struct {
 }
 
 // WeightsChanged reports whether applying the resolution modifies model
-// weights, so that a forward pass already run on them must be redone.
+// weights: a forward run on them before the resolution (Fig. 8's order)
+// must be redone, and a step that applies it counts one Redo.
 func (r Resolution) WeightsChanged() bool { return r.Action == Skip || r.Action == Clip }
 
 // Verdict is the step-control state of one training run, shared by
@@ -115,8 +120,9 @@ func (v *Verdict) Launched(adam optim.Config, sumsq float64) {
 	v.bump(func(s *Stats) { s.Steps++ })
 }
 
-// Redo counts one forward pass rerun because a resolution changed the
-// weights under it.
+// Redo counts one weight-changing verdict applied at the start of a
+// step: the forward Fig. 8's order runs again on the corrected weights,
+// whether or not the caller actually ran it twice (see Stats.Redos).
 func (v *Verdict) Redo() { v.bump(func(s *Stats) { s.Redos++ }) }
 
 // Resolve turns the pending step's sum of squares into the resolution
